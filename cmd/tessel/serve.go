@@ -163,21 +163,86 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// server holds the serve subcommand's state: the engine and the per-request
-// search deadline.
-type server struct {
-	engine        *tessel.Engine
+// serveConfig is every `tessel serve` setting. serveFlags binds each field
+// straight to its flag, and the engine options are the struct the engine
+// takes, so a setting has one home between the command line and its reader.
+type serveConfig struct {
+	addr          string
+	engine        tessel.EngineOptions
 	searchTimeout time.Duration // per-request deadline
 	solverTimeout time.Duration // default per-solve budget
 	maxN          int           // cap on requested micro-batches
 	solverWorkers int           // default per-solve worker count (0 = auto)
 	snapshotPath  string        // cache snapshot file ("" = persistence off)
+	snapshotEvery time.Duration
+	peers         string // comma-separated ring members ("" = single replica)
+	peerSelf      string
+}
+
+// serveFlags registers the serve flags on fs, bound to the returned config.
+// Tunables that only ever had one value in use are package constants next to
+// their readers instead: engine.DefaultPeerFetchBudget and the degraded-search
+// node cap in internal/engine, the fetch, breaker and prober Default* constants
+// in internal/peer.
+func serveFlags(fs *flag.FlagSet) *serveConfig {
+	cfg := &serveConfig{}
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&cfg.engine.CacheSize, "cache-size", tessel.DefaultEngineCacheSize, "repetend cache capacity (searched placements)")
+	fs.DurationVar(&cfg.searchTimeout, "search-timeout", 60*time.Second, "per-request search deadline")
+	fs.DurationVar(&cfg.solverTimeout, "solver-timeout", 10*time.Second, "default per-solve budget when the request sets none")
+	fs.IntVar(&cfg.maxN, "max-n", DefaultMaxN, "largest micro-batch count a request may ask for")
+	fs.IntVar(&cfg.engine.MaxConcurrentSearches, "max-concurrent-searches", 2, "cold searches running at once (each saturates the CPU; 0 = unlimited)")
+	fs.IntVar(&cfg.engine.MaxQueuedSearches, "max-queued-searches", 64, "cold searches that may wait for a slot (0 = unlimited, negative = none)")
+	fs.DurationVar(&cfg.engine.QueueWait, "queue-wait", 5*time.Second, "longest a queued cold search waits before 429 (0 = until the request deadline)")
+	fs.Float64Var(&cfg.engine.TenantRate, "tenant-rate", 0, "per-tenant cold searches per second (0 = no tenant budgets)")
+	fs.IntVar(&cfg.engine.TenantBurst, "tenant-burst", 4, "per-tenant cold-search burst capacity")
+	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "cache snapshot file, restored at boot and written on SIGTERM and periodically (\"\" = off)")
+	fs.DurationVar(&cfg.snapshotEvery, "snapshot-interval", 5*time.Minute, "period between cache snapshots when -snapshot is set")
+	fs.IntVar(&cfg.solverWorkers, "solver-workers", 0, "default per-solve branch-and-bound workers when the request sets none (0 = auto)")
+	fs.StringVar(&cfg.peers, "peers", "", "comma-separated replica addresses forming the consistent-hash peer ring; identical on every replica and must include -peer-self (\"\" = single replica)")
+	fs.StringVar(&cfg.peerSelf, "peer-self", "", "this replica's own address exactly as it appears in -peers")
+	return cfg
+}
+
+// server holds the serve subcommand's state: its config, the engine and the
+// optional peer tier.
+type server struct {
+	cfg    *serveConfig
+	engine *tessel.Engine
 	// peerClient is the multi-replica cache tier (nil = single replica).
 	peerClient *tessel.PeerClient
 	// ready flips once the boot-time snapshot restore has finished (or
 	// immediately when persistence is off); /readyz reports 503 until then
 	// so load balancers don't route to a cold replica.
 	ready atomic.Bool
+}
+
+// newServer validates cfg and builds the engine and, when -peers is set,
+// the peer tier around it.
+func newServer(cfg *serveConfig) (*server, error) {
+	if cfg.solverWorkers < 0 {
+		return nil, fmt.Errorf("-solver-workers must be non-negative, got %d", cfg.solverWorkers)
+	}
+	s := &server{cfg: cfg, engine: tessel.NewEngine(cfg.engine)}
+	if cfg.peers == "" {
+		return s, nil
+	}
+	if cfg.peerSelf == "" {
+		return nil, fmt.Errorf("-peers requires -peer-self (this replica's own address in the list)")
+	}
+	var list []string
+	for _, p := range strings.Split(cfg.peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			list = append(list, p)
+		}
+	}
+	client, err := tessel.NewPeerClient(s.engine, tessel.PeerClientOptions{Self: cfg.peerSelf, Peers: list, Logf: log.Printf})
+	if err != nil {
+		return nil, err
+	}
+	s.peerClient = client
+	s.engine.SetPeerTier(client)
+	return s, nil
 }
 
 // snapshotWriteAttempts / snapshotWriteBackoff bound the snapshot write
@@ -196,7 +261,7 @@ func (s *server) writeSnapshot() error {
 	backoff := snapshotWriteBackoff
 	var err error
 	for attempt := 1; attempt <= snapshotWriteAttempts; attempt++ {
-		if err = s.engine.SaveSnapshot(s.snapshotPath); err == nil {
+		if err = s.engine.SaveSnapshot(s.cfg.snapshotPath); err == nil {
 			return nil
 		}
 		log.Printf("tessel serve: snapshot write attempt %d/%d: %v", attempt, snapshotWriteAttempts, err)
@@ -211,83 +276,19 @@ func (s *server) writeSnapshot() error {
 // runServe is the entry point of `tessel serve`.
 func runServe(args []string) {
 	fs := flag.NewFlagSet("tessel serve", flag.ExitOnError)
-	var (
-		addr          = fs.String("addr", ":8080", "listen address")
-		cacheSize     = fs.Int("cache-size", tessel.DefaultEngineCacheSize, "repetend cache capacity (searched placements)")
-		searchTimeout = fs.Duration("search-timeout", 60*time.Second, "per-request search deadline")
-		solverTimeout = fs.Duration("solver-timeout", 10*time.Second, "default per-solve budget when the request sets none")
-		maxN          = fs.Int("max-n", DefaultMaxN, "largest micro-batch count a request may ask for")
-		maxSearches   = fs.Int("max-concurrent-searches", 2, "cold searches running at once (each saturates the CPU; 0 = unlimited)")
-		maxQueued     = fs.Int("max-queued-searches", 64, "cold searches that may wait for a slot (0 = unlimited, negative = none)")
-		queueWait     = fs.Duration("queue-wait", 5*time.Second, "longest a queued cold search waits before 429 (0 = until the request deadline)")
-		tenantRate    = fs.Float64("tenant-rate", 0, "per-tenant cold searches per second (0 = no tenant budgets)")
-		tenantBurst   = fs.Int("tenant-burst", 4, "per-tenant cold-search burst capacity")
-		degradedNodes = fs.Int64("degraded-solver-nodes", 0, "per-solve node cap of allow_degraded searches (0 = default)")
-		snapshotPath  = fs.String("snapshot", "", "cache snapshot file, restored at boot and written on SIGTERM and periodically (\"\" = off)")
-		snapshotEvery = fs.Duration("snapshot-interval", 5*time.Minute, "period between cache snapshots when -snapshot is set")
-		solverWorkers = fs.Int("solver-workers", 0, "default per-solve branch-and-bound workers when the request sets none (0 = auto)")
-
-		peers           = fs.String("peers", "", "comma-separated replica addresses forming the consistent-hash peer ring; identical on every replica and must include -peer-self (\"\" = single replica)")
-		peerSelf        = fs.String("peer-self", "", "this replica's own address exactly as it appears in -peers")
-		peerTimeout     = fs.Duration("peer-timeout", 250*time.Millisecond, "per-attempt deadline of one peer entry fetch")
-		peerAttempts    = fs.Int("peer-attempts", 2, "fetch attempts per peer including the first (1 = no retries)")
-		peerFetchBudget = fs.Duration("peer-fetch-budget", 2*time.Second, "cap on the whole peer-fetch phase of one cold miss")
-		breakerFails    = fs.Int("peer-breaker-failures", 3, "consecutive failed attempts that open a peer's circuit breaker")
-		breakerCooldown = fs.Duration("peer-breaker-cooldown", 2*time.Second, "how long an open breaker refuses a peer before a half-open probe")
-		probeInterval   = fs.Duration("peer-probe-interval", time.Second, "period between async health probes that eject/readmit peers from the ring")
-	)
+	cfg := serveFlags(fs)
 	fs.Parse(args)
-	if *solverWorkers < 0 {
-		log.Fatalf("tessel serve: -solver-workers must be non-negative, got %d", *solverWorkers)
+	s, err := newServer(cfg)
+	if err != nil {
+		log.Fatalf("tessel serve: %v", err)
 	}
-	if *peers != "" && *peerSelf == "" {
-		log.Fatalf("tessel serve: -peers requires -peer-self (this replica's own address in the list)")
-	}
-
-	s := &server{
-		engine: tessel.NewEngine(tessel.EngineOptions{
-			CacheSize:             *cacheSize,
-			MaxConcurrentSearches: *maxSearches,
-			MaxQueuedSearches:     *maxQueued,
-			QueueWait:             *queueWait,
-			TenantRate:            *tenantRate,
-			TenantBurst:           *tenantBurst,
-			DegradedSolverNodes:   *degradedNodes,
-			PeerFetchBudget:       *peerFetchBudget,
-		}),
-		searchTimeout: *searchTimeout,
-		solverTimeout: *solverTimeout,
-		maxN:          *maxN,
-		solverWorkers: *solverWorkers,
-		snapshotPath:  *snapshotPath,
-	}
-	if *peers != "" {
-		var list []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				list = append(list, p)
-			}
-		}
-		client, err := tessel.NewPeerClient(s.engine, tessel.PeerClientOptions{
-			Self:            *peerSelf,
-			Peers:           list,
-			AttemptTimeout:  *peerTimeout,
-			Attempts:        *peerAttempts,
-			BreakerFailures: *breakerFails,
-			BreakerCooldown: *breakerCooldown,
-			ProbeInterval:   *probeInterval,
-			Logf:            log.Printf,
-		})
-		if err != nil {
-			log.Fatalf("tessel serve: %v", err)
-		}
-		s.peerClient = client
-		s.engine.SetPeerTier(client)
-		log.Printf("tessel serve: %s", client)
+	if s.peerClient != nil {
+		conf, healthy := s.peerClient.HealthSummary()
+		log.Printf("tessel serve: peer ring: self %s, %d remote peers (%d healthy)", cfg.peerSelf, conf, healthy)
 	}
 
 	srv := &http.Server{
-		Addr:    *addr,
+		Addr:    cfg.addr,
 		Handler: s.mux(),
 		// Transport-level bounds against stalled clients; handler time is
 		// bounded separately by -search-timeout, so no WriteTimeout (it
@@ -308,18 +309,18 @@ func runServe(args []string) {
 	// /readyz keeps the replica out of rotation until the restore finishes.
 	// LoadSnapshot never fails the boot: a missing file is a first start and
 	// a torn or stale snapshot degrades to a cold one with a logged warning.
-	if s.snapshotPath == "" {
+	if cfg.snapshotPath == "" {
 		s.ready.Store(true)
 	} else {
 		go func() {
-			if n := s.engine.LoadSnapshot(s.snapshotPath); n > 0 {
-				log.Printf("tessel serve: restored %d cached searches from %s", n, s.snapshotPath)
+			if n := s.engine.LoadSnapshot(cfg.snapshotPath); n > 0 {
+				log.Printf("tessel serve: restored %d cached searches from %s", n, cfg.snapshotPath)
 			}
 			s.ready.Store(true)
 		}()
-		if *snapshotEvery > 0 {
+		if cfg.snapshotEvery > 0 {
 			go func() {
-				ticker := time.NewTicker(*snapshotEvery)
+				ticker := time.NewTicker(cfg.snapshotEvery)
 				defer ticker.Stop()
 				for {
 					select {
@@ -337,7 +338,7 @@ func runServe(args []string) {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("tessel serve: listening on %s (cache %d, search timeout %s)", *addr, *cacheSize, *searchTimeout)
+	log.Printf("tessel serve: listening on %s (cache %d, search timeout %s)", cfg.addr, cfg.engine.CacheSize, cfg.searchTimeout)
 
 	select {
 	case <-ctx.Done():
@@ -347,8 +348,8 @@ func runServe(args []string) {
 		// process exits. With no search deadline (-search-timeout 0) the
 		// drain budget is 5 minutes.
 		drain := 5 * time.Minute
-		if s.searchTimeout > 0 {
-			drain = s.searchTimeout + 5*time.Second
+		if cfg.searchTimeout > 0 {
+			drain = cfg.searchTimeout + 5*time.Second
 			if drain < 15*time.Second {
 				drain = 15 * time.Second
 			}
@@ -361,11 +362,11 @@ func runServe(args []string) {
 		<-errCh
 		// Final snapshot after the drain, so the file captures every search
 		// that completed before the process exits.
-		if s.snapshotPath != "" {
+		if cfg.snapshotPath != "" {
 			if err := s.writeSnapshot(); err != nil {
 				log.Printf("tessel serve: final snapshot: %v", err)
 			} else {
-				log.Printf("tessel serve: cache snapshot written to %s", s.snapshotPath)
+				log.Printf("tessel serve: cache snapshot written to %s", cfg.snapshotPath)
 			}
 		}
 	case err := <-errCh:
@@ -454,9 +455,9 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Options.N > s.maxN {
+	if req.Options.N > s.cfg.maxN {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("n %d exceeds the server cap %d", req.Options.N, s.maxN))
+			fmt.Sprintf("n %d exceeds the server cap %d", req.Options.N, s.cfg.maxN))
 		return
 	}
 	opts := tessel.SearchOptions{
@@ -465,8 +466,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		MaxNR:              req.Options.MaxNR,
 		MaxAssignments:     req.Options.MaxAssignments,
 		SolverNodes:        req.Options.SolverNodes,
-		SolverTimeout:      s.solverTimeout,
-		SolverWorkers:      s.solverWorkers,
+		SolverTimeout:      s.cfg.solverTimeout,
+		SolverWorkers:      s.cfg.solverWorkers,
 		DisableLazy:        req.Options.DisableLazy,
 		SimpleCompaction:   req.Options.SimpleCompaction,
 		DisableLocalSearch: req.Options.DisableLocalSearch,
@@ -484,9 +485,9 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	if s.searchTimeout > 0 {
+	if s.cfg.searchTimeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.searchTimeout)
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.searchTimeout)
 		defer cancel()
 	}
 	res, info, err := s.engine.Serve(ctx, tessel.SearchRequest{
@@ -571,43 +572,12 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// serveStatsJSON is the wire form of /v1/stats: every engine counter
-// (tessel-lint's counterparity analyzer enforces the engine.Stats →
-// serveStatsJSON mapping) plus the server's worker configuration and
-// readiness.
+// serveStatsJSON is the wire form of /v1/stats: every engine counter (the
+// embedded struct carries the wire names, so a counter added to the engine
+// appears here with no further edit) plus the server's readiness and worker
+// configuration.
 type serveStatsJSON struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Shared    uint64 `json:"shared"`
-	Evictions uint64 `json:"evictions"`
-	// Admitted / Queued / Shed / Degraded are the admission-control
-	// counters: cold searches admitted (Queued of them after a wait),
-	// requests refused with 429, and requests served best-effort.
-	Admitted uint64 `json:"admitted"`
-	Queued   uint64 `json:"queued"`
-	Shed     uint64 `json:"shed"`
-	Degraded uint64 `json:"degraded"`
-	// Restored counts cache entries loaded from the boot snapshot.
-	Restored uint64 `json:"restored"`
-	// SharedMemoHits / JobsStolen are the engine-lifetime totals of the
-	// parallel solver's cross-job memo prunes and deterministic job splits.
-	SharedMemoHits uint64 `json:"shared_memo_hits"`
-	JobsStolen     uint64 `json:"jobs_stolen"`
-	// SnapshotWriteErrors counts failed snapshot write attempts (each retry
-	// that fails counts once), so silent persistence loss shows up here.
-	SnapshotWriteErrors uint64 `json:"snapshot_write_errors"`
-	// PeerHits .. BreakerOpen are the multi-replica cache tier counters:
-	// misses served from a peer replica's cache, fetch rounds that found no
-	// peer copy, failed fetch attempts, retries after a failed attempt, and
-	// circuit-breaker open transitions. PeersHealthy is the current count of
-	// remote peers in the ring (all zero on a single replica).
-	PeerHits     uint64 `json:"peer_hits"`
-	PeerMisses   uint64 `json:"peer_misses"`
-	PeerErrors   uint64 `json:"peer_errors"`
-	PeerRetries  uint64 `json:"peer_retries"`
-	BreakerOpen  uint64 `json:"breaker_open"`
-	PeersHealthy int    `json:"peers_healthy"`
-	Entries      int    `json:"entries"`
+	tessel.EngineStats
 	// Ready mirrors /readyz: false until the snapshot restore finished.
 	Ready bool `json:"ready"`
 	// SolverWorkers is the configured per-solve worker default;
@@ -622,30 +592,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	st := s.engine.Stats()
 	writeJSON(w, http.StatusOK, serveStatsJSON{
-		Hits:                   st.Hits,
-		Misses:                 st.Misses,
-		Shared:                 st.Shared,
-		Evictions:              st.Evictions,
-		Admitted:               st.Admitted,
-		Queued:                 st.Queued,
-		Shed:                   st.Shed,
-		Degraded:               st.Degraded,
-		Restored:               st.Restored,
-		SharedMemoHits:         st.SharedMemoHits,
-		JobsStolen:             st.JobsStolen,
-		SnapshotWriteErrors:    st.SnapshotWriteErrors,
-		PeerHits:               st.PeerHits,
-		PeerMisses:             st.PeerMisses,
-		PeerErrors:             st.PeerErrors,
-		PeerRetries:            st.PeerRetries,
-		BreakerOpen:            st.BreakerOpen,
-		PeersHealthy:           st.PeersHealthy,
-		Entries:                st.Entries,
+		EngineStats:            s.engine.Stats(),
 		Ready:                  s.ready.Load(),
-		SolverWorkers:          s.solverWorkers,
-		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.solverWorkers, tessel.ParallelSolveTaskThreshold),
+		SolverWorkers:          s.cfg.solverWorkers,
+		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.cfg.solverWorkers, tessel.ParallelSolveTaskThreshold),
 	})
 }
 

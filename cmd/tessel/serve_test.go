@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -17,14 +18,26 @@ import (
 	"tessel/internal/faultpoint"
 )
 
-func newTestServer(t *testing.T) *server {
+// testConfig parses args over the serve flag defaults, as runServe does.
+func testConfig(t *testing.T, args ...string) *serveConfig {
 	t.Helper()
-	return &server{
-		engine:        tessel.NewEngine(tessel.EngineOptions{}),
-		searchTimeout: 30 * time.Second,
-		solverTimeout: 5 * time.Second,
-		maxN:          DefaultMaxN,
+	fs := flag.NewFlagSet("tessel serve", flag.ContinueOnError)
+	cfg := serveFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
+	return cfg
+}
+
+// newTestServer builds a server the way runServe does, without binding a
+// listener. Like a booting replica it starts not ready.
+func newTestServer(t *testing.T, args ...string) *server {
+	t.Helper()
+	s, err := newServer(testConfig(t, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func placementJSON(t *testing.T) []byte {
@@ -393,7 +406,7 @@ func TestServeReadyz(t *testing.T) {
 func TestServeSnapshotWriteRetry(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	s := newTestServer(t)
-	s.snapshotPath = filepath.Join(t.TempDir(), "cache.snap")
+	s.cfg.snapshotPath = filepath.Join(t.TempDir(), "cache.snap")
 	s.ready.Store(true)
 
 	var calls atomic.Int32
@@ -447,14 +460,9 @@ func TestServeSnapshotWriteRetry(t *testing.T) {
 // Retry-After header, and a third that set allow_degraded gets a 200
 // flagged "degraded" instead of the refusal.
 func TestServeOverloadAndDegraded(t *testing.T) {
-	s := &server{
-		// Burst 1 and a near-zero refill rate: one cold search per tenant,
-		// deterministically.
-		engine:        tessel.NewEngine(tessel.EngineOptions{TenantRate: 1e-9, TenantBurst: 1}),
-		searchTimeout: 30 * time.Second,
-		solverTimeout: 5 * time.Second,
-		maxN:          DefaultMaxN,
-	}
+	// Burst 1 and a near-zero refill rate: one cold search per tenant,
+	// deterministically.
+	s := newTestServer(t, "-tenant-rate", "1e-9", "-tenant-burst", "1")
 	post := func(placement json.RawMessage, degraded bool) *httptest.ResponseRecorder {
 		t.Helper()
 		body, err := json.Marshal(map[string]any{
@@ -565,8 +573,7 @@ func TestServeSnapshotRestartToWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := newTestServer(t)
-	s2.snapshotPath = path
+	s2 := newTestServer(t, "-snapshot", path)
 	if n := s2.engine.LoadSnapshot(path); n != 1 {
 		t.Fatalf("restored %d entries, want 1", n)
 	}

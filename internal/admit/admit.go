@@ -44,9 +44,11 @@ func clampRetryAfter(d time.Duration) time.Duration {
 	return d
 }
 
-// DefaultMaxTenants caps the tenant-bucket table so an adversarial stream
-// of fresh tenant names cannot grow it without bound.
-const DefaultMaxTenants = 4096
+// maxTenants caps the tenant-bucket table so an adversarial stream of fresh
+// tenant names cannot grow it without bound. When full, the stalest bucket
+// is evicted; an evicted tenant restarts with a full burst, which errs
+// toward admitting.
+const maxTenants = 4096
 
 // OverloadError is a typed admission refusal.
 type OverloadError struct {
@@ -88,10 +90,6 @@ type Options struct {
 	// TenantBurst is the bucket capacity — how many admissions a tenant
 	// may burst above its steady rate (≤0 defaults to 1).
 	TenantBurst int
-	// MaxTenants caps the bucket table (0 = DefaultMaxTenants). When full,
-	// the stalest bucket is evicted; an evicted tenant restarts with a
-	// full burst, which errs toward admitting.
-	MaxTenants int
 
 	// now overrides the clock in tests (nil = time.Now).
 	now func() time.Time
@@ -123,10 +121,6 @@ func New(opts Options) *Controller {
 		if burst <= 0 {
 			burst = 1
 		}
-		maxT := opts.MaxTenants
-		if maxT <= 0 {
-			maxT = DefaultMaxTenants
-		}
 		now := opts.now
 		if now == nil {
 			now = time.Now
@@ -134,7 +128,7 @@ func New(opts Options) *Controller {
 		c.buckets = &tenantBuckets{
 			rate:  opts.TenantRate,
 			burst: float64(burst),
-			max:   maxT,
+			max:   maxTenants,
 			now:   now,
 			m:     make(map[string]*bucket),
 		}

@@ -287,7 +287,8 @@ func TestTenantBudget(t *testing.T) {
 
 func TestTenantTableEviction(t *testing.T) {
 	clock := time.Unix(1700000000, 0)
-	c := New(Options{TenantRate: 0.001, TenantBurst: 1, MaxTenants: 2, now: func() time.Time { return clock }})
+	c := New(Options{TenantRate: 0.001, TenantBurst: 1, now: func() time.Time { return clock }})
+	c.buckets.max = 2
 	ctx := testCtx(t)
 	spend := func(tenant string) error {
 		rel, _, err := c.Admit(ctx, tenant)

@@ -67,9 +67,9 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // TestChaosSolverPanic injects a panic into a repetend-sweep worker's solve:
 // it must cross the worker goroutines, the sweep collector, and the
 // singleflight leader without killing the process or stranding state, and
-// surface as a structured *InternalError matching both ErrInternal and the
-// legacy ErrSearchPanic. Once the fault passes, the same request must
-// succeed with a schedule byte-identical to a never-faulted engine's.
+// surface as a structured *InternalError matching ErrInternal. Once the
+// fault passes, the same request must succeed with a schedule
+// byte-identical to a never-faulted engine's.
 func TestChaosSolverPanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	p := mshape(t)
@@ -90,8 +90,8 @@ func TestChaosSolverPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("faulted search returned no error")
 	}
-	if !errors.Is(err, ErrInternal) || !errors.Is(err, ErrSearchPanic) {
-		t.Fatalf("faulted search error %v does not match the internal-error sentinels", err)
+	if !errors.Is(err, ErrInternal) {
+		t.Fatalf("faulted search error %v does not match the internal-error sentinel", err)
 	}
 	var ie *InternalError
 	if !errors.As(err, &ie) {

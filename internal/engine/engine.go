@@ -59,26 +59,17 @@ import (
 // is zero.
 const DefaultCacheSize = 128
 
-// DefaultDegradedSolverNodes is the per-solve node cap of a degraded
-// search when Options.DegradedSolverNodes is zero: 1/20 of the solver's
-// default budget — enough for the greedy incumbent plus a shallow
-// improvement pass, small enough that a degraded search costs a bounded
-// sliver of a full one.
-const DefaultDegradedSolverNodes = core.DefaultSolverNodes / 20
-
-// ErrSearchPanic marks a search that failed with a recovered panic — a
-// server bug, not a bad request. Callers exposing the engine over a
-// protocol should map it to an internal-error status, not a client error.
-//
-// Deprecated: panics now surface as *InternalError; errors.Is against
-// either ErrSearchPanic or ErrInternal matches them. New code should use
-// ErrInternal.
-var ErrSearchPanic = errors.New("engine: search panicked")
+// degradedSolverNodes is the per-solve node cap of a degraded search: 1/20
+// of the solver's default budget — enough for the greedy incumbent plus a
+// shallow improvement pass, small enough that a degraded search costs a
+// bounded sliver of a full one.
+const degradedSolverNodes = core.DefaultSolverNodes / 20
 
 // ErrInternal marks (by unwrapping) a search that failed from a server-side
 // bug — a recovered panic — rather than from the request or the search
-// space. The concrete error is an *InternalError carrying the fingerprint
-// and recovered value.
+// space. Callers exposing the engine over a protocol should map it to an
+// internal-error status, not a client error. The concrete error is an
+// *InternalError carrying the fingerprint and recovered value.
 var ErrInternal = errors.New("engine: internal error")
 
 // ErrOverloaded marks (by unwrapping) a request refused by admission
@@ -91,7 +82,7 @@ var ErrOverloaded = admit.ErrOverloaded
 type OverloadError = admit.OverloadError
 
 // InternalError is a search failure caused by a recovered panic. It
-// unwraps (via Is) to both ErrInternal and the legacy ErrSearchPanic.
+// unwraps (via Is) to ErrInternal.
 type InternalError struct {
 	// Fingerprint identifies the placement whose search panicked.
 	Fingerprint string
@@ -103,10 +94,8 @@ func (e *InternalError) Error() string {
 	return fmt.Sprintf("engine: internal error: search for %s panicked: %v", e.Fingerprint, e.Recovered)
 }
 
-// Is makes errors.Is match both the new and the legacy sentinel.
-func (e *InternalError) Is(target error) bool {
-	return target == ErrInternal || target == ErrSearchPanic
-}
+// Is makes errors.Is(err, ErrInternal) true for every InternalError.
+func (e *InternalError) Is(target error) bool { return target == ErrInternal }
 
 // ErrInvalidRequest marks (by wrapping) a Search error caused by the
 // request itself — an invalid placement or option values — as opposed to a
@@ -139,9 +128,6 @@ type Options struct {
 	TenantRate float64
 	// TenantBurst is the tenant bucket capacity (≤0 defaults to 1).
 	TenantBurst int
-	// DegradedSolverNodes is the per-solve node cap of degraded searches
-	// (≤0 uses DefaultDegradedSolverNodes).
-	DegradedSolverNodes int64
 	// PeerFetchBudget caps the whole peer-fetch phase of one cold miss
 	// when a peer tier is installed (≤0 uses DefaultPeerFetchBudget). The
 	// cold search always keeps the remaining request deadline.
@@ -151,54 +137,47 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Stats is a snapshot of the engine's counters.
+// Stats is a snapshot of the engine's counters. It is the one declaration
+// of every engine counter: the engine counts into a value of this type and
+// the JSON tags are the /v1/stats wire names.
 type Stats struct {
 	// Hits counts requests served from the cache (no repetend sweep).
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses counts requests that ran a full search.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Shared counts requests coalesced onto a concurrent identical search.
-	Shared uint64
+	Shared uint64 `json:"shared"`
 	// Evictions counts cache entries displaced by the LRU policy.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Admitted counts cold searches admitted past admission control
 	// (including every cold search of an engine with no admission limits).
-	Admitted uint64
+	Admitted uint64 `json:"admitted"`
 	// Queued counts admitted cold searches that had to wait for a slot.
-	Queued uint64
+	Queued uint64 `json:"queued"`
 	// Shed counts requests refused with ErrOverloaded — leaders refused by
 	// admission control and the followers coalesced onto them.
-	Shed uint64
+	Shed uint64 `json:"shed"`
 	// Degraded counts requests served best-effort by a node-capped
 	// degraded search.
-	Degraded uint64
+	Degraded uint64 `json:"degraded"`
 	// Restored counts cache entries loaded from a snapshot since boot.
-	Restored uint64
+	Restored uint64 `json:"restored"`
 	// SharedMemoHits is the total number of solver nodes pruned by the
 	// parallel solver's cross-job shared memo tier, accumulated over every
-	// search this engine led (zero when solves run single-threaded).
-	SharedMemoHits uint64
+	// search this engine led (zero when solves run single-threaded; cache
+	// hits replay the originating search's Stats and are not re-counted).
+	SharedMemoHits uint64 `json:"shared_memo_hits"`
 	// JobsStolen is the total number of oversized root-split solver jobs
 	// deterministically re-split across every search this engine led.
-	JobsStolen uint64
+	JobsStolen uint64 `json:"jobs_stolen"`
 	// SnapshotWriteErrors counts failed cache snapshot writes — warm state
 	// that would have been silently lost if the caller only logged.
-	SnapshotWriteErrors uint64
-	// PeerHits / PeerMisses / PeerErrors / PeerRetries / BreakerOpen /
-	// PeersHealthy mirror the installed peer tier's counters (all zero
-	// when no tier is installed): cold misses served by a validated peer
-	// entry instead of a cold search, fetch rounds that fell through to a
-	// cold search, individual failed fetch attempts, retry attempts,
-	// circuit-breaker open transitions, and the current healthy remote
-	// peer count.
-	PeerHits     uint64
-	PeerMisses   uint64
-	PeerErrors   uint64
-	PeerRetries  uint64
-	BreakerOpen  uint64
-	PeersHealthy int
+	SnapshotWriteErrors uint64 `json:"snapshot_write_errors"`
+	// PeerStats holds the installed peer tier's counters (all zero when no
+	// tier is installed).
+	PeerStats
 	// Entries is the current number of cached results.
-	Entries int
+	Entries int `json:"entries"`
 }
 
 // CacheInfo reports how one Engine.Search call was served.
@@ -235,32 +214,17 @@ type Request struct {
 // Engine is a cache-backed, deduplicating front-end over core.Search. The
 // zero value is not usable; construct with New.
 type Engine struct {
-	cap           int
-	ctrl          *admit.Controller // nil = no admission limits
-	degradedNodes int64
-	peerBudget    time.Duration
-	logf          func(format string, args ...any)
+	cap        int
+	ctrl       *admit.Controller
+	peerBudget time.Duration
+	logf       func(format string, args ...any)
 
-	mu        sync.Mutex
-	peers     PeerTier                 // nil = no replica peer tier
-	entries   map[string]*list.Element // values are *cacheEntry
-	lru       *list.List               // front = most recently used
-	flight    map[string]*flightCall
-	hits      uint64
-	misses    uint64
-	shared    uint64
-	evictions uint64
-	admitted  uint64
-	queued    uint64
-	shed      uint64
-	degraded  uint64
-	restored  uint64
-	// sharedMemoHits/jobsStolen accumulate the parallel-solver counters of
-	// every search this engine led (cache hits replay the originating
-	// search's Stats and are deliberately not re-counted here).
-	sharedMemoHits      uint64
-	jobsStolen          uint64
-	snapshotWriteErrors uint64
+	mu      sync.Mutex
+	peers   PeerTier                 // nil = no replica peer tier
+	entries map[string]*list.Element // values are *cacheEntry
+	lru     *list.List               // front = most recently used
+	flight  map[string]*flightCall
+	stats   Stats // PeerStats and Entries are filled in by Stats()
 }
 
 // cacheEntry is the value stored in the LRU list.
@@ -289,31 +253,25 @@ func New(opts Options) *Engine {
 		size = DefaultCacheSize
 	}
 	e := &Engine{
-		cap:           size,
-		degradedNodes: opts.DegradedSolverNodes,
-		peerBudget:    opts.PeerFetchBudget,
-		logf:          opts.Logf,
-		entries:       make(map[string]*list.Element),
-		lru:           list.New(),
-		flight:        make(map[string]*flightCall),
-	}
-	if e.degradedNodes <= 0 {
-		e.degradedNodes = DefaultDegradedSolverNodes
+		cap: size,
+		ctrl: admit.New(admit.Options{
+			MaxConcurrent: opts.MaxConcurrentSearches,
+			MaxQueue:      opts.MaxQueuedSearches,
+			MaxWait:       opts.QueueWait,
+			TenantRate:    opts.TenantRate,
+			TenantBurst:   opts.TenantBurst,
+		}),
+		peerBudget: opts.PeerFetchBudget,
+		logf:       opts.Logf,
+		entries:    make(map[string]*list.Element),
+		lru:        list.New(),
+		flight:     make(map[string]*flightCall),
 	}
 	if e.peerBudget <= 0 {
 		e.peerBudget = DefaultPeerFetchBudget
 	}
 	if e.logf == nil {
 		e.logf = log.Printf
-	}
-	if opts.MaxConcurrentSearches > 0 || opts.TenantRate > 0 {
-		e.ctrl = admit.New(admit.Options{
-			MaxConcurrent: opts.MaxConcurrentSearches,
-			MaxQueue:      opts.MaxQueuedSearches,
-			MaxWait:       opts.QueueWait,
-			TenantRate:    opts.TenantRate,
-			TenantBurst:   opts.TenantBurst,
-		})
 	}
 	return e
 }
@@ -375,7 +333,7 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 			// Counted only on success so Stats.Hits means "served from
 			// cache", not "found in cache but the extension failed".
 			e.mu.Lock()
-			e.hits++
+			e.stats.Hits++
 			e.mu.Unlock()
 			info.Hit = true
 			return out, info, nil
@@ -397,7 +355,7 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 					// The leader was refused by admission, so this coalesced
 					// request was shed with it.
 					e.mu.Lock()
-					e.shed++
+					e.stats.Shed++
 					e.mu.Unlock()
 				}
 				return nil, info, fc.err
@@ -413,9 +371,9 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 				return nil, info, err
 			}
 			e.mu.Lock()
-			e.shared++
+			e.stats.Shared++
 			if fc.degraded {
-				e.degraded++
+				e.stats.Degraded++
 			}
 			e.mu.Unlock()
 			info.Shared = true
@@ -425,7 +383,7 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 		}
 		fc := &flightCall{done: make(chan struct{})}
 		e.flight[key] = fc
-		e.misses++
+		e.stats.Misses++
 		e.mu.Unlock()
 
 		res, err := e.lead(ctx, key, info.Fingerprint, fc, req)
@@ -455,8 +413,8 @@ func (e *Engine) lead(ctx context.Context, key, fingerprint string, fc *flightCa
 		if err == nil && res != nil && !fc.peer {
 			// Peer-fetched results carry the *remote* replica's solver
 			// counters; accumulating them here would double-count fleet-wide.
-			e.sharedMemoHits += uint64(res.Stats.SolverSharedMemoHits)
-			e.jobsStolen += uint64(res.Stats.SolverJobsStolen)
+			e.stats.SharedMemoHits += uint64(res.Stats.SolverSharedMemoHits)
+			e.stats.JobsStolen += uint64(res.Stats.SolverJobsStolen)
 		}
 		if err == nil && !fc.degraded {
 			// Degraded results are deliberately not cached: they are
@@ -482,31 +440,25 @@ func (e *Engine) lead(ctx context.Context, key, fingerprint string, fc *flightCa
 			}
 		}
 	}
-	if e.ctrl != nil {
-		release, waited, aerr := e.ctrl.Admit(ctx, req.Tenant)
-		if aerr != nil {
-			if errors.Is(aerr, ErrOverloaded) {
-				if req.AllowDegraded {
-					return e.searchDegraded(ctx, fc, req)
-				}
-				e.mu.Lock()
-				e.shed++
-				e.mu.Unlock()
+	release, waited, aerr := e.ctrl.Admit(ctx, req.Tenant)
+	if aerr != nil {
+		if errors.Is(aerr, ErrOverloaded) {
+			if req.AllowDegraded {
+				return e.searchDegraded(ctx, fc, req)
 			}
-			return nil, aerr
+			e.mu.Lock()
+			e.stats.Shed++
+			e.mu.Unlock()
 		}
-		defer release()
-		e.mu.Lock()
-		e.admitted++
-		if waited {
-			e.queued++
-		}
-		e.mu.Unlock()
-	} else {
-		e.mu.Lock()
-		e.admitted++
-		e.mu.Unlock()
+		return nil, aerr
 	}
+	defer release()
+	e.mu.Lock()
+	e.stats.Admitted++
+	if waited {
+		e.stats.Queued++
+	}
+	e.mu.Unlock()
 	if ferr := faultpoint.Inject(faultpoint.EngineSingleflight); ferr != nil {
 		return nil, ferr
 	}
@@ -520,45 +472,27 @@ func (e *Engine) lead(ctx context.Context, key, fingerprint string, fc *flightCa
 // opt in retry instead of silently accepting it) and is never cached.
 func (e *Engine) searchDegraded(ctx context.Context, fc *flightCall, req Request) (*core.Result, error) {
 	opts := req.Options
-	if opts.SolverNodes == 0 || opts.SolverNodes > e.degradedNodes {
-		opts.SolverNodes = e.degradedNodes
+	if opts.SolverNodes == 0 || opts.SolverNodes > degradedSolverNodes {
+		opts.SolverNodes = degradedSolverNodes
 	}
 	fc.degraded = true
 	e.mu.Lock()
-	e.degraded++
+	e.stats.Degraded++
 	e.mu.Unlock()
 	return core.Search(ctx, req.Placement, opts)
 }
 
 // Stats returns a snapshot of the engine's counters, including the
-// installed peer tier's (PeerTier.Stats must not call back into the engine
-// — it runs with the engine's mutex held).
+// installed peer tier's. The tier is read under the engine's mutex but
+// called after releasing it, so a tier may itself call back into the engine.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := Stats{
-		Hits:                e.hits,
-		Misses:              e.misses,
-		Shared:              e.shared,
-		Evictions:           e.evictions,
-		Admitted:            e.admitted,
-		Queued:              e.queued,
-		Shed:                e.shed,
-		Degraded:            e.degraded,
-		Restored:            e.restored,
-		SharedMemoHits:      e.sharedMemoHits,
-		JobsStolen:          e.jobsStolen,
-		SnapshotWriteErrors: e.snapshotWriteErrors,
-		Entries:             len(e.entries),
-	}
-	if e.peers != nil {
-		ps := e.peers.Stats()
-		s.PeerHits = ps.Hits
-		s.PeerMisses = ps.Misses
-		s.PeerErrors = ps.Errors
-		s.PeerRetries = ps.Retries
-		s.BreakerOpen = ps.BreakerOpen
-		s.PeersHealthy = ps.PeersHealthy
+	s := e.stats
+	s.Entries = len(e.entries)
+	tier := e.peers
+	e.mu.Unlock()
+	if tier != nil {
+		s.PeerStats = tier.Stats()
 	}
 	return s
 }
@@ -648,6 +582,6 @@ func (e *Engine) insert(key string, res *core.Result) {
 		back := e.lru.Back()
 		e.lru.Remove(back)
 		delete(e.entries, back.Value.(*cacheEntry).key)
-		e.evictions++
+		e.stats.Evictions++
 	}
 }

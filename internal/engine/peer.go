@@ -35,25 +35,25 @@ import (
 // fetch must never make a replica materially slower than serving alone.
 const DefaultPeerFetchBudget = 2 * time.Second
 
-// PeerStats is a snapshot of a PeerTier's counters, merged into the
-// engine's Stats so the serving payload exposes them under counterparity.
+// PeerStats is a snapshot of a PeerTier's counters. Stats embeds it, so
+// the JSON tags are the /v1/stats wire names.
 type PeerStats struct {
-	// Hits counts fetches that returned a validated entry from a peer.
-	Hits uint64
-	// Misses counts fetch rounds that ended without a peer entry — every
-	// owner missed, failed, or was breaker-skipped — and fell through to a
-	// cold search.
-	Misses uint64
-	// Errors counts individual failed fetch attempts: network errors,
+	// PeerHits counts fetches that returned a validated entry from a peer.
+	PeerHits uint64 `json:"peer_hits"`
+	// PeerMisses counts fetch rounds that ended without a peer entry —
+	// every owner missed, failed, or was breaker-skipped — and fell through
+	// to a cold search.
+	PeerMisses uint64 `json:"peer_misses"`
+	// PeerErrors counts individual failed fetch attempts: network errors,
 	// non-200/404 statuses, and responses rejected by validation.
-	Errors uint64
-	// Retries counts fetch attempts beyond the first against one peer.
-	Retries uint64
+	PeerErrors uint64 `json:"peer_errors"`
+	// PeerRetries counts fetch attempts beyond the first against one peer.
+	PeerRetries uint64 `json:"peer_retries"`
 	// BreakerOpen counts circuit-breaker transitions to the open state.
-	BreakerOpen uint64
+	BreakerOpen uint64 `json:"breaker_open"`
 	// PeersHealthy is the number of remote peers currently in the ring
 	// (configured minus ejected); a gauge, not a counter.
-	PeersHealthy int
+	PeersHealthy int `json:"peers_healthy"`
 }
 
 // PeerTier is a replica-aware cache tier the engine consults on a cold
@@ -67,8 +67,7 @@ type PeerTier interface {
 	// replicas. A returned result must already be validated and inserted
 	// into the local cache by the implementation.
 	Fetch(ctx context.Context, fingerprint, key string) (*core.Result, error)
-	// Stats reports the tier's counters. Called with the engine's mutex
-	// held, so implementations must not call back into the engine.
+	// Stats reports the tier's counters.
 	Stats() PeerStats
 }
 
@@ -96,12 +95,8 @@ func (e *Engine) peerFetch(ctx context.Context, fingerprint, key string, tier Pe
 	if ctx.Err() != nil {
 		return nil
 	}
-	fctx := ctx
-	if e.peerBudget > 0 {
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(ctx, e.peerBudget)
-		defer cancel()
-	}
+	fctx, cancel := context.WithTimeout(ctx, e.peerBudget)
+	defer cancel()
 	res, err := tier.Fetch(fctx, fingerprint, key)
 	if err != nil || res == nil {
 		return nil
@@ -144,7 +139,7 @@ func (e *Engine) EncodePeerEntry(key string) (data []byte, found bool, err error
 // On success the entry is inserted into the cache (never overwriting a
 // live entry — the local result is at least as fresh) and returned.
 func (e *Engine) InsertPeerEntry(key string, r io.Reader) (*core.Result, error) {
-	body, _, err := parseSnapshotPayload(r)
+	body, err := parseSnapshotPayload(r)
 	if err != nil {
 		return nil, err
 	}

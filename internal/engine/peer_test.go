@@ -179,7 +179,7 @@ func TestPeerStatsMerge(t *testing.T) {
 		t.Fatalf("tierless engine reports peer stats: %+v", st)
 	}
 	e.SetPeerTier(&stubTier{stats: PeerStats{
-		Hits: 7, Misses: 6, Errors: 5, Retries: 4, BreakerOpen: 3, PeersHealthy: 2,
+		PeerHits: 7, PeerMisses: 6, PeerErrors: 5, PeerRetries: 4, BreakerOpen: 3, PeersHealthy: 2,
 	}})
 	st := e.Stats()
 	if st.PeerHits != 7 || st.PeerMisses != 6 || st.PeerErrors != 5 ||
@@ -189,5 +189,41 @@ func TestPeerStatsMerge(t *testing.T) {
 	e.SetPeerTier(nil)
 	if st := e.Stats(); st.PeerHits != 0 {
 		t.Fatalf("removed tier still reports stats: %+v", st)
+	}
+}
+
+// reentrantTier is a PeerTier whose Stats calls back into the engine (it
+// reports the engine's cache occupancy); inside stops the nested Engine.Stats
+// from recursing into it forever.
+type reentrantTier struct {
+	stubTier
+	eng    *Engine
+	inside bool
+}
+
+func (r *reentrantTier) Stats() PeerStats {
+	if r.inside {
+		return PeerStats{}
+	}
+	r.inside = true
+	defer func() { r.inside = false }()
+	return PeerStats{PeersHealthy: r.eng.Stats().Entries}
+}
+
+// TestStatsCallsTierOutsideLock: Engine.Stats must not hold the engine's
+// mutex across PeerTier.Stats, so a tier that calls back into the engine
+// cannot deadlock it.
+func TestStatsCallsTierOutsideLock(t *testing.T) {
+	e, _ := warmEngine(t, Options{}, vshape(t))
+	e.SetPeerTier(&reentrantTier{eng: e})
+	done := make(chan Stats, 1)
+	go func() { done <- e.Stats() }()
+	select {
+	case st := <-done:
+		if st.PeersHealthy != 1 || st.Entries != 1 {
+			t.Fatalf("stats through a re-entrant tier: %+v", st)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Engine.Stats deadlocked on a tier that calls back into the engine")
 	}
 }

@@ -5,18 +5,16 @@
 //	{ JSON body }
 //
 // The body holds every cache entry in MRU→LRU order, each stamped with its
-// explicit recency rank (v1 bodies, still readable, relied on file order
-// alone): the request key, the
-// placement in the canonical sched interchange encoding, the repetend's
-// full numeric state, and the four phase schedules as (stage, micro,
-// start) triples. Restore re-validates everything it reads — the checksum
-// and version up front, then per entry the placement (sched.
-// DecodePlacement), the key's fingerprint prefix against the embedded
-// placement's recomputed fingerprint, the repetend's vector lengths and
-// bounds, each schedule item's stage index, and the full schedule's
-// makespan — so a torn, corrupt, or stale-format snapshot degrades to a
-// cold start (with a logged warning per skipped layer), never to a crash
-// or a poisoned cache.
+// explicit recency rank: the request key, the placement in the canonical
+// sched interchange encoding, the repetend's full numeric state, and the
+// four phase schedules as sched.ItemJSON (stage, micro, start) triples.
+// Restore re-validates everything it reads — the checksum and version up
+// front, then per entry the placement (sched.DecodePlacement), the key's
+// fingerprint prefix against the embedded placement's recomputed
+// fingerprint, the repetend's vector lengths and bounds, each schedule item
+// (sched.DecodeItems), and the full schedule's makespan — so a torn,
+// corrupt, or stale-format snapshot degrades to a cold start (with a logged
+// warning per skipped layer), never to a crash or a poisoned cache.
 //
 // Writes are atomic: SaveSnapshot writes a temp file in the target's
 // directory and renames it into place, so a crash mid-write leaves the
@@ -33,7 +31,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 
 	"tessel/internal/core"
@@ -49,10 +46,8 @@ const (
 	snapshotMagic = "TESSEL-SNAPSHOT"
 	// snapshotVersion 2 added the per-entry Recency stamp: v1 encoded the
 	// LRU order only implicitly in entry file order, which any re-marshal
-	// or hand-merge of the JSON body silently destroyed. v1 snapshots are
-	// still readable (restore falls back to file order).
-	snapshotVersion    = 2
-	snapshotVersionMin = 1
+	// or hand-merge of the JSON body silently destroyed.
+	snapshotVersion = 2
 )
 
 // snapshotBody is the checksummed JSON payload.
@@ -68,8 +63,7 @@ type snapshotEntry struct {
 	Key string `json:"key"`
 	// Recency is the entry's explicit LRU rank at snapshot time: 0 is the
 	// most recently used entry, larger is colder. Restore replays this
-	// order rather than trusting the file order of the entries array
-	// (absent in v1 bodies, where file order is the only signal).
+	// order rather than trusting the file order of the entries array.
 	Recency    int              `json:"recency"`
 	Placement  json.RawMessage  `json:"placement"`
 	Repetend   snapshotRepetend `json:"repetend"`
@@ -78,10 +72,10 @@ type snapshotEntry struct {
 	N          int              `json:"n"`
 	Makespan   int              `json:"makespan"`
 	Stats      core.Stats       `json:"stats"`
-	Warmup     []snapshotItem   `json:"warmup"`
-	Body       []snapshotItem   `json:"body"`
-	Cooldown   []snapshotItem   `json:"cooldown"`
-	Full       []snapshotItem   `json:"full"`
+	Warmup     []sched.ItemJSON `json:"warmup"`
+	Body       []sched.ItemJSON `json:"body"`
+	Cooldown   []sched.ItemJSON `json:"cooldown"`
+	Full       []sched.ItemJSON `json:"full"`
 }
 
 // snapshotRepetend mirrors repetend.Repetend minus its placement pointer
@@ -103,14 +97,6 @@ type snapshotRepetend struct {
 	PeriodProbes         int64 `json:"period_probes"`
 	PeriodRelaxations    int64 `json:"period_relaxations"`
 	LocalSearchSwaps     int64 `json:"local_search_swaps"`
-}
-
-// snapshotItem is one scheduled block, matching the item triple of the
-// sched interchange format.
-type snapshotItem struct {
-	Stage int `json:"stage"`
-	Micro int `json:"micro"`
-	Start int `json:"start"`
 }
 
 // SnapshotTo serializes the cache to w. Entries are written MRU-first, so
@@ -156,43 +142,41 @@ func writeSnapshotPayload(w io.Writer, body *snapshotBody) error {
 }
 
 // parseSnapshotPayload reads and validates a checksummed snapshot stream:
-// header shape, strict version token, body checksum, and body/header version
-// agreement. It returns the decoded body and its version; any failure means
-// the bytes must be discarded wholesale (the caller decides whether that is
-// a cold start or a rejected peer response).
-func parseSnapshotPayload(r io.Reader) (*snapshotBody, int, error) {
+// header shape, the exact version token, body checksum, and body/header
+// version agreement. Any failure means the bytes must be discarded wholesale
+// (the caller decides whether that is a cold start or a rejected peer
+// response).
+func parseSnapshotPayload(r io.Reader) (*snapshotBody, error) {
 	br := bufio.NewReader(r)
 	header, err := br.ReadString('\n')
 	if err != nil {
-		return nil, 0, fmt.Errorf("engine: snapshot header: %w", err)
+		return nil, fmt.Errorf("engine: snapshot header: %w", err)
 	}
 	fields := strings.Fields(strings.TrimSpace(header))
 	if len(fields) != 3 || fields[0] != snapshotMagic {
-		return nil, 0, fmt.Errorf("engine: not a tessel snapshot (header %q)", strings.TrimSpace(header))
+		return nil, fmt.Errorf("engine: not a tessel snapshot (header %q)", strings.TrimSpace(header))
 	}
-	// Parse the version token strictly: Sscanf-style prefix parsing would
-	// accept a corrupt token like "v2garbage" as v2; requiring the token to
-	// round-trip also rejects "v+2" and "v02".
-	version, err := strconv.Atoi(strings.TrimPrefix(fields[1], "v"))
-	if err != nil || fields[1] != fmt.Sprintf("v%d", version) || version < snapshotVersionMin || version > snapshotVersion {
-		return nil, 0, fmt.Errorf("engine: unsupported snapshot version %s (want v%d..v%d)", fields[1], snapshotVersionMin, snapshotVersion)
+	// The version token must match exactly: numeric parsing would accept a
+	// corrupt token like "v2garbage", "v+2" or "v02" as v2.
+	if want := fmt.Sprintf("v%d", snapshotVersion); fields[1] != want {
+		return nil, fmt.Errorf("engine: unsupported snapshot version %s (want %s)", fields[1], want)
 	}
 	payload, err := io.ReadAll(br)
 	if err != nil {
-		return nil, 0, fmt.Errorf("engine: snapshot body: %w", err)
+		return nil, fmt.Errorf("engine: snapshot body: %w", err)
 	}
 	sum := sha256.Sum256(payload)
 	if got := hex.EncodeToString(sum[:]); got != fields[2] {
-		return nil, 0, fmt.Errorf("engine: snapshot checksum mismatch (torn or corrupt write)")
+		return nil, fmt.Errorf("engine: snapshot checksum mismatch (torn or corrupt write)")
 	}
 	var body snapshotBody
 	if err := json.Unmarshal(payload, &body); err != nil {
-		return nil, 0, fmt.Errorf("engine: snapshot body: %w", err)
+		return nil, fmt.Errorf("engine: snapshot body: %w", err)
 	}
-	if body.Version != version {
-		return nil, 0, fmt.Errorf("engine: snapshot body version %d does not match header v%d", body.Version, version)
+	if body.Version != snapshotVersion {
+		return nil, fmt.Errorf("engine: snapshot body version %d does not match header v%d", body.Version, snapshotVersion)
 	}
-	return &body, version, nil
+	return &body, nil
 }
 
 // RestoreFrom loads a snapshot into the cache, returning how many entries
@@ -201,34 +185,22 @@ func parseSnapshotPayload(r io.Reader) (*snapshotBody, int, error) {
 // warning while the rest restore. Entries already live in the cache are
 // never overwritten — a restore after boot cannot clobber fresher results.
 func (e *Engine) RestoreFrom(r io.Reader) (int, error) {
-	body, version, err := parseSnapshotPayload(r)
+	body, err := parseSnapshotPayload(r)
 	if err != nil {
 		return 0, err
 	}
 
-	// Replay order: v2 bodies carry an explicit per-entry Recency rank
-	// (0 = MRU), so the restore order survives any rewrite that shuffled
-	// the entries array. v1 bodies only have file order (MRU-first), so
-	// their index is the rank. Either way, insert coldest-first so
-	// PushFront leaves the MRU entry at the front — and so that a restore
-	// into a smaller cache evicts the coldest entries, not an arbitrary
-	// marshal-order suffix.
-	order := make([]int, len(body.Entries))
-	for i := range order {
-		order[i] = i
-	}
-	if version >= 2 {
-		sort.SliceStable(order, func(a, b int) bool {
-			return body.Entries[order[a]].Recency > body.Entries[order[b]].Recency
-		})
-	} else {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
+	// Replay by the explicit per-entry Recency rank (0 = MRU), so the
+	// restore order survives any rewrite that shuffled the entries array.
+	// Insert coldest-first so PushFront leaves the MRU entry at the front —
+	// and so that a restore into a smaller cache evicts the coldest entries,
+	// not an arbitrary marshal-order suffix.
+	sort.SliceStable(body.Entries, func(a, b int) bool {
+		return body.Entries[a].Recency > body.Entries[b].Recency
+	})
 
 	restored := 0
-	for _, i := range order {
+	for i := range body.Entries {
 		entry := &body.Entries[i]
 		res, err := decodeEntry(entry)
 		if err != nil {
@@ -238,7 +210,7 @@ func (e *Engine) RestoreFrom(r io.Reader) (int, error) {
 		e.mu.Lock()
 		if _, live := e.entries[entry.Key]; !live {
 			e.insert(entry.Key, res)
-			e.restored++
+			e.stats.Restored++
 			restored++
 		}
 		e.mu.Unlock()
@@ -256,7 +228,7 @@ func (e *Engine) SaveSnapshot(path string) error {
 	err := e.saveSnapshot(path)
 	if err != nil {
 		e.mu.Lock()
-		e.snapshotWriteErrors++
+		e.stats.SnapshotWriteErrors++
 		e.mu.Unlock()
 	}
 	return err
@@ -341,22 +313,11 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 		N:          res.N,
 		Makespan:   res.Makespan,
 		Stats:      res.Stats,
-		Warmup:     encodeItems(res.Warmup),
-		Body:       encodeItems(res.Body),
-		Cooldown:   encodeItems(res.Cooldown),
-		Full:       encodeItems(res.Full),
+		Warmup:     sched.EncodeItems(res.Warmup),
+		Body:       sched.EncodeItems(res.Body),
+		Cooldown:   sched.EncodeItems(res.Cooldown),
+		Full:       sched.EncodeItems(res.Full),
 	}, nil
-}
-
-func encodeItems(s *sched.Schedule) []snapshotItem {
-	if s == nil {
-		return nil
-	}
-	items := make([]snapshotItem, 0, len(s.Items))
-	for _, it := range s.Items {
-		items = append(items, snapshotItem{Stage: it.Stage, Micro: it.Micro, Start: it.Start})
-	}
-	return items
 }
 
 // decodeEntry validates and rebuilds one cached result. Every structural
@@ -364,7 +325,7 @@ func encodeItems(s *sched.Schedule) []snapshotItem {
 // here, because the bytes may be stale or hand-edited: the placement
 // validates, the key's fingerprint prefix matches the placement, the
 // repetend's vectors have the placement's dimensions, schedule items
-// reference real stages, and the full schedule's makespan matches the
+// pass sched.DecodeItems, and the full schedule's makespan matches the
 // recorded one.
 func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	p, err := sched.DecodePlacement(bytes.NewReader(entry.Placement))
@@ -410,19 +371,19 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 		PeriodRelaxations:    sr.PeriodRelaxations,
 		LocalSearchSwaps:     sr.LocalSearchSwaps,
 	}
-	warm, err := decodeItems(p, entry.Warmup)
+	warm, err := sched.DecodeItems(p, entry.Warmup)
 	if err != nil {
 		return nil, fmt.Errorf("warmup: %w", err)
 	}
-	body, err := decodeItems(p, entry.Body)
+	body, err := sched.DecodeItems(p, entry.Body)
 	if err != nil {
 		return nil, fmt.Errorf("body: %w", err)
 	}
-	cool, err := decodeItems(p, entry.Cooldown)
+	cool, err := sched.DecodeItems(p, entry.Cooldown)
 	if err != nil {
 		return nil, fmt.Errorf("cooldown: %w", err)
 	}
-	full, err := decodeItems(p, entry.Full)
+	full, err := sched.DecodeItems(p, entry.Full)
 	if err != nil {
 		return nil, fmt.Errorf("full: %w", err)
 	}
@@ -442,21 +403,4 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 		Makespan:   entry.Makespan,
 		Stats:      entry.Stats,
 	}, nil
-}
-
-// decodeItems rebuilds a phase schedule, bounds-checking every item the
-// way sched.DecodeSchedule does.
-func decodeItems(p *sched.Placement, items []snapshotItem) (*sched.Schedule, error) {
-	s := sched.NewSchedule(p)
-	for _, it := range items {
-		if it.Stage < 0 || it.Stage >= p.K() {
-			return nil, fmt.Errorf("item references stage %d outside [0,%d)", it.Stage, p.K())
-		}
-		if it.Micro < 0 || it.Start < 0 {
-			return nil, fmt.Errorf("item (%d,%d) has negative micro or start", it.Stage, it.Micro)
-		}
-		s.Add(it.Stage, it.Micro, it.Start)
-	}
-	s.Sort()
-	return s, nil
 }

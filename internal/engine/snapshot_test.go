@@ -259,11 +259,11 @@ func TestSnapshotRestoreEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsV1: a v1-format snapshot (no meaningful recency stamps,
-// MRU-first file order only) still restores, keeping the file-order
-// recency — old snapshots survive the v2 upgrade as warm starts.
-func TestSnapshotReadsV1(t *testing.T) {
-	e, fps := warmEngine(t, Options{}, mshape(t), vshape(t))
+// TestSnapshotV1IsColdStart: a v1-format snapshot (the one-PR-lived format
+// without recency stamps) is an unsupported version like any other — an
+// error, nothing restored, and an engine that still serves.
+func TestSnapshotV1IsColdStart(t *testing.T) {
+	e, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
 	snap := snapshotBytes(t, e)
 
 	nl := bytes.IndexByte(snap, '\n')
@@ -283,19 +283,37 @@ func TestSnapshotReadsV1(t *testing.T) {
 	v1 := fmt.Appendf(nil, "%s v1 %s\n", snapshotMagic, hex.EncodeToString(sum[:]))
 	v1 = append(v1, payload...)
 
-	small := New(Options{CacheSize: 1})
-	if _, err := small.RestoreFrom(bytes.NewReader(v1)); err != nil {
+	fresh := New(Options{})
+	if n, err := fresh.RestoreFrom(bytes.NewReader(v1)); err == nil || n != 0 {
+		t.Fatalf("v1 snapshot: restored %d entries, err=%v", n, err)
+	}
+	if st := fresh.Stats(); st.Entries != 0 || st.Restored != 0 {
+		t.Fatalf("v1 snapshot left state behind: %+v", st)
+	}
+	if _, info, err := fresh.Search(context.Background(), vshape(t), core.Options{N: 8}); err != nil || info.Hit {
+		t.Fatalf("engine unusable after refusing a v1 snapshot: info=%+v err=%v", info, err)
+	}
+}
+
+// TestSnapshotParentFileRestores pins the on-disk contract across the
+// codec refactor: testdata/parent_v2.snap was written by SnapshotTo at the
+// commit before snapshot items moved to sched.ItemJSON (m-shape then
+// v-shape, 4 devices, N = 8). It must restore both entries, re-snapshot to
+// the identical bytes, and serve a hit.
+func TestSnapshotParentFileRestores(t *testing.T) {
+	want, err := os.ReadFile("testdata/parent_v2.snap")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := small.Stats(); st.Entries != 1 {
-		t.Fatalf("cap-1 cache holds %d entries", st.Entries)
+	e := New(Options{})
+	if n, err := e.RestoreFrom(bytes.NewReader(want)); err != nil || n != 2 {
+		t.Fatalf("restore: n=%d err=%v", n, err)
 	}
-	res, info, err := small.Search(context.Background(), vshape(t), core.Options{N: 8})
-	if err != nil || !info.Hit {
-		t.Fatalf("v1 restore lost the MRU entry: info=%+v err=%v", info, err)
+	if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
+		t.Fatal("re-snapshot of the restored parent file is not byte-identical")
 	}
-	if got := sched.FingerprintSchedule(res.Full); got != fps[1] {
-		t.Fatalf("kept entry fingerprint %s != vshape original %s", got, fps[1])
+	if _, info, err := e.Search(context.Background(), mshape(t), core.Options{N: 8}); err != nil || !info.Hit {
+		t.Fatalf("restored parent entry did not serve a hit: info=%+v err=%v", info, err)
 	}
 }
 

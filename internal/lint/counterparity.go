@@ -17,13 +17,10 @@ package lint
 //     core.Stats must appear among the payload's json tags as the
 //     snake_case of its name, with the "Solver" prefix optionally
 //     dropped (SolverMemoHits → memo_hits).
-//  3. In the package that defines the engine stats payload (a struct named
-//     serveStatsJSON importing engine): every int/uint64 counter of
-//     engine.Stats must appear among the payload's json tags as the
-//     snake_case of its name. This is the serving-tier leg of the chore:
-//     an admission or snapshot counter (Shed, Degraded, Restored, …) that
-//     exists on the engine but not in /v1/stats is invisible to exactly
-//     the dashboards overload incidents are debugged with.
+//
+// The engine's own counters need no rule: /v1/stats embeds engine.Stats,
+// whose json tags are the wire names, so an engine counter cannot exist
+// without being served.
 //
 // A field that is genuinely not a counter is excluded with a
 // //tessel:waive:counterparity directive on its declaration line.
@@ -33,8 +30,7 @@ package lint
 // declares a struct type Stats and imports packages whose last path
 // element is "solver" and "repetend"; rule 2 fires in any package that
 // declares searchStatsJSON and imports a package whose last element is
-// "core"; rule 3 fires in any package that declares serveStatsJSON and
-// imports a package whose last element is "engine".
+// "core".
 
 import (
 	"go/token"
@@ -59,7 +55,6 @@ var CounterParityAnalyzer = &Analyzer{
 func runCounterParity(pass *Pass) error {
 	checkStatsParity(pass)
 	checkServeParity(pass)
-	checkEngineServeParity(pass)
 	return nil
 }
 
@@ -102,9 +97,9 @@ func localStruct(pass *Pass, name string) (*types.Struct, bool) {
 }
 
 // isCounterField reports whether a struct field is a counter for parity
-// purposes: an exported field of plain int64 or uint64 (producer and
-// engine counter structs) or, when wide is set, int as well (aggregates
-// carry small int counters and gauges too). Named types like time.Duration
+// purposes: an exported field of plain int64 or uint64 (producer counter
+// structs) or, when wide is set, int as well (aggregates carry small int
+// counters and gauges too). Named types like time.Duration
 // are excluded.
 func isCounterField(f *types.Var, wide bool) bool {
 	if !f.Exported() {
@@ -192,42 +187,6 @@ func checkServeParity(pass *Pass) {
 			continue
 		}
 		pass.Reportf(pos, "Stats counter %s is not exposed by searchStatsJSON; add a field tagged json:%s (or waive the Stats field where it is declared)", f.Name(), strconv.Quote(want))
-	}
-}
-
-// checkEngineServeParity is rule 3: engine counters must reach the serving
-// payload. Unlike rule 2 there is no prefix-dropping convention — the
-// engine's counter names map to their snake_case tags verbatim.
-func checkEngineServeParity(pass *Pass) {
-	payload, ok := localStruct(pass, "serveStatsJSON")
-	if !ok {
-		return
-	}
-	stats, ok := importedStruct(pass, "engine", "Stats")
-	if !ok {
-		return
-	}
-	tags := map[string]bool{}
-	for i := 0; i < payload.NumFields(); i++ {
-		tag := reflect.StructTag(payload.Tag(i)).Get("json")
-		if name, _, _ := strings.Cut(tag, ","); name != "" && name != "-" {
-			tags[name] = true
-		}
-	}
-	for i := 0; i < stats.NumFields(); i++ {
-		f := stats.Field(i)
-		if !isCounterField(f, true) {
-			continue
-		}
-		want := camelToSnake(f.Name())
-		if tags[want] {
-			continue
-		}
-		pos, ok := fieldReportPos(pass, f, "serveStatsJSON")
-		if !ok {
-			continue
-		}
-		pass.Reportf(pos, "engine.Stats counter %s is not exposed by serveStatsJSON; add a field tagged json:%s (or waive the Stats field where it is declared)", f.Name(), strconv.Quote(want))
 	}
 }
 

@@ -1,15 +1,12 @@
 // Package serve is the serving side of the counterparity fixture: it
-// declares the stats payloads and imports core and engine, so rules 2 and
-// 3 run here. In searchStatsJSON, solver_nodes and period_probes are
-// matched (the Solver prefix drops); NRSwept has no tag and is reported at
-// the payload anchor. In serveStatsJSON, hits, misses and entries are
-// matched verbatim; Shed has no tag and is reported at its anchor, while
-// the non-counter Ready field demands nothing.
+// declares the search stats payload and imports core, so rule 2 runs here.
+// In searchStatsJSON, solver_nodes and period_probes are matched (the
+// Solver prefix drops); NRSwept has no tag and is reported at the payload
+// anchor.
 package serve
 
 import (
 	"tessel/internal/lint/testdata/src/counterparity/core"
-	"tessel/internal/lint/testdata/src/counterparity/engine"
 )
 
 type searchStatsJSON struct { // want "Stats counter NRSwept is not exposed"
@@ -20,25 +17,4 @@ type searchStatsJSON struct { // want "Stats counter NRSwept is not exposed"
 // Render keeps the core import live.
 func Render(s core.Stats) searchStatsJSON {
 	return searchStatsJSON{SolverNodes: s.SolverNodes, PeriodProbes: s.PeriodProbes}
-}
-
-type serveStatsJSON struct { // want "engine.Stats counter Shed is not exposed"
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	PeerHits     uint64 `json:"peer_hits"`
-	BreakerOpen  uint64 `json:"breaker_open"`
-	PeersHealthy int    `json:"peers_healthy"`
-	Entries      int    `json:"entries"`
-}
-
-// RenderServe keeps the engine import live.
-func RenderServe(s engine.Stats) serveStatsJSON {
-	return serveStatsJSON{
-		Hits:         s.Hits,
-		Misses:       s.Misses,
-		PeerHits:     s.PeerHits,
-		BreakerOpen:  s.BreakerOpen,
-		PeersHealthy: s.PeersHealthy,
-		Entries:      s.Entries,
-	}
 }

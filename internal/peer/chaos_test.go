@@ -43,9 +43,9 @@ func (r *replica) serve(t testing.TB, p *sched.Placement) (*core.Result, engine.
 // newCluster builds n in-process replicas wired into one peer ring: each
 // gets its own engine, an httptest server exposing the peer interchange,
 // and a client over the shared address list. tune adjusts each replica's
-// ClientOptions before construction (sleep is already a no-op so retry
-// backoff never slows the suite).
-func newCluster(t *testing.T, n int, tune func(*ClientOptions)) []*replica {
+// Client after construction and before its first fetch (sleep is already a
+// no-op so retry backoff never slows the suite).
+func newCluster(t *testing.T, n int, tune func(*Client)) []*replica {
 	t.Helper()
 	reps := make([]*replica, n)
 	addrs := make([]string, n)
@@ -59,18 +59,17 @@ func newCluster(t *testing.T, n int, tune func(*ClientOptions)) []*replica {
 		addrs[i] = srv.URL
 	}
 	for i, r := range reps {
-		opts := ClientOptions{
+		client, err := NewClient(r.eng, ClientOptions{
 			Self:           addrs[i],
 			Peers:          addrs,
 			AttemptTimeout: 5 * time.Second, // generous: CI under -race is slow
-			sleep:          func(context.Context, time.Duration) {},
-		}
-		if tune != nil {
-			tune(&opts)
-		}
-		client, err := NewClient(r.eng, opts)
+		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		client.sleep = func(context.Context, time.Duration) {}
+		if tune != nil {
+			tune(client)
 		}
 		r.client = client
 		r.eng.SetPeerTier(client)
@@ -206,9 +205,9 @@ func TestChaosPeerTornEntryDegradesToColdSearch(t *testing.T) {
 // a refused connection, the breaker opens, and B still answers from its own
 // cold search within the deadline.
 func TestChaosPeerDeadReplicaDegrades(t *testing.T) {
-	reps := newCluster(t, 2, func(o *ClientOptions) {
-		o.Attempts = 1
-		o.BreakerFailures = 1
+	reps := newCluster(t, 2, func(c *Client) {
+		c.attempts = 1
+		c.breakerFailures = 1
 	})
 	a, b := reps[0], reps[1]
 	p := chainP(t, 5)
@@ -242,11 +241,11 @@ func TestChaosPeerDeadReplicaDegrades(t *testing.T) {
 func TestChaosPeerBreakerRecovery(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	clock := newFakeClock()
-	reps := newCluster(t, 2, func(o *ClientOptions) {
-		o.Attempts = 1
-		o.BreakerFailures = 2
-		o.BreakerCooldown = time.Minute
-		o.now = clock.Now
+	reps := newCluster(t, 2, func(c *Client) {
+		c.attempts = 1
+		c.breakerFailures = 2
+		c.breakerCooldown = time.Minute
+		c.now = clock.Now
 	})
 	a, b := reps[0], reps[1]
 
@@ -298,15 +297,12 @@ func TestChaosPeerBreakerRecovery(t *testing.T) {
 
 // TestChaosPeerFlappingHealth drives the prober's hysteresis directly: a
 // peer whose health endpoint starts failing is ejected only after
-// EjectAfter consecutive bad probes, fetches then skip it without HTTP
-// traffic, and recovery readmits it only after ReadmitAfter consecutive
-// good probes.
+// DefaultEjectAfter (2) consecutive bad probes, fetches then skip it
+// without HTTP traffic, and recovery readmits it only after
+// DefaultReadmitAfter (2) consecutive good probes.
 func TestChaosPeerFlappingHealth(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	reps := newCluster(t, 2, func(o *ClientOptions) {
-		o.EjectAfter = 2
-		o.ReadmitAfter = 2
-	})
+	reps := newCluster(t, 2, nil)
 	a, b := reps[0], reps[1]
 	ctx := context.Background()
 

@@ -16,16 +16,20 @@ import (
 	"tessel/internal/engine"
 )
 
-// Client-side defaults. An entire fetch round is additionally boxed by the
-// engine's PeerFetchBudget, so these bound one peer, not the request.
+// Client-side tuning. An entire fetch round is additionally boxed by the
+// engine's PeerFetchBudget, so these bound one peer, not the request. Only
+// the attempt timeout is configurable (ClientOptions.AttemptTimeout); the
+// rest have had one value in use since the tier shipped.
 const (
 	// DefaultReplication is how many owner replicas a fetch tries.
 	DefaultReplication = 2
-	// DefaultAttemptTimeout deadline-boxes one HTTP attempt.
+	// DefaultAttemptTimeout deadline-boxes one HTTP attempt (a fetch or a
+	// health probe) when ClientOptions.AttemptTimeout is zero.
 	DefaultAttemptTimeout = 250 * time.Millisecond
 	// DefaultAttempts is the per-peer attempt count (first try + retries).
 	DefaultAttempts = 2
-	// DefaultBackoffBase seeds the jittered exponential retry backoff.
+	// DefaultBackoffBase seeds the jittered exponential retry backoff:
+	// retry k against the same peer waits in [base·2ᵏ⁻¹, 2·base·2ᵏ⁻¹).
 	DefaultBackoffBase = 15 * time.Millisecond
 	// maxEntryBytes bounds a peer entry response body; a single cached
 	// entry is a few hundred KB at the serving caps, so 16 MB is generous
@@ -43,35 +47,9 @@ type ClientOptions struct {
 	// same list, order-independent). Entries are host:port or full URLs;
 	// bare host:port gets an http:// scheme.
 	Peers []string
-	// VirtualNodes is the per-peer ring point count (0 = default).
-	VirtualNodes int
-	// Replication is how many owner replicas one fetch tries (0 = 2).
-	Replication int
-	// AttemptTimeout deadline-boxes one HTTP attempt (0 = 250ms).
+	// AttemptTimeout deadline-boxes one HTTP attempt — an entry fetch or a
+	// health probe (0 = DefaultAttemptTimeout).
 	AttemptTimeout time.Duration
-	// Attempts is the per-peer attempt budget including the first
-	// (0 = 2; 1 = no retries).
-	Attempts int
-	// BackoffBase seeds the jittered exponential backoff between retries
-	// against the same peer (0 = 15ms; attempt k waits in
-	// [base·2ᵏ⁻¹, 2·base·2ᵏ⁻¹)).
-	BackoffBase time.Duration
-	// BreakerFailures opens a peer's circuit after this many consecutive
-	// failed attempts (0 = 3).
-	BreakerFailures int
-	// BreakerCooldown is how long an open circuit refuses the peer before
-	// admitting a half-open probe (0 = 2s).
-	BreakerCooldown time.Duration
-	// ProbeInterval paces the async health prober (0 = 1s).
-	ProbeInterval time.Duration
-	// ProbeTimeout deadline-boxes one health probe (0 = AttemptTimeout).
-	ProbeTimeout time.Duration
-	// EjectAfter ejects a peer from the ring after this many consecutive
-	// failed health probes (0 = 2).
-	EjectAfter int
-	// ReadmitAfter readmits an ejected peer after this many consecutive
-	// successful probes (0 = 2).
-	ReadmitAfter int
 	// HTTPClient overrides the transport (nil = a client with sane
 	// connection pooling; per-attempt deadlines come from contexts, so the
 	// client's own Timeout stays zero).
@@ -79,13 +57,6 @@ type ClientOptions struct {
 	// Logf receives client warnings (nil = discard; the engine already
 	// surfaces peer failures as counters, so logs are debugging aid only).
 	Logf func(format string, args ...any)
-
-	// now overrides the clock for breaker cooldowns in tests (nil =
-	// time.Now).
-	now func() time.Time
-	// sleep overrides the retry backoff wait in tests (nil = a
-	// context-aware timer sleep).
-	sleep func(ctx context.Context, d time.Duration)
 }
 
 // Client is the fetching side of the peer tier: it routes fingerprints on
@@ -97,20 +68,17 @@ type Client struct {
 	ring *Ring
 	self string
 
-	replication    int
 	attemptTimeout time.Duration
-	attempts       int
-	backoffBase    time.Duration
-	probeInterval  time.Duration
-	probeTimeout   time.Duration
-	ejectAfter     int
-	readmitAfter   int
+	http           *http.Client
+	logf           func(format string, args ...any)
 
-	http  *http.Client
-	logf  func(format string, args ...any)
-	now   func() time.Time
-	sleep func(ctx context.Context, d time.Duration)
-
+	// attempts, the breaker tuning, the breaker clock and the retry-backoff
+	// wait are fields rather than direct constant reads only so in-package
+	// tests can set them after NewClient (breakers are built lazily, on the
+	// first fetch from a peer).
+	attempts        int
+	now             func() time.Time
+	sleep           func(ctx context.Context, d time.Duration)
 	breakerFailures int
 	breakerCooldown time.Duration
 	breakersMu      sync.Mutex
@@ -145,7 +113,7 @@ func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 	if opts.Self == "" {
 		return nil, fmt.Errorf("peer: client needs Self, this replica's own ring address")
 	}
-	ring, err := NewRing(opts.Peers, opts.VirtualNodes)
+	ring, err := NewRing(opts.Peers)
 	if err != nil {
 		return nil, err
 	}
@@ -156,46 +124,19 @@ func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 		eng:             eng,
 		ring:            ring,
 		self:            opts.Self,
-		replication:     opts.Replication,
 		attemptTimeout:  opts.AttemptTimeout,
-		attempts:        opts.Attempts,
-		backoffBase:     opts.BackoffBase,
-		probeInterval:   opts.ProbeInterval,
-		probeTimeout:    opts.ProbeTimeout,
-		ejectAfter:      opts.EjectAfter,
-		readmitAfter:    opts.ReadmitAfter,
 		http:            opts.HTTPClient,
 		logf:            opts.Logf,
-		now:             opts.now,
-		sleep:           opts.sleep,
-		breakerFailures: opts.BreakerFailures,
-		breakerCooldown: opts.BreakerCooldown,
+		attempts:        DefaultAttempts,
+		now:             time.Now,
+		sleep:           sleepCtx,
+		breakerFailures: DefaultBreakerFailures,
+		breakerCooldown: DefaultBreakerCooldown,
 		breakers:        make(map[string]*breaker),
 		probeState:      make(map[string]*probeState),
 	}
-	if c.replication <= 0 {
-		c.replication = DefaultReplication
-	}
 	if c.attemptTimeout <= 0 {
 		c.attemptTimeout = DefaultAttemptTimeout
-	}
-	if c.attempts <= 0 {
-		c.attempts = DefaultAttempts
-	}
-	if c.backoffBase <= 0 {
-		c.backoffBase = DefaultBackoffBase
-	}
-	if c.probeInterval <= 0 {
-		c.probeInterval = time.Second
-	}
-	if c.probeTimeout <= 0 {
-		c.probeTimeout = c.attemptTimeout
-	}
-	if c.ejectAfter <= 0 {
-		c.ejectAfter = DefaultEjectAfter
-	}
-	if c.readmitAfter <= 0 {
-		c.readmitAfter = DefaultReadmitAfter
 	}
 	if c.http == nil {
 		c.http = &http.Client{Transport: &http.Transport{
@@ -206,12 +147,6 @@ func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 	if c.logf == nil {
 		c.logf = func(string, ...any) {}
 	}
-	if c.now == nil {
-		c.now = time.Now
-	}
-	if c.sleep == nil {
-		c.sleep = sleepCtx
-	}
 	for _, p := range ring.Peers() {
 		if p != c.self {
 			c.remotes = append(c.remotes, p)
@@ -219,30 +154,31 @@ func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 		}
 	}
 	// Jitter decorrelates retry storms between replicas; it never affects
-	// which entry is fetched, so a seeded source keeps tests deterministic
-	// without a determinism-lint concern (peer is not a search package).
-	c.rng = rand.New(rand.NewSource(c.now().UnixNano()))
+	// which entry is fetched.
+	c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	return c, nil
 }
 
 // Ring exposes the client's ring for readiness reporting and tests.
 func (c *Client) Ring() *Ring { return c.ring }
 
-// Stats implements engine.PeerTier. It must not call into the engine (the
-// engine snapshots it with its own mutex held); everything here is atomics
-// and the ring's internal lock.
+// HealthSummary reports the ring's local health view — configured remote
+// peers and how many of them are currently in the ring. /readyz, /v1/stats
+// (through Stats) and the startup log all read this one count.
+func (c *Client) HealthSummary() (configured, healthy int) {
+	// Only ProbeOnce ejects, and it sweeps remotes only, so self is always
+	// one of the ring's healthy members.
+	return len(c.remotes), c.ring.Healthy() - 1
+}
+
+// Stats implements engine.PeerTier.
 func (c *Client) Stats() engine.PeerStats {
-	healthy := 0
-	for _, p := range c.remotes {
-		if !c.ring.Ejected(p) {
-			healthy++
-		}
-	}
+	_, healthy := c.HealthSummary()
 	return engine.PeerStats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Errors:       c.errors.Load(),
-		Retries:      c.retries.Load(),
+		PeerHits:     c.hits.Load(),
+		PeerMisses:   c.misses.Load(),
+		PeerErrors:   c.errors.Load(),
+		PeerRetries:  c.retries.Load(),
 		BreakerOpen:  c.breakerOpen.Load(),
 		PeersHealthy: healthy,
 	}
@@ -286,10 +222,10 @@ const (
 func (c *Client) Fetch(ctx context.Context, fingerprint, key string) (*core.Result, error) {
 	// Ask for one extra owner so that when this replica is itself an owner
 	// the fetch still reaches `replication` remote candidates.
-	owners := c.ring.Owners(fingerprint, c.replication+1)
+	owners := c.ring.Owners(fingerprint, DefaultReplication+1)
 	tried := 0
 	for _, owner := range owners {
-		if owner == c.self || tried >= c.replication {
+		if owner == c.self || tried >= DefaultReplication {
 			continue
 		}
 		tried++
@@ -322,7 +258,7 @@ func (c *Client) Fetch(ctx context.Context, fingerprint, key string) (*core.Resu
 			case fetchFailure:
 				c.errors.Add(1)
 				br.Failure()
-				c.logf("peer: fetch %s from %s (attempt %d/%d): %v", fingerprint[:minInt(8, len(fingerprint))], owner, attempt+1, c.attempts, err)
+				c.logf("peer: fetch %s from %s (attempt %d/%d): %v", fingerprint[:min(8, len(fingerprint))], owner, attempt+1, c.attempts, err)
 				continue
 			}
 			break // authoritative not-found: next owner
@@ -335,7 +271,7 @@ func (c *Client) Fetch(ctx context.Context, fingerprint, key string) (*core.Resu
 // backoff computes the jittered exponential wait before retry `attempt`
 // (1-based): uniform in [base·2ᵃ⁻¹, 2·base·2ᵃ⁻¹).
 func (c *Client) backoff(attempt int) time.Duration {
-	base := c.backoffBase << (attempt - 1)
+	base := DefaultBackoffBase << (attempt - 1)
 	c.rngMu.Lock()
 	j := c.rng.Float64()
 	c.rngMu.Unlock()
@@ -396,11 +332,4 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	case <-t.C:
 	case <-ctx.Done():
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

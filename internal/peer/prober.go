@@ -2,18 +2,18 @@ package peer
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 )
 
-// Prober hysteresis defaults: ejection after 2 consecutive failed probes
-// keeps one dropped packet from reshuffling ownership; readmission after 2
+// Prober tuning: ejection after 2 consecutive failed probes keeps one
+// dropped packet from reshuffling ownership; readmission after 2
 // consecutive successes keeps a flapping peer from bouncing in and out of
 // the ring every interval.
 const (
-	DefaultEjectAfter   = 2
-	DefaultReadmitAfter = 2
+	DefaultProbeInterval = time.Second
+	DefaultEjectAfter    = 2
+	DefaultReadmitAfter  = 2
 )
 
 // probeState is one remote peer's consecutive probe-outcome counters.
@@ -33,13 +33,13 @@ func (c *Client) ProbeOnce(ctx context.Context) {
 		if healthy {
 			st.consecOK++
 			st.consecFail = 0
-			if st.consecOK >= c.readmitAfter && c.ring.Readmit(p) {
+			if st.consecOK >= DefaultReadmitAfter && c.ring.Readmit(p) {
 				c.logf("peer: %s healthy again, readmitted to the ring", p)
 			}
 		} else {
 			st.consecFail++
 			st.consecOK = 0
-			if st.consecFail >= c.ejectAfter && c.ring.Eject(p) {
+			if st.consecFail >= DefaultEjectAfter && c.ring.Eject(p) {
 				c.logf("peer: %s unhealthy (%d consecutive probe failures), ejected from the ring", p, st.consecFail)
 			}
 		}
@@ -50,7 +50,7 @@ func (c *Client) ProbeOnce(ctx context.Context) {
 // probeHealth performs one deadline-boxed health check. Any transport
 // error or non-200 status is unhealthy.
 func (c *Client) probeHealth(ctx context.Context, peer string) bool {
-	pctx, cancel := context.WithTimeout(ctx, c.probeTimeout)
+	pctx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, peerBaseURL(peer)+"/v1/peer/health", nil)
 	if err != nil {
@@ -64,14 +64,14 @@ func (c *Client) probeHealth(ctx context.Context, peer string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// RunProber probes every remote peer at the configured interval until ctx
+// RunProber probes every remote peer every DefaultProbeInterval until ctx
 // is done. Run it on its own goroutine at serving startup; a replica with
 // no remote peers returns immediately.
 func (c *Client) RunProber(ctx context.Context) {
 	if len(c.remotes) == 0 {
 		return
 	}
-	ticker := time.NewTicker(c.probeInterval)
+	ticker := time.NewTicker(DefaultProbeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -81,23 +81,4 @@ func (c *Client) RunProber(ctx context.Context) {
 			return
 		}
 	}
-}
-
-// HealthSummary reports the ring's local health view for readiness
-// endpoints: configured remote peers and how many are currently in the
-// ring.
-func (c *Client) HealthSummary() (configured, healthy int) {
-	healthy = 0
-	for _, p := range c.remotes {
-		if !c.ring.Ejected(p) {
-			healthy++
-		}
-	}
-	return len(c.remotes), healthy
-}
-
-// String summarizes ring state for logs.
-func (c *Client) String() string {
-	conf, healthy := c.HealthSummary()
-	return fmt.Sprintf("peer ring: self %s, %d remote peers (%d healthy)", c.self, conf, healthy)
 }

@@ -22,6 +22,14 @@
 //   - Server (server.go): the HTTP interchange peers fetch from
 //     (GET /v1/peer/entry, GET /v1/peer/health).
 //
+// The breaker and the prober both answer "is this peer usable", and they
+// are deliberately two state machines, not one, because they detect
+// different faults: a peer that answers /v1/peer/health with 200 yet serves
+// torn or mismatching entries is caught only by the fetch-driven breaker,
+// and a peer that is down is caught by the prober before any request pays
+// an attempt timeout on it. Both are fault-detection state; merging them
+// would lose one of the two signals.
+//
 // Failure semantics, in one line: a peer that hangs, lies, dies, or flaps
 // can cost a replica a bounded slice of latency on a cold miss; it can
 // never poison the cache, never fail a request that a lone replica would
@@ -37,10 +45,10 @@ import (
 	"sync"
 )
 
-// DefaultVirtualNodes is the per-peer virtual node count when Options
-// leave it zero. 192 points per peer keeps the max/min ownership ratio
-// comfortably under 1.3 for small fleets (see the ring property test)
-// while the whole ring for a 16-replica fleet stays ~3k points.
+// DefaultVirtualNodes is the per-peer virtual node count. 192 points per
+// peer keeps the max/min ownership ratio comfortably under 1.3 for small
+// fleets (see the ring property test) while the whole ring for a
+// 16-replica fleet stays ~3k points.
 const DefaultVirtualNodes = 192
 
 // ringPoint is one virtual node: a hash position owned by a peer.
@@ -62,12 +70,9 @@ type Ring struct {
 	points  []ringPoint
 }
 
-// NewRing builds the ring. The peer list is deduplicated and sorted so the
-// ring is independent of flag order; vnodes ≤ 0 uses DefaultVirtualNodes.
-func NewRing(peers []string, vnodes int) (*Ring, error) {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds the ring with DefaultVirtualNodes points per peer. The peer
+// list is deduplicated and sorted so the ring is independent of flag order.
+func NewRing(peers []string) (*Ring, error) {
 	seen := map[string]bool{}
 	var uniq []string
 	for _, p := range peers {
@@ -86,10 +91,10 @@ func NewRing(peers []string, vnodes int) (*Ring, error) {
 	r := &Ring{
 		peers:   uniq,
 		ejected: make([]bool, len(uniq)),
-		points:  make([]ringPoint, 0, len(uniq)*vnodes),
+		points:  make([]ringPoint, 0, len(uniq)*DefaultVirtualNodes),
 	}
 	for i, p := range uniq {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < DefaultVirtualNodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hashPoint(p + "#" + strconv.Itoa(v)), peer: i})
 		}
 	}

@@ -27,7 +27,7 @@ func fingerprints(n int) []string {
 // nothing guarantees the same order, so shuffled and duplicated input must
 // produce identical ownership for every fingerprint.
 func TestRingDeterministicAcrossInputOrder(t *testing.T) {
-	base, err := NewRing(fivePeers(), 0)
+	base, err := NewRing(fivePeers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestRingDeterministicAcrossInputOrder(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		// Duplicates must collapse, not double a peer's vnode share.
 		shuffled = append(shuffled, shuffled[0])
-		other, err := NewRing(shuffled, 0)
+		other, err := NewRing(shuffled)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestRingDeterministicAcrossInputOrder(t *testing.T) {
 // at most 1.3× the least-loaded one — the bound the serving tier's capacity
 // planning assumes.
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing(fivePeers(), 0)
+	r, err := NewRing(fivePeers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRingBalance(t *testing.T) {
 // of surviving peers is untouched); readmission must restore the original
 // list exactly.
 func TestRingEjectionStability(t *testing.T) {
-	r, err := NewRing(fivePeers(), 0)
+	r, err := NewRing(fivePeers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +155,13 @@ func TestRingEjectionStability(t *testing.T) {
 // TestRingRejectsBadInput: empty lists and empty addresses are construction
 // errors, not latent panics.
 func TestRingRejectsBadInput(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty peer list built a ring")
 	}
-	if _, err := NewRing([]string{"a:1", ""}, 0); err == nil {
+	if _, err := NewRing([]string{"a:1", ""}); err == nil {
 		t.Fatal("empty peer address built a ring")
 	}
-	r, err := NewRing([]string{"a:1"}, 0)
+	r, err := NewRing([]string{"a:1"})
 	if err != nil {
 		t.Fatal(err)
 	}

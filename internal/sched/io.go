@@ -46,11 +46,8 @@ func kindFromString(s string) (Kind, error) {
 	}
 }
 
-// EncodePlacement writes p as versioned JSON.
-func EncodePlacement(w io.Writer, p *Placement) error {
-	if p == nil {
-		return fmt.Errorf("sched: nil placement")
-	}
+// toPlacementJSON builds the on-disk form of p.
+func toPlacementJSON(p *Placement) placementJSON {
 	out := placementJSON{
 		Version:    ioVersion,
 		Name:       p.Name,
@@ -68,17 +65,12 @@ func EncodePlacement(w io.Writer, p *Placement) error {
 			Time: st.Time, Mem: st.Mem, Devices: devs,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
 }
 
-// DecodePlacement reads a placement from JSON and validates it.
-func DecodePlacement(r io.Reader) (*Placement, error) {
-	var in placementJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("sched: decode placement: %w", err)
-	}
+// fromPlacementJSON rebuilds and validates a placement from its on-disk
+// form.
+func fromPlacementJSON(in placementJSON) (*Placement, error) {
 	if in.Version != 0 && in.Version != ioVersion {
 		return nil, fmt.Errorf("sched: unsupported placement format version %d", in.Version)
 	}
@@ -105,63 +97,65 @@ func DecodePlacement(r io.Reader) (*Placement, error) {
 	return p, nil
 }
 
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// EncodePlacement writes p as versioned JSON.
+func EncodePlacement(w io.Writer, p *Placement) error {
+	if p == nil {
+		return fmt.Errorf("sched: nil placement")
+	}
+	return encodeIndented(w, toPlacementJSON(p))
+}
+
+// DecodePlacement reads a placement from JSON and validates it.
+func DecodePlacement(r io.Reader) (*Placement, error) {
+	var in placementJSON
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return nil, fmt.Errorf("sched: decode placement: %w", err)
+	}
+	return fromPlacementJSON(in)
+}
+
 // scheduleJSON is the on-disk form of a Schedule; the placement is embedded
 // so a schedule file is self-contained.
 type scheduleJSON struct {
 	Version   int           `json:"version"`
 	Placement placementJSON `json:"placement"`
-	Items     []itemJSON    `json:"items"`
+	Items     []ItemJSON    `json:"items"`
 }
 
-type itemJSON struct {
+// ItemJSON is the wire form of one scheduled block. Schedule files, cache
+// snapshots and peer entries all carry their schedules as these triples.
+type ItemJSON struct {
 	Stage int `json:"stage"`
 	Micro int `json:"micro"`
 	Start int `json:"start"`
 }
 
-// EncodeSchedule writes s (with its placement) as versioned JSON.
-func EncodeSchedule(w io.Writer, s *Schedule) error {
-	if s == nil || s.P == nil {
-		return fmt.Errorf("sched: nil schedule")
+// EncodeItems returns the wire form of s's items in their current order; a
+// nil schedule encodes as nil (JSON null), an empty one as an empty array.
+func EncodeItems(s *Schedule) []ItemJSON {
+	if s == nil {
+		return nil
 	}
-	var pbuf jsonBuffer
-	if err := EncodePlacement(&pbuf, s.P); err != nil {
-		return err
+	items := make([]ItemJSON, len(s.Items))
+	for i, it := range s.Items {
+		items[i] = ItemJSON{Stage: it.Stage, Micro: it.Micro, Start: it.Start}
 	}
-	var pj placementJSON
-	if err := json.Unmarshal(pbuf.data, &pj); err != nil {
-		return err
-	}
-	out := scheduleJSON{Version: ioVersion, Placement: pj}
-	for _, it := range s.Items {
-		out.Items = append(out.Items, itemJSON{Stage: it.Stage, Micro: it.Micro, Start: it.Start})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return items
 }
 
-// DecodeSchedule reads a self-contained schedule and checks it references
-// valid stages (full constraint validation is the caller's choice, since a
-// file may hold a partial phase).
-func DecodeSchedule(r io.Reader) (*Schedule, error) {
-	var in scheduleJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("sched: decode schedule: %w", err)
-	}
-	if in.Version != 0 && in.Version != ioVersion {
-		return nil, fmt.Errorf("sched: unsupported schedule format version %d", in.Version)
-	}
-	pbytes, err := json.Marshal(in.Placement)
-	if err != nil {
-		return nil, err
-	}
-	p, err := DecodePlacement(readerOf(pbytes))
-	if err != nil {
-		return nil, err
-	}
+// DecodeItems rebuilds a sorted schedule over p from wire items, checking
+// that each references a valid stage and has no negative coordinate (full
+// constraint validation is the caller's choice, since the items may hold a
+// partial phase).
+func DecodeItems(p *Placement, items []ItemJSON) (*Schedule, error) {
 	s := NewSchedule(p)
-	for _, it := range in.Items {
+	for _, it := range items {
 		if it.Stage < 0 || it.Stage >= p.K() {
 			return nil, fmt.Errorf("sched: item references stage %d outside [0,%d)", it.Stage, p.K())
 		}
@@ -174,27 +168,27 @@ func DecodeSchedule(r io.Reader) (*Schedule, error) {
 	return s, nil
 }
 
-// jsonBuffer is a minimal in-memory io.Writer (avoids importing bytes in
-// this file's public surface).
-type jsonBuffer struct{ data []byte }
-
-func (b *jsonBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
-}
-
-type byteReader struct {
-	data []byte
-	off  int
-}
-
-func readerOf(data []byte) io.Reader { return &byteReader{data: data} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.data) {
-		return 0, io.EOF
+// EncodeSchedule writes s (with its placement) as versioned JSON.
+func EncodeSchedule(w io.Writer, s *Schedule) error {
+	if s == nil || s.P == nil {
+		return fmt.Errorf("sched: nil schedule")
 	}
-	n := copy(p, r.data[r.off:])
-	r.off += n
-	return n, nil
+	return encodeIndented(w, scheduleJSON{Version: ioVersion, Placement: toPlacementJSON(s.P), Items: EncodeItems(s)})
+}
+
+// DecodeSchedule reads a self-contained schedule and checks it references
+// valid stages (see DecodeItems).
+func DecodeSchedule(r io.Reader) (*Schedule, error) {
+	var in scheduleJSON
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return nil, fmt.Errorf("sched: decode schedule: %w", err)
+	}
+	if in.Version != 0 && in.Version != ioVersion {
+		return nil, fmt.Errorf("sched: unsupported schedule format version %d", in.Version)
+	}
+	p, err := fromPlacementJSON(in.Placement)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeItems(p, in.Items)
 }

@@ -260,12 +260,12 @@ var FingerprintSchedule = sched.FingerprintSchedule
 type (
 	// Engine is the cache-backed, deduplicating search front-end.
 	Engine = engine.Engine
-	// EngineOptions sizes the engine's repetend cache and its admission
-	// limits (concurrency cap, wait queue, per-tenant budgets, degraded
-	// search budget).
+	// EngineOptions sizes the engine's repetend cache, its admission limits
+	// (concurrency cap, wait queue, per-tenant budgets) and its peer-fetch
+	// budget.
 	EngineOptions = engine.Options
-	// EngineStats is a snapshot of the engine's cache and admission
-	// counters.
+	// EngineStats is a snapshot of the engine's cache, admission and peer
+	// counters; its JSON tags are the /v1/stats wire names.
 	EngineStats = engine.Stats
 	// CacheInfo says how one Engine.Search call was served.
 	CacheInfo = engine.CacheInfo
@@ -276,13 +276,6 @@ type (
 
 // NewEngine builds a serving engine with the given cache capacity.
 var NewEngine = engine.New
-
-// ErrSearchPanic marks an Engine.Search that failed with a recovered panic
-// — a server bug, not a bad request.
-//
-// Deprecated: matches the same errors as ErrInternal; new code should use
-// ErrInternal and inspect *InternalError for the fingerprint.
-var ErrSearchPanic = engine.ErrSearchPanic
 
 // ErrInternal marks (by unwrapping) an Engine search that failed from a
 // recovered panic — a server bug, not a bad request or an unsatisfiable
@@ -319,9 +312,10 @@ type (
 	// PeerClient is the fetching side of the peer tier; it implements
 	// PeerTier and is installed on an Engine with Engine.SetPeerTier.
 	PeerClient = peer.Client
-	// PeerClientOptions configures a PeerClient: the static ring (Self +
-	// Peers), fetch deadlines and retries, breaker thresholds, and the
-	// health-prober cadence.
+	// PeerClientOptions configures a PeerClient: the static ring (Self,
+	// Peers), the per-attempt deadline (AttemptTimeout), and the transport
+	// and log hooks (HTTPClient, Logf). Retry, breaker and prober tuning are
+	// constants in internal/peer.
 	PeerClientOptions = peer.ClientOptions
 	// PeerServer serves the peer interchange endpoints (/v1/peer/entry,
 	// /v1/peer/health) from a replica's cache.
@@ -339,7 +333,3 @@ var NewPeerClient = peer.NewClient
 
 // NewPeerServer builds the peer-facing HTTP handlers around an engine.
 var NewPeerServer = peer.NewServer
-
-// DefaultDegradedSolverNodes is the per-solve node cap of degraded
-// (best-effort) searches when EngineOptions.DegradedSolverNodes is zero.
-const DefaultDegradedSolverNodes = engine.DefaultDegradedSolverNodes
