@@ -54,6 +54,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -99,6 +100,8 @@ type searchRequestOptions struct {
 	AllowDegraded bool `json:"allow_degraded"`
 }
 
+// searchResponse is every member of a /v1/search response but the last: the
+// "schedule" object, which writeSearchResponse appends after these.
 type searchResponse struct {
 	Fingerprint string `json:"fingerprint"`
 	CacheHit    bool   `json:"cache_hit"`
@@ -117,7 +120,6 @@ type searchResponse struct {
 	Assignment []int           `json:"assignment"`
 	BubbleRate float64         `json:"bubble_rate"`
 	Stats      searchStatsJSON `json:"stats"`
-	Schedule   json.RawMessage `json:"schedule"`
 }
 
 type searchStatsJSON struct {
@@ -525,11 +527,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var schedBuf bytes.Buffer
-	if err := tessel.EncodeSchedule(&schedBuf, res.Full); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	resp := searchResponse{
 		Fingerprint: info.Fingerprint,
 		CacheHit:    info.Hit,
@@ -559,7 +556,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Truncated:         res.Stats.Truncated,
 			TotalMS:           res.Stats.Total.Milliseconds(),
 		},
-		Schedule: schedBuf.Bytes(),
 	}
 	// A successful search always carries a repetend today, but the guard
 	// keeps a malformed (e.g. directly-solved future) result from crashing
@@ -569,7 +565,42 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.NR = res.Repetend.NR
 		resp.Assignment = []int(res.Repetend.Assign)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSearchResponse(w, resp, res.Full)
+}
+
+// responseBufs recycles /v1/search response buffers. A response is written
+// whole, so its buffer is as large as its body; one that grew past
+// maxPooledResponse (n in the thousands) is dropped instead of pinned.
+var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledResponse = 1 << 20
+
+// writeSearchResponse writes a 200 whose body is resp, indented as writeJSON
+// would, with the schedule as its last member. The head is small and goes
+// through encoding/json; the schedule, which is nearly all of the bytes, is
+// appended once by the schedule encoder at the depth it has in the body.
+func writeSearchResponse(w http.ResponseWriter, resp searchResponse, full *tessel.Schedule) {
+	head, err := json.MarshalIndent(resp, "", "  ")
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	buf := responseBufs.Get().(*[]byte)
+	b := append((*buf)[:0], head[:len(head)-len("\n}")]...)
+	b = append(b, ",\n  \"schedule\": "...)
+	if b, err = tessel.AppendSchedule(b, full, 1); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	b = append(b, "\n}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(b); err != nil {
+		log.Printf("tessel serve: write response: %v", err)
+	}
+	if cap(b) <= maxPooledResponse {
+		*buf = b
+		responseBufs.Put(buf)
+	}
 }
 
 // serveStatsJSON is the wire form of /v1/stats: every engine counter (the

@@ -1,0 +1,172 @@
+package main
+
+// The cache-hit path measured in-process: the benchmark's hot_extend mix and
+// its single worst case, driven through mux() with no listener.
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"testing"
+
+	"tessel"
+	"tessel/internal/faultpoint"
+)
+
+// hotPlacements are the ten placements of the benchmark's hot_extend
+// workload: every paper shape on four devices, training and inference.
+func hotPlacements(t testing.TB) []*tessel.Placement {
+	t.Helper()
+	builders := []func(tessel.ShapeConfig) (*tessel.Placement, error){
+		tessel.NewVShape, tessel.NewXShape, tessel.NewMShape, tessel.NewKShape, tessel.NewNNShape,
+	}
+	var out []*tessel.Placement
+	for _, inference := range []bool{false, true} {
+		for _, build := range builders {
+			p, err := build(tessel.ShapeConfig{Devices: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inference {
+				p = tessel.InferenceVariant(p)
+			}
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// searchBody is a /v1/search request for p at n micro-batches.
+func searchBody(t testing.TB, p *tessel.Placement, n, memory int) []byte {
+	t.Helper()
+	var pj bytes.Buffer
+	if err := tessel.EncodePlacement(&pj, p); err != nil {
+		t.Fatal(err)
+	}
+	return []byte(fmt.Sprintf(`{"placement":%s,"options":{"n":%d,"memory":%d}}`, pj.Bytes(), n, memory))
+}
+
+// discardResponse is an http.ResponseWriter that keeps only the status and
+// the body size, so a measurement of the handler is not one of a recorder.
+type discardResponse struct {
+	header http.Header
+	status int
+	bytes  int
+}
+
+func (d *discardResponse) Header() http.Header    { return d.header }
+func (d *discardResponse) WriteHeader(status int) { d.status = status }
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.bytes += len(p)
+	return len(p), nil
+}
+
+// hitClient posts to a handler through one reused request, so that what is
+// measured is the handler and not the making of requests.
+type hitClient struct {
+	h   http.Handler
+	req *http.Request
+}
+
+func newHitClient(h http.Handler) *hitClient {
+	return &hitClient{h: h, req: httptest.NewRequest("POST", "/v1/search", nil)}
+}
+
+// post sends body, fails on a non-200 and returns the response size.
+func (c *hitClient) post(t testing.TB, body []byte) int {
+	t.Helper()
+	w := &discardResponse{header: http.Header{}, status: http.StatusOK}
+	c.req.Body = io.NopCloser(bytes.NewReader(body))
+	c.h.ServeHTTP(w, c.req)
+	if w.status != http.StatusOK {
+		t.Fatalf("status %d", w.status)
+	}
+	return w.bytes
+}
+
+// countSolves arms the solver's fault point with a counter, so a test can
+// assert how many branch-and-bound solves a code path ran.
+func countSolves(t testing.TB) *int {
+	t.Helper()
+	n := new(int)
+	faultpoint.Arm(faultpoint.SolverSolve, func() error { *n++; return nil })
+	t.Cleanup(func() { faultpoint.Disarm(faultpoint.SolverSolve) })
+	return n
+}
+
+// BenchmarkServeHitExtend is the hot_extend mix in-process: ten placements
+// cached at n = 12, then every (placement, n) pair of the workload in turn —
+// one request in seven is an exact-N hit, the rest extend the cached
+// repetend. No cold search runs inside the timed loop.
+func BenchmarkServeHitExtend(b *testing.B) {
+	s := newTestServer(b)
+	c := newHitClient(s.mux())
+	var mix [][]byte
+	for i, p := range hotPlacements(b) {
+		memory := 0
+		if i == 4 { // nn4m8
+			memory = 8
+		}
+		c.post(b, searchBody(b, p, 12, memory))
+		for _, n := range []int{12, 8, 16, 32, 64, 128, 256} {
+			mix = append(mix, searchBody(b, p, n, memory))
+		}
+	}
+	for _, body := range mix { // one unmeasured pass, as the workload's warm-up
+		c.post(b, body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	total := 0
+	for i := 0; i < b.N; i++ {
+		total += c.post(b, mix[i%len(mix)])
+	}
+	b.ReportMetric(float64(total)/float64(b.N), "resp_B/op")
+	if st := s.engine.Stats(); st.Misses != 10 {
+		b.Fatalf("%d cold searches, want the 10 primers only", st.Misses)
+	}
+}
+
+// TestServeHitExtendSteadyStateAllocs bounds what a hit at a new N costs:
+// m-shape cached at n = 12 and asked for n = 64 through the handler. The
+// parent commit of the completion template measured 526 allocs and
+// 914,343 B per request here (two solves, three JSON passes); the bounds are
+// a third of that, and the solver must not run at all.
+func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
+	s := newTestServer(t)
+	c := newHitClient(s.mux())
+	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.post(t, searchBody(t, p, 12, 0))
+	body := searchBody(t, p, 64, 0)
+	c.post(t, body) // fills the template and sizes the pooled buffer
+
+	solves := countSolves(t)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		c.post(t, body)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("hit + extend m4 12→64: %.0f allocs/op, %.0f B/op, %d solves", allocs, bytesPerOp, *solves)
+	if *solves != 0 {
+		t.Errorf("%d solver calls over %d warm hits, want 0", *solves, runs)
+	}
+	if raceDetector {
+		return // the bounds below are the production binary's
+	}
+	if max := 526.0 / 3; allocs > max {
+		t.Errorf("%.0f allocs/op, want ≤ %.0f", allocs, max)
+	}
+	if max := 914343.0 / 3; bytesPerOp > max {
+		t.Errorf("%.0f B/op, want ≤ %.0f", bytesPerOp, max)
+	}
+}

@@ -19,7 +19,7 @@ import (
 )
 
 // testConfig parses args over the serve flag defaults, as runServe does.
-func testConfig(t *testing.T, args ...string) *serveConfig {
+func testConfig(t testing.TB, args ...string) *serveConfig {
 	t.Helper()
 	fs := flag.NewFlagSet("tessel serve", flag.ContinueOnError)
 	cfg := serveFlags(fs)
@@ -31,7 +31,7 @@ func testConfig(t *testing.T, args ...string) *serveConfig {
 
 // newTestServer builds a server the way runServe does, without binding a
 // listener. Like a booting replica it starts not ready.
-func newTestServer(t *testing.T, args ...string) *server {
+func newTestServer(t testing.TB, args ...string) *server {
 	t.Helper()
 	s, err := newServer(testConfig(t, args...))
 	if err != nil {
@@ -74,7 +74,11 @@ func TestServeSearchEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var first, second searchResponse
+	var first struct {
+		searchResponse
+		Schedule json.RawMessage `json:"schedule"`
+	}
+	var second searchResponse
 	w := postSearch(t, s, string(body))
 	if w.Code != 200 {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
@@ -129,7 +133,7 @@ func TestServeSearchEndToEnd(t *testing.T) {
 		t.Fatal("second request missed the cache")
 	}
 	if second.Makespan != first.Makespan || second.Fingerprint != first.Fingerprint {
-		t.Fatalf("cache hit disagrees: %+v vs %+v", second, first)
+		t.Fatalf("cache hit disagrees: %+v vs %+v", second, first.searchResponse)
 	}
 
 	// Stats endpoint reflects the hit.

@@ -1,0 +1,141 @@
+package main
+
+// The /v1/search body, byte for byte. referenceBody is the encoder the
+// single-pass writer replaced, kept as the oracle: every value through
+// reflection, json.Encoder and SetIndent, the schedule as a RawMessage that
+// the envelope compacts and indents again.
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http/httptest"
+	"testing"
+
+	"tessel"
+)
+
+type referenceItem struct {
+	Stage int `json:"stage"`
+	Micro int `json:"micro"`
+	Start int `json:"start"`
+}
+
+func referenceBody(t *testing.T, head searchResponse, full *tessel.Schedule) []byte {
+	t.Helper()
+	encode := func(v any) []byte {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var placement bytes.Buffer
+	if err := tessel.EncodePlacement(&placement, full.P); err != nil {
+		t.Fatal(err)
+	}
+	items := make([]referenceItem, len(full.Items))
+	for i, it := range full.Items {
+		items[i] = referenceItem{it.Stage, it.Micro, it.Start}
+	}
+	schedule := encode(struct {
+		Version   int             `json:"version"`
+		Placement json.RawMessage `json:"placement"`
+		Items     []referenceItem `json:"items"`
+	}{1, placement.Bytes(), items})
+	return encode(struct {
+		searchResponse
+		Schedule json.RawMessage `json:"schedule"`
+	}{head, schedule})
+}
+
+// TestServeSearchWireBytes posts a cold miss, an exact-N hit and a hit that
+// extends, decodes each body, and asks the reference encoder for the bytes of
+// what was decoded: they must be the body. Every body must also carry the
+// schedule the engine holds for that request.
+func TestServeSearchWireBytes(t *testing.T) {
+	s := newTestServer(t)
+	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Through the handler a name may hold anything JSON can: quotes, the
+	// characters encoding/json escapes for HTML, non-ASCII. The m-shape's last
+	// stage has a nil dependency list, which travels as null both ways.
+	p.Name = `m "quoted" <&> é` + "\u2028"
+	for _, c := range []struct {
+		name string
+		n    int
+		hit  bool
+	}{{"miss", 12, false}, {"exact-N hit", 12, true}, {"hit + extend", 40, true}, {"hit below N_R", 3, true}} {
+		w := postSearch(t, s, string(searchBody(t, p, c.n, 0)))
+		if w.Code != 200 {
+			t.Fatalf("%s: status %d: %s", c.name, w.Code, w.Body.String())
+		}
+		got := w.Body.Bytes()
+		var decoded struct {
+			searchResponse
+			Schedule json.RawMessage `json:"schedule"`
+		}
+		if err := json.Unmarshal(got, &decoded); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if decoded.CacheHit != c.hit || decoded.N != c.n {
+			t.Fatalf("%s: cache_hit %t n %d", c.name, decoded.CacheHit, decoded.N)
+		}
+		full, err := tessel.DecodeSchedule(bytes.NewReader(decoded.Schedule))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := referenceBody(t, decoded.searchResponse, full); !bytes.Equal(got, want) {
+			t.Errorf("%s: body differs from the reference encoding\n got: %.400s\nwant: %.400s", c.name, got, want)
+		}
+		res, _, err := s.engine.Search(t.Context(), p, tessel.SearchOptions{N: c.n, SolverTimeout: s.cfg.solverTimeout})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if tessel.FingerprintSchedule(full) != tessel.FingerprintSchedule(res.Full) {
+			t.Errorf("%s: body carries another schedule than the engine's", c.name)
+		}
+	}
+}
+
+// TestWriteSearchResponseMatchesReference covers the bodies no request can
+// produce today: a result without a repetend (null assignment) and a
+// placement holding a nil dependency list.
+func TestWriteSearchResponseMatchesReference(t *testing.T) {
+	p := &tessel.Placement{
+		Name:       `"<&>` + "\xff é",
+		NumDevices: 2,
+		Stages: []tessel.Stage{
+			{Name: "f ", Kind: tessel.Forward, Time: 1, Mem: 1, Devices: []tessel.DeviceID{0}},
+			{Name: "</b>", Kind: tessel.Backward, Time: 2, Mem: -1, Devices: []tessel.DeviceID{0, 1}},
+		},
+		Deps: [][]int{{1}, nil},
+	}
+	full := &tessel.Schedule{P: p}
+	for m := 0; m < 3; m++ {
+		full.Add(0, m, 3*m)
+		full.Add(1, m, 3*m+1)
+	}
+	for _, head := range []searchResponse{
+		{Fingerprint: "f", N: 3, Makespan: 9, BubbleRate: 1.0 / 3},
+		{CacheHit: true, Assignment: []int{1, 0}, Stats: searchStatsJSON{NodesPerSec: 1e21, TotalMS: 7}},
+		{Assignment: []int{}},
+	} {
+		w := httptest.NewRecorder()
+		writeSearchResponse(w, head, full)
+		if want := referenceBody(t, head, full); !bytes.Equal(w.Body.Bytes(), want) {
+			t.Errorf("body differs from the reference encoding\n got: %s\nwant: %s", w.Body.Bytes(), want)
+		}
+		if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
+		}
+	}
+	w := httptest.NewRecorder()
+	writeSearchResponse(w, searchResponse{}, &tessel.Schedule{P: p})
+	if want := referenceBody(t, searchResponse{}, &tessel.Schedule{P: p}); !bytes.Equal(w.Body.Bytes(), want) {
+		t.Errorf("empty schedule differs from the reference encoding\n got: %s\nwant: %s", w.Body.Bytes(), want)
+	}
+}

@@ -26,10 +26,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -198,6 +200,9 @@ type Result struct {
 	Makespan int
 	// Stats reports search effort.
 	Stats Stats
+	// tmpl memoizes the phase solves of this result's completions, so that
+	// Extend re-solves nothing it has solved before (template.go).
+	tmpl template
 }
 
 func (o Options) withDefaults() Options {
@@ -335,7 +340,7 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		n = 3 * best.NR
 	}
 	res.N = n
-	if err := completeSchedule(ctx, res, best, n, opts, pool); err != nil {
+	if err := completeSchedule(ctx, res, best, n, opts, pool, &res.tmpl); err != nil {
 		return nil, err
 	}
 	res.Makespan = res.Full.Makespan()
@@ -623,6 +628,14 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 // possible to extend the repetend schedule to accommodate any number of
 // micro-batches"). Memory and solver budgets come from opts, which should
 // normally match the original search.
+//
+// The warmup and cooldown solves are memoized on res (its completion
+// template, template.go): the first completion — the search's own, or the
+// first Extend of a result restored from a snapshot or a peer — runs them,
+// and an Extend that meets the same solver instances again, which is every
+// later one with the same opts, replays their solutions and does O(N·K)
+// unrolling, sorting and validation only. The result is byte-identical to a
+// from-scratch completion either way. res may be shared between goroutines.
 func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -641,16 +654,21 @@ func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, err
 		BubbleRate: res.BubbleRate,
 		N:          n,
 	}
-	if err := completeSchedule(ctx, out, res.Repetend, n, opts, nil); err != nil {
+	if err := completeSchedule(ctx, out, res.Repetend, n, opts, nil, &res.tmpl); err != nil {
 		return nil, err
 	}
+	out.tmpl.memos.Store(res.tmpl.memos.Load())
 	out.Makespan = out.Full.Makespan()
 	return out, nil
 }
 
 // warmupBlocks returns {B^n_i : n < r_i} (Equation 5).
 func warmupBlocks(p *sched.Placement, a repetend.Assignment) []sched.Block {
-	var blocks []sched.Block
+	total := 0
+	for _, ai := range a {
+		total += ai
+	}
+	blocks := make([]sched.Block, 0, total)
 	for i := range p.Stages {
 		for n := 0; n < a[i]; n++ {
 			blocks = append(blocks, sched.Block{Stage: i, Micro: n})
@@ -662,7 +680,11 @@ func warmupBlocks(p *sched.Placement, a repetend.Assignment) []sched.Block {
 // cooldownBlocks returns {B^n_i : r_i + reps ≤ n < N} — Equation 6
 // generalized from reps = 1 (N = N_R) to the extended schedule.
 func cooldownBlocks(p *sched.Placement, a repetend.Assignment, reps, n int) []sched.Block {
-	var blocks []sched.Block
+	total := 0
+	for _, ai := range a {
+		total += max(n-reps-ai, 0)
+	}
+	blocks := make([]sched.Block, 0, total)
 	for i := range p.Stages {
 		for m := a[i] + reps; m < n; m++ {
 			blocks = append(blocks, sched.Block{Stage: i, Micro: m})
@@ -742,10 +764,14 @@ func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block
 // complete builds the final N-micro-batch schedule around the repetend:
 // time-optimal warmup, R = N − N_R + 1 unrolled instances compacted against
 // the warmup, and a time-optimal cooldown released by repetend finishes.
-func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n int, opts Options, pool *solver.Pool) error {
+//
+// Phase solves go through tmpl, the completion template of the search result
+// the repetend belongs to (res itself in Search, the extended result in
+// Extend).
+func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n int, opts Options, pool *solver.Pool, tmpl *template) error {
 	p := res.Placement
 	if n < r.NR {
-		return completeDirect(ctx, res, n, opts)
+		return completeDirect(ctx, res, n, opts, pool, tmpl)
 	}
 	reps := n - r.NR + 1
 
@@ -753,10 +779,14 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Warmup telemetry, never schedule bytes
 	warmStart := time.Now()
 	warm := warmupBlocks(p, r.Assign)
-	warmSched, warmFinish, err := solvePhase(ctx, p, warm, nil, nil, nil, opts, pool, &res.Stats)
+	warmSched, err := solvePhase(ctx, p, warm, nil, nil, nil, opts, pool, &res.Stats, tmpl)
 	res.Stats.Phase.Warmup += time.Since(warmStart)
 	if err != nil {
 		return fmt.Errorf("warmup: %w", err)
+	}
+	warmFinish := make(map[sched.Block]int, warmSched.Len())
+	for _, it := range warmSched.Items {
+		warmFinish[it.Block] = it.Start + p.Stages[it.Stage].Time
 	}
 
 	// Body offset δ: earliest start of instance 0 after the warmup, per
@@ -771,15 +801,20 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 			}
 		}
 	}
-	for d := 0; d < p.NumDevices; d++ {
-		first := -1
-		for _, i := range p.DeviceStages(sched.DeviceID(d)) {
-			if first < 0 || r.Starts[i] < first {
-				first = r.Starts[i]
+	first := make([]int, p.NumDevices) // earliest repetend start per device
+	for d := range first {
+		first[d] = -1
+	}
+	for i := range p.Stages {
+		for _, d := range p.Stages[i].Devices {
+			if first[d] < 0 || r.Starts[i] < first[d] {
+				first[d] = r.Starts[i]
 			}
 		}
-		if first >= 0 && lastW[d]-first > delta {
-			delta = lastW[d] - first
+	}
+	for d, f := range first {
+		if f >= 0 && lastW[d]-f > delta {
+			delta = lastW[d] - f
 		}
 	}
 	for i, succs := range p.Deps {
@@ -803,42 +838,32 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Cooldown telemetry, never schedule bytes
 	coolStart := time.Now()
 	cool := cooldownBlocks(p, r.Assign, reps, n)
-	bodyFinish := make(map[sched.Block]int, body.Len())
 	deviceReady := append([]int(nil), lastW...)
 	for _, it := range body.Items {
 		f := it.Start + p.Stages[it.Stage].Time
-		bodyFinish[it.Block] = f
 		for _, d := range p.Stages[it.Stage].Devices {
 			if f > deviceReady[d] {
 				deviceReady[d] = f
 			}
 		}
 	}
-	releases := map[sched.Block]int{}
-	coolSet := map[sched.Block]bool{}
-	for _, b := range cool {
-		coolSet[b] = true
-	}
+	// Stage i's micro-batch m is a warmup block below Assign[i], instance
+	// m − Assign[i] of the body for the next reps, a cooldown block from there
+	// on: a cooldown block whose predecessor is not one itself is released by
+	// that predecessor's finish.
+	releases := make(map[sched.Block]int, len(cool))
 	for i, succs := range p.Deps {
 		for _, j := range succs {
-			for m := 0; m < n; m++ {
-				succ := sched.Block{Stage: j, Micro: m}
-				if !coolSet[succ] {
-					continue
-				}
-				pred := sched.Block{Stage: i, Micro: m}
-				if coolSet[pred] {
-					continue // handled as a solver dependency
-				}
+			for m := r.Assign[j] + reps; m < min(n, r.Assign[i]+reps); m++ {
 				var f int
-				if bf, ok := bodyFinish[pred]; ok {
-					f = bf
-				} else if wf, ok := warmFinish[pred]; ok {
+				if k := m - r.Assign[i]; k >= 0 {
+					f = delta + r.Starts[i] + k*r.Period + p.Stages[i].Time
+				} else if wf, ok := warmFinish[sched.Block{Stage: i, Micro: m}]; ok {
 					f = wf
 				} else {
-					return fmt.Errorf("cooldown block %v: predecessor %v not scheduled", succ, pred)
+					return fmt.Errorf("cooldown block %v: predecessor %v not scheduled", sched.Block{Stage: j, Micro: m}, sched.Block{Stage: i, Micro: m})
 				}
-				if f > releases[succ] {
+				if succ := (sched.Block{Stage: j, Micro: m}); f > releases[succ] {
 					releases[succ] = f
 				}
 			}
@@ -850,13 +875,14 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 			initMem[d] += (r.Assign[i] + reps) * p.Stages[i].Mem
 		}
 	}
-	coolSched, _, err := solvePhase(ctx, p, cool, releases, initMem, deviceReady, opts, pool, &res.Stats)
+	coolSched, err := solvePhase(ctx, p, cool, releases, initMem, deviceReady, opts, pool, &res.Stats, tmpl)
 	res.Stats.Phase.Cooldown += time.Since(coolStart)
 	if err != nil {
 		return fmt.Errorf("cooldown: %w", err)
 	}
 
-	full := warmSched.Clone()
+	full := &sched.Schedule{P: p, Items: make([]sched.Item, 0, warmSched.Len()+body.Len()+coolSched.Len())}
+	full.Append(warmSched)
 	full.Append(body)
 	full.Append(coolSched)
 	full.Sort()
@@ -867,60 +893,79 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	return nil
 }
 
-// completeDirect handles N < N_R with a whole-problem time-optimal solve.
-func completeDirect(ctx context.Context, res *Result, n int, opts Options) error {
-	full, sres, err := TimeOptimal(ctx, res.Placement, n, opts)
+// completeDirect handles N < N_R with a whole-problem time-optimal solve —
+// TimeOptimal's instance, solved as one phase so that the template holds it:
+// a repeat of the same small N costs no solve either.
+func completeDirect(ctx context.Context, res *Result, n int, opts Options, pool *solver.Pool, tmpl *template) error {
+	p := res.Placement
+	full, err := solvePhase(ctx, p, solver.AllBlocks(p, n), nil, nil, nil, opts, pool, &res.Stats, tmpl)
 	if err != nil {
-		return err
+		return fmt.Errorf("time-optimal solve of %s with %d micro-batches: %w", p.Name, n, err)
 	}
-	if !sres.Optimal {
-		res.Stats.Truncated = true
-	}
-	res.Warmup = sched.NewSchedule(res.Placement)
+	res.Warmup = sched.NewSchedule(p)
 	res.Body = full
-	res.Cooldown = sched.NewSchedule(res.Placement)
+	res.Cooldown = sched.NewSchedule(p)
 	res.Full = full
 	return nil
 }
 
-// solvePhase runs a time-optimal solve of the given blocks and returns the
-// schedule plus a finish-time index. A budget-degraded (non-optimal) solve
-// marks stats as truncated.
-func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, initMem, deviceReady []int, opts Options, pool *solver.Pool, stats *Stats) (*sched.Schedule, map[sched.Block]int, error) {
+// solvePhase runs a time-optimal solve of the given blocks, which it puts in
+// solver task order, and returns their schedule. A budget-degraded
+// (non-optimal) solve marks stats as truncated. A solve that its instance
+// alone determines — proven optimal, or cut short by the node budget — is
+// stored in tmpl, and an instance tmpl already holds is answered from it
+// without being built or solved.
+func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, initMem, deviceReady []int, opts Options, pool *solver.Pool, stats *Stats, tmpl *template) (*sched.Schedule, error) {
+	s := sched.NewSchedule(p)
 	if len(blocks) == 0 {
-		return sched.NewSchedule(p), map[sched.Block]int{}, nil
+		return s, nil
 	}
-	tasks, err := solver.BuildTasks(p, blocks, releases)
-	if err != nil {
-		return nil, nil, err
-	}
-	sres, err := pool.Solve(ctx, tasks, solver.Options{
+	//tessel:totalorder (Micro, Stage) is unique per block (BuildTasks rejects duplicates)
+	slices.SortFunc(blocks, func(a, b sched.Block) int {
+		return cmp.Or(cmp.Compare(a.Micro, b.Micro), cmp.Compare(a.Stage, b.Stage))
+	})
+	solveOpts := solver.Options{
 		NumDevices:  p.NumDevices,
 		Memory:      opts.Memory,
 		InitialMem:  initMem,
 		DeviceReady: deviceReady,
 		MaxNodes:    opts.SolverNodes,
 		Timeout:     opts.SolverTimeout,
-		Workers:     solver.ResolveWorkers(opts.SolverWorkers, len(tasks)),
-	})
-	if err != nil {
-		return nil, nil, err
+		Workers:     solver.ResolveWorkers(opts.SolverWorkers, len(blocks)),
 	}
-	if !sres.Optimal {
-		stats.Truncated = true
+	var starts []int
+	memo, base := tmpl.lookup(blocks, releases, solveOpts)
+	if memo != nil {
+		starts = memo.starts
+		stats.Truncated = stats.Truncated || memo.truncated
+	} else {
+		tasks, err := solver.BuildTasks(p, blocks, releases)
+		if err != nil {
+			return nil, err
+		}
+		sres, err := pool.Solve(ctx, tasks, solveOpts)
+		if err != nil {
+			return nil, err
+		}
+		if !sres.Optimal {
+			stats.Truncated = true
+		}
+		if !sres.Feasible {
+			return nil, errors.New("phase infeasible")
+		}
+		starts = sres.Starts
+		// Short of its wall-clock budget, the solve stopped where it did on
+		// the instance's account alone and would stop there again.
+		if sres.Optimal || opts.SolverTimeout == 0 || sres.Elapsed < opts.SolverTimeout {
+			tmpl.store(blocks, releases, solveOpts, starts, !sres.Optimal)
+		}
 	}
-	if !sres.Feasible {
-		return nil, nil, errors.New("phase infeasible")
+	s.Items = make([]sched.Item, len(blocks))
+	for i, b := range blocks {
+		s.Items[i] = sched.Item{Block: b, Start: base + starts[i]}
 	}
-	s, err := solver.ToSchedule(p, tasks, sres)
-	if err != nil {
-		return nil, nil, err
-	}
-	finish := make(map[sched.Block]int, len(tasks))
-	for i, task := range tasks {
-		finish[task.ID] = sres.Starts[i] + task.Time
-	}
-	return s, finish, nil
+	s.Sort()
+	return s, nil
 }
 
 // TimeOptimal solves the whole N-micro-batch problem exactly — the "TO"

@@ -501,7 +501,8 @@ func (e *Engine) Stats() Stats {
 // re-using its repetend. When the counts already match the cached result is
 // returned as-is; otherwise the extension carries the originating search's
 // Stats, so every cache hit reports the same search effort regardless of
-// which N it asked for.
+// which N it asked for — except Truncated, which also says whether the
+// extension's own warmup or cooldown solve ran out of budget.
 func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*core.Result, error) {
 	n := opts.N
 	if n == 0 && cached.Repetend != nil {
@@ -514,7 +515,9 @@ func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*cor
 	if err != nil {
 		return nil, err
 	}
+	truncated := out.Stats.Truncated
 	out.Stats = cached.Stats
+	out.Stats.Truncated = truncated || cached.Stats.Truncated
 	return out, nil
 }
 

@@ -330,3 +330,43 @@ func TestSearchInvalidRequestTyped(t *testing.T) {
 		t.Fatalf("infeasible search: want a non-request error, got %v", err)
 	}
 }
+
+// TestExtensionTruncationReported: an extension whose own phase solves ran
+// out of budget says so, even though the rest of its Stats are the
+// originating search's — and such a solve is not kept, so the next request
+// with a real budget is answered in full and reports a proven result.
+func TestExtensionTruncationReported(t *testing.T) {
+	ctx := context.Background()
+	p := mshape(t)
+	cached, err := core.Search(ctx, p, core.Options{N: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.Stats.Truncated {
+		t.Fatal("the search itself was truncated")
+	}
+	starved, err := extendTo(ctx, cached, core.Options{N: 20, SolverNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !starved.Stats.Truncated {
+		t.Fatal("a 1-node extension reported truncated = false")
+	}
+	if starved.Stats.Solved != cached.Stats.Solved || starved.Stats.SolverNodes != cached.Stats.SolverNodes {
+		t.Fatalf("extension stats %+v are not the search's %+v", starved.Stats, cached.Stats)
+	}
+	full, err := extendTo(ctx, cached, core.Options{N: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.Truncated {
+		t.Fatal("a full-budget extension after a starved one reported truncated = true")
+	}
+	fresh, err := core.Search(ctx, p, core.Options{N: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sched.FingerprintSchedule(full.Full) != sched.FingerprintSchedule(fresh.Full) {
+		t.Fatal("the starved extension's solves leaked into the next one")
+	}
+}

@@ -12,11 +12,11 @@ package lint
 //   - time.Now and math/rand in search code: wall-clock and randomness
 //     must never feed schedule bytes (telemetry uses are waived with a
 //     justification);
-//   - sort.Slice: the unstable sort is deterministic only under a total
-//     order. PR 4 caught a shipping tie-break bug of exactly this shape
-//     (ordersFromStarts), so every sort.Slice in search code must either
-//     become sort.SliceStable or carry //tessel:totalorder documenting
-//     that the comparator breaks every tie.
+//   - sort.Slice and slices.SortFunc: the unstable sorts are deterministic
+//     only under a total order. PR 4 caught a shipping tie-break bug of
+//     exactly this shape (ordersFromStarts), so each one in search code
+//     must either become its stable counterpart or carry
+//     //tessel:totalorder documenting that the comparator breaks every tie.
 
 import (
 	"go/ast"
@@ -38,7 +38,7 @@ var determinismPackages = []string{
 // DeterminismAnalyzer flags nondeterminism sources in the search packages.
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
-	Doc: "flag map-range iteration, time.Now/math/rand, and unstable sort.Slice " +
+	Doc: "flag map-range iteration, time.Now/math/rand, and unstable sort.Slice/slices.SortFunc " +
 		"in the schedule-search packages, whose results must be byte-identical " +
 		"functions of their inputs",
 	Applies: func(pkgPath string) bool {
@@ -76,11 +76,11 @@ func runDeterminism(pass *Pass) error {
 				case pkgPath == "math/rand" || pkgPath == "math/rand/v2" ||
 					strings.HasPrefix(pkgPath, "math/rand/"):
 					pass.Reportf(n.Pos(), "math/rand in search code: randomness breaks byte-identical search results")
-				case pkgPath == "sort" && name == "Slice":
+				case pkgPath == "sort" && name == "Slice", pkgPath == "slices" && name == "SortFunc":
 					if pass.hasDirective(n.Pos(), "totalorder") {
 						return true
 					}
-					pass.Reportf(n.Pos(), "sort.Slice is unstable; use sort.SliceStable, or annotate //tessel:totalorder if the comparator breaks every tie")
+					pass.Reportf(n.Pos(), "%s.%s is unstable; use the stable variant, or annotate //tessel:totalorder if the comparator breaks every tie", pkgPath, name)
 				}
 			}
 			return true

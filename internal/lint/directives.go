@@ -16,9 +16,10 @@ package lint
 //	    sorted before use (waives the determinism map-range check).
 //
 //	//tessel:totalorder [reason]
-//	    On (or directly above) a sort.Slice call: the comparator is a
-//	    documented total order (ties broken on every field), so the
-//	    unstable sort is deterministic (waives the determinism check).
+//	    On (or directly above) a sort.Slice or slices.SortFunc call: the
+//	    comparator is a documented total order (ties broken on every
+//	    field), so the unstable sort is deterministic (waives the
+//	    determinism check).
 //
 //	//tessel:waive:<analyzer> <justification>
 //	    On (or directly above) any flagged line: suppress that analyzer

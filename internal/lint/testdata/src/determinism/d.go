@@ -3,7 +3,9 @@
 package determinism
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -50,9 +52,15 @@ func unstableSort(s []int) {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] }) // want "sort.Slice is unstable"
 }
 
+func unstableSortFunc(s []int) {
+	slices.SortFunc(s, cmp.Compare[int]) // want "slices.SortFunc is unstable"
+}
+
 func totalOrderSort(s []int) {
 	//tessel:totalorder ints compare totally, every tie is broken
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	//tessel:totalorder ints compare totally, every tie is broken
+	slices.SortFunc(s, cmp.Compare[int])
 }
 
 func stableSortAllowed(s []int) {

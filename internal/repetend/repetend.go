@@ -644,7 +644,7 @@ func (r *Repetend) Schedule() *sched.Schedule {
 // Unroll returns k consecutive instances: instance j shifts every start by
 // j·Period and every micro index by j.
 func (r *Repetend) Unroll(k int) *sched.Schedule {
-	s := sched.NewSchedule(r.P)
+	s := &sched.Schedule{P: r.P, Items: make([]sched.Item, 0, max(k, 0)*len(r.Starts))}
 	for j := 0; j < k; j++ {
 		for i, st := range r.Starts {
 			s.Add(i, r.Assign[i]+j, st+j*r.Period)

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // The canonical encoding gives every placement a stable byte identity: two
@@ -52,7 +52,7 @@ func (p *Placement) AppendCanonical(b []byte) []byte {
 // Fingerprint returns the SHA-256 of p's canonical encoding as a lowercase
 // hex string — the stable identity the serving engine keys its cache by.
 func Fingerprint(p *Placement) string {
-	sum := sha256.Sum256(p.AppendCanonical(nil))
+	sum := sha256.Sum256(p.AppendCanonical(make([]byte, 0, 512)))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -66,24 +66,11 @@ func Fingerprint(p *Placement) string {
 // search determinism guarantee (and its tests) are stated in.
 func (s *Schedule) AppendCanonical(b []byte) []byte {
 	b = s.P.AppendCanonical(b)
-	idx := make([]int, len(s.Items))
-	for i := range idx {
-		idx[i] = i
-	}
+	items := slices.Clone(s.Items)
 	//tessel:totalorder (Start, Stage, Micro) is unique per item, so every tie is broken
-	sort.Slice(idx, func(x, y int) bool {
-		a, c := s.Items[idx[x]], s.Items[idx[y]]
-		if a.Start != c.Start {
-			return a.Start < c.Start
-		}
-		if a.Stage != c.Stage {
-			return a.Stage < c.Stage
-		}
-		return a.Micro < c.Micro
-	})
-	b = binary.AppendUvarint(b, uint64(len(s.Items)))
-	for _, i := range idx {
-		it := s.Items[i]
+	slices.SortFunc(items, compareItems)
+	b = binary.AppendUvarint(b, uint64(len(items)))
+	for _, it := range items {
 		b = binary.AppendVarint(b, int64(it.Stage))
 		b = binary.AppendVarint(b, int64(it.Micro))
 		b = binary.AppendVarint(b, int64(it.Start))

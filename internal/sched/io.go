@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // The JSON interchange format lets users define custom placements for the
@@ -21,11 +24,12 @@ type placementJSON struct {
 }
 
 type stageJSON struct {
-	Name    string `json:"name"`
-	Kind    string `json:"kind"` // "forward", "backward", "aux"
-	Time    int    `json:"time"`
-	Mem     int    `json:"mem"`
-	Devices []int  `json:"devices"`
+	Name string `json:"name"`
+	Kind string `json:"kind"` // "forward", "backward", "aux"
+	Time int    `json:"time"`
+	Mem  int    `json:"mem"`
+	// Devices is never nil on encode, so a stage with no device reads [].
+	Devices []DeviceID `json:"devices"`
 }
 
 // ioVersion is the current interchange format version.
@@ -46,7 +50,7 @@ func kindFromString(s string) (Kind, error) {
 	}
 }
 
-// toPlacementJSON builds the on-disk form of p.
+// toPlacementJSON builds the on-disk form of p, which shares p's slices.
 func toPlacementJSON(p *Placement) placementJSON {
 	out := placementJSON{
 		Version:    ioVersion,
@@ -54,16 +58,18 @@ func toPlacementJSON(p *Placement) placementJSON {
 		NumDevices: p.NumDevices,
 		Deps:       p.Deps,
 	}
+	if len(p.Stages) > 0 { // none still encode as null
+		out.Stages = make([]stageJSON, len(p.Stages))
+	}
 	for i := range p.Stages {
 		st := &p.Stages[i]
-		devs := make([]int, len(st.Devices))
-		for j, d := range st.Devices {
-			devs[j] = int(d)
-		}
-		out.Stages = append(out.Stages, stageJSON{
+		out.Stages[i] = stageJSON{
 			Name: st.Name, Kind: kindToString(st.Kind),
-			Time: st.Time, Mem: st.Mem, Devices: devs,
-		})
+			Time: st.Time, Mem: st.Mem, Devices: st.Devices,
+		}
+		if st.Devices == nil {
+			out.Stages[i].Devices = []DeviceID{}
+		}
 	}
 	return out
 }
@@ -74,7 +80,7 @@ func fromPlacementJSON(in placementJSON) (*Placement, error) {
 	if in.Version != 0 && in.Version != ioVersion {
 		return nil, fmt.Errorf("sched: unsupported placement format version %d", in.Version)
 	}
-	p := &Placement{Name: in.Name, NumDevices: in.NumDevices, Deps: in.Deps}
+	p := &Placement{Name: in.Name, NumDevices: in.NumDevices, Deps: in.Deps, Stages: make([]Stage, 0, len(in.Stages))}
 	if p.Deps == nil {
 		p.Deps = make([][]int, len(in.Stages))
 	}
@@ -83,12 +89,8 @@ func fromPlacementJSON(in placementJSON) (*Placement, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sched: stage %q: %w", st.Name, err)
 		}
-		devs := make([]DeviceID, len(st.Devices))
-		for j, d := range st.Devices {
-			devs[j] = DeviceID(d)
-		}
 		p.Stages = append(p.Stages, Stage{
-			Name: st.Name, Kind: kind, Time: st.Time, Mem: st.Mem, Devices: devs,
+			Name: st.Name, Kind: kind, Time: st.Time, Mem: st.Mem, Devices: st.Devices,
 		})
 	}
 	if err := p.Validate(); err != nil {
@@ -168,12 +170,71 @@ func DecodeItems(p *Placement, items []ItemJSON) (*Schedule, error) {
 	return s, nil
 }
 
-// EncodeSchedule writes s (with its placement) as versioned JSON.
+// EncodeSchedule writes s (with its placement) as versioned JSON: the bytes
+// of AppendSchedule at depth 0 and a final newline.
 func EncodeSchedule(w io.Writer, s *Schedule) error {
-	if s == nil || s.P == nil {
-		return fmt.Errorf("sched: nil schedule")
+	b, err := AppendSchedule(nil, s, 0)
+	if err != nil {
+		return err
 	}
-	return encodeIndented(w, scheduleJSON{Version: ioVersion, Placement: toPlacementJSON(s.P), Items: EncodeItems(s)})
+	_, err = w.Write(append(b, '\n'))
+	return err
+}
+
+// AppendSchedule appends the versioned JSON object of s, indented by two
+// spaces per level, as it reads when nested depth levels inside another
+// indented document: depth 0 is a schedule file, depth 1 a member of a
+// top-level object. It is the one schedule encoder — files, the CLI and the
+// /v1/search response all carry these bytes, which are those encoding/json
+// gives scheduleJSON under SetIndent("", "  "). The placement, with every
+// string in it, does go through encoding/json, so escaping cannot drift; the
+// items, all integers and nearly all of the bytes, are appended directly. No
+// newline follows the closing brace.
+func AppendSchedule(dst []byte, s *Schedule, depth int) ([]byte, error) {
+	if s == nil || s.P == nil {
+		return dst, fmt.Errorf("sched: nil schedule")
+	}
+	indent := strings.Repeat("  ", depth+3)
+	in1, in2, in3 := indent[4:], indent[2:], indent
+	placement, err := json.MarshalIndent(toPlacementJSON(s.P), in1, "  ")
+	if err != nil {
+		return dst, err
+	}
+	// The text around the three numbers of one item, indentation included.
+	open, micro, start, end := "\n"+in2+"{\n"+in3+`"stage": `, ",\n"+in3+`"micro": `, ",\n"+in3+`"start": `, "\n"+in2+"}"
+	// One growth step for the common case of up to four digits a number.
+	dst = slices.Grow(dst, len(placement)+128+len(s.Items)*(len(open)+len(micro)+len(start)+len(end)+1+3*4))
+	dst = append(dst, "{\n"+in1+`"version": `...)
+	dst = strconv.AppendInt(dst, ioVersion, 10)
+	dst = append(dst, ",\n"+in1+`"placement": `...)
+	dst = append(dst, placement...)
+	dst = append(dst, ",\n"+in1+`"items": [`...)
+	if len(s.Items) > 0 {
+		dst = appendItems(dst, s.Items, open, micro, start, end)
+		dst = append(dst, "\n"+in1...)
+	}
+	return append(dst, "]\n"+in1[2:]+"}"...), nil
+}
+
+// appendItems appends the members of a non-empty "items" array between the
+// four strings that surround an item's numbers, so the loop does nothing but
+// copy and format integers.
+//
+//tessel:noalloc
+func appendItems(dst []byte, items []Item, open, micro, start, end string) []byte {
+	for i := range items {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, open...)
+		dst = strconv.AppendInt(dst, int64(items[i].Stage), 10)
+		dst = append(dst, micro...)
+		dst = strconv.AppendInt(dst, int64(items[i].Micro), 10)
+		dst = append(dst, start...)
+		dst = strconv.AppendInt(dst, int64(items[i].Start), 10)
+		dst = append(dst, end...)
+	}
+	return dst
 }
 
 // DecodeSchedule reads a self-contained schedule and checks it references

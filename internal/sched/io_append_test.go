@@ -1,0 +1,108 @@
+package sched
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
+
+// referenceSchedule is the schedule encoder AppendSchedule replaced, kept as
+// the oracle: reflection over scheduleJSON through json.Encoder with
+// SetIndent — and, at depth 1, the compact-and-re-indent pass encoding/json
+// gives a RawMessage inside an indented envelope. It returns the object
+// without the newline Encode ends with.
+func referenceSchedule(t testing.TB, s *Schedule, depth int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeIndented(&buf, scheduleJSON{Version: ioVersion, Placement: toPlacementJSON(s.P), Items: EncodeItems(s)}); err != nil {
+		t.Fatal(err)
+	}
+	if depth == 0 {
+		return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+	}
+	var env bytes.Buffer
+	if err := encodeIndented(&env, struct {
+		Schedule json.RawMessage `json:"schedule"`
+	}{buf.Bytes()}); err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.TrimPrefix(env.Bytes(), []byte("{\n  \"schedule\": "))
+	return bytes.TrimSuffix(body, []byte("\n}\n"))
+}
+
+func checkAppendSchedule(t testing.TB, s *Schedule) {
+	t.Helper()
+	for depth := 0; depth <= 1; depth++ {
+		got, err := AppendSchedule([]byte("prefix"), s, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := append([]byte("prefix"), referenceSchedule(t, s, depth)...); !bytes.Equal(got, want) {
+			t.Fatalf("depth %d: AppendSchedule differs from encoding/json\n got: %s\nwant: %s", depth, got, want)
+		}
+	}
+}
+
+// TestAppendScheduleMatchesEncodingJSON covers what a search result never
+// holds but the encoder must still write as encoding/json would: names that
+// need escaping, a nil dependency list, no items, no stages.
+func TestAppendScheduleMatchesEncodingJSON(t *testing.T) {
+	p := chain4()
+	p.Name = "a\"<b>& é\xff"
+	p.Stages[1].Name = "</script>"
+	p.Deps[3] = nil
+	s := sequentialSchedule(p, 3)
+	s.Add(2, -1, -7) // negative numbers are not valid, but they are encodable
+	checkAppendSchedule(t, s)
+	checkAppendSchedule(t, NewSchedule(p))
+	checkAppendSchedule(t, &Schedule{P: p, Items: []Item{}})
+	checkAppendSchedule(t, NewSchedule(&Placement{Name: "empty"}))
+
+	// The reference shares toPlacementJSON with the encoder, so pin by hand
+	// the one thing it decides: a stage with no device list reads [].
+	p.Stages[0].Devices = nil
+	got, err := AppendSchedule(nil, NewSchedule(p), 0)
+	if err != nil || !bytes.Contains(got, []byte(`"devices": []`)) || bytes.Contains(got, []byte(`"devices": null`)) {
+		t.Fatalf("nil device list: %v\n%s", err, got)
+	}
+}
+
+// FuzzAppendSchedule builds a small schedule from the fuzzer's bytes — names,
+// stage and device counts, dependency lists and items — and holds
+// AppendSchedule to the bytes of the reference encoder at both depths.
+func FuzzAppendSchedule(f *testing.F) {
+	f.Add("m-shape", "f0", []byte{4, 2, 0, 1, 2, 3, 9, 9, 9})
+	f.Add("a\"<&> ", "\xff\x00", []byte{1, 1, 0})
+	f.Add("", "", []byte{})
+	f.Fuzz(func(t *testing.T, name, stage string, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		p := &Placement{Name: name, NumDevices: next() % 5}
+		for i, k := 0, next()%6; i < k; i++ {
+			st := Stage{Name: stage, Kind: Kind(next() % 3), Time: next(), Mem: next() - 128}
+			for d := next() % 3; d > 0; d-- {
+				st.Devices = append(st.Devices, DeviceID(next()%5))
+			}
+			p.Stages = append(p.Stages, st)
+			switch next() % 3 {
+			case 0:
+				p.Deps = append(p.Deps, nil)
+			case 1:
+				p.Deps = append(p.Deps, []int{})
+			default:
+				p.Deps = append(p.Deps, []int{next(), next()})
+			}
+		}
+		s := NewSchedule(p)
+		for len(data) >= 3 {
+			s.Add(next(), next(), next()<<(next()%24)-1)
+		}
+		checkAppendSchedule(t, s)
+	})
+}

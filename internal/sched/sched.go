@@ -7,6 +7,15 @@
 // Times and memory costs are integers, exactly as in the paper, which keeps
 // the model compatible with exact solvers and makes equality comparisons in
 // tests meaningful.
+//
+// The package also owns the two byte forms of its types. The canonical
+// encoding (canonical.go) is the identity of a placement or a schedule:
+// Fingerprint keys the serving cache, FingerprintSchedule is what "the same
+// schedule" means in tests and in the benchmark. The JSON interchange format
+// (io.go) is what files, the CLI and the /v1/search response carry; a
+// schedule has one JSON encoder, AppendSchedule, which writes the indented
+// bytes in a single pass at whatever depth the schedule sits in its
+// document, and EncodeSchedule is that encoder at depth 0.
 package sched
 
 import (
@@ -198,7 +207,7 @@ func (p *Placement) TopoOrder() ([]int, error) {
 			indeg[v]++
 		}
 	}
-	var ready []int
+	ready := make([]int, 0, k) // every stage enters once, so this never grows
 	for i := 0; i < k; i++ {
 		if indeg[i] == 0 {
 			ready = append(ready, i)

@@ -414,3 +414,29 @@ func TestStageIDByName(t *testing.T) {
 		t.Fatalf("StageIDByName missing = %d, want -1", id)
 	}
 }
+
+// TestBlockIndex fills the index Validate looks dependencies up in with a
+// schedule large enough to collide, and finds every block and no other.
+func TestBlockIndex(t *testing.T) {
+	p := chain4()
+	s := sequentialSchedule(p, 700)
+	index := newBlockIndex(s.Items)
+	for i := range s.Items {
+		if old, dup := index.add(i); dup {
+			t.Fatalf("item %d reported as a duplicate of %v", i, old)
+		}
+	}
+	for i, it := range s.Items {
+		if got, ok := index.find(it.Block); !ok || got != it {
+			t.Fatalf("item %d: found %v, %t", i, got, ok)
+		}
+		if old, dup := index.add(i); !dup || old != it {
+			t.Fatalf("item %d added twice: %v, %t", i, old, dup)
+		}
+	}
+	for _, b := range []Block{{Stage: 0, Micro: 700}, {Stage: 8, Micro: 0}, {Stage: 3, Micro: -1}} {
+		if got, ok := index.find(b); ok {
+			t.Fatalf("absent block %v found as %v", b, got)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -50,19 +52,22 @@ func (s *Schedule) Add(stage, micro, start int) {
 // Len returns the number of scheduled blocks.
 func (s *Schedule) Len() int { return len(s.Items) }
 
+// compareItems orders items by (Start, Stage, Micro), the canonical item
+// order of a schedule.
+func compareItems(a, b Item) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Stage, b.Stage); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Micro, b.Micro)
+}
+
 // Sort orders items by (Start, Stage, Micro) for deterministic iteration.
 func (s *Schedule) Sort() {
 	//tessel:totalorder (Start, Stage, Micro) is unique per item, so every tie is broken
-	sort.Slice(s.Items, func(i, j int) bool {
-		a, b := s.Items[i], s.Items[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
-		}
-		return a.Micro < b.Micro
-	})
+	slices.SortFunc(s.Items, compareItems)
 }
 
 // Clone returns a deep copy sharing the placement.
@@ -130,24 +135,28 @@ func (s *Schedule) Find(stage, micro int) (Item, bool) {
 // deviceItems returns, for each device, the items occupying it, sorted by
 // start time.
 func (s *Schedule) deviceItems() [][]Item {
+	// Counted first, so that the lists are carved from one array.
+	count := make([]int, s.P.NumDevices)
+	total := 0
+	for _, it := range s.Items {
+		for _, d := range s.P.Stages[it.Stage].Devices {
+			count[d]++
+			total++
+		}
+	}
 	per := make([][]Item, s.P.NumDevices)
+	backing := make([]Item, total)
+	for d, c := range count {
+		per[d], backing = backing[:0:c], backing[c:]
+	}
 	for _, it := range s.Items {
 		for _, d := range s.P.Stages[it.Stage].Devices {
 			per[d] = append(per[d], it)
 		}
 	}
 	for d := range per {
-		items := per[d]
 		//tessel:totalorder (Start, Stage, Micro) is unique per item, so every tie is broken
-		sort.Slice(items, func(i, j int) bool {
-			if items[i].Start != items[j].Start {
-				return items[i].Start < items[j].Start
-			}
-			if items[i].Stage != items[j].Stage {
-				return items[i].Stage < items[j].Stage
-			}
-			return items[i].Micro < items[j].Micro
-		})
+		slices.SortFunc(per[d], compareItems)
 	}
 	return per
 }
@@ -213,16 +222,15 @@ func (s *Schedule) Validate(opts ValidateOptions) error {
 	}
 	// Constraint [3]: dependencies within each micro-batch.
 	if !opts.IgnoreDeps {
-		index := make(map[Block]Item, len(s.Items))
-		for _, it := range s.Items {
-			if old, dup := index[it.Block]; dup {
+		index := newBlockIndex(s.Items)
+		for i, it := range s.Items {
+			if old, dup := index.add(i); dup {
 				return fmt.Errorf("block %v scheduled twice (t=%d and t=%d)", it.Block, old.Start, it.Start)
 			}
-			index[it.Block] = it
 		}
 		for _, it := range s.Items {
 			for _, succ := range s.P.Deps[it.Stage] {
-				dep, ok := index[Block{Stage: succ, Micro: it.Micro}]
+				dep, ok := index.find(Block{Stage: succ, Micro: it.Micro})
 				if !ok {
 					continue // successor not part of this (partial) schedule
 				}
@@ -234,6 +242,51 @@ func (s *Schedule) Validate(opts ValidateOptions) error {
 		}
 	}
 	return nil
+}
+
+// blockIndex finds the item that schedules a block. Validate looks up every
+// dependency edge of every item, which a map[Block]Item made the larger half
+// of validating a schedule; this is one array of item positions, open
+// addressed and at most half full.
+type blockIndex struct {
+	items []Item
+	slots []int32 // position in items + 1; 0 marks a free slot
+}
+
+func newBlockIndex(items []Item) blockIndex {
+	size := 4
+	for size < 2*len(items) {
+		size *= 2
+	}
+	return blockIndex{items: items, slots: make([]int32, size)}
+}
+
+// probe returns the slot holding block b, or the free slot where it belongs.
+func (x blockIndex) probe(b Block) int {
+	h := (uint64(b.Micro)<<20 ^ uint64(b.Stage)) * 0x9E3779B97F4A7C15
+	i := int(h>>33) & (len(x.slots) - 1)
+	for x.slots[i] != 0 && x.items[x.slots[i]-1].Block != b {
+		i = (i + 1) & (len(x.slots) - 1)
+	}
+	return i
+}
+
+// add indexes items[pos]. If an earlier item schedules the same block it
+// returns that item and true instead.
+func (x blockIndex) add(pos int) (Item, bool) {
+	i := x.probe(x.items[pos].Block)
+	if at := x.slots[i]; at != 0 {
+		return x.items[at-1], true
+	}
+	x.slots[i] = int32(pos + 1)
+	return Item{}, false
+}
+
+func (x blockIndex) find(b Block) (Item, bool) {
+	if at := x.slots[x.probe(b)]; at != 0 {
+		return x.items[at-1], true
+	}
+	return Item{}, false
 }
 
 // PeakMemory returns the peak memory per device under the start-order

@@ -200,6 +200,9 @@ var (
 	// EncodeSchedule / DecodeSchedule round-trip self-contained schedules.
 	EncodeSchedule = sched.EncodeSchedule
 	DecodeSchedule = sched.DecodeSchedule
+	// AppendSchedule appends EncodeSchedule's bytes as they read nested
+	// inside another indented JSON document, without the final newline.
+	AppendSchedule = sched.AppendSchedule
 )
 
 // CodegenOptions configures per-device code emission.
