@@ -65,9 +65,16 @@ func BenchmarkAblationLocalSearchOff(b *testing.B) {
 	benchSearch(b, mustShape(b, tessel.NewKShape), core.Options{DisableLocalSearch: true})
 }
 
-func solverTasks(b *testing.B, n int) []solver.Task {
+// solverTasks builds the whole-problem M-shape instance (4 devices, n
+// micro-batches) the solver benchmarks run on. The V-shape family they used
+// through PR 13 is proven at the root by the one-machine bound — one node for
+// every n — so it measures nothing; M-shape still searches (n = 2, 3, 4: 164,
+// 4,886, 111,756 nodes). The benchmark fails when the sequential engine
+// proves the instance in fewer than minNodes nodes: the next bound that
+// flattens a family has to move these benchmarks, not quietly empty them.
+func solverTasks(b *testing.B, n int, minNodes int64) []solver.Task {
 	b.Helper()
-	p, err := tessel.NewVShape(tessel.ShapeConfig{Devices: 4})
+	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -75,13 +82,29 @@ func solverTasks(b *testing.B, n int) []solver.Task {
 	if err != nil {
 		b.Fatal(err)
 	}
+	res, err := solver.Solve(context.Background(), tasks, solver.Options{MaxNodes: minNodes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res.Optimal {
+		b.Fatalf("m-shape n=%d is proven in %d nodes; this benchmark needs a search of at least %d", n, res.Nodes, minNodes)
+	}
 	return tasks
 }
 
+// solverSizes are the micro-batch counts of the scaling benchmarks with the
+// least search each must still need.
+var solverSizes = []struct {
+	name     string
+	n        int
+	minNodes int64
+}{{"m_nmb2", 2, 100}, {"m_nmb3", 3, 4000}, {"m_nmb4", 4, 50000}}
+
 func benchSolve(b *testing.B, opts solver.Options) {
 	b.Helper()
-	tasks := solverTasks(b, 4)
+	tasks := solverTasks(b, 3, 4000)
 	b.ReportAllocs()
+	b.ResetTimer() // the fixture's own check is a 4000-node solve
 	var nodes int64
 	for i := 0; i < b.N; i++ {
 		res, err := solver.Solve(context.Background(), tasks, opts)
@@ -114,7 +137,7 @@ func BenchmarkAblationSolverNoSymmetry(b *testing.B) {
 }
 
 // BenchmarkAblationSolverNoMemo disables dominance memoization. Without
-// the memo the v-shape instance's search tree explodes (the solve runs
+// the memo the instance's search tree explodes (the solve runs
 // minutes, not milliseconds), so the solve is node-capped and the
 // comparison against BenchmarkAblationSolverFull is the nodes/s metric
 // plus the nodes/op blow-up, not wall time to optimality.
@@ -127,9 +150,9 @@ func BenchmarkAblationSolverNoMemo(b *testing.B) {
 // Besides wall time it reports nodes/s, the node-throughput measure the
 // allocation-free solver core is tuned for.
 func BenchmarkSolverScaling(b *testing.B) {
-	for _, n := range []int{2, 4, 6} {
-		tasks := solverTasks(b, n)
-		b.Run(map[int]string{2: "nmb2", 4: "nmb4", 6: "nmb6"}[n], func(b *testing.B) {
+	for _, sz := range solverSizes {
+		tasks := solverTasks(b, sz.n, sz.minNodes)
+		b.Run(sz.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var nodes int64
 			for i := 0; i < b.N; i++ {
@@ -147,21 +170,23 @@ func BenchmarkSolverScaling(b *testing.B) {
 // BenchmarkSolverParallel measures the deterministic root-split search
 // across worker counts on the solver-scaling instances. On a multi-core
 // machine the w4/w8 variants show the wall-clock speedup over w1; on any
-// machine the nodes/op metric shows the residual price of the split —
-// cross-job dominance knowledge flows through the shared memo tier at
-// batch boundaries, so jobs-mode node totals sit within ~2x of
-// BenchmarkSolverScaling's sequential totals (they were ~9x before the
-// tier), with shared_memo_hits/op reporting how often the tier pruned.
-// The nmb6 run fails outright if the tier never bites: a zero means the
-// promotion path regressed, which the node gap would only show as a slow
-// drift. Schedules are byte-identical across all variants, and since
+// machine the nodes/op metric shows the price of the split — cross-job
+// dominance knowledge flows through the shared memo tier at batch
+// boundaries, which brought the V-shape nmb6 instance from ~9x to ~1.2x of
+// BenchmarkSolverScaling's sequential totals; on the M-shape instances the
+// benchmarks moved to in PR 15 jobs mode still expands 3x (m_nmb3) and 5x
+// (m_nmb4) the sequential nodes — with shared_memo_hits/op reporting how
+// often the tier pruned. The m_nmb3 and m_nmb4 runs fail outright if the
+// tier never bites: a zero means the promotion path regressed, which the
+// node gap would only show as a slow drift. Schedules are byte-identical
+// across all variants, and since
 // cross-job bounds are frozen per batch, so are the node and memo
 // counters — only the time columns move.
 func BenchmarkSolverParallel(b *testing.B) {
-	for _, n := range []int{2, 4, 6} {
-		tasks := solverTasks(b, n)
+	for _, sz := range solverSizes {
+		tasks := solverTasks(b, sz.n, sz.minNodes)
 		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", map[int]string{2: "nmb2", 4: "nmb4", 6: "nmb6"}[n], w), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/w%d", sz.name, w), func(b *testing.B) {
 				b.ReportAllocs()
 				var nodes, sharedHits int64
 				for i := 0; i < b.N; i++ {
@@ -172,8 +197,8 @@ func BenchmarkSolverParallel(b *testing.B) {
 					nodes += res.Nodes
 					sharedHits += res.SharedMemoHits
 				}
-				if n >= 6 && sharedHits == 0 {
-					b.Fatalf("nmb%d/w%d: SharedMemoHits = 0; the shared memo tier never pruned", n, w)
+				if sz.n >= 3 && sharedHits == 0 {
+					b.Fatalf("%s/w%d: SharedMemoHits = 0; the shared memo tier never pruned", sz.name, w)
 				}
 				reportNodeThroughput(b, nodes)
 				b.ReportMetric(float64(sharedHits)/float64(b.N), "shared_memo_hits/op")
@@ -224,7 +249,7 @@ func BenchmarkPeriodMachinery(b *testing.B) {
 // repetend sweep: zero allocations per solve) with the package-level Solve
 // on the same instance.
 func BenchmarkSolverReuse(b *testing.B) {
-	tasks := solverTasks(b, 2)
+	tasks := solverTasks(b, 2, 100)
 	pool := solver.NewPool()
 	if _, err := pool.Solve(context.Background(), tasks, solver.Options{}); err != nil {
 		b.Fatal(err)

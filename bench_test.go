@@ -103,18 +103,37 @@ func BenchmarkFingerprint(b *testing.B) {
 }
 
 // BenchmarkEngineColdSearch measures a full search through a fresh engine
-// (every iteration misses). This is the incumbent-pruned hot path: the
-// sweep publishes the best verified period through a shared atomic and
-// later solves prune against it, so regressions in the pruning show up
-// here first.
+// (every iteration misses), one sub-benchmark per regime of the two-pass
+// sweep: m4 (the M-shape of the other engine benchmarks) reaches the lower
+// bound in the first pass but is solver-bound getting there; v6 reaches it
+// with almost no solve at all, so it shows what the relaxation prune costs
+// per assignment; x8m4 cannot reach it under its memory cap and pays the
+// failed first pass plus the whole unaimed second pass. Regressions in the
+// pruning show up here first.
 func BenchmarkEngineColdSearch(b *testing.B) {
-	p := benchPlacement(b)
 	ctx := context.Background()
-	for i := 0; i < b.N; i++ {
-		eng := tessel.NewEngine(tessel.EngineOptions{})
-		if _, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name    string
+		build   func(tessel.ShapeConfig) (*tessel.Placement, error)
+		devices int
+		memory  int
+	}{
+		{"m4", tessel.NewMShape, 4, 0},
+		{"v6", tessel.NewVShape, 6, 0},
+		{"x8m4", tessel.NewXShape, 8, 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := c.build(tessel.ShapeConfig{Devices: c.devices})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < b.N; i++ {
+				eng := tessel.NewEngine(tessel.EngineOptions{})
+				if _, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

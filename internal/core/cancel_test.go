@@ -11,12 +11,13 @@ import (
 )
 
 // slowPlacement returns a placement whose search with default budgets runs
-// for tens of seconds (the nn-shape sweep does not early-exit and its
-// assignment space is large) — the point is to cancel it mid-sweep, never
+// for more than a minute (the six-device nn-shape reaches its lower bound
+// only deep in an assignment space of hundreds of thousands; the four-device
+// one is down to about a second) — the point is to cancel it mid-sweep, never
 // to finish it.
 func slowPlacement(t *testing.T) *sched.Placement {
 	t.Helper()
-	p, err := placement.NNShape(placement.Config{Devices: 4})
+	p, err := placement.NNShape(placement.Config{Devices: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,18 @@
 // not exhausted — wall-clock budgets make individual solves
 // timing-dependent).
 //
+// The sweep runs in up to two passes over the same N_R loop. Algorithm 1
+// stops at the first repetend that reaches the device-work lower bound, and
+// most placements have one, so the first pass presets the incumbent to that
+// bound: from the first assignment on, only candidates that can reach it get
+// past the order-independent relaxation to an instance solve. The first
+// assignment in enumeration order that reaches the bound and completes is
+// the winner either way — everything the preset discards has a larger period
+// and could never have displaced it. When no assignment reaches the bound
+// (memory caps usually), the incumbent is cleared and the loop runs again
+// unaimed, on the first pass's searcher pool, period-engine pool and
+// instance-solve cache.
+//
 // All entry points take a context.Context and honor it end-to-end: the
 // assignment producer, every concurrent repetend-solver worker, and the
 // completion solves all poll the same context, so cancelling it (or hitting
@@ -36,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tessel/internal/faultpoint"
 	"tessel/internal/repetend"
 	"tessel/internal/sched"
 	"tessel/internal/solver"
@@ -108,18 +121,23 @@ type PhaseDurations struct {
 
 // Stats reports search effort.
 type Stats struct {
-	// Assignments is the number of index assignments enumerated.
+	// Assignments is the number of index assignments enumerated, summed —
+	// like every effort counter below — over both sweep passes when the
+	// lower-bound pass found nothing and the unaimed pass ran too.
 	Assignments int
-	// Solved is the number of repetend instances solved to a period.
+	// Solved is the number of repetend instances solved to a period within
+	// the incumbent bound of the moment.
 	Solved int
 	// Pruned is the number of assignments abandoned against the shared
-	// incumbent period before (or during) their instance solve.
+	// incumbent period — before their instance solve (the order-independent
+	// relaxation), during it, or after it and local search.
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
 	// SolverNodes is the total number of branch-and-bound nodes expanded by
 	// the repetend instance solves — the budget-independent measure of
-	// sweep effort that incumbent pruning is meant to shrink.
+	// sweep effort that incumbent pruning is meant to shrink. It covers every
+	// solve that ran, including those of assignments pruned afterwards.
 	SolverNodes int64
 	// SolverMemoHits is the number of those nodes pruned by the solver's
 	// dominance memo, the per-search effectiveness measure of the
@@ -138,9 +156,8 @@ type Stats struct {
 	// difference-constraint fixpoint computation each) the repetend
 	// evaluations ran — across the order-independent relaxation checks,
 	// the minPeriod binary searches, and local search. Like SolverNodes,
-	// it sums over *solved* assignments only: a candidate discarded
-	// against the incumbent by the relaxation check returns no Repetend,
-	// so its single probe is not counted.
+	// it sums over every evaluation that ran: the single probe of a
+	// candidate the relaxation discards counts too.
 	PeriodProbes int64
 	// PeriodRelaxations is the number of successful distance tightenings
 	// inside those probes — the budget-independent effort measure of the
@@ -247,10 +264,11 @@ func MaxInflight(p *sched.Placement, memory int) int {
 }
 
 // Search runs Algorithm 1 for placement p: it sweeps repetend sizes and
-// index assignments, keeps the repetend with the smallest steady-state
-// period, completes warmup and cooldown phases, and extends the schedule to
-// opts.N micro-batches. Cancelling ctx stops every in-flight solver worker
-// promptly and returns ctx's error.
+// index assignments — first aimed at the device-work lower bound, then, if
+// nothing reaches it, unaimed (see the package comment) — keeps the repetend
+// with the smallest steady-state period, completes warmup and cooldown
+// phases, and extends the schedule to opts.N micro-batches. Cancelling ctx
+// stops every in-flight solver worker promptly and returns ctx's error.
 func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -299,16 +317,30 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	}
 	res.Stats.SolverWorkers = solver.ResolveWorkers(opts.SolverWorkers, p.K())
 
-	for nr := 1; nr <= maxNR; nr++ {
-		res.Stats.NRSwept = nr
-		if err := sweepNR(ctx, p, nr, st, repOpts, opts, pool, res); err != nil {
+	sweep := func(aim int) error {
+		st.incumbent.Store(int64(aim))
+		for nr := 1; nr <= maxNR && !res.Stats.EarlyExit; nr++ {
+			res.Stats.NRSwept = nr
+			if err := sweepNR(ctx, p, nr, st, repOpts, opts, pool, res); err != nil {
+				return err
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// Pass one prunes against the lower bound itself; pass two, with no
+	// incumbent, runs only when pass one verified no repetend.
+	if err := sweep(res.LowerBound); err != nil {
+		return nil, err
+	}
+	if st.best == nil {
+		if err := faultpoint.Inject(faultpoint.CoreSweepFallback); err != nil {
 			return nil, err
 		}
-		if err := ctx.Err(); err != nil {
+		if err := sweep(0); err != nil {
 			return nil, err
-		}
-		if res.Stats.EarlyExit {
-			break
 		}
 	}
 	best := st.best
@@ -357,13 +389,16 @@ type sweepState struct {
 	// bestBound is the PeriodUpperBound best's solve ran under (0 = none);
 	// Search uses it to decide whether a canonical re-solve is needed.
 	bestBound int
-	// incumbent is the smallest completion-verified period published so
-	// far (0 = none yet). Workers snapshot it before every solve, so an
-	// improvement found by any worker prunes all later solves across all
-	// workers and all remaining N_R rounds — not just the next round.
-	// Only the collector stores to it, and only after checkCompletion
+	// incumbent is the period candidates are pruned against: the device-work
+	// lower bound while the first pass aims at it, afterwards the smallest
+	// completion-verified period published so far (0 = none yet). Workers
+	// snapshot it before every solve, so an improvement found by any worker
+	// prunes all later solves across all workers and all remaining N_R
+	// rounds — not just the next round. Search presets it per pass; within a
+	// pass only the collector stores to it, and only after checkCompletion
 	// passes: an unverified period could prune candidates that the failed
-	// repetend never actually beats.
+	// repetend never actually beats. (The lower bound needs no verifying: no
+	// repetend beats it.)
 	incumbent atomic.Int64
 }
 
@@ -414,7 +449,8 @@ func solveAssignment(ctx context.Context, p *sched.Placement, a repetend.Assignm
 // sequential sweep would — at the first assignment that reaches the
 // lower bound. Together with bound-independent per-assignment solves this
 // makes the chosen repetend identical for any Workers setting; only the
-// effort counters (Solved, Pruned, SolverNodes) vary with scheduling.
+// effort counters (Solved, Pruned, SolverNodes, …) vary with scheduling. They
+// count every solve a worker ran, whatever became of its assignment.
 //
 // Cancelling ctx stops the producer and every worker: in-flight solves
 // abort at their next context poll and sweepNR returns ctx's error.
@@ -424,22 +460,18 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		workers = runtime.GOMAXPROCS(0)
 	}
 	var (
-		stop        atomic.Bool
-		solved      atomic.Int64
-		pruned      atomic.Int64
-		nodes       atomic.Int64
-		memoHits    atomic.Int64
-		sharedHits  atomic.Int64
-		jobsStolen  atomic.Int64
-		periodProbe atomic.Int64
-		periodRelax atomic.Int64
-		lsSwaps     atomic.Int64
-		truncSlv    atomic.Bool
-		repNanos    atomic.Int64
-		assignCh    = make(chan assignTask, 4*workers)
-		resultCh    = make(chan solveOutcome, 4*workers)
-		wg          sync.WaitGroup
-		truncated   bool
+		stop      atomic.Bool
+		solved    atomic.Int64
+		pruned    atomic.Int64
+		truncSlv  atomic.Bool
+		repNanos  atomic.Int64
+		assignCh  = make(chan assignTask, 4*workers)
+		resultCh  = make(chan solveOutcome, 4*workers)
+		wg        sync.WaitGroup
+		truncated bool
+		// efforts[w] is worker w's alone until resultCh is closed, which
+		// happens after every worker has returned.
+		efforts = make([]repetend.Effort, workers)
 	)
 	if st.best != nil && st.best.Period == res.LowerBound {
 		res.Stats.EarlyExit = true
@@ -478,12 +510,13 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ro := repOpts
+			ro.Effort = &efforts[w]
 			for task := range assignCh {
 				if stop.Load() || ctx.Err() != nil {
 					resultCh <- solveOutcome{seq: task.seq} // drain
 					continue
 				}
-				ro := repOpts
 				bound := int(st.incumbent.Load())
 				ro.PeriodUpperBound = bound
 				//tessel:waive:determinism wall-clock feeds only the repNanos throughput telemetry, never schedule bytes
@@ -507,13 +540,6 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 					continue
 				}
 				solved.Add(1)
-				nodes.Add(r.SolverNodes)
-				memoHits.Add(r.SolverMemoHits)
-				sharedHits.Add(r.SolverSharedMemoHits)
-				jobsStolen.Add(r.SolverJobsStolen)
-				periodProbe.Add(r.PeriodProbes)
-				periodRelax.Add(r.PeriodRelaxations)
-				lsSwaps.Add(r.LocalSearchSwaps)
 				if r.Truncated {
 					truncSlv.Store(true)
 				}
@@ -605,13 +631,15 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 	}
 	res.Stats.Solved += int(solved.Load())
 	res.Stats.Pruned += int(pruned.Load())
-	res.Stats.SolverNodes += nodes.Load()
-	res.Stats.SolverMemoHits += memoHits.Load()
-	res.Stats.SolverSharedMemoHits += sharedHits.Load()
-	res.Stats.SolverJobsStolen += jobsStolen.Load()
-	res.Stats.PeriodProbes += periodProbe.Load()
-	res.Stats.PeriodRelaxations += periodRelax.Load()
-	res.Stats.LocalSearchSwaps += lsSwaps.Load()
+	for _, e := range efforts {
+		res.Stats.SolverNodes += e.SolverNodes
+		res.Stats.SolverMemoHits += e.SolverMemoHits
+		res.Stats.SolverSharedMemoHits += e.SolverSharedMemoHits
+		res.Stats.SolverJobsStolen += e.SolverJobsStolen
+		res.Stats.PeriodProbes += e.PeriodProbes
+		res.Stats.PeriodRelaxations += e.PeriodRelaxations
+		res.Stats.LocalSearchSwaps += e.LocalSearchSwaps
+	}
 	res.Stats.Phase.Repetend += time.Duration(repNanos.Load())
 	if truncated || truncSlv.Load() {
 		res.Stats.Truncated = true

@@ -1,0 +1,144 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"os"
+	"testing"
+
+	"tessel/internal/sched"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "re-record testdata/search.golden.json from the code under test")
+
+const goldenSearchPath = "testdata/search.golden.json"
+
+// goldenSearch is what one search returned at the recording commit: a catalog
+// placement (catalogShapes) searched with default options, or with one of the
+// ablation switches set.
+type goldenSearch struct {
+	Name        string `json:"name"`
+	Variant     string `json:"variant,omitempty"` // "", simple, nolocal, nolazy
+	Period      int    `json:"period"`
+	NR          int    `json:"nr"`
+	N           int    `json:"n"`
+	Makespan    int    `json:"makespan"`
+	Truncated   bool   `json:"truncated"`
+	Fingerprint string `json:"fingerprint"`
+}
+
+func (g *goldenSearch) options(t testing.TB) (*sched.Placement, Options) {
+	p, opts := catalogPlacement(t, g.Name)
+	switch g.Variant {
+	case "":
+	case "simple":
+		opts.SimpleCompaction = true
+	case "nolocal":
+		opts.DisableLocalSearch = true
+	case "nolazy":
+		opts.DisableLazy = true
+	default:
+		t.Fatalf("unknown golden variant %q", g.Variant)
+	}
+	return p, opts
+}
+
+func goldenSearchInputs() []goldenSearch {
+	var gs []goldenSearch
+	for _, c := range catalogShapes {
+		gs = append(gs, goldenSearch{Name: c.name})
+	}
+	// One solver-bound, one memory-capped, one that cannot reach the lower
+	// bound, one period-bound.
+	for _, name := range []string{"m4", "k6m8", "x8m4", "v6"} {
+		for _, v := range []string{"simple", "nolocal", "nolazy"} {
+			gs = append(gs, goldenSearch{Name: name, Variant: v})
+		}
+	}
+	return gs
+}
+
+// TestGoldenSearch holds Search to the schedules recorded at the commit before
+// the sweep was aimed at the lower bound (58c95c1): repetend period, N_R and
+// the fingerprint of the completed schedule for every catalog placement under
+// Workers 1, 2 and 4, and for the three ablation switches on four of them. The
+// prunes added since only discard work that could not have changed the answer,
+// so nothing here may move unless the recording itself was budget-truncated.
+func TestGoldenSearch(t *testing.T) {
+	if *updateGolden {
+		gs := goldenSearchInputs()
+		var buf bytes.Buffer
+		buf.WriteString("[\n")
+		for i := range gs {
+			g := &gs[i]
+			p, opts := g.options(t)
+			opts.Workers = 1
+			res, err := Search(context.Background(), p, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", g.Name, g.Variant, err)
+			}
+			g.Period, g.NR, g.N, g.Makespan = res.Repetend.Period, res.Repetend.NR, res.N, res.Makespan
+			g.Truncated, g.Fingerprint = res.Stats.Truncated, sched.FingerprintSchedule(res.Full)
+			line, err := json.Marshal(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Write(line)
+			if i < len(gs)-1 {
+				buf.WriteByte(',')
+			}
+			buf.WriteByte('\n')
+		}
+		buf.WriteString("]\n")
+		if err := os.WriteFile(goldenSearchPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(goldenSearchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gs []goldenSearch
+	if err := json.Unmarshal(raw, &gs); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(goldenSearchInputs()); len(gs) != want {
+		t.Fatalf("%d golden searches, want %d", len(gs), want)
+	}
+	for i := range gs {
+		g := &gs[i]
+		workers := []int{1, 2, 4}
+		if g.Variant != "" {
+			workers = []int{2}
+		}
+		if testing.Short() {
+			workers = workers[:1]
+		}
+		t.Run(g.Name+g.Variant, func(t *testing.T) {
+			if g.Truncated {
+				t.Skip("recorded from a budget-truncated search")
+			}
+			for _, w := range workers {
+				p, opts := g.options(t)
+				opts.Workers = w
+				res, err := Search(context.Background(), p, opts)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				if res.Repetend.Period != g.Period || res.Repetend.NR != g.NR || res.N != g.N || res.Makespan != g.Makespan {
+					t.Fatalf("workers=%d: period %d N_R %d n %d makespan %d, recorded %d %d %d %d", w,
+						res.Repetend.Period, res.Repetend.NR, res.N, res.Makespan, g.Period, g.NR, g.N, g.Makespan)
+				}
+				if res.Stats.Truncated {
+					t.Fatalf("workers=%d: search truncated, recorded proven", w)
+				}
+				if fp := sched.FingerprintSchedule(res.Full); fp != g.Fingerprint {
+					t.Fatalf("workers=%d: schedule fingerprint %s, recorded %s", w, fp, g.Fingerprint)
+				}
+			}
+		})
+	}
+}

@@ -45,10 +45,11 @@ func TestFig3TimeGrows(t *testing.T) {
 	if last.Nodes <= first.Nodes {
 		t.Fatalf("node count should grow: %d → %d", first.Nodes, last.Nodes)
 	}
-	// Makespans follow the known V-shape optimum 12 + 3(n−1) while proofs
-	// complete.
+	// Makespans follow the M-shape optimum 18 + 9(n−1) — one micro-batch's
+	// critical path, then one lower-bound period per further micro-batch —
+	// while proofs complete.
 	for _, row := range res.Rows {
-		if row.Optimal && row.Makespan != 12+3*(row.MicroBatches-1) {
+		if row.Optimal && row.Makespan != 18+9*(row.MicroBatches-1) {
 			t.Fatalf("nmb=%d makespan %d", row.MicroBatches, row.Makespan)
 		}
 	}

@@ -34,6 +34,10 @@ const (
 	// during budget reconciliation). An armed error handler is delivered as
 	// a panic here: the point exists to exercise worker panic containment.
 	SolverParallelJob = "solver/parallel-job"
+	// CoreSweepFallback fires on the search goroutine between the two sweep
+	// passes of core.Search: the pass aimed at the lower bound has ended with
+	// no verified repetend and the unaimed pass has not started.
+	CoreSweepFallback = "core/sweep-fallback"
 	// EngineSingleflight fires on the singleflight leader after admission
 	// but before the search runs — the window in which the leader holds a
 	// cold-search slot and followers are parked on its flight call.

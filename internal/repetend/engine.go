@@ -118,8 +118,16 @@ type periodEngine struct {
 
 	// reach is the k×k transitive closure over lag-zero dependency edges:
 	// reach[u*k+v] means v is dependency-ordered after u within the
-	// instance, so local search must not swap them.
-	reach []bool
+	// instance, so local search must not swap them. Only localSearch reads
+	// it, so it is built on the first localSearch after bind (buildReach):
+	// an assignment the relaxation prunes never pays the O(k³) closure.
+	reach      []bool
+	reachBuilt bool
+
+	// driftDev is the lowest device whose stage memory deltas do not net to
+	// zero over one instance (−1 when all do) and driftNet its net: under a
+	// memory cap such a steady state drifts without bound.
+	driftDev, driftNet int
 
 	// Static difference-constraint edges — the intra-instance (coeff 0)
 	// and cross-instance (coeff = lag ≥ 1) dependency edges — CSR-packed
@@ -198,14 +206,14 @@ func growBools(s []bool, n int) []bool {
 }
 
 // bind attaches the engine to one repetend instance: it packs the
-// dependency edges of the assignment into CSR form, rebuilds the lag-zero
-// transitive closure, lays out the per-device stage segments, and resets
-// the probe counters. All buffers reuse prior capacity.
+// dependency edges of the assignment into CSR form, lays out the per-device
+// stage segments (summing each device's work and net memory on the way), and
+// resets the probe counters. All buffers reuse prior capacity.
 func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem int) {
 	k, nd := p.K(), p.NumDevices
 	e.p, e.k, e.nd, e.mem = p, k, nd, mem
 	e.probes, e.relaxations, e.swaps = 0, 0, 0
-	e.winBuilt = false
+	e.winBuilt, e.reachBuilt = false, false
 
 	e.times = growInts(e.times, k)
 	e.mems = growInts(e.mems, k)
@@ -238,31 +246,6 @@ func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem i
 	}
 	e.statHead[k] = pos
 
-	// Lag-zero transitive closure (Floyd-Warshall on booleans; K is small).
-	e.reach = growBools(e.reach, k*k)
-	for i := range e.reach {
-		e.reach[i] = false
-	}
-	for i, succs := range p.Deps {
-		for _, j := range succs {
-			if a[i] == a[j] {
-				e.reach[i*k+j] = true
-			}
-		}
-	}
-	for m := 0; m < k; m++ {
-		for i := 0; i < k; i++ {
-			if !e.reach[i*k+m] {
-				continue
-			}
-			for j := 0; j < k; j++ {
-				if e.reach[m*k+j] {
-					e.reach[i*k+j] = true
-				}
-			}
-		}
-	}
-
 	// Device → stages CSR in ascending stage order, and the device-work
 	// period lower bound (Algorithm 1, GetLowerBound).
 	e.devHead = growInts(e.devHead, nd+1)
@@ -292,14 +275,18 @@ func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem i
 			e.ordPos[d]++
 		}
 	}
-	e.lower = 1
+	e.lower, e.driftDev = 1, -1
 	for d := 0; d < nd; d++ {
-		w := 0
+		w, net := 0, 0
 		for x := e.devHead[d]; x < e.devHead[d+1]; x++ {
 			w += e.times[e.devStages[x]]
+			net += e.mems[e.devStages[x]]
 		}
 		if w > e.lower {
 			e.lower = w
+		}
+		if net != 0 && e.driftDev < 0 {
+			e.driftDev, e.driftNet = d, net
 		}
 	}
 	if e.hiSum < e.lower {
@@ -318,6 +305,40 @@ func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem i
 // workLowerBound is max_d E_d's floor: no period can be smaller than the
 // busiest device's total work.
 func (e *periodEngine) workLowerBound() int { return e.lower }
+
+// buildReach computes the lag-zero transitive closure from the static edges
+// (Floyd-Warshall on booleans; K is small). Built once per bind, and only
+// when the instance gets as far as local search.
+//
+//tessel:noalloc
+func (e *periodEngine) buildReach() {
+	if e.reachBuilt {
+		return
+	}
+	e.reachBuilt = true
+	k := e.k
+	e.reach = growBools(e.reach, k*k)
+	clear(e.reach)
+	for u := 0; u < k; u++ {
+		for x := e.statHead[u]; x < e.statHead[u+1]; x++ {
+			if e.statCoeff[x] == 0 {
+				e.reach[u*k+e.statTo[x]] = true
+			}
+		}
+	}
+	for m := 0; m < k; m++ {
+		for i := 0; i < k; i++ {
+			if !e.reach[i*k+m] {
+				continue
+			}
+			for j := 0; j < k; j++ {
+				if e.reach[m*k+j] {
+					e.reach[i*k+j] = true
+				}
+			}
+		}
+	}
+}
 
 // buildWindow packs the order-independent device-window constraints: for
 // every ordered pair (v, u) of distinct stages sharing a device,
@@ -758,6 +779,7 @@ func (e *periodEngine) localSearch(ctx context.Context, period int) int {
 		maxPasses = period - lower
 	}
 	for pass := 0; pass < maxPasses && period > lower && ctx.Err() == nil; pass++ {
+		e.buildReach() // no-op after the first pass
 		improved := false
 		for d := 0; d < e.nd; d++ {
 			base, end := e.devHead[d], e.devHead[d+1]

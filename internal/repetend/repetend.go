@@ -232,10 +232,9 @@ type Repetend struct {
 	// PeriodProbes is the number of period-feasibility probes — one
 	// difference-constraint fixpoint computation each — the evaluation
 	// ran across the order-independent relaxation, the minPeriod binary
-	// searches, and local search. Like SolverNodes, the counters exist
-	// only on successfully solved repetends: evaluations that end in
-	// ErrPruned/ErrInfeasible return no Repetend and their (single-probe)
-	// effort is not reported anywhere.
+	// searches, and local search. The counters on a Repetend are the effort
+	// of its own Solve call; a call that ends in ErrPruned/ErrInfeasible
+	// returns no Repetend and reports its work through SolveOptions.Effort.
 	PeriodProbes int64
 	// PeriodRelaxations is the number of successful distance tightenings
 	// inside those probes — the budget-independent measure of period-
@@ -244,6 +243,26 @@ type Repetend struct {
 	// LocalSearchSwaps is the number of candidate adjacent-order swaps
 	// local search applied and evaluated (kept or undone).
 	LocalSearchSwaps int64
+}
+
+// Effort is the work Solve calls did, whatever their outcome: an assignment
+// pruned after its instance solve and local search has spent the same nodes
+// and probes as one that survives. The fields mirror the Repetend counters of
+// the same names.
+type Effort struct {
+	SolverNodes, SolverMemoHits, SolverSharedMemoHits, SolverJobsStolen int64
+	PeriodProbes, PeriodRelaxations, LocalSearchSwaps                   int64
+}
+
+// Add accumulates o into e.
+func (e *Effort) Add(o Effort) {
+	e.SolverNodes += o.SolverNodes
+	e.SolverMemoHits += o.SolverMemoHits
+	e.SolverSharedMemoHits += o.SolverSharedMemoHits
+	e.SolverJobsStolen += o.SolverJobsStolen
+	e.PeriodProbes += o.PeriodProbes
+	e.PeriodRelaxations += o.PeriodRelaxations
+	e.LocalSearchSwaps += o.LocalSearchSwaps
 }
 
 // SolveOptions configures repetend solving.
@@ -300,6 +319,11 @@ type SolveOptions struct {
 	// are therefore identical to an unbounded solve — which is what keeps
 	// incumbent-pruned sweeps deterministic.
 	PeriodUpperBound int
+	// Effort, when non-nil, accumulates the work of every Solve call made
+	// with these options, on every return path — pruned, infeasible and
+	// cancelled calls included. Not safe for concurrent calls: a sweep gives
+	// each worker its own.
+	Effort *Effort
 }
 
 // SolveCache memoizes instance makespan solves keyed by everything the
@@ -356,17 +380,31 @@ func (c *SolveCache) put(key string, v cachedSolve) {
 
 // instanceKey is the cache identity of one instance makespan solve: the
 // placement fingerprint (so one cache can serve many placements without
-// collisions), the memory capacity, the per-device entry memory (only when
-// the capacity can bind — under unbounded memory the entry state cannot
-// affect the solve), and the lag-zero edge set. Stage times, devices and
-// memory deltas are covered by the placement fingerprint.
+// collisions), the memory capacity, the per-device memory headroom at entry
+// (only when the capacity can bind — under unbounded memory the entry state
+// cannot affect the solve), and the lag-zero edge set. Stage times, devices
+// and memory deltas are covered by the placement fingerprint.
+//
+// The solver reads the entry memory only in its capacity check, devMem +
+// Mem[t] > capacity, and devMem never exceeds entry plus the device's positive
+// deltas. So headroom is clamped at that sum: beyond it the check cannot fire,
+// and assignments that differ only in entry memory that does not bind share
+// one solve.
 func instanceKey(fingerprint string, p *sched.Placement, a Assignment, entry []int, mem int) string {
 	b := make([]byte, 0, len(fingerprint)+8+4*len(entry)+4*p.K())
 	b = append(b, fingerprint...)
 	b = binary.AppendVarint(b, int64(mem))
 	if mem != sched.Unbounded {
-		for _, m := range entry {
-			b = binary.AppendVarint(b, int64(m))
+		growth := make([]int, len(entry)) // Σ positive Mem per device
+		for i := range p.Stages {
+			if m := p.Stages[i].Mem; m > 0 {
+				for _, d := range p.Stages[i].Devices {
+					growth[d] += m
+				}
+			}
+		}
+		for d, m := range entry {
+			b = binary.AppendVarint(b, int64(min(mem-m, growth[d])))
 		}
 	}
 	for i, succs := range p.Deps {
@@ -430,22 +468,21 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			return nil, fmt.Errorf("%w: entry memory %d on device %d exceeds %d", ErrInfeasible, m, d, mem)
 		}
 	}
+	eng := opts.PeriodPool.get()
+	var eff Effort
+	defer func() {
+		if opts.Effort != nil {
+			eff.PeriodProbes, eff.PeriodRelaxations, eff.LocalSearchSwaps = eng.probes, eng.relaxations, eng.swaps
+			opts.Effort.Add(eff)
+		}
+		eng.release()
+	}()
+	eng.bind(p, a, entry, mem)
 	// Per-device memory must net to zero per instance or the steady state
 	// drifts without bound.
-	if mem != sched.Unbounded {
-		for d := 0; d < p.NumDevices; d++ {
-			net := 0
-			for _, i := range p.DeviceStages(sched.DeviceID(d)) {
-				net += p.Stages[i].Mem
-			}
-			if net != 0 {
-				return nil, fmt.Errorf("%w: device %d memory nets %+d per instance", ErrInfeasible, d, net)
-			}
-		}
+	if mem != sched.Unbounded && eng.driftDev >= 0 {
+		return nil, fmt.Errorf("%w: device %d memory nets %+d per instance", ErrInfeasible, eng.driftDev, eng.driftNet)
 	}
-	eng := opts.PeriodPool.get()
-	defer eng.release()
-	eng.bind(p, a, entry, mem)
 	bound := opts.PeriodUpperBound
 	if bound > 0 && (eng.workLowerBound() > bound || !eng.relaxedFeasible(bound)) {
 		// The order-independent bounds already rule the incumbent out: no
@@ -460,10 +497,6 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	// depend on the bound of the moment and bypass the cache.
 	var (
 		starts      []int
-		nodes       int64
-		memoHits    int64
-		sharedHits  int64
-		jobsStolen  int64
 		optimal     = true
 		feasible    bool
 		hit         bool
@@ -499,11 +532,11 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		}
 		// A nil Pool falls back to the solver package's shared pool.
 		res, err := opts.Pool.Solve(ctx, instanceTasks(p, a), solveOpts)
+		eff.SolverNodes, eff.SolverMemoHits = res.Nodes, res.MemoHits
+		eff.SolverSharedMemoHits, eff.SolverJobsStolen = res.SharedMemoHits, res.JobsStolen
 		if err != nil {
 			return nil, err
 		}
-		nodes, memoHits = res.Nodes, res.MemoHits
-		sharedHits, jobsStolen = res.SharedMemoHits, res.JobsStolen
 		optimal, feasible, boundPruned = res.Optimal, res.Feasible, res.BoundPruned
 		if feasible {
 			starts = append([]int(nil), res.Starts...) // stage order
@@ -529,10 +562,10 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		Assign:               a.Clone(),
 		NR:                   maxOf(a) + 1,
 		EntryMem:             entry,
-		SolverNodes:          nodes,
-		SolverMemoHits:       memoHits,
-		SolverSharedMemoHits: sharedHits,
-		SolverJobsStolen:     jobsStolen,
+		SolverNodes:          eff.SolverNodes,
+		SolverMemoHits:       eff.SolverMemoHits,
+		SolverSharedMemoHits: eff.SolverSharedMemoHits,
+		SolverJobsStolen:     eff.SolverJobsStolen,
 		Truncated:            !optimal,
 	}
 	normalize(starts)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -551,6 +552,128 @@ func TestSolvePoolMatchesDefault(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestSolveReportsEffortOnEveryPath: SolveOptions.Effort receives the work of
+// a call whether or not it returns a Repetend — the single probe of an
+// assignment the relaxation discards, and the whole instance solve and local
+// search of one that is pruned only afterwards.
+func TestSolveReportsEffortOnEveryPath(t *testing.T) {
+	ctx := context.Background()
+	p := vshape(t, 4)
+	var eff Effort
+	r, err := Solve(ctx, p, Assignment{3, 2, 1, 0, 0, 0, 0, 0}, SolveOptions{Effort: &eff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := Effort{r.SolverNodes, r.SolverMemoHits, r.SolverSharedMemoHits, r.SolverJobsStolen, r.PeriodProbes, r.PeriodRelaxations, r.LocalSearchSwaps}
+	if eff != own || eff.SolverNodes == 0 || eff.PeriodProbes == 0 {
+		t.Fatalf("effort of a solved assignment %+v, its repetend reports %+v", eff, own)
+	}
+
+	// Discarded by the relaxation: one probe, no solver.
+	eff = Effort{}
+	_, err = Solve(ctx, p, Assignment{0, 0, 0, 0, 0, 0, 0, 0}, SolveOptions{PeriodUpperBound: 3, Effort: &eff})
+	if !errors.Is(err, ErrPruned) || eff.PeriodProbes != 1 || eff.SolverNodes != 0 {
+		t.Fatalf("relaxation prune: err %v, effort %+v", err, eff)
+	}
+
+	// Pruned after the solve: some M-shape assignment passes the relaxation
+	// at the lower bound and then misses it.
+	m, err := placement.MShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for nr := 1; nr <= 3 && !found; nr++ {
+		if _, err := Enumerate(m, nr, func(a Assignment) bool {
+			eff = Effort{}
+			_, err := Solve(ctx, m, a, SolveOptions{PeriodUpperBound: m.LowerBound(), Effort: &eff})
+			found = errors.Is(err, ErrPruned) && eff.SolverNodes > 0
+			return !found
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !found || eff.PeriodProbes < 2 {
+		t.Fatalf("no assignment pruned after its solve reported that solve: found %v, last effort %+v", found, eff)
+	}
+
+	// Calls accumulate.
+	before := eff
+	if _, err := Solve(ctx, p, Assignment{3, 2, 1, 0, 0, 0, 0, 0}, SolveOptions{Effort: &eff}); err != nil {
+		t.Fatal(err)
+	}
+	before.Add(own)
+	if eff != before {
+		t.Fatalf("accumulated effort %+v, want %+v", eff, before)
+	}
+}
+
+// TestInstanceKeyClampsHeadroom: the instance-solve cache keys entry memory by
+// the headroom it leaves, clamped at what the device's stages can add. Two
+// assignments whose entry memory differs but binds on no device share a key —
+// and rightly so: solved uncached, the solver returns the same starts for
+// both. Once the headroom of one of them binds, the keys part, and so do the
+// solves.
+func TestInstanceKeyClampsHeadroom(t *testing.T) {
+	ctx := context.Background()
+	p := vshape(t, 4)
+	// Same lag-zero edges (forward→backward turn, backward chain); device 0
+	// enters with 3 resp. 6 activations held, and one forward adds one more.
+	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
+	b := Assignment{6, 4, 2, 0, 0, 0, 0, 0}
+	if ea, eb := EntryMemory(p, a), EntryMemory(p, b); ea[0] != 3 || eb[0] != 6 {
+		t.Fatalf("entry memory %v and %v, want 3 and 6 on device 0", ea, eb)
+	}
+	key := func(x Assignment, mem int) string { return instanceKey("fp", p, x, EntryMemory(p, x), mem) }
+	starts := func(x Assignment, mem int) []int {
+		t.Helper()
+		res, err := solver.Solve(ctx, instanceTasks(p, x), solver.Options{NumDevices: p.NumDevices, Memory: mem, InitialMem: EntryMemory(p, x)})
+		if err != nil || !res.Optimal || !res.Feasible {
+			t.Fatalf("instance solve of %v under memory %d: %+v, %v", x, mem, res, err)
+		}
+		return res.Starts
+	}
+	// Capacity 8 leaves both at least the one unit a forward needs.
+	if key(a, 8) != key(b, 8) {
+		t.Fatal("non-binding entry memory split the cache key")
+	}
+	if sa, sb := starts(a, 8), starts(b, 8); !slices.Equal(sa, sb) {
+		t.Fatalf("equal keys, different uncached solves: %v vs %v", sa, sb)
+	}
+	// Capacity 6: b enters device 0 full, so its backward must free memory
+	// before its forward can start. That solve cannot be shared.
+	if key(a, 6) == key(b, 6) {
+		t.Fatal("binding headroom shares a cache key with a non-binding one")
+	}
+	if sa, sb := starts(a, 6), starts(b, 6); slices.Equal(sa, sb) {
+		t.Fatalf("binding headroom did not change the solve: %v", sa)
+	}
+	// End to end through the cache: a hit under 8, a fresh solve under 6.
+	for _, c := range []struct {
+		mem int
+		hit bool
+	}{{8, true}, {6, false}} {
+		cache := NewSolveCache()
+		if _, err := Solve(ctx, p, a, SolveOptions{Memory: c.mem, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		second, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit := second.SolverNodes == 0; hit != c.hit {
+			t.Fatalf("memory %d: cache hit = %v, want %v", c.mem, hit, c.hit)
+		}
+		uncached, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.Period != uncached.Period || !slices.Equal(second.Starts, uncached.Starts) {
+			t.Fatalf("memory %d: cached solve %d %v, uncached %d %v", c.mem, second.Period, second.Starts, uncached.Period, uncached.Starts)
 		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // a result identical to a never-faulted run.
 func TestChaosParallelWorkerPanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	tasks := vshapeTasks(t, 4)
+	tasks := searchTasks(t, 3, 4000)
 	clean, err := Solve(context.Background(), tasks, Options{Workers: 4})
 	if err != nil || !clean.Optimal {
 		t.Fatalf("baseline solve: res=%+v err=%v", clean, err)
@@ -68,7 +68,7 @@ func TestChaosParallelWorkerPanic(t *testing.T) {
 // so no partially promoted epoch can leak into later solves or workers.
 func TestChaosSharedTierPanicAfterPublish(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
-	tasks := vshapeTasks(t, 4)
+	tasks := searchTasks(t, 3, 4000)
 	clean, err := Solve(context.Background(), tasks, Options{Workers: 2})
 	if err != nil || !clean.Optimal {
 		t.Fatalf("baseline solve: res=%+v err=%v", clean, err)

@@ -305,18 +305,11 @@ func TestMemoMultiWordMasks(t *testing.T) {
 // allocation — the caller-owned Result.Starts copy — across thousands of
 // search nodes, i.e. zero steady-state allocations per node.
 func TestSolveSteadyStateAllocs(t *testing.T) {
-	p := vshape(4, 1, 2)
-	tasks, err := BuildTasks(p, AllBlocks(p, 4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks := searchTasks(t, 3, 4000)
 	s := &searcher{}
 	warm, err := s.solve(context.Background(), tasks, Options{})
 	if err != nil || !warm.Feasible {
 		t.Fatalf("warmup solve: %+v err=%v", warm, err)
-	}
-	if warm.Nodes < 500 {
-		t.Fatalf("instance too small to be representative: %d nodes", warm.Nodes)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		res, err := s.solve(context.Background(), tasks, Options{})

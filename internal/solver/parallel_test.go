@@ -11,8 +11,36 @@ import (
 	"tessel/internal/placement"
 )
 
-// vshapeTasks builds the v-shape 4-device task system with n micro-batches —
-// the instance family the parallel root split is tuned on.
+// searchTasks builds the whole-problem M-shape task system (4 devices, n
+// micro-batches) for tests that need a solve the lower bounds do not decide.
+// V- and K-shape whole problems close at the root since the one-machine bound;
+// M-shape stays exponential (n = 3: 4,886 nodes, n = 4: 111,756; jobs mode
+// 3× and 5× that). The helper fails the test when the sequential engine proves
+// the instance in fewer than minNodes nodes, so a later bound that flattens
+// this family too is reported by every test seated on it instead of letting
+// them pass on a one-node search.
+func searchTasks(t testing.TB, n int, minNodes int64) []Task {
+	t.Helper()
+	p, err := placement.MShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := BuildTasks(p, AllBlocks(p, n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(context.Background(), tasks, Options{MaxNodes: minNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimal {
+		t.Fatalf("m-shape n=%d is proven in %d nodes; this test needs a search of at least %d", n, res.Nodes, minNodes)
+	}
+	return tasks
+}
+
+// vshapeTasks builds the v-shape 4-device task system with n micro-batches,
+// which the lower bounds decide at the root: a greedy dispatch plus one node.
 func vshapeTasks(t testing.TB, n int) []Task {
 	t.Helper()
 	p, err := placement.VShape(placement.Config{Devices: 4})
@@ -34,12 +62,12 @@ func vshapeTasks(t testing.TB, n int) []Task {
 // match the single-threaded solve. Run under -race in CI this also
 // exercises the shared incumbent and the job cursor for data races.
 func TestParallelSolveByteIdentical(t *testing.T) {
-	sizes := []int{2, 4}
+	sizes := []int{2, 3}
 	if !testing.Short() {
-		sizes = append(sizes, 6)
+		sizes = append(sizes, 4)
 	}
 	for _, n := range sizes {
-		tasks := vshapeTasks(t, n)
+		tasks := searchTasks(t, n, 100)
 		for _, mem := range []int{0, 8} {
 			serial, err := Solve(context.Background(), tasks, Options{Memory: mem})
 			if err != nil {
@@ -48,8 +76,12 @@ func TestParallelSolveByteIdentical(t *testing.T) {
 			if !serial.Feasible || !serial.Optimal {
 				t.Fatalf("nmb%d mem=%d: serial solve not optimal: %+v", n, mem, serial)
 			}
+			workers := []int{1, 2, 3, 4, 5, 8}
+			if n == 4 {
+				workers = []int{1, 2, 5} // half-second jobs-mode solves: one even count, one odd
+			}
 			var ref Result
-			for _, w := range []int{1, 2, 3, 4, 5, 8} {
+			for _, w := range workers {
 				res, err := Solve(context.Background(), tasks, Options{Memory: mem, Workers: w})
 				if err != nil {
 					t.Fatalf("nmb%d mem=%d workers=%d: %v", n, mem, w, err)
@@ -79,7 +111,7 @@ func TestParallelSolveByteIdentical(t *testing.T) {
 // every Workers value, because job budgets depend only on the deterministic
 // job list and the reconcile pass re-solves leftover jobs sequentially.
 func TestParallelSolveTruncation(t *testing.T) {
-	tasks := vshapeTasks(t, 4)
+	tasks := searchTasks(t, 3, 4000)
 	for _, budget := range []int64{50, 500, 3000} {
 		var ref Result
 		for _, w := range []int{1, 2, 3, 4, 5, 8} {
@@ -102,9 +134,9 @@ func TestParallelSolveTruncation(t *testing.T) {
 				t.Fatalf("budget=%d workers=%d: result differs from workers=1:\n%+v\nvs\n%+v", budget, w, res, ref)
 			}
 		}
-		// The full nmb4 solve needs 8283 nodes, so the two small budgets
+		// The full jobs-mode solve needs 15,071 nodes, so every budget here
 		// must actually exercise the truncation path.
-		if budget < 8000 && ref.Optimal {
+		if ref.Optimal {
 			t.Fatalf("budget=%d: expected a truncated solve, got Optimal", budget)
 		}
 	}
@@ -116,7 +148,7 @@ func TestParallelSolveTruncation(t *testing.T) {
 // counters, and the totals are identical across worker counts (covered by
 // the byte-identity test, re-asserted here on the counters specifically).
 func TestParallelSharedMemoTier(t *testing.T) {
-	tasks := vshapeTasks(t, 4)
+	tasks := searchTasks(t, 3, 4000)
 	serial, err := Solve(context.Background(), tasks, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -142,11 +174,14 @@ func TestParallelSharedMemoTier(t *testing.T) {
 	if serial.SharedMemoHits != 0 || serial.JobsStolen != 0 {
 		t.Fatalf("single-threaded solve reported parallel counters: %+v", serial)
 	}
-	// The node-gap target itself, on the instance the 9.3x gap was measured
-	// on: nmb6 jobs mode must stay within 2x of the sequential engine
-	// (617,665 vs 66,250 nodes before the tier; ~1.2x after).
+	// The node gap itself. It was closed on the V-shape nmb6 instance (9.3x
+	// the sequential nodes before the tier, 1.2x after), which no longer
+	// searches. On M-shape n = 4 the tier never closed it: jobs mode expands
+	// 571,886 nodes against the sequential engine's 111,756 (5.1x; 5.4x
+	// before the one-machine bound). The pin keeps that from drifting further;
+	// ROADMAP "Parallel solver: earn it or delete it" carries the finding.
 	if !testing.Short() {
-		big := vshapeTasks(t, 6)
+		big := searchTasks(t, 4, 50000)
 		seq, err := Solve(context.Background(), big, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -155,8 +190,8 @@ func TestParallelSharedMemoTier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par.Nodes > 2*seq.Nodes {
-			t.Fatalf("nmb6 jobs mode expanded %d nodes, more than 2x the sequential %d", par.Nodes, seq.Nodes)
+		if par.Nodes > 6*seq.Nodes {
+			t.Fatalf("m-shape n=4 jobs mode expanded %d nodes, more than 6x the sequential %d", par.Nodes, seq.Nodes)
 		}
 	}
 }
@@ -171,7 +206,7 @@ func TestParallelSplitOversizedJobs(t *testing.T) {
 	splitNodeCap = 64
 	defer func() { splitNodeCap = saved }()
 
-	tasks := vshapeTasks(t, 4)
+	tasks := searchTasks(t, 3, 4000)
 	serial, err := Solve(context.Background(), tasks, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +238,7 @@ func TestParallelSplitOversizedJobs(t *testing.T) {
 // solve must return the context's error promptly, and the pool must stay
 // usable afterwards.
 func TestParallelSolveCancellation(t *testing.T) {
-	tasks := vshapeTasks(t, 6) // large enough that the solve outlives the timeout
+	tasks := searchTasks(t, 5, 100000) // unproven after 2M nodes: the solve outlives the timeout
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -27,10 +27,13 @@
 //     per-depth buffer (no sort.Slice closure per node);
 //   - lower bounds run cheapest-first: device loads, the running maximum of
 //     finish+tail over scheduled tasks (maintained in apply/undo), and a
-//     static whole-instance critical-path bound computed once per solve are
-//     consulted before the full critical-path bound, which itself walks
-//     only the remaining tasks via an incrementally maintained topo-order
-//     list;
+//     static whole-instance bound computed once per solve are consulted
+//     before the full critical-path bound, which itself walks only the
+//     remaining tasks via an incrementally maintained topo-order list — and
+//     on the same walk collects, per device, the earliest start estimate and
+//     the shortest tail among its remaining tasks for the one-machine
+//     head/tail bound (min est + remaining work + min tail), the strongest
+//     and last of the series;
 //   - dominance memoization over (scheduled set, device availability,
 //     finish times of scheduled tasks that still have *unscheduled*
 //     successors) lives in an open-addressed table whose vectors are stored
@@ -44,9 +47,13 @@
 //     instance solves of a repetend sweep stop rebuilding task graphs,
 //     successor lists and memo tables from scratch.
 //
-// Pruning uses device-load and critical-path lower bounds, the dominance
-// memo, and the micro-batch symmetry of Property 4.1 (same-stage blocks may
-// start in increasing micro order without loss of optimality). Dominance
+// Pruning uses device-load, critical-path and one-machine lower bounds, the
+// dominance memo, and the micro-batch symmetry of Property 4.1 (same-stage
+// blocks may start in increasing micro order without loss of optimality). A
+// lower bound only ever cuts a subtree that cannot strictly improve the
+// incumbent, so a stronger one leaves the returned schedule — the first
+// optimal one in DFS order — byte-identical and only shrinks the node count
+// (testdata/solves.golden.json holds every bound to that). Dominance
 // pruning selects among equally-optimal schedules, so strengthening it can
 // change which optimal start vector a solve returns (never its makespan,
 // feasibility, or optimality verdicts); searches remain deterministic and
@@ -55,7 +62,9 @@
 // The problem is NP-hard (§III-B); the solver therefore accepts node and
 // wall-clock budgets and reports whether the returned result is proven
 // optimal. Figure 3 of the paper — search time exploding with the number of
-// micro-batches — reproduces directly on this solver.
+// micro-batches — reproduces directly on this solver for the M- and NN-shape
+// placements; whole-problem V- and K-shape instances are decided at the root
+// (the greedy dispatch meets the one-machine bound) for every N.
 //
 // # Cancellation
 //
@@ -247,6 +256,8 @@ type searcher struct {
 	indeg    []int   // Kahn scratch
 	hasSucc  []bool
 	est      []int // critical-path scratch (pathBound)
+	devHead  []int // one-machine scratch: min est over a device's unscheduled tasks
+	devTail  []int // one-machine scratch: min tail over the same tasks
 	staticLB int   // critical-path lower bound over the whole instance
 
 	// Doubly-linked list of *unscheduled* topo positions (sentinel at n),
@@ -717,12 +728,15 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		s.buckets[dev&7] += int64(s.devAvail[dev])
 	}
 
-	// Static critical-path lower bound: pathBound over the full instance,
-	// computed once. At every node the incremental bounds (device loads,
-	// maxTail, staticLB) are tried first and the full pathBound runs only
-	// when they fail to prune; each is a sound lower bound on any
-	// completion of the node, so no node pathBound would keep is lost.
+	// Static lower bound: pathBound (critical path and one-machine bound)
+	// over the full instance, computed once. At every node the incremental
+	// bounds (device loads, maxTail, staticLB) are tried first and the full
+	// pathBound runs only when they fail to prune; each is a sound lower
+	// bound on any completion of the node, so no node pathBound would keep
+	// is lost.
 	s.est = intsN(s.est, n)
+	s.devHead = intsN(s.devHead, d)
+	s.devTail = intsN(s.devTail, d)
 	s.staticLB = s.pathBound()
 
 	// Per-depth frames.
@@ -959,6 +973,14 @@ func (s *searcher) outOfBudget() bool {
 // search depth. The array hoisting matters: this is the hottest loop of
 // the search.
 //
+// The same walk feeds the one-machine head/tail bound: a device runs its
+// unscheduled tasks one at a time, the first no earlier than the smallest of
+// their start estimates, and whichever finishes last still has its tail to
+// go, so min est + remaining work + min tail bounds every completion. It
+// dominates the device-load bound (est ≥ devAvail on the task's devices) and,
+// like the path bound, only cuts subtrees that cannot strictly improve the
+// incumbent — the first optimal schedule in DFS order is unaffected.
+//
 //tessel:noalloc
 func (s *searcher) pathBound() int {
 	topo, topoNext := s.topo, s.topoNext
@@ -966,6 +988,10 @@ func (s *searcher) pathBound() int {
 	predOff, predList := s.predOff, s.predList
 	est, dur, tail, release := s.est, s.time, s.tail, s.release
 	devAvail, finish, sched := s.devAvail, s.finish, s.sched
+	head, minTail := s.devHead, s.devTail
+	for dev := range head {
+		head[dev], minTail[dev] = math.MaxInt, math.MaxInt
+	}
 	lb := 0
 	sentinel := int32(s.n)
 	for pos := topoNext[sentinel]; pos != sentinel; pos = topoNext[pos] {
@@ -991,6 +1017,16 @@ func (s *searcher) pathBound() int {
 		est[u] = e
 		if b := e + dur[u] + tail[u]; b > lb {
 			lb = b
+		}
+		for di, de := devOff[u], devOff[u+1]; di < de; di++ {
+			dev := devList[di]
+			head[dev] = min(head[dev], e)
+			minTail[dev] = min(minTail[dev], tail[u])
+		}
+	}
+	for dev, h := range head {
+		if h != math.MaxInt {
+			lb = max(lb, h+s.remWork[dev]+minTail[dev])
 		}
 	}
 	return lb

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"tessel/internal/placement"
 	"tessel/internal/sched"
 )
 
@@ -281,11 +282,7 @@ func TestSolveVShapeMultipleMicroBatches(t *testing.T) {
 }
 
 func TestSolveBudgetTruncation(t *testing.T) {
-	p := vshape(4, 1, 2)
-	tasks, err := BuildTasks(p, AllBlocks(p, 4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks := searchTasks(t, 3, 4000)
 	res := mustSolve(t, tasks, Options{MaxNodes: 2})
 	// The greedy incumbent still gives a feasible schedule.
 	if !res.Feasible {
@@ -293,6 +290,10 @@ func TestSolveBudgetTruncation(t *testing.T) {
 	}
 	if res.Optimal {
 		t.Fatal("tiny budget cannot prove optimality")
+	}
+	p, err := placement.MShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
 	validate(t, p, tasks, res, sched.Unbounded, nil)
 }
@@ -605,11 +606,7 @@ func TestUpperBoundPrunes(t *testing.T) {
 // TestSolveCancellation: cancelling the context mid-solve aborts within a
 // few hundred node expansions (microseconds each) and returns ctx's error.
 func TestSolveCancellation(t *testing.T) {
-	p := vshape(4, 1, 2)
-	tasks, err := BuildTasks(p, AllBlocks(p, 10), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tasks := searchTasks(t, 6, 100000)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
