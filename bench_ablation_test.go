@@ -10,6 +10,7 @@ import (
 
 	"tessel"
 	"tessel/internal/core"
+	"tessel/internal/repetend"
 	"tessel/internal/solver"
 )
 
@@ -214,8 +215,13 @@ func BenchmarkSolverParallel(b *testing.B) {
 // k-shape / nn-shape sweeps. Besides wall time it reports probes/op,
 // relax/op and swaps/op, the effort counters of the incremental period
 // engine (probe counts are a pure function of the searched assignments,
-// so they double as a determinism canary across runs).
+// so they double as a determinism canary across runs). The order_check
+// sub-benchmark is the first sweep pass's commonest outcome on its own: every
+// m4 assignment that gets past the relaxation at the lower bound and is then
+// discarded by the exact order check, one repetend.Solve call each — bind,
+// the relaxation's probe, the check — with the check's branch nodes per call.
 func BenchmarkPeriodMachinery(b *testing.B) {
+	b.Run("order_check", benchOrderCheck)
 	shapes := []struct {
 		name  string
 		build func(tessel.ShapeConfig) (*tessel.Placement, error)
@@ -243,6 +249,38 @@ func BenchmarkPeriodMachinery(b *testing.B) {
 			b.ReportMetric(float64(swaps)/float64(b.N), "swaps/op")
 		})
 	}
+}
+
+func benchOrderCheck(b *testing.B) {
+	ctx := context.Background()
+	p := mustShape(b, tessel.NewMShape)
+	var eff repetend.Effort
+	opts := repetend.SolveOptions{PeriodUpperBound: p.LowerBound(), PeriodPool: repetend.NewPeriodPool(), Effort: &eff}
+	var survivors []repetend.Assignment
+	for nr := 1; nr <= 6; nr++ {
+		if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
+			before := eff.OrderPruned
+			if _, err := repetend.Solve(ctx, p, a, opts); err != nil && eff.OrderPruned > before {
+				survivors = append(survivors, a)
+			}
+			return true
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(survivors) < 1000 {
+		b.Fatalf("only %d m4 assignments are discarded by the order check", len(survivors))
+	}
+	eff = repetend.Effort{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = repetend.Solve(ctx, p, survivors[i%len(survivors)], opts)
+	}
+	if eff.OrderPruned != int64(b.N) {
+		b.Fatalf("%d of %d calls ended in the order check", eff.OrderPruned, b.N)
+	}
+	b.ReportMetric(float64(eff.OrderNodes)/float64(b.N), "order_nodes/op")
 }
 
 // BenchmarkSolverReuse contrasts a pooled searcher (the steady state of a

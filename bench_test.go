@@ -104,35 +104,49 @@ func BenchmarkFingerprint(b *testing.B) {
 
 // BenchmarkEngineColdSearch measures a full search through a fresh engine
 // (every iteration misses), one sub-benchmark per regime of the two-pass
-// sweep: m4 (the M-shape of the other engine benchmarks) reaches the lower
-// bound in the first pass but is solver-bound getting there; v6 reaches it
-// with almost no solve at all, so it shows what the relaxation prune costs
-// per assignment; x8m4 cannot reach it under its memory cap and pays the
-// failed first pass plus the whole unaimed second pass. Regressions in the
-// pruning show up here first.
+// sweep: m4 (the M-shape of the other engine benchmarks), k6 and m8i reach
+// the lower bound in the first pass, where nearly every survivor of the
+// relaxation is discarded by the exact order check (order_pruned/op) — m4
+// pays the most branch nodes per check, m8i runs the most checks, k6 keeps a
+// few candidates the check lets through and the heuristic then misses; v6
+// reaches the bound with almost no check and no solve at all, so it shows what
+// the relaxation prune costs per assignment; x8m4 cannot reach it under its
+// memory cap and pays the failed first pass plus the whole unaimed second
+// pass, which the check stays out of. Regressions in the pruning show up here
+// first.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
-		name    string
-		build   func(tessel.ShapeConfig) (*tessel.Placement, error)
-		devices int
-		memory  int
+		name      string
+		build     func(tessel.ShapeConfig) (*tessel.Placement, error)
+		devices   int
+		memory    int
+		inference bool
 	}{
-		{"m4", tessel.NewMShape, 4, 0},
-		{"v6", tessel.NewVShape, 6, 0},
-		{"x8m4", tessel.NewXShape, 8, 4},
+		{"m4", tessel.NewMShape, 4, 0, false},
+		{"k6", tessel.NewKShape, 6, 0, false},
+		{"m8i", tessel.NewMShape, 8, 0, true},
+		{"v6", tessel.NewVShape, 6, 0, false},
+		{"x8m4", tessel.NewXShape, 8, 4, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			p, err := c.build(tessel.ShapeConfig{Devices: c.devices})
 			if err != nil {
 				b.Fatal(err)
 			}
+			if c.inference {
+				p = tessel.InferenceVariant(p)
+			}
+			var orderPruned int64
 			for i := 0; i < b.N; i++ {
 				eng := tessel.NewEngine(tessel.EngineOptions{})
-				if _, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory}); err != nil {
+				res, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory})
+				if err != nil {
 					b.Fatal(err)
 				}
+				orderPruned += res.Stats.OrderPruned
 			}
+			b.ReportMetric(float64(orderPruned)/float64(b.N), "order_pruned/op")
 		})
 	}
 }

@@ -153,6 +153,13 @@ type searchStatsJSON struct {
 	// LocalSearchSwaps counts candidate order swaps the repetend local
 	// search evaluated.
 	LocalSearchSwaps int64 `json:"local_search_swaps"`
+	// OrderChecks / OrderPruned / OrderNodes account for the exact
+	// order-feasibility check of the lower-bound pass: assignments it
+	// examined, assignments it discarded before any instance solve (counted
+	// inside Pruned), and the branch nodes that took.
+	OrderChecks int64 `json:"order_checks"`
+	OrderPruned int64 `json:"order_pruned"`
+	OrderNodes  int64 `json:"order_nodes"`
 	// SolverWorkers is the effective per-solve branch-and-bound worker
 	// count the repetend instance solves ran with (0 = single-threaded).
 	SolverWorkers int   `json:"solver_workers"`
@@ -551,6 +558,9 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			PeriodProbes:      res.Stats.PeriodProbes,
 			PeriodRelaxations: res.Stats.PeriodRelaxations,
 			LocalSearchSwaps:  res.Stats.LocalSearchSwaps,
+			OrderChecks:       res.Stats.OrderChecks,
+			OrderPruned:       res.Stats.OrderPruned,
+			OrderNodes:        res.Stats.OrderNodes,
 			SolverWorkers:     res.Stats.SolverWorkers,
 			EarlyExit:         res.Stats.EarlyExit,
 			Truncated:         res.Stats.Truncated,
@@ -612,8 +622,8 @@ type serveStatsJSON struct {
 	// Ready mirrors /readyz: false until the snapshot restore finished.
 	Ready bool `json:"ready"`
 	// SolverWorkers is the configured per-solve worker default;
-	// SolverWorkersEffective is what it resolves to for a parallel-eligible
-	// solve on this machine (0 = serial).
+	// SolverWorkersEffective is what it resolves to (0 = serial; auto is
+	// serial on every machine).
 	SolverWorkers          int `json:"solver_workers"`
 	SolverWorkersEffective int `json:"solver_workers_effective"`
 }
@@ -627,7 +637,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		EngineStats:            s.engine.Stats(),
 		Ready:                  s.ready.Load(),
 		SolverWorkers:          s.cfg.solverWorkers,
-		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.cfg.solverWorkers, tessel.ParallelSolveTaskThreshold),
+		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.cfg.solverWorkers),
 	})
 }
 

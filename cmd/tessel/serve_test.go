@@ -113,6 +113,11 @@ func TestServeSearchEndToEnd(t *testing.T) {
 	if first.Stats.LocalSearchSwaps < 0 {
 		t.Fatalf("local search swaps negative: %+v", first.Stats)
 	}
+	// The winner of a search that reaches its lower bound went through the
+	// order check, and whatever the check discarded is among the pruned.
+	if st := first.Stats; st.OrderChecks <= 0 || st.OrderPruned > st.OrderChecks || st.OrderPruned > int64(st.Pruned) || st.OrderNodes < 0 {
+		t.Fatalf("order-check stats not populated: %+v", st)
+	}
 	// The embedded schedule must round-trip through the decoder.
 	sched, err := tessel.DecodeSchedule(bytes.NewReader(first.Schedule))
 	if err != nil {

@@ -20,13 +20,15 @@
 // stops at the first repetend that reaches the device-work lower bound, and
 // most placements have one, so the first pass presets the incumbent to that
 // bound: from the first assignment on, only candidates that can reach it get
-// past the order-independent relaxation to an instance solve. The first
-// assignment in enumeration order that reaches the bound and completes is
-// the winner either way — everything the preset discards has a larger period
-// and could never have displaced it. When no assignment reaches the bound
-// (memory caps usually), the incumbent is cleared and the loop runs again
-// unaimed, on the first pass's searcher pool, period-engine pool and
-// instance-solve cache.
+// past the order-independent relaxation, and of those only the ones for which
+// some per-device order does reach it get past the exact order check
+// (repetend.Solve's second prune stage, which this pass alone switches on) to
+// an instance solve. The first assignment in enumeration order that reaches
+// the bound and completes is the winner either way — everything the preset
+// discards has a larger period and could never have displaced it. When no
+// assignment reaches the bound (memory caps usually), the incumbent is cleared
+// and the loop runs again unaimed, on the first pass's searcher pool,
+// period-engine pool and instance-solve cache.
 //
 // All entry points take a context.Context and honor it end-to-end: the
 // assignment producer, every concurrent repetend-solver worker, and the
@@ -104,11 +106,10 @@ type Options struct {
 	Workers int
 	// SolverWorkers requests parallel branch-and-bound *inside* each exact
 	// solve (instance makespan, completion phases, time-optimal baseline):
-	// ≥ 1 fixes the per-solve worker count, 0 lets the solver decide per
-	// solve (parallel only for large task systems on multi-core machines),
-	// negative forces single-threaded search. Orthogonal to Workers, which
-	// parallelizes *across* assignments. Results are byte-identical for
-	// every explicit count ≥ 1; see solver.ResolveWorkers.
+	// ≥ 1 fixes the per-solve worker count; 0 (auto) and negative values
+	// mean single-threaded search (solver.ResolveWorkers has the reason).
+	// Orthogonal to Workers, which parallelizes *across* assignments. Results
+	// are byte-identical for every explicit count ≥ 1.
 	SolverWorkers int
 }
 
@@ -130,7 +131,8 @@ type Stats struct {
 	Solved int
 	// Pruned is the number of assignments abandoned against the shared
 	// incumbent period — before their instance solve (the order-independent
-	// relaxation), during it, or after it and local search.
+	// relaxation, or the exact order check: OrderPruned), during it, or after
+	// it and local search.
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
@@ -167,6 +169,18 @@ type Stats struct {
 	// LocalSearchSwaps is the number of candidate adjacent-order swaps
 	// the repetend local search applied and evaluated (kept or undone).
 	LocalSearchSwaps int64
+	// OrderChecks is the number of assignments that got past the relaxation
+	// at a bound equal to the device-work lower bound and so went through the
+	// exact order-feasibility check; OrderPruned is how many of them it
+	// proved out of reach of every per-device order — discarded with no
+	// instance solve and no local search; OrderNodes is the branch nodes the
+	// checks expanded beyond forced-pair propagation. OrderPruned counts
+	// inside Pruned, as the relaxation's discards do. Omitted from JSON when
+	// zero so that a snapshot written before they existed re-encodes as it
+	// was.
+	OrderChecks int64 `json:",omitempty"`
+	OrderPruned int64 `json:",omitempty"`
+	OrderNodes  int64 `json:",omitempty"`
 	// EarlyExit is true when the search hit the device-work lower bound and
 	// stopped (Algorithm 1 lines 19–20).
 	EarlyExit bool
@@ -178,9 +192,8 @@ type Stats struct {
 	// NRSwept is the largest N_R the sweep reached.
 	NRSwept int
 	// SolverWorkers is the effective per-solve branch-and-bound worker
-	// count the repetend instance solves ran with (0 = single-threaded) —
-	// Options.SolverWorkers after solver.ResolveWorkers applied the
-	// task-count and core-count auto rule.
+	// count the solves ran with (0 = single-threaded) — Options.SolverWorkers
+	// through solver.ResolveWorkers, so non-zero only when asked for.
 	SolverWorkers int
 	// Phase breaks the search time down by phase.
 	Phase PhaseDurations
@@ -315,7 +328,7 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		PeriodPool:         repetend.NewPeriodPool(),
 		Cache:              repetend.NewSolveCache(),
 	}
-	res.Stats.SolverWorkers = solver.ResolveWorkers(opts.SolverWorkers, p.K())
+	res.Stats.SolverWorkers = solver.ResolveWorkers(opts.SolverWorkers)
 
 	sweep := func(aim int) error {
 		st.incumbent.Store(int64(aim))
@@ -639,6 +652,9 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		res.Stats.PeriodProbes += e.PeriodProbes
 		res.Stats.PeriodRelaxations += e.PeriodRelaxations
 		res.Stats.LocalSearchSwaps += e.LocalSearchSwaps
+		res.Stats.OrderChecks += e.OrderChecks
+		res.Stats.OrderPruned += e.OrderPruned
+		res.Stats.OrderNodes += e.OrderNodes
 	}
 	res.Stats.Phase.Repetend += time.Duration(repNanos.Load())
 	if truncated || truncSlv.Load() {
@@ -781,7 +797,7 @@ func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block
 	}
 	opts.InitialMem = initMem
 	opts.DeviceReady = deviceReady
-	opts.Workers = solver.ResolveWorkers(workers, len(tasks))
+	opts.Workers = solver.ResolveWorkers(workers)
 	res, err := pool.Solve(ctx, tasks, opts)
 	if err != nil {
 		return false, false, err
@@ -959,7 +975,7 @@ func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, r
 		DeviceReady: deviceReady,
 		MaxNodes:    opts.SolverNodes,
 		Timeout:     opts.SolverTimeout,
-		Workers:     solver.ResolveWorkers(opts.SolverWorkers, len(blocks)),
+		Workers:     solver.ResolveWorkers(opts.SolverWorkers),
 	}
 	var starts []int
 	memo, base := tmpl.lookup(blocks, releases, solveOpts)
@@ -1016,7 +1032,7 @@ func TimeOptimal(ctx context.Context, p *sched.Placement, n int, opts Options) (
 		Memory:     opts.Memory,
 		MaxNodes:   opts.SolverNodes,
 		Timeout:    opts.SolverTimeout,
-		Workers:    solver.ResolveWorkers(opts.SolverWorkers, len(tasks)),
+		Workers:    solver.ResolveWorkers(opts.SolverWorkers),
 	})
 	if err != nil {
 		return nil, res, err

@@ -94,32 +94,67 @@ func TestChaosCancelBetweenSweepPasses(t *testing.T) {
 
 // TestSearchStatsCoverPrunedAssignments: the effort counters sum over every
 // solve that ran, not only over the assignments that came back as repetends.
-// On the M-shape nearly every assignment that reaches the solver is pruned
-// afterwards, so the total is many times what the surviving repetend's own
-// solve accounts for; and with one worker and the bound fixed at the lower
-// bound from the start, the total is the same on every run.
+// Since the order check, an assignment of a lower-bound-reaching placement
+// gets as far as the solver only if some per-device order does reach the bound
+// — and on the K-shape with six devices the instance solve and local search
+// miss that order for four assignments before the winner. Their solves, probes
+// and swaps are most of what the search reports. The floor is taken
+// independently: the same assignments solved one by one, in enumeration order
+// up to the winner, on one instance cache as the sweep does it. (The sweep's
+// own total may sit above the floor by the few assignments its worker takes on
+// while the collector is still verifying the winner.)
 func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
-	p, opts := catalogPlacement(t, "m4")
+	p, opts := catalogPlacement(t, "k6")
 	opts.Workers = 1
-	first, err := Search(context.Background(), p, opts)
+	res, err := Search(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Search(context.Background(), p, opts)
-	if err != nil {
-		t.Fatal(err)
+	var floor repetend.Effort
+	missed := 0 // let through by the check, pruned after solve and local search
+	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Cache: repetend.NewSolveCache(), Effort: &floor}
+	var winner *repetend.Repetend
+	for nr := 1; nr <= res.Repetend.NR && winner == nil; nr++ {
+		if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
+			before := floor
+			winner, err = repetend.Solve(context.Background(), p, a, ro)
+			if winner == nil && floor.OrderChecks > before.OrderChecks && floor.OrderPruned == before.OrderPruned {
+				if !errors.Is(err, repetend.ErrPruned) || floor.SolverNodes+floor.PeriodProbes == before.SolverNodes+before.PeriodProbes {
+					t.Fatalf("%v passed the order check and then: err %v, effort %+v after %+v", a, err, floor, before)
+				}
+				missed++
+			}
+			return winner == nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	a, b := first.Stats, second.Stats
-	if a.SolverNodes != b.SolverNodes || a.SolverMemoHits != b.SolverMemoHits {
-		t.Fatalf("solver effort differs between identical one-worker searches: %d/%d nodes, %d/%d memo hits", a.SolverNodes, b.SolverNodes, a.SolverMemoHits, b.SolverMemoHits)
+	if winner == nil || winner.Assign.Compare(res.Repetend.Assign) != 0 {
+		t.Fatalf("enumeration reaches the bound first at %v, the search returned %v", winner, res.Repetend.Assign)
 	}
-	if a.Pruned <= a.Solved {
-		t.Fatalf("%d pruned, %d solved: this placement no longer prunes after solving", a.Pruned, a.Solved)
+	if missed < 2 || floor.SolverNodes < 4*winner.SolverNodes || floor.LocalSearchSwaps <= winner.LocalSearchSwaps {
+		t.Fatalf("this placement no longer prunes after solving: %d assignments missed by the heuristic, effort %+v, of which the winner %d nodes and %d swaps",
+			missed, floor, winner.SolverNodes, winner.LocalSearchSwaps)
 	}
-	if survivors := first.Repetend.SolverNodes * int64(a.Solved); a.SolverNodes < 8*survivors || a.SolverNodes < 1000 {
-		t.Fatalf("%d solver nodes reported; the %d surviving repetends alone account for about %d", a.SolverNodes, a.Solved, survivors)
+	st := res.Stats
+	got := repetend.Effort{
+		SolverNodes: st.SolverNodes, SolverMemoHits: st.SolverMemoHits, PeriodProbes: st.PeriodProbes, PeriodRelaxations: st.PeriodRelaxations,
+		LocalSearchSwaps: st.LocalSearchSwaps, OrderChecks: st.OrderChecks, OrderPruned: st.OrderPruned, OrderNodes: st.OrderNodes,
 	}
-	if a.PeriodProbes < int64(a.Pruned) {
-		t.Fatalf("%d period probes for %d pruned assignments: each costs at least one", a.PeriodProbes, a.Pruned)
+	for _, c := range []struct {
+		name         string
+		got, atLeast int64
+	}{
+		{"solver nodes", got.SolverNodes, floor.SolverNodes}, {"memo hits", got.SolverMemoHits, floor.SolverMemoHits},
+		{"period probes", got.PeriodProbes, floor.PeriodProbes}, {"relaxations", got.PeriodRelaxations, floor.PeriodRelaxations},
+		{"swaps", got.LocalSearchSwaps, floor.LocalSearchSwaps}, {"order checks", got.OrderChecks, floor.OrderChecks},
+		{"order pruned", got.OrderPruned, floor.OrderPruned}, {"order nodes", got.OrderNodes, floor.OrderNodes},
+	} {
+		if c.got < c.atLeast {
+			t.Errorf("search reports %d %s; the assignments up to the winner alone account for %d", c.got, c.name, c.atLeast)
+		}
+	}
+	if st.Solved < 1 || st.OrderPruned > int64(st.Pruned) || st.OrderChecks < st.OrderPruned+int64(st.Solved) || st.PeriodProbes < int64(st.Pruned) {
+		t.Fatalf("counters do not add up: %+v", st)
 	}
 }

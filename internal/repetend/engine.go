@@ -36,6 +36,7 @@ package repetend
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"tessel/internal/sched"
 )
@@ -54,18 +55,28 @@ const (
 	periodInfeasible
 )
 
-// PeriodPool recycles periodEngine scratch — edge CSRs, dist/queue vectors,
-// order buffers — across Solve calls, the period-machinery analogue of
-// solver.Pool. A sweep shares one pool across its workers so its thousands
-// of feasibility probes run allocation-free instead of rebuilding edge
-// lists per probe. Safe for concurrent use: concurrent solves draw
-// distinct engines. The zero value is ready to use.
+// PeriodPool recycles periodEngine scratch — SPFA dist/queue vectors, order
+// buffers, the order check's matrix stack — across Solve calls, the
+// period-machinery analogue of solver.Pool. A sweep shares one pool across
+// its workers so its thousands of feasibility probes run allocation-free
+// instead of rebuilding edge lists per probe. Safe for concurrent use:
+// concurrent solves draw distinct engines. The zero value is ready to use.
+//
+// A pool made by NewPeriodPool also keeps the placement-only half of an
+// instance (periodShape) for the placement it last served and hands it,
+// read-only, to every engine bound to that placement: a sweep derives it
+// once, not once per assignment. Such a pool holds on to that placement for
+// as long as it lives, which is why the package's own fallback pool — the
+// zero value — does not share.
 type PeriodPool struct {
-	p sync.Pool
+	p      sync.Pool
+	shared bool
+	shape  atomic.Pointer[periodShape]
 }
 
-// NewPeriodPool returns an empty period-engine pool.
-func NewPeriodPool() *PeriodPool { return &PeriodPool{} }
+// NewPeriodPool returns an empty period-engine pool that shares the
+// placement-only state of the placement it serves between its engines.
+func NewPeriodPool() *PeriodPool { return &PeriodPool{shared: true} }
 
 // get draws a recycled engine; a nil *PeriodPool falls back to the
 // package's shared pool so callers can thread an optional pool without
@@ -82,14 +93,32 @@ func (pl *PeriodPool) get() *periodEngine {
 	return e
 }
 
-// put returns an engine to the pool it was drawn from.
+// shapeFor returns the pool's shape of p, deriving and publishing it when the
+// pool last served another placement. Two engines racing on a new placement
+// both derive it; either copy serves.
+func (pl *PeriodPool) shapeFor(p *sched.Placement) *periodShape {
+	if sh := pl.shape.Load(); sh != nil && sh.p == p {
+		return sh
+	}
+	sh := &periodShape{}
+	sh.build(p)
+	sh.buildWindow() // shared shapes are read-only from here on
+	pl.shape.Store(sh)
+	return sh
+}
+
+// release returns an engine to the pool it was drawn from.
 func (e *periodEngine) release() {
-	e.p = nil // drop the placement reference; scratch arrays are retained
+	// Drop the placement references; scratch arrays are retained. A shared
+	// shape stays with its pool, the engine's own is kept for its capacity.
+	e.periodShape, e.own.p = nil, nil
 	e.home.p.Put(e)
 }
 
-// defaultPeriodPool backs Solve calls that do not thread a pool.
-var defaultPeriodPool = NewPeriodPool()
+// defaultPeriodPool backs Solve calls that do not thread a pool. It is the
+// zero value: its engines derive their own shape per bind, so it pins no
+// placement between calls.
+var defaultPeriodPool = &PeriodPool{}
 
 // periodAudit, when non-nil, is invoked by localSearch after every
 // candidate swap has been resolved (kept or undone). It exists solely for
@@ -105,16 +134,13 @@ var periodAudit func(e *periodEngine, u, v int, accepted bool)
 // one per solve from a PeriodPool.
 type periodEngine struct {
 	home *PeriodPool
-	p    *sched.Placement
-	k    int // stages
-	nd   int // devices
-	mem  int // per-device capacity (sched.Unbounded = none)
+	// The placement-only half of the instance: the pool's shared copy, or own
+	// when the pool does not share (see PeriodPool).
+	*periodShape
+	own periodShape
 
-	times []int // stage execution times
-	mems  []int // stage memory deltas
+	mem   int   // per-device capacity (sched.Unbounded = none)
 	entry []int // per-device entry memory
-	lower int   // workLowerBound: max per-device work
-	hiSum int   // sum of stage times (initial binary-search ceiling)
 
 	// reach is the k×k transitive closure over lag-zero dependency edges:
 	// reach[u*k+v] means v is dependency-ordered after u within the
@@ -124,31 +150,11 @@ type periodEngine struct {
 	reach      []bool
 	reachBuilt bool
 
-	// driftDev is the lowest device whose stage memory deltas do not net to
-	// zero over one instance (−1 when all do) and driftNet its net: under a
-	// memory cap such a steady state drifts without bound.
-	driftDev, driftNet int
-
-	// Static difference-constraint edges — the intra-instance (coeff 0)
-	// and cross-instance (coeff = lag ≥ 1) dependency edges — CSR-packed
-	// by source stage. Edge u→x with coefficient c encodes
-	// s_x ≥ s_u + t_u − c·P.
-	statHead  []int
-	statTo    []int
+	// statCoeff parallels the shape's statTo: dependency edge u→x with
+	// coefficient c = lag ≥ 0 encodes s_x ≥ s_u + t_u − c·P (0 =
+	// intra-instance, ≥ 1 = cross-instance). The one piece of edge state
+	// that depends on the assignment.
 	statCoeff []int
-
-	// Window edges of the order-independent relaxation (s_u ≥ s_v + t_v − P
-	// for distinct same-device stages v, u), CSR-packed by source, built
-	// lazily on the first relaxedFeasible call after bind.
-	winHead  []int
-	winTo    []int
-	winSeen  []int // dedup stamps, one per stage
-	winBuilt bool
-
-	// Device → stages CSR in ascending stage order (the canonical
-	// DeviceStages order). order/prefMem share this segment layout.
-	devHead   []int
-	devStages []int
 
 	// Per-device execution order state: order holds the stages of device d
 	// in execution order in order[devHead[d]:devHead[d+1]]; ordPos[d*k+i]
@@ -187,6 +193,55 @@ type periodEngine struct {
 	probes      int64
 	relaxations int64
 	swaps       int64
+
+	// Order-check state (ordercheck.go): ordMat is a stack of k×k
+	// longest-path matrices, one per branch depth; ordLeaf is the depth whose
+	// matrix decided the last "feasible" verdict; ordNodes counts the branch
+	// nodes of the current bind.
+	ordMat   []int
+	ordLeaf  int
+	ordNodes int64
+}
+
+// periodShape is the half of a repetend instance that the placement alone
+// determines — stage times and memory deltas, the dependency and window edge
+// lists, the device → stages layout and the bounds read off them. It is built
+// once and only read afterwards, so the engines of one sweep share one (see
+// PeriodPool).
+type periodShape struct {
+	p  *sched.Placement
+	k  int // stages
+	nd int // devices
+
+	times []int // stage execution times
+	mems  []int // stage memory deltas
+	lower int   // workLowerBound: max per-device work
+	hiSum int   // sum of stage times (initial binary-search ceiling)
+
+	// driftDev is the lowest device whose stage memory deltas do not net to
+	// zero over one instance (−1 when all do) and driftNet its net: under a
+	// memory cap such a steady state drifts without bound.
+	driftDev, driftNet int
+
+	// Dependency edges CSR-packed by source stage; the engine's statCoeff
+	// carries the per-assignment coefficient of each.
+	statHead []int
+	statTo   []int
+
+	// Window edges of the order-independent relaxation (s_u ≥ s_v + t_v − P
+	// for distinct same-device stages v, u), CSR-packed by source. A shared
+	// shape builds them with the rest; an engine's own builds them on the
+	// first relaxedFeasible call after bind, since an unbounded solve never
+	// consults them.
+	winHead  []int
+	winTo    []int
+	winSeen  []int // dedup stamps, one per stage
+	winBuilt bool
+
+	// Device → stages CSR in ascending stage order (the canonical
+	// DeviceStages order). order/prefMem share this segment layout.
+	devHead   []int
+	devStages []int
 }
 
 // growInts returns s resized to n, reusing its backing array when large
@@ -205,96 +260,111 @@ func growBools(s []bool, n int) []bool {
 	return s[:n]
 }
 
-// bind attaches the engine to one repetend instance: it packs the
-// dependency edges of the assignment into CSR form, lays out the per-device
-// stage segments (summing each device's work and net memory on the way), and
-// resets the probe counters. All buffers reuse prior capacity.
-func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem int) {
+// build derives the shape of p: it packs the dependency edges into CSR form
+// and lays out the per-device stage segments, summing each device's work and
+// net memory on the way. All buffers reuse prior capacity.
+func (sh *periodShape) build(p *sched.Placement) {
 	k, nd := p.K(), p.NumDevices
-	e.p, e.k, e.nd, e.mem = p, k, nd, mem
-	e.probes, e.relaxations, e.swaps = 0, 0, 0
-	e.winBuilt, e.reachBuilt = false, false
+	sh.p, sh.k, sh.nd = p, k, nd
+	sh.winBuilt = false
 
-	e.times = growInts(e.times, k)
-	e.mems = growInts(e.mems, k)
+	sh.times = growInts(sh.times, k)
+	sh.mems = growInts(sh.mems, k)
 	hi := 0
 	for i := range p.Stages {
-		e.times[i] = p.Stages[i].Time
-		e.mems[i] = p.Stages[i].Mem
+		sh.times[i] = p.Stages[i].Time
+		sh.mems[i] = p.Stages[i].Mem
 		hi += p.Stages[i].Time
 	}
-	e.hiSum = hi
-	e.entry = append(e.entry[:0], entry...)
+	sh.hiSum = hi
 
-	// Static edges: every dependency i→j is one edge with coefficient
-	// lag = r_i − r_j (0 = intra-instance, ≥1 = cross-instance).
 	nEdges := 0
 	for i := range p.Deps {
 		nEdges += len(p.Deps[i])
 	}
-	e.statHead = growInts(e.statHead, k+1)
-	e.statTo = growInts(e.statTo, nEdges)
-	e.statCoeff = growInts(e.statCoeff, nEdges)
+	sh.statHead = growInts(sh.statHead, k+1)
+	sh.statTo = growInts(sh.statTo, nEdges)
 	pos := 0
 	for i, succs := range p.Deps {
-		e.statHead[i] = pos
-		for _, j := range succs {
-			e.statTo[pos] = j
-			e.statCoeff[pos] = a[i] - a[j]
-			pos++
-		}
+		sh.statHead[i] = pos
+		pos += copy(sh.statTo[pos:], succs)
 	}
-	e.statHead[k] = pos
+	sh.statHead[k] = pos
 
 	// Device → stages CSR in ascending stage order, and the device-work
 	// period lower bound (Algorithm 1, GetLowerBound).
-	e.devHead = growInts(e.devHead, nd+1)
-	for d := 0; d <= nd; d++ {
-		e.devHead[d] = 0
-	}
+	sh.devHead = growInts(sh.devHead, nd+1)
+	clear(sh.devHead)
 	slots := 0
 	for i := range p.Stages {
 		slots += len(p.Stages[i].Devices)
 		for _, d := range p.Stages[i].Devices {
-			e.devHead[d+1]++
+			sh.devHead[d+1]++
 		}
 	}
 	for d := 0; d < nd; d++ {
-		e.devHead[d+1] += e.devHead[d]
+		sh.devHead[d+1] += sh.devHead[d]
 	}
-	e.devStages = growInts(e.devStages, slots)
-	// Fill segments in stage order using a moving cursor per device,
-	// borrowed from ordPos's first nd slots (overwritten by setOrders).
-	e.ordPos = growInts(e.ordPos, nd*k)
-	for d := 0; d < nd; d++ {
-		e.ordPos[d] = e.devHead[d]
-	}
+	sh.devStages = growInts(sh.devStages, slots)
+	// Fill segments in stage order with devHead[d] as device d's moving
+	// cursor, which leaves every head one segment ahead; shift them back.
 	for i := range p.Stages {
 		for _, d := range p.Stages[i].Devices {
-			e.devStages[e.ordPos[d]] = i
-			e.ordPos[d]++
+			sh.devStages[sh.devHead[d]] = i
+			sh.devHead[d]++
 		}
 	}
-	e.lower, e.driftDev = 1, -1
+	copy(sh.devHead[1:], sh.devHead[:nd])
+	sh.devHead[0] = 0
+	sh.lower, sh.driftDev = 1, -1
 	for d := 0; d < nd; d++ {
 		w, net := 0, 0
-		for x := e.devHead[d]; x < e.devHead[d+1]; x++ {
-			w += e.times[e.devStages[x]]
-			net += e.mems[e.devStages[x]]
+		for x := sh.devHead[d]; x < sh.devHead[d+1]; x++ {
+			w += sh.times[sh.devStages[x]]
+			net += sh.mems[sh.devStages[x]]
 		}
-		if w > e.lower {
-			e.lower = w
+		if w > sh.lower {
+			sh.lower = w
 		}
-		if net != 0 && e.driftDev < 0 {
-			e.driftDev, e.driftNet = d, net
+		if net != 0 && sh.driftDev < 0 {
+			sh.driftDev, sh.driftNet = d, net
 		}
 	}
-	if e.hiSum < e.lower {
-		e.hiSum = e.lower
+	if sh.hiSum < sh.lower {
+		sh.hiSum = sh.lower
+	}
+}
+
+// bind attaches the engine to one repetend instance: the shape of p (the
+// pool's, or the engine's own rebuilt in place), the assignment's lag per
+// dependency edge, the entry memory, and zeroed effort counters. All buffers
+// reuse prior capacity.
+func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem int) {
+	if e.home != nil && e.home.shared {
+		e.periodShape = e.home.shapeFor(p)
+	} else {
+		e.own.build(p)
+		e.periodShape = &e.own
+	}
+	k := e.k
+	e.mem = mem
+	e.probes, e.relaxations, e.swaps, e.ordNodes = 0, 0, 0, 0
+	e.reachBuilt = false
+	e.entry = append(e.entry[:0], entry...)
+
+	// Every dependency i→j has coefficient lag = r_i − r_j (0 =
+	// intra-instance, ≥1 = cross-instance).
+	e.statCoeff = growInts(e.statCoeff, len(e.statTo))
+	for i := 0; i < k; i++ {
+		for x := e.statHead[i]; x < e.statHead[i+1]; x++ {
+			e.statCoeff[x] = a[i] - a[e.statTo[x]]
+		}
 	}
 
+	slots := len(e.devStages)
 	e.order = growInts(e.order, slots)
 	e.prefMem = growInts(e.prefMem, slots)
+	e.ordPos = growInts(e.ordPos, e.nd*k)
 	e.dist = growInts(e.dist, k)
 	e.feasDist = growInts(e.feasDist, k)
 	e.cnt = growInts(e.cnt, k)
@@ -304,7 +374,7 @@ func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem i
 
 // workLowerBound is max_d E_d's floor: no period can be smaller than the
 // busiest device's total work.
-func (e *periodEngine) workLowerBound() int { return e.lower }
+func (sh *periodShape) workLowerBound() int { return sh.lower }
 
 // buildReach computes the lag-zero transitive closure from the static edges
 // (Floyd-Warshall on booleans; K is small). Built once per bind, and only
@@ -342,35 +412,35 @@ func (e *periodEngine) buildReach() {
 
 // buildWindow packs the order-independent device-window constraints: for
 // every ordered pair (v, u) of distinct stages sharing a device,
-// s_u ≥ s_v + t_v − P, deduplicated across devices. Built once per bind,
-// only when a bounded solve consults the relaxation.
+// s_u ≥ s_v + t_v − P, deduplicated across devices. Built once per shape; a
+// no-op — and so safe on a shared shape — from then on.
 //
 //tessel:noalloc
-func (e *periodEngine) buildWindow() {
-	if e.winBuilt {
+func (sh *periodShape) buildWindow() {
+	if sh.winBuilt {
 		return
 	}
-	e.winBuilt = true
-	e.winHead = growInts(e.winHead, e.k+1)
-	e.winSeen = growInts(e.winSeen, e.k)
-	for i := 0; i < e.k; i++ {
-		e.winSeen[i] = -1
+	sh.winBuilt = true
+	sh.winHead = growInts(sh.winHead, sh.k+1)
+	sh.winSeen = growInts(sh.winSeen, sh.k)
+	for i := 0; i < sh.k; i++ {
+		sh.winSeen[i] = -1
 	}
-	e.winTo = e.winTo[:0]
-	for v := 0; v < e.k; v++ {
-		e.winHead[v] = len(e.winTo)
-		for _, dd := range e.p.Stages[v].Devices {
+	sh.winTo = sh.winTo[:0]
+	for v := 0; v < sh.k; v++ {
+		sh.winHead[v] = len(sh.winTo)
+		for _, dd := range sh.p.Stages[v].Devices {
 			d := int(dd)
-			for x := e.devHead[d]; x < e.devHead[d+1]; x++ {
-				u := e.devStages[x]
-				if u != v && e.winSeen[u] != v {
-					e.winSeen[u] = v
-					e.winTo = append(e.winTo, u)
+			for x := sh.devHead[d]; x < sh.devHead[d+1]; x++ {
+				u := sh.devStages[x]
+				if u != v && sh.winSeen[u] != v {
+					sh.winSeen[u] = v
+					sh.winTo = append(sh.winTo, u)
 				}
 			}
 		}
 	}
-	e.winHead[e.k] = len(e.winTo)
+	sh.winHead[sh.k] = len(sh.winTo)
 }
 
 // --- SPFA core -----------------------------------------------------------

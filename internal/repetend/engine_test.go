@@ -10,6 +10,7 @@ package repetend
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tessel/internal/sched"
@@ -597,4 +598,78 @@ func TestPeriodPoolMatchesDefault(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no assignments checked")
 	}
+}
+
+// TestPeriodPoolSharesShape: the engines a NewPeriodPool pool hands out for one
+// placement read one shape, derived once; another placement gets its own, and
+// the first is let go. The package's fallback pool shares nothing, and an
+// engine returned to it keeps no placement alive.
+func TestPeriodPoolSharesShape(t *testing.T) {
+	p, q := vshape(t, 4), vshape(t, 2)
+	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
+	pool := NewPeriodPool()
+	e1, e2 := pool.get(), pool.get()
+	e1.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	e2.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	if e1.periodShape != e2.periodShape || e1.periodShape == &e1.own || !e1.winBuilt {
+		t.Fatal("two engines of one pool and one placement do not share a fully built shape")
+	}
+	shapeP := e1.periodShape
+	b := Assignment{1, 0, 0, 0}
+	e2.bind(q, b, EntryMemory(q, b), sched.Unbounded)
+	if e2.periodShape == shapeP || e2.p != q || e1.p != p || pool.shape.Load() != e2.periodShape {
+		t.Fatal("a second placement did not get a shape of its own")
+	}
+	e1.release()
+	e2.release()
+
+	// Same instance, unshared: the same numbers off the engine's own shape.
+	want := *shapeP
+	d := defaultPeriodPool.get()
+	d.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	if d.periodShape != &d.own || d.lower != want.lower || d.hiSum != want.hiSum || !equalInts(d.devStages, want.devStages) ||
+		!equalInts(d.devHead, want.devHead) || !equalInts(d.statTo, want.statTo) || !equalInts(d.statHead, want.statHead) {
+		t.Fatalf("the fallback pool's engine derived another shape: %+v vs %+v", d.own, want)
+	}
+	d.release()
+	if d.periodShape != nil || d.own.p != nil || defaultPeriodPool.shape.Load() != nil {
+		t.Fatal("the fallback pool still references a placement after release")
+	}
+}
+
+// TestPeriodPoolConcurrentShape: solves racing on a fresh pool — every one of
+// them binding the placement for the first time — and then alternating between
+// two placements agree with the unpooled solve. Under -race this is the check
+// that a published shape is never written again.
+func TestPeriodPoolConcurrentShape(t *testing.T) {
+	p, q := vshape(t, 4), vshape(t, 2)
+	a, b := Assignment{3, 2, 1, 0, 0, 0, 0, 0}, Assignment{1, 0, 0, 0}
+	wantP, err := Solve(context.Background(), p, a, SolveOptions{PeriodUpperBound: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQ, err := Solve(context.Background(), q, b, SolveOptions{PeriodUpperBound: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPeriodPool()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				pl, as, want := p, a, wantP
+				if (g+i)%3 == 0 {
+					pl, as, want = q, b, wantQ
+				}
+				r, err := Solve(context.Background(), pl, as, SolveOptions{PeriodUpperBound: 6, PeriodPool: pool})
+				if err != nil || r.Period != want.Period || !equalInts(r.Starts, want.Starts) {
+					t.Errorf("pooled solve: %+v, %v; want period %d starts %v", r, err, want.Period, want.Starts)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

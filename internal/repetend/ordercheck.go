@@ -1,0 +1,193 @@
+// The exact order-feasibility check: is there ANY choice of per-device
+// execution orders under which the bound instance reaches period P?
+//
+// For a fixed P the question is a disjunctive feasibility problem. The
+// constraints every order shares — the dependency edges and the device-window
+// edges of the relaxation — are closed into a K×K longest-path matrix D
+// (D[i][j] = the least s_j − s_i they force; a positive diagonal is the
+// relaxation's own verdict). An order adds, for every pair {u, v} sharing a
+// device, one of the arcs "u before v" (s_v ≥ s_u + t_u) or "v before u", and
+// an arc u→v closes no positive cycle iff D[v][u] + t_u ≤ 0. So a pair with
+// neither side left proves P out of reach of every order; a pair with one
+// side left is forced — the arc goes in, the closure is updated in O(K²),
+// and the scan repeats to a fixpoint; only pairs still open after that are
+// branched on, tightest first, each depth on its own copy of the matrix. When
+// no pair is open every pair is ordered inside a cycle-free system, whose
+// least solution is a schedule at period P: the verdict is exact both ways.
+//
+// The window edges stay in force under every order (any two stages of one
+// device lie within one period of each other), so together with the pair arcs
+// they are exactly the per-order systems minPeriod solves; the memory cap is
+// left out. The check therefore decides a superset of the orders the instance
+// solve and local search can reach, and "infeasible" discards only what
+// Solve's final period > bound test would have discarded.
+package repetend
+
+import "math"
+
+// orderNodeCap bounds the branch nodes of one check. The worst check over the
+// 21 catalog placements takes a small fraction of it (pinned by
+// TestOrderCheckNodesFarBelowCap); a check that would exceed it answers
+// "undecided" — never a truncated verdict — and Solve goes on as it would
+// have without the check, so an adversarial instance costs what it cost
+// before plus a bounded constant.
+const orderNodeCap = 512
+
+// orderNodeLimit is the cap in effect. Only tests write it: 0 leaves the check
+// what propagation alone decides, a negative value switches the check off.
+var orderNodeLimit = orderNodeCap
+
+// orderNone marks "no path" in the longest-path matrix; far enough from
+// overflow that a guarded sum of two entries never wraps.
+const orderNone = math.MinInt / 4
+
+// orderVerdict is the outcome of one order check.
+type orderVerdict int8
+
+const (
+	// orderUndecided: the node cap ran out first.
+	orderUndecided orderVerdict = iota
+	// orderInfeasible: no per-device order reaches the period.
+	orderInfeasible
+	// orderFeasible: some order does; the deciding matrix is level ordLeaf of
+	// the stack.
+	orderFeasible
+)
+
+// orderCheck decides whether any per-device order of the bound instance has
+// a period ≤ period (see the file comment). Its branch nodes accumulate in
+// ordNodes.
+//
+//tessel:noalloc
+func (e *periodEngine) orderCheck(period int) orderVerdict {
+	e.buildWindow()
+	k := e.k
+	if cap(e.ordMat) < k*k {
+		e.ordMat = make([]int, k*k)
+	}
+	e.ordMat = e.ordMat[:cap(e.ordMat)]
+	D := e.ordMat[:k*k]
+	for x := range D {
+		D[x] = orderNone
+	}
+	for u := 0; u < k; u++ {
+		row, tu := D[u*k:u*k+k], e.times[u]
+		row[u] = 0
+		for x := e.statHead[u]; x < e.statHead[u+1]; x++ {
+			row[e.statTo[x]] = max(row[e.statTo[x]], tu-e.statCoeff[x]*period)
+		}
+		for x := e.winHead[u]; x < e.winHead[u+1]; x++ {
+			row[e.winTo[x]] = max(row[e.winTo[x]], tu-period)
+		}
+	}
+	// Floyd–Warshall, longest paths.
+	for m := 0; m < k; m++ {
+		rm := D[m*k : m*k+k]
+		for i := 0; i < k; i++ {
+			if im := D[i*k+m]; im != orderNone {
+				orderExtend(D[i*k:i*k+k], rm, im)
+			}
+		}
+	}
+	for u := 0; u < k; u++ {
+		if D[u*k+u] > 0 {
+			return orderInfeasible
+		}
+	}
+	return e.orderBranch(0)
+}
+
+// orderExtend raises row[j] to base + via[j] wherever a path continues.
+//
+//tessel:noalloc
+func orderExtend(row, via []int, base int) {
+	row = row[:len(via)]
+	for j, vj := range via {
+		if vj != orderNone && base+vj > row[j] {
+			row[j] = base + vj
+		}
+	}
+}
+
+// orderInsert adds the arc u→v of weight t_u to the closed matrix D: every
+// path into u now continues through every path out of v. A row whose entry at
+// v the arc does not raise is closed already — D[i][j] ≥ D[i][v] + D[v][j] —
+// and is skipped. The caller has checked D[v][u] + t_u ≤ 0, so no entry the
+// update reads is one it raises.
+//
+//tessel:noalloc
+func (e *periodEngine) orderInsert(D []int, u, v int) {
+	k, tu, out := e.k, e.times[u], D[v*e.k:v*e.k+e.k]
+	for i := 0; i < k; i++ {
+		if iu := D[i*k+u]; iu != orderNone && iu+tu > D[i*k+v] {
+			orderExtend(D[i*k:i*k+k], out, iu+tu)
+		}
+	}
+}
+
+// orderBranch settles the matrix at the given stack depth: it forces every
+// pair with one side left until nothing changes, then branches on the open
+// pair with the least room — the one whose two sides leave the smallest
+// combined slack — on copies of the matrix one level down.
+//
+//tessel:noalloc
+func (e *periodEngine) orderBranch(depth int) orderVerdict {
+	k, times, winHead, winTo := e.k, e.times, e.winHead, e.winTo
+	D := e.ordMat[depth*k*k : (depth+1)*k*k]
+	bu, bv, room := -1, -1, 0
+	for changed := true; changed; {
+		changed, bu = false, -1
+		for u := 0; u < k; u++ {
+			for _, v := range winTo[winHead[u]:winHead[u+1]] {
+				if v < u {
+					continue // each pair once
+				}
+				// Slack each side would keep: ≥ 0 iff the arc closes no
+				// positive cycle.
+				uv, vu := -(D[v*k+u] + times[u]), -(D[u*k+v] + times[v])
+				switch {
+				case uv < 0 && vu < 0:
+					return orderInfeasible
+				case uv >= 0 && vu >= 0:
+					if bu < 0 || uv+vu < room {
+						bu, bv, room = u, v, uv+vu
+					}
+				case uv >= 0:
+					if D[u*k+v] < times[u] {
+						e.orderInsert(D, u, v)
+						changed = true
+					}
+				default:
+					if D[v*k+u] < times[v] {
+						e.orderInsert(D, v, u)
+						changed = true
+					}
+				}
+			}
+		}
+	}
+	if bu < 0 {
+		e.ordLeaf = depth
+		return orderFeasible
+	}
+	if need := (depth + 2) * k * k; cap(e.ordMat) < need {
+		grown := make([]int, 2*need)
+		copy(grown, e.ordMat[:need-k*k])
+		e.ordMat = grown
+	}
+	for side := 0; side < 2; side++ {
+		if e.ordNodes >= int64(orderNodeLimit) {
+			return orderUndecided
+		}
+		e.ordNodes++
+		// Re-sliced per side: a deeper level may have moved the stack.
+		child := e.ordMat[(depth+1)*k*k : (depth+2)*k*k]
+		copy(child, e.ordMat[depth*k*k:])
+		e.orderInsert(child, bu, bv)
+		if v := e.orderBranch(depth + 1); v != orderInfeasible {
+			return v
+		}
+		bu, bv = bv, bu
+	}
+	return orderInfeasible
+}

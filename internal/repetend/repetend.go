@@ -22,6 +22,13 @@
 // has a solution, found by binary search over P with Bellman-Ford
 // feasibility checks. Orders come from a minimum-makespan instance solve
 // and are then improved by adjacent-swap local search on the period.
+//
+// A sweep hands Solve an incumbent period, and most assignments are discarded
+// against it. Three stages do that, each a proof the next one costs more to
+// reach: the order-independent relaxation (one probe; holds for every order),
+// the exact order check (ordercheck.go; decides whether any order reaches the
+// bound, run when the bound is the device-work lower bound), and — after the
+// instance solve and local search — the period of the order actually found.
 package repetend
 
 import (
@@ -44,6 +51,20 @@ var ErrInfeasible = errors.New("repetend: infeasible")
 // provably cannot be ≤ SolveOptions.PeriodUpperBound. The assignment may
 // still be feasible — it just cannot beat (or tie) the caller's incumbent.
 var ErrPruned = errors.New("repetend: pruned by period bound")
+
+// pruneError is the ErrPruned of one of Solve's prune stages. A sweep discards
+// thousands of assignments per search and reads none of the messages, so the
+// text is put together only if somebody asks for it.
+type pruneError struct {
+	rule  string // what was proven to exceed the bound
+	bound int
+}
+
+func (e *pruneError) Error() string {
+	return fmt.Sprintf("%v: %s > %d", ErrPruned, e.rule, e.bound)
+}
+
+func (e *pruneError) Is(target error) bool { return target == ErrPruned }
 
 // ErrTruncated marks (by wrapping) a Solve error whose verdict was reached
 // after a solver node or wall-clock budget ran out, so it is budget-degraded
@@ -252,6 +273,11 @@ type Repetend struct {
 type Effort struct {
 	SolverNodes, SolverMemoHits, SolverSharedMemoHits, SolverJobsStolen int64
 	PeriodProbes, PeriodRelaxations, LocalSearchSwaps                   int64
+	// The exact order check (Solve's second prune stage) has no Repetend
+	// counterpart: OrderChecks is the number of calls that ran it, OrderPruned
+	// how many of them it discarded, OrderNodes the branch nodes it expanded —
+	// zero for a check that forced-pair propagation alone decided.
+	OrderChecks, OrderPruned, OrderNodes int64
 }
 
 // Add accumulates o into e.
@@ -263,6 +289,9 @@ func (e *Effort) Add(o Effort) {
 	e.PeriodProbes += o.PeriodProbes
 	e.PeriodRelaxations += o.PeriodRelaxations
 	e.LocalSearchSwaps += o.LocalSearchSwaps
+	e.OrderChecks += o.OrderChecks
+	e.OrderPruned += o.OrderPruned
+	e.OrderNodes += o.OrderNodes
 }
 
 // SolveOptions configures repetend solving.
@@ -273,11 +302,10 @@ type SolveOptions struct {
 	SolverNodes   int64
 	SolverTimeout time.Duration
 	// SolverWorkers requests parallel branch-and-bound for the instance
-	// makespan solve: ≥ 1 fixes the worker count, 0 lets the solver decide
-	// per instance (parallel only for large task systems on multi-core
-	// machines), negative forces single-threaded search. The schedule is
+	// makespan solve: ≥ 1 fixes the worker count, 0 and negative values mean
+	// single-threaded search (solver.ResolveWorkers). The schedule is
 	// byte-identical for every explicit worker count ≥ 1 (solver.Options.
-	// Workers); see solver.ResolveWorkers for the auto rule.
+	// Workers).
 	SolverWorkers int
 	// SimpleCompaction evaluates the repetend with Figure 6(a) semantics
 	// (ablation); default is tight compaction.
@@ -451,6 +479,24 @@ func instanceTasks(p *sched.Placement, a Assignment) []solver.Task {
 // ErrPruned when PeriodUpperBound proves the assignment cannot beat the
 // caller's incumbent, and ctx's error when the context is cancelled
 // mid-solve. Budget-degraded verdicts additionally wrap ErrTruncated.
+//
+// Against a bound B the assignment passes three prune stages in order:
+//
+//  1. The relaxation — dependency edges plus device-window edges, one SPFA
+//     probe — proves that no per-device order has period ≤ B. It is a
+//     relaxation: passing it proves nothing.
+//  2. The order check, only when B equals the device-work lower bound (a
+//     first-pass sweep; against a looser bound nearly everything is feasible
+//     and it would only cost): decides exactly whether some per-device order
+//     has period ≤ B, memory cap aside. "No" prunes; "yes", or running into
+//     its node cap, goes on.
+//  3. The pipeline proper: instance solve, minPeriod, local search, and
+//     period > B at the end. This judges one order, found heuristically, so
+//     it can discard an assignment stage 2 let through — never the reverse.
+//
+// Stages 1 and 2 only ever return earlier what stage 3 would have returned:
+// whether an assignment survives, and with what Starts, is the same with
+// either of them removed.
 func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOptions) (*Repetend, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -473,6 +519,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	defer func() {
 		if opts.Effort != nil {
 			eff.PeriodProbes, eff.PeriodRelaxations, eff.LocalSearchSwaps = eng.probes, eng.relaxations, eng.swaps
+			eff.OrderNodes = eng.ordNodes
 			opts.Effort.Add(eff)
 		}
 		eng.release()
@@ -488,7 +535,15 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		// The order-independent bounds already rule the incumbent out: no
 		// per-device order can rescue this assignment, so skip the
 		// expensive instance solve entirely.
-		return nil, fmt.Errorf("%w: period lower bound > %d", ErrPruned, bound)
+		return nil, &pruneError{"period lower bound", bound}
+	}
+	if bound > 0 && bound == eng.workLowerBound() && orderNodeLimit >= 0 {
+		// Stage 2: the bound leaves the busiest device no idle time.
+		eff.OrderChecks = 1
+		if eng.orderCheck(bound) == orderInfeasible {
+			eff.OrderPruned = 1
+			return nil, &pruneError{"period of every per-device order", bound}
+		}
 	}
 	// Minimum-makespan instance solve to obtain per-device orders. The task
 	// system is canonical in stage order, so assignments sharing a lag-zero
@@ -520,7 +575,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			InitialMem: entry,
 			MaxNodes:   opts.SolverNodes,
 			Timeout:    opts.SolverTimeout,
-			Workers:    solver.ResolveWorkers(opts.SolverWorkers, p.K()),
+			Workers:    solver.ResolveWorkers(opts.SolverWorkers),
 		}
 		if bounded {
 			// Under Figure 6(a) semantics the period *is* the instance
@@ -585,7 +640,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		period, status := eng.minPeriod(initBound)
 		switch status {
 		case periodPruned:
-			return nil, fmt.Errorf("%w: order period > %d", ErrPruned, bound)
+			return nil, &pruneError{"order period", bound}
 		case periodInfeasible:
 			return nil, fmt.Errorf("repetend: period repair failed for a feasible order")
 		}
@@ -601,7 +656,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	r.LocalSearchSwaps = eng.swaps
 	r.computeSpans()
 	if bound > 0 && r.Period > bound {
-		return nil, fmt.Errorf("%w: period %d > %d", ErrPruned, r.Period, bound)
+		return nil, &pruneError{"period after local search", bound}
 	}
 	return r, nil
 }

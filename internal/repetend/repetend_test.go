@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -444,6 +445,10 @@ func TestSolvePrunesBeforeInstanceSolve(t *testing.T) {
 	if errors.Is(err, ErrTruncated) {
 		t.Fatal("relaxation prune must not touch the budgeted solver")
 	}
+	// The message is only built on demand, and still names rule and bound.
+	if msg := err.Error(); !strings.Contains(msg, ErrPruned.Error()) || !strings.Contains(msg, "lower bound > 3") {
+		t.Fatalf("prune message %q", msg)
+	}
 }
 
 // TestSolveTruncatedFlag: exhausting the per-solve node budget degrades the
@@ -558,8 +563,9 @@ func TestSolvePoolMatchesDefault(t *testing.T) {
 
 // TestSolveReportsEffortOnEveryPath: SolveOptions.Effort receives the work of
 // a call whether or not it returns a Repetend — the single probe of an
-// assignment the relaxation discards, and the whole instance solve and local
-// search of one that is pruned only afterwards.
+// assignment the relaxation discards, the probe and the check of one the order
+// check discards, and the whole instance solve and local search of one that is
+// pruned only afterwards.
 func TestSolveReportsEffortOnEveryPath(t *testing.T) {
 	ctx := context.Background()
 	p := vshape(t, 4)
@@ -568,38 +574,56 @@ func TestSolveReportsEffortOnEveryPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := Effort{r.SolverNodes, r.SolverMemoHits, r.SolverSharedMemoHits, r.SolverJobsStolen, r.PeriodProbes, r.PeriodRelaxations, r.LocalSearchSwaps}
+	own := Effort{
+		SolverNodes: r.SolverNodes, SolverMemoHits: r.SolverMemoHits, SolverSharedMemoHits: r.SolverSharedMemoHits, SolverJobsStolen: r.SolverJobsStolen,
+		PeriodProbes: r.PeriodProbes, PeriodRelaxations: r.PeriodRelaxations, LocalSearchSwaps: r.LocalSearchSwaps,
+	}
 	if eff != own || eff.SolverNodes == 0 || eff.PeriodProbes == 0 {
 		t.Fatalf("effort of a solved assignment %+v, its repetend reports %+v", eff, own)
 	}
 
-	// Discarded by the relaxation: one probe, no solver.
+	// Discarded by the relaxation: one probe, no check, no solver.
 	eff = Effort{}
 	_, err = Solve(ctx, p, Assignment{0, 0, 0, 0, 0, 0, 0, 0}, SolveOptions{PeriodUpperBound: 3, Effort: &eff})
-	if !errors.Is(err, ErrPruned) || eff.PeriodProbes != 1 || eff.SolverNodes != 0 {
+	if !errors.Is(err, ErrPruned) || eff.PeriodProbes != 1 || eff.SolverNodes != 0 || eff.OrderChecks != 0 {
 		t.Fatalf("relaxation prune: err %v, effort %+v", err, eff)
 	}
 
-	// Pruned after the solve: some M-shape assignment passes the relaxation
-	// at the lower bound and then misses it.
-	m, err := placement.MShape(placement.Config{Devices: 4})
+	// The K-shape on six devices has both kinds of survivor of the relaxation
+	// at its lower bound: assignments no per-device order rescues, which the
+	// order check discards before the solver runs, and — at N_R 4 — a few
+	// that some order does rescue but the instance solve and local search
+	// miss, which are pruned only after both ran. The fixture walks the
+	// enumeration until it has seen one of each and fails if the placement
+	// stops providing them.
+	k6, err := placement.KShape(placement.Config{Devices: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for nr := 1; nr <= 3 && !found; nr++ {
-		if _, err := Enumerate(m, nr, func(a Assignment) bool {
-			eff = Effort{}
-			_, err := Solve(ctx, m, a, SolveOptions{PeriodUpperBound: m.LowerBound(), Effort: &eff})
-			found = errors.Is(err, ErrPruned) && eff.SolverNodes > 0
-			return !found
+	var byCheck, afterSolve *Effort
+	for nr := 1; nr <= 4 && (byCheck == nil || afterSolve == nil); nr++ {
+		if _, err := Enumerate(k6, nr, func(a Assignment) bool {
+			e := Effort{}
+			_, err := Solve(ctx, k6, a, SolveOptions{PeriodUpperBound: k6.LowerBound(), Effort: &e})
+			switch {
+			case !errors.Is(err, ErrPruned):
+			case e.OrderPruned == 1 && byCheck == nil:
+				byCheck = &e
+			case e.OrderChecks == 1 && e.OrderPruned == 0 && afterSolve == nil:
+				afterSolve = &e
+			}
+			return byCheck == nil || afterSolve == nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !found || eff.PeriodProbes < 2 {
-		t.Fatalf("no assignment pruned after its solve reported that solve: found %v, last effort %+v", found, eff)
+	if byCheck == nil || byCheck.OrderChecks != 1 || byCheck.PeriodProbes != 1 || byCheck.SolverNodes != 0 || byCheck.LocalSearchSwaps != 0 {
+		t.Fatalf("no assignment pruned by the order check reported one probe, one check and no solve: %+v", byCheck)
 	}
+	if afterSolve == nil || afterSolve.SolverNodes == 0 || afterSolve.PeriodProbes < 2 || afterSolve.LocalSearchSwaps == 0 {
+		t.Fatalf("no assignment pruned after its solve reported that solve and its local search: %+v", afterSolve)
+	}
+	eff = *afterSolve
 
 	// Calls accumulate.
 	before := eff

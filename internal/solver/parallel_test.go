@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -277,35 +276,13 @@ func TestParallelSatisfyOnlySingleThreaded(t *testing.T) {
 	}
 }
 
-// TestResolveWorkers pins the auto-resolution rule: explicit requests are
-// honored verbatim, auto engages only for large instances on multi-core
-// machines, and negatives force single-threaded search.
+// TestResolveWorkers pins the resolution rule: explicit requests are honored
+// verbatim; auto and negatives both mean the sequential search, on any
+// machine.
 func TestResolveWorkers(t *testing.T) {
-	if got := ResolveWorkers(3, 1); got != 3 {
-		t.Fatalf("explicit request not honored: got %d", got)
-	}
-	if got := ResolveWorkers(1, DefaultParallelTaskThreshold*10); got != 1 {
-		t.Fatalf("explicit 1 not honored: got %d", got)
-	}
-	if got := ResolveWorkers(-1, DefaultParallelTaskThreshold*10); got != 0 {
-		t.Fatalf("negative must force single-threaded: got %d", got)
-	}
-	if got := ResolveWorkers(0, DefaultParallelTaskThreshold-1); got != 0 {
-		t.Fatalf("auto below the task threshold must stay serial: got %d", got)
-	}
-	got := ResolveWorkers(0, DefaultParallelTaskThreshold)
-	switch procs := runtime.GOMAXPROCS(0); {
-	case procs < 2:
-		if got != 0 {
-			t.Fatalf("auto on a single-core machine must stay serial: got %d", got)
-		}
-	case procs > DefaultMaxAutoWorkers:
-		if got != DefaultMaxAutoWorkers {
-			t.Fatalf("auto must cap at %d: got %d", DefaultMaxAutoWorkers, got)
-		}
-	default:
-		if got != procs {
-			t.Fatalf("auto must use GOMAXPROCS=%d: got %d", procs, got)
+	for _, c := range []struct{ requested, want int }{{3, 3}, {1, 1}, {0, 0}, {-1, 0}} {
+		if got := ResolveWorkers(c.requested); got != c.want {
+			t.Fatalf("ResolveWorkers(%d) = %d, want %d", c.requested, got, c.want)
 		}
 	}
 }

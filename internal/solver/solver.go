@@ -164,7 +164,7 @@ type Options struct {
 	// dominance memo is partitioned differently). SatisfyOnly solves are
 	// always single-threaded: they stop at the first feasible schedule, a
 	// race by construction. Use ResolveWorkers to map a caller-facing
-	// "0 = auto" setting to this field by instance size.
+	// "0 = auto" setting to this field.
 	Workers int
 }
 

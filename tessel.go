@@ -128,16 +128,11 @@ func TimeOptimalContext(ctx context.Context, p *Placement, n int, opts SearchOpt
 type SolverResult = solver.Result
 
 // ResolveSolverWorkers maps SearchOptions.SolverWorkers to the effective
-// per-solve branch-and-bound worker count for a task system of the given
-// size: explicit requests ≥ 1 are honored verbatim, auto (0) picks parallel
-// search only for large instances on multi-core machines, and negative
-// forces single-threaded search. Callers exposing worker configuration
-// (CLIs, servers) use it to report what a setting will actually do.
+// per-solve branch-and-bound worker count: explicit requests ≥ 1 are honored
+// verbatim, auto (0) and negative values mean single-threaded search. Callers
+// exposing worker configuration (CLIs, servers) use it to report what a
+// setting will actually do.
 var ResolveSolverWorkers = solver.ResolveWorkers
-
-// ParallelSolveTaskThreshold is the smallest task count for which auto
-// worker resolution (SolverWorkers = 0) considers parallel search.
-const ParallelSolveTaskThreshold = solver.DefaultParallelTaskThreshold
 
 // MaxInflight computes the paper's CalMaxInflight bound.
 var MaxInflight = core.MaxInflight
