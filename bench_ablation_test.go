@@ -5,7 +5,6 @@ package tessel_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"tessel"
@@ -70,9 +69,9 @@ func BenchmarkAblationLocalSearchOff(b *testing.B) {
 // micro-batches) the solver benchmarks run on. The V-shape family they used
 // through PR 13 is proven at the root by the one-machine bound — one node for
 // every n — so it measures nothing; M-shape still searches (n = 2, 3, 4: 164,
-// 4,886, 111,756 nodes). The benchmark fails when the sequential engine
-// proves the instance in fewer than minNodes nodes: the next bound that
-// flattens a family has to move these benchmarks, not quietly empty them.
+// 4,886, 111,756 nodes). The benchmark fails when the solver proves the
+// instance in fewer than minNodes nodes: the next bound that flattens a
+// family has to move these benchmarks, not quietly empty them.
 func solverTasks(b *testing.B, n int, minNodes int64) []solver.Task {
 	b.Helper()
 	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
@@ -165,46 +164,6 @@ func BenchmarkSolverScaling(b *testing.B) {
 			}
 			reportNodeThroughput(b, nodes)
 		})
-	}
-}
-
-// BenchmarkSolverParallel measures the deterministic root-split search
-// across worker counts on the solver-scaling instances. On a multi-core
-// machine the w4/w8 variants show the wall-clock speedup over w1; on any
-// machine the nodes/op metric shows the price of the split — cross-job
-// dominance knowledge flows through the shared memo tier at batch
-// boundaries, which brought the V-shape nmb6 instance from ~9x to ~1.2x of
-// BenchmarkSolverScaling's sequential totals; on the M-shape instances the
-// benchmarks moved to in PR 15 jobs mode still expands 3x (m_nmb3) and 5x
-// (m_nmb4) the sequential nodes — with shared_memo_hits/op reporting how
-// often the tier pruned. The m_nmb3 and m_nmb4 runs fail outright if the
-// tier never bites: a zero means the promotion path regressed, which the
-// node gap would only show as a slow drift. Schedules are byte-identical
-// across all variants, and since
-// cross-job bounds are frozen per batch, so are the node and memo
-// counters — only the time columns move.
-func BenchmarkSolverParallel(b *testing.B) {
-	for _, sz := range solverSizes {
-		tasks := solverTasks(b, sz.n, sz.minNodes)
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/w%d", sz.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				var nodes, sharedHits int64
-				for i := 0; i < b.N; i++ {
-					res, err := solver.Solve(context.Background(), tasks, solver.Options{Workers: w})
-					if err != nil || !res.Optimal {
-						b.Fatalf("res=%+v err=%v", res, err)
-					}
-					nodes += res.Nodes
-					sharedHits += res.SharedMemoHits
-				}
-				if sz.n >= 3 && sharedHits == 0 {
-					b.Fatalf("%s/w%d: SharedMemoHits = 0; the shared memo tier never pruned", sz.name, w)
-				}
-				reportNodeThroughput(b, nodes)
-				b.ReportMetric(float64(sharedHits)/float64(b.N), "shared_memo_hits/op")
-			})
-		}
 	}
 }
 

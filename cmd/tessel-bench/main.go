@@ -24,16 +24,11 @@ import (
 
 func main() {
 	var (
-		quick   = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
-		only    = flag.String("only", "", "run a single experiment (comma-separated list), e.g. fig11,table2")
-		solverW = flag.Int("solver-workers", 0, "per-solve branch-and-bound workers (0 = auto)")
+		quick = flag.Bool("quick", false, "reduced sweeps for a fast smoke run")
+		only  = flag.String("only", "", "run a single experiment (comma-separated list), e.g. fig11,table2")
 	)
 	flag.Parse()
-	if *solverW < 0 {
-		fmt.Fprintf(os.Stderr, "-solver-workers must be non-negative, got %d\n", *solverW)
-		os.Exit(2)
-	}
-	mode := experiments.Mode{Quick: *quick, SolverWorkers: *solverW}
+	mode := experiments.Mode{Quick: *quick}
 	// The bench harness is the context origin: Ctrl-C cancels the sweep.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -47,7 +47,6 @@ func runOneShot() {
 		inference   = flag.Bool("inference", false, "search the inference variant (no backward blocks)")
 		maxNR       = flag.Int("max-nr", 0, "cap on repetend micro-batches (0 = memory-derived)")
 		timeout     = flag.Duration("solver-timeout", 10*time.Second, "per-solve wall-clock budget")
-		solverWkrs  = flag.Int("solver-workers", 0, "per-solve branch-and-bound workers (0 = auto)")
 		width       = flag.Int("width", 120, "chart width in columns")
 		quiet       = flag.Bool("quiet", false, "suppress the Gantt chart")
 		saveFile    = flag.String("save", "", "write the searched schedule as JSON")
@@ -56,10 +55,6 @@ func runOneShot() {
 		blocking    = flag.Bool("blocking", false, "use blocking communication for codegen/trace")
 	)
 	flag.Parse()
-	if *solverWkrs < 0 {
-		fmt.Fprintf(os.Stderr, "-solver-workers must be non-negative, got %d\n", *solverWkrs)
-		os.Exit(2)
-	}
 
 	var p *tessel.Placement
 	if *placeFile != "" {
@@ -112,7 +107,6 @@ func runOneShot() {
 		Memory:        *memory,
 		MaxNR:         *maxNR,
 		SolverTimeout: *timeout,
-		SolverWorkers: *solverWkrs,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

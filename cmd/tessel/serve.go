@@ -81,19 +81,15 @@ type searchRequest struct {
 }
 
 type searchRequestOptions struct {
-	N               int   `json:"n"`
-	Memory          int   `json:"memory"`
-	MaxNR           int   `json:"max_nr"`
-	MaxAssignments  int   `json:"max_assignments"`
-	SolverNodes     int64 `json:"solver_nodes"`
-	SolverTimeoutMS int64 `json:"solver_timeout_ms"`
-	// SolverWorkers is the per-solve branch-and-bound worker count: ≥ 1
-	// pins it, 0 forces auto, absent uses the server's -solver-workers
-	// default. Negative values are rejected.
-	SolverWorkers      *int `json:"solver_workers"`
-	DisableLazy        bool `json:"disable_lazy"`
-	SimpleCompaction   bool `json:"simple_compaction"`
-	DisableLocalSearch bool `json:"disable_local_search"`
+	N                  int   `json:"n"`
+	Memory             int   `json:"memory"`
+	MaxNR              int   `json:"max_nr"`
+	MaxAssignments     int   `json:"max_assignments"`
+	SolverNodes        int64 `json:"solver_nodes"`
+	SolverTimeoutMS    int64 `json:"solver_timeout_ms"`
+	DisableLazy        bool  `json:"disable_lazy"`
+	SimpleCompaction   bool  `json:"simple_compaction"`
+	DisableLocalSearch bool  `json:"disable_local_search"`
 	// AllowDegraded opts in to a node-capped best-effort search when
 	// admission control would otherwise shed the request with 429. The
 	// response marks such results with "degraded": true.
@@ -134,13 +130,6 @@ type searchStatsJSON struct {
 	// MemoHits is the number of solver nodes pruned by the dominance memo
 	// across the repetend instance solves.
 	MemoHits int64 `json:"memo_hits"`
-	// SharedMemoHits is the number of solver nodes pruned by the parallel
-	// solver's cross-job shared memo tier (disjoint from MemoHits; zero
-	// when the solves ran single-threaded).
-	SharedMemoHits int64 `json:"shared_memo_hits"`
-	// JobsStolen is the number of oversized root-split solver jobs
-	// deterministically re-split across the repetend instance solves.
-	JobsStolen int64 `json:"jobs_stolen"`
 	// NodesPerSec is the repetend-phase solver node throughput — the
 	// serving-side health measure of the allocation-free solver core.
 	NodesPerSec float64 `json:"nodes_per_sec"`
@@ -160,12 +149,9 @@ type searchStatsJSON struct {
 	OrderChecks int64 `json:"order_checks"`
 	OrderPruned int64 `json:"order_pruned"`
 	OrderNodes  int64 `json:"order_nodes"`
-	// SolverWorkers is the effective per-solve branch-and-bound worker
-	// count the repetend instance solves ran with (0 = single-threaded).
-	SolverWorkers int   `json:"solver_workers"`
-	EarlyExit     bool  `json:"early_exit"`
-	Truncated     bool  `json:"truncated"`
-	TotalMS       int64 `json:"total_ms"`
+	EarlyExit   bool  `json:"early_exit"`
+	Truncated   bool  `json:"truncated"`
+	TotalMS     int64 `json:"total_ms"`
 }
 
 type errorResponse struct {
@@ -181,7 +167,6 @@ type serveConfig struct {
 	searchTimeout time.Duration // per-request deadline
 	solverTimeout time.Duration // default per-solve budget
 	maxN          int           // cap on requested micro-batches
-	solverWorkers int           // default per-solve worker count (0 = auto)
 	snapshotPath  string        // cache snapshot file ("" = persistence off)
 	snapshotEvery time.Duration
 	peers         string // comma-separated ring members ("" = single replica)
@@ -207,7 +192,6 @@ func serveFlags(fs *flag.FlagSet) *serveConfig {
 	fs.IntVar(&cfg.engine.TenantBurst, "tenant-burst", 4, "per-tenant cold-search burst capacity")
 	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "cache snapshot file, restored at boot and written on SIGTERM and periodically (\"\" = off)")
 	fs.DurationVar(&cfg.snapshotEvery, "snapshot-interval", 5*time.Minute, "period between cache snapshots when -snapshot is set")
-	fs.IntVar(&cfg.solverWorkers, "solver-workers", 0, "default per-solve branch-and-bound workers when the request sets none (0 = auto)")
 	fs.StringVar(&cfg.peers, "peers", "", "comma-separated replica addresses forming the consistent-hash peer ring; identical on every replica and must include -peer-self (\"\" = single replica)")
 	fs.StringVar(&cfg.peerSelf, "peer-self", "", "this replica's own address exactly as it appears in -peers")
 	return cfg
@@ -229,9 +213,6 @@ type server struct {
 // newServer validates cfg and builds the engine and, when -peers is set,
 // the peer tier around it.
 func newServer(cfg *serveConfig) (*server, error) {
-	if cfg.solverWorkers < 0 {
-		return nil, fmt.Errorf("-solver-workers must be non-negative, got %d", cfg.solverWorkers)
-	}
 	s := &server{cfg: cfg, engine: tessel.NewEngine(cfg.engine)}
 	if cfg.peers == "" {
 		return s, nil
@@ -476,21 +457,12 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		MaxAssignments:     req.Options.MaxAssignments,
 		SolverNodes:        req.Options.SolverNodes,
 		SolverTimeout:      s.cfg.solverTimeout,
-		SolverWorkers:      s.cfg.solverWorkers,
 		DisableLazy:        req.Options.DisableLazy,
 		SimpleCompaction:   req.Options.SimpleCompaction,
 		DisableLocalSearch: req.Options.DisableLocalSearch,
 	}
 	if req.Options.SolverTimeoutMS > 0 {
 		opts.SolverTimeout = time.Duration(req.Options.SolverTimeoutMS) * time.Millisecond
-	}
-	if req.Options.SolverWorkers != nil {
-		if *req.Options.SolverWorkers < 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("solver_workers must be non-negative, got %d", *req.Options.SolverWorkers))
-			return
-		}
-		opts.SolverWorkers = *req.Options.SolverWorkers
 	}
 
 	ctx := r.Context()
@@ -552,8 +524,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			NRSwept:           res.Stats.NRSwept,
 			SolverNodes:       res.Stats.SolverNodes,
 			MemoHits:          res.Stats.SolverMemoHits,
-			SharedMemoHits:    res.Stats.SolverSharedMemoHits,
-			JobsStolen:        res.Stats.SolverJobsStolen,
 			NodesPerSec:       res.Stats.NodesPerSec(),
 			PeriodProbes:      res.Stats.PeriodProbes,
 			PeriodRelaxations: res.Stats.PeriodRelaxations,
@@ -561,7 +531,6 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			OrderChecks:       res.Stats.OrderChecks,
 			OrderPruned:       res.Stats.OrderPruned,
 			OrderNodes:        res.Stats.OrderNodes,
-			SolverWorkers:     res.Stats.SolverWorkers,
 			EarlyExit:         res.Stats.EarlyExit,
 			Truncated:         res.Stats.Truncated,
 			TotalMS:           res.Stats.Total.Milliseconds(),
@@ -615,17 +584,11 @@ func writeSearchResponse(w http.ResponseWriter, resp searchResponse, full *tesse
 
 // serveStatsJSON is the wire form of /v1/stats: every engine counter (the
 // embedded struct carries the wire names, so a counter added to the engine
-// appears here with no further edit) plus the server's readiness and worker
-// configuration.
+// appears here with no further edit) plus the server's readiness.
 type serveStatsJSON struct {
 	tessel.EngineStats
 	// Ready mirrors /readyz: false until the snapshot restore finished.
 	Ready bool `json:"ready"`
-	// SolverWorkers is the configured per-solve worker default;
-	// SolverWorkersEffective is what it resolves to (0 = serial; auto is
-	// serial on every machine).
-	SolverWorkers          int `json:"solver_workers"`
-	SolverWorkersEffective int `json:"solver_workers_effective"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -633,12 +596,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, serveStatsJSON{
-		EngineStats:            s.engine.Stats(),
-		Ready:                  s.ready.Load(),
-		SolverWorkers:          s.cfg.solverWorkers,
-		SolverWorkersEffective: tessel.ResolveSolverWorkers(s.cfg.solverWorkers),
-	})
+	writeJSON(w, http.StatusOK, serveStatsJSON{EngineStats: s.engine.Stats(), Ready: s.ready.Load()})
 }
 
 // retryAfterSeconds converts an overload error's back-off hint to whole

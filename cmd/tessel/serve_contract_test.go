@@ -15,10 +15,9 @@ import (
 // TestServeStatsGoldenBody pins the whole /v1/stats body — keys, order,
 // indentation, values — to files captured at the commit before the engine
 // counters moved onto one tagged struct: a fresh server, and one after a
-// miss and a hit. Only solver_workers_effective depends on the machine, so
-// its value is masked to 0 on both sides.
+// miss and a hit; since then the files lost only the four fields that went
+// with the solver's root-split engine.
 func TestServeStatsGoldenBody(t *testing.T) {
-	mask := regexp.MustCompile(`("solver_workers_effective": )\d+`)
 	s := newTestServer(t)
 	s.ready.Store(true)
 	check := func(golden string) {
@@ -29,7 +28,7 @@ func TestServeStatsGoldenBody(t *testing.T) {
 		}
 		w := httptest.NewRecorder()
 		s.mux().ServeHTTP(w, httptest.NewRequest("GET", "/v1/stats", nil))
-		if got := mask.ReplaceAll(w.Body.Bytes(), []byte("${1}0")); !bytes.Equal(got, want) {
+		if got := w.Body.Bytes(); !bytes.Equal(got, want) {
 			t.Fatalf("/v1/stats body drifted from %s:\n%s", golden, got)
 		}
 	}
@@ -106,7 +105,6 @@ func TestServeFlagsDocumented(t *testing.T) {
 // construction instead of starting a misconfigured replica.
 func TestNewServerRejectsBadConfig(t *testing.T) {
 	for _, args := range [][]string{
-		{"-solver-workers", "-1"},
 		{"-peers", "a:1,b:2"},
 		{"-peers", "a:1,b:2", "-peer-self", "c:3"},
 	} {

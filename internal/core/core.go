@@ -104,13 +104,6 @@ type Options struct {
 	// enumeration order and breaks period ties by the canonically smallest
 	// assignment — so Workers only trades wall-clock time for CPU.
 	Workers int
-	// SolverWorkers requests parallel branch-and-bound *inside* each exact
-	// solve (instance makespan, completion phases, time-optimal baseline):
-	// ≥ 1 fixes the per-solve worker count; 0 (auto) and negative values
-	// mean single-threaded search (solver.ResolveWorkers has the reason).
-	// Orthogonal to Workers, which parallelizes *across* assignments. Results
-	// are byte-identical for every explicit count ≥ 1.
-	SolverWorkers int
 }
 
 // PhaseDurations records where search time went (Figure 10(a)).
@@ -145,15 +138,6 @@ type Stats struct {
 	// dominance memo, the per-search effectiveness measure of the
 	// arena-backed memoization.
 	SolverMemoHits int64
-	// SolverSharedMemoHits is the number of nodes pruned by the parallel
-	// solver's cross-job shared memo tier, summed over the repetend
-	// instance solves (disjoint from SolverMemoHits; zero when the solves
-	// ran single-threaded).
-	SolverSharedMemoHits int64
-	// SolverJobsStolen is the number of oversized root-split jobs the
-	// parallel solver deterministically re-split, summed over the repetend
-	// instance solves.
-	SolverJobsStolen int64
 	// PeriodProbes is the total number of period-feasibility probes (one
 	// difference-constraint fixpoint computation each) the repetend
 	// evaluations ran — across the order-independent relaxation checks,
@@ -191,10 +175,6 @@ type Stats struct {
 	Truncated bool
 	// NRSwept is the largest N_R the sweep reached.
 	NRSwept int
-	// SolverWorkers is the effective per-solve branch-and-bound worker
-	// count the solves ran with (0 = single-threaded) — Options.SolverWorkers
-	// through solver.ResolveWorkers, so non-zero only when asked for.
-	SolverWorkers int
 	// Phase breaks the search time down by phase.
 	Phase PhaseDurations
 	// Total is the wall-clock search time.
@@ -323,12 +303,10 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		SolverTimeout:      opts.SolverTimeout,
 		SimpleCompaction:   opts.SimpleCompaction,
 		DisableLocalSearch: opts.DisableLocalSearch,
-		SolverWorkers:      opts.SolverWorkers,
 		Pool:               pool,
 		PeriodPool:         repetend.NewPeriodPool(),
 		Cache:              repetend.NewSolveCache(),
 	}
-	res.Stats.SolverWorkers = solver.ResolveWorkers(opts.SolverWorkers)
 
 	sweep := func(aim int) error {
 		st.incumbent.Store(int64(aim))
@@ -647,8 +625,6 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 	for _, e := range efforts {
 		res.Stats.SolverNodes += e.SolverNodes
 		res.Stats.SolverMemoHits += e.SolverMemoHits
-		res.Stats.SolverSharedMemoHits += e.SolverSharedMemoHits
-		res.Stats.SolverJobsStolen += e.SolverJobsStolen
 		res.Stats.PeriodProbes += e.PeriodProbes
 		res.Stats.PeriodRelaxations += e.PeriodRelaxations
 		res.Stats.LocalSearchSwaps += e.LocalSearchSwaps
@@ -753,7 +729,7 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 	}
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Warmup telemetry, never schedule bytes
 	t0 := time.Now()
-	warmOK, warmTrunc, err := phaseFeasible(ctx, p, warm, nil, nil, solveOpts, opts.SolverWorkers, pool)
+	warmOK, warmTrunc, err := phaseFeasible(ctx, p, warm, nil, nil, solveOpts, pool)
 	stats.Phase.Warmup += time.Since(t0)
 	if warmTrunc {
 		stats.Truncated = true
@@ -770,7 +746,7 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 	}
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Cooldown telemetry, never schedule bytes
 	t1 := time.Now()
-	coolOK, coolTrunc, err := phaseFeasible(ctx, p, cool, initMem, nil, solveOpts, opts.SolverWorkers, pool)
+	coolOK, coolTrunc, err := phaseFeasible(ctx, p, cool, initMem, nil, solveOpts, pool)
 	stats.Phase.Cooldown += time.Since(t1)
 	if coolTrunc {
 		stats.Truncated = true
@@ -783,11 +759,8 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 
 // phaseFeasible reports whether the blocks admit a valid phase schedule.
 // truncated is true when the verdict was reached after a solver budget ran
-// out, so a false answer is budget-degraded rather than proven. workers is
-// the *requested* per-solve worker count, resolved here against the phase's
-// task count (satisfiability solves stay single-threaded inside the solver
-// regardless).
-func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block, initMem, deviceReady []int, opts solver.Options, workers int, pool *solver.Pool) (ok, truncated bool, err error) {
+// out, so a false answer is budget-degraded rather than proven.
+func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block, initMem, deviceReady []int, opts solver.Options, pool *solver.Pool) (ok, truncated bool, err error) {
 	if len(blocks) == 0 {
 		return true, false, nil
 	}
@@ -797,7 +770,6 @@ func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block
 	}
 	opts.InitialMem = initMem
 	opts.DeviceReady = deviceReady
-	opts.Workers = solver.ResolveWorkers(workers)
 	res, err := pool.Solve(ctx, tasks, opts)
 	if err != nil {
 		return false, false, err
@@ -975,7 +947,6 @@ func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, r
 		DeviceReady: deviceReady,
 		MaxNodes:    opts.SolverNodes,
 		Timeout:     opts.SolverTimeout,
-		Workers:     solver.ResolveWorkers(opts.SolverWorkers),
 	}
 	var starts []int
 	memo, base := tmpl.lookup(blocks, releases, solveOpts)
@@ -1032,7 +1003,6 @@ func TimeOptimal(ctx context.Context, p *sched.Placement, n int, opts Options) (
 		Memory:     opts.Memory,
 		MaxNodes:   opts.SolverNodes,
 		Timeout:    opts.SolverTimeout,
-		Workers:    solver.ResolveWorkers(opts.SolverWorkers),
 	})
 	if err != nil {
 		return nil, res, err

@@ -38,14 +38,13 @@ const maxTemplateSolves = 16
 // the earliest moment any device is free (base). A release before base
 // cannot bind — every start waits for its device — so it is stored as base.
 type phaseMemo struct {
-	blocks   []sched.Block // task order; Micro relative to blocks[0]
-	release  []int         // per task: max(Release − base, 0)
-	ready    []int         // DeviceReady − base; nil when every device starts idle
-	initMem  []int
-	memory   int
-	nodes    int64 // the node budget the solve was proven optimal within
-	parallel bool  // solver engine: root-split (Workers ≥ 1) or sequential
-	starts   []int // the solution, per task, relative to base
+	blocks  []sched.Block // task order; Micro relative to blocks[0]
+	release []int         // per task: max(Release − base, 0)
+	ready   []int         // DeviceReady − base; nil when every device starts idle
+	initMem []int
+	memory  int
+	nodes   int64 // the node budget the solve was proven optimal within
+	starts  []int // the solution, per task, relative to base
 	// truncated marks a solution the node budget cut short: not proven
 	// optimal, but what this instance gets under this budget every time.
 	truncated bool
@@ -69,7 +68,7 @@ func timeBase(deviceReady []int) int {
 // release times, and the solver options — is the one m holds.
 func (m *phaseMemo) matches(blocks []sched.Block, releases map[sched.Block]int, o solver.Options, base int) bool {
 	if len(blocks) != len(m.blocks) || len(o.DeviceReady) != len(m.ready) || o.Memory != m.memory ||
-		o.MaxNodes != m.nodes || (o.Workers >= 1) != m.parallel || !slices.Equal(o.InitialMem, m.initMem) {
+		o.MaxNodes != m.nodes || !slices.Equal(o.InitialMem, m.initMem) {
 		return false
 	}
 	for d, r := range o.DeviceReady {
@@ -115,7 +114,6 @@ func (t *template) store(blocks []sched.Block, releases map[sched.Block]int, o s
 		initMem:   slices.Clone(o.InitialMem),
 		memory:    o.Memory,
 		nodes:     o.MaxNodes,
-		parallel:  o.Workers >= 1,
 		starts:    make([]int, len(blocks)),
 		truncated: truncated,
 	}

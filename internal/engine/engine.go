@@ -162,14 +162,6 @@ type Stats struct {
 	Degraded uint64 `json:"degraded"`
 	// Restored counts cache entries loaded from a snapshot since boot.
 	Restored uint64 `json:"restored"`
-	// SharedMemoHits is the total number of solver nodes pruned by the
-	// parallel solver's cross-job shared memo tier, accumulated over every
-	// search this engine led (zero when solves run single-threaded; cache
-	// hits replay the originating search's Stats and are not re-counted).
-	SharedMemoHits uint64 `json:"shared_memo_hits"`
-	// JobsStolen is the total number of oversized root-split solver jobs
-	// deterministically re-split across every search this engine led.
-	JobsStolen uint64 `json:"jobs_stolen"`
 	// SnapshotWriteErrors counts failed cache snapshot writes — warm state
 	// that would have been silently lost if the caller only logged.
 	SnapshotWriteErrors uint64 `json:"snapshot_write_errors"`
@@ -311,12 +303,6 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 		// leader would hand its error to concurrent valid requests.
 		return nil, info, fmt.Errorf("%w: micro-batch count must be non-negative, got %d", ErrInvalidRequest, opts.N)
 	}
-	if opts.SolverWorkers < 0 {
-		// core.Options accepts negative as "force single-threaded", but at
-		// the serving boundary it is almost certainly a caller bug; reject it
-		// so the cache key space stays two-valued (auto vs explicit).
-		return nil, info, fmt.Errorf("%w: solver workers must be non-negative, got %d", ErrInvalidRequest, opts.SolverWorkers)
-	}
 	info.Fingerprint = sched.Fingerprint(p)
 	key := requestKey(info.Fingerprint, p, opts)
 
@@ -410,12 +396,6 @@ func (e *Engine) lead(ctx context.Context, key, fingerprint string, fc *flightCa
 		fc.res, fc.err = res, err
 		e.mu.Lock()
 		delete(e.flight, key)
-		if err == nil && res != nil && !fc.peer {
-			// Peer-fetched results carry the *remote* replica's solver
-			// counters; accumulating them here would double-count fleet-wide.
-			e.stats.SharedMemoHits += uint64(res.Stats.SolverSharedMemoHits)
-			e.stats.JobsStolen += uint64(res.Stats.SolverJobsStolen)
-		}
 		if err == nil && !fc.degraded {
 			// Degraded results are deliberately not cached: they are
 			// load-shaped, not search-shaped, and pinning one would keep
@@ -553,19 +533,11 @@ func requestKey(fingerprint string, p *sched.Placement, opts core.Options) strin
 	if nodes == 0 {
 		nodes = core.DefaultSolverNodes
 	}
-	// SolverWorkers is keyed by *class*, not value: every explicit count ≥ 1
-	// runs the deterministic root-split search and returns byte-identical
-	// schedules, so W=2 and W=8 must share an entry. Auto (0) resolves per
-	// solve on this machine — possibly to the single-threaded engine, whose
-	// equally-optimal schedule choice may differ from the root-split's — so
-	// it gets its own class rather than aliasing with either.
-	sw := "auto"
-	if opts.SolverWorkers >= 1 {
-		sw = "par"
-	}
-	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t|simp=%t|ls=%t|sw=%s",
+	// The constant tail is the key class of the one solver engine there is;
+	// v2 snapshots and peer replicas written when there were two carry it.
+	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t|simp=%t|ls=%t|sw=auto",
 		fingerprint, memory, maxNR, maxAssign, nodes, opts.SolverTimeout,
-		!opts.DisableLazy, opts.SimpleCompaction, !opts.DisableLocalSearch, sw)
+		!opts.DisableLazy, opts.SimpleCompaction, !opts.DisableLocalSearch)
 }
 
 func isContextErr(err error) bool {

@@ -147,42 +147,6 @@ func TestOptionNormalization(t *testing.T) {
 	}
 }
 
-// TestSolverWorkersKeyClass: every explicit per-solve worker count runs the
-// deterministic root-split search and returns byte-identical schedules, so
-// W=2 and W=8 must share one cache entry; the auto setting may resolve to a
-// different engine (whose equally-optimal schedule choice can differ) and
-// must not alias with the explicit class. Negative counts are a caller bug
-// and are rejected up front as invalid requests.
-func TestSolverWorkersKeyClass(t *testing.T) {
-	e := New(Options{})
-	ctx := context.Background()
-	p := vshape(t)
-	if _, _, err := e.Search(ctx, p, core.Options{N: 4, SolverWorkers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	_, info, err := e.Search(ctx, p, core.Options{N: 4, SolverWorkers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Hit {
-		t.Fatal("explicit worker counts 2 and 8 did not share a cache entry")
-	}
-	_, info, err = e.Search(ctx, p, core.Options{N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Hit || info.Shared {
-		t.Fatal("auto worker resolution aliased with the explicit class")
-	}
-	_, _, err = e.Search(ctx, p, core.Options{N: 4, SolverWorkers: -1})
-	if !errors.Is(err, ErrInvalidRequest) {
-		t.Fatalf("negative solver workers: want ErrInvalidRequest, got %v", err)
-	}
-	if st := e.Stats(); st.Misses != 2 {
-		t.Fatalf("expected 2 cold searches, got %d", st.Misses)
-	}
-}
-
 // TestSingleflight launches concurrent identical cold requests and checks
 // exactly one search ran; the rest either coalesced onto it or (if they
 // arrived after it finished) hit the cache.

@@ -81,22 +81,20 @@ type snapshotEntry struct {
 // snapshotRepetend mirrors repetend.Repetend minus its placement pointer
 // (restored from the entry's embedded placement).
 type snapshotRepetend struct {
-	Assign               []int `json:"assign"`
-	NR                   int   `json:"nr"`
-	Starts               []int `json:"starts"`
-	Period               int   `json:"period"`
-	SimplePeriod         int   `json:"simple_period"`
-	Spans                []int `json:"spans"`
-	Waits                []int `json:"waits"`
-	EntryMem             []int `json:"entry_mem"`
-	SolverNodes          int64 `json:"solver_nodes"`
-	SolverMemoHits       int64 `json:"solver_memo_hits"`
-	SolverSharedMemoHits int64 `json:"solver_shared_memo_hits"`
-	SolverJobsStolen     int64 `json:"solver_jobs_stolen"`
-	Truncated            bool  `json:"truncated"`
-	PeriodProbes         int64 `json:"period_probes"`
-	PeriodRelaxations    int64 `json:"period_relaxations"`
-	LocalSearchSwaps     int64 `json:"local_search_swaps"`
+	Assign            []int `json:"assign"`
+	NR                int   `json:"nr"`
+	Starts            []int `json:"starts"`
+	Period            int   `json:"period"`
+	SimplePeriod      int   `json:"simple_period"`
+	Spans             []int `json:"spans"`
+	Waits             []int `json:"waits"`
+	EntryMem          []int `json:"entry_mem"`
+	SolverNodes       int64 `json:"solver_nodes"`
+	SolverMemoHits    int64 `json:"solver_memo_hits"`
+	Truncated         bool  `json:"truncated"`
+	PeriodProbes      int64 `json:"period_probes"`
+	PeriodRelaxations int64 `json:"period_relaxations"`
+	LocalSearchSwaps  int64 `json:"local_search_swaps"`
 }
 
 // SnapshotTo serializes the cache to w. Entries are written MRU-first, so
@@ -291,22 +289,20 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 		Key:       key,
 		Placement: json.RawMessage(pbuf.Bytes()),
 		Repetend: snapshotRepetend{
-			Assign:               r.Assign,
-			NR:                   r.NR,
-			Starts:               r.Starts,
-			Period:               r.Period,
-			SimplePeriod:         r.SimplePeriod,
-			Spans:                r.Spans,
-			Waits:                r.Waits,
-			EntryMem:             r.EntryMem,
-			SolverNodes:          r.SolverNodes,
-			SolverMemoHits:       r.SolverMemoHits,
-			SolverSharedMemoHits: r.SolverSharedMemoHits,
-			SolverJobsStolen:     r.SolverJobsStolen,
-			Truncated:            r.Truncated,
-			PeriodProbes:         r.PeriodProbes,
-			PeriodRelaxations:    r.PeriodRelaxations,
-			LocalSearchSwaps:     r.LocalSearchSwaps,
+			Assign:            r.Assign,
+			NR:                r.NR,
+			Starts:            r.Starts,
+			Period:            r.Period,
+			SimplePeriod:      r.SimplePeriod,
+			Spans:             r.Spans,
+			Waits:             r.Waits,
+			EntryMem:          r.EntryMem,
+			SolverNodes:       r.SolverNodes,
+			SolverMemoHits:    r.SolverMemoHits,
+			Truncated:         r.Truncated,
+			PeriodProbes:      r.PeriodProbes,
+			PeriodRelaxations: r.PeriodRelaxations,
+			LocalSearchSwaps:  r.LocalSearchSwaps,
 		},
 		LowerBound: res.LowerBound,
 		BubbleRate: res.BubbleRate,
@@ -353,23 +349,21 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 		}
 	}
 	r := &repetend.Repetend{
-		P:                    p,
-		Assign:               repetend.Assignment(sr.Assign),
-		NR:                   sr.NR,
-		Starts:               sr.Starts,
-		Period:               sr.Period,
-		SimplePeriod:         sr.SimplePeriod,
-		Spans:                sr.Spans,
-		Waits:                sr.Waits,
-		EntryMem:             sr.EntryMem,
-		SolverNodes:          sr.SolverNodes,
-		SolverMemoHits:       sr.SolverMemoHits,
-		SolverSharedMemoHits: sr.SolverSharedMemoHits,
-		SolverJobsStolen:     sr.SolverJobsStolen,
-		Truncated:            sr.Truncated,
-		PeriodProbes:         sr.PeriodProbes,
-		PeriodRelaxations:    sr.PeriodRelaxations,
-		LocalSearchSwaps:     sr.LocalSearchSwaps,
+		P:                 p,
+		Assign:            repetend.Assignment(sr.Assign),
+		NR:                sr.NR,
+		Starts:            sr.Starts,
+		Period:            sr.Period,
+		SimplePeriod:      sr.SimplePeriod,
+		Spans:             sr.Spans,
+		Waits:             sr.Waits,
+		EntryMem:          sr.EntryMem,
+		SolverNodes:       sr.SolverNodes,
+		SolverMemoHits:    sr.SolverMemoHits,
+		Truncated:         sr.Truncated,
+		PeriodProbes:      sr.PeriodProbes,
+		PeriodRelaxations: sr.PeriodRelaxations,
+		LocalSearchSwaps:  sr.LocalSearchSwaps,
 	}
 	warm, err := sched.DecodeItems(p, entry.Warmup)
 	if err != nil {

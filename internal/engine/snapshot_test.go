@@ -231,9 +231,7 @@ func TestSnapshotRestoreEvictionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(payload)
-	shuffled := fmt.Appendf(nil, "%s v%d %s\n", snapshotMagic, snapshotVersion, hex.EncodeToString(sum[:]))
-	shuffled = append(shuffled, payload...)
+	shuffled := withChecksumHeader(payload)
 
 	fresh := New(Options{CacheSize: 2})
 	if n, err := fresh.RestoreFrom(bytes.NewReader(shuffled)); err != nil || n != 2 {
@@ -295,25 +293,79 @@ func TestSnapshotV1IsColdStart(t *testing.T) {
 	}
 }
 
-// TestSnapshotParentFileRestores pins the on-disk contract across the
-// codec refactor: testdata/parent_v2.snap was written by SnapshotTo at the
-// commit before snapshot items moved to sched.ItemJSON (m-shape then
-// v-shape, 4 devices, N = 8). It must restore both entries, re-snapshot to
-// the identical bytes, and serve a hit.
+// withChecksumHeader frames a snapshot payload the way writeSnapshotPayload
+// does, for tests that assemble or edit a payload by hand.
+func withChecksumHeader(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return append(fmt.Appendf(nil, "%s v%d %s\n", snapshotMagic, snapshotVersion, hex.EncodeToString(sum[:])), payload...)
+}
+
+// TestSnapshotParentFileRestores pins the on-disk contract against a file an
+// older writer produced: testdata/parent_v2.snap was written by SnapshotTo at
+// the commit before snapshot items moved to sched.ItemJSON (m-shape then
+// v-shape, 4 devices, N = 8), when the solver still had its root-split engine
+// and entries carried its two counters and the worker count. It must restore
+// both entries and serve a hit, and the re-snapshot must be that file with
+// exactly those keys gone — v2 readers were never strict, so nothing else
+// about the format moved. One of its entries, framed alone the way a peer
+// replica of that age would send it, must go in through InsertPeerEntry too.
 func TestSnapshotParentFileRestores(t *testing.T) {
-	want, err := os.ReadFile("testdata/parent_v2.snap")
+	parent, err := os.ReadFile("testdata/parent_v2.snap")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := New(Options{})
-	if n, err := e.RestoreFrom(bytes.NewReader(want)); err != nil || n != 2 {
+	if n, err := e.RestoreFrom(bytes.NewReader(parent)); err != nil || n != 2 {
 		t.Fatalf("restore: n=%d err=%v", n, err)
 	}
-	if got := snapshotBytes(t, e); !bytes.Equal(got, want) {
-		t.Fatal("re-snapshot of the restored parent file is not byte-identical")
+	payload := parent[bytes.IndexByte(parent, '\n')+1:]
+	want := payload
+	// The repetend block carried the two counters under their JSON tags; the
+	// untagged core.Stats block carried them, and the worker count, under
+	// their Go field names.
+	goName := func(tag string) string {
+		var b strings.Builder
+		for _, w := range strings.Split(tag, "_") {
+			b.WriteString(strings.ToUpper(w[:1]) + w[1:])
+		}
+		return b.String()
+	}
+	for _, key := range []string{
+		"solver_shared_memo_hits", "solver_jobs_stolen",
+		goName("solver_shared_memo_hits"), goName("solver_jobs_stolen"), goName("solver_workers"),
+	} {
+		gone := []byte(`"` + key + `":0,`)
+		if bytes.Count(want, gone) != 2 {
+			t.Fatalf("parent file does not carry %s once per entry", gone)
+		}
+		want = bytes.ReplaceAll(want, gone, nil)
+	}
+	if got := snapshotBytes(t, e); !bytes.Equal(got, withChecksumHeader(want)) {
+		t.Fatal("re-snapshot of the restored parent file is not the parent payload minus the removed keys")
 	}
 	if _, info, err := e.Search(context.Background(), mshape(t), core.Options{N: 8}); err != nil || !info.Hit {
 		t.Fatalf("restored parent entry did not serve a hit: info=%+v err=%v", info, err)
+	}
+
+	var body struct {
+		Entries []json.RawMessage `json:"entries"`
+	}
+	if err := json.Unmarshal(payload, &body); err != nil || len(body.Entries) != 2 {
+		t.Fatalf("parent payload: %d entries, err=%v", len(body.Entries), err)
+	}
+	var entry struct {
+		Key string `json:"key"`
+	}
+	if err := json.Unmarshal(body.Entries[1], &entry); err != nil {
+		t.Fatal(err)
+	}
+	single := fmt.Appendf(nil, `{"version":%d,"entries":[%s]}`, snapshotVersion, body.Entries[1])
+	peer := New(Options{})
+	if _, err := peer.InsertPeerEntry(entry.Key, bytes.NewReader(withChecksumHeader(single))); err != nil {
+		t.Fatalf("parent entry as a peer entry: %v", err)
+	}
+	if _, info, err := peer.Search(context.Background(), mshape(t), core.Options{N: 8}); err != nil || !info.Hit {
+		t.Fatalf("peer-inserted parent entry did not serve a hit: info=%+v err=%v", info, err)
 	}
 }
 
@@ -337,9 +389,7 @@ func TestSnapshotBadEntrySkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(payload)
-	tampered := fmt.Appendf(nil, "%s v%d %s\n", snapshotMagic, snapshotVersion, hex.EncodeToString(sum[:]))
-	tampered = append(tampered, payload...)
+	tampered := withChecksumHeader(payload)
 
 	rec := &logRecorder{}
 	fresh := New(Options{Logf: rec.logf})

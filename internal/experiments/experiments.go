@@ -24,11 +24,6 @@ import (
 type Mode struct {
 	// Quick trims sweeps (fewer micro-batch points, lower NR caps).
 	Quick bool
-	// SolverWorkers is the per-solve branch-and-bound worker count every
-	// search in the suite runs with: ≥ 1 pins it, 0 resolves per solve
-	// (parallel only for large instances on multi-core machines). The
-	// measured schedules are identical for every explicit count ≥ 1.
-	SolverWorkers int
 }
 
 // UnitShapes returns the five canonical placements with unit costs
@@ -58,7 +53,7 @@ var ModelOrder = []string{"GPT", "mT5", "Flava"}
 
 // searchOpts are the default Tessel search options for unit-cost studies.
 func searchOpts(m Mode) core.Options {
-	o := core.Options{SolverWorkers: m.SolverWorkers}
+	var o core.Options
 	if m.Quick {
 		o.MaxNR = 4
 		o.MaxAssignments = 2000

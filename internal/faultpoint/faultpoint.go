@@ -2,8 +2,7 @@
 // stack's chaos tests. A point is a single call — faultpoint.Inject(name) —
 // placed at a location whose failure the robustness layer must contain: the
 // solver's solve entry (a panic there crosses the sweep's worker goroutines),
-// the parallel root-split job runner, the engine's singleflight leader, and
-// the snapshot writer.
+// the engine's singleflight leader, and the snapshot writer.
 //
 // In normal operation every point is disarmed and Inject is a single atomic
 // load returning nil — cheap enough to keep in release builds, so the tested
@@ -29,11 +28,6 @@ const (
 	// goroutine running the solve (a repetend-sweep worker for instance
 	// solves, the search goroutine for completion solves).
 	SolverSolve = "solver/solve"
-	// SolverParallelJob fires at the top of every parallel root-split job,
-	// on the worker goroutine that pulled the job (or the root goroutine
-	// during budget reconciliation). An armed error handler is delivered as
-	// a panic here: the point exists to exercise worker panic containment.
-	SolverParallelJob = "solver/parallel-job"
 	// CoreSweepFallback fires on the search goroutine between the two sweep
 	// passes of core.Search: the pass aimed at the lower bound has ended with
 	// no verified repetend and the unaimed pass has not started.

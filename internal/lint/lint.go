@@ -1,13 +1,12 @@
 // Package lint is tessel-lint: a suite of repo-specific static analyzers
 // that mechanically enforce the invariants the search stack is built on —
-// byte-identical determinism, zero allocations on the hot paths, atomic
-// discipline on shared state, context plumbing, and counter/serving
-// parity. The API deliberately mirrors golang.org/x/tools/go/analysis
-// (Analyzer, Pass, Diagnostic) so the analyzers read idiomatically and
-// could be ported to the real framework if this module ever takes the
-// dependency; the framework itself is reimplemented here on the standard
-// library because the build environment is offline and the module is
-// dependency-free.
+// byte-identical determinism, zero allocations on the hot paths, context
+// plumbing, and counter/serving parity. The API deliberately mirrors
+// golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
+// analyzers read idiomatically and could be ported to the real framework if
+// this module ever takes the dependency; the framework itself is
+// reimplemented here on the standard library because the build environment
+// is offline and the module is dependency-free.
 //
 // The analyzers and the invariants they guard:
 //
@@ -18,8 +17,6 @@
 //   - hotpathalloc: functions marked //tessel:noalloc (the solver node
 //     loop, the period engine's probe/relax/swap paths, memo operations)
 //     must not contain allocating constructs.
-//   - atomicfield: a struct field accessed through sync/atomic anywhere
-//     must never be read or written plainly anywhere else.
 //   - ctxflow: exported search entry points accept context.Context, and
 //     library code never conjures context.Background()/TODO() (modulo the
 //     nil-guard and Context-suffix convenience-wrapper idioms).
@@ -62,7 +59,7 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 	// All is every module package of the load (targets and module
-	// dependencies), for whole-program analyzers like atomicfield.
+	// dependencies), for whole-program analyzers like counterparity.
 	All []*Package
 
 	pkg   *Package
@@ -103,7 +100,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		HotPathAllocAnalyzer,
-		AtomicFieldAnalyzer,
 		CtxFlowAnalyzer,
 		CounterParityAnalyzer,
 	}

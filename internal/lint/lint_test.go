@@ -132,7 +132,6 @@ func checkExpectations(t *testing.T, wants []*expectation, diags []Diagnostic) {
 
 func TestDeterminismFixture(t *testing.T)  { runFixture(t, DeterminismAnalyzer, "determinism") }
 func TestHotPathAllocFixture(t *testing.T) { runFixture(t, HotPathAllocAnalyzer, "hotpathalloc") }
-func TestAtomicFieldFixture(t *testing.T)  { runFixture(t, AtomicFieldAnalyzer, "atomicfield") }
 func TestCtxFlowFixture(t *testing.T)      { runFixture(t, CtxFlowAnalyzer, "ctxflow") }
 func TestCounterParityFixture(t *testing.T) {
 	runFixture(t, CounterParityAnalyzer, "counterparity")
@@ -171,12 +170,12 @@ func TestDirectivesAudit(t *testing.T) {
 	}
 }
 
-// TestAnalyzersHaveDocs pins the suite's shape: five analyzers, named and
+// TestAnalyzersHaveDocs pins the suite's shape: four analyzers, named and
 // documented, registered under unique names.
 func TestAnalyzersHaveDocs(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 5 {
-		t.Fatalf("suite has %d analyzers, want 5", len(as))
+	if len(as) != 4 {
+		t.Fatalf("suite has %d analyzers, want 4", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

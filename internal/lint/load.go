@@ -15,7 +15,7 @@ package lint
 //     order, so a module package importing another module package resolves
 //     to the very same *types.Package — object identities (struct fields,
 //     functions) are shared across the whole load, which is what lets the
-//     atomicfield analyzer relate accesses in different packages;
+//     counterparity analyzer relate declarations in different packages;
 //   - everything else (the standard library) is imported from the export
 //     data via the compiler importer, exactly as a real driver would.
 //
@@ -212,11 +212,10 @@ func (ld *loader) check(path string) (*Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
+		Types:  make(map[ast.Expr]types.TypeAndValue),
+		Defs:   make(map[*ast.Ident]types.Object),
+		Uses:   make(map[*ast.Ident]types.Object),
+		Scopes: make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{
 		Importer: ld,

@@ -238,14 +238,6 @@ type Repetend struct {
 	// SolverMemoHits is the number of those nodes pruned by the solver's
 	// dominance memo.
 	SolverMemoHits int64
-	// SolverSharedMemoHits is the number of nodes pruned by the parallel
-	// solver's cross-job shared memo tier (disjoint from SolverMemoHits;
-	// zero on single-threaded solves).
-	SolverSharedMemoHits int64
-	// SolverJobsStolen is the number of root-split jobs the parallel
-	// solver re-split at a deterministic depth after they overran their
-	// first-pass node cap (zero on single-threaded or budgeted solves).
-	SolverJobsStolen int64
 	// Truncated is true when the instance makespan solve exhausted a node
 	// or wall-clock budget and fell back to its incumbent, so Starts (and
 	// the derived period) are budget-degraded rather than proven optimal.
@@ -271,8 +263,8 @@ type Repetend struct {
 // and probes as one that survives. The fields mirror the Repetend counters of
 // the same names.
 type Effort struct {
-	SolverNodes, SolverMemoHits, SolverSharedMemoHits, SolverJobsStolen int64
-	PeriodProbes, PeriodRelaxations, LocalSearchSwaps                   int64
+	SolverNodes, SolverMemoHits                       int64
+	PeriodProbes, PeriodRelaxations, LocalSearchSwaps int64
 	// The exact order check (Solve's second prune stage) has no Repetend
 	// counterpart: OrderChecks is the number of calls that ran it, OrderPruned
 	// how many of them it discarded, OrderNodes the branch nodes it expanded —
@@ -284,8 +276,6 @@ type Effort struct {
 func (e *Effort) Add(o Effort) {
 	e.SolverNodes += o.SolverNodes
 	e.SolverMemoHits += o.SolverMemoHits
-	e.SolverSharedMemoHits += o.SolverSharedMemoHits
-	e.SolverJobsStolen += o.SolverJobsStolen
 	e.PeriodProbes += o.PeriodProbes
 	e.PeriodRelaxations += o.PeriodRelaxations
 	e.LocalSearchSwaps += o.LocalSearchSwaps
@@ -301,12 +291,6 @@ type SolveOptions struct {
 	// SolverNodes / SolverTimeout bound the instance makespan solve.
 	SolverNodes   int64
 	SolverTimeout time.Duration
-	// SolverWorkers requests parallel branch-and-bound for the instance
-	// makespan solve: ≥ 1 fixes the worker count, 0 and negative values mean
-	// single-threaded search (solver.ResolveWorkers). The schedule is
-	// byte-identical for every explicit worker count ≥ 1 (solver.Options.
-	// Workers).
-	SolverWorkers int
 	// SimpleCompaction evaluates the repetend with Figure 6(a) semantics
 	// (ablation); default is tight compaction.
 	SimpleCompaction bool
@@ -575,7 +559,6 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			InitialMem: entry,
 			MaxNodes:   opts.SolverNodes,
 			Timeout:    opts.SolverTimeout,
-			Workers:    solver.ResolveWorkers(opts.SolverWorkers),
 		}
 		if bounded {
 			// Under Figure 6(a) semantics the period *is* the instance
@@ -588,7 +571,6 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		// A nil Pool falls back to the solver package's shared pool.
 		res, err := opts.Pool.Solve(ctx, instanceTasks(p, a), solveOpts)
 		eff.SolverNodes, eff.SolverMemoHits = res.Nodes, res.MemoHits
-		eff.SolverSharedMemoHits, eff.SolverJobsStolen = res.SharedMemoHits, res.JobsStolen
 		if err != nil {
 			return nil, err
 		}
@@ -613,15 +595,13 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		return nil, fmt.Errorf("%w: %s", verdict, detail)
 	}
 	r := &Repetend{
-		P:                    p,
-		Assign:               a.Clone(),
-		NR:                   maxOf(a) + 1,
-		EntryMem:             entry,
-		SolverNodes:          eff.SolverNodes,
-		SolverMemoHits:       eff.SolverMemoHits,
-		SolverSharedMemoHits: eff.SolverSharedMemoHits,
-		SolverJobsStolen:     eff.SolverJobsStolen,
-		Truncated:            !optimal,
+		P:              p,
+		Assign:         a.Clone(),
+		NR:             maxOf(a) + 1,
+		EntryMem:       entry,
+		SolverNodes:    eff.SolverNodes,
+		SolverMemoHits: eff.SolverMemoHits,
+		Truncated:      !optimal,
 	}
 	normalize(starts)
 	r.SimplePeriod = makespanOf(p, starts)

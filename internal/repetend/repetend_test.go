@@ -575,7 +575,7 @@ func TestSolveReportsEffortOnEveryPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	own := Effort{
-		SolverNodes: r.SolverNodes, SolverMemoHits: r.SolverMemoHits, SolverSharedMemoHits: r.SolverSharedMemoHits, SolverJobsStolen: r.SolverJobsStolen,
+		SolverNodes: r.SolverNodes, SolverMemoHits: r.SolverMemoHits,
 		PeriodProbes: r.PeriodProbes, PeriodRelaxations: r.PeriodRelaxations, LocalSearchSwaps: r.LocalSearchSwaps,
 	}
 	if eff != own || eff.SolverNodes == 0 || eff.PeriodProbes == 0 {

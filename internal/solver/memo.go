@@ -24,8 +24,6 @@ package solver
 // stored vectors it dominates) until memoCap total inserts, after which the
 // memo is read-only for the rest of the solve.
 
-import "sort"
-
 // memoCap bounds the number of vectors inserted per solve; beyond it the
 // memo keeps answering probes from what it has but stops growing.
 const memoCap = 1 << 18
@@ -249,174 +247,6 @@ func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64, sketch uint64
 	}
 	m.pBoundary = boundary
 	return false
-}
-
-// probeRO is the read-only variant of probe for the shared memo tier: it
-// answers the same dominance question but writes no probe cache, so any
-// number of worker searchers may call it concurrently on an immutable
-// table. It must never be followed by insert (insert consumes the cache
-// probe leaves behind); the shared tier is mutated only between batches,
-// on the coordinator, via probe/insert pairs.
-//
-//tessel:noalloc
-func (m *memoTable) probeRO(mask []uint64, vec []uint64, vsum int64, sketch uint64) bool {
-	if m.size == 0 {
-		return false
-	}
-	hash := hashMask(mask)
-	idx, found := m.findSlot(mask, hash)
-	if !found {
-		return false
-	}
-	sl := &m.slots[idx]
-	vlen := sl.vlen
-	for e := sl.head; e >= 0; {
-		ent := &m.entries[e]
-		if ent.sum > vsum {
-			break
-		}
-		if sketchLE(ent.sketch, sketch) && dominates(m.vecs[ent.off:ent.off+vlen], vec) {
-			return true
-		}
-		e = ent.next
-	}
-	return false
-}
-
-// forEach visits every live entry as (mask, vec, sum, sketch), stopping
-// early when fn returns false. The visit order — slots ascending, each
-// key's chain head-to-tail — is NOT canonical: reset retains whatever
-// slot array the table grew on earlier solves, so the hash layout (hash &
-// (len(slots)-1)) — and with it the visit order — depends on the history
-// of a sync.Pool-recycled searcher, not just on the producing search.
-// Anything that truncates a visit (promotion caps) must therefore go
-// through extractCanonical, never a raw forEach. The yielded slices alias
-// table storage and must not be retained across mutations; for
-// maskWords == 1 the mask slice is additionally reused between calls to
-// fn, so callers that retain masks must copy them.
-func (m *memoTable) forEach(fn func(mask, vec []uint64, sum int64, sketch uint64) bool) {
-	var kbuf [1]uint64
-	for i := range m.slots {
-		sl := &m.slots[i]
-		if sl.gen != m.gen || sl.head < 0 {
-			continue
-		}
-		var mask []uint64
-		if m.maskWords == 1 {
-			kbuf[0] = sl.key64
-			mask = kbuf[:1]
-		} else {
-			mask = m.masks[sl.maskOff : int(sl.maskOff)+m.maskWords]
-		}
-		for e := sl.head; e >= 0; e = m.entries[e].next {
-			ent := &m.entries[e]
-			if !fn(mask, m.vecs[ent.off:ent.off+sl.vlen], ent.sum, ent.sketch) {
-				return
-			}
-		}
-	}
-}
-
-// memoExtract is a flat, canonically ordered copy of a table's live
-// entries, built for shared-tier promotion. Entry i's mask occupies
-// masks[i*words:(i+1)*words] and its vector vecs[off[i]:off[i+1]]. The
-// storage is owned by the extract (nothing aliases the source table), so
-// it survives any later table mutation.
-type memoExtract struct {
-	masks  []uint64
-	vecs   []uint64
-	off    []int32
-	sums   []int64
-	sketch []uint64
-	words  int
-}
-
-func (x *memoExtract) len() int            { return len(x.sums) }
-func (x *memoExtract) mask(i int) []uint64 { return x.masks[i*x.words : (i+1)*x.words] }
-func (x *memoExtract) vec(i int) []uint64  { return x.vecs[x.off[i]:x.off[i+1]] }
-
-// extractCanonical copies every live entry out of the table and returns
-// it sorted by (mask, sum, vec) lexicographically, truncated to at most
-// limit entries (limit ≤ 0 = unlimited). The sort is what makes any cut —
-// the limit here, or memoCap at admission time — a pure function of the
-// table's *contents*: raw forEach order varies with the slot-array size a
-// pool-recycled searcher retained from earlier jobs (see forEach), so
-// slicing it would admit a history-dependent subset. Distinct entries
-// never tie under the sort key — two entries with equal mask and vector
-// cannot coexist (the later probe is dominated by the earlier entry and
-// is never inserted) — so the order is unique regardless of the sort
-// algorithm's stability.
-func (m *memoTable) extractCanonical(limit int) memoExtract {
-	raw := memoExtract{words: m.maskWords, off: make([]int32, 1, m.size+1)}
-	m.forEach(func(mask, vec []uint64, sum int64, sketch uint64) bool {
-		raw.masks = append(raw.masks, mask...)
-		raw.vecs = append(raw.vecs, vec...)
-		raw.off = append(raw.off, int32(len(raw.vecs)))
-		raw.sums = append(raw.sums, sum)
-		raw.sketch = append(raw.sketch, sketch)
-		return true
-	})
-	n := raw.len()
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool { //tessel:totalorder (mask, sum, vec) is a total order: equal mask+vec entries cannot coexist
-		ia, ib := ord[a], ord[b]
-		ma, mb := raw.mask(ia), raw.mask(ib)
-		for i := range ma {
-			if ma[i] != mb[i] {
-				return ma[i] < mb[i]
-			}
-		}
-		if raw.sums[ia] != raw.sums[ib] {
-			return raw.sums[ia] < raw.sums[ib]
-		}
-		// Equal masks share a key, hence a vector length.
-		va, vb := raw.vec(ia), raw.vec(ib)
-		for i := range va {
-			if va[i] != vb[i] {
-				return va[i] < vb[i]
-			}
-		}
-		return false
-	})
-	if limit > 0 && n > limit {
-		ord = ord[:limit]
-	}
-	out := memoExtract{
-		words:  m.maskWords,
-		masks:  make([]uint64, 0, len(ord)*m.maskWords),
-		off:    make([]int32, 1, len(ord)+1),
-		sums:   make([]int64, 0, len(ord)),
-		sketch: make([]uint64, 0, len(ord)),
-	}
-	for _, i := range ord {
-		out.masks = append(out.masks, raw.mask(i)...)
-		out.vecs = append(out.vecs, raw.vec(i)...)
-		out.off = append(out.off, int32(len(out.vecs)))
-		out.sums = append(out.sums, raw.sums[i])
-		out.sketch = append(out.sketch, raw.sketch[i])
-	}
-	return out
-}
-
-// absorb merges every entry of src into m with the probe/insert discipline
-// of the search itself: an entry dominated by what m already holds is
-// skipped, an admitted entry evicts the stored entries it dominates, and
-// memoCap still bounds growth. Entries are taken in canonical order, so
-// the subset admitted when memoCap bites does not depend on src's hash
-// layout. Called only on the coordinator before the first batch
-// (expansion-memo seeding), so the probe cache coupling probe/insert rely
-// on is safe.
-func (m *memoTable) absorb(src *memoTable) {
-	x := src.extractCanonical(0)
-	for i := 0; i < x.len() && m.size < memoCap; i++ {
-		mask, vec := x.mask(i), x.vec(i)
-		if !m.probe(mask, vec, x.sums[i], x.sketch[i]) {
-			m.insert(mask, vec, x.sums[i], x.sketch[i])
-		}
-	}
 }
 
 // insert records the vector of the probe that just missed, evicting the

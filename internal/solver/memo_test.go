@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -214,69 +213,6 @@ func TestMemoMatchesReference(t *testing.T) {
 				}
 			}
 			ref[mask] = append(kept, append([]int32(nil), vals...))
-		}
-	}
-}
-
-// TestMemoExtractCanonicalLayoutIndependent pins the fix for the
-// shared-tier promotion-order bug: reset retains the slot array a
-// sync.Pool-recycled searcher grew on earlier jobs, so raw forEach order
-// differs between a fresh table and a recycled one holding identical
-// entries — and a capped cut of that order would promote a
-// history-dependent subset. extractCanonical must return identical (and
-// identically truncated) extracts from both.
-func TestMemoExtractCanonicalLayoutIndependent(t *testing.T) {
-	var fresh, recycled memoTable
-	fresh.reset(1)
-	recycled.reset(1)
-	// Grow recycled's slot array well past memoMinSlots, then reset: the
-	// storage — and with it the hash layout — is retained.
-	for mask := uint64(0); mask < 4*memoMinSlots; mask++ {
-		insertVals(&recycled, mask, []int32{int32(mask % 97)})
-	}
-	recycled.reset(1)
-	if len(recycled.slots) == len(fresh.slots) {
-		t.Fatal("recycled table did not retain a grown slot array")
-	}
-
-	// Identical insert streams leave identical contents in both tables.
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		mask := uint64(rng.Intn(200))
-		vals := []int32{int32(rng.Intn(50)), int32(rng.Intn(50)), int32(rng.Intn(50))}
-		insertVals(&fresh, mask, vals)
-		insertVals(&recycled, mask, vals)
-	}
-
-	// The raw iteration orders must actually differ, or the canonical sort
-	// is not being exercised.
-	var orderA, orderB []int64
-	fresh.forEach(func(_, _ []uint64, sum int64, _ uint64) bool {
-		orderA = append(orderA, sum)
-		return true
-	})
-	recycled.forEach(func(_, _ []uint64, sum int64, _ uint64) bool {
-		orderB = append(orderB, sum)
-		return true
-	})
-	if slices.Equal(orderA, orderB) {
-		t.Fatal("forEach orders coincide; pick inputs that split the layouts")
-	}
-
-	for _, limit := range []int{0, 40} {
-		a := fresh.extractCanonical(limit)
-		b := recycled.extractCanonical(limit)
-		if a.len() != b.len() {
-			t.Fatalf("limit %d: extract lengths differ: %d vs %d", limit, a.len(), b.len())
-		}
-		if limit > 0 && a.len() != limit {
-			t.Fatalf("limit %d: extract kept %d entries", limit, a.len())
-		}
-		for i := 0; i < a.len(); i++ {
-			if !slices.Equal(a.mask(i), b.mask(i)) || !slices.Equal(a.vec(i), b.vec(i)) ||
-				a.sums[i] != b.sums[i] || a.sketch[i] != b.sketch[i] {
-				t.Fatalf("limit %d: extracts diverge at entry %d", limit, i)
-			}
 		}
 	}
 }

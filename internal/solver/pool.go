@@ -29,27 +29,13 @@ func (pl *Pool) Solve(ctx context.Context, tasks []Task, opts Options) (Result, 
 	if pl == nil {
 		pl = defaultPool
 	}
-	s := pl.get()
-	s.pool = pl // parallel solves draw their worker searchers here
-	res, err := s.solve(ctx, tasks, opts)
-	pl.p.Put(s)
-	return res, err
-}
-
-// get returns a recycled (or fresh) searcher; the caller must return it
-// with put. Used by Solve and by the parallel root split for its workers.
-func (pl *Pool) get() *searcher {
 	s, _ := pl.p.Get().(*searcher)
 	if s == nil {
 		s = &searcher{}
 	}
-	return s
-}
-
-// put releases every caller reference the searcher holds and recycles it.
-func (pl *Pool) put(s *searcher) {
-	s.releaseRefs()
+	res, err := s.solve(ctx, tasks, opts)
 	pl.p.Put(s)
+	return res, err
 }
 
 // defaultPool backs the package-level Solve, so every caller shares the

@@ -56,8 +56,14 @@
 // (testdata/solves.golden.json holds every bound to that). Dominance
 // pruning selects among equally-optimal schedules, so strengthening it can
 // change which optimal start vector a solve returns (never its makespan,
-// feasibility, or optimality verdicts); searches remain deterministic and
-// worker-count independent.
+// feasibility, or optimality verdicts); searches remain deterministic.
+//
+// A solve is one sequential depth-first search. The concurrency of a Tessel
+// search is the paper's own — Algorithm 1's loop over N_R and assignments,
+// core.Options.Workers — one layer up: the instance solves of a sweep are a
+// few thousand nodes each, and splitting a single solve across workers was
+// measured 3–5× slower than this search on every instance that still needs
+// one (EXPERIMENTS.md, "Jobs mode").
 //
 // The problem is NP-hard (§III-B); the solver therefore accepts node and
 // wall-clock budgets and reports whether the returned result is proven
@@ -154,17 +160,9 @@ type Options struct {
 	// When no schedule passes, Result.BoundPruned distinguishes "nothing
 	// within the seeded bound" from absolute infeasibility.
 	UpperBound int
-	// Workers, when ≥ 1, runs the optimizing search as a deterministic
-	// root-split across that many concurrent workers (parallel.go): the
-	// Result — Starts, Makespan, verdict flags, and every effort counter
-	// (Nodes, both memo-hit tiers, JobsStolen) — is byte-identical for
-	// every Workers value ≥ 1, including 1. Zero or
-	// negative keeps the single-threaded search (whose equally-optimal
-	// schedule choice may differ from the split search's, since the
-	// dominance memo is partitioned differently). SatisfyOnly solves are
-	// always single-threaded: they stop at the first feasible schedule, a
-	// race by construction. Use ResolveWorkers to map a caller-facing
-	// "0 = auto" setting to this field.
+	// Workers is not read: every solve is the one sequential search. The
+	// field remains only because benchmark/layerprobe/main.go:662 — frozen
+	// outside benchmark-only changes — still sets it for its nmb6_w2 probe.
 	Workers int
 }
 
@@ -187,26 +185,12 @@ type Result struct {
 	Makespan int
 	// Starts holds the start time per task (parallel to the input slice).
 	Starts []int
-	// Nodes is the number of unique search nodes expanded: every counted
-	// node corresponds to one state the search processed exactly once in
-	// the reported total. The parallel paths preserve this meaning — a
-	// budget-reconciliation re-solve supersedes (not adds to) its first
-	// pass, and a split probe pass whose subtree is re-searched by
-	// sub-jobs is excluded — so Nodes is comparable across Workers
-	// settings and is the numerator of nodes-per-second rates.
+	// Nodes is the number of search nodes expanded — the numerator of
+	// nodes-per-second rates.
 	Nodes int64
-	// MemoHits is the number of nodes pruned by the job-private dominance
-	// memo — the per-solve effectiveness measure of the memoization.
+	// MemoHits is the number of nodes pruned by the dominance memo — the
+	// per-solve effectiveness measure of the memoization.
 	MemoHits int64
-	// SharedMemoHits is the number of nodes pruned by the cross-job shared
-	// memo tier of the parallel search (disjoint from MemoHits; always 0
-	// on the single-threaded path and when the memo is disabled).
-	SharedMemoHits int64
-	// JobsStolen is the number of root-split jobs whose subtree the
-	// parallel search split further at a deterministic depth after the
-	// job overran its first-pass node cap — the work-stealing counter.
-	// Always 0 on the single-threaded path and on budgeted solves.
-	JobsStolen int64
 	// Elapsed is the wall-clock solve time.
 	Elapsed time.Duration
 }
@@ -296,18 +280,10 @@ type searcher struct {
 	liveMask    []uint64
 	succUnsched []int32 // per task: number of unscheduled successors
 
-	memo memoTable
-	// sharedTier, when non-nil, is the parallel solve's read-mostly shared
-	// memo tier: probed (read-only) before the private memo, immutable for
-	// the duration of a job batch, mutated only by the coordinator between
-	// batches. Hits are counted separately — the two tiers partition the
-	// memo prunes.
-	sharedTier     *memoTable
-	memoHits       int64
-	sharedMemoHits int64
-	jobsStolen     int64
-	vecScratch     []uint64 // scratch for packed dominance probes
-	sketchShift    uint     // quantization shift for the memo sketch buckets
+	memo        memoTable
+	memoHits    int64
+	vecScratch  []uint64 // scratch for packed dominance probes
+	sketchShift uint     // quantization shift for the memo sketch buckets
 	// buckets holds the 8 partial sums of the dominance state (device
 	// availabilities bucketed by dev&7, finishes of scheduled tasks with
 	// successors by (d+task)&7), maintained incrementally by apply/undo so
@@ -328,32 +304,6 @@ type searcher struct {
 	gStarts   []int
 	gFront    []int32
 	gFrontPos []int32
-
-	// Parallel root-split state (parallel.go). pool lets the root searcher
-	// draw worker searchers from the pool that produced it; shared is the
-	// cross-worker incumbent (publication only — pruning reads the frozen
-	// batchBound below, never the live atomic); pathStack tracks the
-	// expansion prefix;
-	// the pfx* buffers save per-depth undo state when a worker replays a
-	// job prefix; jobSeed* is the fixed incumbent seed restored per job.
-	pool            *Pool
-	shared          *sharedIncumbent
-	pathStack       []int32
-	pfxAvail        []int
-	pfxOff          []int
-	pfxMakespan     []int
-	pfxMaxTail      []int
-	jobSeedMakespan int
-	jobSeedSet      bool
-	// batchBound is the frozen cross-job pruning bound of the current job:
-	// the best verified makespan of strictly earlier batches, assigned by
-	// the coordinator when the job's batch is formed (pJob.bound). Jobs
-	// never read the live shared incumbent — visibility of cross-job
-	// improvements is batch-synchronous, like the shared memo tier — so a
-	// job's node count is a pure function of the job sequence, identical
-	// for every worker count. MaxInt/2 (no cross-job bound) outside
-	// parallel solves.
-	batchBound int
 
 	best       Result
 	bestStarts []int // incumbent start times, reused across improvements
@@ -399,15 +349,9 @@ func (s *searcher) solve(ctx context.Context, tasks []Task, opts Options) (Resul
 		s.releaseRefs()
 		return Result{}, err
 	}
-	if opts.Workers >= 1 && !opts.SatisfyOnly && s.n >= 2 {
-		s.runParallel()
-	} else {
-		s.run()
-	}
+	s.run()
 	s.best.Nodes = s.nodes
 	s.best.MemoHits = s.memoHits
-	s.best.SharedMemoHits = s.sharedMemoHits
-	s.best.JobsStolen = s.jobsStolen
 	s.best.Elapsed = time.Since(s.startTime)
 	s.best.Optimal = s.bestSet && !s.truncated && !(opts.SatisfyOnly)
 	if opts.SatisfyOnly && s.bestSet {
@@ -448,7 +392,6 @@ func (s *searcher) solve(ctx context.Context, tasks []Task, opts Options) (Resul
 func (s *searcher) releaseRefs() {
 	s.ctx, s.tasks = nil, nil
 	s.opts = Options{}
-	s.pool, s.shared, s.sharedTier = nil, nil, nil
 }
 
 // --- buffer reuse helpers --------------------------------------------------
@@ -702,10 +645,7 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	if !opts.DisableMemo {
 		s.memo.reset(s.maskWords)
 	}
-	s.sharedTier = nil
 	s.memoHits = 0
-	s.sharedMemoHits = 0
-	s.jobsStolen = 0
 
 	// Frontier: initially the symmetry-unlocked roots.
 	s.frontPos = int32sN(s.frontPos, n)
@@ -748,7 +688,6 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	if opts.UpperBound > 0 {
 		s.best.Makespan = opts.UpperBound
 	}
-	s.batchBound = math.MaxInt / 2
 	s.bestSet = false
 	s.nodes = 0
 	s.boundCut = false
@@ -808,21 +747,11 @@ func (s *searcher) cutByBound(lb int) bool {
 }
 
 // cutoff reports whether a branch with lower bound lb cannot strictly
-// improve the incumbent. On the single-threaded path that is the local
-// incumbent alone; a parallel job additionally prunes against its frozen
-// batch bound (the best makespan of strictly earlier batches) — with a
-// *strict* comparison, so branches that tie the bound survive and every
-// job still finds its first optimal-makespan schedule in DFS order (the
-// determinism of the merged Starts vector rests on this). The bound is
-// deliberately not the live shared incumbent: a live read would make the
-// node count depend on publication timing, i.e. on the worker count.
+// improve the incumbent.
 //
 //tessel:noalloc
 func (s *searcher) cutoff(lb int) bool {
-	if lb >= s.best.Makespan {
-		return true
-	}
-	return lb > s.batchBound
+	return lb >= s.best.Makespan
 }
 
 //tessel:noalloc
@@ -831,11 +760,6 @@ func (s *searcher) record(starts []int, makespan int) {
 	s.best.Makespan = makespan
 	s.bestStarts = append(s.bestStarts[:0], starts...)
 	s.bestSet = true
-	if s.shared != nil {
-		// The schedule is complete and satisfied every constraint and bound
-		// check — verified — so it may be published to the other workers.
-		s.shared.offer(makespan, s.bestStarts)
-	}
 }
 
 // greedy runs a deterministic list-scheduling dispatch: always append the
@@ -1156,8 +1080,7 @@ func (s *searcher) frontSync(t int) {
 
 // prunedOrMemo runs the per-node pruning pipeline — incremental lower
 // bounds, dominance memo, critical-path bound — exactly once per expanded
-// node and reports whether the node is pruned. Shared between dfs and the
-// parallel prefix expansion so both search the identical tree.
+// node and reports whether the node is pruned.
 //
 //tessel:noalloc
 func (s *searcher) prunedOrMemo() bool {
@@ -1190,21 +1113,10 @@ func (s *searcher) prunedOrMemo() bool {
 	// into the memo iff its probe missed and pathBound kept the node — the
 	// same set of states the non-reordered search memoizes.
 	if !s.opts.DisableMemo {
-		// The shared tier (parallel solves only) is probed read-only right
-		// before the private memo: a shared hit means an earlier job's
-		// fully-explored subtree dominates this state, so the node is
-		// pruned without touching — or growing — the private memo. The two
-		// tiers therefore partition the memo prunes (MemoHits vs
-		// SharedMemoHits) and a state enters the private memo only when
-		// both tiers missed.
 		if s.bestSet && s.deadline == Unbounded {
 			vec := s.fillStateVector(s.vecScratch)
 			s.vecScratch = vec
 			sketch, vsum := s.sketchAndSum()
-			if s.sharedTier != nil && s.sharedTier.probeRO(s.mask, vec, vsum, sketch) {
-				s.sharedMemoHits++
-				return true
-			}
 			if s.memo.probe(s.mask, vec, vsum, sketch) {
 				s.memoHits++
 				return true
@@ -1220,10 +1132,6 @@ func (s *searcher) prunedOrMemo() bool {
 			vec := s.fillStateVector(s.vecScratch)
 			s.vecScratch = vec
 			sketch, vsum := s.sketchAndSum()
-			if s.sharedTier != nil && s.sharedTier.probeRO(s.mask, vec, vsum, sketch) {
-				s.sharedMemoHits++
-				return true
-			}
 			if s.memo.probe(s.mask, vec, vsum, sketch) {
 				s.memoHits++
 				return true

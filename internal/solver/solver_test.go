@@ -3,6 +3,7 @@ package solver
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -26,6 +27,48 @@ func vshape(d, fwd, bwd int) *sched.Placement {
 		p.Deps[i] = []int{i + 1}
 	}
 	return p
+}
+
+// searchTasks builds the whole-problem M-shape task system (4 devices, n
+// micro-batches) for tests that need a solve the lower bounds do not decide.
+// V- and K-shape whole problems close at the root since the one-machine bound;
+// M-shape stays exponential (n = 3: 4,886 nodes, n = 4: 111,756). The helper
+// fails the test when the solver proves the instance in fewer than minNodes
+// nodes, so a later bound that flattens this family too is reported by every
+// test seated on it instead of letting them pass on a one-node search.
+func searchTasks(t testing.TB, n int, minNodes int64) []Task {
+	t.Helper()
+	p, err := placement.MShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := BuildTasks(p, AllBlocks(p, n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Solve(context.Background(), tasks, Options{MaxNodes: minNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Optimal {
+		t.Fatalf("m-shape n=%d is proven in %d nodes; this test needs a search of at least %d", n, res.Nodes, minNodes)
+	}
+	return tasks
+}
+
+// vshapeTasks builds the v-shape 4-device task system with n micro-batches,
+// which the lower bounds decide at the root: a greedy dispatch plus one node.
+func vshapeTasks(t testing.TB, n int) []Task {
+	t.Helper()
+	p, err := placement.VShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := BuildTasks(p, AllBlocks(p, n), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tasks
 }
 
 func mustSolve(t *testing.T, tasks []Task, opts Options) Result {
@@ -668,5 +711,21 @@ func TestSolveBoundPruned(t *testing.T) {
 	res = mustSolve(t, tight, Options{Memory: 3, UpperBound: 100, Deadline: 99})
 	if res.Feasible || res.BoundPruned {
 		t.Fatalf("slack bound must not relabel absolute infeasibility: %+v", res)
+	}
+}
+
+// TestSolveIgnoresWorkers: Options.Workers is a field Solve does not read —
+// there is one search engine — so a caller that still sets it gets the
+// Result of the same call without it, counters included, optimizing and
+// SatisfyOnly.
+func TestSolveIgnoresWorkers(t *testing.T) {
+	tasks := searchTasks(t, 3, 4000)
+	for _, satisfy := range []bool{false, true} {
+		base := mustSolve(t, tasks, Options{SatisfyOnly: satisfy})
+		res := mustSolve(t, tasks, Options{SatisfyOnly: satisfy, Workers: 2})
+		base.Elapsed, res.Elapsed = 0, 0
+		if !reflect.DeepEqual(base, res) {
+			t.Fatalf("SatisfyOnly=%v: Workers 2 returned %+v, Workers 0 %+v", satisfy, res, base)
+		}
 	}
 }

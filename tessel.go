@@ -127,13 +127,6 @@ func TimeOptimalContext(ctx context.Context, p *Placement, n int, opts SearchOpt
 // SolverResult reports a raw exact-solver outcome (see internal/solver).
 type SolverResult = solver.Result
 
-// ResolveSolverWorkers maps SearchOptions.SolverWorkers to the effective
-// per-solve branch-and-bound worker count: explicit requests ≥ 1 are honored
-// verbatim, auto (0) and negative values mean single-threaded search. Callers
-// exposing worker configuration (CLIs, servers) use it to report what a
-// setting will actually do.
-var ResolveSolverWorkers = solver.ResolveWorkers
-
 // MaxInflight computes the paper's CalMaxInflight bound.
 var MaxInflight = core.MaxInflight
 
