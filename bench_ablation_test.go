@@ -1,6 +1,5 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: tight vs
-// simple repetend compaction (Figure 6), lazy vs eager schedule completion
-// (§V), period local search, and the solver's symmetry/dominance pruning.
+// Ablation benchmarks for the design choices DESIGN.md calls out: lazy vs
+// eager schedule completion (§V) and the solver's symmetry/dominance pruning.
 package tessel_test
 
 import (
@@ -32,18 +31,6 @@ func benchSearch(b *testing.B, p *tessel.Placement, opts core.Options) {
 	}
 }
 
-// BenchmarkAblationTightCompaction measures the search with the Figure 6(b)
-// tight inter-repetend compaction (the default).
-func BenchmarkAblationTightCompaction(b *testing.B) {
-	benchSearch(b, mustShape(b, tessel.NewMShape), core.Options{})
-}
-
-// BenchmarkAblationSimpleCompaction measures the Figure 6(a) ablation: the
-// next repetend waits for the whole previous one.
-func BenchmarkAblationSimpleCompaction(b *testing.B) {
-	benchSearch(b, mustShape(b, tessel.NewMShape), core.Options{SimpleCompaction: true})
-}
-
 // BenchmarkAblationLazySearch measures the default lazy completion checks.
 func BenchmarkAblationLazySearch(b *testing.B) {
 	benchSearch(b, mustShape(b, tessel.NewNNShape), core.Options{})
@@ -53,16 +40,6 @@ func BenchmarkAblationLazySearch(b *testing.B) {
 // every improving repetend (lazy search disabled, §V).
 func BenchmarkAblationEagerSearch(b *testing.B) {
 	benchSearch(b, mustShape(b, tessel.NewNNShape), core.Options{DisableLazy: true})
-}
-
-// BenchmarkAblationLocalSearchOn measures repetend order local search.
-func BenchmarkAblationLocalSearchOn(b *testing.B) {
-	benchSearch(b, mustShape(b, tessel.NewKShape), core.Options{})
-}
-
-// BenchmarkAblationLocalSearchOff disables the adjacent-swap improvement.
-func BenchmarkAblationLocalSearchOff(b *testing.B) {
-	benchSearch(b, mustShape(b, tessel.NewKShape), core.Options{DisableLocalSearch: true})
 }
 
 // solverTasks builds the whole-problem M-shape instance (4 devices, n

@@ -81,15 +81,12 @@ type searchRequest struct {
 }
 
 type searchRequestOptions struct {
-	N                  int   `json:"n"`
-	Memory             int   `json:"memory"`
-	MaxNR              int   `json:"max_nr"`
-	MaxAssignments     int   `json:"max_assignments"`
-	SolverNodes        int64 `json:"solver_nodes"`
-	SolverTimeoutMS    int64 `json:"solver_timeout_ms"`
-	DisableLazy        bool  `json:"disable_lazy"`
-	SimpleCompaction   bool  `json:"simple_compaction"`
-	DisableLocalSearch bool  `json:"disable_local_search"`
+	N               int   `json:"n"`
+	Memory          int   `json:"memory"`
+	MaxNR           int   `json:"max_nr"`
+	MaxAssignments  int   `json:"max_assignments"`
+	SolverNodes     int64 `json:"solver_nodes"`
+	SolverTimeoutMS int64 `json:"solver_timeout_ms"`
 	// AllowDegraded opts in to a node-capped best-effort search when
 	// admission control would otherwise shed the request with 429. The
 	// response marks such results with "degraded": true.
@@ -451,17 +448,14 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := tessel.SearchOptions{
-		N:                  req.Options.N,
-		Memory:             req.Options.Memory,
-		MaxNR:              req.Options.MaxNR,
-		MaxAssignments:     req.Options.MaxAssignments,
-		SolverNodes:        req.Options.SolverNodes,
-		SolverTimeout:      s.cfg.solverTimeout,
-		DisableLazy:        req.Options.DisableLazy,
-		SimpleCompaction:   req.Options.SimpleCompaction,
-		DisableLocalSearch: req.Options.DisableLocalSearch,
+		N:              req.Options.N,
+		Memory:         req.Options.Memory,
+		MaxNR:          req.Options.MaxNR,
+		MaxAssignments: req.Options.MaxAssignments,
+		SolverNodes:    req.Options.SolverNodes,
+		SolverTimeout:  s.cfg.solverTimeout,
 	}
-	if req.Options.SolverTimeoutMS > 0 {
+	if req.Options.SolverTimeoutMS != 0 {
 		opts.SolverTimeout = time.Duration(req.Options.SolverTimeoutMS) * time.Millisecond
 	}
 

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -111,5 +112,55 @@ func TestNewServerRejectsBadConfig(t *testing.T) {
 		if _, err := newServer(testConfig(t, args...)); err == nil {
 			t.Errorf("newServer accepted %v", args)
 		}
+	}
+}
+
+// TestServeRequestOptionsContract pins the options /v1/search reads to a
+// literal list, and the three it stopped reading — the repetend-compaction,
+// local-search and lazy-search toggles, none of which could change a period
+// for the better — to what happens to any unknown key: a 200, and the cache
+// entry and schedule bytes of the same request without them.
+func TestServeRequestOptionsContract(t *testing.T) {
+	var names []string
+	rt := reflect.TypeOf(searchRequestOptions{})
+	for i := 0; i < rt.NumField(); i++ {
+		names = append(names, rt.Field(i).Tag.Get("json"))
+	}
+	want := []string{"n", "memory", "max_nr", "max_assignments", "solver_nodes", "solver_timeout_ms", "allow_degraded"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("request options %v, want %v", names, want)
+	}
+
+	s := newTestServer(t)
+	post := func(options json.RawMessage) (bool, []byte) {
+		t.Helper()
+		w := postOptions(t, s, options)
+		if w.Code != 200 {
+			t.Fatalf("options %s: status %d: %s", options, w.Code, w.Body.String())
+		}
+		var resp struct {
+			CacheHit bool            `json:"cache_hit"`
+			Schedule json.RawMessage `json:"schedule"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.CacheHit, resp.Schedule
+	}
+	hit, bare := post(json.RawMessage(`{"n": 6}`))
+	if hit {
+		t.Fatal("first search hit the cache")
+	}
+	// testdata/retired_options.json: n = 6 with all three toggles set true.
+	old, err := os.ReadFile("testdata/retired_options.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, retired := post(old)
+	if !hit {
+		t.Fatal("the retired toggles selected a cache class of their own")
+	}
+	if !bytes.Equal(retired, bare) {
+		t.Fatalf("the retired toggles changed the schedule:\n%s\nwithout them:\n%s", retired, bare)
 	}
 }

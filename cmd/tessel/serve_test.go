@@ -61,6 +61,19 @@ func postSearch(t *testing.T, s *server, body string) *httptest.ResponseRecorder
 	return w
 }
 
+// postOptions posts the test placement with the given options object.
+func postOptions(t *testing.T, s *server, options any) *httptest.ResponseRecorder {
+	t.Helper()
+	body, err := json.Marshal(map[string]any{
+		"placement": json.RawMessage(placementJSON(t)),
+		"options":   options,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postSearch(t, s, string(body))
+}
+
 // TestServeSearchEndToEnd drives the handler twice with the same placement
 // and checks the second response is flagged as a cache hit and agrees with
 // the first on the makespan.
@@ -187,9 +200,9 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeNegativeN: a negative micro-batch count is a request-validation
-// failure — a clean 400 (not 422, and not a handler panic) — and the same
-// placement stays searchable.
+// TestServeNegativeN: a negative micro-batch count — or budget — is a
+// request-validation failure — a clean 400 (not 422, and not a handler
+// panic) — and the same placement stays searchable.
 func TestServeNegativeN(t *testing.T) {
 	s := newTestServer(t)
 	body, err := json.Marshal(map[string]any{
@@ -201,6 +214,12 @@ func TestServeNegativeN(t *testing.T) {
 	}
 	if w := postSearch(t, s, string(body)); w.Code != 400 {
 		t.Fatalf("negative n status %d: %s", w.Code, w.Body.String())
+	}
+	// Negative budgets are refused the same way, degradation opt-in or not.
+	for _, opt := range []string{"memory", "max_assignments", "solver_nodes", "solver_timeout_ms"} {
+		if w := postOptions(t, s, map[string]any{"n": 4, opt: -1, "allow_degraded": true}); w.Code != 400 {
+			t.Fatalf("negative %s status %d: %s", opt, w.Code, w.Body.String())
+		}
 	}
 	good, _ := json.Marshal(map[string]any{
 		"placement": json.RawMessage(placementJSON(t)),
@@ -219,14 +238,7 @@ func TestServeIgnoresRetiredWorkersOption(t *testing.T) {
 	s := newTestServer(t)
 	post := func(options map[string]any) searchResponse {
 		t.Helper()
-		body, err := json.Marshal(map[string]any{
-			"placement": json.RawMessage(placementJSON(t)),
-			"options":   options,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := postSearch(t, s, string(body))
+		w := postOptions(t, s, options)
 		if w.Code != 200 {
 			t.Fatalf("options %v: status %d: %s", options, w.Code, w.Body.String())
 		}
@@ -241,43 +253,6 @@ func TestServeIgnoresRetiredWorkersOption(t *testing.T) {
 	}
 	if second := post(map[string]any{"n": 4}); !second.CacheHit {
 		t.Fatal("the same request without solver_workers ran its own search")
-	}
-}
-
-// TestServeDisableLocalSearch: the disable_local_search option reaches the
-// engine — a request differing only in that flag must run its own search
-// (distinct cache key), not be served from the other flavor's cache entry.
-func TestServeDisableLocalSearch(t *testing.T) {
-	s := newTestServer(t)
-	post := func(disable bool) searchResponse {
-		t.Helper()
-		body, err := json.Marshal(map[string]any{
-			"placement": json.RawMessage(placementJSON(t)),
-			"options":   map[string]any{"n": 6, "disable_local_search": disable},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := postSearch(t, s, string(body))
-		if w.Code != 200 {
-			t.Fatalf("status %d: %s", w.Code, w.Body.String())
-		}
-		var resp searchResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	first := post(false)
-	if first.CacheHit {
-		t.Fatal("first request reported a cache hit")
-	}
-	second := post(true)
-	if second.CacheHit {
-		t.Fatal("disable_local_search=true was served from the default-options cache entry")
-	}
-	if again := post(true); !again.CacheHit {
-		t.Fatal("repeat disable_local_search=true request missed the cache")
 	}
 }
 

@@ -70,8 +70,8 @@ const (
 )
 
 // Options configures a Search call. The zero value searches with unbounded
-// memory, default budgets, lazy search enabled, tight compaction, and a
-// final schedule of 3·N_R micro-batches.
+// memory, default budgets, lazy search enabled, and a final schedule of
+// 3·N_R micro-batches.
 type Options struct {
 	// Memory is the per-device capacity M (0 = unbounded).
 	Memory int
@@ -94,10 +94,6 @@ type Options struct {
 	// cooldown are then solved time-optimally for every improving repetend
 	// instead of once at the end (the Figure 10(b) ablation).
 	DisableLazy bool
-	// SimpleCompaction evaluates repetends with Figure 6(a) semantics.
-	SimpleCompaction bool
-	// DisableLocalSearch turns off repetend order improvement.
-	DisableLocalSearch bool
 	// Workers sets the number of concurrent repetend solvers per N_R sweep
 	// (0 = GOMAXPROCS). The chosen repetend and the returned schedule are
 	// identical for every Workers setting — the sweep judges candidates in
@@ -124,8 +120,8 @@ type Stats struct {
 	Solved int
 	// Pruned is the number of assignments abandoned against the shared
 	// incumbent period — before their instance solve (the order-independent
-	// relaxation, or the exact order check: OrderPruned), during it, or after
-	// it and local search.
+	// relaxation, or the exact order check: OrderPruned), or after it and
+	// local search.
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
@@ -298,14 +294,12 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	// once.
 	pool := solver.NewPool()
 	repOpts := repetend.SolveOptions{
-		Memory:             opts.Memory,
-		SolverNodes:        opts.SolverNodes,
-		SolverTimeout:      opts.SolverTimeout,
-		SimpleCompaction:   opts.SimpleCompaction,
-		DisableLocalSearch: opts.DisableLocalSearch,
-		Pool:               pool,
-		PeriodPool:         repetend.NewPeriodPool(),
-		Cache:              repetend.NewSolveCache(),
+		Memory:        opts.Memory,
+		SolverNodes:   opts.SolverNodes,
+		SolverTimeout: opts.SolverTimeout,
+		Pool:          pool,
+		PeriodPool:    repetend.NewPeriodPool(),
+		Cache:         repetend.NewSolveCache(),
 	}
 
 	sweep := func(aim int) error {
@@ -338,23 +332,6 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	if best == nil {
 		return nil, fmt.Errorf("core: no feasible repetend for %s within memory %d and N_R ≤ %d", p.Name, opts.Memory, maxNR)
 	}
-	if opts.SimpleCompaction && st.bestBound > 0 {
-		// Under simple compaction the winning instance solve was seeded with
-		// the incumbent period of the moment, which can steer the solver to
-		// a different (equally optimal) start-time vector than an unbounded
-		// solve. Re-solve the winner canonically so the returned schedule
-		// bytes never depend on incumbent timing. (Tight-compaction results
-		// are bound-independent by construction and skip this.)
-		canonOpts := repOpts
-		canonOpts.PeriodUpperBound = 0
-		// Keep the sweep's verified best if the unbounded re-solve comes
-		// back worse — possible only when a node/wall budget truncated it.
-		if r, err := repetend.Solve(ctx, p, best.Assign, canonOpts); err == nil && r.Period <= best.Period {
-			best = r
-		} else if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
 	res.Repetend = best
 	res.BubbleRate = best.SteadyBubbleRate()
 
@@ -372,14 +349,11 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 }
 
 // sweepState is the cross-round state of one Search's repetend sweep: the
-// verified best repetend, the incumbent bound in effect when it was solved,
-// and the shared atomic incumbent every solver worker prunes against.
+// verified best repetend and the shared atomic incumbent every solver worker
+// prunes against.
 type sweepState struct {
 	// best is the best completion-verified repetend so far.
 	best *repetend.Repetend
-	// bestBound is the PeriodUpperBound best's solve ran under (0 = none);
-	// Search uses it to decide whether a canonical re-solve is needed.
-	bestBound int
 	// incumbent is the period candidates are pruned against: the device-work
 	// lower bound while the first pass aims at it, afterwards the smallest
 	// completion-verified period published so far (0 = none yet). Workers
@@ -405,9 +379,8 @@ type assignTask struct {
 // skipped, or cancelled assignments), so the collector can process results
 // in enumeration order.
 type solveOutcome struct {
-	seq   int
-	r     *repetend.Repetend
-	bound int // incumbent snapshot the solve pruned against
+	seq int
+	r   *repetend.Repetend
 	// panicked carries a panic recovered inside the worker's solve: recover
 	// only works on the panicking goroutine, so the worker contains the
 	// crash and the collector re-raises it on the Search goroutine, where
@@ -508,8 +481,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 					resultCh <- solveOutcome{seq: task.seq} // drain
 					continue
 				}
-				bound := int(st.incumbent.Load())
-				ro.PeriodUpperBound = bound
+				ro.PeriodUpperBound = int(st.incumbent.Load())
 				//tessel:waive:determinism wall-clock feeds only the repNanos throughput telemetry, never schedule bytes
 				t0 := time.Now()
 				r, err, pv := solveAssignment(ctx, p, task.a, ro)
@@ -534,7 +506,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 				if r.Truncated {
 					truncSlv.Store(true)
 				}
-				resultCh <- solveOutcome{seq: task.seq, r: r, bound: bound}
+				resultCh <- solveOutcome{seq: task.seq, r: r}
 			}
 		}()
 	}
@@ -575,7 +547,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 			res.Stats.Improved++
 			st.incumbent.Store(int64(r.Period))
 		}
-		st.best, st.bestBound = r, out.bound
+		st.best = r
 		if r.Period == res.LowerBound {
 			res.Stats.EarlyExit = true
 			done = true

@@ -164,22 +164,6 @@ func TestSearchLazyMatchesEager(t *testing.T) {
 	}
 }
 
-func TestSearchSimpleCompactionNeverBetter(t *testing.T) {
-	p := shape(t, "v-shape", 4)
-	tight, err := Search(context.Background(), p, Options{N: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simple, err := Search(context.Background(), p, Options{N: 6, SimpleCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simple.Repetend.Period < tight.Repetend.Period {
-		t.Fatalf("simple compaction period %d beats tight %d", simple.Repetend.Period, tight.Repetend.Period)
-	}
-	checkFull(t, simple, 0)
-}
-
 func TestSearchInferencePlacement(t *testing.T) {
 	p := placement.Inference(shape(t, "k-shape", 4))
 	res, err := Search(context.Background(), p, Options{N: 8})

@@ -81,30 +81,3 @@ func TestSearchIncumbentPrunesSweep(t *testing.T) {
 	}
 	checkFull(t, res, 0)
 }
-
-// TestSearchSimpleCompactionDeterministicAcrossWorkers covers the one mode
-// where per-assignment solves are incumbent-seeded (the makespan solve is
-// the period): the canonical re-solve of the winner must keep the returned
-// bytes independent of worker timing.
-func TestSearchSimpleCompactionDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-worker sweeps are slow in -short mode")
-	}
-	p := shape(t, "m-shape", 4)
-	opts := Options{N: 8, SimpleCompaction: true, Workers: 1}
-	base, err := Search(context.Background(), p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sched.FingerprintSchedule(base.Full)
-	for _, workers := range []int{8, 8} {
-		opts.Workers = workers
-		res, err := Search(context.Background(), p, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := sched.FingerprintSchedule(res.Full); got != want {
-			t.Fatalf("workers=%d: schedule fingerprint %s != %s", workers, got, want)
-		}
-	}
-}

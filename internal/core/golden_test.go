@@ -16,11 +16,11 @@ var updateGolden = flag.Bool("update-golden", false, "re-record testdata/search.
 const goldenSearchPath = "testdata/search.golden.json"
 
 // goldenSearch is what one search returned at the recording commit: a catalog
-// placement (catalogShapes) searched with default options, or with one of the
-// ablation switches set.
+// placement (catalogShapes) searched with default options, or with lazy
+// search switched off.
 type goldenSearch struct {
 	Name        string `json:"name"`
-	Variant     string `json:"variant,omitempty"` // "", simple, nolocal, nolazy
+	Variant     string `json:"variant,omitempty"` // "", nolazy
 	Period      int    `json:"period"`
 	NR          int    `json:"nr"`
 	N           int    `json:"n"`
@@ -33,10 +33,6 @@ func (g *goldenSearch) options(t testing.TB) (*sched.Placement, Options) {
 	p, opts := catalogPlacement(t, g.Name)
 	switch g.Variant {
 	case "":
-	case "simple":
-		opts.SimpleCompaction = true
-	case "nolocal":
-		opts.DisableLocalSearch = true
 	case "nolazy":
 		opts.DisableLazy = true
 	default:
@@ -53,9 +49,7 @@ func goldenSearchInputs() []goldenSearch {
 	// One solver-bound, one memory-capped, one that cannot reach the lower
 	// bound, one period-bound.
 	for _, name := range []string{"m4", "k6m8", "x8m4", "v6"} {
-		for _, v := range []string{"simple", "nolocal", "nolazy"} {
-			gs = append(gs, goldenSearch{Name: name, Variant: v})
-		}
+		gs = append(gs, goldenSearch{Name: name, Variant: "nolazy"})
 	}
 	return gs
 }
@@ -63,7 +57,7 @@ func goldenSearchInputs() []goldenSearch {
 // TestGoldenSearch holds Search to the schedules recorded at the commit before
 // the sweep was aimed at the lower bound (58c95c1): repetend period, N_R and
 // the fingerprint of the completed schedule for every catalog placement under
-// Workers 1, 2 and 4, and for the three ablation switches on four of them. The
+// Workers 1, 2 and 4, and with lazy search off on four of them. The
 // prunes added since only discard work that could not have changed the answer,
 // so nothing here may move unless the recording itself was budget-truncated.
 func TestGoldenSearch(t *testing.T) {

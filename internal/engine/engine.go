@@ -8,7 +8,7 @@
 //
 // The cache key is the placement fingerprint combined with every search
 // option that can change which repetend is found (memory capacity, sweep
-// and solver budgets, the ablation toggles). The micro-batch count N is
+// and solver budgets, lazy search). The micro-batch count N is
 // deliberately *not* part of the key: a cached repetend extends to any N,
 // which is what makes repeated searches O(1) in the sweep cost.
 //
@@ -303,6 +303,11 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 		// leader would hand its error to concurrent valid requests.
 		return nil, info, fmt.Errorf("%w: micro-batch count must be non-negative, got %d", ErrInvalidRequest, opts.N)
 	}
+	// core reads -1 nodes as unlimited — past the degraded cap — and -1
+	// assignments as none; refused here, none becomes a cache class either.
+	if opts.Memory < 0 || opts.MaxAssignments < 0 || opts.SolverNodes < 0 || opts.SolverTimeout < 0 {
+		return nil, info, fmt.Errorf("%w: memory and search budgets must be non-negative, got %+v", ErrInvalidRequest, opts)
+	}
 	info.Fingerprint = sched.Fingerprint(p)
 	key := requestKey(info.Fingerprint, p, opts)
 
@@ -533,11 +538,10 @@ func requestKey(fingerprint string, p *sched.Placement, opts core.Options) strin
 	if nodes == 0 {
 		nodes = core.DefaultSolverNodes
 	}
-	// The constant tail is the key class of the one solver engine there is;
-	// v2 snapshots and peer replicas written when there were two carry it.
-	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t|simp=%t|ls=%t|sw=auto",
-		fingerprint, memory, maxNR, maxAssign, nodes, opts.SolverTimeout,
-		!opts.DisableLazy, opts.SimpleCompaction, !opts.DisableLocalSearch)
+	// The literals are the key class of the one repetend pipeline and solver
+	// engine; v2 snapshots and peers written when each was a choice carry them.
+	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t|simp=false|ls=true|sw=auto",
+		fingerprint, memory, maxNR, maxAssign, nodes, opts.SolverTimeout, !opts.DisableLazy)
 }
 
 func isContextErr(err error) bool {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"tessel/internal/core"
 	"tessel/internal/placement"
@@ -138,12 +139,12 @@ func TestOptionNormalization(t *testing.T) {
 		t.Fatal("normalized-equal options missed the cache")
 	}
 	// A genuinely different option must not share the entry.
-	_, info, err = e.Search(ctx, p, core.Options{N: 4, SimpleCompaction: true})
+	_, info, err = e.Search(ctx, p, core.Options{N: 4, DisableLazy: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Hit || info.Shared {
-		t.Fatal("different compaction mode hit the cache")
+		t.Fatal("eager search hit the lazy search's entry")
 	}
 }
 
@@ -275,6 +276,24 @@ func TestSearchInvalidRequestTyped(t *testing.T) {
 	eng := New(Options{})
 	if _, _, err := eng.Search(context.Background(), vshape(t), core.Options{N: -1}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("negative N: want ErrInvalidRequest, got %v", err)
+	}
+	// Negative budgets: refused before the key is built — no miss counted,
+	// nothing cached, nothing left in flight.
+	for _, opts := range []core.Options{
+		{Memory: -5},
+		{MaxAssignments: -1},
+		{SolverNodes: -1},
+		{SolverTimeout: -time.Millisecond},
+	} {
+		if _, _, err := eng.Serve(context.Background(), Request{Placement: vshape(t), Options: opts, AllowDegraded: true}); !errors.Is(err, ErrInvalidRequest) {
+			t.Fatalf("%+v: want ErrInvalidRequest, got %v", opts, err)
+		}
+	}
+	eng.mu.Lock()
+	inFlight := len(eng.flight)
+	eng.mu.Unlock()
+	if st := eng.Stats(); st.Misses != 0 || st.Entries != 0 || st.Degraded != 0 || inFlight != 0 {
+		t.Fatalf("rejected requests left state behind: %+v, %d in flight", st, inFlight)
 	}
 	bad := &sched.Placement{Name: "bad", NumDevices: 1,
 		Stages: []sched.Stage{{Name: "s", Time: 1}}, Deps: [][]int{nil}}

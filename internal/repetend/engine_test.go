@@ -559,13 +559,6 @@ func TestSolveReportsPeriodCounters(t *testing.T) {
 			[3]int64{r1.PeriodProbes, r1.PeriodRelaxations, r1.LocalSearchSwaps},
 			[3]int64{r2.PeriodProbes, r2.PeriodRelaxations, r2.LocalSearchSwaps})
 	}
-	simple, err := Solve(context.Background(), p, a, SolveOptions{SimpleCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simple.PeriodProbes != 0 {
-		t.Fatalf("simple compaction without a bound ran %d period probes", simple.PeriodProbes)
-	}
 }
 
 // TestPeriodPoolMatchesDefault: threading an explicit period pool through

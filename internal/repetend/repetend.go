@@ -291,10 +291,8 @@ type SolveOptions struct {
 	// SolverNodes / SolverTimeout bound the instance makespan solve.
 	SolverNodes   int64
 	SolverTimeout time.Duration
-	// SimpleCompaction evaluates the repetend with Figure 6(a) semantics
-	// (ablation); default is tight compaction.
-	SimpleCompaction bool
-	// DisableLocalSearch turns off the adjacent-swap order improvement.
+	// DisableLocalSearch turns off the adjacent-swap order improvement: the
+	// reference TestLocalSearchNeverWorsens compares against, set nowhere else.
 	DisableLocalSearch bool
 	// Cache, when non-nil, memoizes instance makespan solves across
 	// assignments. The solve's task system depends on an assignment only
@@ -324,12 +322,11 @@ type SolveOptions struct {
 	// incumbent still solve fully, so a sweep can break ties canonically
 	// regardless of the order in which workers publish improvements.
 	//
-	// Pruning is restricted to proofs that hold for *every* per-device
-	// order (the dependency-cycle bound), plus, in SimpleCompaction mode,
-	// seeding the instance makespan solve's own incumbent. In tight
-	// compaction the reported period/starts for an un-pruned assignment
-	// are therefore identical to an unbounded solve — which is what keeps
-	// incumbent-pruned sweeps deterministic.
+	// A Solve result never depends on the bound it ran under: the bound only
+	// decides whether a result is returned at all — by proofs that hold for
+	// *every* per-device order, or by the period of the order found — so the
+	// period/starts of an un-pruned assignment are identical to an unbounded
+	// solve, which is what keeps incumbent-pruned sweeps deterministic.
 	PeriodUpperBound int
 	// Effort, when non-nil, accumulates the work of every Solve call made
 	// with these options, on every return path — pruned, infeasible and
@@ -532,18 +529,15 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	// Minimum-makespan instance solve to obtain per-device orders. The task
 	// system is canonical in stage order, so assignments sharing a lag-zero
 	// pattern (and entry memory) produce byte-identical solves — which the
-	// optional cache exploits. Incumbent-bounded solves (simple compaction)
-	// depend on the bound of the moment and bypass the cache.
+	// optional cache exploits.
 	var (
-		starts      []int
-		optimal     = true
-		feasible    bool
-		hit         bool
-		boundPruned bool
+		starts   []int
+		optimal  = true
+		feasible bool
+		hit      bool
 	)
-	bounded := bound > 0 && opts.SimpleCompaction
 	key := ""
-	if opts.Cache != nil && !bounded {
+	if opts.Cache != nil {
 		key = instanceKey(opts.Cache.fingerprint(p), p, a, entry, mem)
 		if c, ok := opts.Cache.get(key); ok {
 			hit, feasible, optimal = true, c.feasible, c.optimal
@@ -553,28 +547,19 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		}
 	}
 	if !hit {
-		solveOpts := solver.Options{
+		// A nil Pool falls back to the solver package's shared pool.
+		res, err := opts.Pool.Solve(ctx, instanceTasks(p, a), solver.Options{
 			NumDevices: p.NumDevices,
 			Memory:     mem,
 			InitialMem: entry,
 			MaxNodes:   opts.SolverNodes,
 			Timeout:    opts.SolverTimeout,
-		}
-		if bounded {
-			// Under Figure 6(a) semantics the period *is* the instance
-			// makespan, so the incumbent period bounds the makespan solve
-			// directly. (Under tight compaction the period can be far below
-			// the makespan, so the bound would be unsound there.)
-			solveOpts.UpperBound = bound + 1
-			solveOpts.Deadline = bound
-		}
-		// A nil Pool falls back to the solver package's shared pool.
-		res, err := opts.Pool.Solve(ctx, instanceTasks(p, a), solveOpts)
+		})
 		eff.SolverNodes, eff.SolverMemoHits = res.Nodes, res.MemoHits
 		if err != nil {
 			return nil, err
 		}
-		optimal, feasible, boundPruned = res.Optimal, res.Feasible, res.BoundPruned
+		optimal, feasible = res.Optimal, res.Feasible
 		if feasible {
 			starts = append([]int(nil), res.Starts...) // stage order
 		}
@@ -583,16 +568,10 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		}
 	}
 	if !feasible {
-		verdict := ErrInfeasible
-		detail := "no instance schedule within memory"
-		if boundPruned {
-			verdict = ErrPruned
-			detail = fmt.Sprintf("no instance schedule with makespan ≤ %d", bound)
-		}
 		if !optimal {
-			return nil, fmt.Errorf("%w: %s (%w)", verdict, detail, ErrTruncated)
+			return nil, fmt.Errorf("%w: no instance schedule within memory (%w)", ErrInfeasible, ErrTruncated)
 		}
-		return nil, fmt.Errorf("%w: %s", verdict, detail)
+		return nil, fmt.Errorf("%w: no instance schedule within memory", ErrInfeasible)
 	}
 	r := &Repetend{
 		P:              p,
@@ -605,32 +584,17 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	}
 	normalize(starts)
 	r.SimplePeriod = makespanOf(p, starts)
-	if opts.SimpleCompaction {
-		r.Starts = starts
-		r.Period = r.SimplePeriod
-	} else {
-		eng.setOrdersFromStarts(starts)
-		// Bounding the initial period search by the incumbent is only sound
-		// when local search cannot improve the order afterwards; with local
-		// search enabled the true period is needed as its starting point.
-		initBound := 0
-		if opts.DisableLocalSearch {
-			initBound = bound
-		}
-		period, status := eng.minPeriod(initBound)
-		switch status {
-		case periodPruned:
-			return nil, &pruneError{"order period", bound}
-		case periodInfeasible:
-			return nil, fmt.Errorf("repetend: period repair failed for a feasible order")
-		}
-		eng.bestStarts = eng.appendStarts(eng.bestStarts)
-		if !opts.DisableLocalSearch {
-			period = eng.localSearch(ctx, period)
-		}
-		r.Starts = append([]int(nil), eng.bestStarts...)
-		r.Period = period
+	eng.setOrdersFromStarts(starts)
+	period, status := eng.minPeriod(0) // unbounded: local search starts from the order's true period
+	if status == periodInfeasible {
+		return nil, fmt.Errorf("repetend: period repair failed for a feasible order")
 	}
+	eng.bestStarts = eng.appendStarts(eng.bestStarts)
+	if !opts.DisableLocalSearch {
+		period = eng.localSearch(ctx, period)
+	}
+	r.Starts = append([]int(nil), eng.bestStarts...)
+	r.Period = period
 	r.PeriodProbes = eng.probes
 	r.PeriodRelaxations = eng.relaxations
 	r.LocalSearchSwaps = eng.swaps

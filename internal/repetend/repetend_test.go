@@ -184,25 +184,6 @@ func TestSolveVShapeZeroBubbleAtNR4(t *testing.T) {
 	}
 }
 
-func TestSolveSimpleCompactionAblation(t *testing.T) {
-	p := vshape(t, 4)
-	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	tight, err := Solve(context.Background(), p, a, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	simple, err := Solve(context.Background(), p, a, SolveOptions{SimpleCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simple.Period < tight.Period {
-		t.Fatalf("simple %d beats tight %d", simple.Period, tight.Period)
-	}
-	if simple.Period != simple.SimplePeriod {
-		t.Fatalf("simple compaction should use the simple period")
-	}
-}
-
 func TestSolveSpansAndWaits(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}

@@ -1,10 +1,10 @@
 // Package solver provides the exact schedule solver Tessel relies on — the
 // role Z3 plays in the paper (§V, "Solver implementation"). Given a set of
 // blocks with integer durations, memory deltas, device assignments, release
-// times and precedence edges, it finds a minimum-makespan schedule (or any
-// feasible schedule under a deadline) subject to the three constraint
-// families of Equation 1: exclusive per-device execution, per-device memory
-// capacity, and data dependencies.
+// times and precedence edges, it finds a minimum-makespan schedule (or, asked
+// only to satisfy, any feasible one) subject to the three constraint families
+// of Equation 1: exclusive per-device execution, per-device memory capacity,
+// and data dependencies.
 //
 // # Method
 //
@@ -95,7 +95,7 @@ import (
 	"tessel/internal/sched"
 )
 
-// Unbounded mirrors sched.Unbounded for deadlines and memory capacities.
+// Unbounded mirrors sched.Unbounded for memory capacities.
 const Unbounded = sched.Unbounded
 
 // Task is one block to schedule. Tasks are referenced by their index in the
@@ -119,7 +119,7 @@ type Task struct {
 }
 
 // Options configures a Solve call. The zero value means: devices inferred
-// from tasks, unbounded memory, no deadline, full optimization, no budget.
+// from tasks, unbounded memory, full optimization, no budget.
 type Options struct {
 	// NumDevices is the device count D; if 0 it is inferred as 1 + the
 	// maximum device id used by any task.
@@ -132,9 +132,6 @@ type Options struct {
 	// DeviceReady gives per-device earliest availability (nil = 0s), used
 	// when composing phases.
 	DeviceReady []int
-	// Deadline, when positive, bounds the admissible makespan; schedules
-	// ending after Deadline are rejected.
-	Deadline int
 	// SatisfyOnly stops at the first feasible schedule instead of proving
 	// optimality — the satisfiability check of the paper's lazy search
 	// optimization (§V).
@@ -152,14 +149,6 @@ type Options struct {
 	DisableSymmetry bool
 	// DisableMemo turns off dominance memoization (for ablations).
 	DisableMemo bool
-	// UpperBound, when positive, seeds the incumbent: only schedules with
-	// makespan strictly below it are accepted. Together with Deadline it is
-	// the bound-pruned solve entry point: a caller holding an incumbent
-	// solution elsewhere (e.g. the repetend sweep's best period) seeds both
-	// and the search abandons any branch that cannot beat the incumbent.
-	// When no schedule passes, Result.BoundPruned distinguishes "nothing
-	// within the seeded bound" from absolute infeasibility.
-	UpperBound int
 	// Workers is not read: every solve is the one sequential search. The
 	// field remains only because benchmark/layerprobe/main.go:662 — frozen
 	// outside benchmark-only changes — still sets it for its nmb6_w2 probe.
@@ -168,19 +157,11 @@ type Options struct {
 
 // Result reports the outcome of a Solve call.
 type Result struct {
-	// Feasible is true when a schedule satisfying all constraints (and the
-	// deadline, if any) was found.
+	// Feasible is true when a schedule satisfying all constraints was found.
 	Feasible bool
 	// Optimal is true when the search space was exhausted, proving the
 	// returned makespan minimal (always false if SatisfyOnly found early).
 	Optimal bool
-	// BoundPruned is true when Feasible is false but the verdict is only
-	// relative to a caller-seeded bound (Options.UpperBound or Deadline):
-	// no schedule within the bound exists (or was found before a budget
-	// ran out), while the unbounded problem may still be feasible. Callers
-	// treating the seeded bound as an external incumbent should read this
-	// as "pruned", not "infeasible".
-	BoundPruned bool
 	// Makespan is the completion time of the best schedule found.
 	Makespan int
 	// Starts holds the start time per task (parallel to the input slice).
@@ -308,9 +289,7 @@ type searcher struct {
 	best       Result
 	bestStarts []int // incumbent start times, reused across improvements
 	bestSet    bool
-	deadline   int
 	nodes      int64
-	boundCut   bool // a caller-seeded UpperBound/Deadline rejected a branch
 	truncated  bool
 	cancelled  bool
 	startTime  time.Time
@@ -362,13 +341,6 @@ func (s *searcher) solve(ctx context.Context, tasks []Task, opts Options) (Resul
 	if !s.bestSet && !s.truncated {
 		// Exhausted the space without a solution: proven infeasible.
 		s.best.Optimal = true
-	}
-	if !s.best.Feasible && s.boundCut {
-		// Only bound-relative: a seeded bound rejected at least one branch,
-		// so the unbounded problem may still be feasible. An exhausted
-		// search that never hit the bound is absolute infeasibility and is
-		// reported as such even when a bound was passed.
-		s.best.BoundPruned = true
 	}
 	if s.bestSet {
 		// The incumbent lives in reused scratch; hand the caller a copy it
@@ -446,10 +418,6 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	s.ctx, s.tasks, s.opts, s.d, s.n = ctx, tasks, opts, d, n
 	if opts.Memory == 0 {
 		s.opts.Memory = Unbounded
-	}
-	s.deadline = opts.Deadline
-	if s.deadline <= 0 {
-		s.deadline = Unbounded
 	}
 
 	// Flatten the hot per-task scalars and store predecessor, successor and
@@ -685,12 +653,8 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	}
 
 	s.best = Result{Makespan: math.MaxInt / 2}
-	if opts.UpperBound > 0 {
-		s.best.Makespan = opts.UpperBound
-	}
 	s.bestSet = false
 	s.nodes = 0
-	s.boundCut = false
 	s.truncated = false
 	s.cancelled = false
 	//tessel:waive:determinism wall-clock anchors the optional search budget; it only decides truncation, which is reported via Truncated
@@ -716,34 +680,15 @@ func maskN(buf []uint64, n int) []uint64 {
 func (s *searcher) run() {
 	// Seed the incumbent with a greedy dispatch so pruning bites early.
 	if starts, ms, ok := s.greedy(); ok {
-		if ms < s.best.Makespan && ms <= s.deadline {
-			s.record(starts, ms)
-			if s.opts.SatisfyOnly {
-				return
-			}
-		} else {
-			s.boundCut = true // feasible dispatch rejected by a seeded bound
+		s.record(starts, ms)
+		if s.opts.SatisfyOnly {
+			return
 		}
 	}
 	if !s.opts.DisableMemo {
 		s.setSketchScale()
 	}
 	s.dfs()
-}
-
-// cutByBound reports (and records) whether a lower bound lb on the current
-// branch is rejected by a caller-seeded bound — the deadline, or the
-// UpperBound-seeded incumbent before any real schedule was found.
-// Rejections against a *found* incumbent are regular optimality pruning,
-// not bound cuts.
-//
-//tessel:noalloc
-func (s *searcher) cutByBound(lb int) bool {
-	if lb > s.deadline || (!s.bestSet && lb >= s.best.Makespan) {
-		s.boundCut = true
-		return true
-	}
-	return false
 }
 
 // cutoff reports whether a branch with lower bound lb cannot strictly
@@ -1024,7 +969,7 @@ func (s *searcher) sketchAndSum() (uint64, int64) {
 // whole solve — entries and probes must quantize identically.
 func (s *searcher) setSketchScale() {
 	ceiling := int64(s.staticLB)
-	if s.bestSet || s.opts.UpperBound > 0 {
+	if s.bestSet {
 		ceiling = int64(s.best.Makespan)
 	}
 	nSucc := 0
@@ -1101,47 +1046,27 @@ func (s *searcher) prunedOrMemo() bool {
 	if s.staticLB > lb {
 		lb = s.staticLB
 	}
-	if s.cutByBound(lb) || s.cutoff(lb) {
+	if s.cutoff(lb) {
 		return true
 	}
-	// Dominance memo and critical path, cheapest-expected-first: with an
-	// incumbent and no deadline the bound flags cannot be affected by which
-	// check fires, so the memo probe (often a hit) runs before the heavier
-	// pathBound walk; otherwise the original order is kept — and the state
-	// vector is only built once pathBound keeps the node — so the
-	// BoundPruned accounting stays exact. Either way a state is inserted
-	// into the memo iff its probe missed and pathBound kept the node — the
-	// same set of states the non-reordered search memoizes.
+	// Dominance memo and critical path, cheapest-expected-first: the memo
+	// probe (often a hit) runs before the heavier pathBound walk. A state is
+	// inserted into the memo iff its probe missed and pathBound kept the node.
 	if !s.opts.DisableMemo {
-		if s.bestSet && s.deadline == Unbounded {
-			vec := s.fillStateVector(s.vecScratch)
-			s.vecScratch = vec
-			sketch, vsum := s.sketchAndSum()
-			if s.memo.probe(s.mask, vec, vsum, sketch) {
-				s.memoHits++
-				return true
-			}
-			if lb := s.pathBound(); s.cutByBound(lb) || s.cutoff(lb) {
-				return true
-			}
-			s.memo.insert(s.mask, vec, vsum, sketch)
-		} else {
-			if lb := s.pathBound(); s.cutByBound(lb) || s.cutoff(lb) {
-				return true
-			}
-			vec := s.fillStateVector(s.vecScratch)
-			s.vecScratch = vec
-			sketch, vsum := s.sketchAndSum()
-			if s.memo.probe(s.mask, vec, vsum, sketch) {
-				s.memoHits++
-				return true
-			}
-			s.memo.insert(s.mask, vec, vsum, sketch)
+		vec := s.fillStateVector(s.vecScratch)
+		s.vecScratch = vec
+		sketch, vsum := s.sketchAndSum()
+		if s.memo.probe(s.mask, vec, vsum, sketch) {
+			s.memoHits++
+			return true
 		}
-	} else if lb := s.pathBound(); s.cutByBound(lb) || s.cutoff(lb) {
-		return true
+		if s.cutoff(s.pathBound()) {
+			return true
+		}
+		s.memo.insert(s.mask, vec, vsum, sketch)
+		return false
 	}
-	return false
+	return s.cutoff(s.pathBound())
 }
 
 // collectCandidates gathers this node's candidates from the incrementally
@@ -1177,7 +1102,7 @@ func (s *searcher) collectCandidates() []candidate {
 				st = s.finish[p]
 			}
 		}
-		if lb := st + s.time[t] + s.tail[t]; s.cutByBound(lb) || s.cutoff(lb) {
+		if lb := st + s.time[t] + s.tail[t]; s.cutoff(lb) {
 			continue
 		}
 		c := candidate{task: t, start: st}
@@ -1212,10 +1137,8 @@ func (s *searcher) dfs() {
 		return
 	}
 	if s.nSched == s.n {
-		if s.makespan <= s.deadline && s.makespan < s.best.Makespan {
+		if s.makespan < s.best.Makespan {
 			s.record(s.starts, s.makespan)
-		} else {
-			s.cutByBound(s.makespan)
 		}
 		return
 	}

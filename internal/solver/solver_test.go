@@ -227,6 +227,13 @@ func TestSolveMemoryInfeasible(t *testing.T) {
 	if !res.Optimal {
 		t.Fatal("infeasibility should be proven")
 	}
+	// Two +2 blocks under capacity 3: the first fits, so it is the search,
+	// not the root, that runs out of candidates.
+	tasks = append(tasks, Task{ID: sched.Block{Stage: 1}, Time: 1, Mem: 2, Devices: []sched.DeviceID{0}})
+	res = mustSolve(t, tasks, Options{Memory: 3})
+	if res.Feasible || !res.Optimal {
+		t.Fatalf("two +2 blocks under capacity 3: %+v, want proven infeasible", res)
+	}
 }
 
 func TestSolveInitialMemory(t *testing.T) {
@@ -234,21 +241,6 @@ func TestSolveInitialMemory(t *testing.T) {
 	res := mustSolve(t, tasks, Options{Memory: 1, InitialMem: []int{1}, NumDevices: 1})
 	if res.Feasible {
 		t.Fatal("initial memory should make this infeasible")
-	}
-}
-
-func TestSolveDeadline(t *testing.T) {
-	tasks := []Task{
-		{ID: sched.Block{Stage: 0}, Time: 3, Devices: []sched.DeviceID{0}},
-		{ID: sched.Block{Stage: 1}, Time: 4, Devices: []sched.DeviceID{0}},
-	}
-	res := mustSolve(t, tasks, Options{Deadline: 6})
-	if res.Feasible {
-		t.Fatal("deadline 6 < optimum 7 should be infeasible")
-	}
-	res = mustSolve(t, tasks, Options{Deadline: 7})
-	if !res.Feasible || res.Makespan != 7 {
-		t.Fatalf("deadline 7 should be met exactly: %+v", res)
 	}
 }
 
@@ -630,22 +622,6 @@ func TestToScheduleErrors(t *testing.T) {
 	}
 }
 
-func TestUpperBoundPrunes(t *testing.T) {
-	tasks := []Task{
-		{ID: sched.Block{Stage: 0}, Time: 3, Devices: []sched.DeviceID{0}},
-		{ID: sched.Block{Stage: 1}, Time: 4, Devices: []sched.DeviceID{0}},
-	}
-	// UpperBound equal to the optimum excludes it (strict improvement only).
-	res := mustSolve(t, tasks, Options{UpperBound: 7})
-	if res.Feasible {
-		t.Fatal("upper bound 7 should exclude the only makespan 7")
-	}
-	res = mustSolve(t, tasks, Options{UpperBound: 8})
-	if !res.Feasible || res.Makespan != 7 {
-		t.Fatalf("res = %+v, want makespan 7", res)
-	}
-}
-
 // TestSolveCancellation: cancelling the context mid-solve aborts within a
 // few hundred node expansions (microseconds each) and returns ctx's error.
 func TestSolveCancellation(t *testing.T) {
@@ -678,42 +654,6 @@ func TestSolvePreCancelled(t *testing.T) {
 	}
 }
 
-// TestSolveBoundPruned: an infeasible verdict reached under a seeded
-// incumbent (UpperBound/Deadline) is flagged as bound-relative — pruned,
-// not proven infeasible — while an unbounded infeasibility is not.
-func TestSolveBoundPruned(t *testing.T) {
-	tasks := []Task{
-		{ID: sched.Block{Stage: 0}, Time: 3, Devices: []sched.DeviceID{0}},
-		{ID: sched.Block{Stage: 1}, Time: 4, Devices: []sched.DeviceID{0}},
-	}
-	res := mustSolve(t, tasks, Options{UpperBound: 7, Deadline: 6})
-	if res.Feasible {
-		t.Fatal("bound 6 < optimum 7 should find nothing")
-	}
-	if !res.BoundPruned {
-		t.Fatal("bound-relative infeasibility not flagged as BoundPruned")
-	}
-	res = mustSolve(t, tasks, Options{UpperBound: 8, Deadline: 7})
-	if !res.Feasible || res.Makespan != 7 || res.BoundPruned {
-		t.Fatalf("optimum within bound: %+v", res)
-	}
-	// Genuinely infeasible without any bound: not BoundPruned.
-	tight := []Task{
-		{ID: sched.Block{Stage: 0}, Time: 1, Mem: 2, Devices: []sched.DeviceID{0}},
-		{ID: sched.Block{Stage: 1}, Time: 1, Mem: 2, Devices: []sched.DeviceID{0}},
-	}
-	res = mustSolve(t, tight, Options{Memory: 3})
-	if res.Feasible || res.BoundPruned {
-		t.Fatalf("memory infeasibility must not be BoundPruned: %+v", res)
-	}
-	// Absolute infeasibility with a slack bound that never cuts anything:
-	// still not BoundPruned — the verdict is not bound-relative.
-	res = mustSolve(t, tight, Options{Memory: 3, UpperBound: 100, Deadline: 99})
-	if res.Feasible || res.BoundPruned {
-		t.Fatalf("slack bound must not relabel absolute infeasibility: %+v", res)
-	}
-}
-
 // TestSolveIgnoresWorkers: Options.Workers is a field Solve does not read —
 // there is one search engine — so a caller that still sets it gets the
 // Result of the same call without it, counters included, optimizing and
@@ -727,5 +667,47 @@ func TestSolveIgnoresWorkers(t *testing.T) {
 		if !reflect.DeepEqual(base, res) {
 			t.Fatalf("SatisfyOnly=%v: Workers 2 returned %+v, Workers 0 %+v", satisfy, res, base)
 		}
+	}
+}
+
+// TestSolveWithoutIncumbent pins the search that starts with no incumbent —
+// a memory cap under which the greedy dispatch deadlocks — to the counters
+// recorded when prunedOrMemo still ran pathBound ahead of the memo probe on
+// that path: with no makespan to cut against, either order probes and inserts
+// the same states.
+func TestSolveWithoutIncumbent(t *testing.T) {
+	p, err := placement.MShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n               int
+		opts            Options
+		makespan        int
+		nodes, memoHits int64
+		starts          []int
+	}{
+		{n: 3, opts: Options{Memory: 5}, makespan: 42, nodes: 3022, memoHits: 1279,
+			starts: []int{0, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 19, 1, 10, 11, 14, 15, 21, 22, 24, 30, 32, 34, 38, 2, 18, 24, 25, 26, 27, 28, 30, 32, 34, 36, 40}},
+		{n: 4, opts: Options{Memory: 8, SatisfyOnly: true}, makespan: 51, nodes: 105, memoHits: 28,
+			starts: []int{0, 4, 5, 6, 7, 10, 11, 13, 16, 18, 20, 43, 1, 5, 6, 7, 8, 22, 23, 31, 33, 35, 37, 45, 2, 6, 7, 8, 9, 25, 26, 33, 35, 37, 39, 47, 3, 13, 14, 15, 16, 28, 29, 35, 37, 39, 41, 49}},
+	} {
+		tasks, err := BuildTasks(p, AllBlocks(p, tc.n), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &searcher{}
+		if err := s.reset(context.Background(), tasks, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := s.greedy(); ok {
+			t.Fatalf("n=%d %+v: the greedy dispatch found a schedule; this test needs a solve that starts without one", tc.n, tc.opts)
+		}
+		res := mustSolve(t, tasks, tc.opts)
+		if !res.Optimal || res.Makespan != tc.makespan || res.Nodes != tc.nodes || res.MemoHits != tc.memoHits || !reflect.DeepEqual(res.Starts, tc.starts) {
+			t.Fatalf("n=%d %+v: makespan %d nodes %d memo hits %d starts %#v, want %d / %d / %d / %v",
+				tc.n, tc.opts, res.Makespan, res.Nodes, res.MemoHits, res.Starts, tc.makespan, tc.nodes, tc.memoHits, tc.starts)
+		}
+		validate(t, p, tasks, res, tc.opts.Memory, nil)
 	}
 }
