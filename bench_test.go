@@ -105,15 +105,17 @@ func BenchmarkFingerprint(b *testing.B) {
 // BenchmarkEngineColdSearch measures a full search through a fresh engine
 // (every iteration misses), one sub-benchmark per regime of the two-pass
 // sweep: m4 (the M-shape of the other engine benchmarks), k6 and m8i reach
-// the lower bound in the first pass, where nearly every survivor of the
-// relaxation is discarded by the exact order check (order_pruned/op) — m4
-// pays the most branch nodes per check, m8i runs the most checks, k6 keeps a
-// few candidates the check lets through and the heuristic then misses; v6
-// reaches the bound with almost no check and no solve at all, so it shows what
-// the relaxation prune costs per assignment; x8m4 cannot reach it under its
-// memory cap and pays the failed first pass plus the whole unaimed second
-// pass, which the check stays out of. Regressions in the pruning show up here
-// first.
+// the lower bound in the first pass, where what the prefix filter does not cut
+// (prefix_cuts/op) is nearly all discarded by the exact order check
+// (order_pruned/op) — m4 pays the most branch nodes per check, m8i runs the
+// most checks, k6 keeps a few candidates the check lets through and the
+// heuristic then misses; v6 reaches the bound on the filter alone, a handful
+// of assignments past it and hardly a solve, so it shows what a walk through
+// the filter costs; nn6i is the same with the search's one expensive
+// completion solve behind it; x8m4 cannot reach the bound under its memory cap
+// and pays the failed first pass plus the whole unaimed second pass, which the
+// check stays out of and the filter cuts little of. Regressions in the pruning
+// show up here first.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -127,6 +129,7 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 		{"k6", tessel.NewKShape, 6, 0, false},
 		{"m8i", tessel.NewMShape, 8, 0, true},
 		{"v6", tessel.NewVShape, 6, 0, false},
+		{"nn6i", tessel.NewNNShape, 6, 0, true},
 		{"x8m4", tessel.NewXShape, 8, 4, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -137,7 +140,7 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 			if c.inference {
 				p = tessel.InferenceVariant(p)
 			}
-			var orderPruned int64
+			var orderPruned, prefixCuts int64
 			for i := 0; i < b.N; i++ {
 				eng := tessel.NewEngine(tessel.EngineOptions{})
 				res, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory})
@@ -145,8 +148,10 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 					b.Fatal(err)
 				}
 				orderPruned += res.Stats.OrderPruned
+				prefixCuts += res.Stats.PrefixCuts
 			}
 			b.ReportMetric(float64(orderPruned)/float64(b.N), "order_pruned/op")
+			b.ReportMetric(float64(prefixCuts)/float64(b.N), "prefix_cuts/op")
 		})
 	}
 }

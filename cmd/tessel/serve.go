@@ -146,9 +146,14 @@ type searchStatsJSON struct {
 	OrderChecks int64 `json:"order_checks"`
 	OrderPruned int64 `json:"order_pruned"`
 	OrderNodes  int64 `json:"order_nodes"`
-	EarlyExit   bool  `json:"early_exit"`
-	Truncated   bool  `json:"truncated"`
-	TotalMS     int64 `json:"total_ms"`
+	// PrefixChecks / PrefixCuts account for the prefix filter in front of the
+	// sweep: enumeration-tree nodes it tested and subtrees it cut. What lies
+	// under a cut is counted in neither Assignments nor Pruned.
+	PrefixChecks int64 `json:"prefix_checks"`
+	PrefixCuts   int64 `json:"prefix_cuts"`
+	EarlyExit    bool  `json:"early_exit"`
+	Truncated    bool  `json:"truncated"`
+	TotalMS      int64 `json:"total_ms"`
 }
 
 type errorResponse struct {
@@ -525,6 +530,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			OrderChecks:       res.Stats.OrderChecks,
 			OrderPruned:       res.Stats.OrderPruned,
 			OrderNodes:        res.Stats.OrderNodes,
+			PrefixChecks:      res.Stats.PrefixChecks,
+			PrefixCuts:        res.Stats.PrefixCuts,
 			EarlyExit:         res.Stats.EarlyExit,
 			Truncated:         res.Stats.Truncated,
 			TotalMS:           res.Stats.Total.Milliseconds(),

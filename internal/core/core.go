@@ -30,6 +30,15 @@
 // and the loop runs again unaimed, on the first pass's searcher pool,
 // period-engine pool and instance-solve cache.
 //
+// Most assignments never become one. The producer of either pass walks the
+// enumeration tree through a repetend.PrefixFilter at the pass's bound — the
+// lower bound; in the second pass the incumbent as published, re-read between
+// the subtrees of the tree's first level, and no filter before there is one —
+// and a prefix whose already-fixed indices rule the bound out for every
+// completion cuts its whole subtree. Only what is left crosses to the workers,
+// which judge it as if nothing had been cut: a cut discards what
+// repetend.Solve's first two prune stages would have discarded one by one.
+//
 // All entry points take a context.Context and honor it end-to-end: the
 // assignment producer, every concurrent repetend-solver worker, and the
 // completion solves all poll the same context, so cancelling it (or hitting
@@ -63,7 +72,8 @@ const (
 	// DefaultMaxNR caps the repetend micro-batch sweep when memory does not
 	// bound it first (Figure 11 sweeps N_R up to 8).
 	DefaultMaxNR = 8
-	// DefaultMaxAssignments caps the per-N_R assignment enumeration.
+	// DefaultMaxAssignments caps the assignments a sweep hands its workers
+	// per N_R.
 	DefaultMaxAssignments = 100000
 	// DefaultSolverNodes bounds each branch-and-bound solve.
 	DefaultSolverNodes = 400000
@@ -81,7 +91,12 @@ type Options struct {
 	N int
 	// MaxNR caps the repetend sweep; 0 uses min(MaxInflight, DefaultMaxNR).
 	MaxNR int
-	// MaxAssignments caps enumeration per N_R (0 = DefaultMaxAssignments).
+	// MaxAssignments caps, per N_R, the assignments handed to the sweep's
+	// workers (0 = DefaultMaxAssignments); those under a prefix cut are not
+	// among them. Since the cuts, a search that runs into the cap has seen at
+	// least as far into the round as it did when the cap counted every
+	// assignment enumerated — how much further depends, in the second pass, on
+	// when the incumbent moved.
 	MaxAssignments int
 	// SolverNodes bounds each exact solve (0 = DefaultSolverNodes).
 	SolverNodes int64
@@ -111,17 +126,21 @@ type PhaseDurations struct {
 
 // Stats reports search effort.
 type Stats struct {
-	// Assignments is the number of index assignments enumerated, summed —
-	// like every effort counter below — over both sweep passes when the
-	// lower-bound pass found nothing and the unaimed pass ran too.
+	// Assignments is the number of index assignments the prefix filter let
+	// through to the sweep's workers — the leaves yielded, not the leaves of
+	// the enumeration tree: what lies under a cut (PrefixCuts) is counted
+	// nowhere. Summed — like every effort counter below — over both sweep
+	// passes when the lower-bound pass found nothing and the unaimed pass ran
+	// too.
 	Assignments int
 	// Solved is the number of repetend instances solved to a period within
 	// the incumbent bound of the moment.
 	Solved int
-	// Pruned is the number of assignments abandoned against the shared
-	// incumbent period — before their instance solve (the order-independent
-	// relaxation, or the exact order check: OrderPruned), or after it and
-	// local search.
+	// Pruned is the number of assignments, of those counted in Assignments,
+	// abandoned against the shared incumbent period — before their instance
+	// solve (the order-independent relaxation, or the exact order check:
+	// OrderPruned), or after it and local search. The prefix filter takes most
+	// of the first kind away before they are assignments at all.
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
@@ -161,6 +180,13 @@ type Stats struct {
 	OrderChecks int64 `json:",omitempty"`
 	OrderPruned int64 `json:",omitempty"`
 	OrderNodes  int64 `json:",omitempty"`
+	// PrefixChecks is the number of enumeration-tree nodes the prefix filter
+	// tested on the way to the leaves, PrefixCuts the subtrees it cut there:
+	// the assignments under a cut are proven out of the incumbent's reach in
+	// one go and appear in neither Assignments nor Pruned. Omitted from JSON
+	// when zero, as the order counters are.
+	PrefixChecks int64 `json:",omitempty"`
+	PrefixCuts   int64 `json:",omitempty"`
 	// EarlyExit is true when the search hit the device-work lower bound and
 	// stopped (Algorithm 1 lines 19–20).
 	EarlyExit bool
@@ -301,12 +327,18 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		PeriodPool:    repetend.NewPeriodPool(),
 		Cache:         repetend.NewSolveCache(),
 	}
+	// One prefix filter too: its matrix stack is the search's largest single
+	// piece of scratch, and every round of both passes walks through it.
+	filter, err := repetend.NewPrefixFilter(p, repOpts.PeriodPool)
+	if err != nil {
+		return nil, err
+	}
 
 	sweep := func(aim int) error {
 		st.incumbent.Store(int64(aim))
 		for nr := 1; nr <= maxNR && !res.Stats.EarlyExit; nr++ {
 			res.Stats.NRSwept = nr
-			if err := sweepNR(ctx, p, nr, st, repOpts, opts, pool, res); err != nil {
+			if err := sweepNR(ctx, p, nr, st, filter, repOpts, opts, pool, res); err != nil {
 				return err
 			}
 			if err := ctx.Err(); err != nil {
@@ -388,6 +420,12 @@ type solveOutcome struct {
 	panicked any
 }
 
+// sweepSolveHook, when non-nil, runs on the sweep worker that is about to solve
+// a, with the context the solve will run under. It exists solely for tests,
+// which use it to hold a speculative solve until the sweep is over; production
+// code never sets it.
+var sweepSolveHook func(ctx context.Context, a repetend.Assignment)
+
 // solveAssignment runs one assignment solve with panic containment. A panic
 // inside the solve (injected by faultpoint or a real bug) is returned as
 // panicked instead of unwinding the sweep-worker goroutine.
@@ -397,13 +435,16 @@ func solveAssignment(ctx context.Context, p *sched.Placement, a repetend.Assignm
 			r, err, panicked = nil, nil, pv
 		}
 	}()
+	if sweepSolveHook != nil {
+		sweepSolveHook(ctx, a)
+	}
 	r, err = repetend.Solve(ctx, p, a, ro)
 	return r, err, nil
 }
 
-// sweepNR enumerates and evaluates every canonical assignment for one
-// repetend size, fanning the solves out over a worker pool and folding
-// improvements into st. It sets Stats.EarlyExit when the device-work lower
+// sweepNR walks the assignments of one repetend size through the prefix
+// filter and evaluates every one it lets through, fanning the solves out over
+// a worker pool and folding improvements into st. It sets Stats.EarlyExit when the device-work lower
 // bound is reached (Algorithm 1 lines 19–20). checkCompletion runs
 // serialized on the collector side, so phase timing stays consistent.
 //
@@ -417,14 +458,20 @@ func solveAssignment(ctx context.Context, p *sched.Placement, a repetend.Assignm
 // count every solve a worker ran, whatever became of its assignment.
 //
 // Cancelling ctx stops the producer and every worker: in-flight solves
-// abort at their next context poll and sweepNR returns ctx's error.
-func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, repOpts repetend.SolveOptions, opts Options, pool *solver.Pool, res *Result) error {
+// abort at their next context poll and sweepNR returns ctx's error. The
+// sweep's own early exit stops them the same way and is no error.
+func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, filter *repetend.PrefixFilter, repOpts repetend.SolveOptions, opts Options, pool *solver.Pool, res *Result) error {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// Producer and workers run under a context of the sweep's own, which ends
+	// with the sweep: on reaching the lower bound — whatever is in flight then
+	// comes after the winner in enumeration order and can only be thrown away
+	// — and on an error or a panic, which throw everything away.
+	sweepCtx, endSweep := context.WithCancel(ctx)
+	defer endSweep()
 	var (
-		stop      atomic.Bool
 		solved    atomic.Int64
 		pruned    atomic.Int64
 		truncSlv  atomic.Bool
@@ -433,21 +480,25 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		resultCh  = make(chan solveOutcome, 4*workers)
 		wg        sync.WaitGroup
 		truncated bool
-		// efforts[w] is worker w's alone until resultCh is closed, which
-		// happens after every worker has returned.
-		efforts = make([]repetend.Effort, workers)
+		// efforts[w] is worker w's alone, and the last entry the producer's,
+		// until resultCh is closed, which happens after all of them have
+		// returned.
+		efforts = make([]repetend.Effort, workers+1)
 	)
 	if st.best != nil && st.best.Period == res.LowerBound {
 		res.Stats.EarlyExit = true
 		return nil
 	}
-	// Producer: enumerate canonical assignments under the budget.
+	// Producer: walk the round's assignments through the prefix filter, at
+	// the incumbent of the moment, and hand on those it lets through, under
+	// the budget.
 	go func() {
 		defer close(assignCh)
 		budget := opts.MaxAssignments
 		seq := 0
-		_, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
-			if stop.Load() {
+		incumbent := func() int { return int(st.incumbent.Load()) }
+		filter.Enumerate(sweepCtx, nr, incumbent, func(a repetend.Assignment) bool {
+			if sweepCtx.Err() != nil {
 				return false
 			}
 			res.Stats.Assignments++
@@ -460,15 +511,11 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 			case assignCh <- assignTask{seq: seq, a: a}:
 				seq++
 				return true
-			case <-ctx.Done():
+			case <-sweepCtx.Done():
 				return false
 			}
 		})
-		if err != nil {
-			// Placement was validated by Search; enumeration errors cannot
-			// occur here, but do not hang if they somehow do.
-			stop.Store(true)
-		}
+		efforts[workers] = filter.Effort()
 	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -477,17 +524,17 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 			ro := repOpts
 			ro.Effort = &efforts[w]
 			for task := range assignCh {
-				if stop.Load() || ctx.Err() != nil {
+				if sweepCtx.Err() != nil {
 					resultCh <- solveOutcome{seq: task.seq} // drain
 					continue
 				}
 				ro.PeriodUpperBound = int(st.incumbent.Load())
 				//tessel:waive:determinism wall-clock feeds only the repNanos throughput telemetry, never schedule bytes
 				t0 := time.Now()
-				r, err, pv := solveAssignment(ctx, p, task.a, ro)
+				r, err, pv := solveAssignment(sweepCtx, p, task.a, ro)
 				repNanos.Add(int64(time.Since(t0)))
 				if pv != nil {
-					stop.Store(true)
+					endSweep()
 					resultCh <- solveOutcome{seq: task.seq, panicked: pv}
 					continue
 				}
@@ -537,7 +584,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		if err != nil {
 			firstErr = err
 			done = true
-			stop.Store(true)
+			endSweep()
 			return
 		}
 		if !ok {
@@ -551,7 +598,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		if r.Period == res.LowerBound {
 			res.Stats.EarlyExit = true
 			done = true
-			stop.Store(true)
+			endSweep()
 		}
 	}
 	// The collector body is guarded: judge() runs completion solves on this
@@ -564,7 +611,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		defer func() {
 			if pv := recover(); pv != nil {
 				panicVal = pv
-				stop.Store(true)
+				endSweep()
 			}
 		}()
 		for out := range resultCh {
@@ -603,6 +650,8 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, re
 		res.Stats.OrderChecks += e.OrderChecks
 		res.Stats.OrderPruned += e.OrderPruned
 		res.Stats.OrderNodes += e.OrderNodes
+		res.Stats.PrefixChecks += e.PrefixChecks
+		res.Stats.PrefixCuts += e.PrefixCuts
 	}
 	res.Stats.Phase.Repetend += time.Duration(repNanos.Load())
 	if truncated || truncSlv.Load() {

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tessel/internal/faultpoint"
 	"tessel/internal/repetend"
+	"tessel/internal/sched"
 )
 
 // fallbackShapes are the catalog placements whose memory cap keeps every
@@ -17,11 +20,12 @@ var fallbackShapes = map[string]bool{"x8m4": true, "nn4m8": true, "v6m4": true}
 
 // TestSearchSweepPasses reads from Stats which of the two sweep passes a
 // search took. A placement that reaches the lower bound stops in the first
-// pass: it enumerates no more than one pass up to the N_R it stopped in and
-// reports an early exit. One that cannot enumerates everything twice — the
+// pass: it hands its workers no more than one pass up to the N_R it stopped in
+// and reports an early exit. One that cannot runs both passes to the end — the
 // whole first pass for nothing, then the whole second pass, which has no
-// early exit to take. The fault point between the passes is the second
-// witness.
+// early exit to take — and, since the prefix filter cuts in both, hands on
+// fewer assignments than the two passes hold. The fault point between the
+// passes is the second witness.
 func TestSearchSweepPasses(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	var fallbacks atomic.Int64
@@ -48,8 +52,11 @@ func TestSearchSweepPasses(t *testing.T) {
 			}
 			st := res.Stats
 			if fallbackShapes[c.name] {
-				if want := 2 * onePass(MaxInflight(p, opts.Memory)); st.Assignments != want || st.EarlyExit || fallbacks.Load() != 1 {
-					t.Fatalf("%d assignments (two full passes are %d), early exit %v, %d fallbacks", st.Assignments, want, st.EarlyExit, fallbacks.Load())
+				if st.EarlyExit || fallbacks.Load() != 1 || st.NRSwept != MaxInflight(p, opts.Memory) {
+					t.Fatalf("early exit %v, %d fallbacks, swept to N_R %d of %d", st.EarlyExit, fallbacks.Load(), st.NRSwept, MaxInflight(p, opts.Memory))
+				}
+				if limit := 2 * onePass(st.NRSwept); st.PrefixCuts == 0 || st.Assignments == 0 || st.Assignments > limit {
+					t.Fatalf("%d assignments past %d prefix cuts (two full passes are %d)", st.Assignments, st.PrefixCuts, limit)
 				}
 				if res.Repetend.Period <= res.LowerBound {
 					t.Fatalf("period %d reaches the lower bound %d after a failed first pass", res.Repetend.Period, res.LowerBound)
@@ -92,6 +99,39 @@ func TestChaosCancelBetweenSweepPasses(t *testing.T) {
 	}
 }
 
+// firstPassUpToWinner does one by one what the first sweep pass of res's
+// search does: it walks the rounds through a prefix filter at the lower bound
+// and solves each assignment that gets through, on one instance cache, until
+// one reaches the bound — which must be the search's winner. visit, when
+// non-nil, sees every solve with the effort so far before and after it; the
+// result is the total effort, the filter's included, and the winner.
+func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assignment, err error, before, after repetend.Effort)) (repetend.Effort, *repetend.Repetend) {
+	t.Helper()
+	p := res.Placement
+	var floor repetend.Effort
+	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Cache: repetend.NewSolveCache(), Effort: &floor}
+	filter, err := repetend.NewPrefixFilter(p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var winner *repetend.Repetend
+	for nr := 1; nr <= res.Repetend.NR && winner == nil; nr++ {
+		filter.Enumerate(context.Background(), nr, func() int { return res.LowerBound }, func(a repetend.Assignment) bool {
+			before := floor
+			winner, err = repetend.Solve(context.Background(), p, a, ro)
+			if visit != nil {
+				visit(a, err, before, floor)
+			}
+			return winner == nil
+		})
+		floor.Add(filter.Effort())
+	}
+	if winner == nil || winner.Assign.Compare(res.Repetend.Assign) != 0 {
+		t.Fatalf("enumeration reaches the bound first at %v, the search returned %v", winner, res.Repetend.Assign)
+	}
+	return floor, winner
+}
+
 // TestSearchStatsCoverPrunedAssignments: the effort counters sum over every
 // solve that ran, not only over the assignments that came back as repetends.
 // Since the order check, an assignment of a lower-bound-reaching placement
@@ -99,8 +139,10 @@ func TestChaosCancelBetweenSweepPasses(t *testing.T) {
 // — and on the K-shape with six devices the instance solve and local search
 // miss that order for four assignments before the winner. Their solves, probes
 // and swaps are most of what the search reports. The floor is taken
-// independently: the same assignments solved one by one, in enumeration order
-// up to the winner, on one instance cache as the sweep does it. (The sweep's
+// independently: the assignments the prefix filter lets through at the lower
+// bound solved one by one, in enumeration order up to the winner, on one
+// instance cache as the sweep does it — plus the filter's own checks and cuts
+// on the way there, which the search's totals must cover too. (The sweep's
 // own total may sit above the floor by the few assignments its worker takes on
 // while the collector is still verifying the winner.)
 func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
@@ -110,36 +152,27 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var floor repetend.Effort
 	missed := 0 // let through by the check, pruned after solve and local search
-	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Cache: repetend.NewSolveCache(), Effort: &floor}
-	var winner *repetend.Repetend
-	for nr := 1; nr <= res.Repetend.NR && winner == nil; nr++ {
-		if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
-			before := floor
-			winner, err = repetend.Solve(context.Background(), p, a, ro)
-			if winner == nil && floor.OrderChecks > before.OrderChecks && floor.OrderPruned == before.OrderPruned {
-				if !errors.Is(err, repetend.ErrPruned) || floor.SolverNodes+floor.PeriodProbes == before.SolverNodes+before.PeriodProbes {
-					t.Fatalf("%v passed the order check and then: err %v, effort %+v after %+v", a, err, floor, before)
-				}
-				missed++
+	floor, winner := firstPassUpToWinner(t, res, func(a repetend.Assignment, err error, before, after repetend.Effort) {
+		if err != nil && after.OrderChecks > before.OrderChecks && after.OrderPruned == before.OrderPruned {
+			if !errors.Is(err, repetend.ErrPruned) || after.SolverNodes+after.PeriodProbes == before.SolverNodes+before.PeriodProbes {
+				t.Fatalf("%v passed the order check and then: err %v, effort %+v after %+v", a, err, after, before)
 			}
-			return winner == nil
-		}); err != nil {
-			t.Fatal(err)
+			missed++
 		}
-	}
-	if winner == nil || winner.Assign.Compare(res.Repetend.Assign) != 0 {
-		t.Fatalf("enumeration reaches the bound first at %v, the search returned %v", winner, res.Repetend.Assign)
-	}
+	})
 	if missed < 2 || floor.SolverNodes < 4*winner.SolverNodes || floor.LocalSearchSwaps <= winner.LocalSearchSwaps {
 		t.Fatalf("this placement no longer prunes after solving: %d assignments missed by the heuristic, effort %+v, of which the winner %d nodes and %d swaps",
 			missed, floor, winner.SolverNodes, winner.LocalSearchSwaps)
+	}
+	if floor.PrefixCuts < 100 || floor.OrderPruned < 10 {
+		t.Fatalf("this placement no longer prunes at prefixes and at leaves both: %+v", floor)
 	}
 	st := res.Stats
 	got := repetend.Effort{
 		SolverNodes: st.SolverNodes, SolverMemoHits: st.SolverMemoHits, PeriodProbes: st.PeriodProbes, PeriodRelaxations: st.PeriodRelaxations,
 		LocalSearchSwaps: st.LocalSearchSwaps, OrderChecks: st.OrderChecks, OrderPruned: st.OrderPruned, OrderNodes: st.OrderNodes,
+		PrefixChecks: st.PrefixChecks, PrefixCuts: st.PrefixCuts,
 	}
 	for _, c := range []struct {
 		name         string
@@ -149,6 +182,7 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 		{"period probes", got.PeriodProbes, floor.PeriodProbes}, {"relaxations", got.PeriodRelaxations, floor.PeriodRelaxations},
 		{"swaps", got.LocalSearchSwaps, floor.LocalSearchSwaps}, {"order checks", got.OrderChecks, floor.OrderChecks},
 		{"order pruned", got.OrderPruned, floor.OrderPruned}, {"order nodes", got.OrderNodes, floor.OrderNodes},
+		{"prefix checks", got.PrefixChecks, floor.PrefixChecks}, {"prefix cuts", got.PrefixCuts, floor.PrefixCuts},
 	} {
 		if c.got < c.atLeast {
 			t.Errorf("search reports %d %s; the assignments up to the winner alone account for %d", c.got, c.name, c.atLeast)
@@ -156,5 +190,63 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 	}
 	if st.Solved < 1 || st.OrderPruned > int64(st.Pruned) || st.OrderChecks < st.OrderPruned+int64(st.Solved) || st.PeriodProbes < int64(st.Pruned) {
 		t.Fatalf("counters do not add up: %+v", st)
+	}
+}
+
+// TestSearchEarlyExitCancelsSpeculation: once the collector has a repetend at
+// the lower bound, a worker that is already on a later assignment is
+// cancelled, not waited for. The hook holds every such solve back until its
+// context ends — with one worker that makes the search's solver effort exactly
+// that of the assignments up to the winner — and the search still returns a
+// nil error and the schedule it returns undisturbed.
+func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
+	p, opts := catalogPlacement(t, "x4")
+	opts.Workers = 1
+	want, err := Search(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The assignments a sweep solves up to and including the winner, and what
+	// solving them one by one costs.
+	upTo := map[string]bool{}
+	floor, _ := firstPassUpToWinner(t, want, func(a repetend.Assignment, _ error, _, _ repetend.Effort) {
+		upTo[fmt.Sprint(a)] = true
+	})
+
+	var held, cancelled atomic.Int64
+	sweepSolveHook = func(ctx context.Context, a repetend.Assignment) {
+		if upTo[fmt.Sprint(a)] {
+			return
+		}
+		held.Add(1)
+		select {
+		case <-ctx.Done():
+			cancelled.Add(1)
+		case <-time.After(10 * time.Second):
+		}
+	}
+	t.Cleanup(func() { sweepSolveHook = nil })
+	for _, workers := range []int{1, 2} {
+		held.Store(0)
+		cancelled.Store(0)
+		opts.Workers = workers
+		res, err := Search(context.Background(), p, opts)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if held.Load() == 0 {
+			t.Fatalf("workers %d: no assignment past the winner reached a worker; the placement does not exercise the cancel", workers)
+		}
+		if held.Load() != cancelled.Load() {
+			t.Fatalf("workers %d: %d speculative solves held, %d cancelled by the early exit", workers, held.Load(), cancelled.Load())
+		}
+		if got, want := sched.FingerprintSchedule(res.Full), sched.FingerprintSchedule(want.Full); got != want {
+			t.Fatalf("workers %d: schedule fingerprint %s, want %s", workers, got, want)
+		}
+		st := res.Stats
+		if workers == 1 && (st.SolverNodes != floor.SolverNodes || st.LocalSearchSwaps != floor.LocalSearchSwaps || st.Solved != 1) {
+			t.Fatalf("a cancelled solve spent effort: %d nodes, %d swaps, %d solved; up to the winner it is %d nodes, %d swaps",
+				st.SolverNodes, st.LocalSearchSwaps, st.Solved, floor.SolverNodes, floor.LocalSearchSwaps)
+		}
 	}
 }

@@ -195,9 +195,10 @@ type periodEngine struct {
 	swaps       int64
 
 	// Order-check state (ordercheck.go): ordMat is a stack of k×k
-	// longest-path matrices, one per branch depth; ordLeaf is the depth whose
-	// matrix decided the last "feasible" verdict; ordNodes counts the branch
-	// nodes of the current bind.
+	// longest-path matrices, one per branch depth — or, on the engine a
+	// PrefixFilter holds, one per enumeration depth (prefix.go); ordLeaf is
+	// the depth whose matrix decided the last "feasible" verdict; ordNodes
+	// counts the branch nodes of the current bind.
 	ordMat   []int
 	ordLeaf  int
 	ordNodes int64
@@ -335,17 +336,22 @@ func (sh *periodShape) build(p *sched.Placement) {
 	}
 }
 
-// bind attaches the engine to one repetend instance: the shape of p (the
-// pool's, or the engine's own rebuilt in place), the assignment's lag per
-// dependency edge, the entry memory, and zeroed effort counters. All buffers
-// reuse prior capacity.
-func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem int) {
+// bindShape attaches the engine to the shape of p: the pool's, or the engine's
+// own rebuilt in place.
+func (e *periodEngine) bindShape(p *sched.Placement) {
 	if e.home != nil && e.home.shared {
 		e.periodShape = e.home.shapeFor(p)
 	} else {
 		e.own.build(p)
 		e.periodShape = &e.own
 	}
+}
+
+// bind attaches the engine to one repetend instance: the shape of p, the
+// assignment's lag per dependency edge, the entry memory, and zeroed effort
+// counters. All buffers reuse prior capacity.
+func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem int) {
+	e.bindShape(p)
 	k := e.k
 	e.mem = mem
 	e.probes, e.relaxations, e.swaps, e.ordNodes = 0, 0, 0, 0

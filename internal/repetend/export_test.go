@@ -15,11 +15,19 @@ const OrderNodeCap = orderNodeCap
 
 // SetOrderNodeLimit runs the rest of the test with the order check's node cap
 // at n: 0 leaves only what propagation decides, negative switches the check
-// off.
+// off, and with it the forced-pair half of the prefix filter.
 func SetOrderNodeLimit(t testing.TB, n int) {
 	prev := orderNodeLimit
 	orderNodeLimit = n
 	t.Cleanup(func() { orderNodeLimit = prev })
+}
+
+// SetPrefixFilter runs the rest of the test with NewPrefixFilter returning the
+// filter (on) or the unfiltered walk (off).
+func SetPrefixFilter(t testing.TB, on bool) {
+	prev := prefixFilterOn
+	prefixFilterOn = on
+	t.Cleanup(func() { prefixFilterOn = prev })
 }
 
 // CatalogShape is one of the 21 placements of the repository benchmark's

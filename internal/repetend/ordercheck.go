@@ -34,8 +34,17 @@ import "math"
 const orderNodeCap = 512
 
 // orderNodeLimit is the cap in effect. Only tests write it: 0 leaves the check
-// what propagation alone decides, a negative value switches the check off.
+// what propagation alone decides, a negative value switches the check — and
+// the forced-pair half of the prefix filter — off.
 var orderNodeLimit = orderNodeCap
+
+// orderStageCap bounds the stage count the check and the prefix filter take
+// on. A matrix level is K² ints and its closure O(K³) with no context poll,
+// and K comes from the request body: the catalog's largest placement has 32
+// stages, a 1 MiB body fits 3,000. Above the cap the check answers
+// "undecided" and the filter is not built, so such an instance runs as it did
+// before either existed — slower, never different.
+const orderStageCap = 128
 
 // orderNone marks "no path" in the longest-path matrix; far enough from
 // overflow that a guarded sum of two entries never wraps.
@@ -54,16 +63,39 @@ const (
 	orderFeasible
 )
 
+// orderChecked reports whether Solve's second prune stage runs against bound:
+// only where the bound leaves the busiest device no idle time, the check is
+// not switched off and the instance is within the stage cap.
+func (e *periodEngine) orderChecked(bound int) bool {
+	return bound > 0 && bound == e.lower && orderNodeLimit >= 0 && e.k <= orderStageCap
+}
+
 // orderCheck decides whether any per-device order of the bound instance has
 // a period ≤ period (see the file comment). Its branch nodes accumulate in
 // ordNodes.
 //
 //tessel:noalloc
 func (e *periodEngine) orderCheck(period int) orderVerdict {
+	if e.k > orderStageCap {
+		return orderUndecided
+	}
+	if !e.orderRoot(period, 1) {
+		return orderInfeasible
+	}
+	return e.orderBranch(0)
+}
+
+// orderRoot closes the constraints every order shares — the dependency edges
+// at the coefficients in statCoeff and the window edges — into level 0 of a
+// matrix stack with room for the given number of levels. It reports false
+// when they hold a positive cycle: the relaxation's own verdict.
+//
+//tessel:noalloc
+func (e *periodEngine) orderRoot(period, levels int) bool {
 	e.buildWindow()
 	k := e.k
-	if cap(e.ordMat) < k*k {
-		e.ordMat = make([]int, k*k)
+	if cap(e.ordMat) < levels*k*k {
+		e.ordMat = make([]int, levels*k*k)
 	}
 	e.ordMat = e.ordMat[:cap(e.ordMat)]
 	D := e.ordMat[:k*k]
@@ -91,10 +123,10 @@ func (e *periodEngine) orderCheck(period int) orderVerdict {
 	}
 	for u := 0; u < k; u++ {
 		if D[u*k+u] > 0 {
-			return orderInfeasible
+			return false
 		}
 	}
-	return e.orderBranch(0)
+	return true
 }
 
 // orderExtend raises row[j] to base + via[j] wherever a path continues.
@@ -109,32 +141,32 @@ func orderExtend(row, via []int, base int) {
 	}
 }
 
-// orderInsert adds the arc u→v of weight t_u to the closed matrix D: every
+// orderInsert adds the arc u→v of weight w to the closed matrix D: every
 // path into u now continues through every path out of v. A row whose entry at
 // v the arc does not raise is closed already — D[i][j] ≥ D[i][v] + D[v][j] —
-// and is skipped. The caller has checked D[v][u] + t_u ≤ 0, so no entry the
+// and is skipped. The caller has checked D[v][u] + w ≤ 0, so no entry the
 // update reads is one it raises.
 //
 //tessel:noalloc
-func (e *periodEngine) orderInsert(D []int, u, v int) {
-	k, tu, out := e.k, e.times[u], D[v*e.k:v*e.k+e.k]
+func (e *periodEngine) orderInsert(D []int, u, v, w int) {
+	k, out := e.k, D[v*e.k:v*e.k+e.k]
 	for i := 0; i < k; i++ {
-		if iu := D[i*k+u]; iu != orderNone && iu+tu > D[i*k+v] {
-			orderExtend(D[i*k:i*k+k], out, iu+tu)
+		if iu := D[i*k+u]; iu != orderNone && iu+w > D[i*k+v] {
+			orderExtend(D[i*k:i*k+k], out, iu+w)
 		}
 	}
 }
 
-// orderBranch settles the matrix at the given stack depth: it forces every
-// pair with one side left until nothing changes, then branches on the open
-// pair with the least room — the one whose two sides leave the smallest
-// combined slack — on copies of the matrix one level down.
+// orderPropagate forces every pair of D with one side left — the arc goes in
+// — until nothing changes. It reports false when some pair has neither side
+// left: no order reaches the period. Otherwise (bu, bv) is the open pair with
+// the least room — the one whose two sides leave the smallest combined slack
+// — and bu < 0 when every pair is ordered.
 //
 //tessel:noalloc
-func (e *periodEngine) orderBranch(depth int) orderVerdict {
+func (e *periodEngine) orderPropagate(D []int) (ok bool, bu, bv int) {
 	k, times, winHead, winTo := e.k, e.times, e.winHead, e.winTo
-	D := e.ordMat[depth*k*k : (depth+1)*k*k]
-	bu, bv, room := -1, -1, 0
+	room := 0
 	for changed := true; changed; {
 		changed, bu = false, -1
 		for u := 0; u < k; u++ {
@@ -147,24 +179,38 @@ func (e *periodEngine) orderBranch(depth int) orderVerdict {
 				uv, vu := -(D[v*k+u] + times[u]), -(D[u*k+v] + times[v])
 				switch {
 				case uv < 0 && vu < 0:
-					return orderInfeasible
+					return false, -1, -1
 				case uv >= 0 && vu >= 0:
 					if bu < 0 || uv+vu < room {
 						bu, bv, room = u, v, uv+vu
 					}
 				case uv >= 0:
 					if D[u*k+v] < times[u] {
-						e.orderInsert(D, u, v)
+						e.orderInsert(D, u, v, times[u])
 						changed = true
 					}
 				default:
 					if D[v*k+u] < times[v] {
-						e.orderInsert(D, v, u)
+						e.orderInsert(D, v, u, times[v])
 						changed = true
 					}
 				}
 			}
 		}
+	}
+	return true, bu, bv
+}
+
+// orderBranch settles the matrix at the given stack depth: forced-pair
+// propagation to its fixpoint, then a branch on the open pair it names, on
+// copies of the matrix one level down.
+//
+//tessel:noalloc
+func (e *periodEngine) orderBranch(depth int) orderVerdict {
+	k := e.k
+	ok, bu, bv := e.orderPropagate(e.ordMat[depth*k*k : (depth+1)*k*k])
+	if !ok {
+		return orderInfeasible
 	}
 	if bu < 0 {
 		e.ordLeaf = depth
@@ -183,7 +229,7 @@ func (e *periodEngine) orderBranch(depth int) orderVerdict {
 		// Re-sliced per side: a deeper level may have moved the stack.
 		child := e.ordMat[(depth+1)*k*k : (depth+2)*k*k]
 		copy(child, e.ordMat[depth*k*k:])
-		e.orderInsert(child, bu, bv)
+		e.orderInsert(child, bu, bv, e.times[bu])
 		if v := e.orderBranch(depth + 1); v != orderInfeasible {
 			return v
 		}

@@ -198,11 +198,14 @@ func TestOrderCheckSearchDifferential(t *testing.T) {
 // TestOrderCheckCapIsNotAVerdict: with the node cap at zero a check decides
 // only what forced-pair propagation decides at the root and otherwise answers
 // "undecided" — so it prunes less, never differently: the searches return the
-// bytes they return uncapped.
+// bytes they return uncapped. What propagation alone decides the prefix filter
+// has decided before the check is asked (the last level of its stack is the
+// check's root matrix), so the forced-pair discards are counted where they now
+// happen: order-pruned assignments plus prefix cuts.
 func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 	type golden struct {
 		fingerprint string
-		pruned      int64
+		pruned      int64 // OrderPruned + PrefixCuts
 	}
 	want := map[string]golden{}
 	shapes := []string{"m4", "k6", "m8i", "x4", "m4i"}
@@ -217,10 +220,10 @@ func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 	}
 	for _, name := range shapes {
 		res := search(name)
-		if res.Stats.OrderNodes == 0 {
-			t.Fatalf("%s: no check branched; the shape does not exercise the cap", name)
+		if res.Stats.OrderNodes == 0 || res.Stats.PrefixCuts == 0 {
+			t.Fatalf("%s: %d branch nodes, %d prefix cuts; the shape does not exercise the cap", name, res.Stats.OrderNodes, res.Stats.PrefixCuts)
 		}
-		want[name] = golden{sched.FingerprintSchedule(res.Full), res.Stats.OrderPruned}
+		want[name] = golden{sched.FingerprintSchedule(res.Full), res.Stats.OrderPruned + res.Stats.PrefixCuts}
 	}
 	repetend.SetOrderNodeLimit(t, 0)
 	for _, name := range shapes {
@@ -235,8 +238,11 @@ func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 		// One worker's sweep stops within a few assignments of the winner
 		// either way, so the root-only count trails the uncapped one by the
 		// checks that needed a branch, give or take those stragglers.
-		if st.OrderPruned == 0 || st.OrderPruned > want[name].pruned+8 {
-			t.Fatalf("%s: %d assignments order-pruned under a zero cap, %d uncapped", name, st.OrderPruned, want[name].pruned)
+		if st.OrderPruned != 0 {
+			t.Fatalf("%s: %d assignments pruned by propagation at the root of their check, after the filter let them through", name, st.OrderPruned)
+		}
+		if st.PrefixCuts == 0 || st.PrefixCuts > want[name].pruned+8 {
+			t.Fatalf("%s: %d prefix cuts under a zero cap, %d order-pruned + prefix cuts uncapped", name, st.PrefixCuts, want[name].pruned)
 		}
 	}
 }
@@ -247,7 +253,11 @@ func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 // that reaches the bound, no assignment of any smaller N_R admits ANY
 // per-device order at the bound. Every one of them is ruled out by a proof
 // over all orders (memory at entry, the relaxation, or the exact check), none
-// by an instance solve and local search that merely failed to find one.
+// by an instance solve and local search that merely failed to find one. The
+// rounds are walked the way a search walks them, through the prefix filter: a
+// cut is the relaxation's proof, or the check's, for every assignment under it
+// at once (TestPrefixFilterCatalogCutsAreProofs re-derives each from Solve),
+// and what the filter lets through must be proven by Solve here.
 func TestRepetendSizeIsMinimalAtTheLowerBound(t *testing.T) {
 	reaching := 0
 	for _, c := range repetend.Catalog {
@@ -260,10 +270,19 @@ func TestRepetendSizeIsMinimalAtTheLowerBound(t *testing.T) {
 			continue
 		}
 		reaching++
-		smaller := 0
+		smaller, solved := 0, 0
 		opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: res.LowerBound, PeriodPool: repetend.NewPeriodPool()}
+		f, err := repetend.NewPrefixFilter(p, opts.PeriodPool)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for nr := 1; nr < res.Repetend.NR; nr++ {
-			if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
+			n, err := repetend.Count(p, nr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			smaller += n
+			f.Enumerate(context.Background(), nr, func() int { return res.LowerBound }, func(a repetend.Assignment) bool {
 				var eff repetend.Effort
 				o := opts
 				o.Effort = &eff
@@ -272,13 +291,11 @@ func TestRepetendSizeIsMinimalAtTheLowerBound(t *testing.T) {
 					t.Fatalf("%s: N_R %d assignment %v is not proven out of reach of the lower bound %d (the search stopped at N_R %d): err %v, effort %+v",
 						c.Name, nr, a, res.LowerBound, res.Repetend.NR, err, eff)
 				}
-				smaller++
+				solved++
 				return true
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 		}
-		t.Logf("%s: N_R %d; all %d assignments of smaller N_R proven infeasible at period %d", c.Name, res.Repetend.NR, smaller, res.LowerBound)
+		t.Logf("%s: N_R %d; all %d assignments of smaller N_R proven infeasible at period %d, %d of them one by one past the filter", c.Name, res.Repetend.NR, smaller, res.LowerBound, solved)
 	}
 	if reaching != 18 {
 		t.Fatalf("%d catalog placements reach their lower bound, want 18", reaching)

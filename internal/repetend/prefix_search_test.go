@@ -1,0 +1,146 @@
+package repetend_test
+
+// The prefix filter at sweep and search level: on the catalog every leaf under
+// a cut is one the unchanged Solve discards before its instance solve, and a
+// search returns the same bytes with the filter on and off.
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"tessel/internal/core"
+	"tessel/internal/repetend"
+	"tessel/internal/sched"
+)
+
+// TestPrefixFilterCatalogCutsAreProofs: for all 21 catalog placements, every
+// round a search sweeps, at the bound of the first pass (the lower bound) and,
+// where the search ends above it, at the bound the second pass ends on (the
+// winner's period) — each leaf the filter does not yield gets no repetend from
+// Solve at that bound, and no instance solve: ErrPruned, or ErrInfeasible
+// where the memory cap rules it out at entry.
+func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
+	ctx := context.Background()
+	cut, cutLoose := 0, 0
+	for _, c := range repetend.Catalog {
+		p := c.Placement(t)
+		res, err := core.Search(ctx, p, core.Options{Memory: c.Memory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := []int{res.LowerBound}
+		if res.Repetend.Period > res.LowerBound {
+			bounds = append(bounds, res.Repetend.Period)
+		}
+		f, err := repetend.NewPrefixFilter(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bound := range bounds {
+			opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: bound, PeriodPool: repetend.NewPeriodPool()}
+			for nr := 1; nr <= res.Stats.NRSwept; nr++ {
+				var kept []repetend.Assignment
+				f.Enumerate(ctx, nr, func() int { return bound }, func(a repetend.Assignment) bool {
+					kept = append(kept, a)
+					return true
+				})
+				if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
+					if len(kept) > 0 && slices.Equal(kept[0], a) {
+						kept = kept[1:]
+						return true
+					}
+					var eff repetend.Effort
+					o := opts
+					o.Effort = &eff
+					r, err := repetend.Solve(ctx, p, a, o)
+					if r != nil || !(errors.Is(err, repetend.ErrPruned) || errors.Is(err, repetend.ErrInfeasible)) || eff.SolverNodes != 0 || eff.LocalSearchSwaps != 0 {
+						t.Fatalf("%s N_R %d bound %d: the filter cut %v; Solve: repetend %v, err %v, effort %+v", c.Name, nr, bound, a, r, err, eff)
+					}
+					if cut++; bound > res.LowerBound {
+						cutLoose++
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(kept) != 0 {
+					t.Fatalf("%s N_R %d bound %d: the filter yielded %v, which Enumerate does not, or not in that order", c.Name, nr, bound, kept[0])
+				}
+			}
+		}
+	}
+	t.Logf("%d leaves under cuts, %d of them at a bound above the lower bound", cut, cutLoose)
+	if cut < 20000 || cutLoose < 100 {
+		t.Fatalf("only %d leaves cut over the catalog, %d at a loose bound; the filter has stopped firing", cut, cutLoose)
+	}
+}
+
+// TestPrefixFilterSearchDifferential: 300 seeded random placements searched
+// with the filter on and off give the same repetend — period, N_R, assignment
+// — and the same completed schedule, byte for byte. A third of them are
+// memory-capped, so the second sweep pass, whose filter follows a moving
+// incumbent, is covered; a placement no search completes must fail the same
+// way both times.
+func TestPrefixFilterSearchDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	type outcome struct {
+		res *core.Result
+		err error
+	}
+	search := func(p *sched.Placement, memory, workers int) outcome {
+		res, err := core.Search(context.Background(), p, core.Options{Memory: memory, N: 8, Workers: workers})
+		return outcome{res, err}
+	}
+	type instance struct {
+		p      *sched.Placement
+		memory int
+		on     outcome
+	}
+	var instances []instance
+	var cuts, fewerLeaves, fallbacks, fallbackCuts int64
+	for len(instances) < 300 {
+		p, memory, err := randomShape(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		instances = append(instances, instance{p, memory, search(p, memory, 1+len(instances)%2)})
+	}
+	repetend.SetPrefixFilter(t, false)
+	unsearchable := 0
+	for i, in := range instances {
+		off := search(in.p, in.memory, 1+i%2)
+		if in.on.err != nil || off.err != nil {
+			if in.on.err == nil || off.err == nil || in.on.err.Error() != off.err.Error() {
+				t.Fatalf("%s: filter on: %v; filter off: %v", in.p.Name, in.on.err, off.err)
+			}
+			unsearchable++
+			continue
+		}
+		if off.res.Stats.PrefixChecks != 0 {
+			t.Fatalf("%s: %d prefix checks with the filter off", in.p.Name, off.res.Stats.PrefixChecks)
+		}
+		a, b := in.on.res.Repetend, off.res.Repetend
+		if a.Period != b.Period || a.NR != b.NR || !slices.Equal(a.Assign, b.Assign) {
+			t.Fatalf("%s: filter on: period %d N_R %d %v; off: period %d N_R %d %v", in.p.Name, a.Period, a.NR, a.Assign, b.Period, b.NR, b.Assign)
+		}
+		if fa, fb := sched.FingerprintSchedule(in.on.res.Full), sched.FingerprintSchedule(off.res.Full); fa != fb {
+			t.Fatalf("%s: schedule fingerprint %s with the filter, %s without", in.p.Name, fa, fb)
+		}
+		on := in.on.res.Stats
+		cuts += on.PrefixCuts
+		fewerLeaves += int64(off.res.Stats.Assignments - on.Assignments)
+		if !on.EarlyExit {
+			fallbacks++
+			fallbackCuts += on.PrefixCuts
+		}
+	}
+	t.Logf("%d placements, %d without a repetend either way; %d subtrees cut, %d fewer leaves reached a worker; %d searches went into the second pass, with %d cuts between them",
+		len(instances), unsearchable, cuts, fewerLeaves, fallbacks, fallbackCuts)
+	if unsearchable > len(instances)/4 || cuts < 10000 || fewerLeaves < 50000 || fallbacks < 20 || fallbackCuts < 200 {
+		t.Fatalf("the sample has gone soft: %d of %d placements unsearchable, %d cuts, %d fewer leaves, %d second-pass searches with %d cuts",
+			unsearchable, len(instances), cuts, fewerLeaves, fallbacks, fallbackCuts)
+	}
+}

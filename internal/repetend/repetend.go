@@ -29,6 +29,13 @@
 // the exact order check (ordercheck.go; decides whether any order reaches the
 // bound, run when the bound is the device-work lower bound), and — after the
 // instance solve and local search — the period of the order actually found.
+//
+// The first two do not need the whole assignment. A PrefixFilter (prefix.go)
+// runs them in relaxed form on the prefixes of the enumeration tree — every
+// index not fixed yet at its loosest — and cuts a subtree where the prefix
+// alone closes a positive cycle or leaves a same-device pair no order: a proof,
+// for every assignment below at once, that Solve would discard it at stage one
+// or two. What the filter lets through Solve judges as if there were no filter.
 package repetend
 
 import (
@@ -129,58 +136,18 @@ func (a Assignment) Compare(b Assignment) int {
 // in topological order; values are tried from the upper bound downward,
 // which reaches pipeline-like assignments (consecutive drops of one) early.
 // yield returning false stops the enumeration. The return value reports
-// whether enumeration ran to completion (false when stopped by yield).
+// whether enumeration ran to completion (false when stopped by yield). This
+// is the walk of a PrefixFilter (prefix.go) with nothing cut.
 func Enumerate(p *sched.Placement, nr int, yield func(Assignment) bool) (bool, error) {
 	if nr <= 0 {
 		return false, fmt.Errorf("nr must be positive, got %d", nr)
 	}
-	order, err := p.TopoOrder()
+	f, err := newPrefixFilter(p)
 	if err != nil {
 		return false, err
 	}
-	preds := p.PredTable()
-	k := p.K()
-	assign := make(Assignment, k)
-	for i := range assign {
-		assign[i] = -1
-	}
-	complete := true
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
-		if pos == k {
-			min, max := assign[order[0]], assign[order[0]]
-			for _, r := range assign {
-				if r < min {
-					min = r
-				}
-				if r > max {
-					max = r
-				}
-			}
-			if min != 0 || max != nr-1 {
-				return true
-			}
-			return yield(assign.Clone())
-		}
-		i := order[pos]
-		hi := nr - 1
-		for _, pr := range preds[i] {
-			if assign[pr] < hi {
-				hi = assign[pr]
-			}
-		}
-		for v := hi; v >= 0; v-- {
-			assign[i] = v
-			if !rec(pos + 1) {
-				complete = false
-				return false
-			}
-		}
-		assign[i] = -1
-		return true
-	}
-	rec(0)
-	return complete, nil
+	f.nr, f.yield = nr, yield
+	return f.walk(0, 0), nil
 }
 
 // Count returns the number of canonical assignments Enumerate would yield.
@@ -270,6 +237,11 @@ type Effort struct {
 	// how many of them it discarded, OrderNodes the branch nodes it expanded —
 	// zero for a check that forced-pair propagation alone decided.
 	OrderChecks, OrderPruned, OrderNodes int64
+	// The prefix filter's work, reported by PrefixFilter.Effort and by no Solve
+	// call: PrefixChecks is the enumeration-tree nodes it tested, PrefixCuts
+	// the subtrees it cut — each any number of assignments that no Solve call
+	// then sees.
+	PrefixChecks, PrefixCuts int64
 }
 
 // Add accumulates o into e.
@@ -282,6 +254,8 @@ func (e *Effort) Add(o Effort) {
 	e.OrderChecks += o.OrderChecks
 	e.OrderPruned += o.OrderPruned
 	e.OrderNodes += o.OrderNodes
+	e.PrefixChecks += o.PrefixChecks
+	e.PrefixCuts += o.PrefixCuts
 }
 
 // SolveOptions configures repetend solving.
@@ -477,7 +451,10 @@ func instanceTasks(p *sched.Placement, a Assignment) []solver.Task {
 //
 // Stages 1 and 2 only ever return earlier what stage 3 would have returned:
 // whether an assignment survives, and with what Starts, is the same with
-// either of them removed.
+// either of them removed. A sweep runs both ahead of Solve as well, on
+// prefixes (PrefixFilter): an assignment under one of its cuts is one that
+// stage 1, or stage 2 by forced pairs alone, discards here, so it never gets
+// as far as this call and its absence changes nothing either.
 func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOptions) (*Repetend, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -518,7 +495,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		// expensive instance solve entirely.
 		return nil, &pruneError{"period lower bound", bound}
 	}
-	if bound > 0 && bound == eng.workLowerBound() && orderNodeLimit >= 0 {
+	if eng.orderChecked(bound) {
 		// Stage 2: the bound leaves the busiest device no idle time.
 		eff.OrderChecks = 1
 		if eng.orderCheck(bound) == orderInfeasible {
