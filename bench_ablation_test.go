@@ -195,7 +195,7 @@ func benchOrderCheck(b *testing.B) {
 	ctx := context.Background()
 	p := mustShape(b, tessel.NewMShape)
 	var eff repetend.Effort
-	opts := repetend.SolveOptions{PeriodUpperBound: p.LowerBound(), PeriodPool: repetend.NewPeriodPool(), Effort: &eff}
+	opts := repetend.SolveOptions{PeriodUpperBound: p.LowerBound(), Effort: &eff}
 	var survivors []repetend.Assignment
 	for nr := 1; nr <= 6; nr++ {
 		if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
@@ -229,11 +229,12 @@ func benchPrefixPush(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := repetend.NewPrefixFilter(p, repetend.NewPeriodPool())
+	f, err := repetend.NewPrefixFilter(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bound := func() int { return p.LowerBound() }
+	defer f.Close()
+	bound := p.LowerBound()
 	none := func(a repetend.Assignment) bool {
 		b.Fatalf("round 5 of v6 has an assignment the filter lets through: %v", a)
 		return false
@@ -252,19 +253,18 @@ func benchPrefixPush(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*pushes), "ns/push")
 }
 
-// BenchmarkSolverReuse contrasts a pooled searcher (the steady state of a
-// repetend sweep: zero allocations per solve) with the package-level Solve
-// on the same instance.
+// BenchmarkSolverReuse measures the package-level searcher recycling of
+// solver.Solve — the steady state of a repetend sweep: one allocation per
+// solve, the caller's Starts — on back-to-back solves of one instance.
 func BenchmarkSolverReuse(b *testing.B) {
 	tasks := solverTasks(b, 2, 100)
-	pool := solver.NewPool()
-	if _, err := pool.Solve(context.Background(), tasks, solver.Options{}); err != nil {
+	if _, err := solver.Solve(context.Background(), tasks, solver.Options{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pool.Solve(context.Background(), tasks, solver.Options{}); err != nil {
+		if _, err := solver.Solve(context.Background(), tasks, solver.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

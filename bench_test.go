@@ -114,8 +114,8 @@ func BenchmarkFingerprint(b *testing.B) {
 // the filter costs; nn6i is the same with the search's one expensive
 // completion solve behind it; x8m4 cannot reach the bound under its memory cap
 // and pays the failed first pass plus the whole unaimed second pass, which the
-// check stays out of and the filter cuts little of. Regressions in the pruning
-// show up here first.
+// check and the filter stay out of. Regressions in the pruning show up here
+// first.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {

@@ -27,17 +27,15 @@
 // the bound and completes is the winner either way — everything the preset
 // discards has a larger period and could never have displaced it. When no
 // assignment reaches the bound (memory caps usually), the incumbent is cleared
-// and the loop runs again unaimed, on the first pass's searcher pool,
-// period-engine pool and instance-solve cache.
+// and the loop runs again unaimed, on the first pass's instance-solve cache.
 //
-// Most assignments never become one. The producer of either pass walks the
-// enumeration tree through a repetend.PrefixFilter at the pass's bound — the
-// lower bound; in the second pass the incumbent as published, re-read between
-// the subtrees of the tree's first level, and no filter before there is one —
-// and a prefix whose already-fixed indices rule the bound out for every
-// completion cuts its whole subtree. Only what is left crosses to the workers,
-// which judge it as if nothing had been cut: a cut discards what
-// repetend.Solve's first two prune stages would have discarded one by one.
+// In the first pass most assignments never become one. Its producer walks the
+// enumeration tree through a repetend.PrefixFilter at the lower bound, and a
+// prefix whose already-fixed indices rule the bound out for every completion
+// cuts its whole subtree. Only what is left crosses to the workers, which judge
+// it as if nothing had been cut: a cut discards what repetend.Solve's first two
+// prune stages would have discarded one by one. The second pass hands its
+// workers every canonical assignment of a round, whatever their number.
 //
 // All entry points take a context.Context and honor it end-to-end: the
 // assignment producer, every concurrent repetend-solver worker, and the
@@ -93,10 +91,8 @@ type Options struct {
 	MaxNR int
 	// MaxAssignments caps, per N_R, the assignments handed to the sweep's
 	// workers (0 = DefaultMaxAssignments); those under a prefix cut are not
-	// among them. Since the cuts, a search that runs into the cap has seen at
-	// least as far into the round as it did when the cap counted every
-	// assignment enumerated — how much further depends, in the second pass, on
-	// when the incumbent moved.
+	// among them, so a first-pass search that runs into the cap has seen at
+	// least as far into the round as the cap counts.
 	MaxAssignments int
 	// SolverNodes bounds each exact solve (0 = DefaultSolverNodes).
 	SolverNodes int64
@@ -310,35 +306,27 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	}
 
 	st := &sweepState{}
-	// One searcher pool, one period-engine pool, and one instance-solve
-	// cache for the whole search: the pools recycle solver state (task
-	// graphs, frontier buffers, memo arenas) and period-machinery state
-	// (edge CSRs, dist/queue vectors, order buffers) across the sweep's
-	// hundreds of instance solves and thousands of feasibility probes;
-	// the cache lets assignments that share a lag-zero pattern (across
-	// workers and N_R rounds) pay the branch-and-bound makespan solve
-	// once.
-	pool := solver.NewPool()
+	// One instance-solve cache for the whole search: assignments that share a
+	// lag-zero pattern (across workers and N_R rounds) pay the branch-and-bound
+	// makespan solve once.
 	repOpts := repetend.SolveOptions{
 		Memory:        opts.Memory,
 		SolverNodes:   opts.SolverNodes,
 		SolverTimeout: opts.SolverTimeout,
-		Pool:          pool,
-		PeriodPool:    repetend.NewPeriodPool(),
-		Cache:         repetend.NewSolveCache(),
+		Cache:         repetend.NewSolveCache(p),
 	}
-	// One prefix filter too: its matrix stack is the search's largest single
-	// piece of scratch, and every round of both passes walks through it.
-	filter, err := repetend.NewPrefixFilter(p, repOpts.PeriodPool)
+	// One prefix filter too: every round of both passes walks through it.
+	filter, err := repetend.NewPrefixFilter(p)
 	if err != nil {
 		return nil, err
 	}
+	defer filter.Close()
 
 	sweep := func(aim int) error {
 		st.incumbent.Store(int64(aim))
 		for nr := 1; nr <= maxNR && !res.Stats.EarlyExit; nr++ {
 			res.Stats.NRSwept = nr
-			if err := sweepNR(ctx, p, nr, st, filter, repOpts, opts, pool, res); err != nil {
+			if err := sweepNR(ctx, p, nr, aim, st, filter, repOpts, opts, res); err != nil {
 				return err
 			}
 			if err := ctx.Err(); err != nil {
@@ -372,7 +360,7 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		n = 3 * best.NR
 	}
 	res.N = n
-	if err := completeSchedule(ctx, res, best, n, opts, pool, &res.tmpl); err != nil {
+	if err := completeSchedule(ctx, res, best, n, opts, &res.tmpl); err != nil {
 		return nil, err
 	}
 	res.Makespan = res.Full.Makespan()
@@ -460,7 +448,7 @@ func solveAssignment(ctx context.Context, p *sched.Placement, a repetend.Assignm
 // Cancelling ctx stops the producer and every worker: in-flight solves
 // abort at their next context poll and sweepNR returns ctx's error. The
 // sweep's own early exit stops them the same way and is no error.
-func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, filter *repetend.PrefixFilter, repOpts repetend.SolveOptions, opts Options, pool *solver.Pool, res *Result) error {
+func sweepNR(ctx context.Context, p *sched.Placement, nr, aim int, st *sweepState, filter *repetend.PrefixFilter, repOpts repetend.SolveOptions, opts Options, res *Result) error {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -490,14 +478,12 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, fi
 		return nil
 	}
 	// Producer: walk the round's assignments through the prefix filter, at
-	// the incumbent of the moment, and hand on those it lets through, under
-	// the budget.
+	// the pass's aim, and hand on those it lets through, under the budget.
 	go func() {
 		defer close(assignCh)
 		budget := opts.MaxAssignments
 		seq := 0
-		incumbent := func() int { return int(st.incumbent.Load()) }
-		filter.Enumerate(sweepCtx, nr, incumbent, func(a repetend.Assignment) bool {
+		filter.Enumerate(sweepCtx, nr, aim, func(a repetend.Assignment) bool {
 			if sweepCtx.Err() != nil {
 				return false
 			}
@@ -580,7 +566,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr int, st *sweepState, fi
 				return
 			}
 		}
-		ok, err := checkCompletion(ctx, p, r, opts, pool, &res.Stats)
+		ok, err := checkCompletion(ctx, p, r, opts, &res.Stats)
 		if err != nil {
 			firstErr = err
 			done = true
@@ -695,7 +681,7 @@ func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, err
 		BubbleRate: res.BubbleRate,
 		N:          n,
 	}
-	if err := completeSchedule(ctx, out, res.Repetend, n, opts, nil, &res.tmpl); err != nil {
+	if err := completeSchedule(ctx, out, res.Repetend, n, opts, &res.tmpl); err != nil {
 		return nil, err
 	}
 	out.tmpl.memos.Store(res.tmpl.memos.Load())
@@ -738,7 +724,7 @@ func cooldownBlocks(p *sched.Placement, a repetend.Assignment, reps, n int) []sc
 // it only asks the solver whether valid warmup and cooldown schedules exist
 // (satisfiability); otherwise it solves them time-optimally — the two modes
 // of §V.
-func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repetend, opts Options, pool *solver.Pool, stats *Stats) (bool, error) {
+func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repetend, opts Options, stats *Stats) (bool, error) {
 	warm := warmupBlocks(p, r.Assign)
 	cool := cooldownBlocks(p, r.Assign, 1, r.NR)
 	solveOpts := solver.Options{
@@ -750,7 +736,7 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 	}
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Warmup telemetry, never schedule bytes
 	t0 := time.Now()
-	warmOK, warmTrunc, err := phaseFeasible(ctx, p, warm, nil, nil, solveOpts, pool)
+	warmOK, warmTrunc, err := phaseFeasible(ctx, p, warm, nil, nil, solveOpts)
 	stats.Phase.Warmup += time.Since(t0)
 	if warmTrunc {
 		stats.Truncated = true
@@ -767,7 +753,7 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 	}
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Cooldown telemetry, never schedule bytes
 	t1 := time.Now()
-	coolOK, coolTrunc, err := phaseFeasible(ctx, p, cool, initMem, nil, solveOpts, pool)
+	coolOK, coolTrunc, err := phaseFeasible(ctx, p, cool, initMem, nil, solveOpts)
 	stats.Phase.Cooldown += time.Since(t1)
 	if coolTrunc {
 		stats.Truncated = true
@@ -781,7 +767,7 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 // phaseFeasible reports whether the blocks admit a valid phase schedule.
 // truncated is true when the verdict was reached after a solver budget ran
 // out, so a false answer is budget-degraded rather than proven.
-func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block, initMem, deviceReady []int, opts solver.Options, pool *solver.Pool) (ok, truncated bool, err error) {
+func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block, initMem, deviceReady []int, opts solver.Options) (ok, truncated bool, err error) {
 	if len(blocks) == 0 {
 		return true, false, nil
 	}
@@ -791,7 +777,7 @@ func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block
 	}
 	opts.InitialMem = initMem
 	opts.DeviceReady = deviceReady
-	res, err := pool.Solve(ctx, tasks, opts)
+	res, err := solver.Solve(ctx, tasks, opts)
 	if err != nil {
 		return false, false, err
 	}
@@ -805,10 +791,10 @@ func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block
 // Phase solves go through tmpl, the completion template of the search result
 // the repetend belongs to (res itself in Search, the extended result in
 // Extend).
-func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n int, opts Options, pool *solver.Pool, tmpl *template) error {
+func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n int, opts Options, tmpl *template) error {
 	p := res.Placement
 	if n < r.NR {
-		return completeDirect(ctx, res, n, opts, pool, tmpl)
+		return completeDirect(ctx, res, n, opts, tmpl)
 	}
 	reps := n - r.NR + 1
 
@@ -816,7 +802,7 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Warmup telemetry, never schedule bytes
 	warmStart := time.Now()
 	warm := warmupBlocks(p, r.Assign)
-	warmSched, err := solvePhase(ctx, p, warm, nil, nil, nil, opts, pool, &res.Stats, tmpl)
+	warmSched, err := solvePhase(ctx, p, warm, nil, nil, nil, opts, &res.Stats, tmpl)
 	res.Stats.Phase.Warmup += time.Since(warmStart)
 	if err != nil {
 		return fmt.Errorf("warmup: %w", err)
@@ -912,7 +898,7 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 			initMem[d] += (r.Assign[i] + reps) * p.Stages[i].Mem
 		}
 	}
-	coolSched, err := solvePhase(ctx, p, cool, releases, initMem, deviceReady, opts, pool, &res.Stats, tmpl)
+	coolSched, err := solvePhase(ctx, p, cool, releases, initMem, deviceReady, opts, &res.Stats, tmpl)
 	res.Stats.Phase.Cooldown += time.Since(coolStart)
 	if err != nil {
 		return fmt.Errorf("cooldown: %w", err)
@@ -933,9 +919,9 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 // completeDirect handles N < N_R with a whole-problem time-optimal solve —
 // TimeOptimal's instance, solved as one phase so that the template holds it:
 // a repeat of the same small N costs no solve either.
-func completeDirect(ctx context.Context, res *Result, n int, opts Options, pool *solver.Pool, tmpl *template) error {
+func completeDirect(ctx context.Context, res *Result, n int, opts Options, tmpl *template) error {
 	p := res.Placement
-	full, err := solvePhase(ctx, p, solver.AllBlocks(p, n), nil, nil, nil, opts, pool, &res.Stats, tmpl)
+	full, err := solvePhase(ctx, p, solver.AllBlocks(p, n), nil, nil, nil, opts, &res.Stats, tmpl)
 	if err != nil {
 		return fmt.Errorf("time-optimal solve of %s with %d micro-batches: %w", p.Name, n, err)
 	}
@@ -952,7 +938,7 @@ func completeDirect(ctx context.Context, res *Result, n int, opts Options, pool 
 // alone determines — proven optimal, or cut short by the node budget — is
 // stored in tmpl, and an instance tmpl already holds is answered from it
 // without being built or solved.
-func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, initMem, deviceReady []int, opts Options, pool *solver.Pool, stats *Stats, tmpl *template) (*sched.Schedule, error) {
+func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, initMem, deviceReady []int, opts Options, stats *Stats, tmpl *template) (*sched.Schedule, error) {
 	s := sched.NewSchedule(p)
 	if len(blocks) == 0 {
 		return s, nil
@@ -979,7 +965,7 @@ func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, r
 		if err != nil {
 			return nil, err
 		}
-		sres, err := pool.Solve(ctx, tasks, solveOpts)
+		sres, err := solver.Solve(ctx, tasks, solveOpts)
 		if err != nil {
 			return nil, err
 		}

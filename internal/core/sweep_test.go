@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,8 +24,8 @@ var fallbackShapes = map[string]bool{"x8m4": true, "nn4m8": true, "v6m4": true}
 // pass: it hands its workers no more than one pass up to the N_R it stopped in
 // and reports an early exit. One that cannot runs both passes to the end — the
 // whole first pass for nothing, then the whole second pass, which has no
-// early exit to take — and, since the prefix filter cuts in both, hands on
-// fewer assignments than the two passes hold. The fault point between the
+// early exit to take — and, since the prefix filter cuts in the first, hands
+// on fewer assignments than the two passes hold. The fault point between the
 // passes is the second witness.
 func TestSearchSweepPasses(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
@@ -73,6 +74,60 @@ func TestSearchSweepPasses(t *testing.T) {
 	}
 }
 
+// TestFallbackPassEnumeratesEveryLeaf: the unaimed second pass walks its rounds
+// unfiltered, so it hands its workers every canonical leaf — repetend.Count of
+// them per round swept, or the budget's worth where MaxAssignments truncates
+// the round (the leaf that breaks the budget is counted, not handed on) —
+// however many workers there are and whenever the incumbent moved. The first
+// pass's share is what the filter yields at the lower bound, a constant too,
+// so Stats.Assignments is one number for Workers 1/2/4.
+func TestFallbackPassEnumeratesEveryLeaf(t *testing.T) {
+	for _, name := range []string{"x8m4", "v6m4", "nn4m8"} {
+		p, opts := catalogPlacement(t, name)
+		filter, err := repetend.NewPrefixFilter(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer filter.Close()
+		var aimed, all []int // leaves per round: past the filter at the lower bound, and in the tree
+		for nr := 1; nr <= MaxInflight(p, opts.Memory); nr++ {
+			n := 0
+			filter.Enumerate(context.Background(), nr, p.LowerBound(), func(repetend.Assignment) bool { n++; return true })
+			aimed = append(aimed, n)
+			if n, err = repetend.Count(p, nr); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, n)
+		}
+		largest := slices.Max(all)
+		for _, budget := range []int{0, largest / 2} {
+			capped := func(rounds []int) (total int) {
+				for _, n := range rounds {
+					if budget > 0 {
+						n = min(n, budget+1)
+					}
+					total += n
+				}
+				return total
+			}
+			for _, workers := range []int{1, 2, 4} {
+				opts.Workers, opts.MaxAssignments = workers, budget
+				res, err := Search(context.Background(), p, opts)
+				if err != nil {
+					t.Fatalf("%s workers %d budget %d: %v", name, workers, budget, err)
+				}
+				st := res.Stats
+				if st.EarlyExit || st.NRSwept != len(all) || st.Truncated != (budget > 0) {
+					t.Fatalf("%s workers %d budget %d: early exit %v, swept to N_R %d of %d, truncated %v", name, workers, budget, st.EarlyExit, st.NRSwept, len(all), st.Truncated)
+				}
+				if got, want := st.Assignments-capped(aimed), capped(all); got != want {
+					t.Fatalf("%s workers %d budget %d: the fallback pass handed on %d of the %d leaves of its rounds %v", name, workers, budget, got, want, all)
+				}
+			}
+		}
+	}
+}
+
 // TestChaosCancelBetweenSweepPasses cancels the search at the one point where
 // no worker is running to notice: after the first pass has come back empty and
 // before the second starts. Search must return the context's error, not the
@@ -109,14 +164,15 @@ func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assign
 	t.Helper()
 	p := res.Placement
 	var floor repetend.Effort
-	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Cache: repetend.NewSolveCache(), Effort: &floor}
-	filter, err := repetend.NewPrefixFilter(p, nil)
+	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Cache: repetend.NewSolveCache(p), Effort: &floor}
+	filter, err := repetend.NewPrefixFilter(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer filter.Close()
 	var winner *repetend.Repetend
 	for nr := 1; nr <= res.Repetend.NR && winner == nil; nr++ {
-		filter.Enumerate(context.Background(), nr, func() int { return res.LowerBound }, func(a repetend.Assignment) bool {
+		filter.Enumerate(context.Background(), nr, res.LowerBound, func(a repetend.Assignment) bool {
 			before := floor
 			winner, err = repetend.Solve(context.Background(), p, a, ro)
 			if visit != nil {

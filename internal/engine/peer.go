@@ -8,7 +8,7 @@
 // exactly the machinery that validates a boot restore: header shape, strict
 // version token, SHA-256 body checksum, and the full per-entry structural
 // re-validation of decodeEntry (placement, fingerprint-vs-key, vector
-// dimensions, schedule bounds, makespan). A lying, torn, or stale peer
+// dimensions, schedule bounds, makespan, the full schedule's constraints). A lying, torn, or stale peer
 // response therefore degrades to a cold search, never to a poisoned cache.
 //
 // Layering: the engine defines the PeerTier interface and internal/peer

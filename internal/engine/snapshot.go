@@ -12,7 +12,8 @@
 // front, then per entry the placement (sched.DecodePlacement), the key's
 // fingerprint prefix against the embedded placement's recomputed
 // fingerprint, the repetend's vector lengths and bounds, each schedule item
-// (sched.DecodeItems), and the full schedule's makespan — so a torn,
+// (sched.DecodeItems), and the full schedule's makespan and constraints
+// (sched.Validate under the key's memory cap) — so a torn,
 // corrupt, or stale-format snapshot degrades to a cold start (with a logged
 // warning per skipped layer), never to a crash or a poisoned cache.
 //
@@ -31,6 +32,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tessel/internal/core"
@@ -321,8 +323,10 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 // here, because the bytes may be stale or hand-edited: the placement
 // validates, the key's fingerprint prefix matches the placement, the
 // repetend's vectors have the placement's dimensions, schedule items
-// pass sched.DecodeItems, and the full schedule's makespan matches the
-// recorded one.
+// pass sched.DecodeItems, the full schedule's makespan matches the recorded
+// one, and the full schedule — which a request at the recorded N is answered
+// with as it stands — satisfies dependencies, device exclusivity and the
+// memory cap its key names.
 func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	p, err := sched.DecodePlacement(bytes.NewReader(entry.Placement))
 	if err != nil {
@@ -384,6 +388,13 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	if got := full.Makespan(); got != entry.Makespan {
 		return nil, fmt.Errorf("full schedule makespan %d does not match recorded %d", got, entry.Makespan)
 	}
+	memory, err := keyMemory(entry.Key)
+	if err != nil {
+		return nil, err
+	}
+	if err := full.Validate(sched.ValidateOptions{Memory: memory}); err != nil {
+		return nil, fmt.Errorf("full schedule invalid: %w", err)
+	}
 	return &core.Result{
 		Placement:  p,
 		Repetend:   r,
@@ -397,4 +408,16 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 		Makespan:   entry.Makespan,
 		Stats:      entry.Stats,
 	}, nil
+}
+
+// keyMemory reads the per-device memory cap out of a cache key's mem=
+// component (requestKey).
+func keyMemory(key string) (int, error) {
+	_, rest, _ := strings.Cut(key, "|mem=")
+	num, _, _ := strings.Cut(rest, "|")
+	memory, err := strconv.Atoi(num)
+	if err != nil {
+		return 0, fmt.Errorf("key carries no memory cap: %q", key)
+	}
+	return memory, nil
 }

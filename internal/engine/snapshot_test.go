@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -402,6 +403,71 @@ func TestSnapshotBadEntrySkipped(t *testing.T) {
 	}
 	if rec.count("skipping entry") != 1 {
 		t.Fatalf("skipped entry not logged exactly once: %v", rec.lines)
+	}
+}
+
+// withOverlap returns the snapshot or peer payload data, re-checksummed, with
+// the full schedule of its first entry rewritten so that two blocks run on one
+// device at once — early enough to leave the makespan, and so every check but
+// the schedule's own validation, as it was.
+func withOverlap(t testing.TB, data []byte) []byte {
+	t.Helper()
+	var body snapshotBody
+	if err := json.Unmarshal(data[bytes.IndexByte(data, '\n')+1:], &body); err != nil {
+		t.Fatal(err)
+	}
+	entry := &body.Entries[0]
+	p, err := sched.DecodePlacement(bytes.NewReader(entry.Placement))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := entry.Full[0]
+	for i := 1; i < len(entry.Full)/2; i++ {
+		it := &entry.Full[i]
+		if it.Start > first.Start && slices.ContainsFunc(p.Stages[it.Stage].Devices, p.Stages[first.Stage].OnDevice) {
+			it.Start = first.Start
+			payload, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return withChecksumHeader(payload)
+		}
+	}
+	t.Fatal("no early block shares a device with the first")
+	return nil
+}
+
+// TestSnapshotInvalidScheduleSkipped: an entry whose full schedule breaks device
+// exclusivity — in a file whose checksum, ranges and makespan all hold — would
+// be served as it stands to a request at its recorded N. The restore skips it.
+func TestSnapshotInvalidScheduleSkipped(t *testing.T) {
+	e, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
+	rec := &logRecorder{}
+	fresh := New(Options{Logf: rec.logf})
+	n, err := fresh.RestoreFrom(bytes.NewReader(withOverlap(t, snapshotBytes(t, e))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 || fresh.Stats().Entries != 1 || rec.count("overlap") != 1 {
+		t.Fatalf("restored %d entries (cache %d), want 1 and the other skipped for its overlap: %v", n, fresh.Stats().Entries, rec.lines)
+	}
+}
+
+// TestPeerEntryRejectsInvalidSchedule: the same entry arriving from a peer is
+// rejected before it touches the cache.
+func TestPeerEntryRejectsInvalidSchedule(t *testing.T) {
+	src, _ := warmEngine(t, Options{}, mshape(t))
+	key := cachedKey(t, src)
+	data, _, err := src.EncodePeerEntry(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := New(Options{})
+	if _, err := dst.InsertPeerEntry(key, bytes.NewReader(withOverlap(t, data))); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("InsertPeerEntry of an entry with overlapping blocks: err %v", err)
+	}
+	if st := dst.Stats(); st.Entries != 0 {
+		t.Fatalf("rejected entry still cached %d entries", st.Entries)
 	}
 }
 

@@ -228,7 +228,7 @@ func TestHotPathsAreAnnotated(t *testing.T) {
 			}
 		}
 	}
-	for _, fn := range []string{"solver.dfs", "solver.apply", "solver.undo", "repetend.relax", "repetend.run", "repetend.minPeriod"} {
+	for _, fn := range []string{"solver.dfs", "solver.apply", "solver.undo", "repetend.relax", "repetend.run", "repetend.probeOrders", "repetend.minPeriod"} {
 		if !marked[fn] {
 			t.Errorf("%s is not marked //tessel:noalloc", fn)
 		}

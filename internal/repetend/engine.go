@@ -8,19 +8,13 @@
 // zero heap allocations in the steady state, mirroring the solver package's
 // searcher treatment.
 //
-// Three ideas carry the speedup over the dense Bellman-Ford edge lists this
+// Two ideas carry the speedup over the dense Bellman-Ford edge lists this
 // replaces:
 //
 //  1. Queue-based relaxation (SPFA) with positive-cycle detection by
 //     relaxation-chain length: only stages whose distance actually changed
 //     are revisited, instead of re-scanning every edge O(V) times.
-//  2. Warm-started binary search: feasibility is monotone in P — shrinking
-//     P only tightens the period-dependent constraints — so the least
-//     fixpoint at a larger feasible P is a valid starting vector for any
-//     smaller P. Each binary-search probe re-relaxes from the previous
-//     feasible dist instead of from zero, seeded with just the
-//     period-dependent (cross and wrap-around) edges.
-//  3. In-place swap+undo local search: a candidate adjacent swap mutates
+//  2. In-place swap+undo local search: a candidate adjacent swap mutates
 //     the engine's order and prefix-memory buffers in O(shared devices),
 //     its memory check is a delta check of the single changed prefix per
 //     device, and rejection undoes the swap — no cloned order vectors, no
@@ -36,7 +30,6 @@ package repetend
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"tessel/internal/sched"
 )
@@ -55,70 +48,12 @@ const (
 	periodInfeasible
 )
 
-// PeriodPool recycles periodEngine scratch — SPFA dist/queue vectors, order
-// buffers, the order check's matrix stack — across Solve calls, the
-// period-machinery analogue of solver.Pool. A sweep shares one pool across
-// its workers so its thousands of feasibility probes run allocation-free
-// instead of rebuilding edge lists per probe. Safe for concurrent use:
-// concurrent solves draw distinct engines. The zero value is ready to use.
-//
-// A pool made by NewPeriodPool also keeps the placement-only half of an
-// instance (periodShape) for the placement it last served and hands it,
-// read-only, to every engine bound to that placement: a sweep derives it
-// once, not once per assignment. Such a pool holds on to that placement for
-// as long as it lives, which is why the package's own fallback pool — the
-// zero value — does not share.
-type PeriodPool struct {
-	p      sync.Pool
-	shared bool
-	shape  atomic.Pointer[periodShape]
-}
-
-// NewPeriodPool returns an empty period-engine pool that shares the
-// placement-only state of the placement it serves between its engines.
-func NewPeriodPool() *PeriodPool { return &PeriodPool{shared: true} }
-
-// get draws a recycled engine; a nil *PeriodPool falls back to the
-// package's shared pool so callers can thread an optional pool without
-// branching.
-func (pl *PeriodPool) get() *periodEngine {
-	if pl == nil {
-		pl = defaultPeriodPool
-	}
-	e, _ := pl.p.Get().(*periodEngine)
-	if e == nil {
-		e = &periodEngine{}
-	}
-	e.home = pl
-	return e
-}
-
-// shapeFor returns the pool's shape of p, deriving and publishing it when the
-// pool last served another placement. Two engines racing on a new placement
-// both derive it; either copy serves.
-func (pl *PeriodPool) shapeFor(p *sched.Placement) *periodShape {
-	if sh := pl.shape.Load(); sh != nil && sh.p == p {
-		return sh
-	}
-	sh := &periodShape{}
-	sh.build(p)
-	sh.buildWindow() // shared shapes are read-only from here on
-	pl.shape.Store(sh)
-	return sh
-}
-
-// release returns an engine to the pool it was drawn from.
-func (e *periodEngine) release() {
-	// Drop the placement references; scratch arrays are retained. A shared
-	// shape stays with its pool, the engine's own is kept for its capacity.
-	e.periodShape, e.own.p = nil, nil
-	e.home.p.Put(e)
-}
-
-// defaultPeriodPool backs Solve calls that do not thread a pool. It is the
-// zero value: its engines derive their own shape per bind, so it pins no
-// placement between calls.
-var defaultPeriodPool = &PeriodPool{}
+// periodEngines recycles periodEngine scratch — SPFA dist/queue vectors, order
+// buffers, the order check's matrix stack, the shape of the placement last
+// served — across Solve calls and prefix filters, so a sweep's thousands of
+// feasibility probes run allocation-free instead of rebuilding edge lists per
+// probe. Concurrent solves draw distinct engines.
+var periodEngines = sync.Pool{New: func() any { return new(periodEngine) }}
 
 // periodAudit, when non-nil, is invoked by localSearch after every
 // candidate swap has been resolved (kept or undone). It exists solely for
@@ -131,13 +66,10 @@ var periodAudit func(e *periodEngine, u, v int, accepted bool)
 // bind attaches it to a (placement, assignment, entry-memory, capacity)
 // instance; all methods below run allocation-free once the scratch has
 // grown to the instance size. An engine is single-goroutine state; draw
-// one per solve from a PeriodPool.
+// one per solve from periodEngines.
 type periodEngine struct {
-	home *PeriodPool
-	// The placement-only half of the instance: the pool's shared copy, or own
-	// when the pool does not share (see PeriodPool).
-	*periodShape
-	own periodShape
+	// The placement-only half of the instance, kept across binds (bindShape).
+	periodShape
 
 	mem   int   // per-device capacity (sched.Unbounded = none)
 	entry []int // per-device entry memory
@@ -167,7 +99,7 @@ type periodEngine struct {
 
 	// SPFA state. dist is the working distance vector; feasDist holds the
 	// least fixpoint of the last feasible probe of the current minPeriod
-	// call (the warm-start base); qbuf is a FIFO ring of capacity k+1 with
+	// call; qbuf is a FIFO ring of capacity k+1 with
 	// inq de-duplicating membership; cnt is the relaxation-chain length
 	// per stage — reaching k proves a positive cycle (infeasible period).
 	dist     []int
@@ -206,9 +138,8 @@ type periodEngine struct {
 
 // periodShape is the half of a repetend instance that the placement alone
 // determines — stage times and memory deltas, the dependency and window edge
-// lists, the device → stages layout and the bounds read off them. It is built
-// once and only read afterwards, so the engines of one sweep share one (see
-// PeriodPool).
+// lists, the device → stages layout and the bounds read off them. An engine
+// derives it when it meets a placement and keeps it until it meets another.
 type periodShape struct {
 	p  *sched.Placement
 	k  int // stages
@@ -230,10 +161,9 @@ type periodShape struct {
 	statTo   []int
 
 	// Window edges of the order-independent relaxation (s_u ≥ s_v + t_v − P
-	// for distinct same-device stages v, u), CSR-packed by source. A shared
-	// shape builds them with the rest; an engine's own builds them on the
-	// first relaxedFeasible call after bind, since an unbounded solve never
-	// consults them.
+	// for distinct same-device stages v, u), CSR-packed by source, built on
+	// the first relaxedFeasible or orderRoot call, since an unbounded solve
+	// never consults them.
 	winHead  []int
 	winTo    []int
 	winSeen  []int // dedup stamps, one per stage
@@ -336,14 +266,13 @@ func (sh *periodShape) build(p *sched.Placement) {
 	}
 }
 
-// bindShape attaches the engine to the shape of p: the pool's, or the engine's
-// own rebuilt in place.
+// bindShape attaches the engine to the shape of p, rebuilt in place unless p is
+// the placement the engine last served: a sweep's engines derive it once each,
+// not once per assignment. A placement is not modified once it has been
+// searched, so the pointer identifies the shape.
 func (e *periodEngine) bindShape(p *sched.Placement) {
-	if e.home != nil && e.home.shared {
-		e.periodShape = e.home.shapeFor(p)
-	} else {
-		e.own.build(p)
-		e.periodShape = &e.own
+	if e.p != p {
+		e.build(p)
 	}
 }
 
@@ -419,7 +348,7 @@ func (e *periodEngine) buildReach() {
 // buildWindow packs the order-independent device-window constraints: for
 // every ordered pair (v, u) of distinct stages sharing a device,
 // s_u ≥ s_v + t_v − P, deduplicated across devices. Built once per shape; a
-// no-op — and so safe on a shared shape — from then on.
+// no-op from then on.
 //
 //tessel:noalloc
 func (sh *periodShape) buildWindow() {
@@ -513,51 +442,6 @@ func (e *periodEngine) seedCold() {
 	}
 }
 
-// seedWarm starts a probe at period P from feasDist, the least fixpoint of
-// the last feasible probe at some larger period P′ > P. Shrinking the
-// period only tightens the period-dependent constraints, so feasDist is
-// ≤ the new least fixpoint pointwise and relaxation from it converges to
-// exactly the same fixpoint as a cold start — after re-checking only the
-// constraints whose weight changed: the cross-instance dependency edges and
-// the per-device wrap-around edges. It reports false when the seeding
-// relaxations alone already prove a positive cycle; the caller must treat
-// the probe as infeasible rather than continue, because relax leaves the
-// tripped stage un-enqueued. (At probed periods ≥ the device-work lower
-// bound — always the case today — every period-dependent edge has
-// non-positive weight, so a positive cycle among seeded edges alone cannot
-// exist and this cannot fire; the propagation guards the invariant rather
-// than relying on it non-locally.)
-//
-//tessel:noalloc
-func (e *periodEngine) seedWarm(period int) bool {
-	copy(e.dist, e.feasDist)
-	for i := 0; i < e.k; i++ {
-		e.cnt[i] = 0
-		e.inq[i] = false
-	}
-	e.qhead, e.qtail, e.qlen = 0, 0, 0
-	for u := 0; u < e.k; u++ {
-		tu := e.times[u]
-		for x := e.statHead[u]; x < e.statHead[u+1]; x++ {
-			if c := e.statCoeff[x]; c > 0 {
-				if !e.relax(u, e.statTo[x], tu-c*period) {
-					return false
-				}
-			}
-		}
-	}
-	for d := 0; d < e.nd; d++ {
-		base, end := e.devHead[d], e.devHead[d+1]
-		if end-base > 1 {
-			last := e.order[end-1]
-			if !e.relax(last, e.order[base], e.times[last]-period) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // run drains the SPFA queue at the given period, relaxing each popped
 // stage's outgoing constraints: always the static dependency edges, plus
 // the device-window edges (window mode, the order-independent relaxation)
@@ -606,13 +490,18 @@ func (e *periodEngine) run(period int, window, orders bool) bool {
 	return true
 }
 
-// saveFeas records dist as the warm-start base by swapping the dist and
-// feasDist buffers (the stale contents of the other buffer are fully
-// overwritten by the next seed).
+// probeOrders reports whether the engine's current orders admit period P, from
+// a cold start; a feasible probe leaves its least fixpoint in feasDist (the
+// buffers swap; the next seed overwrites the stale one).
 //
 //tessel:noalloc
-func (e *periodEngine) saveFeas() {
+func (e *periodEngine) probeOrders(period int) bool {
+	e.seedCold()
+	if !e.run(period, false, true) {
+		return false
+	}
 	e.dist, e.feasDist = e.feasDist, e.dist
+	return true
 }
 
 // relaxedFeasible reports whether period P survives the order-independent
@@ -673,18 +562,13 @@ func (e *periodEngine) setOrdersFromStarts(starts []int) {
 // minPeriod binary-searches the smallest feasible period for the engine's
 // current orders. A positive bound restricts the search to periods ≤
 // bound: when even the bound is infeasible the call returns periodPruned
-// without locating the true minimum. The device-work lower bound is tried
-// first, so orders that achieve it (the common case near convergence) cost
-// a single probe. On periodOK the least-fixpoint start vector is held in
-// feasDist (retrieve with appendStarts).
+// without locating the true minimum. On periodOK the least-fixpoint start
+// vector is held in feasDist (retrieve with appendStarts).
 //
-// Probe discipline: the first probe of a call is always cold — feasDist
-// may hold a fixpoint of a *different* order system from a previous call,
-// which is not a valid warm base. Once a probe of this call succeeds,
-// every later probe targets a smaller period and warm-starts from the
-// last feasible fixpoint. Bounded calls probe their ceiling first (one
-// cold probe decides the common pruned case); unbounded calls try the
-// device-work lower bound first (the common case near convergence).
+// Bounded calls — the local-search hot path, where most candidates are
+// rejected — probe their ceiling first, so the common pruned case costs a
+// single probe; unbounded calls try the device-work lower bound first, so
+// orders that achieve it (the common case near convergence) cost one too.
 //
 //tessel:noalloc
 func (e *periodEngine) minPeriod(bound int) (int, periodStatus) {
@@ -694,49 +578,29 @@ func (e *periodEngine) minPeriod(bound int) (int, periodStatus) {
 	}
 	hi := e.hiSum
 	if bound > 0 {
-		// Bounded search — the local-search hot path, where most
-		// candidates are rejected: probe the ceiling first, so the common
-		// pruned case costs a single cold probe, and every later probe
-		// (including the lower-bound fast path) walks down warm.
-		ceil := hi
-		if bound < hi {
-			ceil = bound
-		}
-		if e.seedCold(); !e.run(ceil, false, true) {
-			if bound < hi {
+		hi = min(hi, bound)
+		if !e.probeOrders(hi) {
+			if bound < e.hiSum {
 				return 0, periodPruned
 			}
 			// Not even the sequential ceiling admits a solution: the
 			// order system is cyclic at every period.
 			return 0, periodInfeasible
 		}
-		e.saveFeas()
-		if lo == ceil {
+		if lo == hi || e.probeOrders(lo) {
 			return lo, periodOK
 		}
-		if e.seedWarm(lo) && e.run(lo, false, true) {
-			e.saveFeas()
-			return lo, periodOK
-		}
-		hi = ceil
 	} else {
-		// Fast path: stop immediately at the device-work lower bound.
-		if e.seedCold(); e.run(lo, false, true) {
-			e.saveFeas()
+		if e.probeOrders(lo) {
 			return lo, periodOK
 		}
-		if e.seedCold(); !e.run(hi, false, true) {
+		if !e.probeOrders(hi) {
 			return 0, periodInfeasible
 		}
-		e.saveFeas()
 	}
 	lo++ // the probe above proved lo itself infeasible
 	for lo < hi {
-		mid := (lo + hi) / 2
-		// mid < hi and hi always carries the last feasible probe, so the
-		// warm start is valid: feasDist is the fixpoint at a larger period.
-		if e.seedWarm(mid) && e.run(mid, false, true) {
-			e.saveFeas()
+		if mid := (lo + hi) / 2; e.probeOrders(mid) {
 			hi = mid
 		} else {
 			lo = mid + 1

@@ -52,8 +52,8 @@ func randomPlacement(rng *rand.Rand) *sched.Placement {
 // 0→1→…→k−1 over one or two devices. Under high-lag assignments its
 // difference-constraint systems have strictly-improving relaxation chains
 // of length ≈ k (the cross-lag chain closed by a device wrap edge), the
-// shape that trips positive-cycle detection *during warm-start seeding*
-// rather than in the SPFA loop — a regression generator for that path.
+// shape that brings positive-cycle detection closest to its chain-length
+// limit — a regression generator for that path.
 func chainPlacement(rng *rand.Rand) *sched.Placement {
 	k := 4 + rng.Intn(9)
 	nd := 1 + rng.Intn(2)
@@ -191,7 +191,7 @@ func equalInts(a, b []int) bool {
 
 // TestPeriodEngineMatchesReference is the central property test: for
 // random placements, assignments, start-derived orders and bounds, the
-// engine's warm-started SPFA minPeriod must return byte-identical
+// engine's SPFA minPeriod must return byte-identical
 // (period, normalized starts, status) to the dense Bellman-Ford reference
 // — including periodPruned and periodInfeasible outcomes under bounds.
 // One engine is reused across all cases, so stale-scratch reuse bugs
@@ -204,8 +204,7 @@ func TestPeriodEngineMatchesReference(t *testing.T) {
 		p := randomPlacement(rng)
 		a := randomAssignment(rng, p)
 		if iter >= 400 {
-			// Chain-heavy mode: long cross-lag chains whose warm-start
-			// seeding can itself prove a positive cycle.
+			// Chain-heavy mode: long cross-lag chains.
 			p = chainPlacement(rng)
 			a = randomAssignmentMax(rng, p, 6)
 		}
@@ -561,15 +560,18 @@ func TestSolveReportsPeriodCounters(t *testing.T) {
 	}
 }
 
-// TestPeriodPoolMatchesDefault: threading an explicit period pool through
-// SolveOptions must not change any output — only allocation behavior.
+// TestPeriodPoolMatchesDefault: what a recycled engine last served — another
+// placement's shape, another assignment's orders and fixpoint — must not
+// change any output, only allocation behavior.
 func TestPeriodPoolMatchesDefault(t *testing.T) {
-	p := vshape(t, 4)
-	pool := NewPeriodPool()
+	p, q := vshape(t, 4), vshape(t, 2)
 	checked := 0
 	if _, err := Enumerate(p, 3, func(a Assignment) bool {
 		base, err1 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
-		pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4, PeriodPool: pool})
+		if _, err := Solve(context.Background(), q, Assignment{1, 0, 0, 0}, SolveOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("assign %v: err mismatch %v vs %v", a, err1, err2)
 		}
@@ -593,47 +595,37 @@ func TestPeriodPoolMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestPeriodPoolSharesShape: the engines a NewPeriodPool pool hands out for one
-// placement read one shape, derived once; another placement gets its own, and
-// the first is let go. The package's fallback pool shares nothing, and an
-// engine returned to it keeps no placement alive.
-func TestPeriodPoolSharesShape(t *testing.T) {
+// TestEngineShapeFollowsPlacement: an engine keeps the shape of the placement
+// it last served across binds and rebuilds it, window edges included, when it
+// meets another — the same numbers a fresh engine derives.
+func TestEngineShapeFollowsPlacement(t *testing.T) {
 	p, q := vshape(t, 4), vshape(t, 2)
-	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	pool := NewPeriodPool()
-	e1, e2 := pool.get(), pool.get()
-	e1.bind(p, a, EntryMemory(p, a), sched.Unbounded)
-	e2.bind(p, a, EntryMemory(p, a), sched.Unbounded)
-	if e1.periodShape != e2.periodShape || e1.periodShape == &e1.own || !e1.winBuilt {
-		t.Fatal("two engines of one pool and one placement do not share a fully built shape")
+	a, b := Assignment{3, 2, 1, 0, 0, 0, 0, 0}, Assignment{1, 0, 0, 0}
+	e := &periodEngine{}
+	e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	e.buildWindow()
+	e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	if e.p != p || !e.winBuilt {
+		t.Fatal("a second bind of the same placement rebuilt its shape")
 	}
-	shapeP := e1.periodShape
-	b := Assignment{1, 0, 0, 0}
-	e2.bind(q, b, EntryMemory(q, b), sched.Unbounded)
-	if e2.periodShape == shapeP || e2.p != q || e1.p != p || pool.shape.Load() != e2.periodShape {
-		t.Fatal("a second placement did not get a shape of its own")
+	e.bind(q, b, EntryMemory(q, b), sched.Unbounded)
+	fresh := &periodEngine{}
+	fresh.bind(q, b, EntryMemory(q, b), sched.Unbounded)
+	if e.p != q || e.winBuilt || e.k != fresh.k || e.lower != fresh.lower || e.hiSum != fresh.hiSum ||
+		!equalInts(e.devStages, fresh.devStages) || !equalInts(e.devHead, fresh.devHead) ||
+		!equalInts(e.statTo, fresh.statTo) || !equalInts(e.statHead, fresh.statHead) {
+		t.Fatalf("a second placement did not get a shape of its own: %+v vs %+v", e.periodShape, fresh.periodShape)
 	}
-	e1.release()
-	e2.release()
-
-	// Same instance, unshared: the same numbers off the engine's own shape.
-	want := *shapeP
-	d := defaultPeriodPool.get()
-	d.bind(p, a, EntryMemory(p, a), sched.Unbounded)
-	if d.periodShape != &d.own || d.lower != want.lower || d.hiSum != want.hiSum || !equalInts(d.devStages, want.devStages) ||
-		!equalInts(d.devHead, want.devHead) || !equalInts(d.statTo, want.statTo) || !equalInts(d.statHead, want.statHead) {
-		t.Fatalf("the fallback pool's engine derived another shape: %+v vs %+v", d.own, want)
-	}
-	d.release()
-	if d.periodShape != nil || d.own.p != nil || defaultPeriodPool.shape.Load() != nil {
-		t.Fatal("the fallback pool still references a placement after release")
+	e.buildWindow()
+	fresh.buildWindow()
+	if !equalInts(e.winTo, fresh.winTo) || !equalInts(e.winHead, fresh.winHead) {
+		t.Fatal("window edges of the second placement differ from a fresh engine's")
 	}
 }
 
-// TestPeriodPoolConcurrentShape: solves racing on a fresh pool — every one of
-// them binding the placement for the first time — and then alternating between
-// two placements agree with the unpooled solve. Under -race this is the check
-// that a published shape is never written again.
+// TestPeriodPoolConcurrentShape: solves racing on the package's engine pool and
+// alternating between two placements agree with the solve made alone. Under
+// -race this is the check that no two of them ever hold one engine.
 func TestPeriodPoolConcurrentShape(t *testing.T) {
 	p, q := vshape(t, 4), vshape(t, 2)
 	a, b := Assignment{3, 2, 1, 0, 0, 0, 0, 0}, Assignment{1, 0, 0, 0}
@@ -645,7 +637,6 @@ func TestPeriodPoolConcurrentShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewPeriodPool()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -656,7 +647,7 @@ func TestPeriodPoolConcurrentShape(t *testing.T) {
 				if (g+i)%3 == 0 {
 					pl, as, want = q, b, wantQ
 				}
-				r, err := Solve(context.Background(), pl, as, SolveOptions{PeriodUpperBound: 6, PeriodPool: pool})
+				r, err := Solve(context.Background(), pl, as, SolveOptions{PeriodUpperBound: 6})
 				if err != nil || r.Period != want.Period || !equalInts(r.Starts, want.Starts) {
 					t.Errorf("pooled solve: %+v, %v; want period %d starts %v", r, err, want.Period, want.Starts)
 					return

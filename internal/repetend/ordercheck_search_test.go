@@ -30,8 +30,7 @@ func passOne(t *testing.T, c repetend.CatalogShape, visit func(p *sched.Placemen
 	opts := repetend.SolveOptions{
 		Memory:           c.Memory,
 		PeriodUpperBound: p.LowerBound(),
-		Cache:            repetend.NewSolveCache(),
-		PeriodPool:       repetend.NewPeriodPool(),
+		Cache:            repetend.NewSolveCache(p),
 	}
 	reached := false
 	for nr := 1; nr <= core.MaxInflight(p, c.Memory) && !reached; nr++ {
@@ -271,8 +270,8 @@ func TestRepetendSizeIsMinimalAtTheLowerBound(t *testing.T) {
 		}
 		reaching++
 		smaller, solved := 0, 0
-		opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: res.LowerBound, PeriodPool: repetend.NewPeriodPool()}
-		f, err := repetend.NewPrefixFilter(p, opts.PeriodPool)
+		opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: res.LowerBound}
+		f, err := repetend.NewPrefixFilter(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +281,7 @@ func TestRepetendSizeIsMinimalAtTheLowerBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			smaller += n
-			f.Enumerate(context.Background(), nr, func() int { return res.LowerBound }, func(a repetend.Assignment) bool {
+			f.Enumerate(context.Background(), nr, res.LowerBound, func(a repetend.Assignment) bool {
 				var eff repetend.Effort
 				o := opts
 				o.Effort = &eff
@@ -295,6 +294,7 @@ func TestRepetendSizeIsMinimalAtTheLowerBound(t *testing.T) {
 				return true
 			})
 		}
+		f.Close()
 		t.Logf("%s: N_R %d; all %d assignments of smaller N_R proven infeasible at period %d, %d of them one by one past the filter", c.Name, res.Repetend.NR, smaller, res.LowerBound, solved)
 	}
 	if reaching != 18 {

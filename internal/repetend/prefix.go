@@ -6,8 +6,8 @@
 // subtree whose prefix stays below index nr−1 with no predecessor-free stage
 // left to take it holds no canonical assignment and is skipped outright. The
 // filter keeps one closed K×K matrix per level: level d is the closure of the
-// dependency and window edges at period P — the bound of the sweep pass —
-// with the first d stages at their index. An edge between two fixed stages
+// dependency and window edges at period P — the bound the round is walked at,
+// one constant per round — with the first d stages at their index. An edge between two fixed stages
 // carries its real lag; an edge out of a fixed stage i into a free one carries
 // lag r_i, the most it can be (indices are ≥ 0); an edge between two free
 // stages carries nr−1, the most any assignment of the round gives it. Fixing a
@@ -20,8 +20,8 @@
 // Soundness: every coefficient is ≥ the one any completion of the prefix has
 // and the constraints are monotone in the coefficients, so a prefix system is
 // a relaxation of each completion's stage-1 and stage-2 systems (see Solve),
-// and a cut removes only leaves for which Solve, at that bound or any tighter
-// one, returns before its instance solve with no repetend — ErrPruned, or
+// and a cut removes only leaves for which Solve, at that bound, returns before
+// its instance solve with no repetend — ErrPruned, or
 // ErrInfeasible where the entry memory already rules the leaf out. Such a leaf
 // never was a sweep's winner or tied with it, so the filter changes what a
 // sweep pays, not what it returns.
@@ -46,7 +46,7 @@ const prefixPollEvery = 256
 // PrefixFilter walks the enumeration tree of one placement, round by round,
 // and cuts the subtrees whose prefix already proves that no completion has a
 // period within the bound. One filter serves every round of a search; it is
-// single-goroutine state.
+// single-goroutine state, and Close hands its scratch back.
 type PrefixFilter struct {
 	order  []int   // stages in topological order, one per tree level
 	preds  [][]int // predecessor table
@@ -58,16 +58,15 @@ type PrefixFilter struct {
 	// The round being walked.
 	ctx   context.Context
 	nr    int
-	bound func() int
 	yield func(Assignment) bool
 
 	// e holds the matrix stack (ordMat, K+1 levels) and the placement's
 	// shape; nil when the walk is unfiltered — Enumerate's, or a placement
 	// over the stage cap.
 	e *periodEngine
-	// period is the bound level 0 is closed at, 0 while there is none: the
-	// subtree then runs unfiltered. live is false when level 0 itself holds a
-	// positive cycle, forced when pushes also run forced-pair propagation.
+	// period is the bound level 0 is closed at, 0 when the round has none and
+	// runs unfiltered. live is false when level 0 itself holds a positive
+	// cycle, forced when pushes also run forced-pair propagation.
 	period       int
 	live, forced bool
 
@@ -89,29 +88,39 @@ func newPrefixFilter(p *sched.Placement) (*PrefixFilter, error) {
 	return f, nil
 }
 
-// NewPrefixFilter returns the filter of p, its scratch an engine of pool (nil
-// falls back to the package's shared pool). A placement of more than
-// orderStageCap stages gets the unfiltered walk.
-func NewPrefixFilter(p *sched.Placement, pool *PeriodPool) (*PrefixFilter, error) {
+// NewPrefixFilter returns the filter of p, its scratch a pooled period engine
+// that Close returns. A placement of more than orderStageCap stages gets the
+// unfiltered walk.
+func NewPrefixFilter(p *sched.Placement) (*PrefixFilter, error) {
 	f, err := newPrefixFilter(p)
 	if err != nil || !prefixFilterOn || p.K() > orderStageCap {
 		return f, err
 	}
-	f.e = pool.get()
+	f.e = periodEngines.Get().(*periodEngine)
 	f.e.bindShape(p)
 	f.e.statCoeff = growInts(f.e.statCoeff, len(f.e.statTo))
 	return f, nil
 }
 
+// Close returns the filter's engine — its matrix stack is a search's largest
+// single piece of scratch — to the pool. The filter must not be used again.
+func (f *PrefixFilter) Close() {
+	if f.e != nil {
+		periodEngines.Put(f.e)
+		f.e = nil
+	}
+}
+
 // Enumerate yields, in Enumerate's order, the canonical assignments of round
-// nr that the filter cannot rule out against bound, which it reads at the
-// start of the round and again before each subtree of the tree's first level:
-// a bound that has dropped since (a sweep's incumbent) re-roots the filter,
-// and while it is 0 nothing is cut. yield returning false, or ctx ending,
-// stops the walk; the result reports whether it ran to completion.
-func (f *PrefixFilter) Enumerate(ctx context.Context, nr int, bound func() int, yield func(Assignment) bool) bool {
-	f.ctx, f.nr, f.bound, f.yield = ctx, nr, bound, yield
+// nr that the filter cannot rule out against bound; at bound 0 nothing is cut
+// and the round is Enumerate's. yield returning false, or ctx ending, stops
+// the walk; the result reports whether it ran to completion.
+func (f *PrefixFilter) Enumerate(ctx context.Context, nr, bound int, yield func(Assignment) bool) bool {
+	f.ctx, f.nr, f.yield = ctx, nr, yield
 	f.period, f.eff = 0, Effort{}
+	if f.e != nil && bound > 0 {
+		f.root(bound)
+	}
 	return f.walk(0, 0)
 }
 
@@ -135,9 +144,6 @@ func (f *PrefixFilter) walk(pos, top int) bool {
 		hi = min(hi, f.assign[pr])
 	}
 	for v := hi; v >= 0; v-- {
-		if pos == 0 && f.e != nil {
-			f.root(f.bound())
-		}
 		f.assign[i] = v
 		if f.period > 0 {
 			if f.eff.PrefixChecks++; f.eff.PrefixChecks%prefixPollEvery == 0 && f.ctx.Err() != nil {
@@ -155,15 +161,10 @@ func (f *PrefixFilter) walk(pos, top int) bool {
 	return true
 }
 
-// root closes level 0 at period for the round being walked, unless that is
-// what the level holds: every dependency edge at coefficient nr−1.
+// root closes level 0 at period for the round being walked: every dependency
+// edge at coefficient nr−1.
 func (f *PrefixFilter) root(period int) {
-	if period == f.period {
-		return
-	}
-	if f.period = period; period <= 0 {
-		return
-	}
+	f.period = period
 	e := f.e
 	for x := range e.statCoeff {
 		e.statCoeff[x] = f.nr - 1

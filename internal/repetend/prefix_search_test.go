@@ -18,8 +18,8 @@ import (
 
 // TestPrefixFilterCatalogCutsAreProofs: for all 21 catalog placements, every
 // round a search sweeps, at the bound of the first pass (the lower bound) and,
-// where the search ends above it, at the bound the second pass ends on (the
-// winner's period) — each leaf the filter does not yield gets no repetend from
+// where the search ends above it, at a looser one (the winner's period) — each
+// leaf the filter does not yield gets no repetend from
 // Solve at that bound, and no instance solve: ErrPruned, or ErrInfeasible
 // where the memory cap rules it out at entry.
 func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
@@ -35,15 +35,15 @@ func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
 		if res.Repetend.Period > res.LowerBound {
 			bounds = append(bounds, res.Repetend.Period)
 		}
-		f, err := repetend.NewPrefixFilter(p, nil)
+		f, err := repetend.NewPrefixFilter(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bound := range bounds {
-			opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: bound, PeriodPool: repetend.NewPeriodPool()}
+			opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: bound}
 			for nr := 1; nr <= res.Stats.NRSwept; nr++ {
 				var kept []repetend.Assignment
-				f.Enumerate(ctx, nr, func() int { return bound }, func(a repetend.Assignment) bool {
+				f.Enumerate(ctx, nr, bound, func(a repetend.Assignment) bool {
 					kept = append(kept, a)
 					return true
 				})
@@ -71,6 +71,7 @@ func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
 				}
 			}
 		}
+		f.Close()
 	}
 	t.Logf("%d leaves under cuts, %d of them at a bound above the lower bound", cut, cutLoose)
 	if cut < 20000 || cutLoose < 100 {
@@ -81,9 +82,9 @@ func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
 // TestPrefixFilterSearchDifferential: 300 seeded random placements searched
 // with the filter on and off give the same repetend — period, N_R, assignment
 // — and the same completed schedule, byte for byte. A third of them are
-// memory-capped, so the second sweep pass, whose filter follows a moving
-// incumbent, is covered; a placement no search completes must fail the same
-// way both times.
+// memory-capped, so searches that the filtered first pass leaves empty-handed
+// and the unfiltered second pass completes are covered; a placement no search
+// completes must fail the same way both times.
 func TestPrefixFilterSearchDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	type outcome struct {

@@ -18,12 +18,13 @@ import (
 // filteredLeaves walks round nr of p through a fresh filter at a fixed bound.
 func filteredLeaves(t *testing.T, p *sched.Placement, nr, bound int) ([]Assignment, Effort) {
 	t.Helper()
-	f, err := NewPrefixFilter(p, nil)
+	f, err := NewPrefixFilter(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	var leaves []Assignment
-	f.Enumerate(context.Background(), nr, func() int { return bound }, func(a Assignment) bool {
+	f.Enumerate(context.Background(), nr, bound, func(a Assignment) bool {
 		leaves = append(leaves, a)
 		return true
 	})
@@ -138,11 +139,12 @@ func TestPrefixFilterCutsOnlyWhatSolvePrunes(t *testing.T) {
 func TestPrefixFilterSteadyStateAllocs(t *testing.T) {
 	const nr = 5
 	p := Catalog[4].Placement(t) // v6
-	f, err := NewPrefixFilter(p, NewPeriodPool())
+	f, err := NewPrefixFilter(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, bound := context.Background(), func() int { return p.LowerBound() }
+	defer f.Close()
+	ctx, bound := context.Background(), p.LowerBound()
 	none := func(a Assignment) bool {
 		t.Errorf("round %d of v6 has a leaf the filter lets through: %v", nr, a)
 		return false
@@ -199,12 +201,13 @@ func TestOrderCheckStageCap(t *testing.T) {
 	if v := e.orderCheck(e.lower); v != orderUndecided || cap(e.ordMat) != 0 {
 		t.Fatalf("order check on %d stages: verdict %d, matrix of %d ints", p.K(), v, cap(e.ordMat))
 	}
-	f, err := NewPrefixFilter(p, nil)
+	f, err := NewPrefixFilter(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	leaves := 0
-	f.Enumerate(context.Background(), 2, func() int { return p.LowerBound() }, func(Assignment) bool {
+	f.Enumerate(context.Background(), 2, p.LowerBound(), func(Assignment) bool {
 		leaves++
 		return leaves < 3
 	})

@@ -206,7 +206,7 @@ func (in *refInstance) refWorkLowerBound() int {
 
 // refMinPeriod binary-searches the smallest feasible period for fixed
 // orders with dense Bellman-Ford probes from zero — the oracle for the
-// engine's warm-started minPeriod.
+// engine's minPeriod.
 func (in *refInstance) refMinPeriod(orders [][]int, bound int) (int, []int, periodStatus) {
 	lo := in.refWorkLowerBound()
 	if bound > 0 && lo > bound {

@@ -269,26 +269,13 @@ type SolveOptions struct {
 	// reference TestLocalSearchNeverWorsens compares against, set nowhere else.
 	DisableLocalSearch bool
 	// Cache, when non-nil, memoizes instance makespan solves across
-	// assignments. The solve's task system depends on an assignment only
-	// through its lag-zero dependency pattern (which dependencies stay
-	// intra-instance) and the entry-memory state, and a sweep revisits the
-	// same pattern under many different lag vectors, so sharing one cache
-	// across a sweep's workers removes most branch-and-bound work. Safe to
-	// share concurrently.
+	// assignments of the placement it was made for. The solve's task system
+	// depends on an assignment only through its lag-zero dependency pattern
+	// (which dependencies stay intra-instance) and the entry-memory state,
+	// and a sweep revisits the same pattern under many different lag vectors,
+	// so sharing one cache across a sweep's workers removes most
+	// branch-and-bound work. Safe to share concurrently.
 	Cache *SolveCache
-	// Pool, when non-nil, supplies recycled solver searchers for the
-	// instance makespan solve. A sweep shares one pool across its workers
-	// so its hundreds of solves reuse task-graph, frontier and memo
-	// storage instead of rebuilding them; nil falls back to the solver
-	// package's shared pool. Results are identical either way.
-	Pool *solver.Pool
-	// PeriodPool, when non-nil, supplies recycled period-feasibility
-	// engines for the repetend period evaluation — the period-machinery
-	// analogue of Pool. A sweep shares one so its thousands of
-	// feasibility probes reuse edge CSRs, dist vectors and order buffers;
-	// nil falls back to the package's shared pool. Results are identical
-	// either way.
-	PeriodPool *PeriodPool
 	// PeriodUpperBound, when positive, is an incumbent period held by the
 	// caller: only repetends with Period ≤ PeriodUpperBound are useful, and
 	// Solve returns ErrPruned as soon as it proves the assignment cannot
@@ -309,18 +296,15 @@ type SolveOptions struct {
 	Effort *Effort
 }
 
-// SolveCache memoizes instance makespan solves keyed by everything the
-// solve depends on: the placement identity (canonical fingerprint),
-// per-device memory capacity, entry memory, and the lag-zero dependency
-// pattern of the assignment. Construct with NewSolveCache and share one
-// cache across all workers of a sweep — or across sweeps: distinct
-// placements never collide. The zero value is not usable.
+// SolveCache memoizes the instance makespan solves of one placement, keyed by
+// everything else a solve depends on: per-device memory capacity, entry
+// memory, and the lag-zero dependency pattern of the assignment. Construct
+// with NewSolveCache and share one cache across all workers of a sweep; Solve
+// refuses a cache made for another placement. The zero value is not usable.
 type SolveCache struct {
+	p  *sched.Placement
 	mu sync.Mutex
 	m  map[string]cachedSolve
-	// fp memoizes placement fingerprints by pointer so the SHA-256 is paid
-	// once per placement, not once per solve.
-	fp map[*sched.Placement]string
 }
 
 type cachedSolve struct {
@@ -329,23 +313,9 @@ type cachedSolve struct {
 	starts   []int // per stage, nil when infeasible
 }
 
-// NewSolveCache returns an empty instance-solve cache.
-func NewSolveCache() *SolveCache {
-	return &SolveCache{
-		m:  make(map[string]cachedSolve),
-		fp: make(map[*sched.Placement]string),
-	}
-}
-
-func (c *SolveCache) fingerprint(p *sched.Placement) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.fp[p]; ok {
-		return s
-	}
-	s := sched.Fingerprint(p)
-	c.fp[p] = s
-	return s
+// NewSolveCache returns an empty cache for the instance solves of p.
+func NewSolveCache(p *sched.Placement) *SolveCache {
+	return &SolveCache{p: p, m: make(map[string]cachedSolve)}
 }
 
 func (c *SolveCache) get(key string) (cachedSolve, bool) {
@@ -361,21 +331,19 @@ func (c *SolveCache) put(key string, v cachedSolve) {
 	c.m[key] = v
 }
 
-// instanceKey is the cache identity of one instance makespan solve: the
-// placement fingerprint (so one cache can serve many placements without
-// collisions), the memory capacity, the per-device memory headroom at entry
+// instanceKey is the identity, within one placement's cache, of one instance
+// makespan solve: the memory capacity, the per-device memory headroom at entry
 // (only when the capacity can bind — under unbounded memory the entry state
 // cannot affect the solve), and the lag-zero edge set. Stage times, devices
-// and memory deltas are covered by the placement fingerprint.
+// and memory deltas are the placement's.
 //
 // The solver reads the entry memory only in its capacity check, devMem +
 // Mem[t] > capacity, and devMem never exceeds entry plus the device's positive
 // deltas. So headroom is clamped at that sum: beyond it the check cannot fire,
 // and assignments that differ only in entry memory that does not bind share
 // one solve.
-func instanceKey(fingerprint string, p *sched.Placement, a Assignment, entry []int, mem int) string {
-	b := make([]byte, 0, len(fingerprint)+8+4*len(entry)+4*p.K())
-	b = append(b, fingerprint...)
+func instanceKey(p *sched.Placement, a Assignment, entry []int, mem int) string {
+	b := make([]byte, 0, 8+4*len(entry)+4*p.K())
 	b = binary.AppendVarint(b, int64(mem))
 	if mem != sched.Unbounded {
 		growth := make([]int, len(entry)) // Σ positive Mem per device
@@ -472,7 +440,10 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			return nil, fmt.Errorf("%w: entry memory %d on device %d exceeds %d", ErrInfeasible, m, d, mem)
 		}
 	}
-	eng := opts.PeriodPool.get()
+	if opts.Cache != nil && opts.Cache.p != p {
+		return nil, errors.New("repetend: SolveCache was made for another placement")
+	}
+	eng := periodEngines.Get().(*periodEngine)
 	var eff Effort
 	defer func() {
 		if opts.Effort != nil {
@@ -480,7 +451,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			eff.OrderNodes = eng.ordNodes
 			opts.Effort.Add(eff)
 		}
-		eng.release()
+		periodEngines.Put(eng)
 	}()
 	eng.bind(p, a, entry, mem)
 	// Per-device memory must net to zero per instance or the steady state
@@ -515,7 +486,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	)
 	key := ""
 	if opts.Cache != nil {
-		key = instanceKey(opts.Cache.fingerprint(p), p, a, entry, mem)
+		key = instanceKey(p, a, entry, mem)
 		if c, ok := opts.Cache.get(key); ok {
 			hit, feasible, optimal = true, c.feasible, c.optimal
 			if c.feasible {
@@ -524,8 +495,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		}
 	}
 	if !hit {
-		// A nil Pool falls back to the solver package's shared pool.
-		res, err := opts.Pool.Solve(ctx, instanceTasks(p, a), solver.Options{
+		res, err := solver.Solve(ctx, instanceTasks(p, a), solver.Options{
 			NumDevices: p.NumDevices,
 			Memory:     mem,
 			InitialMem: entry,

@@ -460,7 +460,7 @@ func TestSolveCacheSharesInstanceSolves(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
 	b := Assignment{4, 3, 2, 1, 1, 1, 1, 1} // same pattern, shifted lags
-	cache := NewSolveCache()
+	cache := NewSolveCache(p)
 	first, err := Solve(context.Background(), p, a, SolveOptions{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -487,6 +487,10 @@ func TestSolveCacheSharesInstanceSolves(t *testing.T) {
 			t.Fatalf("cached starts %v != uncached %v", second.Starts, uncached.Starts)
 		}
 	}
+	// One cache is one placement's: its keys say nothing about stage times.
+	if r, err := Solve(context.Background(), vshape(t, 2), Assignment{1, 0, 0, 0}, SolveOptions{Cache: cache}); err == nil {
+		t.Fatalf("a solve of another placement went through the cache: %+v", r)
+	}
 }
 
 // TestAssignmentCompare pins the canonical tie-break order.
@@ -510,15 +514,18 @@ func TestAssignmentCompare(t *testing.T) {
 	}
 }
 
-// TestSolvePoolMatchesDefault: threading an explicit searcher pool through
-// SolveOptions must not change any output — only the allocation behavior.
+// TestSolvePoolMatchesDefault: the instance a recycled searcher last solved —
+// here another placement's — must not change any output, only the allocation
+// behavior.
 func TestSolvePoolMatchesDefault(t *testing.T) {
-	p := vshape(t, 4)
-	pool := solver.NewPool()
+	p, q := vshape(t, 4), vshape(t, 2)
 	for nr := 1; nr <= 4; nr++ {
 		_, err := Enumerate(p, nr, func(a Assignment) bool {
 			base, err1 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
-			pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4, Pool: pool})
+			if _, err := Solve(context.Background(), q, Assignment{1, 0, 0, 0}, SolveOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("assign %v: err mismatch %v vs %v", a, err1, err2)
 			}
@@ -633,7 +640,7 @@ func TestInstanceKeyClampsHeadroom(t *testing.T) {
 	if ea, eb := EntryMemory(p, a), EntryMemory(p, b); ea[0] != 3 || eb[0] != 6 {
 		t.Fatalf("entry memory %v and %v, want 3 and 6 on device 0", ea, eb)
 	}
-	key := func(x Assignment, mem int) string { return instanceKey("fp", p, x, EntryMemory(p, x), mem) }
+	key := func(x Assignment, mem int) string { return instanceKey(p, x, EntryMemory(p, x), mem) }
 	starts := func(x Assignment, mem int) []int {
 		t.Helper()
 		res, err := solver.Solve(ctx, instanceTasks(p, x), solver.Options{NumDevices: p.NumDevices, Memory: mem, InitialMem: EntryMemory(p, x)})
@@ -662,7 +669,7 @@ func TestInstanceKeyClampsHeadroom(t *testing.T) {
 		mem int
 		hit bool
 	}{{8, true}, {6, false}} {
-		cache := NewSolveCache()
+		cache := NewSolveCache(p)
 		if _, err := Solve(ctx, p, a, SolveOptions{Memory: c.mem, Cache: cache}); err != nil {
 			t.Fatal(err)
 		}

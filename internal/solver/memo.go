@@ -45,22 +45,13 @@ type memoSlot struct {
 	gen     uint32
 }
 
-// memoEntry is one stored vector: its component sum and bucket sketch (the
-// dominance pre-filters), an offset into the vector arena, and the next
-// entry of the same key (or -1). Evicted entries go on a free list.
-//
-// The sketch packs eight quantized bucket sums (component i feeds bucket
-// i&7; each bucket sum is scaled down and saturated to 0..127) into one
-// word. a dominates b implies every bucket sum of a is ≤ b's, and the
-// quantization (shift then saturate, applied identically to both sides) is
-// monotone, so a lane-parallel sketch comparison is a necessary condition
-// for dominance — most entries are rejected on the entry struct alone,
-// without loading their vector from the arena.
+// memoEntry is one stored vector: its component sum (the key's chain is
+// sorted by it), an offset into the vector arena, and the next entry of the
+// same key (or -1). Evicted entries go on a free list.
 type memoEntry struct {
-	sum    int64
-	sketch uint64
-	off    int32
-	next   int32
+	sum  int64
+	off  int32
+	next int32
 }
 
 // memoTable is the open-addressed dominance memo. The zero value is ready
@@ -183,17 +174,6 @@ func (m *memoTable) grow() {
 // laneHigh has the high bit of each packed 32-bit lane set.
 const laneHigh = 0x8000000080000000
 
-// laneHigh8 has the high bit of each 8-bit sketch lane set.
-const laneHigh8 = 0x8080808080808080
-
-// sketchLE reports a ≤ b per 8-bit lane — the sketch pre-filter. Lanes are
-// saturated to 0..127, so the +128 bias keeps them independent.
-//
-//tessel:noalloc
-func sketchLE(a, b uint64) bool {
-	return ((b|laneHigh8)-a)&laneHigh8 == laneHigh8
-}
-
 // dominates reports a ≤ b componentwise over vectors packed two
 // non-negative int32 components per word: lane-wise, (b|H) − a keeps the
 // lane's high bit set exactly when b ≥ a, and the +2^31 bias keeps lanes
@@ -225,7 +205,7 @@ func dominates(a, b []uint64) bool {
 // (they are only eviction candidates for insert).
 //
 //tessel:noalloc
-func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64, sketch uint64) bool {
+func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64) bool {
 	hash := hashMask(mask)
 	idx, found := m.findSlot(mask, hash)
 	m.pIdx, m.pFound, m.pHash = int32(idx), found, hash
@@ -238,7 +218,7 @@ func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64, sketch uint64
 			if ent.sum > vsum {
 				break
 			}
-			if sketchLE(ent.sketch, sketch) && dominates(m.vecs[ent.off:ent.off+vlen], vec) {
+			if dominates(m.vecs[ent.off:ent.off+vlen], vec) {
 				return true
 			}
 			boundary = e
@@ -255,7 +235,7 @@ func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64, sketch uint64
 // sum-sorted. Beyond memoCap recorded vectors the memo is read-only.
 //
 //tessel:noalloc
-func (m *memoTable) insert(mask []uint64, vec []uint64, vsum int64, sketch uint64) {
+func (m *memoTable) insert(mask []uint64, vec []uint64, vsum int64) {
 	if m.size >= memoCap {
 		return
 	}
@@ -274,7 +254,7 @@ func (m *memoTable) insert(mask []uint64, vec []uint64, vsum int64, sketch uint6
 		for e >= 0 {
 			next := m.entries[e].next
 			off := m.entries[e].off
-			if sketchLE(sketch, m.entries[e].sketch) && dominates(vec, m.vecs[off:off+sl.vlen]) {
+			if dominates(vec, m.vecs[off:off+sl.vlen]) {
 				if pe < 0 {
 					sl.head = next
 				} else {
@@ -316,10 +296,10 @@ func (m *memoTable) insert(mask []uint64, vec []uint64, vsum int64, sketch uint6
 	if m.freeEnt >= 0 {
 		ei = m.freeEnt
 		m.freeEnt = m.entries[ei].next
-		m.entries[ei] = memoEntry{sum: vsum, sketch: sketch, off: off, next: tail}
+		m.entries[ei] = memoEntry{sum: vsum, off: off, next: tail}
 	} else {
 		ei = int32(len(m.entries))
-		m.entries = append(m.entries, memoEntry{sum: vsum, sketch: sketch, off: off, next: tail})
+		m.entries = append(m.entries, memoEntry{sum: vsum, off: off, next: tail})
 	}
 	if boundary < 0 {
 		sl.head = ei

@@ -7,39 +7,28 @@ import (
 )
 
 // packVec packs int32 components into the memo's two-per-word layout and
-// derives the sum and a position-bucketed sketch (component i feeds bucket
-// i&7, shift 0, saturated at 127) — the same shape of quantization the
-// searcher uses, so the filter invariants hold.
-func packVec(vals []int32) (vec []uint64, sum int64, sketch uint64) {
-	var buckets [8]int64
+// derives their sum, as the searcher's fillStateVector does.
+func packVec(vals []int32) (vec []uint64, sum int64) {
 	for i, v := range vals {
 		sum += int64(v)
-		buckets[i&7] += int64(v)
 		if i&1 == 0 {
 			vec = append(vec, uint64(uint32(v)))
 		} else {
 			vec[len(vec)-1] |= uint64(uint32(v)) << 32
 		}
 	}
-	for b := 0; b < 8; b++ {
-		q := buckets[b]
-		if q > 127 {
-			q = 127
-		}
-		sketch |= uint64(q) << (8 * b)
-	}
-	return vec, sum, sketch
+	return vec, sum
 }
 
 func probeVals(m *memoTable, mask uint64, vals []int32) bool {
-	vec, sum, sketch := packVec(vals)
-	return m.probe([]uint64{mask}, vec, sum, sketch)
+	vec, sum := packVec(vals)
+	return m.probe([]uint64{mask}, vec, sum)
 }
 
 func insertVals(m *memoTable, mask uint64, vals []int32) {
-	vec, sum, sketch := packVec(vals)
-	if !m.probe([]uint64{mask}, vec, sum, sketch) {
-		m.insert([]uint64{mask}, vec, sum, sketch)
+	vec, sum := packVec(vals)
+	if !m.probe([]uint64{mask}, vec, sum) {
+		m.insert([]uint64{mask}, vec, sum)
 	}
 }
 
@@ -171,8 +160,8 @@ func TestMemoCapStopsInserts(t *testing.T) {
 
 // TestMemoMatchesReference drives the arena-backed table and a naive
 // map-of-slices Pareto store with the same random probe/insert stream and
-// requires identical hit decisions — the regression net for the sum and
-// sketch filters and the chain splicing.
+// requires identical hit decisions — the regression net for the sum filter
+// and the chain splicing.
 func TestMemoMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var m memoTable
@@ -199,13 +188,13 @@ func TestMemoMatchesReference(t *testing.T) {
 				break
 			}
 		}
-		vec, sum, sketch := packVec(vals)
-		got := m.probe([]uint64{mask}, vec, sum, sketch)
+		vec, sum := packVec(vals)
+		got := m.probe([]uint64{mask}, vec, sum)
 		if got != want {
 			t.Fatalf("step %d mask %d vals %v: table=%v reference=%v", step, mask, vals, got, want)
 		}
 		if !got {
-			m.insert([]uint64{mask}, vec, sum, sketch)
+			m.insert([]uint64{mask}, vec, sum)
 			kept := ref[mask][:0]
 			for _, e := range ref[mask] {
 				if !refDominates(vals, e) {
@@ -223,15 +212,15 @@ func TestMemoMultiWordMasks(t *testing.T) {
 	m.reset(2)
 	maskA := []uint64{1, 2}
 	maskB := []uint64{1, 3}
-	vec, sum, sketch := packVec([]int32{5, 5})
-	if m.probe(maskA, vec, sum, sketch) {
+	vec, sum := packVec([]int32{5, 5})
+	if m.probe(maskA, vec, sum) {
 		t.Fatal("empty table hit")
 	}
-	m.insert(maskA, vec, sum, sketch)
-	if !m.probe(maskA, vec, sum, sketch) {
+	m.insert(maskA, vec, sum)
+	if !m.probe(maskA, vec, sum) {
 		t.Fatal("maskA entry lost")
 	}
-	if m.probe(maskB, vec, sum, sketch) {
+	if m.probe(maskB, vec, sum) {
 		t.Fatal("hit across distinct two-word masks")
 	}
 }
@@ -261,9 +250,9 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPoolSolveMatchesSolve reuses one pool across interleaved solves of
-// different instances and checks results are identical to fresh solves —
-// the searcher-reuse soundness property the sweep relies on.
+// TestPoolSolveMatchesSolve interleaves solves of different instances on the
+// package's recycled searchers and checks results are identical to solves on
+// fresh ones — the searcher-reuse soundness property the sweep relies on.
 func TestPoolSolveMatchesSolve(t *testing.T) {
 	shapes := [][]Task{}
 	for _, cfg := range []struct{ d, fwd, bwd, n int }{
@@ -276,11 +265,10 @@ func TestPoolSolveMatchesSolve(t *testing.T) {
 		}
 		shapes = append(shapes, tasks)
 	}
-	pool := NewPool()
 	for round := 0; round < 3; round++ {
 		for i, tasks := range shapes {
 			fresh, err1 := (&searcher{}).solve(context.Background(), tasks, Options{Memory: 3})
-			pooled, err2 := pool.Solve(context.Background(), tasks, Options{Memory: 3})
+			pooled, err2 := Solve(context.Background(), tasks, Options{Memory: 3})
 			if err1 != nil || err2 != nil {
 				t.Fatalf("round %d shape %d: err1=%v err2=%v", round, i, err1, err2)
 			}

@@ -43,9 +43,9 @@
 //     cannot — keeps the dominance sound while making it strictly stronger
 //     than comparing every scheduled finish, which is what lets instances
 //     that previously exhausted node budgets solve to proven optimality;
-//   - searchers are recycled through a Pool (pool.go), so the hundreds of
-//     instance solves of a repetend sweep stop rebuilding task graphs,
-//     successor lists and memo tables from scratch.
+//   - searchers are recycled through one package-level sync.Pool, so the
+//     hundreds of instance solves of a repetend sweep stop rebuilding task
+//     graphs, successor lists and memo tables from scratch.
 //
 // Pruning uses device-load, critical-path and one-machine lower bounds, the
 // dominance memo, and the micro-batch symmetry of Property 4.1 (same-stage
@@ -89,6 +89,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 	"time"
 
 	"tessel/internal/faultpoint"
@@ -184,7 +185,7 @@ type candidate struct {
 // frame is the per-depth scratch of one dfs level: the candidate buffer and
 // the saved device-availability snapshot of the candidate being explored.
 // Frames are indexed by depth (= nSched) and reused across the whole solve
-// — and, through the searcher pool, across solves.
+// — and, through the searchers pool, across solves.
 type frame struct {
 	cands []candidate
 	saved []int
@@ -261,15 +262,9 @@ type searcher struct {
 	liveMask    []uint64
 	succUnsched []int32 // per task: number of unscheduled successors
 
-	memo        memoTable
-	memoHits    int64
-	vecScratch  []uint64 // scratch for packed dominance probes
-	sketchShift uint     // quantization shift for the memo sketch buckets
-	// buckets holds the 8 partial sums of the dominance state (device
-	// availabilities bucketed by dev&7, finishes of scheduled tasks with
-	// successors by (d+task)&7), maintained incrementally by apply/undo so
-	// a probe derives its sum and sketch without re-accumulating.
-	buckets [8]int64
+	memo       memoTable
+	memoHits   int64
+	vecScratch []uint64 // scratch for packed dominance probes
 
 	frames []frame // per-depth candidate + saved-avail buffers
 
@@ -303,14 +298,24 @@ type searcher struct {
 // deadline has passed) aborts the solve promptly and returns ctx's error
 // alongside the best incumbent found before the abort.
 //
-// Solve draws its searcher from a package-level Pool, so back-to-back
-// solves reuse the task-graph, frontier, and memo storage of earlier ones.
+// Solve draws its searcher from the package's pool, so back-to-back solves
+// reuse the task-graph, frontier, and memo storage of earlier ones; a
+// searcher is fully re-initialized per call, so only the allocation behavior
+// depends on which one a solve gets.
 func Solve(ctx context.Context, tasks []Task, opts Options) (Result, error) {
-	return defaultPool.Solve(ctx, tasks, opts)
+	s := searchers.Get().(*searcher)
+	res, err := s.solve(ctx, tasks, opts)
+	searchers.Put(s)
+	return res, err
 }
 
+// searchers recycles searchers — task-graph CSR arrays, frontier and
+// per-depth candidate buffers, the dominance-memo arenas, greedy scratch —
+// across Solve calls, concurrent ones drawing distinct searchers.
+var searchers = sync.Pool{New: func() any { return new(searcher) }}
+
 // solve runs one full solve on this searcher, re-initializing every piece
-// of state. It is the engine behind Solve and Pool.Solve.
+// of state.
 func (s *searcher) solve(ctx context.Context, tasks []Task, opts Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -631,11 +636,6 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		}
 	}
 
-	clear(s.buckets[:])
-	for dev := 0; dev < d; dev++ {
-		s.buckets[dev&7] += int64(s.devAvail[dev])
-	}
-
 	// Static lower bound: pathBound (critical path and one-machine bound)
 	// over the full instance, computed once. At every node the incremental
 	// bounds (device loads, maxTail, staticLB) are tried first and the full
@@ -684,9 +684,6 @@ func (s *searcher) run() {
 		if s.opts.SatisfyOnly {
 			return
 		}
-	}
-	if !s.opts.DisableMemo {
-		s.setSketchScale()
 	}
 	s.dfs()
 }
@@ -905,15 +902,18 @@ func (s *searcher) pathBound() int {
 // components per word for the memo's lane-parallel compare: device
 // availability plus finish times of scheduled tasks that still have
 // successors (walked via the scheduled-set bitmask). Componentwise-≤ states
-// dominate.
+// dominate. The second result is the component sum, which orders a key's
+// chain in the memo.
 //
 //tessel:noalloc
-func (s *searcher) fillStateVector(dst []uint64) []uint64 {
+func (s *searcher) fillStateVector(dst []uint64) ([]uint64, int64) {
 	dst = dst[:0]
 	cur := uint64(0)
 	k := 0
+	sum := int64(0)
 	for dev := 0; dev < s.d; dev++ {
 		a := s.devAvail[dev]
+		sum += int64(a)
 		if k&1 == 0 {
 			cur = uint64(uint32(a))
 		} else {
@@ -927,6 +927,7 @@ func (s *searcher) fillStateVector(dst []uint64) []uint64 {
 		base := w << 6
 		for word != 0 {
 			f := finish[base+bits.TrailingZeros64(word)]
+			sum += int64(f)
 			if k&1 == 0 {
 				cur = uint64(uint32(f))
 			} else {
@@ -939,50 +940,7 @@ func (s *searcher) fillStateVector(dst []uint64) []uint64 {
 	if k&1 == 1 {
 		dst = append(dst, cur)
 	}
-	return dst
-}
-
-// sketchAndSum derives the memo pre-filter values from the incrementally
-// maintained buckets: the total component sum and the 8-lane quantized
-// sketch.
-//
-//tessel:noalloc
-func (s *searcher) sketchAndSum() (uint64, int64) {
-	sum := int64(0)
-	sketch := uint64(0)
-	shift := s.sketchShift
-	for b := 0; b < 8; b++ {
-		v := s.buckets[b]
-		sum += v
-		q := v >> shift
-		if q > 127 {
-			q = 127
-		}
-		sketch |= uint64(q) << (8 * b)
-	}
-	return sketch, sum
-}
-
-// setSketchScale picks the quantization shift for the memo sketch from the
-// incumbent makespan (the ceiling on every state-vector component): bucket
-// sums must land in 0..127 for the 8-bit lanes. The shift is fixed for the
-// whole solve — entries and probes must quantize identically.
-func (s *searcher) setSketchScale() {
-	ceiling := int64(s.staticLB)
-	if s.bestSet {
-		ceiling = int64(s.best.Makespan)
-	}
-	nSucc := 0
-	for i := 0; i < s.n; i++ {
-		if s.hasSucc[i] {
-			nSucc++
-		}
-	}
-	perBucket := int64((s.d+nSucc+7)/8) * ceiling
-	s.sketchShift = 0
-	for perBucket>>s.sketchShift > 127 {
-		s.sketchShift++
-	}
+	return dst, sum
 }
 
 // --- frontier maintenance --------------------------------------------------
@@ -1053,17 +1011,16 @@ func (s *searcher) prunedOrMemo() bool {
 	// probe (often a hit) runs before the heavier pathBound walk. A state is
 	// inserted into the memo iff its probe missed and pathBound kept the node.
 	if !s.opts.DisableMemo {
-		vec := s.fillStateVector(s.vecScratch)
+		vec, vsum := s.fillStateVector(s.vecScratch)
 		s.vecScratch = vec
-		sketch, vsum := s.sketchAndSum()
-		if s.memo.probe(s.mask, vec, vsum, sketch) {
+		if s.memo.probe(s.mask, vec, vsum) {
 			s.memoHits++
 			return true
 		}
 		if s.cutoff(s.pathBound()) {
 			return true
 		}
-		s.memo.insert(s.mask, vec, vsum, sketch)
+		s.memo.insert(s.mask, vec, vsum)
 		return false
 	}
 	return s.cutoff(s.pathBound())
@@ -1188,14 +1145,12 @@ func (s *searcher) apply(c candidate) {
 		s.maxTail = b
 	}
 	for _, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
-		s.buckets[dev&7] += int64(f - s.devAvail[dev])
 		s.devAvail[dev] = f
 		s.devMem[dev] += s.mem[t]
 		s.remWork[dev] -= s.time[t]
 	}
 	if s.hasSucc[t] {
 		// All of t's successors are necessarily unscheduled here.
-		s.buckets[(s.d+t)&7] += int64(f)
 		s.liveMask[t>>6] |= 1 << (uint(t) & 63)
 	}
 	for _, p := range s.predList[s.predOff[t]:s.predOff[t+1]] {
@@ -1203,7 +1158,6 @@ func (s *searcher) apply(c candidate) {
 		if s.succUnsched[p] == 0 && s.sched[p] {
 			// p's last successor just got scheduled: its finish no longer
 			// constrains anything unscheduled.
-			s.buckets[(s.d+int(p))&7] -= int64(s.finish[p])
 			s.liveMask[p>>6] &^= 1 << (uint(p) & 63)
 		}
 	}
@@ -1224,12 +1178,10 @@ func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan, savedMaxTa
 	t := c.task
 	s.nSched--
 	if s.hasSucc[t] {
-		s.buckets[(s.d+t)&7] -= int64(s.finish[t])
 		s.liveMask[t>>6] &^= 1 << (uint(t) & 63)
 	}
 	for _, p := range s.predList[s.predOff[t]:s.predOff[t+1]] {
 		if s.succUnsched[p] == 0 && s.sched[p] {
-			s.buckets[(s.d+int(p))&7] += int64(s.finish[p])
 			s.liveMask[p>>6] |= 1 << (uint(p) & 63)
 		}
 		s.succUnsched[p]++
@@ -1241,7 +1193,6 @@ func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan, savedMaxTa
 	for i, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
 		s.devMem[dev] -= s.mem[t]
 		s.remWork[dev] += s.time[t]
-		s.buckets[dev&7] += int64(savedAvail[i] - s.devAvail[dev])
 		s.devAvail[dev] = savedAvail[i]
 	}
 	s.sched[t] = false
