@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"tessel"
+	"tessel/internal/core"
 )
 
 // maxRequestBytes bounds a /v1/search request body.
@@ -154,6 +155,33 @@ type searchStatsJSON struct {
 	EarlyExit    bool  `json:"early_exit"`
 	Truncated    bool  `json:"truncated"`
 	TotalMS      int64 `json:"total_ms"`
+}
+
+// searchStats is the one place a search's core.Stats reaches the wire:
+// TestSearchStatsWireCarriesEveryCounter fails on a counter of core.Stats
+// that has no field here, or a field that is not filled.
+func searchStats(st core.Stats) searchStatsJSON {
+	return searchStatsJSON{
+		Assignments:       st.Assignments,
+		Solved:            st.Solved,
+		Pruned:            st.Pruned,
+		Improved:          st.Improved,
+		NRSwept:           st.NRSwept,
+		SolverNodes:       st.SolverNodes,
+		MemoHits:          st.SolverMemoHits,
+		NodesPerSec:       st.NodesPerSec(),
+		PeriodProbes:      st.PeriodProbes,
+		PeriodRelaxations: st.PeriodRelaxations,
+		LocalSearchSwaps:  st.LocalSearchSwaps,
+		OrderChecks:       st.OrderChecks,
+		OrderPruned:       st.OrderPruned,
+		OrderNodes:        st.OrderNodes,
+		PrefixChecks:      st.PrefixChecks,
+		PrefixCuts:        st.PrefixCuts,
+		EarlyExit:         st.EarlyExit,
+		Truncated:         st.Truncated,
+		TotalMS:           st.Total.Milliseconds(),
+	}
 }
 
 type errorResponse struct {
@@ -515,27 +543,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Makespan:    res.Makespan,
 		LowerBound:  res.LowerBound,
 		BubbleRate:  res.BubbleRate,
-		Stats: searchStatsJSON{
-			Assignments:       res.Stats.Assignments,
-			Solved:            res.Stats.Solved,
-			Pruned:            res.Stats.Pruned,
-			Improved:          res.Stats.Improved,
-			NRSwept:           res.Stats.NRSwept,
-			SolverNodes:       res.Stats.SolverNodes,
-			MemoHits:          res.Stats.SolverMemoHits,
-			NodesPerSec:       res.Stats.NodesPerSec(),
-			PeriodProbes:      res.Stats.PeriodProbes,
-			PeriodRelaxations: res.Stats.PeriodRelaxations,
-			LocalSearchSwaps:  res.Stats.LocalSearchSwaps,
-			OrderChecks:       res.Stats.OrderChecks,
-			OrderPruned:       res.Stats.OrderPruned,
-			OrderNodes:        res.Stats.OrderNodes,
-			PrefixChecks:      res.Stats.PrefixChecks,
-			PrefixCuts:        res.Stats.PrefixCuts,
-			EarlyExit:         res.Stats.EarlyExit,
-			Truncated:         res.Stats.Truncated,
-			TotalMS:           res.Stats.Total.Milliseconds(),
-		},
+		Stats:       searchStats(res.Stats),
 	}
 	// A successful search always carries a repetend today, but the guard
 	// keeps a malformed (e.g. directly-solved future) result from crashing

@@ -112,8 +112,8 @@ func TestServeSearchEndToEnd(t *testing.T) {
 	if first.Stats.MemoHits < 0 || first.Stats.MemoHits > first.Stats.SolverNodes {
 		t.Fatalf("memo hits out of range: %+v", first.Stats)
 	}
-	// A cold search sweeps at least one repetend count (counter parity with
-	// core.Stats.NRSwept, enforced statically by the counterparity analyzer).
+	// A cold search sweeps at least one repetend count (core.Stats.NRSwept;
+	// TestSearchStatsWireCarriesEveryCounter holds every counter's copy).
 	if first.Stats.NRSwept <= 0 {
 		t.Fatalf("nr_swept not populated: %+v", first.Stats)
 	}
@@ -373,7 +373,7 @@ func TestServeSnapshotWriteRetry(t *testing.T) {
 		t.Fatalf("snapshot write errors = %d, want 2", st.SnapshotWriteErrors)
 	}
 
-	// The counter reaches /v1/stats under its counterparity tag.
+	// The counter reaches /v1/stats under its engine.Stats tag.
 	w := httptest.NewRecorder()
 	s.mux().ServeHTTP(w, httptest.NewRequest("GET", "/v1/stats", nil))
 	var stats map[string]any

@@ -9,9 +9,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"tessel"
+	"tessel/internal/core"
 )
 
 type referenceItem struct {
@@ -138,4 +142,94 @@ func TestWriteSearchResponseMatchesReference(t *testing.T) {
 	if want := referenceBody(t, searchResponse{}, &tessel.Schedule{P: p}); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Errorf("empty schedule differs from the reference encoding\n got: %s\nwant: %s", w.Body.Bytes(), want)
 	}
+}
+
+// TestSearchStatsWireCarriesEveryCounter is counter parity checked on values.
+// Every int/int64 field of core.Stats, the promoted repetend.Effort counters
+// included, gets a distinct value and every flag is set; the stats object
+// searchStats writes must carry each under its snake_case key, the Solver
+// prefix optionally dropped (SolverMemoHits → memo_hits). The two derived
+// members are total_ms (Total in milliseconds) and nodes_per_sec
+// (Stats.NodesPerSec). A counter without a wire field, a wire field that is
+// never filled, and two crossed counters all fail; so does a wire key that no
+// field explains.
+func TestSearchStatsWireCarriesEveryCounter(t *testing.T) {
+	var st core.Stats
+	sv := reflect.ValueOf(&st).Elem()
+	type wireWant struct {
+		field string
+		keys  []string
+		value any // as encoding/json decodes it: float64 or bool
+	}
+	var wants []wireWant
+	next := int64(1)
+	for _, f := range reflect.VisibleFields(sv.Type()) {
+		if f.Anonymous || !f.IsExported() {
+			continue
+		}
+		fv := sv.FieldByIndex(f.Index)
+		key := snakeCase(f.Name)
+		keys := []string{key}
+		if trimmed, ok := strings.CutPrefix(f.Name, "Solver"); ok {
+			keys = append(keys, snakeCase(trimmed))
+		}
+		switch {
+		case f.Type == reflect.TypeOf(time.Duration(0)):
+			fv.SetInt(next * int64(time.Millisecond))
+			wants = append(wants, wireWant{f.Name, []string{key + "_ms"}, float64(next)})
+		case fv.Kind() == reflect.Int || fv.Kind() == reflect.Int64:
+			fv.SetInt(next)
+			wants = append(wants, wireWant{f.Name, keys, float64(next)})
+		case fv.Kind() == reflect.Bool:
+			fv.SetBool(true)
+			wants = append(wants, wireWant{f.Name, keys, true})
+		default:
+			continue // Phase: a breakdown, not a counter; the wire does not carry it
+		}
+		next++
+	}
+	st.Phase.Repetend = 4 * time.Second
+	wants = append(wants, wireWant{"NodesPerSec()", []string{"nodes_per_sec"}, st.NodesPerSec()})
+
+	b, err := json.Marshal(searchStats(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire map[string]any
+	if err := json.Unmarshal(b, &wire); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range wants {
+		key := ""
+		for _, k := range w.keys {
+			if _, ok := wire[k]; ok {
+				key = k
+			}
+		}
+		if key == "" {
+			t.Errorf("core.Stats.%s has no wire field (want one of %q)", w.field, w.keys)
+			continue
+		}
+		if got := wire[key]; got != w.value {
+			t.Errorf("wire %s = %v, want %v from core.Stats.%s", key, got, w.value, w.field)
+		}
+		delete(wire, key)
+	}
+	for key, v := range wire {
+		t.Errorf("wire %s = %v is filled from no core.Stats field", key, v)
+	}
+}
+
+// snakeCase spells a Go field name as its wire key, acronym runs kept
+// together: SolverNodes → solver_nodes, NRSwept → nr_swept.
+func snakeCase(name string) string {
+	upper := func(i int) bool { return 'A' <= name[i] && name[i] <= 'Z' }
+	var b strings.Builder
+	for i := 0; i < len(name); i++ {
+		if i > 0 && upper(i) && (!upper(i-1) || i+1 < len(name) && !upper(i+1)) {
+			b.WriteByte('_')
+		}
+		b.WriteByte(name[i])
+	}
+	return strings.ToLower(b.String())
 }

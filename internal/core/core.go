@@ -140,49 +140,10 @@ type Stats struct {
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
-	// SolverNodes is the total number of branch-and-bound nodes expanded by
-	// the repetend instance solves — the budget-independent measure of
-	// sweep effort that incumbent pruning is meant to shrink. It covers every
-	// solve that ran, including those of assignments pruned afterwards.
-	SolverNodes int64
-	// SolverMemoHits is the number of those nodes pruned by the solver's
-	// dominance memo, the per-search effectiveness measure of the
-	// arena-backed memoization.
-	SolverMemoHits int64
-	// PeriodProbes is the total number of period-feasibility probes (one
-	// difference-constraint fixpoint computation each) the repetend
-	// evaluations ran — across the order-independent relaxation checks,
-	// the minPeriod binary searches, and local search. Like SolverNodes,
-	// it sums over every evaluation that ran: the single probe of a
-	// candidate the relaxation discards counts too.
-	PeriodProbes int64
-	// PeriodRelaxations is the number of successful distance tightenings
-	// inside those probes — the budget-independent effort measure of the
-	// period machinery (the analogue of SolverNodes for the incremental
-	// period engine).
-	PeriodRelaxations int64
-	// LocalSearchSwaps is the number of candidate adjacent-order swaps
-	// the repetend local search applied and evaluated (kept or undone).
-	LocalSearchSwaps int64
-	// OrderChecks is the number of assignments that got past the relaxation
-	// at a bound equal to the device-work lower bound and so went through the
-	// exact order-feasibility check; OrderPruned is how many of them it
-	// proved out of reach of every per-device order — discarded with no
-	// instance solve and no local search; OrderNodes is the branch nodes the
-	// checks expanded beyond forced-pair propagation. OrderPruned counts
-	// inside Pruned, as the relaxation's discards do. Omitted from JSON when
-	// zero so that a snapshot written before they existed re-encodes as it
-	// was.
-	OrderChecks int64 `json:",omitempty"`
-	OrderPruned int64 `json:",omitempty"`
-	OrderNodes  int64 `json:",omitempty"`
-	// PrefixChecks is the number of enumeration-tree nodes the prefix filter
-	// tested on the way to the leaves, PrefixCuts the subtrees it cut there:
-	// the assignments under a cut are proven out of the incumbent's reach in
-	// one go and appear in neither Assignments nor Pruned. Omitted from JSON
-	// when zero, as the order counters are.
-	PrefixChecks int64 `json:",omitempty"`
-	PrefixCuts   int64 `json:",omitempty"`
+	// Effort is the work of every repetend solve and of the prefix filter,
+	// summed over the sweep; its counters read as Stats fields (SolverNodes,
+	// OrderPruned, …) and encode to JSON in this place, unnested.
+	repetend.Effort
 	// EarlyExit is true when the search hit the device-work lower bound and
 	// stopped (Algorithm 1 lines 19–20).
 	EarlyExit bool
@@ -628,16 +589,7 @@ func sweepNR(ctx context.Context, p *sched.Placement, nr, aim int, st *sweepStat
 	res.Stats.Solved += int(solved.Load())
 	res.Stats.Pruned += int(pruned.Load())
 	for _, e := range efforts {
-		res.Stats.SolverNodes += e.SolverNodes
-		res.Stats.SolverMemoHits += e.SolverMemoHits
-		res.Stats.PeriodProbes += e.PeriodProbes
-		res.Stats.PeriodRelaxations += e.PeriodRelaxations
-		res.Stats.LocalSearchSwaps += e.LocalSearchSwaps
-		res.Stats.OrderChecks += e.OrderChecks
-		res.Stats.OrderPruned += e.OrderPruned
-		res.Stats.OrderNodes += e.OrderNodes
-		res.Stats.PrefixChecks += e.PrefixChecks
-		res.Stats.PrefixCuts += e.PrefixCuts
+		res.Stats.Add(e)
 	}
 	res.Stats.Phase.Repetend += time.Duration(repNanos.Load())
 	if truncated || truncSlv.Load() {

@@ -24,6 +24,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path"
 	"strings"
 )
 
@@ -33,9 +34,8 @@ var ctxEntryPrefixes = []string{"Solve", "Search", "Extend", "TimeOptimal", "Run
 
 // ctxEntryPackages are the packages whose entry points rule 1 covers. A
 // package is in scope on an exact path match or a matching last path
-// element — role-based, like counterparity's package matching, so the
-// rule follows the search packages if the tree is ever rearranged (and
-// reaches the test fixtures).
+// element — role-based, so the rule follows the search packages if the
+// tree is ever rearranged (and reaches the test fixtures).
 var ctxEntryPackages = []string{
 	"tessel",
 	"tessel/internal/solver",
@@ -63,7 +63,7 @@ var CtxFlowAnalyzer = &Analyzer{
 func runCtxFlow(pass *Pass) error {
 	entryScope := false
 	for _, p := range ctxEntryPackages {
-		if pass.Pkg.Path() == p || pathBase(pass.Pkg.Path()) == pathBase(p) {
+		if pass.Pkg.Path() == p || path.Base(pass.Pkg.Path()) == path.Base(p) {
 			entryScope = true
 		}
 	}
@@ -203,4 +203,21 @@ func nilGuarded(pass *Pass, file *ast.File, call *ast.CallExpr) bool {
 func isNilIdent(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "nil"
+}
+
+// exprString renders the variable a nil-guard checks and assigns —
+// identifier/selector chains such as ctx or opts.Ctx; other shapes return ""
+// (never considered equal).
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if x := exprString(e.X); x != "" {
+			return x + "." + e.Sel.Name
+		}
+	case *ast.ParenExpr:
+		return exprString(e.X)
+	}
+	return ""
 }

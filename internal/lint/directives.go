@@ -1,14 +1,10 @@
 package lint
 
 // The //tessel: comment directives. They are the linter half of a contract
-// documented in CONTRIBUTING.md: annotations declare which invariants a
-// piece of code promises (//tessel:noalloc), and waivers record — with a
-// mandatory justification — the reviewed places where a rule's letter is
-// intentionally broken while its spirit holds.
-//
-//	//tessel:noalloc
-//	    In a function's doc comment: the function is a hot path and must
-//	    not contain allocating constructs (enforced by hotpathalloc).
+// documented in CONTRIBUTING.md: annotations declare why a flagged construct
+// is deterministic after all, and waivers record — with a mandatory
+// justification — the reviewed places where a rule's letter is intentionally
+// broken while its spirit holds.
 //
 //	//tessel:orderfree [reason]
 //	    On (or directly above) a map-range statement: the loop's effect is
@@ -41,7 +37,7 @@ const directivePrefix = "//tessel:"
 // directive is one parsed //tessel: comment.
 type directive struct {
 	pos  token.Pos
-	kind string // "noalloc", "orderfree", "totalorder", "waive"
+	kind string // "orderfree", "totalorder", "waive"
 	arg  string // waive: the analyzer name
 	// reason is the justification text after the directive word.
 	reason string
@@ -120,20 +116,6 @@ func (p *Package) hasDirective(pos token.Pos, kind string) bool {
 func (p *Package) waived(pos token.Pos, analyzer string) bool {
 	for _, d := range p.directivesAt(pos) {
 		if d.kind == "waive" && d.arg == analyzer && d.reason != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// funcDirective reports whether the function declaration carries the given
-// directive in its doc comment.
-func funcDirective(decl *ast.FuncDecl, kind string) bool {
-	if decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		if d, ok := parseDirective(c); ok && d.kind == kind {
 			return true
 		}
 	}

@@ -1,7 +1,6 @@
-// Package lint is tessel-lint: a suite of repo-specific static analyzers
-// that mechanically enforce the invariants the search stack is built on —
-// byte-identical determinism, zero allocations on the hot paths, context
-// plumbing, and counter/serving parity. The API deliberately mirrors
+// Package lint is tessel-lint: repo-specific static analyzers for the two
+// invariants of the search stack that no test can state — byte-identical
+// determinism and context plumbing. The API deliberately mirrors
 // golang.org/x/tools/go/analysis (Analyzer, Pass, Diagnostic) so the
 // analyzers read idiomatically and could be ported to the real framework if
 // this module ever takes the dependency; the framework itself is
@@ -14,18 +13,16 @@
 //     Map iteration feeding results, time.Now/math/rand in search code,
 //     and sort.Slice without a total-order comparator are flagged in the
 //     search packages (solver, repetend, core, sched, engine).
-//   - hotpathalloc: functions marked //tessel:noalloc (the solver node
-//     loop, the period engine's probe/relax/swap paths, memo operations)
-//     must not contain allocating constructs.
 //   - ctxflow: exported search entry points accept context.Context, and
 //     library code never conjures context.Background()/TODO() (modulo the
 //     nil-guard and Context-suffix convenience-wrapper idioms).
-//   - counterparity: every effort counter on solver.Result and
-//     repetend.Repetend has a core.Stats counterpart, and every core.Stats
-//     counter is exposed by the serve JSON stats payload.
 //
-// See CONTRIBUTING.md for the directive vocabulary (//tessel:noalloc,
-// //tessel:orderfree, //tessel:totalorder, //tessel:waive:<analyzer>).
+// The zero-allocation hot paths and the effort counters' way to the wire
+// are held by tests instead: the SteadyStateAllocs tests, and
+// TestEffortAddCoversEveryField with TestSearchStatsWireCarriesEveryCounter.
+//
+// See CONTRIBUTING.md for the directive vocabulary (//tessel:orderfree,
+// //tessel:totalorder, //tessel:waive:<analyzer>).
 package lint
 
 import (
@@ -58,9 +55,6 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// All is every module package of the load (targets and module
-	// dependencies), for whole-program analyzers like counterparity.
-	All []*Package
 
 	pkg   *Package
 	diags *[]Diagnostic
@@ -99,9 +93,7 @@ func (d Diagnostic) String() string {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		HotPathAllocAnalyzer,
 		CtxFlowAnalyzer,
-		CounterParityAnalyzer,
 	}
 }
 
@@ -129,7 +121,7 @@ func Run(ctx context.Context, dir string, patterns ...string) ([]Diagnostic, err
 			if a.Applies != nil && !a.Applies(pkg.Path) {
 				continue
 			}
-			if err := runAnalyzer(a, pkg, pkgs, &diags); err != nil {
+			if err := runAnalyzer(a, pkg, &diags); err != nil {
 				return nil, err
 			}
 		}
@@ -153,14 +145,13 @@ func Run(ctx context.Context, dir string, patterns ...string) ([]Diagnostic, err
 	return diags, nil
 }
 
-func runAnalyzer(a *Analyzer, pkg *Package, all []*Package, diags *[]Diagnostic) error {
+func runAnalyzer(a *Analyzer, pkg *Package, diags *[]Diagnostic) error {
 	pass := &Pass{
 		Analyzer: a,
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
-		All:      all,
 		pkg:      pkg,
 		diags:    diags,
 	}
@@ -192,7 +183,7 @@ func auditDirectives(pkg *Package, known map[string]bool) []Diagnostic {
 					if d.reason == "" {
 						report(d.pos, "waiver for %q has no justification; explain why the rule does not apply", d.arg)
 					}
-				case "noalloc", "orderfree", "totalorder":
+				case "orderfree", "totalorder":
 					// Valid kinds; placement is interpreted by their analyzers.
 				default:
 					report(d.pos, "unknown directive //tessel:%s", d.kind)
@@ -213,8 +204,6 @@ func auditDirectives(pkg *Package, known map[string]bool) []Diagnostic {
 	return out
 }
 
-// --- small shared helpers used by several analyzers -----------------------
-
 // calleePkgFunc resolves a call to a package-level function of an imported
 // package, returning the package path and function name ("" , "" when the
 // call is anything else — method, builtin, local, conversion).
@@ -232,14 +221,4 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) (pkgPath, name string) 
 		return "", ""
 	}
 	return pn.Imported().Path(), sel.Sel.Name
-}
-
-// pathBase returns the last element of an import path.
-func pathBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
 }

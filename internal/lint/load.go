@@ -13,9 +13,7 @@ package lint
 //   - packages that belong to this module are parsed and type-checked from
 //     source (the analyzers need syntax and full types.Info), in dependency
 //     order, so a module package importing another module package resolves
-//     to the very same *types.Package — object identities (struct fields,
-//     functions) are shared across the whole load, which is what lets the
-//     counterparity analyzer relate declarations in different packages;
+//     to the very same *types.Package;
 //   - everything else (the standard library) is imported from the export
 //     data via the compiler importer, exactly as a real driver would.
 //

@@ -314,8 +314,6 @@ func (sh *periodShape) workLowerBound() int { return sh.lower }
 // buildReach computes the lag-zero transitive closure from the static edges
 // (Floyd-Warshall on booleans; K is small). Built once per bind, and only
 // when the instance gets as far as local search.
-//
-//tessel:noalloc
 func (e *periodEngine) buildReach() {
 	if e.reachBuilt {
 		return
@@ -349,8 +347,6 @@ func (e *periodEngine) buildReach() {
 // every ordered pair (v, u) of distinct stages sharing a device,
 // s_u ≥ s_v + t_v − P, deduplicated across devices. Built once per shape; a
 // no-op from then on.
-//
-//tessel:noalloc
 func (sh *periodShape) buildWindow() {
 	if sh.winBuilt {
 		return
@@ -380,7 +376,6 @@ func (sh *periodShape) buildWindow() {
 
 // --- SPFA core -----------------------------------------------------------
 
-//tessel:noalloc
 func (e *periodEngine) push(u int) {
 	e.qbuf[e.qtail] = u
 	e.qtail++
@@ -390,7 +385,6 @@ func (e *periodEngine) push(u int) {
 	e.qlen++
 }
 
-//tessel:noalloc
 func (e *periodEngine) pop() int {
 	u := e.qbuf[e.qhead]
 	e.qhead++
@@ -404,8 +398,6 @@ func (e *periodEngine) pop() int {
 // relax applies one difference constraint s_v ≥ s_u + w. It reports false
 // when the relaxation chain through v reaches k edges — a repeated stage on
 // a strictly improving chain, i.e. a positive cycle: no period-P solution.
-//
-//tessel:noalloc
 func (e *periodEngine) relax(u, v, w int) bool {
 	d := e.dist[u] + w
 	if d <= e.dist[v] {
@@ -427,8 +419,6 @@ func (e *periodEngine) relax(u, v, w int) bool {
 // seedCold resets dist to the all-zero vector and enqueues every stage —
 // the from-scratch start whose least fixpoint is the canonical minimal
 // start-time vector.
-//
-//tessel:noalloc
 func (e *periodEngine) seedCold() {
 	for i := 0; i < e.k; i++ {
 		e.dist[i] = 0
@@ -447,8 +437,6 @@ func (e *periodEngine) seedCold() {
 // the device-window edges (window mode, the order-independent relaxation)
 // or the execution-order edges implied by the engine's current order
 // buffers (orders mode). It reports false on a positive cycle.
-//
-//tessel:noalloc
 func (e *periodEngine) run(period int, window, orders bool) bool {
 	e.probes++
 	for e.qlen > 0 {
@@ -493,8 +481,6 @@ func (e *periodEngine) run(period int, window, orders bool) bool {
 // probeOrders reports whether the engine's current orders admit period P, from
 // a cold start; a feasible probe leaves its least fixpoint in feasDist (the
 // buffers swap; the next seed overwrites the stale one).
-//
-//tessel:noalloc
 func (e *periodEngine) probeOrders(period int) bool {
 	e.seedCold()
 	if !e.run(period, false, true) {
@@ -510,8 +496,6 @@ func (e *periodEngine) probeOrders(period int) bool {
 // per-order system contains a superset of these constraints and
 // feasibility is monotone in P, so a false result proves min period > P
 // for all per-device orders — without touching the solver.
-//
-//tessel:noalloc
 func (e *periodEngine) relaxedFeasible(period int) bool {
 	e.buildWindow()
 	e.seedCold()
@@ -525,8 +509,6 @@ func (e *periodEngine) relaxedFeasible(period int) bool {
 // orders a pure function of the start vector for arbitrary inputs). It
 // also computes the per-device prefix-memory sums the local search's delta
 // checks maintain. Mirrors ordersFromStarts.
-//
-//tessel:noalloc
 func (e *periodEngine) setOrdersFromStarts(starts []int) {
 	for x := range e.ordPos {
 		e.ordPos[x] = -1
@@ -569,8 +551,6 @@ func (e *periodEngine) setOrdersFromStarts(starts []int) {
 // rejected — probe their ceiling first, so the common pruned case costs a
 // single probe; unbounded calls try the device-work lower bound first, so
 // orders that achieve it (the common case near convergence) cost one too.
-//
-//tessel:noalloc
 func (e *periodEngine) minPeriod(bound int) (int, periodStatus) {
 	lo := e.lower
 	if bound > 0 && lo > bound {
@@ -613,8 +593,6 @@ func (e *periodEngine) minPeriod(bound int) (int, periodStatus) {
 
 // appendStarts appends the normalized (minimum 0) start vector of the last
 // feasible probe to dst[:0] and returns it.
-//
-//tessel:noalloc
 func (e *periodEngine) appendStarts(dst []int) []int {
 	dst = append(dst[:0], e.feasDist[:e.k]...)
 	normalize(dst)
@@ -626,8 +604,6 @@ func (e *periodEngine) appendStarts(dst []int) []int {
 // non-adjacently somewhere (the swap is undefined there). On success the
 // affected prefix-memory entries are updated; calling applySwap(u, v)
 // again undoes the swap exactly.
-//
-//tessel:noalloc
 func (e *periodEngine) applySwap(u, v int) bool {
 	for _, dd := range e.p.Stages[u].Devices {
 		d := int(dd)
@@ -670,8 +646,6 @@ func (e *periodEngine) applySwap(u, v int) bool {
 // orders come from a memory-respecting instance schedule and every
 // accepted swap re-established the check), so only the single changed
 // prefix per shared device needs testing.
-//
-//tessel:noalloc
 func (e *periodEngine) swapMemoryOK(u, v int) bool {
 	if e.mem == sched.Unbounded {
 		return true
@@ -710,8 +684,6 @@ func (e *periodEngine) swapMemoryOK(u, v int) bool {
 // shared sweep incumbent), so the result is a pure function of the
 // assignment — a requirement for worker-count-independent sweeps. On
 // return bestStarts holds the incumbent's normalized start vector.
-//
-//tessel:noalloc
 func (e *periodEngine) localSearch(ctx context.Context, period int) int {
 	lower := e.lower
 	maxPasses := e.k * e.k

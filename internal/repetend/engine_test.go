@@ -506,7 +506,10 @@ func TestMinPeriodSteadyStateAllocs(t *testing.T) {
 }
 
 // TestLocalSearchSteadyStateAllocs extends the allocation regression to
-// the swap+undo local search: candidate evaluation must not allocate.
+// the swap+undo local search: candidate evaluation must not allocate, with
+// or without a memory cap. Under the cap (the largest entry memory, so the
+// initial orders fit) swapMemoryOK's delta check runs on every candidate and
+// turns away one that the unbounded run evaluates.
 func TestLocalSearchSteadyStateAllocs(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
@@ -515,25 +518,32 @@ func TestLocalSearchSteadyStateAllocs(t *testing.T) {
 	// every backward runs before its device's forward, so local search has
 	// real swapping to do.
 	starts := []int{10, 11, 12, 0, 1, 2, 3, 4}
-	e := &periodEngine{}
-	var swaps int64
-	run := func() {
-		e.bind(p, a, entry, sched.Unbounded)
-		e.setOrdersFromStarts(starts)
-		period, st := e.minPeriod(0)
-		if st != periodOK {
-			t.Fatalf("minPeriod status %v", st)
+	swapsAt := map[int]int64{}
+	for _, mem := range []int{sched.Unbounded, 3} {
+		e := &periodEngine{}
+		var swaps int64
+		run := func() {
+			e.bind(p, a, entry, mem)
+			e.setOrdersFromStarts(starts)
+			period, st := e.minPeriod(0)
+			if st != periodOK {
+				t.Fatalf("memory %d: minPeriod status %v", mem, st)
+			}
+			e.bestStarts = e.appendStarts(e.bestStarts)
+			e.localSearch(context.Background(), period)
+			swaps = e.swaps
 		}
-		e.bestStarts = e.appendStarts(e.bestStarts)
-		e.localSearch(context.Background(), period)
-		swaps = e.swaps
+		run() // warm the scratch
+		if swaps == 0 {
+			t.Fatalf("memory %d: local search evaluated no candidates — instance too degenerate for the test", mem)
+		}
+		if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
+			t.Fatalf("memory %d: steady-state local search allocates %.1f times (want 0; %d swaps/cycle)", mem, allocs, swaps)
+		}
+		swapsAt[mem] = swaps
 	}
-	run() // warm the scratch
-	if swaps == 0 {
-		t.Fatal("local search evaluated no candidates — instance too degenerate for the test")
-	}
-	if allocs := testing.AllocsPerRun(30, run); allocs != 0 {
-		t.Fatalf("steady-state local search allocates %.1f times (want 0; %d swaps/cycle)", allocs, swaps)
+	if swapsAt[3] >= swapsAt[sched.Unbounded] {
+		t.Fatalf("the memory cap turned no swap away: %d swaps under it, %d without", swapsAt[3], swapsAt[sched.Unbounded])
 	}
 }
 

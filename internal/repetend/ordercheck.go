@@ -73,8 +73,6 @@ func (e *periodEngine) orderChecked(bound int) bool {
 // orderCheck decides whether any per-device order of the bound instance has
 // a period ≤ period (see the file comment). Its branch nodes accumulate in
 // ordNodes.
-//
-//tessel:noalloc
 func (e *periodEngine) orderCheck(period int) orderVerdict {
 	if e.k > orderStageCap {
 		return orderUndecided
@@ -89,8 +87,6 @@ func (e *periodEngine) orderCheck(period int) orderVerdict {
 // at the coefficients in statCoeff and the window edges — into level 0 of a
 // matrix stack with room for the given number of levels. It reports false
 // when they hold a positive cycle: the relaxation's own verdict.
-//
-//tessel:noalloc
 func (e *periodEngine) orderRoot(period, levels int) bool {
 	e.buildWindow()
 	k := e.k
@@ -130,8 +126,6 @@ func (e *periodEngine) orderRoot(period, levels int) bool {
 }
 
 // orderExtend raises row[j] to base + via[j] wherever a path continues.
-//
-//tessel:noalloc
 func orderExtend(row, via []int, base int) {
 	row = row[:len(via)]
 	for j, vj := range via {
@@ -146,8 +140,6 @@ func orderExtend(row, via []int, base int) {
 // v the arc does not raise is closed already — D[i][j] ≥ D[i][v] + D[v][j] —
 // and is skipped. The caller has checked D[v][u] + w ≤ 0, so no entry the
 // update reads is one it raises.
-//
-//tessel:noalloc
 func (e *periodEngine) orderInsert(D []int, u, v, w int) {
 	k, out := e.k, D[v*e.k:v*e.k+e.k]
 	for i := 0; i < k; i++ {
@@ -162,8 +154,6 @@ func (e *periodEngine) orderInsert(D []int, u, v, w int) {
 // left: no order reaches the period. Otherwise (bu, bv) is the open pair with
 // the least room — the one whose two sides leave the smallest combined slack
 // — and bu < 0 when every pair is ordered.
-//
-//tessel:noalloc
 func (e *periodEngine) orderPropagate(D []int) (ok bool, bu, bv int) {
 	k, times, winHead, winTo := e.k, e.times, e.winHead, e.winTo
 	room := 0
@@ -204,8 +194,6 @@ func (e *periodEngine) orderPropagate(D []int) (ok bool, bu, bv int) {
 // orderBranch settles the matrix at the given stack depth: forced-pair
 // propagation to its fixpoint, then a branch on the open pair it names, on
 // copies of the matrix one level down.
-//
-//tessel:noalloc
 func (e *periodEngine) orderBranch(depth int) orderVerdict {
 	k := e.k
 	ok, bu, bv := e.orderPropagate(e.ordMat[depth*k*k : (depth+1)*k*k])

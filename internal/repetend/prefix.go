@@ -176,8 +176,6 @@ func (f *PrefixFilter) root(period int) {
 // push derives level pos+1 from level pos with stage i at index v: the edges
 // into i get their real lag, the edges out of it lag v. It reports false when
 // the level admits no solution — the subtree is cut.
-//
-//tessel:noalloc
 func (f *PrefixFilter) push(pos, i, v int) bool {
 	if !f.live {
 		return false
@@ -205,8 +203,6 @@ func (f *PrefixFilter) push(pos, i, v int) bool {
 
 // orderRaise raises the arc u→v of the closed matrix D to weight w. It reports
 // false, leaving D as it was, when that closes a positive cycle.
-//
-//tessel:noalloc
 func (e *periodEngine) orderRaise(D []int, u, v, w int) bool {
 	if D[u*e.k+v] >= w {
 		return true

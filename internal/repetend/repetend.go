@@ -227,21 +227,55 @@ type Repetend struct {
 
 // Effort is the work Solve calls did, whatever their outcome: an assignment
 // pruned after its instance solve and local search has spent the same nodes
-// and probes as one that survives. The fields mirror the Repetend counters of
-// the same names.
+// and probes as one that survives. The first five fields mirror the Repetend
+// counters of the same names. core.Stats embeds Effort, so a search reports
+// each field under its name, summed over every call of the sweep, and a cache
+// snapshot stores it under the same name.
 type Effort struct {
-	SolverNodes, SolverMemoHits                       int64
-	PeriodProbes, PeriodRelaxations, LocalSearchSwaps int64
+	// SolverNodes is the number of branch-and-bound nodes expanded by the
+	// repetend instance solves — the budget-independent measure of sweep
+	// effort that incumbent pruning is meant to shrink. It covers every solve
+	// that ran, including those of assignments pruned afterwards.
+	SolverNodes int64
+	// SolverMemoHits is the number of those nodes pruned by the solver's
+	// dominance memo, the per-search effectiveness measure of the
+	// arena-backed memoization.
+	SolverMemoHits int64
+	// PeriodProbes is the number of period-feasibility probes (one
+	// difference-constraint fixpoint computation each) the repetend
+	// evaluations ran — across the order-independent relaxation checks, the
+	// minPeriod binary searches, and local search. Like SolverNodes, it sums
+	// over every evaluation that ran: the single probe of a candidate the
+	// relaxation discards counts too.
+	PeriodProbes int64
+	// PeriodRelaxations is the number of successful distance tightenings
+	// inside those probes — the budget-independent effort measure of the
+	// period machinery (the analogue of SolverNodes for the incremental
+	// period engine).
+	PeriodRelaxations int64
+	// LocalSearchSwaps is the number of candidate adjacent-order swaps the
+	// repetend local search applied and evaluated (kept or undone).
+	LocalSearchSwaps int64
 	// The exact order check (Solve's second prune stage) has no Repetend
-	// counterpart: OrderChecks is the number of calls that ran it, OrderPruned
-	// how many of them it discarded, OrderNodes the branch nodes it expanded —
-	// zero for a check that forced-pair propagation alone decided.
-	OrderChecks, OrderPruned, OrderNodes int64
+	// counterpart. OrderChecks is the number of calls that got past the
+	// relaxation at a bound equal to the device-work lower bound and so ran
+	// it; OrderPruned is how many of them it proved out of reach of every
+	// per-device order — discarded with no instance solve and no local
+	// search, and counted inside core.Stats.Pruned as the relaxation's
+	// discards are; OrderNodes is the branch nodes the checks expanded beyond
+	// forced-pair propagation. Omitted from JSON when zero so that a snapshot
+	// written before they existed re-encodes as it was.
+	OrderChecks int64 `json:",omitempty"`
+	OrderPruned int64 `json:",omitempty"`
+	OrderNodes  int64 `json:",omitempty"`
 	// The prefix filter's work, reported by PrefixFilter.Effort and by no Solve
-	// call: PrefixChecks is the enumeration-tree nodes it tested, PrefixCuts
-	// the subtrees it cut — each any number of assignments that no Solve call
-	// then sees.
-	PrefixChecks, PrefixCuts int64
+	// call: PrefixChecks is the enumeration-tree nodes it tested on the way to
+	// the leaves, PrefixCuts the subtrees it cut there. The assignments under
+	// a cut are proven out of the incumbent's reach in one go, no Solve call
+	// sees them, and they appear in neither core.Stats.Assignments nor Pruned.
+	// Omitted from JSON when zero, as the order counters are.
+	PrefixChecks int64 `json:",omitempty"`
+	PrefixCuts   int64 `json:",omitempty"`
 }
 
 // Add accumulates o into e.

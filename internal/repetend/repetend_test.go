@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -621,6 +622,27 @@ func TestSolveReportsEffortOnEveryPath(t *testing.T) {
 	before.Add(own)
 	if eff != before {
 		t.Fatalf("accumulated effort %+v, want %+v", eff, before)
+	}
+}
+
+// TestEffortAddCoversEveryField: Add is the one step of a counter's way from a
+// Solve call to the /v1/search wire that is written out field by field
+// (core.Stats embeds Effort). Every field gets a distinct value; adding that
+// twice into a zero Effort must double each field, so a field Add forgets,
+// assigns instead of adding, or takes from another field fails here.
+func TestEffortAddCoversEveryField(t *testing.T) {
+	var o, e Effort
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		ov.Field(i).SetInt(int64(i + 1))
+	}
+	e.Add(o)
+	e.Add(o)
+	ev := reflect.ValueOf(e)
+	for i := 0; i < ev.NumField(); i++ {
+		if got, want := ev.Field(i).Int(), 2*int64(i+1); got != want {
+			t.Errorf("Effort.%s after adding %d twice = %d, want %d", ev.Type().Field(i).Name, i+1, got, want)
+		}
 	}
 }
 

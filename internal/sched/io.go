@@ -219,8 +219,6 @@ func AppendSchedule(dst []byte, s *Schedule, depth int) ([]byte, error) {
 // appendItems appends the members of a non-empty "items" array between the
 // four strings that surround an item's numbers, so the loop does nothing but
 // copy and format integers.
-//
-//tessel:noalloc
 func appendItems(dst []byte, items []Item, open, micro, start, end string) []byte {
 	for i := range items {
 		if i > 0 {

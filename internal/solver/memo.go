@@ -100,8 +100,6 @@ func (m *memoTable) reset(maskWords int) {
 
 // mix64 is the splitmix64 finalizer — a full-avalanche mixer for mask
 // hashing.
-//
-//tessel:noalloc
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -111,7 +109,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-//tessel:noalloc
 func hashMask(mask []uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, w := range mask {
@@ -123,8 +120,6 @@ func hashMask(mask []uint64) uint64 {
 // findSlot probes for the slot holding mask, returning its index and
 // whether it is live. When not found, the returned index is the first free
 // slot on the probe path (where an insert for this mask must go).
-//
-//tessel:noalloc
 func (m *memoTable) findSlot(mask []uint64, hash uint64) (int, bool) {
 	idx := int(hash) & (len(m.slots) - 1)
 	for {
@@ -139,7 +134,6 @@ func (m *memoTable) findSlot(mask []uint64, hash uint64) (int, bool) {
 	}
 }
 
-//tessel:noalloc
 func (m *memoTable) slotKeyEqual(sl *memoSlot, mask []uint64) bool {
 	if m.maskWords == 1 {
 		return sl.key64 == mask[0]
@@ -178,8 +172,6 @@ const laneHigh = 0x8000000080000000
 // non-negative int32 components per word: lane-wise, (b|H) − a keeps the
 // lane's high bit set exactly when b ≥ a, and the +2^31 bias keeps lanes
 // from borrowing into each other.
-//
-//tessel:noalloc
 func dominates(a, b []uint64) bool {
 	if len(b) < len(a) {
 		return false // unreachable: per-key vectors share a length
@@ -203,8 +195,6 @@ func dominates(a, b []uint64) bool {
 // the walk one-pass: entries with sum ≤ vsum are the only possible
 // dominators of vec, and entries past the boundary can never dominate it
 // (they are only eviction candidates for insert).
-//
-//tessel:noalloc
 func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64) bool {
 	hash := hashMask(mask)
 	idx, found := m.findSlot(mask, hash)
@@ -233,8 +223,6 @@ func (m *memoTable) probe(mask []uint64, vec []uint64, vsum int64) bool {
 // stored vectors it dominates (their entries are recycled; their arena
 // ranges are reclaimed only by the next reset) and keeping the chain
 // sum-sorted. Beyond memoCap recorded vectors the memo is read-only.
-//
-//tessel:noalloc
 func (m *memoTable) insert(mask []uint64, vec []uint64, vsum int64) {
 	if m.size >= memoCap {
 		return

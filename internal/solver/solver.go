@@ -690,13 +690,10 @@ func (s *searcher) run() {
 
 // cutoff reports whether a branch with lower bound lb cannot strictly
 // improve the incumbent.
-//
-//tessel:noalloc
 func (s *searcher) cutoff(lb int) bool {
 	return lb >= s.best.Makespan
 }
 
-//tessel:noalloc
 func (s *searcher) record(starts []int, makespan int) {
 	s.best.Feasible = true
 	s.best.Makespan = makespan
@@ -711,8 +708,6 @@ func (s *searcher) record(starts []int, makespan int) {
 // a frontier (like the search's), so each pick scans the eligible tasks
 // instead of rescanning all n — the dispatch is O(n·frontier), not O(n²).
 // All working state lives in searcher scratch buffers.
-//
-//tessel:noalloc
 func (s *searcher) greedy() ([]int, int, bool) {
 	n := s.n
 	s.gSched = boolsN(s.gSched, n)
@@ -812,7 +807,6 @@ func (s *searcher) greedy() ([]int, int, bool) {
 	return s.gStarts, makespan, true
 }
 
-//tessel:noalloc
 func (s *searcher) outOfBudget() bool {
 	if s.opts.MaxNodes > 0 && s.nodes >= s.opts.MaxNodes {
 		return true
@@ -846,8 +840,6 @@ func (s *searcher) outOfBudget() bool {
 // dominates the device-load bound (est ≥ devAvail on the task's devices) and,
 // like the path bound, only cuts subtrees that cannot strictly improve the
 // incumbent — the first optimal schedule in DFS order is unaffected.
-//
-//tessel:noalloc
 func (s *searcher) pathBound() int {
 	topo, topoNext := s.topo, s.topoNext
 	devOff, devList := s.devOff, s.devList
@@ -904,8 +896,6 @@ func (s *searcher) pathBound() int {
 // successors (walked via the scheduled-set bitmask). Componentwise-≤ states
 // dominate. The second result is the component sum, which orders a key's
 // chain in the memo.
-//
-//tessel:noalloc
 func (s *searcher) fillStateVector(dst []uint64) ([]uint64, int64) {
 	dst = dst[:0]
 	cur := uint64(0)
@@ -945,13 +935,11 @@ func (s *searcher) fillStateVector(dst []uint64) ([]uint64, int64) {
 
 // --- frontier maintenance --------------------------------------------------
 
-//tessel:noalloc
 func (s *searcher) frontPush(t int) {
 	s.frontPos[t] = int32(len(s.frontier))
 	s.frontier = append(s.frontier, int32(t))
 }
 
-//tessel:noalloc
 func (s *searcher) frontRemove(t int) {
 	i := s.frontPos[t]
 	last := int32(len(s.frontier) - 1)
@@ -965,8 +953,6 @@ func (s *searcher) frontRemove(t int) {
 // frontSync makes task t's frontier membership match its eligibility. It is
 // idempotent, so apply/undo can call it for every task whose eligibility
 // inputs (predLeft, symmetry predecessor) they touched.
-//
-//tessel:noalloc
 func (s *searcher) frontSync(t int) {
 	eligible := !s.sched[t] && s.predLeft[t] == 0 &&
 		(s.symPred[t] < 0 || s.sched[s.symPred[t]])
@@ -984,8 +970,6 @@ func (s *searcher) frontSync(t int) {
 // prunedOrMemo runs the per-node pruning pipeline — incremental lower
 // bounds, dominance memo, critical-path bound — exactly once per expanded
 // node and reports whether the node is pruned.
-//
-//tessel:noalloc
 func (s *searcher) prunedOrMemo() bool {
 	// Lower bounds, cheapest first: device loads, the running max of
 	// finish+tail over scheduled tasks (dominated by pathBound), and the
@@ -1030,8 +1014,6 @@ func (s *searcher) prunedOrMemo() bool {
 // maintained frontier into the depth's reusable buffer, insertion-sorting
 // as it goes: smallest start first, then longest tail, then task index — a
 // total order, so the expansion order is independent of frontier layout.
-//
-//tessel:noalloc
 func (s *searcher) collectCandidates() []candidate {
 	fr := &s.frames[s.nSched]
 	cands := fr.cands[:0]
@@ -1086,7 +1068,6 @@ func (s *searcher) collectCandidates() []candidate {
 	return cands
 }
 
-//tessel:noalloc
 func (s *searcher) dfs() {
 	s.nodes++
 	if s.outOfBudget() {
@@ -1126,7 +1107,6 @@ func (s *searcher) dfs() {
 	}
 }
 
-//tessel:noalloc
 func (s *searcher) apply(c candidate) {
 	t := c.task
 	s.frontRemove(t)
@@ -1173,7 +1153,6 @@ func (s *searcher) apply(c candidate) {
 	s.nSched++
 }
 
-//tessel:noalloc
 func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan, savedMaxTail int) {
 	t := c.task
 	s.nSched--
