@@ -42,16 +42,18 @@ func BenchmarkAblationEagerSearch(b *testing.B) {
 	benchSearch(b, mustShape(b, tessel.NewNNShape), core.Options{DisableLazy: true})
 }
 
-// solverTasks builds the whole-problem M-shape instance (4 devices, n
+// solverTasks builds the whole-problem X-shape instance (4 devices, n
 // micro-batches) the solver benchmarks run on. The V-shape family they used
 // through PR 13 is proven at the root by the one-machine bound — one node for
-// every n — so it measures nothing; M-shape still searches (n = 2, 3, 4: 164,
-// 4,886, 111,756 nodes). The benchmark fails when the solver proves the
-// instance in fewer than minNodes nodes: the next bound that flattens a
-// family has to move these benchmarks, not quietly empty them.
+// every n — and the barrier bound halved the M-shape family they used next
+// (n = 3: 4,886 → 1,905 nodes; n = 4: 111,756 → 51,453). X-shape has no
+// all-device stage and still searches (n = 2, 3, 5: 1,281, 6,257, 31,361
+// nodes). The benchmark fails when the solver proves the instance in fewer
+// than minNodes nodes: the next bound that flattens a family has to move these
+// benchmarks, not quietly empty them.
 func solverTasks(b *testing.B, n int, minNodes int64) []solver.Task {
 	b.Helper()
-	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
+	p, err := tessel.NewXShape(tessel.ShapeConfig{Devices: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func solverTasks(b *testing.B, n int, minNodes int64) []solver.Task {
 		b.Fatal(err)
 	}
 	if res.Optimal {
-		b.Fatalf("m-shape n=%d is proven in %d nodes; this benchmark needs a search of at least %d", n, res.Nodes, minNodes)
+		b.Fatalf("x-shape n=%d is proven in %d nodes; this benchmark needs a search of at least %d", n, res.Nodes, minNodes)
 	}
 	return tasks
 }
@@ -75,7 +77,7 @@ var solverSizes = []struct {
 	name     string
 	n        int
 	minNodes int64
-}{{"m_nmb2", 2, 100}, {"m_nmb3", 3, 4000}, {"m_nmb4", 4, 50000}}
+}{{"x_nmb2", 2, 1000}, {"x_nmb3", 3, 4000}, {"x_nmb5", 5, 25000}}
 
 func benchSolve(b *testing.B, opts solver.Options) {
 	b.Helper()
@@ -257,7 +259,7 @@ func benchPrefixPush(b *testing.B) {
 // solver.Solve — the steady state of a repetend sweep: one allocation per
 // solve, the caller's Starts — on back-to-back solves of one instance.
 func BenchmarkSolverReuse(b *testing.B) {
-	tasks := solverTasks(b, 2, 100)
+	tasks := solverTasks(b, 2, 1000)
 	if _, err := solver.Solve(context.Background(), tasks, solver.Options{}); err != nil {
 		b.Fatal(err)
 	}

@@ -109,13 +109,13 @@ func BenchmarkFingerprint(b *testing.B) {
 // (prefix_cuts/op) is nearly all discarded by the exact order check
 // (order_pruned/op) — m4 pays the most branch nodes per check, m8i runs the
 // most checks, k6 keeps a few candidates the check lets through and the
-// heuristic then misses; v6 reaches the bound on the filter alone, a handful
-// of assignments past it and hardly a solve, so it shows what a walk through
-// the filter costs; nn6i is the same with the search's one expensive
-// completion solve behind it; x8m4 cannot reach the bound under its memory cap
-// and pays the failed first pass plus the whole unaimed second pass, which the
-// check and the filter stay out of. Regressions in the pruning show up here
-// first.
+// heuristic then misses; v6 and nn6i reach the bound on the filter alone, a
+// handful of assignments past it and hardly a solve, so they show what a walk
+// through the filter costs (nn6i's warmup, once 32,146 nodes, is proven at the
+// root since the barrier bound); x8m4 cannot reach the bound under its memory
+// cap and pays the failed first pass plus the whole unaimed second pass, which
+// the check and the filter stay out of. solver_nodes/op counts the nodes of
+// the sweep's instance solves. Regressions in the pruning show up here first.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -140,7 +140,7 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 			if c.inference {
 				p = tessel.InferenceVariant(p)
 			}
-			var orderPruned, prefixCuts int64
+			var orderPruned, prefixCuts, solverNodes int64
 			for i := 0; i < b.N; i++ {
 				eng := tessel.NewEngine(tessel.EngineOptions{})
 				res, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory})
@@ -149,9 +149,11 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 				}
 				orderPruned += res.Stats.OrderPruned
 				prefixCuts += res.Stats.PrefixCuts
+				solverNodes += res.Stats.SolverNodes
 			}
 			b.ReportMetric(float64(orderPruned)/float64(b.N), "order_pruned/op")
 			b.ReportMetric(float64(prefixCuts)/float64(b.N), "prefix_cuts/op")
+			b.ReportMetric(float64(solverNodes)/float64(b.N), "solver_nodes/op")
 		})
 	}
 }

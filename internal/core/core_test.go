@@ -1,13 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"tessel/internal/placement"
 	"tessel/internal/sched"
+	"tessel/internal/solver"
 )
 
 func shape(t *testing.T, name string, d int) *sched.Placement {
@@ -381,9 +384,10 @@ func TestSearchSolverBudgetTruncates(t *testing.T) {
 }
 
 // TestSearchSolverEffortStats: the memo-hit counter and node-throughput
-// accessor must be populated by a pruning-heavy search.
+// accessor must be populated by a pruning-heavy search. It runs on X-shape:
+// the barrier bound proves m-shape's instance solves without a memo hit.
 func TestSearchSolverEffortStats(t *testing.T) {
-	p := shape(t, "m-shape", 4)
+	p := shape(t, "x-shape", 4)
 	res, err := Search(context.Background(), p, Options{N: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -402,5 +406,35 @@ func TestSearchSolverEffortStats(t *testing.T) {
 	}
 	if (Stats{}).NodesPerSec() != 0 {
 		t.Fatal("zero Stats must report zero throughput")
+	}
+}
+
+// TestNN6iWarmupProvenAtRoot pins the solve that set cold_period's p95: the
+// 45-task warmup of nn6i's winning repetend, in the task order solvePhase
+// hands it over. The greedy dispatch already finds its optimum (makespan 17);
+// the barrier bound — nn-shape's embedding occupies every device — raises the
+// root bound from 15 to 17, so the proof takes one node instead of 32,146.
+func TestNN6iWarmupProvenAtRoot(t *testing.T) {
+	p, opts := catalogPlacement(t, "nn6i")
+	opts.N = 12
+	res, err := Search(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := warmupBlocks(p, res.Repetend.Assign)
+	slices.SortFunc(warm, func(a, b sched.Block) int {
+		return cmp.Or(cmp.Compare(a.Micro, b.Micro), cmp.Compare(a.Stage, b.Stage))
+	})
+	tasks, err := solver.BuildTasks(p, warm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sres, err := solver.Solve(context.Background(), tasks, solver.Options{NumDevices: p.NumDevices, MaxNodes: DefaultSolverNodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 45 || !sres.Optimal || sres.Makespan != 17 || sres.Nodes != 1 {
+		t.Fatalf("nn6i warmup: %d tasks, optimal %v, makespan %d in %d nodes; want 45 tasks proven at 17 in 1 node",
+			len(tasks), sres.Optimal, sres.Makespan, sres.Nodes)
 	}
 }

@@ -237,7 +237,9 @@ func TestTemplateMemoizesDirectSolve(t *testing.T) {
 // TestChaosTemplateInterruptedFill: a first Extend that dies inside its
 // cooldown solve — cancelled, or failed by the solver — publishes nothing
 // that was not finished, and the next Extend completes and matches a
-// from-scratch completion.
+// from-scratch completion. m4's cooldown solve is proven in fewer nodes than
+// the solver's first context poll, so the cancel case hands back ctx's error
+// from the fault point, as the solve's own poll would on a longer instance.
 func TestChaosTemplateInterruptedFill(t *testing.T) {
 	p, opts := catalogPlacement(t, "m4")
 	res, err := Search(context.Background(), p, opts)
@@ -263,7 +265,7 @@ func TestChaosTemplateInterruptedFill(t *testing.T) {
 					return boom
 				}
 				cancel()
-				return nil
+				return ctx.Err()
 			})
 			t.Cleanup(func() { faultpoint.Disarm(faultpoint.SolverSolve) })
 			_, err := Extend(ctx, shared, 40, opts)

@@ -32,7 +32,9 @@ type Fig3Result struct {
 // The paper draws it on the V-shape placement. This solver's one-machine bound
 // proves V- and K-shape whole problems at the root for every N (one node), so
 // the figure runs on the M-shape placement (fwd=1, bwd=2, 4 devices), where
-// exact search still blows up: 164, 4,886, 111,756 nodes for N = 2, 3, 4.
+// exact search still blows up: 65, 1,905, 51,453 nodes for N = 2, 3, 4 with
+// the barrier bound (164, 4,886, 111,756 before it), and N = 5 is unproven
+// after 3 M nodes either way.
 func Fig3(ctx context.Context, m Mode) (*Fig3Result, error) {
 	p := UnitShapes()["m-shape"]
 	points := []int{1, 2, 3, 4, 5, 6}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"tessel/internal/placement"
 )
 
 // packVec packs int32 components into the memo's two-per-word layout and
@@ -228,25 +230,37 @@ func TestMemoMultiWordMasks(t *testing.T) {
 // TestSolveSteadyStateAllocs is the allocation regression test of the
 // solver core: on a reused searcher a full solve performs (amortized) ~one
 // allocation — the caller-owned Result.Starts copy — across thousands of
-// search nodes, i.e. zero steady-state allocations per node.
+// search nodes, i.e. zero steady-state allocations per node. The M-shape leg
+// is a barrier instance, so it holds pathBound's barrier term to the same.
 func TestSolveSteadyStateAllocs(t *testing.T) {
-	tasks := searchTasks(t, 3, 4000)
-	s := &searcher{}
-	warm, err := s.solve(context.Background(), tasks, Options{})
-	if err != nil || !warm.Feasible {
-		t.Fatalf("warmup solve: %+v err=%v", warm, err)
+	mshape, err := placement.MShape(placement.Config{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		res, err := s.solve(context.Background(), tasks, Options{})
-		if err != nil || !res.Feasible {
-			t.Fatalf("solve: %+v err=%v", res, err)
+	for _, leg := range []struct {
+		name  string
+		tasks []Task
+	}{
+		{"x-shape n=3", searchTasks(t, 3, 4000)},
+		{"m-shape n=3", needsSearch(t, mshape, 3, 1000)},
+	} {
+		s := &searcher{}
+		warm, err := s.solve(context.Background(), leg.tasks, Options{})
+		if err != nil || !warm.Feasible {
+			t.Fatalf("%s: warmup solve: %+v err=%v", leg.name, warm, err)
 		}
-	})
-	// One alloc for Result.Starts; leave headroom for incidental runtime
-	// noise but fail hard on any per-node allocation (≥ hundreds).
-	if allocs > 4 {
-		t.Fatalf("steady-state solve allocates %.1f times (want ≤ 4, ~%.4f/node)",
-			allocs, allocs/float64(warm.Nodes))
+		allocs := testing.AllocsPerRun(20, func() {
+			res, err := s.solve(context.Background(), leg.tasks, Options{})
+			if err != nil || !res.Feasible {
+				t.Fatalf("%s: solve: %+v err=%v", leg.name, res, err)
+			}
+		})
+		// One alloc for Result.Starts; leave headroom for incidental runtime
+		// noise but fail hard on any per-node allocation (≥ hundreds).
+		if allocs > 4 {
+			t.Fatalf("%s: steady-state solve allocates %.1f times (want ≤ 4, ~%.4f/node)",
+				leg.name, allocs, allocs/float64(warm.Nodes))
+		}
 	}
 }
 

@@ -32,8 +32,12 @@
 //     remaining tasks via an incrementally maintained topo-order list — and
 //     on the same walk collects, per device, the earliest start estimate and
 //     the shortest tail among its remaining tasks for the one-machine
-//     head/tail bound (min est + remaining work + min tail), the strongest
-//     and last of the series;
+//     head/tail bound (min est + remaining work + min tail), and, on
+//     instances with barrier tasks (ones that occupy every used device, like
+//     the all-device embedding and head stages of the M-, NN- and K-shapes),
+//     the longest non-barrier chain that must start after the latest device
+//     availability M for the barrier bound (M + remaining barrier work +
+//     that chain);
 //   - dominance memoization over (scheduled set, device availability,
 //     finish times of scheduled tasks that still have *unscheduled*
 //     successors) lives in an open-addressed table whose vectors are stored
@@ -47,13 +51,13 @@
 //     hundreds of instance solves of a repetend sweep stop rebuilding task
 //     graphs, successor lists and memo tables from scratch.
 //
-// Pruning uses device-load, critical-path and one-machine lower bounds, the
-// dominance memo, and the micro-batch symmetry of Property 4.1 (same-stage
-// blocks may start in increasing micro order without loss of optimality). A
-// lower bound only ever cuts a subtree that cannot strictly improve the
-// incumbent, so a stronger one leaves the returned schedule — the first
-// optimal one in DFS order — byte-identical and only shrinks the node count
-// (testdata/solves.golden.json holds every bound to that). Dominance
+// Pruning uses device-load, critical-path, one-machine and barrier lower
+// bounds, the dominance memo, and the micro-batch symmetry of Property 4.1
+// (same-stage blocks may start in increasing micro order without loss of
+// optimality). A lower bound only ever cuts a subtree that cannot strictly
+// improve the incumbent, so a stronger one leaves the returned schedule — the
+// first optimal one in DFS order — byte-identical and only shrinks the node
+// count (testdata/solves.golden.json holds every bound to that). Dominance
 // pruning selects among equally-optimal schedules, so strengthening it can
 // change which optimal start vector a solve returns (never its makespan,
 // feasibility, or optimality verdicts); searches remain deterministic.
@@ -68,9 +72,11 @@
 // The problem is NP-hard (§III-B); the solver therefore accepts node and
 // wall-clock budgets and reports whether the returned result is proven
 // optimal. Figure 3 of the paper — search time exploding with the number of
-// micro-batches — reproduces directly on this solver for the M- and NN-shape
-// placements; whole-problem V- and K-shape instances are decided at the root
-// (the greedy dispatch meets the one-machine bound) for every N.
+// micro-batches — reproduces directly on this solver for the X-, M- and
+// NN-shape placements (the barrier bound roughly halves M-shape's nodes but
+// does not stop the growth); whole-problem V- and K-shape instances are
+// decided at the root (the greedy dispatch meets the one-machine bound) for
+// every N.
 //
 // # Cancellation
 //
@@ -98,6 +104,10 @@ import (
 
 // Unbounded mirrors sched.Unbounded for memory capacities.
 const Unbounded = sched.Unbounded
+
+// barrierBoundOn is written only by tests: false marks no task a barrier, so
+// pathBound's barrier term never fires — the on/off differential.
+var barrierBoundOn = true
 
 // Task is one block to schedule. Tasks are referenced by their index in the
 // slice passed to Solve.
@@ -226,22 +236,33 @@ type searcher struct {
 	devTail  []int // one-machine scratch: min tail over the same tasks
 	staticLB int   // critical-path lower bound over the whole instance
 
+	// Barrier tasks occupy every device any task uses, so they overlap no
+	// other task. barrierTime is a task's duration if it is one, else 0;
+	// barrierRep is one of them (-1 if none), whose devices are the
+	// instance's used devices; chain is the longest path from a task on,
+	// counted in non-barrier durations. With barrierLeft they feed
+	// pathBound's barrier term.
+	barrierTime []int
+	barrierRep  int
+	chain       []int
+
 	// Doubly-linked list of *unscheduled* topo positions (sentinel at n),
 	// maintained by apply/undo so pathBound walks only the remaining tasks.
 	topoNext []int32
 	topoPrev []int32
 
 	// Dynamic search state, saved/restored incrementally by apply/undo.
-	remWork  []int // per-device remaining duration of unscheduled tasks
-	devAvail []int
-	devMem   []int
-	finish   []int // per task; -1 while unscheduled
-	starts   []int
-	sched    []bool
-	predLeft []int // unscheduled predecessor count
-	nSched   int
-	makespan int
-	maxTail  int // max finish[t]+tail[t] over scheduled tasks
+	remWork     []int // per-device remaining duration of unscheduled tasks
+	devAvail    []int
+	devMem      []int
+	finish      []int // per task; -1 while unscheduled
+	starts      []int
+	sched       []bool
+	predLeft    []int // unscheduled predecessor count
+	nSched      int
+	makespan    int
+	maxTail     int // max finish[t]+tail[t] over scheduled tasks
+	barrierLeft int // remaining duration of unscheduled barrier tasks
 
 	// frontier holds exactly the eligible tasks: unscheduled, all
 	// predecessors scheduled, symmetry-unlocked. frontPos is each task's
@@ -506,16 +527,55 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		return fmt.Errorf("dependency graph has a cycle")
 	}
 
-	// Tail lengths: longest duration path strictly below each task.
+	// Barrier tasks. devHead serves as a per-device stamp until pathBound
+	// takes it over: 0 marks a used device, t+1 a device task t names.
+	s.devHead = intsN(s.devHead, d)
+	used := s.devHead
+	for dev := range used {
+		used[dev] = -1
+	}
+	nUsed := 0
+	for _, dev := range s.devList {
+		if used[dev] < 0 {
+			used[dev] = 0
+			nUsed++
+		}
+	}
+	s.barrierTime = intsN(s.barrierTime, n)
+	s.barrierRep, s.barrierLeft = -1, 0
+	for t := 0; t < n; t++ {
+		k := 0
+		for _, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
+			if used[dev] != t+1 {
+				used[dev] = t + 1
+				k++
+			}
+		}
+		s.barrierTime[t] = 0
+		if barrierBoundOn && k == nUsed {
+			s.barrierTime[t] = s.time[t]
+			s.barrierLeft += s.time[t]
+			if s.barrierRep < 0 {
+				s.barrierRep = t
+			}
+		}
+	}
+
+	// Tail lengths: longest duration path strictly below each task; chain
+	// counts the path from the task itself in non-barrier durations.
 	s.tail = intsN(s.tail, n)
+	s.chain = intsN(s.chain, n)
 	clear(s.tail)
 	for idx := n - 1; idx >= 0; idx-- {
 		u := s.topo[idx]
+		c := 0
 		for _, v := range s.succList[s.succOff[u]:s.succOff[u+1]] {
 			if t := s.time[v] + s.tail[v]; t > s.tail[u] {
 				s.tail[u] = t
 			}
+			c = max(c, s.chain[v])
 		}
+		s.chain[u] = c + s.time[u] - s.barrierTime[u]
 	}
 
 	// Unscheduled-task list in topo order: topoPos maps tasks to positions,
@@ -643,7 +703,6 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	// bound on any completion of the node, so no node pathBound would keep
 	// is lost.
 	s.est = intsN(s.est, n)
-	s.devHead = intsN(s.devHead, d)
 	s.devTail = intsN(s.devTail, d)
 	s.staticLB = s.pathBound()
 
@@ -840,6 +899,16 @@ func (s *searcher) outOfBudget() bool {
 // dominates the device-load bound (est ≥ devAvail on the task's devices) and,
 // like the path bound, only cuts subtrees that cannot strictly improve the
 // incumbent — the first optimal schedule in DFS order is unaffected.
+//
+// On instances with barrier tasks the walk also feeds the barrier bound. Let
+// M be the latest availability of a used device. The search only appends, so
+// every unscheduled barrier task starts at or after M, as does every task
+// whose est is at least M. A barrier task overlaps no other task, so inside
+// [M, makespan] the remaining barrier work B and any dependency chain of
+// non-barrier tasks with est ≥ M (barrier links weigh zero) run one after
+// another: M + B + the longest such chain bounds every completion. Every
+// successor of a task with est ≥ M has est ≥ M too, so the longest chain is
+// the largest static chain[u] over the tasks u with est ≥ M.
 func (s *searcher) pathBound() int {
 	topo, topoNext := s.topo, s.topoNext
 	devOff, devList := s.devOff, s.devList
@@ -850,7 +919,15 @@ func (s *searcher) pathBound() int {
 	for dev := range head {
 		head[dev], minTail[dev] = math.MaxInt, math.MaxInt
 	}
-	lb := 0
+	// With no barrier work left no est reaches m, and the term is off.
+	chain, m := s.chain, math.MaxInt
+	if s.barrierLeft > 0 {
+		m = 0
+		for di, de := devOff[s.barrierRep], devOff[s.barrierRep+1]; di < de; di++ {
+			m = max(m, devAvail[devList[di]])
+		}
+	}
+	lb, longest := 0, 0
 	sentinel := int32(s.n)
 	for pos := topoNext[sentinel]; pos != sentinel; pos = topoNext[pos] {
 		u := topo[pos]
@@ -881,11 +958,17 @@ func (s *searcher) pathBound() int {
 			head[dev] = min(head[dev], e)
 			minTail[dev] = min(minTail[dev], tail[u])
 		}
+		if e >= m {
+			longest = max(longest, chain[u])
+		}
 	}
 	for dev, h := range head {
 		if h != math.MaxInt {
 			lb = max(lb, h+s.remWork[dev]+minTail[dev])
 		}
+	}
+	if s.barrierLeft > 0 {
+		lb = max(lb, m+s.barrierLeft+longest)
 	}
 	return lb
 }
@@ -1129,6 +1212,7 @@ func (s *searcher) apply(c candidate) {
 		s.devMem[dev] += s.mem[t]
 		s.remWork[dev] -= s.time[t]
 	}
+	s.barrierLeft -= s.barrierTime[t]
 	if s.hasSucc[t] {
 		// All of t's successors are necessarily unscheduled here.
 		s.liveMask[t>>6] |= 1 << (uint(t) & 63)
@@ -1174,6 +1258,7 @@ func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan, savedMaxTa
 		s.remWork[dev] += s.time[t]
 		s.devAvail[dev] = savedAvail[i]
 	}
+	s.barrierLeft += s.barrierTime[t]
 	s.sched[t] = false
 	s.mask[t>>6] &^= 1 << (uint(t) & 63)
 	s.starts[t] = -1

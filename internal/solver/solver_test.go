@@ -29,19 +29,34 @@ func vshape(d, fwd, bwd int) *sched.Placement {
 	return p
 }
 
-// searchTasks builds the whole-problem M-shape task system (4 devices, n
+// searchTasks builds the whole-problem X-shape task system (4 devices, n
 // micro-batches) for tests that need a solve the lower bounds do not decide.
-// V- and K-shape whole problems close at the root since the one-machine bound;
-// M-shape stays exponential (n = 3: 4,886 nodes, n = 4: 111,756). The helper
-// fails the test when the solver proves the instance in fewer than minNodes
-// nodes, so a later bound that flattens this family too is reported by every
-// test seated on it instead of letting them pass on a one-node search.
+// V- and K-shape whole problems close at the root since the one-machine bound,
+// and the barrier bound cut M-shape n = 3 from 4,886 nodes to 1,905; X-shape
+// has no all-device stage for it to use and stays exponential (n = 3: 6,257
+// nodes, n = 5: 31,361, n = 6: 99,607). The helper fails the test when the
+// solver proves the instance in fewer than minNodes nodes, so a later bound
+// that flattens this family too is reported by every test seated on it instead
+// of letting them pass on a one-node search.
 func searchTasks(t testing.TB, n int, minNodes int64) []Task {
 	t.Helper()
-	p, err := placement.MShape(placement.Config{Devices: 4})
+	return needsSearch(t, searchShape(t), n, minNodes)
+}
+
+// searchShape is the placement searchTasks draws from.
+func searchShape(t testing.TB) *sched.Placement {
+	t.Helper()
+	p, err := placement.XShape(placement.Config{Devices: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// needsSearch builds p's whole problem with n micro-batches and fails the test
+// unless the solver needs at least minNodes nodes to prove it.
+func needsSearch(t testing.TB, p *sched.Placement, n int, minNodes int64) []Task {
+	t.Helper()
 	tasks, err := BuildTasks(p, AllBlocks(p, n), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +66,7 @@ func searchTasks(t testing.TB, n int, minNodes int64) []Task {
 		t.Fatal(err)
 	}
 	if res.Optimal {
-		t.Fatalf("m-shape n=%d is proven in %d nodes; this test needs a search of at least %d", n, res.Nodes, minNodes)
+		t.Fatalf("%s n=%d is proven in %d nodes; this test needs a search of at least %d", p.Name, n, res.Nodes, minNodes)
 	}
 	return tasks
 }
@@ -326,11 +341,7 @@ func TestSolveBudgetTruncation(t *testing.T) {
 	if res.Optimal {
 		t.Fatal("tiny budget cannot prove optimality")
 	}
-	p, err := placement.MShape(placement.Config{Devices: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	validate(t, p, tasks, res, sched.Unbounded, nil)
+	validate(t, searchShape(t), tasks, res, sched.Unbounded, nil)
 }
 
 func TestSolveTimeout(t *testing.T) {
@@ -372,6 +383,9 @@ func bruteForce(tasks []Task, opts Options) (int, bool) {
 	devMem := make([]int, d)
 	if opts.InitialMem != nil {
 		copy(devMem, opts.InitialMem)
+	}
+	if opts.DeviceReady != nil {
+		copy(devAvail, opts.DeviceReady)
 	}
 	var rec func(done, makespan int)
 	rec = func(done, makespan int) {
@@ -625,7 +639,7 @@ func TestToScheduleErrors(t *testing.T) {
 // TestSolveCancellation: cancelling the context mid-solve aborts within a
 // few hundred node expansions (microseconds each) and returns ctx's error.
 func TestSolveCancellation(t *testing.T) {
-	tasks := searchTasks(t, 6, 100000)
+	tasks := searchTasks(t, 7, 100000)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -671,10 +685,11 @@ func TestSolveIgnoresWorkers(t *testing.T) {
 }
 
 // TestSolveWithoutIncumbent pins the search that starts with no incumbent —
-// a memory cap under which the greedy dispatch deadlocks — to the counters
-// recorded when prunedOrMemo still ran pathBound ahead of the memo probe on
-// that path: with no makespan to cut against, either order probes and inserts
-// the same states.
+// a memory cap under which the greedy dispatch deadlocks — to its counters and
+// its start vector. The start vectors are the ones recorded when prunedOrMemo
+// still ran pathBound ahead of the memo probe on that path; the barrier bound
+// took n = 3 from 3,022 nodes and 1,279 memo hits to 915 and 286 and left
+// every start where it was.
 func TestSolveWithoutIncumbent(t *testing.T) {
 	p, err := placement.MShape(placement.Config{Devices: 4})
 	if err != nil {
@@ -687,7 +702,7 @@ func TestSolveWithoutIncumbent(t *testing.T) {
 		nodes, memoHits int64
 		starts          []int
 	}{
-		{n: 3, opts: Options{Memory: 5}, makespan: 42, nodes: 3022, memoHits: 1279,
+		{n: 3, opts: Options{Memory: 5}, makespan: 42, nodes: 915, memoHits: 286,
 			starts: []int{0, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 19, 1, 10, 11, 14, 15, 21, 22, 24, 30, 32, 34, 38, 2, 18, 24, 25, 26, 27, 28, 30, 32, 34, 36, 40}},
 		{n: 4, opts: Options{Memory: 8, SatisfyOnly: true}, makespan: 51, nodes: 105, memoHits: 28,
 			starts: []int{0, 4, 5, 6, 7, 10, 11, 13, 16, 18, 20, 43, 1, 5, 6, 7, 8, 22, 23, 31, 33, 35, 37, 45, 2, 6, 7, 8, 9, 25, 26, 33, 35, 37, 39, 47, 3, 13, 14, 15, 16, 28, 29, 35, 37, 39, 41, 49}},
