@@ -158,9 +158,10 @@ func BenchmarkSolverScaling(b *testing.B) {
 // m4 assignment that gets past the relaxation at the lower bound and is then
 // discarded by the exact order check, one repetend.Solve call each — bind,
 // the relaxation's probe, the check — with the check's branch nodes per call.
-// prefix_push is the prefix filter on its own: one op walks round 5 of v6 at
-// the lower bound, in which every subtree is cut, so nothing but pushes — copy
-// a level, raise the edges, propagate — runs; ns/push is the figure to read.
+// prefix_push is the prefix filter on its own: one op walks round 6 of nn6i at
+// the lower bound, in which every subtree is cut, so nothing but the root and
+// pushes — copy a level, raise the edges, propagate — runs; ns/push is the
+// figure to read.
 func BenchmarkPeriodMachinery(b *testing.B) {
 	b.Run("order_check", benchOrderCheck)
 	b.Run("prefix_push", benchPrefixPush)
@@ -227,10 +228,11 @@ func benchOrderCheck(b *testing.B) {
 
 func benchPrefixPush(b *testing.B) {
 	ctx := context.Background()
-	p, err := tessel.NewVShape(tessel.ShapeConfig{Devices: 6})
+	p, err := tessel.NewNNShape(tessel.ShapeConfig{Devices: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
+	p = tessel.InferenceVariant(p)
 	f, err := repetend.NewPrefixFilter(p)
 	if err != nil {
 		b.Fatal(err)
@@ -238,18 +240,18 @@ func benchPrefixPush(b *testing.B) {
 	defer f.Close()
 	bound := p.LowerBound()
 	none := func(a repetend.Assignment) bool {
-		b.Fatalf("round 5 of v6 has an assignment the filter lets through: %v", a)
+		b.Fatalf("round 6 of nn6i has an assignment the filter lets through: %v", a)
 		return false
 	}
-	f.Enumerate(ctx, 5, bound, none)
+	f.Enumerate(ctx, 6, bound, none)
 	pushes := f.Effort().PrefixChecks
-	if pushes < 1000 {
-		b.Fatalf("round 5 of v6 takes %d pushes", pushes)
+	if pushes < 500 {
+		b.Fatalf("round 6 of nn6i takes %d pushes", pushes)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Enumerate(ctx, 5, bound, none)
+		f.Enumerate(ctx, 6, bound, none)
 	}
 	b.ReportMetric(float64(pushes), "pushes/op")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*pushes), "ns/push")

@@ -109,13 +109,15 @@ func BenchmarkFingerprint(b *testing.B) {
 // (prefix_cuts/op) is nearly all discarded by the exact order check
 // (order_pruned/op) — m4 pays the most branch nodes per check, m8i runs the
 // most checks, k6 keeps a few candidates the check lets through and the
-// heuristic then misses; v6 and nn6i reach the bound on the filter alone, a
-// handful of assignments past it and hardly a solve, so they show what a walk
-// through the filter costs (nn6i's warmup, once 32,146 nodes, is proven at the
-// root since the barrier bound); x8m4 cannot reach the bound under its memory
-// cap and pays the failed first pass plus the whole unaimed second pass, which
-// the check and the filter stay out of. solver_nodes/op counts the nodes of
-// the sweep's instance solves. Regressions in the pruning show up here first.
+// heuristic then misses; v6, v6m8, x8i and nn6i — with m8i the cold_period
+// workload of the repository benchmark — reach the bound on the filter alone,
+// a handful of assignments past it and hardly a solve, so they show what a
+// walk through the filter costs (prefix_checks/op; nn6i's warmup, once 32,146
+// nodes, is proven at the root since the barrier bound); x8m4 cannot reach the
+// bound under its memory cap and pays the failed first pass — every round of
+// it dead at the filter's root — plus the whole unaimed second pass, which the
+// check and the filter stay out of. solver_nodes/op counts the nodes of the
+// sweep's instance solves. Regressions in the pruning show up here first.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -129,6 +131,8 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 		{"k6", tessel.NewKShape, 6, 0, false},
 		{"m8i", tessel.NewMShape, 8, 0, true},
 		{"v6", tessel.NewVShape, 6, 0, false},
+		{"v6m8", tessel.NewVShape, 6, 8, false},
+		{"x8i", tessel.NewXShape, 8, 0, true},
 		{"nn6i", tessel.NewNNShape, 6, 0, true},
 		{"x8m4", tessel.NewXShape, 8, 4, false},
 	} {
@@ -140,7 +144,7 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 			if c.inference {
 				p = tessel.InferenceVariant(p)
 			}
-			var orderPruned, prefixCuts, solverNodes int64
+			var orderPruned, prefixChecks, prefixCuts, solverNodes int64
 			for i := 0; i < b.N; i++ {
 				eng := tessel.NewEngine(tessel.EngineOptions{})
 				res, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory})
@@ -148,10 +152,12 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 					b.Fatal(err)
 				}
 				orderPruned += res.Stats.OrderPruned
+				prefixChecks += res.Stats.PrefixChecks
 				prefixCuts += res.Stats.PrefixCuts
 				solverNodes += res.Stats.SolverNodes
 			}
 			b.ReportMetric(float64(orderPruned)/float64(b.N), "order_pruned/op")
+			b.ReportMetric(float64(prefixChecks)/float64(b.N), "prefix_checks/op")
 			b.ReportMetric(float64(prefixCuts)/float64(b.N), "prefix_cuts/op")
 			b.ReportMetric(float64(solverNodes)/float64(b.N), "solver_nodes/op")
 		})

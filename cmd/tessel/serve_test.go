@@ -16,6 +16,7 @@ import (
 
 	"tessel"
 	"tessel/internal/faultpoint"
+	"tessel/internal/sched"
 )
 
 // testConfig parses args over the serve flag defaults, as runServe does.
@@ -227,6 +228,45 @@ func TestServeNegativeN(t *testing.T) {
 	})
 	if w := postSearch(t, s, string(good)); w.Code != 200 {
 		t.Fatalf("placement unusable after bad request: %d %s", w.Code, w.Body.String())
+	}
+}
+
+// TestServeStageTimeCap: a placement with a stage time above
+// sched.MaxStageTime is a 400 — at 1<<61 the search's sums would wrap and
+// the completed schedule come back invalid, a 422 — and one at the cap is
+// searched.
+func TestServeStageTimeCap(t *testing.T) {
+	s := newTestServer(t)
+	post := func(time int) *httptest.ResponseRecorder {
+		t.Helper()
+		p, err := tessel.NewVShape(tessel.ShapeConfig{Devices: 2, Fwd: time, Bwd: time})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tessel.EncodePlacement(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(map[string]any{"placement": json.RawMessage(buf.Bytes()), "options": map[string]any{"n": 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return postSearch(t, s, string(body))
+	}
+	for _, time := range []int{sched.MaxStageTime + 1, 1 << 61} {
+		if w := post(time); w.Code != 400 || !strings.Contains(w.Body.String(), "above the cap") {
+			t.Fatalf("stage time %d: status %d: %s", time, w.Code, w.Body.String())
+		}
+	}
+	w := post(sched.MaxStageTime)
+	var resp searchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != 200 || err != nil {
+		t.Fatalf("stage time at the cap: status %d, %v: %s", w.Code, err, w.Body.String())
+	}
+	// Four micro-batches of four blocks on two devices: each device runs eight
+	// blocks, so the makespan is at least 8·cap and a wrapped sum would show.
+	if resp.Makespan < 8*sched.MaxStageTime {
+		t.Fatalf("stage time at the cap: makespan %d", resp.Makespan)
 	}
 }
 

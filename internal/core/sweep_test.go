@@ -25,8 +25,10 @@ var fallbackShapes = map[string]bool{"x8m4": true, "nn4m8": true, "v6m4": true}
 // and reports an early exit. One that cannot runs both passes to the end — the
 // whole first pass for nothing, then the whole second pass, which has no
 // early exit to take — and, since the prefix filter cuts in the first, hands
-// on fewer assignments than the two passes hold. The fault point between the
-// passes is the second witness.
+// on fewer assignments than the two passes hold. (On the catalog's three such
+// placements every round of the first pass dies at the filter's root, so it
+// hands on none and counts no cut.) The fault point between the passes is the
+// second witness.
 func TestSearchSweepPasses(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	var fallbacks atomic.Int64
@@ -56,7 +58,7 @@ func TestSearchSweepPasses(t *testing.T) {
 				if st.EarlyExit || fallbacks.Load() != 1 || st.NRSwept != MaxInflight(p, opts.Memory) {
 					t.Fatalf("early exit %v, %d fallbacks, swept to N_R %d of %d", st.EarlyExit, fallbacks.Load(), st.NRSwept, MaxInflight(p, opts.Memory))
 				}
-				if limit := 2 * onePass(st.NRSwept); st.PrefixCuts == 0 || st.Assignments == 0 || st.Assignments > limit {
+				if limit := 2 * onePass(st.NRSwept); st.Assignments == 0 || st.Assignments >= limit {
 					t.Fatalf("%d assignments past %d prefix cuts (two full passes are %d)", st.Assignments, st.PrefixCuts, limit)
 				}
 				if res.Repetend.Period <= res.LowerBound {
@@ -249,6 +251,28 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 	}
 }
 
+// TestPrefixChecksUpToTheWinner: with every dependency path entering the
+// filter as one edge, rounds too shallow for the pipeline die at the root and
+// the first pass reaches its winner in few checks, counted one by one as
+// firstPassUpToWinner counts them. Each edge at its own loosest lag took
+// 2,237, 4,089, 3,655 and 811.
+func TestPrefixChecksUpToTheWinner(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		most int64
+	}{{"v6", 100}, {"x8i", 150}, {"nn6i", 1100}, {"k6", 400}} {
+		p, opts := catalogPlacement(t, c.name)
+		opts.Workers = 1
+		res, err := Search(context.Background(), p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if floor, _ := firstPassUpToWinner(t, res, nil); floor.PrefixChecks == 0 || floor.PrefixChecks > c.most {
+			t.Errorf("%s: %d prefix checks up to the winner, want 1 to %d", c.name, floor.PrefixChecks, c.most)
+		}
+	}
+}
+
 // TestSearchEarlyExitCancelsSpeculation: once the collector has a repetend at
 // the lower bound, a worker that is already on a later assignment is
 // cancelled, not waited for. The hook holds every such solve back until its
@@ -282,27 +306,37 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() { sweepSolveHook = nil })
+	// Whether a later assignment reaches a worker before the collector ends the
+	// sweep is a race with the producer: on a busy machine the worker may find
+	// nothing queued behind the winner. Such a search exercises nothing, so it
+	// is checked like the others and then run again.
+	const attempts = 20
 	for _, workers := range []int{1, 2} {
-		held.Store(0)
-		cancelled.Store(0)
 		opts.Workers = workers
-		res, err := Search(context.Background(), p, opts)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if held.Load() == 0 {
-			t.Fatalf("workers %d: no assignment past the winner reached a worker; the placement does not exercise the cancel", workers)
-		}
-		if held.Load() != cancelled.Load() {
-			t.Fatalf("workers %d: %d speculative solves held, %d cancelled by the early exit", workers, held.Load(), cancelled.Load())
-		}
-		if got, want := sched.FingerprintSchedule(res.Full), sched.FingerprintSchedule(want.Full); got != want {
-			t.Fatalf("workers %d: schedule fingerprint %s, want %s", workers, got, want)
-		}
-		st := res.Stats
-		if workers == 1 && (st.SolverNodes != floor.SolverNodes || st.LocalSearchSwaps != floor.LocalSearchSwaps || st.Solved != 1) {
-			t.Fatalf("a cancelled solve spent effort: %d nodes, %d swaps, %d solved; up to the winner it is %d nodes, %d swaps",
-				st.SolverNodes, st.LocalSearchSwaps, st.Solved, floor.SolverNodes, floor.LocalSearchSwaps)
+		for attempt := 1; ; attempt++ {
+			held.Store(0)
+			cancelled.Store(0)
+			res, err := Search(context.Background(), p, opts)
+			if err != nil {
+				t.Fatalf("workers %d: %v", workers, err)
+			}
+			if held.Load() != cancelled.Load() {
+				t.Fatalf("workers %d: %d speculative solves held, %d cancelled by the early exit", workers, held.Load(), cancelled.Load())
+			}
+			if got, want := sched.FingerprintSchedule(res.Full), sched.FingerprintSchedule(want.Full); got != want {
+				t.Fatalf("workers %d: schedule fingerprint %s, want %s", workers, got, want)
+			}
+			st := res.Stats
+			if workers == 1 && (st.SolverNodes != floor.SolverNodes || st.LocalSearchSwaps != floor.LocalSearchSwaps || st.Solved != 1) {
+				t.Fatalf("a cancelled solve spent effort: %d nodes, %d swaps, %d solved; up to the winner it is %d nodes, %d swaps",
+					st.SolverNodes, st.LocalSearchSwaps, st.Solved, floor.SolverNodes, floor.LocalSearchSwaps)
+			}
+			if held.Load() > 0 {
+				break
+			}
+			if attempt == attempts {
+				t.Fatalf("workers %d: in %d searches no assignment past the winner reached a worker; the placement does not exercise the cancel", workers, attempts)
+			}
 		}
 	}
 }

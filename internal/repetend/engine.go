@@ -163,11 +163,22 @@ type periodShape struct {
 	// Window edges of the order-independent relaxation (s_u ≥ s_v + t_v − P
 	// for distinct same-device stages v, u), CSR-packed by source, built on
 	// the first relaxedFeasible or orderRoot call, since an unbounded solve
-	// never consults them.
+	// never consults them. winPairs lists each same-device pair once, as
+	// u, v with u < v, in the order of the CSR: the order check's pair scan.
 	winHead  []int
 	winTo    []int
+	winPairs []int
 	winSeen  []int // dedup stamps, one per stage
 	winBuilt bool
+
+	// Dependency paths, for the prefix filter (buildPaths): pathT[a*k+b] is
+	// the longest time along a dependency path from a to b, b's own time not
+	// counted, 0 when b does not descend from a; descTo lists each stage's
+	// descendants CSR-packed by source.
+	pathT      []int
+	descHead   []int
+	descTo     []int
+	pathsBuilt bool
 
 	// Device → stages CSR in ascending stage order (the canonical
 	// DeviceStages order). order/prefMem share this segment layout.
@@ -197,7 +208,7 @@ func growBools(s []bool, n int) []bool {
 func (sh *periodShape) build(p *sched.Placement) {
 	k, nd := p.K(), p.NumDevices
 	sh.p, sh.k, sh.nd = p, k, nd
-	sh.winBuilt = false
+	sh.winBuilt, sh.pathsBuilt = false, false
 
 	sh.times = growInts(sh.times, k)
 	sh.mems = growInts(sh.mems, k)
@@ -357,7 +368,7 @@ func (sh *periodShape) buildWindow() {
 	for i := 0; i < sh.k; i++ {
 		sh.winSeen[i] = -1
 	}
-	sh.winTo = sh.winTo[:0]
+	sh.winTo, sh.winPairs = sh.winTo[:0], sh.winPairs[:0]
 	for v := 0; v < sh.k; v++ {
 		sh.winHead[v] = len(sh.winTo)
 		for _, dd := range sh.p.Stages[v].Devices {
@@ -367,11 +378,51 @@ func (sh *periodShape) buildWindow() {
 				if u != v && sh.winSeen[u] != v {
 					sh.winSeen[u] = v
 					sh.winTo = append(sh.winTo, u)
+					if v < u {
+						sh.winPairs = append(sh.winPairs, v, u)
+					}
 				}
 			}
 		}
 	}
 	sh.winHead[sh.k] = len(sh.winTo)
+}
+
+// buildPaths computes pathT and the descendant lists, walking the stages in
+// reverse of the topological order given: a stage's longest path to b runs
+// through one of its successors, whose rows are final by then. Built once per
+// shape, and only for a prefix filter; a no-op from then on.
+func (sh *periodShape) buildPaths(topo []int) {
+	if sh.pathsBuilt {
+		return
+	}
+	sh.pathsBuilt = true
+	k := sh.k
+	sh.pathT = growInts(sh.pathT, k*k)
+	clear(sh.pathT)
+	for x := k - 1; x >= 0; x-- {
+		u := topo[x]
+		row, tu := sh.pathT[u*k:u*k+k], sh.times[u]
+		for _, s := range sh.statTo[sh.statHead[u]:sh.statHead[u+1]] {
+			row[s] = max(row[s], tu)
+			for b, sb := range sh.pathT[s*k : s*k+k] {
+				if sb > 0 {
+					row[b] = max(row[b], tu+sb)
+				}
+			}
+		}
+	}
+	sh.descHead = growInts(sh.descHead, k+1)
+	sh.descTo = sh.descTo[:0]
+	for a := 0; a < k; a++ {
+		sh.descHead[a] = len(sh.descTo)
+		for b, t := range sh.pathT[a*k : a*k+k] {
+			if t > 0 {
+				sh.descTo = append(sh.descTo, b)
+			}
+		}
+	}
+	sh.descHead[k] = len(sh.descTo)
 }
 
 // --- SPFA core -----------------------------------------------------------

@@ -46,9 +46,17 @@ var orderNodeLimit = orderNodeCap
 // before either existed — slower, never different.
 const orderStageCap = 128
 
-// orderNone marks "no path" in the longest-path matrix; far enough from
-// overflow that a guarded sum of two entries never wraps.
+// orderNone marks "no path" in the longest-path matrix. The closure adds path
+// weights to it unguarded, so a no-path entry is any value ≤ orderNone/2:
+// entries only rise from orderNone, and what is added stays below 2^58 =
+// |orderNone|/8 — a closure entry is a walk of at most 2K edges (the closure
+// stops at the first positive diagonal), each of weight at most N_R times one
+// micro-batch's work in magnitude, which at K ≤ orderStageCap and stage times
+// ≤ sched.MaxStageTime is N_R·2^31, for every N_R up to 2^19.
 const orderNone = math.MinInt / 4
+
+// orderPath reports whether a matrix entry is a path rather than no path.
+func orderPath(w int) bool { return w > orderNone/2 }
 
 // orderVerdict is the outcome of one order check.
 type orderVerdict int8
@@ -77,17 +85,20 @@ func (e *periodEngine) orderCheck(period int) orderVerdict {
 	if e.k > orderStageCap {
 		return orderUndecided
 	}
-	if !e.orderRoot(period, 1) {
+	if !e.orderRoot(period, 1, -1) {
 		return orderInfeasible
 	}
 	return e.orderBranch(0)
 }
 
 // orderRoot closes the constraints every order shares — the dependency edges
-// at the coefficients in statCoeff and the window edges — into level 0 of a
-// matrix stack with room for the given number of levels. It reports false
-// when they hold a positive cycle: the relaxation's own verdict.
-func (e *periodEngine) orderRoot(period, levels int) bool {
+// and the window edges — into level 0 of a matrix stack with room for the
+// given number of levels. With lag < 0 the dependency edges are the bound
+// assignment's, at the coefficients in statCoeff. Otherwise no index is known
+// and each dependency path a ⇝ b enters as one edge of its longest time at
+// coefficient lag (the prefix filter's root, see prefix.go). It reports false
+// when the constraints hold a positive cycle: the relaxation's own verdict.
+func (e *periodEngine) orderRoot(period, levels, lag int) bool {
 	e.buildWindow()
 	k := e.k
 	if cap(e.ordMat) < levels*k*k {
@@ -101,37 +112,43 @@ func (e *periodEngine) orderRoot(period, levels int) bool {
 	for u := 0; u < k; u++ {
 		row, tu := D[u*k:u*k+k], e.times[u]
 		row[u] = 0
-		for x := e.statHead[u]; x < e.statHead[u+1]; x++ {
-			row[e.statTo[x]] = max(row[e.statTo[x]], tu-e.statCoeff[x]*period)
+		if lag < 0 {
+			for x := e.statHead[u]; x < e.statHead[u+1]; x++ {
+				row[e.statTo[x]] = max(row[e.statTo[x]], tu-e.statCoeff[x]*period)
+			}
+		} else {
+			T := e.pathT[u*k : u*k+k]
+			for _, b := range e.descTo[e.descHead[u]:e.descHead[u+1]] {
+				row[b] = T[b] - lag*period
+			}
 		}
 		for x := e.winHead[u]; x < e.winHead[u+1]; x++ {
 			row[e.winTo[x]] = max(row[e.winTo[x]], tu-period)
 		}
 	}
-	// Floyd–Warshall, longest paths.
+	// Floyd–Warshall, longest paths. A diagonal turns positive only on a row
+	// the pivot has just extended, and stopping there keeps every entry a walk
+	// without a positive cycle: bounded (see orderNone).
 	for m := 0; m < k; m++ {
 		rm := D[m*k : m*k+k]
 		for i := 0; i < k; i++ {
-			if im := D[i*k+m]; im != orderNone {
+			if im := D[i*k+m]; orderPath(im) {
 				orderExtend(D[i*k:i*k+k], rm, im)
+				if D[i*k+i] > 0 {
+					return false
+				}
 			}
-		}
-	}
-	for u := 0; u < k; u++ {
-		if D[u*k+u] > 0 {
-			return false
 		}
 	}
 	return true
 }
 
-// orderExtend raises row[j] to base + via[j] wherever a path continues.
+// orderExtend raises row[j] to base + via[j]. base is a path; a no-path via[j]
+// gives a sum that is still no path, and max keeps the larger of the two.
 func orderExtend(row, via []int, base int) {
 	row = row[:len(via)]
 	for j, vj := range via {
-		if vj != orderNone && base+vj > row[j] {
-			row[j] = base + vj
-		}
+		row[j] = max(row[j], base+vj)
 	}
 }
 
@@ -143,7 +160,7 @@ func orderExtend(row, via []int, base int) {
 func (e *periodEngine) orderInsert(D []int, u, v, w int) {
 	k, out := e.k, D[v*e.k:v*e.k+e.k]
 	for i := 0; i < k; i++ {
-		if iu := D[i*k+u]; iu != orderNone && iu+w > D[i*k+v] {
+		if iu := D[i*k+u]; orderPath(iu) && iu+w > D[i*k+v] {
 			orderExtend(D[i*k:i*k+k], out, iu+w)
 		}
 	}
@@ -155,35 +172,31 @@ func (e *periodEngine) orderInsert(D []int, u, v, w int) {
 // the least room — the one whose two sides leave the smallest combined slack
 // — and bu < 0 when every pair is ordered.
 func (e *periodEngine) orderPropagate(D []int) (ok bool, bu, bv int) {
-	k, times, winHead, winTo := e.k, e.times, e.winHead, e.winTo
+	k, times, pairs := e.k, e.times, e.winPairs
 	room := 0
 	for changed := true; changed; {
 		changed, bu = false, -1
-		for u := 0; u < k; u++ {
-			for _, v := range winTo[winHead[u]:winHead[u+1]] {
-				if v < u {
-					continue // each pair once
+		for x := 0; x < len(pairs); x += 2 {
+			u, v := pairs[x], pairs[x+1]
+			// Slack each side would keep: ≥ 0 iff the arc closes no positive
+			// cycle.
+			uv, vu := -(D[v*k+u] + times[u]), -(D[u*k+v] + times[v])
+			switch {
+			case uv < 0 && vu < 0:
+				return false, -1, -1
+			case uv >= 0 && vu >= 0:
+				if bu < 0 || uv+vu < room {
+					bu, bv, room = u, v, uv+vu
 				}
-				// Slack each side would keep: ≥ 0 iff the arc closes no
-				// positive cycle.
-				uv, vu := -(D[v*k+u] + times[u]), -(D[u*k+v] + times[v])
-				switch {
-				case uv < 0 && vu < 0:
-					return false, -1, -1
-				case uv >= 0 && vu >= 0:
-					if bu < 0 || uv+vu < room {
-						bu, bv, room = u, v, uv+vu
-					}
-				case uv >= 0:
-					if D[u*k+v] < times[u] {
-						e.orderInsert(D, u, v, times[u])
-						changed = true
-					}
-				default:
-					if D[v*k+u] < times[v] {
-						e.orderInsert(D, v, u, times[v])
-						changed = true
-					}
+			case uv >= 0:
+				if D[u*k+v] < times[u] {
+					e.orderInsert(D, u, v, times[u])
+					changed = true
+				}
+			default:
+				if D[v*k+u] < times[v] {
+					e.orderInsert(D, v, u, times[v])
+					changed = true
 				}
 			}
 		}

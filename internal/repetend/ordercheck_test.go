@@ -87,7 +87,7 @@ func witnessStarts(e *periodEngine) []int {
 	starts := make([]int, k)
 	for i := range starts {
 		for j := 0; j < k; j++ {
-			if D[j*k+i] != orderNone {
+			if orderPath(D[j*k+i]) {
 				starts[i] = max(starts[i], D[j*k+i])
 			}
 		}

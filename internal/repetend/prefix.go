@@ -7,24 +7,36 @@
 // left to take it holds no canonical assignment and is skipped outright. The
 // filter keeps one closed K×K matrix per level: level d is the closure of the
 // dependency and window edges at period P — the bound the round is walked at,
-// one constant per round — with the first d stages at their index. An edge between two fixed stages
-// carries its real lag; an edge out of a fixed stage i into a free one carries
-// lag r_i, the most it can be (indices are ≥ 0); an edge between two free
-// stages carries nr−1, the most any assignment of the round gives it. Fixing a
-// stage copies the parent's level and raises the edges that just became
-// tighter, each an O(K²) insertion. An insertion that would close a positive
-// cycle cuts the subtree, and where P is the device-work lower bound so does a
-// same-device pair with neither order left after forced-pair propagation — the
-// propagation of the order check, which here never branches.
+// one constant per round — with the first d stages at their index. An edge
+// between two fixed stages carries its real lag. The constraints that involve
+// a free stage enter telescoped: a dependency path a ⇝ b, whose longest time
+// T[a][b] (b's own not counted) the placement fixes, is one edge s_b − s_a ≥
+// T[a][b] − L·P with L the most r_a − r_b can be — nr−1 while a is free, r_a
+// once a is fixed (indices are ≥ 0). Level 0 is closed from those edges at
+// nr−1, so a round with too few periods for some path between two blocks of
+// one device is a positive cycle there and is not walked at all. Fixing stage
+// i copies the parent's level, raises the edges into i to their real lag, each
+// an O(K²) insertion, and the paths out of i — all of whose ends are still
+// free, in topological order — to lag r_i, in one O(K²) update of i's row and
+// the rows that reach it. A raise that would close a positive cycle cuts the
+// subtree, and where P is the device-work lower bound so does a same-device
+// pair with neither order left after forced-pair propagation — the propagation
+// of the order check, which here never branches.
 //
-// Soundness: every coefficient is ≥ the one any completion of the prefix has
-// and the constraints are monotone in the coefficients, so a prefix system is
-// a relaxation of each completion's stage-1 and stage-2 systems (see Solve),
-// and a cut removes only leaves for which Solve, at that bound, returns before
-// its instance solve with no repetend — ErrPruned, or
+// Soundness: summing the stage-1 constraints s_x ≥ s_u + t_u − (r_u − r_x)·P
+// along a path a ⇝ b telescopes the lags to r_a − r_b, at most L; so every
+// completion of a prefix satisfies each telescoped edge, and each edge between
+// fixed stages carries the completion's own coefficient. A prefix system is
+// therefore a relaxation of each completion's stage-1 and stage-2 systems (see
+// Solve), and a cut removes only leaves for which Solve, at that bound,
+// returns before its instance solve with no repetend — ErrPruned, or
 // ErrInfeasible where the entry memory already rules the leaf out. Such a leaf
 // never was a sweep's winner or tied with it, so the filter changes what a
-// sweep pays, not what it returns.
+// sweep pays, not what it returns. Nor does telescoping change which leaves
+// are yielded: at the last level every index is fixed, each telescoped edge is
+// dominated by its path of real edges, and the matrix is the leaf's own — its
+// relaxation closed and its forced pairs propagated, as the order check does
+// it. The paths only make a prefix fail sooner.
 package repetend
 
 import (
@@ -61,14 +73,14 @@ type PrefixFilter struct {
 	yield func(Assignment) bool
 
 	// e holds the matrix stack (ordMat, K+1 levels) and the placement's
-	// shape; nil when the walk is unfiltered — Enumerate's, or a placement
-	// over the stage cap.
+	// shape, its dependency paths included; nil when the walk is unfiltered —
+	// Enumerate's, or a placement over the stage cap.
 	e *periodEngine
 	// period is the bound level 0 is closed at, 0 when the round has none and
-	// runs unfiltered. live is false when level 0 itself holds a positive
-	// cycle, forced when pushes also run forced-pair propagation.
-	period       int
-	live, forced bool
+	// runs unfiltered; forced is true when pushes also run forced-pair
+	// propagation.
+	period int
+	forced bool
 
 	eff Effort
 }
@@ -98,7 +110,7 @@ func NewPrefixFilter(p *sched.Placement) (*PrefixFilter, error) {
 	}
 	f.e = periodEngines.Get().(*periodEngine)
 	f.e.bindShape(p)
-	f.e.statCoeff = growInts(f.e.statCoeff, len(f.e.statTo))
+	f.e.buildPaths(f.order)
 	return f, nil
 }
 
@@ -118,8 +130,8 @@ func (f *PrefixFilter) Close() {
 func (f *PrefixFilter) Enumerate(ctx context.Context, nr, bound int, yield func(Assignment) bool) bool {
 	f.ctx, f.nr, f.yield = ctx, nr, yield
 	f.period, f.eff = 0, Effort{}
-	if f.e != nil && bound > 0 {
-		f.root(bound)
+	if f.e != nil && bound > 0 && !f.root(bound) {
+		return true // level 0 holds a positive cycle: no leaf of the round survives
 	}
 	return f.walk(0, 0)
 }
@@ -161,25 +173,18 @@ func (f *PrefixFilter) walk(pos, top int) bool {
 	return true
 }
 
-// root closes level 0 at period for the round being walked: every dependency
-// edge at coefficient nr−1.
-func (f *PrefixFilter) root(period int) {
+// root closes level 0 at period for the round being walked, every dependency
+// path at lag nr−1, and reports whether it holds no positive cycle.
+func (f *PrefixFilter) root(period int) bool {
 	f.period = period
-	e := f.e
-	for x := range e.statCoeff {
-		e.statCoeff[x] = f.nr - 1
-	}
-	f.live = e.orderRoot(period, e.k+1)
-	f.forced = e.orderChecked(period)
+	f.forced = f.e.orderChecked(period)
+	return f.e.orderRoot(period, f.e.k+1, f.nr-1)
 }
 
 // push derives level pos+1 from level pos with stage i at index v: the edges
-// into i get their real lag, the edges out of it lag v. It reports false when
+// into i get their real lag, the paths out of it lag v. It reports false when
 // the level admits no solution — the subtree is cut.
 func (f *PrefixFilter) push(pos, i, v int) bool {
-	if !f.live {
-		return false
-	}
 	e := f.e
 	kk := e.k * e.k
 	D := e.ordMat[(pos+1)*kk : (pos+2)*kk]
@@ -189,10 +194,8 @@ func (f *PrefixFilter) push(pos, i, v int) bool {
 			return false
 		}
 	}
-	for _, s := range e.statTo[e.statHead[i]:e.statHead[i+1]] {
-		if !e.orderRaise(D, i, s, e.times[i]-v*f.period) {
-			return false
-		}
+	if !e.orderRaisePaths(D, i, v*f.period) {
+		return false
 	}
 	if f.forced {
 		ok, _, _ := e.orderPropagate(D)
@@ -211,5 +214,39 @@ func (e *periodEngine) orderRaise(D []int, u, v, w int) bool {
 		return false
 	}
 	e.orderInsert(D, u, v, w)
+	return true
+}
+
+// orderRaisePaths raises the arc from u to each descendant b of the closed
+// matrix D to pathT[u][b] − shift, as one update of node u: u's out-row takes
+// the best continuation through every arc that rises, and each row that
+// reaches u then extends through the new out-row once. A path through two of
+// the arcs passes u twice, and the cycle between them is worth ≤ 0 once u's
+// diagonal is, so one pass closes D. It reports false when the diagonal turns
+// positive — the arcs close a positive cycle; D is then left half-updated,
+// which a cut level may be.
+func (e *periodEngine) orderRaisePaths(D []int, u, shift int) bool {
+	k := e.k
+	out, T := D[u*k:u*k+k], e.pathT[u*k:u*k+k]
+	raised := false
+	for _, b := range e.descTo[e.descHead[u]:e.descHead[u+1]] {
+		// An arc that does not rise above out[b] adds nothing: D is closed,
+		// and out only rises while the loop runs.
+		if w := T[b] - shift; w > out[b] {
+			orderExtend(out, D[b*k:b*k+k], w)
+			raised = true
+		}
+	}
+	if !raised {
+		return true
+	}
+	if out[u] > 0 {
+		return false
+	}
+	for x := 0; x < k; x++ {
+		if xu := D[x*k+u]; x != u && orderPath(xu) {
+			orderExtend(D[x*k:x*k+k], out, xu)
+		}
+	}
 	return true
 }

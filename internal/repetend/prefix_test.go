@@ -38,18 +38,23 @@ func filteredLeaves(t *testing.T, p *sched.Placement, nr, bound int) ([]Assignme
 // subsequence of Enumerate's leaves; every leaf it leaves out comes back
 // ErrPruned from Solve at that bound with no solver node and no swap spent;
 // and the first leaf for which Solve returns a repetend is the same leaf
-// whether the walk went through the filter or not.
+// whether the walk went through the filter or not. A round whose root already
+// holds a positive cycle is walked no further and costs no check; all its
+// leaves are held to the same proof.
 func TestPrefixFilterCutsOnlyWhatSolvePrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ctx := context.Background()
-	rounds, leaves, cut, cutByPairs, winners := 0, 0, 0, 0, 0
+	rounds, deadRoots, leaves, cut, cutByPairs, winners := 0, 0, 0, 0, 0, 0
 	run := func(p *sched.Placement, what string) {
 		lower := p.LowerBound()
 		for nr := 1; nr <= 3; nr++ {
 			for bound := lower; bound <= lower+2; bound++ {
 				kept, eff := filteredLeaves(t, p, nr, bound)
-				if eff.PrefixChecks == 0 || eff.PrefixCuts > eff.PrefixChecks {
-					t.Fatalf("%s N_R %d bound %d: %d checks, %d cuts", what, nr, bound, eff.PrefixChecks, eff.PrefixCuts)
+				if eff.PrefixCuts > eff.PrefixChecks || (eff.PrefixChecks == 0 && len(kept) > 0) {
+					t.Fatalf("%s N_R %d bound %d: %d checks, %d cuts, %d leaves", what, nr, bound, eff.PrefixChecks, eff.PrefixCuts, len(kept))
+				}
+				if eff.PrefixChecks == 0 {
+					deadRoots++
 				}
 				rounds++
 				next := 0 // kept[next] is the next leaf the filter let through
@@ -127,18 +132,91 @@ func TestPrefixFilterCutsOnlyWhatSolvePrunes(t *testing.T) {
 		}
 		run(p, p.Name)
 	}
-	t.Logf("%d rounds, %d leaves, %d of them cut (%d past the relaxation, by forced pairs), %d rounds with a solved leaf", rounds, leaves, cut, cutByPairs, winners)
-	if rounds < 4000 || cut < 5000 || cutByPairs < 500 || winners < 3000 {
-		t.Fatalf("the sample has gone soft: %d rounds, %d leaves cut, %d by forced pairs, %d rounds with a solved leaf", rounds, cut, cutByPairs, winners)
+	t.Logf("%d rounds (%d of them dead at the root), %d leaves, %d of them cut (%d past the relaxation, by forced pairs), %d rounds with a solved leaf",
+		rounds, deadRoots, leaves, cut, cutByPairs, winners)
+	if rounds < 4000 || deadRoots < 100 || cut < 5000 || cutByPairs < 500 || winners < 3000 {
+		t.Fatalf("the sample has gone soft: %d rounds, %d dead at the root, %d leaves cut, %d by forced pairs, %d rounds with a solved leaf", rounds, deadRoots, cut, cutByPairs, winners)
+	}
+}
+
+// TestPrefixFilterLeafIdentity: on every catalog placement of at most 20
+// stages, rounds 1–5 at the lower bound, the filter yields exactly the leaves
+// that survive the relaxation and forced-pair propagation, in Enumerate's
+// order. The reference is the unfiltered walk with one order check per leaf,
+// its node cap 0 so that it decides by propagation alone. The telescoped
+// dependency paths move cuts up the tree; they must not change which leaves
+// survive, since at the last level every path is dominated by its edges.
+func TestPrefixFilterLeafIdentity(t *testing.T) {
+	SetOrderNodeLimit(t, 0)
+	e := &periodEngine{}
+	seen := map[string]bool{} // memory caps aside, some catalog entries share a placement
+	rounds, leaves, survivors := 0, 0, 0
+	for _, c := range Catalog {
+		p := c.Placement(t)
+		fp := sched.Fingerprint(p)
+		if p.K() > 20 || seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		bound := p.LowerBound()
+		for nr := 1; nr <= 5; nr++ {
+			got, _ := filteredLeaves(t, p, nr, bound)
+			var want []Assignment
+			if _, err := Enumerate(p, nr, func(a Assignment) bool {
+				leaves++
+				e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+				if e.orderCheck(bound) != orderInfeasible {
+					want = append(want, a)
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(got, want, slices.Equal[Assignment]) {
+				x := 0
+				for x < min(len(got), len(want)) && slices.Equal(got[x], want[x]) {
+					x++
+				}
+				t.Fatalf("%s N_R %d: the filter yields %d leaves, %d survive propagation; they part at leaf %d", c.Name, nr, len(got), len(want), x)
+			}
+			rounds++
+			survivors += len(want)
+		}
+	}
+	t.Logf("%d rounds, %d leaves, %d of them survive", rounds, leaves, survivors)
+	if rounds < 75 || leaves < 400000 || survivors < 100000 {
+		t.Fatalf("the sample has gone soft: %d rounds, %d leaves, %d survivors", rounds, leaves, survivors)
+	}
+}
+
+// TestPrefixFilterShallowRoundsDieAtTheRoot: a round too shallow for the
+// pipeline — N_R periods cannot cover the dependency path between two blocks
+// of some device — is a positive cycle at level 0 once the paths enter it
+// telescoped, so it costs no push and yields nothing: at the lower bound,
+// rounds 1–5 of v6, 1–3 of x8i, 1–4 of nn6i and 1–3 of m8i. The round after
+// is walked.
+func TestPrefixFilterShallowRoundsDieAtTheRoot(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		shallow int
+	}{{"v6", 5}, {"x8i", 3}, {"nn6i", 4}, {"m8i", 3}} {
+		p := Catalog[slices.IndexFunc(Catalog, func(s CatalogShape) bool { return s.Name == c.name })].Placement(t)
+		for nr := 1; nr <= c.shallow+1; nr++ {
+			leaves, eff := filteredLeaves(t, p, nr, p.LowerBound())
+			if dead := eff.PrefixChecks == 0; dead != (nr <= c.shallow) || (dead && len(leaves) > 0) {
+				t.Fatalf("%s N_R %d: %d pushes, %d cuts, %d leaves; rounds up to %d should die at the root", c.name, nr, eff.PrefixChecks, eff.PrefixCuts, len(leaves), c.shallow)
+			}
+		}
 	}
 }
 
 // TestPrefixFilterSteadyStateAllocs: on a warmed filter neither a push —
 // copy, raises, propagation — nor a whole round in which everything is cut
-// allocates.
+// allocates. The round is one whose root survives, so the cuts are made by
+// pushes: round 6 of nn6i (rounds 1–4 die at the root).
 func TestPrefixFilterSteadyStateAllocs(t *testing.T) {
-	const nr = 5
-	p := Catalog[4].Placement(t) // v6
+	const nr = 6
+	p := Catalog[8].Placement(t) // nn6i
 	f, err := NewPrefixFilter(p)
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +224,12 @@ func TestPrefixFilterSteadyStateAllocs(t *testing.T) {
 	defer f.Close()
 	ctx, bound := context.Background(), p.LowerBound()
 	none := func(a Assignment) bool {
-		t.Errorf("round %d of v6 has a leaf the filter lets through: %v", nr, a)
+		t.Errorf("round %d of nn6i has a leaf the filter lets through: %v", nr, a)
 		return false
 	}
 	f.Enumerate(ctx, nr, bound, none)
-	if f.eff.PrefixCuts < 500 || !f.forced {
-		t.Fatalf("round %d of v6 at the lower bound: %+v, forced-pair propagation %v; the test needs another round", nr, f.eff, f.forced)
+	if f.eff.PrefixChecks < 500 || f.eff.PrefixCuts == 0 || !f.forced {
+		t.Fatalf("round %d of nn6i at the lower bound: %+v, forced-pair propagation %v; the test needs another round", nr, f.eff, f.forced)
 	}
 	i := f.order[0]
 	f.assign[i] = nr - 1

@@ -31,11 +31,13 @@
 // instance solve and local search — the period of the order actually found.
 //
 // The first two do not need the whole assignment. A PrefixFilter (prefix.go)
-// runs them in relaxed form on the prefixes of the enumeration tree — every
-// index not fixed yet at its loosest — and cuts a subtree where the prefix
-// alone closes a positive cycle or leaves a same-device pair no order: a proof,
-// for every assignment below at once, that Solve would discard it at stage one
-// or two. What the filter lets through Solve judges as if there were no filter.
+// runs them in relaxed form on the prefixes of the enumeration tree — each
+// dependency path into a stage not fixed yet as one edge, its lags summed to
+// the most they can total — and cuts a subtree where the prefix alone closes a
+// positive cycle or leaves a same-device pair no order: a proof, for every
+// assignment below at once, that Solve would discard it at stage one or two.
+// A round too shallow for the pipeline fails at the root, before any index is
+// fixed. What the filter lets through Solve judges as if there were no filter.
 package repetend
 
 import (
@@ -270,7 +272,8 @@ type Effort struct {
 	OrderNodes  int64 `json:",omitempty"`
 	// The prefix filter's work, reported by PrefixFilter.Effort and by no Solve
 	// call: PrefixChecks is the enumeration-tree nodes it tested on the way to
-	// the leaves, PrefixCuts the subtrees it cut there. The assignments under
+	// the leaves, PrefixCuts the subtrees it cut there; a round whose root
+	// already fails — no index fixed — counts neither. The assignments under
 	// a cut are proven out of the incumbent's reach in one go, no Solve call
 	// sees them, and they appear in neither core.Stats.Assignments nor Pruned.
 	// Omitted from JSON when zero, as the order counters are.

@@ -65,6 +65,24 @@ func (k Kind) String() string {
 // Unbounded is the memory capacity value meaning "no memory constraint".
 const Unbounded = math.MaxInt / 4
 
+// MaxStageTime is the largest Stage.Time Validate accepts. Every time the
+// search forms is a sum of stage times, some of them multiples of one
+// micro-batch's work, and the order check's no-path sentinel (repetend's
+// orderNone) needs every such sum below 2^60. The cap keeps them below 2^58:
+//   - a placement in a 1 MiB request body has fewer than 2^16 stages (a valid
+//     stage object takes at least 24 bytes), so one micro-batch's work, and
+//     with it any period the search tries, is below 2^40;
+//   - a schedule of B blocks ends by B·MaxStageTime, below 2^58 for any
+//     schedule of fewer than 2^34 blocks — more than fit in memory;
+//   - the period engine's dependency edges weigh at most N_R periods, below
+//     2^58 for N_R ≤ 2^18;
+//   - the order check's closure (at most 128 stages, see repetend's
+//     orderNone) sums walks of at most 256 such edges, below 2^58 for N_R ≤
+//     2^19.
+//
+// Far larger times wrap those sums around, to negative start times.
+const MaxStageTime = 1 << 24
+
 // Stage is one execution block template within a single micro-batch: a
 // subset of the model's operators placed on one device or, when tensor
 // parallelism is used, on a group of devices (paper §III-A, B^n_i for a
@@ -76,7 +94,7 @@ type Stage struct {
 	// Kind classifies the stage (forward, backward, aux).
 	Kind Kind
 	// Time is the execution time t_B of the block in integer ticks; must be
-	// positive.
+	// positive and at most MaxStageTime.
 	Time int
 	// Mem is the memory delta m_B applied to every device in Devices when
 	// the block starts (Equation 1 item [2] counts memory from s_B onward).
@@ -232,8 +250,9 @@ func (p *Placement) TopoOrder() ([]int, error) {
 	return order, nil
 }
 
-// Validate checks structural well-formedness: positive times, device ids in
-// range, non-empty device sets, dependency indices in range, and acyclicity.
+// Validate checks structural well-formedness: positive times no larger than
+// MaxStageTime, device ids in range, non-empty device sets, dependency indices
+// in range, and acyclicity.
 func (p *Placement) Validate() error {
 	if p.NumDevices <= 0 {
 		return fmt.Errorf("placement %q: NumDevices must be positive, got %d", p.Name, p.NumDevices)
@@ -248,6 +267,9 @@ func (p *Placement) Validate() error {
 		s := &p.Stages[i]
 		if s.Time <= 0 {
 			return fmt.Errorf("placement %q: stage %d (%s) has non-positive time %d", p.Name, i, s.Name, s.Time)
+		}
+		if s.Time > MaxStageTime {
+			return fmt.Errorf("placement %q: stage %d (%s) has time %d above the cap %d", p.Name, i, s.Name, s.Time, MaxStageTime)
 		}
 		if len(s.Devices) == 0 {
 			return fmt.Errorf("placement %q: stage %d (%s) has no devices", p.Name, i, s.Name)

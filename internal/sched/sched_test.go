@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,6 +52,24 @@ func TestPlacementValidateRejectsZeroTime(t *testing.T) {
 	p.Stages[2].Time = 0
 	if err := p.Validate(); err == nil {
 		t.Fatal("zero-time stage accepted")
+	}
+}
+
+// TestPlacementValidateStageTimeCap: a stage time is accepted up to
+// MaxStageTime and refused above it, far above it included.
+func TestPlacementValidateStageTimeCap(t *testing.T) {
+	for _, c := range []struct {
+		time int
+		ok   bool
+	}{
+		{1, true}, {MaxStageTime - 1, true}, {MaxStageTime, true},
+		{MaxStageTime + 1, false}, {1 << 58, false}, {1 << 61, false}, {math.MaxInt, false},
+	} {
+		p := chain4()
+		p.Stages[5].Time = c.time
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("stage time %d: err %v, want accepted %v", c.time, err, c.ok)
+		}
 	}
 }
 
