@@ -164,23 +164,39 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchWorkers measures the cold m-shape sweep at fixed worker
-// counts. The result is byte-identical for every setting (the sweep judges
-// candidates in enumeration order and breaks ties canonically), so the
-// interesting number is how much wall clock the parallel sweep buys on top
-// of incumbent pruning.
+// BenchmarkSearchWorkers measures cold searches at fixed worker counts. The
+// result is byte-identical for every setting (the sweep judges candidates in
+// enumeration order and breaks ties canonically), so the interesting number is
+// how much wall clock the solver goroutines buy on top of incumbent pruning.
+// Both sides of that trade-off are here: m4 (~890 order-checked leaves) and
+// x8m4 (the unaimed fallback pass) gain from more workers, x4 — a few leaves
+// and an early exit — runs faster on one.
 func BenchmarkSearchWorkers(b *testing.B) {
-	p := benchPlacement(b)
 	ctx := context.Background()
+	placements := []struct {
+		name         string
+		build        func(tessel.ShapeConfig) (*tessel.Placement, error)
+		devices, mem int
+	}{
+		{"m4", tessel.NewMShape, 4, 0},
+		{"x8m4", tessel.NewXShape, 8, 4},
+		{"x4", tessel.NewXShape, 4, 0},
+	}
 	for _, workers := range []int{1, 2, 0} {
 		name := map[int]string{1: "w1", 2: "w2", 0: "wmax"}[workers]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tessel.SearchContext(ctx, p, tessel.SearchOptions{N: 12, Workers: workers}); err != nil {
+		for _, c := range placements {
+			b.Run(name+"/"+c.name, func(b *testing.B) {
+				p, err := c.build(tessel.ShapeConfig{Devices: c.devices})
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				for i := 0; i < b.N; i++ {
+					if _, err := tessel.SearchContext(ctx, p, tessel.SearchOptions{N: 12, Memory: c.mem, Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

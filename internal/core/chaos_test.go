@@ -10,12 +10,12 @@ import (
 	"tessel/internal/sched"
 )
 
-// TestChaosSweepWorkerPanic injects a panic into a repetend-sweep worker's
-// solve. The sweep fans work out over worker goroutines, where an uncaught
-// panic would kill the process; containment must carry it to the Search
-// caller's goroutine as a re-raised panic, drain the remaining workers
-// without deadlock, and leave the package fully usable — a fault-free
-// Search afterwards returns the byte-identical schedule.
+// TestChaosSweepWorkerPanic injects a panic into a solve. The sweep fans
+// solves out over solver goroutines, where an uncaught panic would kill the
+// process; the job must carry it to the Search caller's goroutine as a
+// re-raised panic, the round must wait out its other jobs without deadlock,
+// and the package must stay fully usable — a fault-free Search afterwards
+// returns the byte-identical schedule.
 func TestChaosSweepWorkerPanic(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	p := shape(t, "v-shape", 4)
@@ -38,7 +38,7 @@ func TestChaosSweepWorkerPanic(t *testing.T) {
 		return nil
 	}()
 	if recovered == nil {
-		t.Fatal("sweep worker panic did not propagate to the Search caller")
+		t.Fatal("solver panic did not propagate to the Search caller")
 	}
 	if rv, ok := recovered.(string); !ok || !strings.Contains(rv, "injected sweep crash") {
 		t.Fatalf("recovered value %v lost the fault", recovered)
@@ -53,7 +53,7 @@ func TestChaosSweepWorkerPanic(t *testing.T) {
 		t.Fatal("post-fault schedule differs from fault-free baseline")
 	}
 	// Sweep-effort counters are timing-dependent once the early-exit flag is
-	// raised (in-flight workers finish their task), so only the result
+	// raised (in-flight solves finish or are cancelled), so only the result
 	// itself is compared, not the effort it took.
 	if res.Makespan != baseline.Makespan || res.BubbleRate != baseline.BubbleRate {
 		t.Fatalf("post-fault result drifted: makespan %d vs %d", res.Makespan, baseline.Makespan)

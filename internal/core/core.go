@@ -4,17 +4,17 @@
 // warmup and cooldown phases (§IV-C), and the extension of the repetend to
 // any number of micro-batches.
 //
-// The sweep is incumbent-shared and bound-pruned: the best
-// completion-verified period so far is published through an atomic that
-// every solver worker snapshots before each solve, so an improvement found
-// by any worker immediately prunes the remaining candidates across all
-// workers and all remaining N_R rounds (repetend.SolveOptions.
-// PeriodUpperBound). Pruning only ever discards assignments that provably
-// cannot beat or tie the incumbent, and the collector judges outcomes in
-// enumeration order with canonical tie-breaking, so the returned schedule
-// is byte-identical for every Workers setting (assuming solver budgets are
-// not exhausted — wall-clock budgets make individual solves
-// timing-dependent).
+// The sweep is bound-pruned: every assignment is solved against the best
+// completion-verified period found before it was handed on
+// (repetend.SolveOptions.PeriodUpperBound), so an improvement prunes the
+// candidates of every later assignment and N_R round. Pruning only ever
+// discards assignments that provably cannot beat or tie the incumbent. One
+// goroutine, the one that called Search, decides everything: it walks the
+// enumeration, hands each assignment to a pool of solver goroutines that only
+// solve, and judges their results in enumeration order with canonical
+// tie-breaking — what a sequential sweep decides — so the returned schedule is
+// byte-identical for every Workers setting (assuming solver budgets are not
+// exhausted — wall-clock budgets make individual solves timing-dependent).
 //
 // The sweep runs in up to two passes over the same N_R loop. Algorithm 1
 // stops at the first repetend that reaches the device-work lower bound, and
@@ -29,20 +29,20 @@
 // assignment reaches the bound (memory caps usually), the incumbent is cleared
 // and the loop runs again unaimed, on the first pass's instance-solve cache.
 //
-// In the first pass most assignments never become one. Its producer walks the
-// enumeration tree through a repetend.PrefixFilter at the lower bound, and a
+// In the first pass most assignments never become one. The walk goes through
+// the enumeration tree with a repetend.PrefixFilter at the lower bound, and a
 // prefix whose already-fixed indices rule the bound out for every completion
-// cuts its whole subtree. Only what is left crosses to the workers, which judge
-// it as if nothing had been cut: a cut discards what repetend.Solve's first two
-// prune stages would have discarded one by one. The second pass hands its
-// workers every canonical assignment of a round, whatever their number.
+// cuts its whole subtree. What is left is solved and judged as if nothing had
+// been cut: a cut discards what repetend.Solve's first two prune stages would
+// have discarded one by one. The second pass hands its solvers every
+// canonical assignment of a round, whatever their number.
 //
 // All entry points take a context.Context and honor it end-to-end: the
-// assignment producer, every concurrent repetend-solver worker, and the
-// completion solves all poll the same context, so cancelling it (or hitting
-// its deadline) stops the whole sweep promptly and Search returns ctx's
-// error. The per-solve budgets (SolverNodes, SolverTimeout) remain soft:
-// exhausting one degrades that solve to its incumbent and the search
+// enumeration, every repetend solve and the completion solves all poll the
+// same context, so cancelling it (or hitting its deadline) stops the whole
+// sweep promptly and Search returns ctx's error; no solve outlives the round
+// that handed it on. The per-solve budgets (SolverNodes, SolverTimeout) remain
+// soft: exhausting one degrades that solve to its incumbent and the search
 // continues.
 package core
 
@@ -53,8 +53,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tessel/internal/faultpoint"
@@ -105,11 +103,12 @@ type Options struct {
 	// cooldown are then solved time-optimally for every improving repetend
 	// instead of once at the end (the Figure 10(b) ablation).
 	DisableLazy bool
-	// Workers sets the number of concurrent repetend solvers per N_R sweep
-	// (0 = GOMAXPROCS). The chosen repetend and the returned schedule are
-	// identical for every Workers setting — the sweep judges candidates in
-	// enumeration order and breaks period ties by the canonically smallest
-	// assignment — so Workers only trades wall-clock time for CPU.
+	// Workers sets the number of solver goroutines per N_R round (0 =
+	// GOMAXPROCS). They only solve: the goroutine that called Search judges
+	// their results in enumeration order and breaks period ties by the
+	// canonically smallest assignment, so the chosen repetend and the returned
+	// schedule are identical for every Workers setting and Workers only trades
+	// wall-clock time for CPU.
 	Workers int
 }
 
@@ -133,7 +132,7 @@ type Stats struct {
 	// the incumbent bound of the moment.
 	Solved int
 	// Pruned is the number of assignments, of those counted in Assignments,
-	// abandoned against the shared incumbent period — before their instance
+	// abandoned against the incumbent period — before their instance
 	// solve (the order-independent relaxation, or the exact order check:
 	// OrderPruned), or after it and local search. The prefix filter takes most
 	// of the first kind away before they are assignments at all.
@@ -240,7 +239,7 @@ func MaxInflight(p *sched.Placement, memory int) int {
 // nothing reaches it, unaimed (see the package comment) — keeps the repetend
 // with the smallest steady-state period, completes warmup and cooldown
 // phases, and extends the schedule to opts.N micro-batches. Cancelling ctx
-// stops every in-flight solver worker promptly and returns ctx's error.
+// stops the sweep and every in-flight solve promptly and returns ctx's error.
 func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -266,50 +265,31 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		maxNR = MaxInflight(p, opts.Memory)
 	}
 
-	st := &sweepState{}
-	// One instance-solve cache for the whole search: assignments that share a
-	// lag-zero pattern (across workers and N_R rounds) pay the branch-and-bound
-	// makespan solve once.
-	repOpts := repetend.SolveOptions{
+	s := &sweep{ctx: ctx, opts: opts, res: res, maxNR: maxNR, solve: repetend.SolveOptions{
 		Memory:        opts.Memory,
 		SolverNodes:   opts.SolverNodes,
 		SolverTimeout: opts.SolverTimeout,
 		Cache:         repetend.NewSolveCache(p),
-	}
-	// One prefix filter too: every round of both passes walks through it.
-	filter, err := repetend.NewPrefixFilter(p)
-	if err != nil {
+	}}
+	var err error
+	if s.filter, err = repetend.NewPrefixFilter(p); err != nil {
 		return nil, err
 	}
-	defer filter.Close()
-
-	sweep := func(aim int) error {
-		st.incumbent.Store(int64(aim))
-		for nr := 1; nr <= maxNR && !res.Stats.EarlyExit; nr++ {
-			res.Stats.NRSwept = nr
-			if err := sweepNR(ctx, p, nr, aim, st, filter, repOpts, opts, res); err != nil {
-				return err
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	defer s.filter.Close()
 	// Pass one prunes against the lower bound itself; pass two, with no
 	// incumbent, runs only when pass one verified no repetend.
-	if err := sweep(res.LowerBound); err != nil {
+	if err := s.pass(res.LowerBound); err != nil {
 		return nil, err
 	}
-	if st.best == nil {
+	if s.best == nil {
 		if err := faultpoint.Inject(faultpoint.CoreSweepFallback); err != nil {
 			return nil, err
 		}
-		if err := sweep(0); err != nil {
+		if err := s.pass(0); err != nil {
 			return nil, err
 		}
 	}
-	best := st.best
+	best := s.best
 	if best == nil {
 		return nil, fmt.Errorf("core: no feasible repetend for %s within memory %d and N_R ≤ %d", p.Name, opts.Memory, maxNR)
 	}
@@ -329,276 +309,227 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	return res, nil
 }
 
-// sweepState is the cross-round state of one Search's repetend sweep: the
-// verified best repetend and the shared atomic incumbent every solver worker
-// prunes against.
-type sweepState struct {
+// sweep is one Search's repetend sweep. Only the goroutine that called Search
+// touches it; a round's solver goroutines see their jobs and nothing else.
+type sweep struct {
+	ctx    context.Context
+	opts   Options
+	res    *Result
+	maxNR  int
+	filter *repetend.PrefixFilter
+	// solve is what every assignment is solved with, on one instance-solve
+	// cache: assignments that share a lag-zero pattern, in any round, pay the
+	// branch-and-bound makespan solve once.
+	solve repetend.SolveOptions
 	// best is the best completion-verified repetend so far.
 	best *repetend.Repetend
 	// incumbent is the period candidates are pruned against: the device-work
 	// lower bound while the first pass aims at it, afterwards the smallest
-	// completion-verified period published so far (0 = none yet). Workers
-	// snapshot it before every solve, so an improvement found by any worker
-	// prunes all later solves across all workers and all remaining N_R
-	// rounds — not just the next round. Search presets it per pass; within a
-	// pass only the collector stores to it, and only after checkCompletion
+	// completion-verified period so far (0 = none yet). A job takes the value
+	// it has when the job is handed on. It moves only after checkCompletion
 	// passes: an unverified period could prune candidates that the failed
 	// repetend never actually beats. (The lower bound needs no verifying: no
 	// repetend beats it.)
-	incumbent atomic.Int64
+	incumbent int
 }
 
-// assignTask is one enumerated assignment tagged with its enumeration
-// sequence number.
-type assignTask struct {
-	seq int
-	a   repetend.Assignment
+// pass runs the N_R loop once, pruning against aim (0 = unaimed), and stops
+// early at the lower bound.
+func (s *sweep) pass(aim int) error {
+	s.incumbent = aim
+	for nr := 1; nr <= s.maxNR && !s.res.Stats.EarlyExit; nr++ {
+		s.res.Stats.NRSwept = nr
+		if err := s.round(nr, aim); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// solveOutcome is one worker's verdict on one assignment. Every received
-// task produces exactly one outcome (r == nil for infeasible, pruned,
-// skipped, or cancelled assignments), so the collector can process results
-// in enumeration order.
-type solveOutcome struct {
-	seq int
-	r   *repetend.Repetend
-	// panicked carries a panic recovered inside the worker's solve: recover
-	// only works on the panicking goroutine, so the worker contains the
-	// crash and the collector re-raises it on the Search goroutine, where
-	// the engine's structured-error recovery can convert it.
+// solveJob is one assignment on its way from the Search goroutine through a
+// solver goroutine and back. The solver fills in the fields below done and
+// then closes done; the Search goroutine reads them only after that.
+type solveJob struct {
+	a     repetend.Assignment
+	bound int // the incumbent when the job was handed on
+	done  chan struct{}
+	r     *repetend.Repetend
+	err   error
+	// panicked is a panic recovered inside the solve: recover only works on
+	// the panicking goroutine, so the solver keeps it and the Search goroutine
+	// re-raises it, where the engine's structured-error recovery can convert
+	// it.
 	panicked any
+	eff      repetend.Effort
+	dur      time.Duration
 }
 
-// sweepSolveHook, when non-nil, runs on the sweep worker that is about to solve
-// a, with the context the solve will run under. It exists solely for tests,
-// which use it to hold a speculative solve until the sweep is over; production
-// code never sets it.
+// sweepSolveHook, when non-nil, runs on the solver goroutine that is about to
+// solve a, with the context the solve will run under. It exists solely for
+// tests, which use it to hold a speculative solve until the sweep is over;
+// production code never sets it.
 var sweepSolveHook func(ctx context.Context, a repetend.Assignment)
 
-// solveAssignment runs one assignment solve with panic containment. A panic
-// inside the solve (injected by faultpoint or a real bug) is returned as
-// panicked instead of unwinding the sweep-worker goroutine.
-func solveAssignment(ctx context.Context, p *sched.Placement, a repetend.Assignment, ro repetend.SolveOptions) (r *repetend.Repetend, err error, panicked any) {
+// run solves the job under ctx, or skips it once ctx has ended, and closes
+// done.
+func (j *solveJob) run(ctx context.Context, p *sched.Placement, ro repetend.SolveOptions) {
+	defer close(j.done)
+	if ctx.Err() != nil {
+		return
+	}
+	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Repetend telemetry, never schedule bytes
+	t0 := time.Now()
 	defer func() {
-		if pv := recover(); pv != nil {
-			r, err, panicked = nil, nil, pv
-		}
+		j.dur = time.Since(t0)
+		j.panicked = recover()
 	}()
 	if sweepSolveHook != nil {
-		sweepSolveHook(ctx, a)
+		sweepSolveHook(ctx, j.a)
 	}
-	r, err = repetend.Solve(ctx, p, a, ro)
-	return r, err, nil
+	ro.PeriodUpperBound, ro.Effort = j.bound, &j.eff
+	j.r, j.err = repetend.Solve(ctx, p, j.a, ro)
 }
 
-// sweepNR walks the assignments of one repetend size through the prefix
-// filter and evaluates every one it lets through, fanning the solves out over
-// a worker pool and folding improvements into st. It sets Stats.EarlyExit when the device-work lower
-// bound is reached (Algorithm 1 lines 19–20). checkCompletion runs
-// serialized on the collector side, so phase timing stays consistent.
+// round walks the assignments of round nr through the prefix filter at aim and
+// hands each one it lets through to opts.Workers solver goroutines. The jobs
+// queue up in enumeration order; before every hand-off the Search goroutine
+// judges the finished jobs at the queue's head, waiting for the head when the
+// queue is full, so it decides what a sequential sweep decides and stops at
+// the first repetend that reaches the lower bound (Algorithm 1 lines 19–20).
+// Only the effort counters (Solved, Pruned, SolverNodes, …) vary with the
+// number of solvers: they count every solve that ran, whatever became of its
+// assignment.
 //
-// The collector processes outcomes in enumeration order (buffering the
-// out-of-order ones), replaces the best on a strictly smaller period or on
-// an equal period with a canonically smaller assignment, and stops — as a
-// sequential sweep would — at the first assignment that reaches the
-// lower bound. Together with bound-independent per-assignment solves this
-// makes the chosen repetend identical for any Workers setting; only the
-// effort counters (Solved, Pruned, SolverNodes, …) vary with scheduling. They
-// count every solve a worker ran, whatever became of its assignment.
-//
-// Cancelling ctx stops the producer and every worker: in-flight solves
-// abort at their next context poll and sweepNR returns ctx's error. The
-// sweep's own early exit stops them the same way and is no error.
-func sweepNR(ctx context.Context, p *sched.Placement, nr, aim int, st *sweepState, filter *repetend.PrefixFilter, repOpts repetend.SolveOptions, opts Options, res *Result) error {
-	workers := opts.Workers
+// The solvers run under a context of the round's own, which ends with it:
+// past the winner whatever is in flight can only be thrown away, and so is
+// everything after an error or a panic. round returns only once every job it
+// handed on has finished.
+func (s *sweep) round(nr, aim int) (err error) {
+	workers := s.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Producer and workers run under a context of the sweep's own, which ends
-	// with the sweep: on reaching the lower bound — whatever is in flight then
-	// comes after the winner in enumeration order and can only be thrown away
-	// — and on an error or a panic, which throw everything away.
-	sweepCtx, endSweep := context.WithCancel(ctx)
-	defer endSweep()
-	var (
-		solved    atomic.Int64
-		pruned    atomic.Int64
-		truncSlv  atomic.Bool
-		repNanos  atomic.Int64
-		assignCh  = make(chan assignTask, 4*workers)
-		resultCh  = make(chan solveOutcome, 4*workers)
-		wg        sync.WaitGroup
-		truncated bool
-		// efforts[w] is worker w's alone, and the last entry the producer's,
-		// until resultCh is closed, which happens after all of them have
-		// returned.
-		efforts = make([]repetend.Effort, workers+1)
-	)
-	if st.best != nil && st.best.Period == res.LowerBound {
-		res.Stats.EarlyExit = true
+	ctx, end := context.WithCancel(s.ctx)
+	// Four queued jobs per solver keep the solvers fed while the walk looks
+	// for the next leaf; a deeper buffer is solved speculatively past the
+	// winner and slows small early-exit searches (x4 2.8× with sixteen).
+	jobs := make(chan *solveJob, 4*workers)
+	for range workers {
+		go func() {
+			for j := range jobs {
+				j.run(ctx, s.res.Placement, s.solve)
+			}
+		}()
+	}
+	var queue []*solveJob // handed on and not yet judged, in enumeration order
+	defer func() {
+		end()
+		close(jobs)
+		var panicked any
+		for _, j := range queue {
+			<-j.done
+			s.account(j)
+			if panicked == nil {
+				panicked = j.panicked
+			}
+		}
+		if panicked != nil {
+			panic(panicked)
+		}
+	}()
+	// judgeHead takes the jobs at the queue's head off it and judges them in
+	// order: it waits for them while more than keep are queued, then goes on
+	// while they are finished. It reports whether the round goes on.
+	judgeHead := func(keep int) bool {
+		for err == nil && !s.res.Stats.EarlyExit && len(queue) > 0 {
+			j := queue[0]
+			if len(queue) <= keep {
+				select {
+				case <-j.done:
+				default:
+					return true
+				}
+			}
+			<-j.done
+			queue = queue[1:]
+			s.account(j)
+			if j.panicked != nil {
+				panic(j.panicked)
+			}
+			if j.r != nil {
+				err = s.judge(j.r)
+			}
+		}
+		return err == nil && !s.res.Stats.EarlyExit
+	}
+	budget := s.opts.MaxAssignments
+	s.filter.Enumerate(ctx, nr, aim, func(a repetend.Assignment) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		s.res.Stats.Assignments++
+		if budget--; budget < 0 {
+			s.res.Stats.Truncated = true
+			return false
+		}
+		// The walk stays within 4·cap(jobs) jobs of the judged head. Unbounded,
+		// a solver that is runnable but not running could hold the head back
+		// while the walk hands on hundreds of leaves past the winner.
+		if !judgeHead(4*cap(jobs) - 1) {
+			return false
+		}
+		j := &solveJob{a: a, bound: s.incumbent, done: make(chan struct{})}
+		jobs <- j
+		queue = append(queue, j)
+		return true
+	})
+	s.res.Stats.Add(s.filter.Effort())
+	judgeHead(0)
+	if err == nil {
+		err = s.ctx.Err()
+	}
+	return err
+}
+
+// judge folds a solved repetend into the sweep: it becomes the best on a
+// strictly smaller period, or on an equal one with a canonically smaller
+// assignment, once checkCompletion passes — checkCompletion runs here, on the
+// Search goroutine, so phase timing stays consistent — and one at the lower
+// bound is the early exit.
+func (s *sweep) judge(r *repetend.Repetend) error {
+	if b := s.best; b != nil && (r.Period > b.Period || r.Period == b.Period && r.Assign.Compare(b.Assign) >= 0) {
 		return nil
 	}
-	// Producer: walk the round's assignments through the prefix filter, at
-	// the pass's aim, and hand on those it lets through, under the budget.
-	go func() {
-		defer close(assignCh)
-		budget := opts.MaxAssignments
-		seq := 0
-		filter.Enumerate(sweepCtx, nr, aim, func(a repetend.Assignment) bool {
-			if sweepCtx.Err() != nil {
-				return false
-			}
-			res.Stats.Assignments++
-			budget--
-			if budget < 0 {
-				truncated = true
-				return false
-			}
-			select {
-			case assignCh <- assignTask{seq: seq, a: a}:
-				seq++
-				return true
-			case <-sweepCtx.Done():
-				return false
-			}
-		})
-		efforts[workers] = filter.Effort()
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ro := repOpts
-			ro.Effort = &efforts[w]
-			for task := range assignCh {
-				if sweepCtx.Err() != nil {
-					resultCh <- solveOutcome{seq: task.seq} // drain
-					continue
-				}
-				ro.PeriodUpperBound = int(st.incumbent.Load())
-				//tessel:waive:determinism wall-clock feeds only the repNanos throughput telemetry, never schedule bytes
-				t0 := time.Now()
-				r, err, pv := solveAssignment(sweepCtx, p, task.a, ro)
-				repNanos.Add(int64(time.Since(t0)))
-				if pv != nil {
-					endSweep()
-					resultCh <- solveOutcome{seq: task.seq, panicked: pv}
-					continue
-				}
-				if err != nil {
-					// Infeasible, pruned, or cancelled assignment.
-					if errors.Is(err, repetend.ErrPruned) {
-						pruned.Add(1)
-					}
-					if errors.Is(err, repetend.ErrTruncated) {
-						truncSlv.Store(true)
-					}
-					resultCh <- solveOutcome{seq: task.seq}
-					continue
-				}
-				solved.Add(1)
-				if r.Truncated {
-					truncSlv.Store(true)
-				}
-				resultCh <- solveOutcome{seq: task.seq, r: r}
-			}
-		}()
+	ok, err := checkCompletion(s.ctx, s.res.Placement, r, s.opts, &s.res.Stats)
+	if err != nil || !ok {
+		return err
 	}
-	go func() {
-		wg.Wait()
-		close(resultCh)
-	}()
-	var (
-		firstErr error
-		pending  = make(map[int]solveOutcome)
-		next     int
-		done     bool // early exit or error: stop judging, keep draining
-	)
-	judge := func(out solveOutcome) {
-		r := out.r
-		if r == nil {
-			return
-		}
-		if st.best != nil {
-			if r.Period > st.best.Period {
-				return
-			}
-			if r.Period == st.best.Period && r.Assign.Compare(st.best.Assign) >= 0 {
-				return
-			}
-		}
-		ok, err := checkCompletion(ctx, p, r, opts, &res.Stats)
-		if err != nil {
-			firstErr = err
-			done = true
-			endSweep()
-			return
-		}
-		if !ok {
-			return
-		}
-		if st.best == nil || r.Period < st.best.Period {
-			res.Stats.Improved++
-			st.incumbent.Store(int64(r.Period))
-		}
-		st.best = r
-		if r.Period == res.LowerBound {
-			res.Stats.EarlyExit = true
-			done = true
-			endSweep()
-		}
+	if s.best == nil || r.Period < s.best.Period {
+		s.res.Stats.Improved++
+		s.incumbent = r.Period
 	}
-	// The collector body is guarded: judge() runs completion solves on this
-	// goroutine, and a panic mid-loop would otherwise strand workers blocked
-	// on resultCh sends. On either a recovered collector panic or a worker-
-	// contained one, the loop keeps (or resumes) draining until the workers
-	// close resultCh, then re-raises on the Search goroutine.
-	var panicVal any
-	collect := func() {
-		defer func() {
-			if pv := recover(); pv != nil {
-				panicVal = pv
-				endSweep()
-			}
-		}()
-		for out := range resultCh {
-			if out.panicked != nil && panicVal == nil {
-				panicVal = out.panicked
-				done = true
-			}
-			pending[out.seq] = out
-			for !done {
-				o, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				judge(o)
-			}
-		}
+	s.best = r
+	if r.Period == s.res.LowerBound {
+		s.res.Stats.EarlyExit = true
 	}
-	collect()
-	if panicVal != nil {
-		for range resultCh {
-			// Release any workers still parked on a send after a collector
-			// panic cut the receive loop short.
-		}
-		panic(panicVal)
+	return nil
+}
+
+// account adds a finished job's work to the search's counters.
+func (s *sweep) account(j *solveJob) {
+	st := &s.res.Stats
+	st.Add(j.eff)
+	st.Phase.Repetend += j.dur
+	if j.r != nil {
+		st.Solved++
+		st.Truncated = st.Truncated || j.r.Truncated
 	}
-	res.Stats.Solved += int(solved.Load())
-	res.Stats.Pruned += int(pruned.Load())
-	for _, e := range efforts {
-		res.Stats.Add(e)
+	if errors.Is(j.err, repetend.ErrPruned) {
+		st.Pruned++
 	}
-	res.Stats.Phase.Repetend += time.Duration(repNanos.Load())
-	if truncated || truncSlv.Load() {
-		res.Stats.Truncated = true
+	if errors.Is(j.err, repetend.ErrTruncated) {
+		st.Truncated = true
 	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	return firstErr
 }
 
 // Extend rebuilds the warmup/body/cooldown composition of a completed

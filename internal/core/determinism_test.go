@@ -9,10 +9,11 @@ import (
 
 // TestSearchDeterministicAcrossWorkers is the regression test for the
 // incumbent-pruned sweep: the chosen repetend and the completed schedule
-// must be byte-identical no matter how many workers the sweep fans out
-// over — including the early-exit placements (v/x/k reach the lower bound)
-// and the pruning-heavy m-shape. Run under -race in CI, this also
-// exercises the shared-incumbent publishing for data races.
+// must be byte-identical no matter how many solver goroutines the sweep fans
+// out over — including the early-exit placements (v/x/k reach the lower
+// bound) and the pruning-heavy m-shape. Run under -race in CI, this also
+// checks that the solvers share nothing with the Search goroutine but their
+// jobs.
 func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker sweeps are slow in -short mode")
@@ -36,8 +37,8 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := sched.FingerprintSchedule(base.Full)
-			// Repeat the parallel searches: a race on the incumbent or the
-			// collector ordering would only show up intermittently.
+			// Repeat the parallel searches: a race between a solver and the
+			// Search goroutine would only show up intermittently.
 			for _, workers := range []int{2, 8, 8, 8} {
 				opts.Workers = workers
 				res, err := Search(context.Background(), p, opts)
@@ -58,7 +59,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSearchIncumbentPrunesSweep checks that the shared incumbent actually
+// TestSearchIncumbentPrunesSweep checks that the incumbent actually
 // bites on a pruning-friendly placement: a default m-shape search must
 // discard a substantial share of its assignments without solving them.
 func TestSearchIncumbentPrunesSweep(t *testing.T) {

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,8 +204,8 @@ func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assign
 // bound solved one by one, in enumeration order up to the winner, on one
 // instance cache as the sweep does it — plus the filter's own checks and cuts
 // on the way there, which the search's totals must cover too. (The sweep's
-// own total may sit above the floor by the few assignments its worker takes on
-// while the collector is still verifying the winner.)
+// own total may sit above the floor by the few assignments its solver takes on
+// while the Search goroutine is still verifying the winner.)
 func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 	p, opts := catalogPlacement(t, "k6")
 	opts.Workers = 1
@@ -273,12 +276,12 @@ func TestPrefixChecksUpToTheWinner(t *testing.T) {
 	}
 }
 
-// TestSearchEarlyExitCancelsSpeculation: once the collector has a repetend at
-// the lower bound, a worker that is already on a later assignment is
-// cancelled, not waited for. The hook holds every such solve back until its
-// context ends — with one worker that makes the search's solver effort exactly
-// that of the assignments up to the winner — and the search still returns a
-// nil error and the schedule it returns undisturbed.
+// TestSearchEarlyExitCancelsSpeculation: once the Search goroutine has judged
+// a repetend at the lower bound, a solver that is already on a later
+// assignment is cancelled, not waited for. The hook holds every such solve
+// back until its context ends — with one worker that makes the search's solver
+// effort exactly that of the assignments up to the winner — and the search
+// still returns a nil error and the schedule it returns undisturbed.
 func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 	p, opts := catalogPlacement(t, "x4")
 	opts.Workers = 1
@@ -306,10 +309,10 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() { sweepSolveHook = nil })
-	// Whether a later assignment reaches a worker before the collector ends the
-	// sweep is a race with the producer: on a busy machine the worker may find
-	// nothing queued behind the winner. Such a search exercises nothing, so it
-	// is checked like the others and then run again.
+	// Whether a later assignment reaches a solver before the Search goroutine
+	// ends the sweep is a race with its walk: on a busy machine the solver may
+	// find nothing queued behind the winner. Such a search exercises nothing,
+	// so it is checked like the others and then run again.
 	const attempts = 20
 	for _, workers := range []int{1, 2} {
 		opts.Workers = workers
@@ -338,5 +341,67 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 				t.Fatalf("workers %d: in %d searches no assignment past the winner reached a worker; the placement does not exercise the cancel", workers, attempts)
 			}
 		}
+	}
+}
+
+// TestSearchLeavesNoGoroutines: every solver goroutine a round starts is gone
+// once Search returns, whichever way it returns — an early exit, both passes
+// run to the end, a context cancelled while a solve is in flight, a
+// completion solve that fails, a solve that panics. The goroutine count must
+// come back to what it was before the call.
+func TestSearchLeavesNoGoroutines(t *testing.T) {
+	injected := errors.New("injected completion fault")
+	for _, c := range []struct {
+		name, shape string
+		// arm sets the fault up; cancel cancels the search's context.
+		arm       func(cancel context.CancelFunc)
+		wantErr   error
+		wantPanic bool
+	}{
+		{name: "early exit", shape: "v6"},
+		{name: "both passes", shape: "x8m4"},
+		{name: "cancelled mid-sweep", shape: "m4", wantErr: context.Canceled, arm: func(cancel context.CancelFunc) {
+			// Hold the first solve until the cancel has reached it.
+			sweepSolveHook = func(ctx context.Context, _ repetend.Assignment) { cancel(); <-ctx.Done() }
+		}},
+		{name: "completion error", shape: "v6", wantErr: injected, arm: func(context.CancelFunc) {
+			faultpoint.Arm(faultpoint.SolverSolve, func() error {
+				if strings.Contains(string(debug.Stack()), "core.checkCompletion") {
+					return injected
+				}
+				return nil
+			})
+		}},
+		{name: "solver panic", shape: "v6", wantPanic: true, arm: func(context.CancelFunc) {
+			sweepSolveHook = func(context.Context, repetend.Assignment) { panic("injected solver crash") }
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() { faultpoint.Reset(); sweepSolveHook = nil }()
+			p, opts := catalogPlacement(t, c.shape)
+			opts.Workers = 4
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if c.arm != nil {
+				c.arm(cancel)
+			}
+			before := runtime.NumGoroutine()
+			var err error
+			recovered := func() (pv any) {
+				defer func() { pv = recover() }()
+				_, err = Search(ctx, p, opts)
+				return nil
+			}()
+			if (recovered != nil) != c.wantPanic || !errors.Is(err, c.wantErr) {
+				t.Fatalf("err %v, panic %v; want err %v, panic %v", err, recovered, c.wantErr, c.wantPanic)
+			}
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if after > before {
+				t.Fatalf("%d goroutines before Search, %d after it returned", before, after)
+			}
+		})
 	}
 }

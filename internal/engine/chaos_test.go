@@ -64,8 +64,8 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestChaosSolverPanic injects a panic into a repetend-sweep worker's solve:
-// it must cross the worker goroutines, the sweep collector, and the
+// TestChaosSolverPanic injects a panic into a repetend-sweep solve: it must
+// cross from the solver goroutine to the Search goroutine, and through the
 // singleflight leader without killing the process or stranding state, and
 // surface as a structured *InternalError matching ErrInternal. Once the
 // fault passes, the same request must succeed with a schedule

@@ -110,9 +110,10 @@ type Options struct {
 	// DefaultCacheSize).
 	CacheSize int
 	// MaxConcurrentSearches caps cold searches running at once (≤0 =
-	// unlimited). Each cold search fans out its own solver workers, so a
-	// serving deployment should bound them; cache hits and coalesced
-	// followers are never throttled.
+	// unlimited). Each cold search runs its own solver goroutines
+	// (core.Options.Workers, GOMAXPROCS by default) beside the goroutine
+	// that walks and judges its sweep, so a serving deployment should bound
+	// them; cache hits and coalesced followers are never throttled.
 	MaxConcurrentSearches int
 	// MaxQueuedSearches bounds how many cold searches may wait for a slot
 	// beyond the running ones: 0 = unlimited queue (a saturated engine
@@ -511,9 +512,10 @@ func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*cor
 // that spellings core.Search treats identically (Memory 0 vs Unbounded,
 // explicit vs default budgets, MaxNR 0 vs the memory-derived cap) share a
 // key. N and Workers are excluded: N is served by extension, and Workers
-// only changes how the sweep is parallelized — core.Search's deterministic
-// collector returns byte-identical schedules for every Workers setting, so
-// keying on it would split the cache without changing any cached result.
+// only changes how many goroutines solve — core.Search decides on one
+// goroutine, in enumeration order, and returns byte-identical schedules for
+// every Workers setting, so keying on it would split the cache without
+// changing any cached result.
 // That determinism is what makes the cache reproducible: which request of
 // a coalesced burst becomes the singleflight leader cannot change the
 // entry that gets pinned.

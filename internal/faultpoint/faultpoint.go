@@ -25,7 +25,7 @@ import (
 // chaos tests and the instrumented packages cannot drift apart silently.
 const (
 	// SolverSolve fires at the top of every branch-and-bound solve, on the
-	// goroutine running the solve (a repetend-sweep worker for instance
+	// goroutine running the solve (a sweep's solver goroutine for instance
 	// solves, the search goroutine for completion solves).
 	SolverSolve = "solver/solve"
 	// CoreSweepFallback fires on the search goroutine between the two sweep

@@ -107,8 +107,8 @@ func Search(p *Placement, opts SearchOptions) (*SearchResult, error) {
 }
 
 // SearchContext runs the paper's Algorithm 1 under ctx: cancelling ctx (or
-// exceeding its deadline) promptly stops every in-flight solver worker and
-// returns ctx's error.
+// exceeding its deadline) promptly stops the sweep and every in-flight solve
+// and returns ctx's error.
 func SearchContext(ctx context.Context, p *Placement, opts SearchOptions) (*SearchResult, error) {
 	return core.Search(ctx, p, opts)
 }
@@ -239,9 +239,10 @@ func ExtendContext(ctx context.Context, res *SearchResult, n int, opts SearchOpt
 var Fingerprint = sched.Fingerprint
 
 // FingerprintSchedule returns the canonical SHA-256 fingerprint of a
-// schedule (placement plus every start time). Search results are
-// deterministic for any Workers setting, so equal requests yield equal
-// schedule fingerprints — the property the serving cache relies on.
+// schedule (placement plus every start time). Search decides its result on
+// one goroutine, in enumeration order, whatever the Workers setting, so equal
+// requests yield equal schedule fingerprints — the property the serving cache
+// relies on.
 var FingerprintSchedule = sched.FingerprintSchedule
 
 // Serving engine (see internal/engine): a concurrency-safe front-end over
