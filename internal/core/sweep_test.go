@@ -214,7 +214,11 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 		t.Fatal(err)
 	}
 	missed := 0 // let through by the check, pruned after solve and local search
-	floor, winner := firstPassUpToWinner(t, res, func(a repetend.Assignment, err error, before, after repetend.Effort) {
+	var winnerNodes, winnerSwaps int64
+	floor, _ := firstPassUpToWinner(t, res, func(a repetend.Assignment, err error, before, after repetend.Effort) {
+		if err == nil {
+			winnerNodes, winnerSwaps = after.SolverNodes-before.SolverNodes, after.LocalSearchSwaps-before.LocalSearchSwaps
+		}
 		if err != nil && after.OrderChecks > before.OrderChecks && after.OrderPruned == before.OrderPruned {
 			if !errors.Is(err, repetend.ErrPruned) || after.SolverNodes+after.PeriodProbes == before.SolverNodes+before.PeriodProbes {
 				t.Fatalf("%v passed the order check and then: err %v, effort %+v after %+v", a, err, after, before)
@@ -222,9 +226,9 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 			missed++
 		}
 	})
-	if missed < 2 || floor.SolverNodes < 4*winner.SolverNodes || floor.LocalSearchSwaps <= winner.LocalSearchSwaps {
+	if missed < 2 || floor.SolverNodes < 4*winnerNodes || floor.LocalSearchSwaps <= winnerSwaps {
 		t.Fatalf("this placement no longer prunes after solving: %d assignments missed by the heuristic, effort %+v, of which the winner %d nodes and %d swaps",
-			missed, floor, winner.SolverNodes, winner.LocalSearchSwaps)
+			missed, floor, winnerNodes, winnerSwaps)
 	}
 	if floor.PrefixCuts < 100 || floor.OrderPruned < 10 {
 		t.Fatalf("this placement no longer prunes at prefixes and at leaves both: %+v", floor)

@@ -37,7 +37,9 @@
 //     as a silent failure indistinguishable from an unsatisfiable search.
 //   - Process restarts: the LRU cache snapshots to a versioned, checksummed
 //     file (snapshot.go) and restores at boot, so previously-solved
-//     fingerprints stay cache hits across restarts.
+//     fingerprints stay cache hits across restarts. A v3 entry stores the
+//     placement, repetend and phases, from which restore derives and checks
+//     the rest; a v1 or v2 file is a cold start.
 package engine
 
 import (
@@ -403,6 +405,7 @@ func (e *Engine) lead(ctx context.Context, key, fingerprint string, fc *flightCa
 		e.mu.Lock()
 		delete(e.flight, key)
 		if err == nil && !fc.degraded {
+			// The one insert of a miss, whether searched or peer-fetched.
 			// Degraded results are deliberately not cached: they are
 			// load-shaped, not search-shaped, and pinning one would keep
 			// serving a budget-starved answer long after the overload passed.
@@ -540,9 +543,7 @@ func requestKey(fingerprint string, p *sched.Placement, opts core.Options) strin
 	if nodes == 0 {
 		nodes = core.DefaultSolverNodes
 	}
-	// The literals are the key class of the one repetend pipeline and solver
-	// engine; v2 snapshots and peers written when each was a choice carry them.
-	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t|simp=false|ls=true|sw=auto",
+	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t",
 		fingerprint, memory, maxNR, maxAssign, nodes, opts.SolverTimeout, !opts.DisableLazy)
 }
 

@@ -7,9 +7,11 @@
 // with a one-element entries array — so a peer response is validated by
 // exactly the machinery that validates a boot restore: header shape, strict
 // version token, SHA-256 body checksum, and the full per-entry structural
-// re-validation of decodeEntry (placement, fingerprint-vs-key, vector
-// dimensions, schedule bounds, makespan, the full schedule's constraints). A lying, torn, or stale peer
-// response therefore degrades to a cold search, never to a poisoned cache.
+// re-validation of decodeEntry (placement, fingerprint-vs-key, the
+// repetend's constraints over every N, the full schedule's completeness and
+// constraints). A lying, torn, or stale peer response therefore degrades to
+// a cold search, never to a poisoned cache: a v2 and a v3 replica reject each
+// other's entries, so a mixed ring misses and cold-searches mid-upgrade.
 //
 // Layering: the engine defines the PeerTier interface and internal/peer
 // implements it (hash ring, circuit breakers, health prober, HTTP client).
@@ -64,8 +66,8 @@ type PeerStats struct {
 type PeerTier interface {
 	// Fetch tries to obtain the cache entry for key (whose placement
 	// fingerprint is fingerprint, the ring routing identity) from owner
-	// replicas. A returned result must already be validated and inserted
-	// into the local cache by the implementation.
+	// replicas. A returned result must already be validated, by
+	// DecodePeerEntry; the singleflight leader inserts what it serves.
 	Fetch(ctx context.Context, fingerprint, key string) (*core.Result, error)
 	// Stats reports the tier's counters.
 	Stats() PeerStats
@@ -131,14 +133,14 @@ func (e *Engine) EncodePeerEntry(key string) (data []byte, found bool, err error
 	return buf.Bytes(), true, nil
 }
 
-// InsertPeerEntry validates a peer response for key exactly like a boot
+// DecodePeerEntry validates a peer response for key exactly like a boot
 // restore — checksummed header, strict version, and the full structural
 // re-validation of decodeEntry — plus the peer-specific requirement that
 // the embedded entry's key equals the key that was asked for (a confused
 // or malicious peer must not be able to poison a different cache slot).
-// On success the entry is inserted into the cache (never overwriting a
-// live entry — the local result is at least as fresh) and returned.
-func (e *Engine) InsertPeerEntry(key string, r io.Reader) (*core.Result, error) {
+// It touches no cache: the singleflight leader that asked inserts the
+// result it serves.
+func DecodePeerEntry(key string, r io.Reader) (*core.Result, error) {
 	body, err := parseSnapshotPayload(r)
 	if err != nil {
 		return nil, err
@@ -154,14 +156,5 @@ func (e *Engine) InsertPeerEntry(key string, r io.Reader) (*core.Result, error) 
 	if err != nil {
 		return nil, fmt.Errorf("engine: peer entry invalid: %w", err)
 	}
-	e.mu.Lock()
-	if el, live := e.entries[key]; live {
-		// Serve the local entry: identical requests are deterministic, but
-		// the local one is already validated and shared with past callers.
-		res = el.Value.(*cacheEntry).res
-	} else {
-		e.insert(key, res)
-	}
-	e.mu.Unlock()
 	return res, nil
 }

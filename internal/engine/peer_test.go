@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"slices"
 	"testing"
 	"time"
 
 	"tessel/internal/core"
+	"tessel/internal/placement"
 	"tessel/internal/sched"
 )
 
@@ -26,9 +29,9 @@ func cachedKey(t testing.TB, e *Engine) string {
 	panic("unreachable")
 }
 
-// TestPeerEntryRoundTrip: EncodePeerEntry → InsertPeerEntry on a fresh
-// engine must reproduce the entry bit-for-bit (schedule fingerprint and
-// all) and leave it cached, exactly like a one-entry snapshot restore.
+// TestPeerEntryRoundTrip: EncodePeerEntry → DecodePeerEntry must reproduce
+// the entry bit-for-bit (schedule fingerprint and all) and, unlike a restore,
+// cache nothing: the singleflight leader that asked inserts what it serves.
 func TestPeerEntryRoundTrip(t *testing.T) {
 	src, fps := warmEngine(t, Options{}, mshape(t))
 	key := cachedKey(t, src)
@@ -41,31 +44,21 @@ func TestPeerEntryRoundTrip(t *testing.T) {
 		t.Fatalf("EncodePeerEntry(unknown) = found %v, err %v; want a clean miss", found, err)
 	}
 
-	dst := New(Options{})
-	res, err := dst.InsertPeerEntry(key, bytes.NewReader(data))
+	res, err := DecodePeerEntry(key, bytes.NewReader(data))
 	if err != nil {
-		t.Fatalf("InsertPeerEntry: %v", err)
+		t.Fatalf("DecodePeerEntry: %v", err)
 	}
 	if fp := sched.FingerprintSchedule(res.Full); fp != fps[0] {
 		t.Fatalf("round-tripped schedule fingerprint %s != original %s", fp, fps[0])
 	}
-	if st := dst.Stats(); st.Entries != 1 {
-		t.Fatalf("destination caches %d entries after insert, want 1", st.Entries)
-	}
-	// A live local entry wins over a peer copy: re-inserting returns the
-	// already-cached result, not a second decode.
-	again, err := dst.InsertPeerEntry(key, bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("second InsertPeerEntry: %v", err)
-	}
-	if again != res {
-		t.Fatal("re-insert decoded a fresh result instead of serving the live entry")
+	if st := src.Stats(); st.Entries != 1 {
+		t.Fatalf("source caches %d entries after a decode, want 1", st.Entries)
 	}
 }
 
 // TestPeerEntryRejectsInvalid: every way a peer response can lie — wrong
 // key, torn body, flipped payload byte, multi-entry smuggling — must be
-// rejected before anything touches the cache.
+// rejected.
 func TestPeerEntryRejectsInvalid(t *testing.T) {
 	src, _ := warmEngine(t, Options{}, mshape(t))
 	key := cachedKey(t, src)
@@ -73,6 +66,10 @@ func TestPeerEntryRejectsInvalid(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("EncodePeerEntry: found %v, err %v", found, err)
 	}
+	// A multi-entry payload (a full snapshot) must not smuggle extra slots
+	// through the single-entry interchange, even though it would pass the
+	// checksum.
+	multi, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
 
 	cases := []struct {
 		name string
@@ -83,31 +80,12 @@ func TestPeerEntryRejectsInvalid(t *testing.T) {
 		{"torn body", key, data[:len(data)-7]},
 		{"empty body", key, nil},
 		{"flipped byte", key, flipLastByte(data)},
+		{"multi-entry payload", key, snapshotBytes(t, multi)},
 	}
 	for _, tc := range cases {
-		dst := New(Options{})
-		if _, err := dst.InsertPeerEntry(tc.key, bytes.NewReader(tc.body)); err == nil {
-			t.Errorf("%s: InsertPeerEntry accepted the response", tc.name)
+		if _, err := DecodePeerEntry(tc.key, bytes.NewReader(tc.body)); err == nil {
+			t.Errorf("%s: DecodePeerEntry accepted the response", tc.name)
 		}
-		if st := dst.Stats(); st.Entries != 0 {
-			t.Errorf("%s: rejected response still cached %d entries", tc.name, st.Entries)
-		}
-	}
-
-	// A multi-entry payload (a full snapshot) must not smuggle extra slots
-	// through the single-entry interchange, even though it would pass the
-	// checksum.
-	multi, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
-	var buf bytes.Buffer
-	if err := multi.SnapshotTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	dst := New(Options{})
-	if _, err := dst.InsertPeerEntry(key, bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("InsertPeerEntry accepted a multi-entry payload")
-	}
-	if st := dst.Stats(); st.Entries != 0 {
-		t.Fatalf("multi-entry payload still cached %d entries", st.Entries)
 	}
 }
 
@@ -226,4 +204,53 @@ func TestStatsCallsTierOutsideLock(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Engine.Stats deadlocked on a tier that calls back into the engine")
 	}
+}
+
+// FuzzDecodePeerEntry feeds the peer entry decoder what a lying peer could
+// send for a key this replica asked for. The fuzzer's bytes are framed with a
+// matching checksum header unless raw is set, so that mutations of the body
+// get past the checksum to the entry's own checks. No input may panic, and an
+// accepted entry must serve: its schedule holds each of the N·K blocks once
+// and validates, and it extends to another N.
+func FuzzDecodePeerEntry(f *testing.F) {
+	// A small entry, so that a mutation more often lands on a field that matters.
+	p, err := placement.VShape(placement.Config{Devices: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	src, _ := warmEngine(f, Options{}, p)
+	key := cachedKey(f, src)
+	data, _, err := src.EncodePeerEntry(key)
+	if err != nil {
+		f.Fatal(err)
+	}
+	parent, err := os.ReadFile("testdata/parent_v2.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	body := func(b []byte) []byte { return b[bytes.IndexByte(b, '\n')+1:] }
+	f.Add(body(data), false)
+	f.Add(body(data)[:len(body(data))/2], false) // torn
+	f.Add(body(parent), false)
+	f.Add(data, true)
+	f.Add(parent, true)
+	f.Fuzz(func(t *testing.T, in []byte, raw bool) {
+		if !raw {
+			in = withChecksumHeader(in)
+		}
+		res, err := DecodePeerEntry(key, bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		full, k := res.Full, res.Placement.K()
+		if res.N < 1 || full.Len() != res.N*k || slices.ContainsFunc(full.Items, func(it sched.Item) bool { return it.Micro >= res.N }) {
+			t.Fatalf("accepted a schedule of %d blocks for N = %d, K = %d", full.Len(), res.N, k)
+		}
+		if err := full.Validate(sched.ValidateOptions{Memory: sched.Unbounded}); err != nil {
+			t.Fatalf("accepted an invalid schedule: %v", err)
+		}
+		if _, err := core.Extend(context.Background(), res, res.N+1, core.Options{SolverNodes: 1000}); err != nil {
+			t.Fatalf("accepted an entry that does not extend to N = %d: %v", res.N+1, err)
+		}
+	})
 }

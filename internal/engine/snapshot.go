@@ -1,21 +1,22 @@
 // Crash-safe persistence of the repetend cache. A snapshot is a single
 // file:
 //
-//	TESSEL-SNAPSHOT v2 <sha256-hex-of-body>\n
+//	TESSEL-SNAPSHOT v3 <sha256-hex-of-body>\n
 //	{ JSON body }
 //
 // The body holds every cache entry in MRU→LRU order, each stamped with its
-// explicit recency rank: the request key, the placement in the canonical
-// sched interchange encoding, the repetend's full numeric state, and the
-// four phase schedules as sched.ItemJSON (stage, micro, start) triples.
-// Restore re-validates everything it reads — the checksum and version up
-// front, then per entry the placement (sched.DecodePlacement), the key's
-// fingerprint prefix against the embedded placement's recomputed
-// fingerprint, the repetend's vector lengths and bounds, each schedule item
-// (sched.DecodeItems), and the full schedule's makespan and constraints
-// (sched.Validate under the key's memory cap) — so a torn,
-// corrupt, or stale-format snapshot degrades to a cold start (with a logged
-// warning per skipped layer), never to a crash or a poisoned cache.
+// explicit recency rank. An entry stores only what cannot be recomputed: the
+// request key, the placement (canonical sched encoding), the repetend, N, the
+// search stats, and the warmup, body and cooldown as sched.ItemJSON (stage,
+// micro, start) triples. Restore derives the rest — the full schedule is the
+// phases appended and sorted, as core builds it; the makespan, lower bound and
+// bubble rate are read off it, the placement and the repetend — and
+// re-validates everything it reads: the checksum and version up front, then
+// per entry the placement, its fingerprint against the key, the repetend
+// (decodeRepetend), each schedule item, and the full schedule's completeness
+// and constraints under the key's memory cap. A torn, corrupt, or stale (v1,
+// v2) snapshot degrades to a cold start with a logged warning per skipped
+// layer, never to a crash or a poisoned cache.
 //
 // Writes are atomic: SaveSnapshot writes a temp file in the target's
 // directory and renames it into place, so a crash mid-write leaves the
@@ -48,8 +49,9 @@ const (
 	snapshotMagic = "TESSEL-SNAPSHOT"
 	// snapshotVersion 2 added the per-entry Recency stamp: v1 encoded the
 	// LRU order only implicitly in entry file order, which any re-marshal
-	// or hand-merge of the JSON body silently destroyed.
-	snapshotVersion = 2
+	// or hand-merge of the JSON body silently destroyed. Version 3 dropped
+	// every field that is derived from the others, and the key's literals.
+	snapshotVersion = 3
 )
 
 // snapshotBody is the checksummed JSON payload.
@@ -66,37 +68,25 @@ type snapshotEntry struct {
 	// Recency is the entry's explicit LRU rank at snapshot time: 0 is the
 	// most recently used entry, larger is colder. Restore replays this
 	// order rather than trusting the file order of the entries array.
-	Recency    int              `json:"recency"`
-	Placement  json.RawMessage  `json:"placement"`
-	Repetend   snapshotRepetend `json:"repetend"`
-	LowerBound int              `json:"lower_bound"`
-	BubbleRate float64          `json:"bubble_rate"`
-	N          int              `json:"n"`
-	Makespan   int              `json:"makespan"`
-	Stats      core.Stats       `json:"stats"`
-	Warmup     []sched.ItemJSON `json:"warmup"`
-	Body       []sched.ItemJSON `json:"body"`
-	Cooldown   []sched.ItemJSON `json:"cooldown"`
-	Full       []sched.ItemJSON `json:"full"`
+	Recency   int              `json:"recency"`
+	Placement json.RawMessage  `json:"placement"`
+	Repetend  snapshotRepetend `json:"repetend"`
+	N         int              `json:"n"`
+	Stats     core.Stats       `json:"stats"`
+	Warmup    []sched.ItemJSON `json:"warmup"`
+	Body      []sched.ItemJSON `json:"body"`
+	Cooldown  []sched.ItemJSON `json:"cooldown"`
 }
 
-// snapshotRepetend mirrors repetend.Repetend minus its placement pointer
+// snapshotRepetend is repetend.Repetend minus its placement pointer
 // (restored from the entry's embedded placement).
 type snapshotRepetend struct {
-	Assign            []int `json:"assign"`
-	NR                int   `json:"nr"`
-	Starts            []int `json:"starts"`
-	Period            int   `json:"period"`
-	SimplePeriod      int   `json:"simple_period"`
-	Spans             []int `json:"spans"`
-	Waits             []int `json:"waits"`
-	EntryMem          []int `json:"entry_mem"`
-	SolverNodes       int64 `json:"solver_nodes"`
-	SolverMemoHits    int64 `json:"solver_memo_hits"`
-	Truncated         bool  `json:"truncated"`
-	PeriodProbes      int64 `json:"period_probes"`
-	PeriodRelaxations int64 `json:"period_relaxations"`
-	LocalSearchSwaps  int64 `json:"local_search_swaps"`
+	Assign       []int `json:"assign"`
+	NR           int   `json:"nr"`
+	Starts       []int `json:"starts"`
+	Period       int   `json:"period"`
+	SimplePeriod int   `json:"simple_period"`
+	Truncated    bool  `json:"truncated"`
 }
 
 // SnapshotTo serializes the cache to w. Entries are written MRU-first, so
@@ -279,7 +269,7 @@ func (e *Engine) LoadSnapshot(path string) int {
 
 // encodeEntry serializes one cached result.
 func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
-	if res.Placement == nil || res.Repetend == nil || res.Full == nil {
+	if res.Placement == nil || res.Repetend == nil || res.Body == nil {
 		return snapshotEntry{}, fmt.Errorf("result missing placement, repetend, or schedule")
 	}
 	var pbuf bytes.Buffer
@@ -291,30 +281,18 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 		Key:       key,
 		Placement: json.RawMessage(pbuf.Bytes()),
 		Repetend: snapshotRepetend{
-			Assign:            r.Assign,
-			NR:                r.NR,
-			Starts:            r.Starts,
-			Period:            r.Period,
-			SimplePeriod:      r.SimplePeriod,
-			Spans:             r.Spans,
-			Waits:             r.Waits,
-			EntryMem:          r.EntryMem,
-			SolverNodes:       r.SolverNodes,
-			SolverMemoHits:    r.SolverMemoHits,
-			Truncated:         r.Truncated,
-			PeriodProbes:      r.PeriodProbes,
-			PeriodRelaxations: r.PeriodRelaxations,
-			LocalSearchSwaps:  r.LocalSearchSwaps,
+			Assign:       r.Assign,
+			NR:           r.NR,
+			Starts:       r.Starts,
+			Period:       r.Period,
+			SimplePeriod: r.SimplePeriod,
+			Truncated:    r.Truncated,
 		},
-		LowerBound: res.LowerBound,
-		BubbleRate: res.BubbleRate,
-		N:          res.N,
-		Makespan:   res.Makespan,
-		Stats:      res.Stats,
-		Warmup:     sched.EncodeItems(res.Warmup),
-		Body:       sched.EncodeItems(res.Body),
-		Cooldown:   sched.EncodeItems(res.Cooldown),
-		Full:       sched.EncodeItems(res.Full),
+		N:        res.N,
+		Stats:    res.Stats,
+		Warmup:   sched.EncodeItems(res.Warmup),
+		Body:     sched.EncodeItems(res.Body),
+		Cooldown: sched.EncodeItems(res.Cooldown),
 	}, nil
 }
 
@@ -322,11 +300,10 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 // assumption the serving path makes of a cached *core.Result is re-checked
 // here, because the bytes may be stale or hand-edited: the placement
 // validates, the key's fingerprint prefix matches the placement, the
-// repetend's vectors have the placement's dimensions, schedule items
-// pass sched.DecodeItems, the full schedule's makespan matches the recorded
-// one, and the full schedule — which a request at the recorded N is answered
-// with as it stands — satisfies dependencies, device exclusivity and the
-// memory cap its key names.
+// repetend extends to every N (decodeRepetend), schedule items pass
+// sched.DecodeItems, and the full schedule — which a request at the recorded
+// N is answered with as it stands — holds each of the N·K blocks once and
+// satisfies dependencies, device exclusivity and the memory cap its key names.
 func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	p, err := sched.DecodePlacement(bytes.NewReader(entry.Placement))
 	if err != nil {
@@ -335,89 +312,85 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	if fp := sched.Fingerprint(p); !strings.HasPrefix(entry.Key, fp+"|") {
 		return nil, fmt.Errorf("key does not match placement fingerprint %s", fp)
 	}
-	k := p.K()
-	sr := &entry.Repetend
-	if sr.NR < 1 {
-		return nil, fmt.Errorf("repetend NR %d out of range", sr.NR)
-	}
-	if len(sr.Assign) != k || len(sr.Starts) != k {
-		return nil, fmt.Errorf("repetend vectors sized %d/%d, want %d stages", len(sr.Assign), len(sr.Starts), k)
-	}
-	if len(sr.Spans) != p.NumDevices || len(sr.Waits) != p.NumDevices || len(sr.EntryMem) != p.NumDevices {
-		return nil, fmt.Errorf("repetend device vectors sized %d/%d/%d, want %d devices",
-			len(sr.Spans), len(sr.Waits), len(sr.EntryMem), p.NumDevices)
-	}
-	for i, a := range sr.Assign {
-		if a < 0 || a >= sr.NR {
-			return nil, fmt.Errorf("assign[%d] = %d outside [0,%d)", i, a, sr.NR)
-		}
-	}
-	r := &repetend.Repetend{
-		P:                 p,
-		Assign:            repetend.Assignment(sr.Assign),
-		NR:                sr.NR,
-		Starts:            sr.Starts,
-		Period:            sr.Period,
-		SimplePeriod:      sr.SimplePeriod,
-		Spans:             sr.Spans,
-		Waits:             sr.Waits,
-		EntryMem:          sr.EntryMem,
-		SolverNodes:       sr.SolverNodes,
-		SolverMemoHits:    sr.SolverMemoHits,
-		Truncated:         sr.Truncated,
-		PeriodProbes:      sr.PeriodProbes,
-		PeriodRelaxations: sr.PeriodRelaxations,
-		LocalSearchSwaps:  sr.LocalSearchSwaps,
-	}
-	warm, err := sched.DecodeItems(p, entry.Warmup)
-	if err != nil {
-		return nil, fmt.Errorf("warmup: %w", err)
-	}
-	body, err := sched.DecodeItems(p, entry.Body)
-	if err != nil {
-		return nil, fmt.Errorf("body: %w", err)
-	}
-	cool, err := sched.DecodeItems(p, entry.Cooldown)
-	if err != nil {
-		return nil, fmt.Errorf("cooldown: %w", err)
-	}
-	full, err := sched.DecodeItems(p, entry.Full)
-	if err != nil {
-		return nil, fmt.Errorf("full: %w", err)
-	}
-	if got := full.Makespan(); got != entry.Makespan {
-		return nil, fmt.Errorf("full schedule makespan %d does not match recorded %d", got, entry.Makespan)
-	}
-	memory, err := keyMemory(entry.Key)
+	memory, err := keyInt(entry.Key, "mem")
 	if err != nil {
 		return nil, err
+	}
+	maxNR, err := keyInt(entry.Key, "nr")
+	if err != nil {
+		return nil, err
+	}
+	r, err := decodeRepetend(p, &entry.Repetend, maxNR, memory)
+	if err != nil {
+		return nil, err
+	}
+	res := &core.Result{Placement: p, Repetend: r, LowerBound: p.LowerBound(), BubbleRate: r.SteadyBubbleRate(), N: entry.N, Stats: entry.Stats}
+	phases := []**sched.Schedule{&res.Warmup, &res.Body, &res.Cooldown}
+	full := sched.NewSchedule(p)
+	for i, items := range [][]sched.ItemJSON{entry.Warmup, entry.Body, entry.Cooldown} {
+		if *phases[i], err = sched.DecodeItems(p, items); err != nil {
+			return nil, fmt.Errorf("%s: %w", [...]string{"warmup", "body", "cooldown"}[i], err)
+		}
+		full.Append(*phases[i])
+	}
+	full.Sort()
+	if k := p.K(); entry.N < 1 || full.Len()%k != 0 || full.Len()/k != entry.N {
+		return nil, fmt.Errorf("schedule holds %d blocks, want N·K = %d·%d", full.Len(), entry.N, k)
+	}
+	for _, it := range full.Items {
+		if it.Micro >= entry.N {
+			return nil, fmt.Errorf("block %v beyond N = %d", it.Block, entry.N)
+		}
 	}
 	if err := full.Validate(sched.ValidateOptions{Memory: memory}); err != nil {
 		return nil, fmt.Errorf("full schedule invalid: %w", err)
 	}
-	return &core.Result{
-		Placement:  p,
-		Repetend:   r,
-		LowerBound: entry.LowerBound,
-		BubbleRate: entry.BubbleRate,
-		N:          entry.N,
-		Warmup:     warm,
-		Body:       body,
-		Cooldown:   cool,
-		Full:       full,
-		Makespan:   entry.Makespan,
-		Stats:      entry.Stats,
-	}, nil
+	res.Full, res.Makespan = full, full.Makespan()
+	return res, nil
 }
 
-// keyMemory reads the per-device memory cap out of a cache key's mem=
-// component (requestKey).
-func keyMemory(key string) (int, error) {
-	_, rest, _ := strings.Cut(key, "|mem=")
-	num, _, _ := strings.Cut(rest, "|")
-	memory, err := strconv.Atoi(num)
-	if err != nil {
-		return 0, fmt.Errorf("key carries no memory cap: %q", key)
+// decodeRepetend validates and rebuilds an entry's repetend, which serves
+// every N but the recorded one. The assignment satisfies Property 4.2 within
+// N_R, and N_R is at most maxNR, the sweep's own cap. N_R + 1
+// unrolled instances satisfy every constraint from the entry memory on: lags
+// are at most N_R − 1, so they include every cross-instance dependency. And
+// no device spans more than a period, which keeps each instance clear of the
+// next however far the repetend is unrolled.
+func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int) (*repetend.Repetend, error) {
+	if sr.NR < 1 || sr.NR > maxNR || len(sr.Starts) != p.K() {
+		return nil, fmt.Errorf("repetend NR %d outside [1,%d] or %d starts for %d stages", sr.NR, maxNR, len(sr.Starts), p.K())
 	}
-	return memory, nil
+	a := repetend.Assignment(sr.Assign)
+	if err := a.Validate(p, sr.NR); err != nil {
+		return nil, fmt.Errorf("repetend: %w", err)
+	}
+	r := &repetend.Repetend{P: p, Assign: a, NR: sr.NR, Starts: sr.Starts, Period: sr.Period, SimplePeriod: sr.SimplePeriod, Truncated: sr.Truncated}
+	if err := r.Unroll(r.NR + 1).Validate(sched.ValidateOptions{Memory: memory, InitialMem: repetend.EntryMemory(p, a)}); err != nil {
+		return nil, fmt.Errorf("repetend invalid: %w", err)
+	}
+	for d := 0; d < p.NumDevices; d++ {
+		stages := p.DeviceStages(sched.DeviceID(d))
+		if len(stages) == 0 {
+			continue
+		}
+		first, last := sr.Starts[stages[0]], sr.Starts[stages[0]]
+		for _, i := range stages {
+			first, last = min(first, sr.Starts[i]), max(last, sr.Starts[i]+p.Stages[i].Time)
+		}
+		if last-first > sr.Period {
+			return nil, fmt.Errorf("repetend invalid: device %d spans %d, more than period %d", d, last-first, sr.Period)
+		}
+	}
+	return r, nil
+}
+
+// keyInt reads the integer of a cache key's name= component (requestKey).
+func keyInt(key, name string) (int, error) {
+	_, rest, _ := strings.Cut(key, "|"+name+"=")
+	num, _, _ := strings.Cut(rest, "|")
+	v, err := strconv.Atoi(num)
+	if err != nil {
+		return 0, fmt.Errorf("key carries no %s=: %q", name, key)
+	}
+	return v, nil
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -258,16 +259,17 @@ func TestSnapshotRestoreEvictionOrder(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1IsColdStart: a v1-format snapshot (the one-PR-lived format
-// without recency stamps) is an unsupported version like any other — an
-// error, nothing restored, and an engine that still serves.
+// TestSnapshotV1IsColdStart: a v1 snapshot (the one-PR-lived format without
+// recency stamps) and a v2 one (testdata/parent_v2.snap, written by SnapshotTo
+// when entries still stored their full schedule, derived scalars and the
+// repetend's counters, m-shape then v-shape on 4 devices at N = 8) are
+// unsupported versions like any other: a logged cold start, nothing restored,
+// and an engine that still serves.
 func TestSnapshotV1IsColdStart(t *testing.T) {
 	e, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
 	snap := snapshotBytes(t, e)
-
-	nl := bytes.IndexByte(snap, '\n')
 	var body snapshotBody
-	if err := json.Unmarshal(snap[nl+1:], &body); err != nil {
+	if err := json.Unmarshal(snap[bytes.IndexByte(snap, '\n')+1:], &body); err != nil {
 		t.Fatal(err)
 	}
 	body.Version = 1
@@ -279,18 +281,23 @@ func TestSnapshotV1IsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(payload)
-	v1 := fmt.Appendf(nil, "%s v1 %s\n", snapshotMagic, hex.EncodeToString(sum[:]))
-	v1 = append(v1, payload...)
+	v1 := filepath.Join(t.TempDir(), "v1.snap")
+	if err := os.WriteFile(v1, append(fmt.Appendf(nil, "%s v1 %s\n", snapshotMagic, hex.EncodeToString(sum[:])), payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	fresh := New(Options{})
-	if n, err := fresh.RestoreFrom(bytes.NewReader(v1)); err == nil || n != 0 {
-		t.Fatalf("v1 snapshot: restored %d entries, err=%v", n, err)
-	}
-	if st := fresh.Stats(); st.Entries != 0 || st.Restored != 0 {
-		t.Fatalf("v1 snapshot left state behind: %+v", st)
-	}
-	if _, info, err := fresh.Search(context.Background(), vshape(t), core.Options{N: 8}); err != nil || info.Hit {
-		t.Fatalf("engine unusable after refusing a v1 snapshot: info=%+v err=%v", info, err)
+	for _, path := range []string{v1, "testdata/parent_v2.snap"} {
+		rec := &logRecorder{}
+		fresh := New(Options{Logf: rec.logf})
+		if n := fresh.LoadSnapshot(path); n != 0 || rec.count("unsupported snapshot version") != 1 {
+			t.Fatalf("%s: restored %d entries, log %v", path, n, rec.lines)
+		}
+		if st := fresh.Stats(); st.Entries != 0 || st.Restored != 0 {
+			t.Fatalf("%s left state behind: %+v", path, st)
+		}
+		if _, info, err := fresh.Search(context.Background(), vshape(t), core.Options{N: 8}); err != nil || info.Hit {
+			t.Fatalf("engine unusable after refusing %s: info=%+v err=%v", path, info, err)
+		}
 	}
 }
 
@@ -301,73 +308,25 @@ func withChecksumHeader(payload []byte) []byte {
 	return append(fmt.Appendf(nil, "%s v%d %s\n", snapshotMagic, snapshotVersion, hex.EncodeToString(sum[:])), payload...)
 }
 
-// TestSnapshotParentFileRestores pins the on-disk contract against a file an
-// older writer produced: testdata/parent_v2.snap was written by SnapshotTo at
-// the commit before snapshot items moved to sched.ItemJSON (m-shape then
-// v-shape, 4 devices, N = 8), when the solver still had its root-split engine
-// and entries carried its two counters and the worker count. It must restore
-// both entries and serve a hit, and the re-snapshot must be that file with
-// exactly those keys gone — v2 readers were never strict, so nothing else
-// about the format moved. One of its entries, framed alone the way a peer
-// replica of that age would send it, must go in through InsertPeerEntry too.
-func TestSnapshotParentFileRestores(t *testing.T) {
-	parent, err := os.ReadFile("testdata/parent_v2.snap")
+// tampered returns the snapshot or peer payload data with edit applied to its
+// first entry and the checksum recomputed, as a stale-but-well-formed file or
+// a lying peer would carry it.
+func tampered(t testing.TB, data []byte, edit func(p *sched.Placement, entry *snapshotEntry)) []byte {
+	t.Helper()
+	var body snapshotBody
+	if err := json.Unmarshal(data[bytes.IndexByte(data, '\n')+1:], &body); err != nil {
+		t.Fatal(err)
+	}
+	p, err := sched.DecodePlacement(bytes.NewReader(body.Entries[0].Placement))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Options{})
-	if n, err := e.RestoreFrom(bytes.NewReader(parent)); err != nil || n != 2 {
-		t.Fatalf("restore: n=%d err=%v", n, err)
-	}
-	payload := parent[bytes.IndexByte(parent, '\n')+1:]
-	want := payload
-	// The repetend block carried the two counters under their JSON tags; the
-	// untagged core.Stats block carried them, and the worker count, under
-	// their Go field names.
-	goName := func(tag string) string {
-		var b strings.Builder
-		for _, w := range strings.Split(tag, "_") {
-			b.WriteString(strings.ToUpper(w[:1]) + w[1:])
-		}
-		return b.String()
-	}
-	for _, key := range []string{
-		"solver_shared_memo_hits", "solver_jobs_stolen",
-		goName("solver_shared_memo_hits"), goName("solver_jobs_stolen"), goName("solver_workers"),
-	} {
-		gone := []byte(`"` + key + `":0,`)
-		if bytes.Count(want, gone) != 2 {
-			t.Fatalf("parent file does not carry %s once per entry", gone)
-		}
-		want = bytes.ReplaceAll(want, gone, nil)
-	}
-	if got := snapshotBytes(t, e); !bytes.Equal(got, withChecksumHeader(want)) {
-		t.Fatal("re-snapshot of the restored parent file is not the parent payload minus the removed keys")
-	}
-	if _, info, err := e.Search(context.Background(), mshape(t), core.Options{N: 8}); err != nil || !info.Hit {
-		t.Fatalf("restored parent entry did not serve a hit: info=%+v err=%v", info, err)
-	}
-
-	var body struct {
-		Entries []json.RawMessage `json:"entries"`
-	}
-	if err := json.Unmarshal(payload, &body); err != nil || len(body.Entries) != 2 {
-		t.Fatalf("parent payload: %d entries, err=%v", len(body.Entries), err)
-	}
-	var entry struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(body.Entries[1], &entry); err != nil {
+	edit(p, &body.Entries[0])
+	payload, err := json.Marshal(body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	single := fmt.Appendf(nil, `{"version":%d,"entries":[%s]}`, snapshotVersion, body.Entries[1])
-	peer := New(Options{})
-	if _, err := peer.InsertPeerEntry(entry.Key, bytes.NewReader(withChecksumHeader(single))); err != nil {
-		t.Fatalf("parent entry as a peer entry: %v", err)
-	}
-	if _, info, err := peer.Search(context.Background(), mshape(t), core.Options{N: 8}); err != nil || !info.Hit {
-		t.Fatalf("peer-inserted parent entry did not serve a hit: info=%+v err=%v", info, err)
-	}
+	return withChecksumHeader(payload)
 }
 
 // TestSnapshotBadEntrySkipped tampers with one entry inside an otherwise
@@ -377,24 +336,12 @@ func TestSnapshotBadEntrySkipped(t *testing.T) {
 	e, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
 	snap := snapshotBytes(t, e)
 
-	nl := bytes.IndexByte(snap, '\n')
-	var body snapshotBody
-	if err := json.Unmarshal(snap[nl+1:], &body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Entries) != 2 {
-		t.Fatalf("snapshot holds %d entries, want 2", len(body.Entries))
-	}
-	body.Entries[0].Makespan++ // fails the full-schedule cross-check
-	payload, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tampered := withChecksumHeader(payload)
+	// One micro-batch more than the schedule holds fails the completeness check.
+	bad := tampered(t, snap, func(_ *sched.Placement, entry *snapshotEntry) { entry.N++ })
 
 	rec := &logRecorder{}
 	fresh := New(Options{Logf: rec.logf})
-	n, err := fresh.RestoreFrom(bytes.NewReader(tampered))
+	n, err := fresh.RestoreFrom(bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,34 +354,132 @@ func TestSnapshotBadEntrySkipped(t *testing.T) {
 }
 
 // withOverlap returns the snapshot or peer payload data, re-checksummed, with
-// the full schedule of its first entry rewritten so that two blocks run on one
-// device at once — early enough to leave the makespan, and so every check but
-// the schedule's own validation, as it was.
+// the body of its first entry rewritten so that two blocks run on one device
+// at once — early enough to leave the makespan, and so every check but the
+// schedule's own validation, as it was.
 func withOverlap(t testing.TB, data []byte) []byte {
 	t.Helper()
-	var body snapshotBody
-	if err := json.Unmarshal(data[bytes.IndexByte(data, '\n')+1:], &body); err != nil {
-		t.Fatal(err)
+	return tampered(t, data, func(p *sched.Placement, entry *snapshotEntry) {
+		first := entry.Body[0]
+		for i := 1; i < len(entry.Body)/2; i++ {
+			if it := &entry.Body[i]; it.Start > first.Start && slices.ContainsFunc(p.Stages[it.Stage].Devices, p.Stages[first.Stage].OnDevice) {
+				it.Start = first.Start
+				return
+			}
+		}
+		t.Fatal("no early block shares a device with the first")
+	})
+}
+
+// withoutLastMicro takes micro-batch N−1 out of every phase of the first
+// entry: dropped, or renumbered N. Each block stays valid where it stands, but
+// a request at the recorded N would be served a schedule short of K blocks.
+func withoutLastMicro(t testing.TB, data []byte, renumber bool) []byte {
+	t.Helper()
+	return tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) {
+		for _, items := range []*[]sched.ItemJSON{&entry.Warmup, &entry.Body, &entry.Cooldown} {
+			*items = slices.DeleteFunc(*items, func(it sched.ItemJSON) bool { return it.Micro == entry.N-1 && !renumber })
+			for i := range *items {
+				if (*items)[i].Micro == entry.N-1 {
+					(*items)[i].Micro = entry.N
+				}
+			}
+		}
+	})
+}
+
+// withShortPeriod lowers the first entry's repetend period by one. Its
+// schedule at the recorded N is untouched and valid; every other N would be
+// unrolled from a period the starts cannot keep.
+func withShortPeriod(t testing.TB, data []byte) []byte {
+	t.Helper()
+	return tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) { entry.Repetend.Period-- })
+}
+
+// TestSnapshotPoisonedEntriesSkipped: an entry whose schedule misses a
+// micro-batch, or whose repetend cannot produce another N, is skipped on
+// restore; the engine answers its request with a cold search instead.
+func TestSnapshotPoisonedEntriesSkipped(t *testing.T) {
+	e, _ := warmEngine(t, Options{}, mshape(t), vshape(t))
+	snap := snapshotBytes(t, e)
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"incomplete schedule", "schedule holds", withoutLastMicro(t, snap, false)},
+		{"block beyond N", "beyond N", withoutLastMicro(t, snap, true)},
+		{"inconsistent repetend", "repetend invalid", withShortPeriod(t, snap)},
+	} {
+		rec := &logRecorder{}
+		fresh := New(Options{Logf: rec.logf})
+		if n, err := fresh.RestoreFrom(bytes.NewReader(c.data)); err != nil || n != 1 || rec.count(c.want) != 1 {
+			t.Fatalf("%s: restored %d entries, err %v, want 1 and the other skipped for %q: %v", c.name, n, err, c.want, rec.lines)
+		}
+		// The tampered entry is the MRU one, v-shape's.
+		if _, info, err := fresh.Search(context.Background(), vshape(t), core.Options{N: 17}); err != nil || info.Hit {
+			t.Fatalf("%s: request at another N: info=%+v err=%v, want a cold search", c.name, info, err)
+		}
 	}
-	entry := &body.Entries[0]
-	p, err := sched.DecodePlacement(bytes.NewReader(entry.Placement))
+}
+
+// TestPeerEntryRejectsIncompleteSchedule: a peer entry missing micro-batch
+// N−1 — every block in it valid, the makespan its own — is rejected, not
+// served to a request at its N.
+func TestPeerEntryRejectsIncompleteSchedule(t *testing.T) {
+	key, data := peerEntry(t)
+	if _, err := DecodePeerEntry(key, bytes.NewReader(withoutLastMicro(t, data, false))); err == nil || !strings.Contains(err.Error(), "schedule holds") {
+		t.Fatalf("DecodePeerEntry of an entry short of one micro-batch: err %v", err)
+	}
+}
+
+// TestPeerEntryRejectsInconsistentRepetend: a peer entry whose repetend period
+// is one short is rejected, where it used to be cached and fail every later
+// request for its key at another N.
+func TestPeerEntryRejectsInconsistentRepetend(t *testing.T) {
+	key, data := peerEntry(t)
+	if _, err := DecodePeerEntry(key, bytes.NewReader(withShortPeriod(t, data))); err == nil || !strings.Contains(err.Error(), "repetend invalid") {
+		t.Fatalf("DecodePeerEntry of an entry with a short period: err %v", err)
+	}
+}
+
+// peerEntry returns the key and peer payload of a searched m-shape entry.
+func peerEntry(t testing.TB) (string, []byte) {
+	t.Helper()
+	src, _ := warmEngine(t, Options{}, mshape(t))
+	key := cachedKey(t, src)
+	data, _, err := src.EncodePeerEntry(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := entry.Full[0]
-	for i := 1; i < len(entry.Full)/2; i++ {
-		it := &entry.Full[i]
-		if it.Start > first.Start && slices.ContainsFunc(p.Stages[it.Stage].Devices, p.Stages[first.Stage].OnDevice) {
-			it.Start = first.Start
-			payload, err := json.Marshal(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return withChecksumHeader(payload)
-		}
+	return key, data
+}
+
+// TestSnapshotEntryStoresOnlyInputs pins the v3 entry: what can be derived
+// from the placement, the repetend and the three phases — the full schedule,
+// makespan, lower bound, bubble rate, spans, waits, entry memory and the
+// repetend's effort counters — is not stored.
+func TestSnapshotEntryStoresOnlyInputs(t *testing.T) {
+	key, data := peerEntry(t)
+	var body struct {
+		Entries []map[string]json.RawMessage `json:"entries"`
 	}
-	t.Fatal("no early block shares a device with the first")
-	return nil
+	if err := json.Unmarshal(data[bytes.IndexByte(data, '\n')+1:], &body); err != nil || len(body.Entries) != 1 {
+		t.Fatalf("peer payload: %d entries, err %v", len(body.Entries), err)
+	}
+	var rep map[string]json.RawMessage
+	if err := json.Unmarshal(body.Entries[0]["repetend"], &rep); err != nil {
+		t.Fatal(err)
+	}
+	keys := func(m map[string]json.RawMessage) string { return strings.Join(slices.Sorted(maps.Keys(m)), " ") }
+	if got, want := keys(body.Entries[0]), "body cooldown key n placement recency repetend stats warmup"; got != want {
+		t.Errorf("entry keys %q, want %q", got, want)
+	}
+	if got, want := keys(rep), "assign nr period simple_period starts truncated"; got != want {
+		t.Errorf("repetend keys %q, want %q", got, want)
+	}
+	if want := sched.Fingerprint(mshape(t)) + "|mem="; !strings.HasPrefix(key, want) || !strings.HasSuffix(key, "|lazy=true") {
+		t.Errorf("key %q, want %s…|lazy=true", key, want)
+	}
 }
 
 // TestSnapshotInvalidScheduleSkipped: an entry whose full schedule breaks device
@@ -454,20 +499,11 @@ func TestSnapshotInvalidScheduleSkipped(t *testing.T) {
 }
 
 // TestPeerEntryRejectsInvalidSchedule: the same entry arriving from a peer is
-// rejected before it touches the cache.
+// rejected.
 func TestPeerEntryRejectsInvalidSchedule(t *testing.T) {
-	src, _ := warmEngine(t, Options{}, mshape(t))
-	key := cachedKey(t, src)
-	data, _, err := src.EncodePeerEntry(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := New(Options{})
-	if _, err := dst.InsertPeerEntry(key, bytes.NewReader(withOverlap(t, data))); err == nil || !strings.Contains(err.Error(), "overlap") {
-		t.Fatalf("InsertPeerEntry of an entry with overlapping blocks: err %v", err)
-	}
-	if st := dst.Stats(); st.Entries != 0 {
-		t.Fatalf("rejected entry still cached %d entries", st.Entries)
+	key, data := peerEntry(t)
+	if _, err := DecodePeerEntry(key, bytes.NewReader(withOverlap(t, data))); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("DecodePeerEntry of an entry with overlapping blocks: err %v", err)
 	}
 }
 
@@ -551,7 +587,8 @@ func TestSnapshotWriteFaultLeavesOldSnapshot(t *testing.T) {
 
 // BenchmarkEngineSnapshotRestore measures restart-to-warm: deserializing,
 // re-validating, and inserting a snapshot of solved caches into a fresh
-// engine — the work a reboot pays instead of re-running the sweeps.
+// engine — the work a reboot pays instead of re-running the sweeps. It also
+// reports the payload per entry, which a peer fetch pays as well.
 func BenchmarkEngineSnapshotRestore(b *testing.B) {
 	e, _ := warmEngine(b, Options{}, mshape(b), vshape(b))
 	snap := snapshotBytes(b, e)
@@ -562,6 +599,41 @@ func BenchmarkEngineSnapshotRestore(b *testing.B) {
 		fresh := New(Options{})
 		if n, err := fresh.RestoreFrom(bytes.NewReader(snap)); err != nil || n != 2 {
 			b.Fatalf("restore: n=%d err=%v", n, err)
+		}
+	}
+	b.ReportMetric(float64(len(snap))/2, "bytes/entry")
+}
+
+// TestDecodeRepetendRejects: each check of decodeRepetend against a repetend
+// that passes every other one. Stages a and b share device 0, c runs on
+// device 1 after a, and each takes one tick, so a period of 2 leaves device 0
+// no idle time. a holds a unit of memory that b frees.
+func TestDecodeRepetendRejects(t *testing.T) {
+	stage := func(name string, mem int, dev sched.DeviceID) sched.Stage {
+		return sched.Stage{Name: name, Kind: sched.Forward, Time: 1, Mem: mem, Devices: []sched.DeviceID{dev}}
+	}
+	p := &sched.Placement{Name: "tiny", NumDevices: 2, Deps: [][]int{{2}, {}, {}},
+		Stages: []sched.Stage{stage("a", 1, 0), stage("b", -1, 0), stage("c", 0, 1)}}
+	for _, c := range []struct {
+		name   string
+		sr     snapshotRepetend
+		memory int
+		want   string // "" = accepted
+	}{
+		{"valid", snapshotRepetend{Assign: []int{1, 0, 0}, NR: 2, Starts: []int{0, 1, 0}, Period: 2}, sched.Unbounded, ""},
+		// a's micro m+1 finishes at 2m+3, after c's starts at 2m+2.
+		{"dependency across instances", snapshotRepetend{Assign: []int{1, 0, 0}, NR: 2, Starts: []int{2, 1, 0}, Period: 2}, sched.Unbounded, "dependency violated"},
+		// a's one unit from the instance before already fills device 0.
+		{"entry memory", snapshotRepetend{Assign: []int{1, 0, 0}, NR: 2, Starts: []int{0, 1, 0}, Period: 2}, 1, "memory"},
+		// c's index above a's puts c's micro m in the warmup before a's.
+		{"property 4.2", snapshotRepetend{Assign: []int{0, 0, 1}, NR: 2, Starts: []int{0, 1, 3}, Period: 2}, sched.Unbounded, "property 4.2"},
+		{"N_R above the sweep's cap", snapshotRepetend{Assign: []int{1, 0, 0}, NR: 5, Starts: []int{0, 1, 0}, Period: 2}, sched.Unbounded, "outside [1,4]"},
+		// Two instances interleave on device 0, but the next ones collide.
+		{"span beyond the period", snapshotRepetend{Assign: []int{0, 0, 0}, NR: 1, Starts: []int{0, 3, 1}, Period: 2}, sched.Unbounded, "spans 4"},
+	} {
+		_, err := decodeRepetend(p, &c.sr, 4, c.memory)
+		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: err %v, want %q", c.name, err, c.want)
 		}
 	}
 }

@@ -112,7 +112,7 @@ func baselineFingerprint(t testing.TB, p *sched.Placement) string {
 // TestPeerFetchServesColdMiss is the two-replica acceptance path: a
 // fingerprint cold-searched on replica A is served on replica B by a peer
 // fetch — no cold search, no admission slot, schedule byte-identical — and
-// the fetched entry lands in B's local cache.
+// B's singleflight leader caches what it served, once.
 func TestPeerFetchServesColdMiss(t *testing.T) {
 	reps := newCluster(t, 2, nil)
 	a, b := reps[0], reps[1]
@@ -144,11 +144,14 @@ func TestPeerFetchServesColdMiss(t *testing.T) {
 	if st.PeersHealthy != 1 {
 		t.Fatalf("replica B sees %d healthy peers, want 1", st.PeersHealthy)
 	}
+	if st.Entries != 1 {
+		t.Fatalf("replica B caches %d entries after the peer hit, want the leader's one", st.Entries)
+	}
 
 	// The fetched entry is now local: the next identical request is a plain
 	// cache hit with no further peer traffic.
 	_, again := b.serve(t, p)
-	if !again.Hit || again.PeerHit {
+	if !again.Hit || again.PeerHit || again.Shared {
 		t.Fatalf("second serve on B was not a local cache hit: %+v", again)
 	}
 	if st := b.eng.Stats(); st.PeerHits != 1 {

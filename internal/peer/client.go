@@ -62,9 +62,9 @@ type ClientOptions struct {
 // Client is the fetching side of the peer tier: it routes fingerprints on
 // the ring, fetches entries over HTTP with retries and per-peer circuit
 // breakers, and validates every response through the engine's snapshot
-// codec before insertion. It implements engine.PeerTier.
+// codec (engine.DecodePeerEntry); the engine inserts what it serves. It
+// implements engine.PeerTier.
 type Client struct {
-	eng  *engine.Engine
 	ring *Ring
 	self string
 
@@ -103,8 +103,7 @@ type Client struct {
 	rng   *rand.Rand
 }
 
-// NewClient builds the peer tier client around an engine. The engine is
-// where fetched entries are validated and inserted; install the client on
+// NewClient builds the peer tier client for an engine; install the client on
 // it afterwards with eng.SetPeerTier(c).
 func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 	if eng == nil {
@@ -121,7 +120,6 @@ func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 		return nil, fmt.Errorf("peer: Self %q is not in the peer list — every replica must be given the identical full list, including itself", opts.Self)
 	}
 	c := &Client{
-		eng:             eng,
 		ring:            ring,
 		self:            opts.Self,
 		attemptTimeout:  opts.AttemptTimeout,
@@ -279,8 +277,8 @@ func (c *Client) backoff(attempt int) time.Duration {
 }
 
 // fetchOnce performs one deadline-boxed HTTP attempt against one peer and
-// validates the response through the engine (checksum, version, key match,
-// full structural re-validation). Validation failures are failures — a
+// validates the response with engine.DecodePeerEntry (checksum, version, key
+// match, full structural re-validation). Validation failures are failures — a
 // lying peer trips its breaker just like a dead one.
 func (c *Client) fetchOnce(ctx context.Context, owner, key string) (*core.Result, fetchOutcome, error) {
 	actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
@@ -305,7 +303,7 @@ func (c *Client) fetchOnce(ctx context.Context, owner, key string) (*core.Result
 	default:
 		return nil, fetchFailure, fmt.Errorf("peer %s: status %s", owner, resp.Status)
 	}
-	res, err := c.eng.InsertPeerEntry(key, io.LimitReader(resp.Body, maxEntryBytes))
+	res, err := engine.DecodePeerEntry(key, io.LimitReader(resp.Body, maxEntryBytes))
 	if err != nil {
 		return nil, fetchFailure, fmt.Errorf("peer %s: %w", owner, err)
 	}

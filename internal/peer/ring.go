@@ -15,8 +15,9 @@
 //   - Breaker (breaker.go): a per-peer circuit breaker so a dead or
 //     flapping peer costs one failed round, not a timeout per request.
 //   - Client (client.go): deadline-boxed fetches with jittered backoff
-//     retries, validated through the engine's snapshot codec before any
-//     cache insertion — implements engine.PeerTier.
+//     retries, validated through the engine's snapshot codec; the engine's
+//     singleflight leader inserts what it serves — implements
+//     engine.PeerTier.
 //   - Prober (prober.go): async health checks that eject and readmit
 //     peers from the ring.
 //   - Server (server.go): the HTTP interchange peers fetch from

@@ -118,7 +118,7 @@ type periodEngine struct {
 	bestStarts []int
 
 	// Probe-effort counters, reset by bind and surfaced through
-	// Repetend/core.Stats: probes = feasibility probes run (one SPFA
+	// Effort/core.Stats: probes = feasibility probes run (one SPFA
 	// fixpoint computation each), relaxations = successful distance
 	// tightenings inside them, swaps = local-search candidate swaps that
 	// reached a period evaluation.

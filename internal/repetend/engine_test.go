@@ -548,25 +548,22 @@ func TestLocalSearchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSolveReportsPeriodCounters: the engine's probe counters must surface
-// on the Repetend and be a pure function of the assignment.
+// through SolveOptions.Effort and be a pure function of the assignment.
 func TestSolveReportsPeriodCounters(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	r1, err := Solve(context.Background(), p, a, SolveOptions{})
-	if err != nil {
+	var e1, e2 Effort
+	if _, err := Solve(context.Background(), p, a, SolveOptions{Effort: &e1}); err != nil {
 		t.Fatal(err)
 	}
-	if r1.PeriodProbes <= 0 || r1.PeriodRelaxations <= 0 {
-		t.Fatalf("period counters not populated: probes=%d relaxations=%d", r1.PeriodProbes, r1.PeriodRelaxations)
+	if e1.PeriodProbes <= 0 || e1.PeriodRelaxations <= 0 {
+		t.Fatalf("period counters not populated: probes=%d relaxations=%d", e1.PeriodProbes, e1.PeriodRelaxations)
 	}
-	r2, err := Solve(context.Background(), p, a, SolveOptions{})
-	if err != nil {
+	if _, err := Solve(context.Background(), p, a, SolveOptions{Effort: &e2}); err != nil {
 		t.Fatal(err)
 	}
-	if r1.PeriodProbes != r2.PeriodProbes || r1.PeriodRelaxations != r2.PeriodRelaxations || r1.LocalSearchSwaps != r2.LocalSearchSwaps {
-		t.Fatalf("counters not deterministic: %+v vs %+v",
-			[3]int64{r1.PeriodProbes, r1.PeriodRelaxations, r1.LocalSearchSwaps},
-			[3]int64{r2.PeriodProbes, r2.PeriodRelaxations, r2.LocalSearchSwaps})
+	if e1 != e2 {
+		t.Fatalf("counters not deterministic: %+v vs %+v", e1, e2)
 	}
 }
 
@@ -577,20 +574,20 @@ func TestPeriodPoolMatchesDefault(t *testing.T) {
 	p, q := vshape(t, 4), vshape(t, 2)
 	checked := 0
 	if _, err := Enumerate(p, 3, func(a Assignment) bool {
-		base, err1 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
+		var baseEff, pooledEff Effort
+		base, err1 := Solve(context.Background(), p, a, SolveOptions{Memory: 4, Effort: &baseEff})
 		if _, err := Solve(context.Background(), q, Assignment{1, 0, 0, 0}, SolveOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
+		pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4, Effort: &pooledEff})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("assign %v: err mismatch %v vs %v", a, err1, err2)
 		}
 		if err1 != nil {
 			return true
 		}
-		if base.Period != pooled.Period || base.PeriodProbes != pooled.PeriodProbes ||
-			base.PeriodRelaxations != pooled.PeriodRelaxations || base.LocalSearchSwaps != pooled.LocalSearchSwaps {
-			t.Fatalf("assign %v: base=%+v pooled=%+v", a, base, pooled)
+		if base.Period != pooled.Period || baseEff != pooledEff {
+			t.Fatalf("assign %v: base=%+v %+v pooled=%+v %+v", a, base, baseEff, pooled, pooledEff)
 		}
 		if !equalInts(base.Starts, pooled.Starts) {
 			t.Fatalf("assign %v: starts differ: %v vs %v", a, base.Starts, pooled.Starts)

@@ -176,8 +176,8 @@ func EntryMemory(p *sched.Placement, a Assignment) []int {
 }
 
 // Repetend is a solved repetend: the assignment, the relative start time of
-// each stage's block within one instance, and the steady-state timing
-// decomposition of Equation 4.
+// each stage's block within one instance, and the steady-state period. Solve
+// reports the work behind it through SolveOptions.Effort.
 type Repetend struct {
 	// P is the placement the repetend schedules.
 	P *sched.Placement
@@ -192,47 +192,20 @@ type Repetend struct {
 	// Period is t_R, the steady-state time between consecutive instances
 	// under tight compaction (Figure 6b).
 	Period int
-	// SimplePeriod is the period under simple compaction (Figure 6a): the
-	// next instance waits for the whole previous instance.
+	// SimplePeriod is the period under simple compaction (Figure 6a) of the
+	// instance solve's starts, before local search moved them.
 	SimplePeriod int
-	// Spans holds E_d per device: last finish − first start (Equation 4).
-	Spans []int
-	// Waits holds W_d per device: Period − E_d, the inter-instance idle.
-	Waits []int
-	// EntryMem is the per-device memory at instance entry.
-	EntryMem []int
-	// SolverNodes is the number of branch-and-bound nodes the instance
-	// makespan solve expanded.
-	SolverNodes int64
-	// SolverMemoHits is the number of those nodes pruned by the solver's
-	// dominance memo.
-	SolverMemoHits int64
 	// Truncated is true when the instance makespan solve exhausted a node
 	// or wall-clock budget and fell back to its incumbent, so Starts (and
 	// the derived period) are budget-degraded rather than proven optimal.
 	Truncated bool
-	// PeriodProbes is the number of period-feasibility probes — one
-	// difference-constraint fixpoint computation each — the evaluation
-	// ran across the order-independent relaxation, the minPeriod binary
-	// searches, and local search. The counters on a Repetend are the effort
-	// of its own Solve call; a call that ends in ErrPruned/ErrInfeasible
-	// returns no Repetend and reports its work through SolveOptions.Effort.
-	PeriodProbes int64
-	// PeriodRelaxations is the number of successful distance tightenings
-	// inside those probes — the budget-independent measure of period-
-	// machinery effort (the analogue of SolverNodes for the solver).
-	PeriodRelaxations int64
-	// LocalSearchSwaps is the number of candidate adjacent-order swaps
-	// local search applied and evaluated (kept or undone).
-	LocalSearchSwaps int64
 }
 
 // Effort is the work Solve calls did, whatever their outcome: an assignment
 // pruned after its instance solve and local search has spent the same nodes
-// and probes as one that survives. The first five fields mirror the Repetend
-// counters of the same names. core.Stats embeds Effort, so a search reports
-// each field under its name, summed over every call of the sweep, and a cache
-// snapshot stores it under the same name.
+// and probes as one that survives. core.Stats embeds Effort, so a search
+// reports each field under its name, summed over every call of the sweep, and
+// a cache snapshot stores it under the same name.
 type Effort struct {
 	// SolverNodes is the number of branch-and-bound nodes expanded by the
 	// repetend instance solves — the budget-independent measure of sweep
@@ -258,15 +231,14 @@ type Effort struct {
 	// LocalSearchSwaps is the number of candidate adjacent-order swaps the
 	// repetend local search applied and evaluated (kept or undone).
 	LocalSearchSwaps int64
-	// The exact order check (Solve's second prune stage) has no Repetend
-	// counterpart. OrderChecks is the number of calls that got past the
-	// relaxation at a bound equal to the device-work lower bound and so ran
-	// it; OrderPruned is how many of them it proved out of reach of every
-	// per-device order — discarded with no instance solve and no local
-	// search, and counted inside core.Stats.Pruned as the relaxation's
-	// discards are; OrderNodes is the branch nodes the checks expanded beyond
-	// forced-pair propagation. Omitted from JSON when zero so that a snapshot
-	// written before they existed re-encodes as it was.
+	// The exact order check is Solve's second prune stage. OrderChecks is the
+	// number of calls that got past the relaxation at a bound equal to the
+	// device-work lower bound and so ran it; OrderPruned is how many of them it
+	// proved out of reach of every per-device order — discarded with no
+	// instance solve and no local search, and counted inside core.Stats.Pruned
+	// as the relaxation's discards are; OrderNodes is the branch nodes the
+	// checks expanded beyond forced-pair propagation. Omitted from JSON when
+	// zero.
 	OrderChecks int64 `json:",omitempty"`
 	OrderPruned int64 `json:",omitempty"`
 	OrderNodes  int64 `json:",omitempty"`
@@ -558,13 +530,10 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		return nil, fmt.Errorf("%w: no instance schedule within memory", ErrInfeasible)
 	}
 	r := &Repetend{
-		P:              p,
-		Assign:         a.Clone(),
-		NR:             maxOf(a) + 1,
-		EntryMem:       entry,
-		SolverNodes:    eff.SolverNodes,
-		SolverMemoHits: eff.SolverMemoHits,
-		Truncated:      !optimal,
+		P:         p,
+		Assign:    a.Clone(),
+		NR:        maxOf(a) + 1,
+		Truncated: !optimal,
 	}
 	normalize(starts)
 	r.SimplePeriod = makespanOf(p, starts)
@@ -579,10 +548,6 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	}
 	r.Starts = append([]int(nil), eng.bestStarts...)
 	r.Period = period
-	r.PeriodProbes = eng.probes
-	r.PeriodRelaxations = eng.relaxations
-	r.LocalSearchSwaps = eng.swaps
-	r.computeSpans()
 	if bound > 0 && r.Period > bound {
 		return nil, &pruneError{"period after local search", bound}
 	}
@@ -622,29 +587,6 @@ func makespanOf(p *sched.Placement, starts []int) int {
 		}
 	}
 	return end
-}
-
-func (r *Repetend) computeSpans() {
-	d := r.P.NumDevices
-	r.Spans = make([]int, d)
-	r.Waits = make([]int, d)
-	for dev := 0; dev < d; dev++ {
-		first, last := -1, -1
-		for _, i := range r.P.DeviceStages(sched.DeviceID(dev)) {
-			s, e := r.Starts[i], r.Starts[i]+r.P.Stages[i].Time
-			if first < 0 || s < first {
-				first = s
-			}
-			if e > last {
-				last = e
-			}
-		}
-		if first < 0 {
-			continue // device idle in this placement
-		}
-		r.Spans[dev] = last - first
-		r.Waits[dev] = r.Period - r.Spans[dev]
-	}
 }
 
 // Schedule returns the instance-0 schedule (relative time, assigned micros).

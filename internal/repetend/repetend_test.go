@@ -192,12 +192,22 @@ func TestSolveSpansAndWaits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Equation 4: t_R = E_d + W_d per device, E_d the last finish minus the
+	// first start of the device's blocks and W_d ≥ 0 its idle wait.
 	for d := 0; d < 4; d++ {
-		if r.Spans[d]+r.Waits[d] != r.Period {
-			t.Fatalf("device %d: span %d + wait %d != period %d", d, r.Spans[d], r.Waits[d], r.Period)
+		first, last := -1, 0
+		for _, i := range p.DeviceStages(sched.DeviceID(d)) {
+			if first < 0 || r.Starts[i] < first {
+				first = r.Starts[i]
+			}
+			last = max(last, r.Starts[i]+p.Stages[i].Time)
 		}
-		if r.Spans[d] < p.DeviceWork(sched.DeviceID(d)) {
-			t.Fatalf("device %d: span %d below work", d, r.Spans[d])
+		span := last - first
+		if wait := r.Period - span; wait < 0 {
+			t.Fatalf("device %d: span %d leaves wait %d < 0 in period %d", d, span, wait, r.Period)
+		}
+		if span < p.DeviceWork(sched.DeviceID(d)) {
+			t.Fatalf("device %d: span %d below work", d, span)
 		}
 	}
 }
@@ -338,7 +348,7 @@ func TestSolvedRepetendsAlwaysUnrollValid(t *testing.T) {
 			return false
 		}
 		s := r.Unroll(3)
-		if err := s.Validate(sched.ValidateOptions{Memory: mem, InitialMem: r.EntryMem}); err != nil {
+		if err := s.Validate(sched.ValidateOptions{Memory: mem, InitialMem: EntryMemory(p, r.Assign)}); err != nil {
 			t.Logf("seed %d shape %s assign %v: %v", seed, p.Name, a, err)
 			return false
 		}
@@ -462,19 +472,19 @@ func TestSolveCacheSharesInstanceSolves(t *testing.T) {
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
 	b := Assignment{4, 3, 2, 1, 1, 1, 1, 1} // same pattern, shifted lags
 	cache := NewSolveCache(p)
-	first, err := Solve(context.Background(), p, a, SolveOptions{Cache: cache})
-	if err != nil {
+	var firstEff, secondEff Effort
+	if _, err := Solve(context.Background(), p, a, SolveOptions{Cache: cache, Effort: &firstEff}); err != nil {
 		t.Fatal(err)
 	}
-	if first.SolverNodes == 0 {
+	if firstEff.SolverNodes == 0 {
 		t.Fatal("first solve should expand solver nodes")
 	}
-	second, err := Solve(context.Background(), p, b, SolveOptions{Cache: cache})
+	second, err := Solve(context.Background(), p, b, SolveOptions{Cache: cache, Effort: &secondEff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.SolverNodes != 0 {
-		t.Fatalf("same-pattern solve expanded %d nodes instead of hitting the cache", second.SolverNodes)
+	if secondEff.SolverNodes != 0 {
+		t.Fatalf("same-pattern solve expanded %d nodes instead of hitting the cache", secondEff.SolverNodes)
 	}
 	uncached, err := Solve(context.Background(), p, b, SolveOptions{})
 	if err != nil {
@@ -522,11 +532,12 @@ func TestSolvePoolMatchesDefault(t *testing.T) {
 	p, q := vshape(t, 4), vshape(t, 2)
 	for nr := 1; nr <= 4; nr++ {
 		_, err := Enumerate(p, nr, func(a Assignment) bool {
-			base, err1 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
+			var baseEff, pooledEff Effort
+			base, err1 := Solve(context.Background(), p, a, SolveOptions{Memory: 4, Effort: &baseEff})
 			if _, err := Solve(context.Background(), q, Assignment{1, 0, 0, 0}, SolveOptions{}); err != nil {
 				t.Fatal(err)
 			}
-			pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4})
+			pooled, err2 := Solve(context.Background(), p, a, SolveOptions{Memory: 4, Effort: &pooledEff})
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("assign %v: err mismatch %v vs %v", a, err1, err2)
 			}
@@ -534,8 +545,8 @@ func TestSolvePoolMatchesDefault(t *testing.T) {
 				return true
 			}
 			if base.Period != pooled.Period || base.SimplePeriod != pooled.SimplePeriod ||
-				base.SolverNodes != pooled.SolverNodes || base.SolverMemoHits != pooled.SolverMemoHits {
-				t.Fatalf("assign %v: base=%+v pooled=%+v", a, base, pooled)
+				baseEff.SolverNodes != pooledEff.SolverNodes || baseEff.SolverMemoHits != pooledEff.SolverMemoHits {
+				t.Fatalf("assign %v: base=%+v %+v pooled=%+v %+v", a, base, baseEff, pooled, pooledEff)
 			}
 			for i := range base.Starts {
 				if base.Starts[i] != pooled.Starts[i] {
@@ -559,21 +570,17 @@ func TestSolveReportsEffortOnEveryPath(t *testing.T) {
 	ctx := context.Background()
 	p := vshape(t, 4)
 	var eff Effort
-	r, err := Solve(ctx, p, Assignment{3, 2, 1, 0, 0, 0, 0, 0}, SolveOptions{Effort: &eff})
-	if err != nil {
+	if _, err := Solve(ctx, p, Assignment{3, 2, 1, 0, 0, 0, 0, 0}, SolveOptions{Effort: &eff}); err != nil {
 		t.Fatal(err)
 	}
-	own := Effort{
-		SolverNodes: r.SolverNodes, SolverMemoHits: r.SolverMemoHits,
-		PeriodProbes: r.PeriodProbes, PeriodRelaxations: r.PeriodRelaxations, LocalSearchSwaps: r.LocalSearchSwaps,
+	if eff.SolverNodes == 0 || eff.PeriodProbes == 0 {
+		t.Fatalf("effort of a solved assignment %+v", eff)
 	}
-	if eff != own || eff.SolverNodes == 0 || eff.PeriodProbes == 0 {
-		t.Fatalf("effort of a solved assignment %+v, its repetend reports %+v", eff, own)
-	}
+	own := eff
 
 	// Discarded by the relaxation: one probe, no check, no solver.
 	eff = Effort{}
-	_, err = Solve(ctx, p, Assignment{0, 0, 0, 0, 0, 0, 0, 0}, SolveOptions{PeriodUpperBound: 3, Effort: &eff})
+	_, err := Solve(ctx, p, Assignment{0, 0, 0, 0, 0, 0, 0, 0}, SolveOptions{PeriodUpperBound: 3, Effort: &eff})
 	if !errors.Is(err, ErrPruned) || eff.PeriodProbes != 1 || eff.SolverNodes != 0 || eff.OrderChecks != 0 {
 		t.Fatalf("relaxation prune: err %v, effort %+v", err, eff)
 	}
@@ -695,11 +702,12 @@ func TestInstanceKeyClampsHeadroom(t *testing.T) {
 		if _, err := Solve(ctx, p, a, SolveOptions{Memory: c.mem, Cache: cache}); err != nil {
 			t.Fatal(err)
 		}
-		second, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem, Cache: cache})
+		var eff Effort
+		second, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem, Cache: cache, Effort: &eff})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit := second.SolverNodes == 0; hit != c.hit {
+		if hit := eff.SolverNodes == 0; hit != c.hit {
 			t.Fatalf("memory %d: cache hit = %v, want %v", c.mem, hit, c.hit)
 		}
 		uncached, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem})
