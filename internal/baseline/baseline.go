@@ -511,23 +511,6 @@ func ChimeraDirect(p *sched.Placement, n int) (*sched.Schedule, error) {
 	return chimeraWavesChecked(p, n, wave, fwd, bwd)
 }
 
-// chimeraWaves validates and schedules Chimera with the given wave size.
-func chimeraWaves(p *sched.Placement, n, wave int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	fwd, bwd, err := stageChains(p)
-	if err != nil {
-		return nil, err
-	}
-	for dev := 0; dev < p.NumDevices; dev++ {
-		if len(fwd[dev]) < 2 || len(bwd[dev]) < 2 {
-			return nil, fmt.Errorf("baseline: chimera needs bidirectional stages on device %d", dev)
-		}
-	}
-	return chimeraWavesChecked(p, n, wave, fwd, bwd)
-}
-
 func chimeraWavesChecked(p *sched.Placement, n, wave int, fwd, bwd [][]int) (*sched.Schedule, error) {
 	d := p.NumDevices
 	full := sched.NewSchedule(p)
@@ -678,10 +661,4 @@ func SteadyBubble(s *sched.Schedule) float64 {
 		return s.OverallBubbleRate()
 	}
 	return s.BubbleRate(lo, hi)
-}
-
-// ChimeraDirectWave is ChimeraDirect with an explicit wave size (exported
-// for calibration experiments).
-func ChimeraDirectWave(p *sched.Placement, n, wave int) (*sched.Schedule, error) {
-	return chimeraWaves(p, n, wave)
 }

@@ -2,7 +2,7 @@ package lint
 
 // ctxflow: PR 1 threaded context.Context through the whole search stack so
 // a serving front-end can cancel any search promptly; that property decays
-// one forgotten parameter at a time. This analyzer pins it:
+// one forgotten parameter at a time. This rule pins it:
 //
 //  1. Exported search entry points — functions or methods whose name
 //     starts with Solve, Search, Extend, TimeOptimal or Run in the search
@@ -46,36 +46,24 @@ var ctxEntryPackages = []string{
 	"tessel/internal/lint",
 }
 
-// CtxFlowAnalyzer enforces context plumbing in library packages.
-var CtxFlowAnalyzer = &Analyzer{
-	Name: "ctxflow",
-	Doc: "require context.Context on exported search entry points and flag " +
-		"context.Background()/TODO() in library packages",
-	Applies: func(pkgPath string) bool {
-		// Rule 2 covers every library (non-main) package; mains legitimately
-		// originate contexts. The driver only sees import paths, so the main
-		// check is by convention: cmd/* and examples/* trees are mains.
-		return !strings.Contains(pkgPath, "/cmd/") && !strings.Contains(pkgPath, "/examples/")
-	},
-	Run: runCtxFlow,
-}
-
-func runCtxFlow(pass *Pass) error {
+// checkCtxFlow enforces context plumbing in one library package.
+func checkCtxFlow(pkg *Package, r *reporter) {
+	const rule = "ctxflow"
 	entryScope := false
 	for _, p := range ctxEntryPackages {
-		if pass.Pkg.Path() == p || path.Base(pass.Pkg.Path()) == path.Base(p) {
+		if pkg.Path == p || path.Base(pkg.Path) == path.Base(p) {
 			entryScope = true
 		}
 	}
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			if entryScope && fd.Name.IsExported() && hasEntryPrefix(fd.Name.Name) &&
-				!hasContextParam(pass, fd) && !isConvenienceWrapper(pass, fd) {
-				pass.Reportf(fd.Name.Pos(), "exported search entry point %s must accept a context.Context (add one, or provide a %sContext variant and delegate)", fd.Name.Name, fd.Name.Name)
+				!hasContextParam(pkg.Info, fd) && !isConvenienceWrapper(pkg.Types, fd) {
+				r.report(rule, fd.Name.Pos(), "exported search entry point %s must accept a context.Context (add one, or provide a %sContext variant and delegate)", fd.Name.Name, fd.Name.Name)
 			}
 			if fd.Body == nil {
 				continue
@@ -85,19 +73,18 @@ func runCtxFlow(pass *Pass) error {
 				if !ok {
 					return true
 				}
-				pkgPath, name := calleePkgFunc(pass.Info, call)
+				pkgPath, name := calleePkgFunc(pkg.Info, call)
 				if pkgPath != "context" || (name != "Background" && name != "TODO") {
 					return true
 				}
-				if name == "Background" && (nilGuarded(pass, file, call) || isConvenienceWrapper(pass, fd)) {
+				if name == "Background" && (nilGuarded(file, call) || isConvenienceWrapper(pkg.Types, fd)) {
 					return true
 				}
-				pass.Reportf(call.Pos(), "context.%s() in library code detaches callees from the caller's cancellation; accept and forward a context.Context instead", name)
+				r.report(rule, call.Pos(), "context.%s() in library code detaches callees from the caller's cancellation; accept and forward a context.Context instead", name)
 				return true
 			})
 		}
 	}
-	return nil
 }
 
 func hasEntryPrefix(name string) bool {
@@ -110,12 +97,12 @@ func hasEntryPrefix(name string) bool {
 }
 
 // hasContextParam reports whether any parameter of fd is context.Context.
-func hasContextParam(pass *Pass, fd *ast.FuncDecl) bool {
+func hasContextParam(info *types.Info, fd *ast.FuncDecl) bool {
 	if fd.Type.Params == nil {
 		return false
 	}
 	for _, field := range fd.Type.Params.List {
-		if tv, ok := pass.Info.Types[field.Type]; ok && isContextType(tv.Type) {
+		if tv, ok := info.Types[field.Type]; ok && isContextType(tv.Type) {
 			return true
 		}
 	}
@@ -134,11 +121,11 @@ func isContextType(t types.Type) bool {
 // isConvenienceWrapper reports whether fd is the context-free convenience
 // form of a <Name>Context function in the same package: the sibling must
 // exist, be a function (not a method), and itself take a context.Context.
-func isConvenienceWrapper(pass *Pass, fd *ast.FuncDecl) bool {
+func isConvenienceWrapper(tpkg *types.Package, fd *ast.FuncDecl) bool {
 	if fd.Recv != nil {
 		return false
 	}
-	sibling, ok := pass.Pkg.Scope().Lookup(fd.Name.Name + "Context").(*types.Func)
+	sibling, ok := tpkg.Scope().Lookup(fd.Name.Name + "Context").(*types.Func)
 	if !ok {
 		return false
 	}
@@ -154,7 +141,7 @@ func isConvenienceWrapper(pass *Pass, fd *ast.FuncDecl) bool {
 // nilGuarded reports whether the Background() call is the classic nil
 // default: the right-hand side of an assignment to a variable x inside an
 // if statement whose condition is `x == nil` (or `nil == x`).
-func nilGuarded(pass *Pass, file *ast.File, call *ast.CallExpr) bool {
+func nilGuarded(file *ast.File, call *ast.CallExpr) bool {
 	guarded := false
 	ast.Inspect(file, func(n ast.Node) bool {
 		if guarded {

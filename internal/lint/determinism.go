@@ -2,7 +2,7 @@ package lint
 
 // determinism: byte-identical schedule search is the repo's core guarantee
 // (worker-count-independent sweeps, reproducible fingerprints), and the
-// three constructs this analyzer flags are exactly the ones that have
+// three constructs this rule flags are exactly the ones that have
 // produced — or nearly produced — nondeterminism in past PRs:
 //
 //   - ranging over a map: Go randomizes iteration order, so any map-range
@@ -24,9 +24,8 @@ import (
 	"strings"
 )
 
-// determinismPackages are the search packages the analyzer covers: the
-// ones whose outputs are covered by the byte-identical determinism
-// guarantee.
+// determinismPackages are the search packages the rule covers: the ones
+// whose outputs are covered by the byte-identical determinism guarantee.
 var determinismPackages = []string{
 	"tessel/internal/solver",
 	"tessel/internal/repetend",
@@ -35,56 +34,34 @@ var determinismPackages = []string{
 	"tessel/internal/engine",
 }
 
-// DeterminismAnalyzer flags nondeterminism sources in the search packages.
-var DeterminismAnalyzer = &Analyzer{
-	Name: "determinism",
-	Doc: "flag map-range iteration, time.Now/math/rand, and unstable sort.Slice/slices.SortFunc " +
-		"in the schedule-search packages, whose results must be byte-identical " +
-		"functions of their inputs",
-	Applies: func(pkgPath string) bool {
-		for _, p := range determinismPackages {
-			if pkgPath == p {
-				return true
-			}
-		}
-		return false
-	},
-	Run: runDeterminism,
-}
-
-func runDeterminism(pass *Pass) error {
-	for _, file := range pass.Files {
+// checkDeterminism flags the nondeterminism sources in one package.
+func checkDeterminism(pkg *Package, r *reporter) {
+	const rule = "determinism"
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.RangeStmt:
-				tv, ok := pass.Info.Types[n.X]
+				tv, ok := pkg.Info.Types[n.X]
 				if !ok {
 					return true
 				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !pkg.hasDirective(n.Pos(), "orderfree") {
+					r.report(rule, n.Pos(), "map iteration order is nondeterministic; sort the keys before ranging, or annotate //tessel:orderfree if the loop is order-independent")
 				}
-				if pass.hasDirective(n.Pos(), "orderfree") {
-					return true
-				}
-				pass.Reportf(n.Pos(), "map iteration order is nondeterministic; sort the keys before ranging, or annotate //tessel:orderfree if the loop is order-independent")
 			case *ast.CallExpr:
-				pkgPath, name := calleePkgFunc(pass.Info, n)
+				pkgPath, name := calleePkgFunc(pkg.Info, n)
 				switch {
 				case pkgPath == "time" && name == "Now":
-					pass.Reportf(n.Pos(), "time.Now in search code: wall-clock readings must never influence schedule bytes")
-				case pkgPath == "math/rand" || pkgPath == "math/rand/v2" ||
-					strings.HasPrefix(pkgPath, "math/rand/"):
-					pass.Reportf(n.Pos(), "math/rand in search code: randomness breaks byte-identical search results")
+					r.report(rule, n.Pos(), "time.Now in search code: wall-clock readings must never influence schedule bytes")
+				case pkgPath == "math/rand" || strings.HasPrefix(pkgPath, "math/rand/"):
+					r.report(rule, n.Pos(), "math/rand in search code: randomness breaks byte-identical search results")
 				case pkgPath == "sort" && name == "Slice", pkgPath == "slices" && name == "SortFunc":
-					if pass.hasDirective(n.Pos(), "totalorder") {
-						return true
+					if !pkg.hasDirective(n.Pos(), "totalorder") {
+						r.report(rule, n.Pos(), "%s.%s is unstable; use the stable variant, or annotate //tessel:totalorder if the comparator breaks every tie", pkgPath, name)
 					}
-					pass.Reportf(n.Pos(), "%s.%s is unstable; use the stable variant, or annotate //tessel:totalorder if the comparator breaks every tie", pkgPath, name)
 				}
 			}
 			return true
 		})
 	}
-	return nil
 }

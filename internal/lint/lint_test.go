@@ -1,13 +1,13 @@
 package lint
 
-// The analyzer tests follow the x/tools analysistest convention: each
-// analyzer has a fixture package under testdata/src/<name>/ whose sources
-// carry `// want "regex"` comments on the lines where a finding is
-// expected. The harness loads the fixture with the production loader,
-// runs one analyzer over its target packages, and requires an exact
-// match: every expectation observed, every diagnostic expected. Waived
-// and idiomatic (negative) cases are ordinary fixture lines with no want
-// comment — an unexpected finding there fails the test.
+// The rule tests follow the x/tools analysistest convention: each rule
+// has a fixture package under testdata/src/<name>/ whose sources carry
+// `// want "regex"` comments on the lines where a finding is expected. The
+// harness loads the fixture with the production loader, runs one rule over
+// its packages, and requires an exact match: every expectation observed,
+// every finding expected. Waived and idiomatic (negative) cases are
+// ordinary fixture lines with no want comment — an unexpected finding there
+// fails the test.
 
 import (
 	"context"
@@ -27,14 +27,11 @@ type expectation struct {
 
 var wantRE = regexp.MustCompile(`// want (.*)$`)
 
-// parseWants extracts the expectations from a fixture package's comments.
+// parseWants extracts the expectations from a fixture's comments.
 func parseWants(t *testing.T, pkgs []*Package) []*expectation {
 	t.Helper()
 	var out []*expectation
 	for _, pkg := range pkgs {
-		if !pkg.Target {
-			continue
-		}
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
@@ -76,49 +73,36 @@ func splitQuoted(t *testing.T, file string, line int, s string) []string {
 	return out
 }
 
-// loadFixture loads testdata/src/<name> with the production loader.
-func loadFixture(t *testing.T, name string) []*Package {
+func fixtureDir(name string) string { return filepath.Join("testdata", "src", name) }
+
+// runFixture applies one rule to every package of a fixture, bypassing
+// Run's package filters, and matches its findings against the fixture's
+// want comments.
+func runFixture(t *testing.T, check func(*Package, *reporter), name string) {
 	t.Helper()
-	pkgs, err := Load(context.Background(), filepath.Join("testdata", "src", name), "./...")
+	pkgs, err := Load(context.Background(), fixtureDir(name), "./...")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
 	if len(pkgs) == 0 {
 		t.Fatalf("fixture %s matched no packages", name)
 	}
-	return pkgs
-}
-
-// runFixture applies one analyzer to a fixture and matches diagnostics
-// against the fixture's want comments.
-func runFixture(t *testing.T, a *Analyzer, name string) {
-	t.Helper()
-	pkgs := loadFixture(t, name)
-	var diags []Diagnostic
+	wants := parseWants(t, pkgs)
 	for _, pkg := range pkgs {
-		if !pkg.Target {
-			continue
-		}
-		if err := runAnalyzer(a, pkg, &diags); err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, pkg.Path, err)
-		}
-	}
-	checkExpectations(t, parseWants(t, pkgs), diags)
-}
-
-func checkExpectations(t *testing.T, wants []*expectation, diags []Diagnostic) {
-	t.Helper()
-	for _, d := range diags {
-		matched := false
-		for _, w := range wants {
-			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
-				w.hit = true
-				matched = true
-				break
+		r := &reporter{pkg: pkg}
+		check(pkg, r)
+		for _, f := range r.findings {
+			matched := false
+			for _, w := range wants {
+				if !w.hit && w.file == f.Pos.Filename && w.line == f.Pos.Line && w.re.MatchString(f.Message) {
+					w.hit = true
+					matched = true
+					break
+				}
 			}
-		}
-		if !matched {
-			t.Errorf("unexpected diagnostic: %s", d)
+			if !matched {
+				t.Errorf("unexpected finding: %s", f)
+			}
 		}
 	}
 	for _, w := range wants {
@@ -128,71 +112,43 @@ func checkExpectations(t *testing.T, wants []*expectation, diags []Diagnostic) {
 	}
 }
 
-func TestDeterminismFixture(t *testing.T) { runFixture(t, DeterminismAnalyzer, "determinism") }
-func TestCtxFlowFixture(t *testing.T)     { runFixture(t, CtxFlowAnalyzer, "ctxflow") }
+func TestDeterminismFixture(t *testing.T) { runFixture(t, checkDeterminism, "determinism") }
+func TestCtxFlowFixture(t *testing.T)     { runFixture(t, checkCtxFlow, "ctxflow") }
 
-// TestDirectivesAudit checks waiver hygiene enforcement: unknown analyzer
+// TestDirectivesAudit checks waiver hygiene enforcement: unknown rule
 // names, missing justifications, and unknown directive kinds are findings.
 // Expectations are listed here rather than as want comments because any
 // trailing text on a waiver line becomes its justification.
 func TestDirectivesAudit(t *testing.T) {
-	pkgs := loadFixture(t, "directives")
-	known := map[string]bool{}
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		if pkg.Target {
-			diags = append(diags, auditDirectives(pkg, known)...)
-		}
-	}
-	want := []struct {
-		substr string
-	}{
-		{`unknown analyzer "nosuch"`},
-		{`waiver for "determinism" has no justification`},
-		{`unknown directive //tessel:frobnicate`},
-	}
-	if len(diags) != len(want) {
-		t.Fatalf("got %d findings, want %d:\n%v", len(diags), len(want), diags)
-	}
-	for i, w := range want {
-		if !strings.Contains(diags[i].Message, w.substr) {
-			t.Errorf("finding %d = %q, want it to contain %q", i, diags[i].Message, w.substr)
-		}
-	}
-}
-
-// TestAnalyzersHaveDocs pins the suite's shape: determinism and ctxflow,
-// in that order, each documented and runnable.
-func TestAnalyzersHaveDocs(t *testing.T) {
-	as := Analyzers()
-	want := []string{"determinism", "ctxflow"}
-	if len(as) != len(want) {
-		t.Fatalf("suite has %d analyzers, want %v", len(as), want)
-	}
-	for i, a := range as {
-		if a.Name != want[i] || a.Doc == "" || a.Run == nil {
-			t.Fatalf("analyzer %d = %+v, want %q, documented and runnable", i, a, want[i])
-		}
-	}
-}
-
-// TestRunOnRepo runs the full suite over the repository exactly as CI
-// does and requires a clean result: the tree's invariants hold and every
-// waiver is justified. This is the dogfood test — it exercises the
-// go-list loader on the real module, cross-package type identity, and
-// every directive in the tree.
-func TestRunOnRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	diags, err := Run(context.Background(), "../..", "./...")
+	findings, err := Run(context.Background(), fixtureDir("directives"), "./...")
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for _, d := range diags {
-		t.Errorf("finding: %s", d)
+	want := []string{
+		`unknown analyzer "nosuch"`,
+		`waiver for "determinism" has no justification`,
+		`unknown directive //tessel:frobnicate`,
+	}
+	if len(findings) != len(want) {
+		t.Fatalf("got %d findings, want %d:\n%v", len(findings), len(want), findings)
+	}
+	for i, w := range want {
+		if findings[i].Rule != "directives" || !strings.Contains(findings[i].Message, w) {
+			t.Errorf("finding %d = %s, want a directives finding containing %q", i, findings[i], w)
+		}
+	}
+}
+
+// TestRunOnRepo runs both rules over the repository and requires a clean
+// result: the tree's invariants hold and every waiver is justified. This
+// is the gate CI runs; it exercises the loader on the real module and
+// every directive in the tree.
+func TestRunOnRepo(t *testing.T) {
+	findings, err := Run(context.Background(), "../..", "./...")
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, f := range findings {
+		t.Errorf("finding: %s", f)
 	}
 }

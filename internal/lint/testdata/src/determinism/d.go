@@ -8,6 +8,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"tessel/internal/lint/testdata/src/determinism/clock"
 )
 
 func mapRangeFlagged(m map[int]int) int {
@@ -37,6 +39,13 @@ func sliceRangeAllowed(s []int) int {
 
 func wallClock() int64 {
 	return time.Now().UnixNano() // want "time.Now in search code"
+}
+
+// moduleClock calls a module-local Now resolved through export data: only
+// the standard library's time.Now is flagged.
+func moduleClock() int64 {
+	wall := time.Now().UnixNano() // want "time.Now in search code"
+	return wall + int64(clock.Now())
 }
 
 func wallClockWaived() int64 {

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"strings"
@@ -96,11 +96,6 @@ type Client struct {
 	errors      atomic.Uint64
 	retries     atomic.Uint64
 	breakerOpen atomic.Uint64
-
-	// rngMu guards rng: math/rand.Rand is not concurrency-safe and jitter
-	// may be drawn from concurrent fetches.
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // NewClient builds the peer tier client for an engine; install the client on
@@ -151,9 +146,6 @@ func NewClient(eng *engine.Engine, opts ClientOptions) (*Client, error) {
 			c.probeState[p] = &probeState{}
 		}
 	}
-	// Jitter decorrelates retry storms between replicas; it never affects
-	// which entry is fetched.
-	c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	return c, nil
 }
 
@@ -267,13 +259,11 @@ func (c *Client) Fetch(ctx context.Context, fingerprint, key string) (*core.Resu
 }
 
 // backoff computes the jittered exponential wait before retry `attempt`
-// (1-based): uniform in [base·2ᵃ⁻¹, 2·base·2ᵃ⁻¹).
+// (1-based): uniform in [base·2ᵃ⁻¹, 2·base·2ᵃ⁻¹). Jitter decorrelates retry
+// storms between replicas; it never affects which entry is fetched.
 func (c *Client) backoff(attempt int) time.Duration {
 	base := DefaultBackoffBase << (attempt - 1)
-	c.rngMu.Lock()
-	j := c.rng.Float64()
-	c.rngMu.Unlock()
-	return base + time.Duration(float64(base)*j)
+	return base + time.Duration(float64(base)*rand.Float64())
 }
 
 // fetchOnce performs one deadline-boxed HTTP attempt against one peer and

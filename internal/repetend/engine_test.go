@@ -315,6 +315,9 @@ func TestLocalSearchMatchesReference(t *testing.T) {
 			t.Fatalf("iter %d: local search period %d != reference %d (assign %v starts %v mem %d)",
 				iter, gotP2, refP2, a, starts, mem)
 		}
+		if gotP2 > gotP {
+			t.Fatalf("iter %d: local search worsened %d → %d", iter, gotP, gotP2)
+		}
 		if !equalInts(e.bestStarts, refS2) {
 			t.Fatalf("iter %d: local search starts %v != reference %v", iter, e.bestStarts, refS2)
 		}

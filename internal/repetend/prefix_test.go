@@ -266,7 +266,7 @@ func TestOrderCheckStageCap(t *testing.T) {
 	}
 	var eff Effort
 	_, err = Solve(context.Background(), p, a, SolveOptions{
-		PeriodUpperBound: p.LowerBound(), Effort: &eff, SolverNodes: 1, DisableLocalSearch: true,
+		PeriodUpperBound: p.LowerBound(), Effort: &eff, SolverNodes: 1,
 	})
 	if eff.SolverNodes == 0 {
 		t.Fatalf("the assignment did not get past the relaxation: err %v, effort %+v", err, eff)

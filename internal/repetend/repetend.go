@@ -274,9 +274,6 @@ type SolveOptions struct {
 	// SolverNodes / SolverTimeout bound the instance makespan solve.
 	SolverNodes   int64
 	SolverTimeout time.Duration
-	// DisableLocalSearch turns off the adjacent-swap order improvement: the
-	// reference TestLocalSearchNeverWorsens compares against, set nowhere else.
-	DisableLocalSearch bool
 	// Cache, when non-nil, memoizes instance makespan solves across
 	// assignments of the placement it was made for. The solve's task system
 	// depends on an assignment only through its lag-zero dependency pattern
@@ -543,9 +540,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		return nil, fmt.Errorf("repetend: period repair failed for a feasible order")
 	}
 	eng.bestStarts = eng.appendStarts(eng.bestStarts)
-	if !opts.DisableLocalSearch {
-		period = eng.localSearch(ctx, period)
-	}
+	period = eng.localSearch(ctx, period)
 	r.Starts = append([]int(nil), eng.bestStarts...)
 	r.Period = period
 	if bound > 0 && r.Period > bound {

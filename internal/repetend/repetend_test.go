@@ -364,25 +364,6 @@ func TestSolvedRepetendsAlwaysUnrollValid(t *testing.T) {
 	}
 }
 
-func TestLocalSearchNeverWorsens(t *testing.T) {
-	p := vshape(t, 4)
-	var checked int
-	if _, err := Enumerate(p, 3, func(a Assignment) bool {
-		with, err1 := Solve(context.Background(), p, a, SolveOptions{})
-		without, err2 := Solve(context.Background(), p, a, SolveOptions{DisableLocalSearch: true})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("solve: %v / %v", err1, err2)
-		}
-		if with.Period > without.Period {
-			t.Fatalf("assignment %v: local search worsened %d → %d", a, without.Period, with.Period)
-		}
-		checked++
-		return checked < 30
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSolvePeriodUpperBound: the bound is inclusive — an assignment that
 // exactly ties it solves identically to an unbounded solve — and anything
 // that provably cannot reach it returns ErrPruned.
