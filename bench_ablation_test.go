@@ -1,5 +1,7 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: lazy vs
-// eager schedule completion (§V) and the solver's symmetry/dominance pruning.
+// Ablation and scaling benchmarks of the search: lazy vs eager schedule
+// completion (§V), the exact solver's growth with the micro-batch count
+// (Figure 3) and the repetend period machinery. The ablations of the solver's
+// own pruning live in internal/solver, beside the switches they turn off.
 package tessel_test
 
 import (
@@ -79,22 +81,6 @@ var solverSizes = []struct {
 	minNodes int64
 }{{"x_nmb2", 2, 1000}, {"x_nmb3", 3, 4000}, {"x_nmb5", 5, 25000}}
 
-func benchSolve(b *testing.B, opts solver.Options) {
-	b.Helper()
-	tasks := solverTasks(b, 3, 4000)
-	b.ReportAllocs()
-	b.ResetTimer() // the fixture's own check is a 4000-node solve
-	var nodes int64
-	for i := 0; i < b.N; i++ {
-		res, err := solver.Solve(context.Background(), tasks, opts)
-		if err != nil || !res.Feasible {
-			b.Fatalf("res=%+v err=%v", res, err)
-		}
-		nodes += res.Nodes
-	}
-	reportNodeThroughput(b, nodes)
-}
-
 // reportNodeThroughput attaches the solver's budget-independent speed
 // measure — branch-and-bound nodes per second — to a benchmark.
 func reportNodeThroughput(b *testing.B, nodes int64) {
@@ -103,25 +89,6 @@ func reportNodeThroughput(b *testing.B, nodes int64) {
 		b.ReportMetric(float64(nodes)/sec, "nodes/s")
 		b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	}
-}
-
-// BenchmarkAblationSolverFull measures the exact solver with all pruning.
-func BenchmarkAblationSolverFull(b *testing.B) {
-	benchSolve(b, solver.Options{})
-}
-
-// BenchmarkAblationSolverNoSymmetry disables Property 4.1 pruning.
-func BenchmarkAblationSolverNoSymmetry(b *testing.B) {
-	benchSolve(b, solver.Options{DisableSymmetry: true})
-}
-
-// BenchmarkAblationSolverNoMemo disables dominance memoization. Without
-// the memo the instance's search tree explodes (the solve runs
-// minutes, not milliseconds), so the solve is node-capped and the
-// comparison against BenchmarkAblationSolverFull is the nodes/s metric
-// plus the nodes/op blow-up, not wall time to optimality.
-func BenchmarkAblationSolverNoMemo(b *testing.B) {
-	benchSolve(b, solver.Options{DisableMemo: true, MaxNodes: 200000})
 }
 
 // BenchmarkSolverScaling shows the exponential growth of the exact solve

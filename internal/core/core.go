@@ -859,9 +859,11 @@ func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, r
 			return nil, errors.New("phase infeasible")
 		}
 		starts = sres.Starts
-		// Short of its wall-clock budget, the solve stopped where it did on
-		// the instance's account alone and would stop there again.
-		if sres.Optimal || opts.SolverTimeout == 0 || sres.Elapsed < opts.SolverTimeout {
+		// A solve the node budget ended stopped where it did on the instance's
+		// account alone and would stop there again. The solver checks the node
+		// budget before the clock, so reaching it means the clock did not stop
+		// the solve.
+		if sres.Optimal || solveOpts.MaxNodes > 0 && sres.Nodes >= solveOpts.MaxNodes {
 			tmpl.store(blocks, releases, solveOpts, starts, !sres.Optimal)
 		}
 	}

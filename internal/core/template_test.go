@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tessel/internal/faultpoint"
 	"tessel/internal/placement"
@@ -232,6 +233,37 @@ func TestTemplateMemoizesDirectSolve(t *testing.T) {
 			t.Fatalf("the n=%d completion is not TimeOptimal's schedule", n)
 		}
 	}
+}
+
+// TestTemplateMemoizesNodeLimitedSolveUnderTimeout: whether a truncated solve
+// is stored depends on the node budget alone, not on the clock. m4's n = 5
+// solve cut at 200 nodes under a 1 ns wall-clock budget is node-limited — the
+// solver first reads the clock at node 256 — so it is stored, and the second
+// Extend replays it.
+func TestTemplateMemoizesNodeLimitedSolveUnderTimeout(t *testing.T) {
+	ctx := context.Background()
+	p, opts := catalogPlacement(t, "m4")
+	res, err := Search(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.SolverNodes, opts.SolverTimeout = 200, time.Nanosecond
+	solves := countSolves(t)
+	first, err := Extend(ctx, res, 5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solves.Load() != 1 || !first.Stats.Truncated {
+		t.Fatalf("first Extend: %d solves, truncated %t, want 1 truncated solve", solves.Load(), first.Stats.Truncated)
+	}
+	second, err := Extend(ctx, res, 5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solves.Load() != 1 || !second.Stats.Truncated {
+		t.Fatalf("second Extend: %d more solves, truncated %t, want a truncated replay", solves.Load()-1, second.Stats.Truncated)
+	}
+	sameCompletion(t, "second Extend", second, first)
 }
 
 // TestChaosTemplateInterruptedFill: a first Extend that dies inside its

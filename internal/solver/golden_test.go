@@ -26,6 +26,11 @@ const goldenSolvesPath = "testdata/solves.golden.json"
 // the node bound: a stronger bound may legitimately finish them.
 const goldenNodes = 300000
 
+// goldenNodeTotal is the node count of all golden solves together since the
+// barrier bound went in. Per-case records alone would let a bound that cuts
+// only a few nodes per solve, like staticLB, go without a test that fails.
+const goldenNodeTotal = 325593
+
 // goldenCase names one solver instance — exactly one of the three descriptions
 // is set — and the result the recording commit returned for it.
 //
@@ -215,7 +220,8 @@ func goldenInputs(t testing.TB) []goldenCase {
 // subtrees that cannot strictly improve the incumbent, so every solve that
 // commit proved optimal must come back with the same makespan and the same
 // start vector — the first optimal one in DFS order — and no solve may expand
-// more nodes than it did then. The 40 seeds divisible by six were recorded in
+// more nodes than it did then, nor all of them together more than
+// goldenNodeTotal. The 40 seeds divisible by six were recorded in
 // jobs mode there; their records are the sequential solves of 4fc5e7c, the
 // last commit that had a second engine to tell apart.
 func TestGoldenSolves(t *testing.T) {
@@ -285,6 +291,9 @@ func TestGoldenSolves(t *testing.T) {
 		if c.Feasible && (res.Makespan != c.Makespan || !slices.Equal(res.Starts, c.Starts)) {
 			t.Errorf("%s: makespan %d starts %v, recorded %d %v", c, res.Makespan, res.Starts, c.Makespan, c.Starts)
 		}
+	}
+	if nodes > goldenNodeTotal {
+		t.Errorf("%d nodes in all, more than the %d recorded with the barrier bound", nodes, goldenNodeTotal)
 	}
 	t.Logf("%d solves (%d proven at recording): %d nodes, recorded %d", len(cases), proven, nodes, goldenTotal)
 }

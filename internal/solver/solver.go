@@ -25,13 +25,12 @@
 //     every node;
 //   - candidates are ordered by an in-place insertion sort over a pooled
 //     per-depth buffer (no sort.Slice closure per node);
-//   - lower bounds run cheapest-first: device loads, the running maximum of
-//     finish+tail over scheduled tasks (maintained in apply/undo), and a
-//     static whole-instance bound computed once per solve are consulted
-//     before the full critical-path bound, which itself walks only the
-//     remaining tasks via an incrementally maintained topo-order list — and
-//     on the same walk collects, per device, the earliest start estimate and
-//     the shortest tail among its remaining tasks for the one-machine
+//   - lower bounds run cheapest-first: device loads and a static
+//     whole-instance bound computed once per solve are consulted before the
+//     memo probe and the full critical-path bound, which itself walks only
+//     the remaining tasks via an incrementally maintained topo-order list —
+//     and on the same walk collects, per device, the earliest start estimate
+//     and the shortest tail among its remaining tasks for the one-machine
 //     head/tail bound (min est + remaining work + min tail), and, on
 //     instances with barrier tasks (ones that occupy every used device, like
 //     the all-device embedding and head stages of the M-, NN- and K-shapes),
@@ -57,7 +56,8 @@
 // optimality). A lower bound only ever cuts a subtree that cannot strictly
 // improve the incumbent, so a stronger one leaves the returned schedule — the
 // first optimal one in DFS order — byte-identical and only shrinks the node
-// count (testdata/solves.golden.json holds every bound to that). Dominance
+// count (testdata/solves.golden.json holds every bound to that, and
+// soundness_test.go every term at every state of small instances). Dominance
 // pruning selects among equally-optimal schedules, so strengthening it can
 // change which optimal start vector a solve returns (never its makespan,
 // feasibility, or optimality verdicts); searches remain deterministic.
@@ -105,9 +105,11 @@ import (
 // Unbounded mirrors sched.Unbounded for memory capacities.
 const Unbounded = sched.Unbounded
 
-// barrierBoundOn is written only by tests: false marks no task a barrier, so
-// pathBound's barrier term never fires — the on/off differential.
-var barrierBoundOn = true
+// Mechanism switches, written only by tests for the on/off differentials and
+// the ablation benchmarks. barrierBoundOn false marks no task a barrier, so
+// pathBound's barrier term never fires; symmetryOn false links no Property 4.1
+// chain; memoOn false skips the dominance memo.
+var barrierBoundOn, symmetryOn, memoOn = true, true, true
 
 // Task is one block to schedule. Tasks are referenced by their index in the
 // slice passed to Solve.
@@ -154,12 +156,6 @@ type Options struct {
 	// a context deadline — which aborts the solve with an error — exhausting
 	// Timeout degrades gracefully to the incumbent.
 	Timeout time.Duration
-	// DisableSymmetry turns off Property 4.1 pruning (for ablations; the
-	// pruning requires intra-micro dependencies and micro-monotone release
-	// times per stage, which all Tessel phases satisfy).
-	DisableSymmetry bool
-	// DisableMemo turns off dominance memoization (for ablations).
-	DisableMemo bool
 	// Workers is not read: every solve is the one sequential search. The
 	// field remains only because benchmark/layerprobe/main.go:662 — frozen
 	// outside benchmark-only changes — still sets it for its nmb6_w2 probe.
@@ -261,7 +257,6 @@ type searcher struct {
 	predLeft    []int // unscheduled predecessor count
 	nSched      int
 	makespan    int
-	maxTail     int // max finish[t]+tail[t] over scheduled tasks
 	barrierLeft int // remaining duration of unscheduled barrier tasks
 
 	// frontier holds exactly the eligible tasks: unscheduled, all
@@ -601,7 +596,7 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		s.symPred[i] = -1
 		s.symSucc[i] = -1
 	}
-	if !opts.DisableSymmetry {
+	if symmetryOn {
 		s.symOrder = intsN(s.symOrder, n)
 		for i := 0; i < n; i++ {
 			s.symOrder[i] = i
@@ -666,7 +661,6 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	copy(s.predLeft, s.npred)
 	s.nSched = 0
 	s.makespan = 0
-	s.maxTail = 0
 
 	s.maskWords = (n + 63) / 64
 	s.mask = maskN(s.mask, s.maskWords)
@@ -675,7 +669,7 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	for i := 0; i < n; i++ {
 		s.succUnsched[i] = s.succOff[i+1] - s.succOff[i]
 	}
-	if !opts.DisableMemo {
+	if memoOn {
 		s.memo.reset(s.maskWords)
 	}
 	s.memoHits = 0
@@ -697,8 +691,8 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	}
 
 	// Static lower bound: pathBound (critical path and one-machine bound)
-	// over the full instance, computed once. At every node the incremental
-	// bounds (device loads, maxTail, staticLB) are tried first and the full
+	// over the full instance, computed once. At every node the cheap bounds
+	// (device loads, staticLB) are tried first and the full
 	// pathBound runs only when they fail to prune; each is a sound lower
 	// bound on any completion of the node, so no node pathBound would keep
 	// is lost.
@@ -1050,34 +1044,35 @@ func (s *searcher) frontSync(t int) {
 
 // --- the search ------------------------------------------------------------
 
+// loadBound is the device-load bound: every device still has to run its
+// remaining work after it becomes available. A device with none left bounds
+// nothing — the makespan counts task finishes, and a DeviceReady past them all
+// is no part of it.
+func (s *searcher) loadBound() int {
+	lb := 0
+	for dev, w := range s.remWork {
+		if w > 0 {
+			lb = max(lb, s.devAvail[dev]+w)
+		}
+	}
+	return lb
+}
+
 // prunedOrMemo runs the per-node pruning pipeline — incremental lower
 // bounds, dominance memo, critical-path bound — exactly once per expanded
 // node and reports whether the node is pruned.
 func (s *searcher) prunedOrMemo() bool {
-	// Lower bounds, cheapest first: device loads, the running max of
-	// finish+tail over scheduled tasks (dominated by pathBound), and the
-	// static whole-instance critical path (a sound global bound on any
-	// completion). Consulting them first lets most pruned nodes skip the
+	// Lower bounds, cheapest first: device loads and the static
+	// whole-instance critical path (a sound global bound on any completion).
+	// Consulting them first lets many pruned nodes skip the memo probe and the
 	// full critical-path recomputation.
-	lb := s.makespan
-	for dev := 0; dev < s.d; dev++ {
-		if b := s.devAvail[dev] + s.remWork[dev]; b > lb {
-			lb = b
-		}
-	}
-	if s.maxTail > lb {
-		lb = s.maxTail
-	}
-	if s.staticLB > lb {
-		lb = s.staticLB
-	}
-	if s.cutoff(lb) {
+	if s.cutoff(max(s.makespan, s.loadBound(), s.staticLB)) {
 		return true
 	}
 	// Dominance memo and critical path, cheapest-expected-first: the memo
 	// probe (often a hit) runs before the heavier pathBound walk. A state is
 	// inserted into the memo iff its probe missed and pathBound kept the node.
-	if !s.opts.DisableMemo {
+	if memoOn {
 		vec, vsum := s.fillStateVector(s.vecScratch)
 		s.vecScratch = vec
 		if s.memo.probe(s.mask, vec, vsum) {
@@ -1123,9 +1118,6 @@ func (s *searcher) collectCandidates() []candidate {
 			if s.finish[p] > st {
 				st = s.finish[p]
 			}
-		}
-		if lb := st + s.time[t] + s.tail[t]; s.cutoff(lb) {
-			continue
 		}
 		c := candidate{task: t, start: st}
 		j := len(cands) - 1
@@ -1180,10 +1172,9 @@ func (s *searcher) dfs() {
 		}
 		fr.saved = saved
 		savedMakespan := s.makespan
-		savedMaxTail := s.maxTail
 		s.apply(c)
 		s.dfs()
-		s.undo(c, fr.saved, savedMakespan, savedMaxTail)
+		s.undo(c, fr.saved, savedMakespan)
 		if s.truncated || (s.opts.SatisfyOnly && s.bestSet) {
 			return
 		}
@@ -1203,9 +1194,6 @@ func (s *searcher) apply(c candidate) {
 	s.finish[t] = f
 	if f > s.makespan {
 		s.makespan = f
-	}
-	if b := f + s.tail[t]; b > s.maxTail {
-		s.maxTail = b
 	}
 	for _, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
 		s.devAvail[dev] = f
@@ -1237,7 +1225,7 @@ func (s *searcher) apply(c candidate) {
 	s.nSched++
 }
 
-func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan, savedMaxTail int) {
+func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan int) {
 	t := c.task
 	s.nSched--
 	if s.hasSucc[t] {
@@ -1264,7 +1252,6 @@ func (s *searcher) undo(c candidate, savedAvail []int, savedMakespan, savedMaxTa
 	s.starts[t] = -1
 	s.finish[t] = -1
 	s.makespan = savedMakespan
-	s.maxTail = savedMaxTail
 	// Relink t's topo position; LIFO undo order makes the stored prev/next
 	// pointers valid again.
 	pos := s.topoPos[t]

@@ -360,137 +360,12 @@ func TestSolveTimeout(t *testing.T) {
 	}
 }
 
-// bruteForce enumerates every precedence-feasible order with earliest-start
-// replay — the reference optimum for small instances.
-func bruteForce(tasks []Task, opts Options) (int, bool) {
-	n := len(tasks)
-	d := opts.NumDevices
-	for i := range tasks {
-		for _, dev := range tasks[i].Devices {
-			if int(dev)+1 > d {
-				d = int(dev) + 1
-			}
-		}
-	}
-	mem := opts.Memory
-	if mem == 0 {
-		mem = Unbounded
-	}
-	best := -1
-	scheduled := make([]bool, n)
-	finish := make([]int, n)
-	devAvail := make([]int, d)
-	devMem := make([]int, d)
-	if opts.InitialMem != nil {
-		copy(devMem, opts.InitialMem)
-	}
-	if opts.DeviceReady != nil {
-		copy(devAvail, opts.DeviceReady)
-	}
-	var rec func(done, makespan int)
-	rec = func(done, makespan int) {
-		if done == n {
-			if best < 0 || makespan < best {
-				best = makespan
-			}
-			return
-		}
-		for t := 0; t < n; t++ {
-			if scheduled[t] {
-				continue
-			}
-			ok := true
-			for _, p := range tasks[t].Preds {
-				if !scheduled[p] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			for _, dev := range tasks[t].Devices {
-				if devMem[dev]+tasks[t].Mem > mem {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			st := tasks[t].Release
-			for _, dev := range tasks[t].Devices {
-				if devAvail[dev] > st {
-					st = devAvail[dev]
-				}
-			}
-			for _, p := range tasks[t].Preds {
-				if finish[p] > st {
-					st = finish[p]
-				}
-			}
-			fin := st + tasks[t].Time
-			var savedAvail []int
-			for _, dev := range tasks[t].Devices {
-				savedAvail = append(savedAvail, devAvail[dev])
-				devAvail[dev] = fin
-				devMem[dev] += tasks[t].Mem
-			}
-			scheduled[t] = true
-			finish[t] = fin
-			ms := makespan
-			if fin > ms {
-				ms = fin
-			}
-			rec(done+1, ms)
-			scheduled[t] = false
-			for i, dev := range tasks[t].Devices {
-				devAvail[dev] = savedAvail[i]
-				devMem[dev] -= tasks[t].Mem
-			}
-		}
-	}
-	rec(0, 0)
-	return best, best >= 0
-}
-
-// randomInstance builds a random small task set (≤7 tasks) with a random
-// DAG, durations, devices, memory deltas and releases.
-func randomInstance(rng *rand.Rand) ([]Task, Options) {
-	n := 3 + rng.Intn(5)
-	d := 1 + rng.Intn(3)
-	tasks := make([]Task, n)
-	for i := 0; i < n; i++ {
-		tasks[i] = Task{
-			ID:      sched.Block{Stage: i, Micro: 0},
-			Time:    1 + rng.Intn(4),
-			Mem:     rng.Intn(3) - 1,
-			Devices: []sched.DeviceID{sched.DeviceID(rng.Intn(d))},
-			Release: rng.Intn(3),
-		}
-		// Edges only from lower to higher index → acyclic.
-		for j := 0; j < i; j++ {
-			if rng.Intn(4) == 0 {
-				tasks[i].Preds = append(tasks[i].Preds, j)
-			}
-		}
-	}
-	opts := Options{NumDevices: d, Memory: Unbounded}
-	if rng.Intn(2) == 0 {
-		opts.Memory = 2 + rng.Intn(3)
-	}
-	return tasks, opts
-}
-
 // TestSolveMatchesBruteForce is the key correctness property: on random
-// small instances the B&B optimum equals exhaustive enumeration. Symmetry
-// breaking is disabled because random instances don't satisfy its
-// precondition (identical same-stage structure across micro-batches).
+// small instances the B&B optimum equals exhaustive enumeration.
 func TestSolveMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tasks, opts := randomInstance(rng)
-		opts.DisableSymmetry = true
 		res, err := Solve(context.Background(), tasks, opts)
 		if err != nil {
 			return false
@@ -507,45 +382,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSymmetryPreservesOptimum checks Property 4.1 soundness on pipeline
-// instances (where its precondition holds): optimum with and without
-// symmetry breaking coincide.
-func TestSymmetryPreservesOptimum(t *testing.T) {
-	for _, n := range []int{2, 3} {
-		p := vshape(3, 1, 2)
-		tasks, err := BuildTasks(p, AllBlocks(p, n), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		with := mustSolve(t, tasks, Options{Memory: 3})
-		without := mustSolve(t, tasks, Options{Memory: 3, DisableSymmetry: true})
-		if with.Makespan != without.Makespan {
-			t.Fatalf("n=%d symmetry changes optimum: %d vs %d", n, with.Makespan, without.Makespan)
-		}
-	}
-}
-
-// TestMemoPreservesOptimum checks dominance memoization soundness.
-func TestMemoPreservesOptimum(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tasks, opts := randomInstance(rng)
-		opts.DisableSymmetry = true
-		with, err1 := Solve(context.Background(), tasks, opts)
-		optsNo := opts
-		optsNo.DisableMemo = true
-		without, err2 := Solve(context.Background(), tasks, optsNo)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return with.Feasible == without.Feasible &&
-			(!with.Feasible || with.Makespan == without.Makespan)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -641,9 +477,11 @@ func TestToScheduleErrors(t *testing.T) {
 func TestSolveCancellation(t *testing.T) {
 	tasks := searchTasks(t, 7, 100000)
 	ctx, cancel := context.WithCancel(context.Background())
+	memoOn = false
+	defer func() { memoOn = true }()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Solve(ctx, tasks, Options{DisableMemo: true})
+		_, err := Solve(ctx, tasks, Options{})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
