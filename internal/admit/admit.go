@@ -103,9 +103,7 @@ type Controller struct {
 	maxQ    int
 	maxWait time.Duration
 
-	queued     atomic.Int64
-	running    atomic.Int64
-	runningMax atomic.Int64 // high-water mark, for tests and stats
+	queued atomic.Int64
 
 	buckets *tenantBuckets // nil = no tenant budgets
 }
@@ -161,12 +159,10 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (release func(), 
 		}
 	}
 	if c.sem == nil {
-		c.noteRunning()
-		return c.releaseUnlimited, false, nil
+		return func() {}, false, nil
 	}
 	select {
 	case c.sem <- struct{}{}:
-		c.noteRunning()
 		return c.releaseSlot, false, nil
 	default:
 	}
@@ -186,7 +182,6 @@ func (c *Controller) Admit(ctx context.Context, tenant string) (release func(), 
 	}
 	select {
 	case c.sem <- struct{}{}:
-		c.noteRunning()
 		return c.releaseSlot, true, nil
 	case <-ctx.Done():
 		return nil, true, ctx.Err()
@@ -206,32 +201,10 @@ func (c *Controller) queueRetryAfter() time.Duration {
 	return DefaultRetryAfter
 }
 
-func (c *Controller) noteRunning() {
-	n := c.running.Add(1)
-	for {
-		max := c.runningMax.Load()
-		if n <= max || c.runningMax.CompareAndSwap(max, n) {
-			return
-		}
-	}
-}
-
-func (c *Controller) releaseUnlimited() { c.running.Add(-1) }
-
-func (c *Controller) releaseSlot() {
-	c.running.Add(-1)
-	<-c.sem
-}
-
-// Running reports the admissions currently running.
-func (c *Controller) Running() int { return int(c.running.Load()) }
+func (c *Controller) releaseSlot() { <-c.sem }
 
 // Queued reports the admissions currently waiting for a slot.
 func (c *Controller) Queued() int { return int(c.queued.Load()) }
-
-// MaxRunning reports the high-water mark of concurrent admissions — the
-// observable form of the concurrency cap, used by the overload tests.
-func (c *Controller) MaxRunning() int { return int(c.runningMax.Load()) }
 
 // tenantBuckets is the per-tenant token-bucket table.
 type tenantBuckets struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -26,14 +27,11 @@ func TestUnlimitedAdmitsEverything(t *testing.T) {
 		}
 		releases = append(releases, rel)
 	}
-	if got := c.Running(); got != 32 {
-		t.Fatalf("Running = %d, want 32", got)
+	if c.sem != nil {
+		t.Fatalf("unlimited controller holds a %d-slot semaphore", cap(c.sem))
 	}
 	for _, rel := range releases {
 		rel()
-	}
-	if got := c.Running(); got != 0 {
-		t.Fatalf("Running after release = %d, want 0", got)
 	}
 }
 
@@ -63,11 +61,17 @@ func TestConcurrencyCapAndQueue(t *testing.T) {
 	if oe.RetryAfter <= 0 {
 		t.Fatalf("RetryAfter = %v, want > 0", oe.RetryAfter)
 	}
+	if got := len(c.sem); got != 1 {
+		t.Fatalf("%d slots held with one admitted and one queued, want 1", got)
+	}
 	rel1()
 	rel2 := <-admitted
+	if got := len(c.sem); got != 1 {
+		t.Fatalf("%d slots held after the queued admission, want 1", got)
+	}
 	rel2()
-	if got := c.MaxRunning(); got != 1 {
-		t.Fatalf("MaxRunning = %d, want 1", got)
+	if got := len(c.sem); got != 0 {
+		t.Fatalf("%d slots held after both releases, want 0", got)
 	}
 }
 
@@ -319,12 +323,13 @@ func TestTenantTableEviction(t *testing.T) {
 	}
 }
 
-// TestConcurrentAdmitCap hammers the gate and asserts the high-water mark
-// never exceeds the cap (run with -race).
+// TestConcurrentAdmitCap hammers the gate and asserts the high-water mark of
+// admitted callers never exceeds the cap (run with -race).
 func TestConcurrentAdmitCap(t *testing.T) {
 	const cap, n = 3, 64
 	c := New(Options{MaxConcurrent: cap})
 	ctx := testCtx(t)
+	var running, maxRunning atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -336,17 +341,18 @@ func TestConcurrentAdmitCap(t *testing.T) {
 				return
 			}
 			defer rel()
-			if r := c.Running(); r > cap {
-				t.Errorf("Running = %d > cap %d", r, cap)
+			r := running.Add(1)
+			defer running.Add(-1)
+			for m := maxRunning.Load(); r > m && !maxRunning.CompareAndSwap(m, r); m = maxRunning.Load() {
 			}
 		}()
 	}
 	wg.Wait()
-	if got := c.MaxRunning(); got > cap {
-		t.Fatalf("MaxRunning = %d > cap %d", got, cap)
+	if got := maxRunning.Load(); got < 1 || got > cap {
+		t.Fatalf("%d admissions ran at once, cap %d", got, cap)
 	}
-	if got := c.Running(); got != 0 {
-		t.Fatalf("Running after drain = %d", got)
+	if got := len(c.sem); got != 0 {
+		t.Fatalf("%d slots held after drain", got)
 	}
 }
 

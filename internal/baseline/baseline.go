@@ -5,103 +5,98 @@
 // the distributed operators next to their neighboring operators), and pure
 // tensor parallelism for inference.
 //
+// The 1F1B family shares one step rule (oneFOneBStep): 1F1B is 1F1B+'s
+// grouped form on placements without tensor-parallel stages, and
+// Chimera-direct runs the rule once per direction. Every generator only
+// orders blocks; one list scheduler (dispatch) turns the order into start
+// times.
+//
 // All generators produce sched.Schedule values over the same block model the
 // Tessel search uses, so bubble rates and simulated runtimes are directly
 // comparable.
 package baseline
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tessel/internal/sched"
 )
 
-// dispatch performs deterministic list scheduling with a fixed priority per
-// block: at every step, among blocks whose predecessors have finished, the
-// lowest-priority block starts at its earliest feasible time. Ties break on
-// priority, so the produced schedule is deterministic. Priorities encode the
-// intended baseline order; dependencies are always honored, which lets a
-// mildly inconsistent cross-device order degrade into waiting instead of
-// deadlock.
-func dispatch(p *sched.Placement, blocks []sched.Block, prio map[sched.Block]int) (*sched.Schedule, error) {
-	return dispatchFrom(p, blocks, prio, nil)
+// prioTable is a dispatch priority per block. add numbers blocks first come,
+// first served, so the order a generator adds blocks in is their priority.
+type prioTable map[sched.Block]int
+
+func (t prioTable) add(stage, micro int) {
+	b := sched.Block{Stage: stage, Micro: micro}
+	if _, ok := t[b]; !ok {
+		t[b] = len(t)
+	}
 }
 
-// dispatchFrom is dispatch with per-device initial availability, used to
-// concatenate scheduling waves (ChimeraDirect).
-func dispatchFrom(p *sched.Placement, blocks []sched.Block, prio map[sched.Block]int, devReady []int) (*sched.Schedule, error) {
-	type node struct {
-		b        sched.Block
-		preds    []int
-		predLeft int
-		finish   int
-	}
-	index := make(map[sched.Block]int, len(blocks))
-	nodes := make([]node, len(blocks))
-	for i, b := range blocks {
-		if _, dup := index[b]; dup {
-			return nil, fmt.Errorf("baseline: block %v listed twice", b)
+// dispatch performs deterministic list scheduling of micro-batches lo..hi−1
+// with a fixed priority per block: at every step, among blocks whose
+// predecessors have finished, the lowest-priority block starts at its
+// earliest feasible time. Blocks the generator left out of prio are numbered
+// after the rest, stage by stage; ties break on the same stage-major order,
+// so the produced schedule is deterministic. Dependencies are always
+// honored, which lets a mildly inconsistent cross-device order degrade into
+// waiting instead of deadlock. devReady, if not nil, is each device's
+// initial availability (ChimeraDirect concatenates waves).
+func dispatch(p *sched.Placement, lo, hi int, prio prioTable, devReady []int) (*sched.Schedule, error) {
+	w := hi - lo
+	var blocks []sched.Block
+	for st := 0; st < p.K(); st++ {
+		for m := lo; m < hi; m++ {
+			blocks = append(blocks, sched.Block{Stage: st, Micro: m})
+			prio.add(st, m)
 		}
-		index[b] = i
-		nodes[i] = node{b: b}
 	}
 	predTable := p.PredTable()
+	predLeft := make([]int, len(blocks))
+	finish := make([]int, len(blocks))
 	succs := make([][]int, len(blocks))
+	var ready []int
 	for i, b := range blocks {
 		for _, ps := range predTable[b.Stage] {
-			if j, ok := index[sched.Block{Stage: ps, Micro: b.Micro}]; ok {
-				nodes[i].preds = append(nodes[i].preds, j)
-				nodes[i].predLeft++
-				succs[j] = append(succs[j], i)
-			}
+			j := ps*w + b.Micro - lo
+			predLeft[i]++
+			succs[j] = append(succs[j], i)
 		}
-	}
-	// Ready set ordered by priority.
-	var ready []int
-	for i := range nodes {
-		if nodes[i].predLeft == 0 {
+		if predLeft[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
 	devAvail := make([]int, p.NumDevices)
-	if devReady != nil {
-		copy(devAvail, devReady)
-	}
+	copy(devAvail, devReady)
 	s := sched.NewSchedule(p)
-	for done := 0; done < len(nodes); done++ {
+	for done := 0; done < len(blocks); done++ {
 		if len(ready) == 0 {
 			return nil, fmt.Errorf("baseline: dependency deadlock after %d blocks", done)
 		}
 		sort.Slice(ready, func(a, b int) bool {
-			pa, pb := prio[nodes[ready[a]].b], prio[nodes[ready[b]].b]
-			if pa != pb {
-				return pa < pb
-			}
-			return ready[a] < ready[b]
+			pa, pb := prio[blocks[ready[a]]], prio[blocks[ready[b]]]
+			return pa < pb || pa == pb && ready[a] < ready[b]
 		})
 		i := ready[0]
 		ready = ready[1:]
-		n := &nodes[i]
+		b, stage := blocks[i], &p.Stages[blocks[i].Stage]
 		st := 0
-		for _, d := range p.Stages[n.b.Stage].Devices {
-			if devAvail[d] > st {
-				st = devAvail[d]
-			}
+		for _, d := range stage.Devices {
+			st = max(st, devAvail[d])
 		}
-		for _, pi := range n.preds {
-			if nodes[pi].finish > st {
-				st = nodes[pi].finish
-			}
+		for _, ps := range predTable[b.Stage] {
+			st = max(st, finish[ps*w+b.Micro-lo])
 		}
-		n.finish = st + p.Stages[n.b.Stage].Time
-		for _, d := range p.Stages[n.b.Stage].Devices {
-			devAvail[d] = n.finish
+		finish[i] = st + stage.Time
+		for _, d := range stage.Devices {
+			devAvail[d] = finish[i]
 		}
-		s.Add(n.b.Stage, n.b.Micro, st)
+		s.Add(b.Stage, b.Micro, st)
 		for _, j := range succs[i] {
-			nodes[j].predLeft--
-			if nodes[j].predLeft == 0 {
+			if predLeft[j]--; predLeft[j] == 0 {
 				ready = append(ready, j)
 			}
 		}
@@ -110,105 +105,75 @@ func dispatchFrom(p *sched.Placement, blocks []sched.Block, prio map[sched.Block
 	return s, nil
 }
 
-// stageKinds splits a placement's per-device stages into forward and
-// backward chains in topological order.
-func stageChains(p *sched.Placement) (fwd, bwd [][]int, err error) {
-	order, err := p.TopoOrder()
-	if err != nil {
-		return nil, nil, err
+// topo checks the micro-batch count and returns p's topological order.
+func topo(p *sched.Placement, n int) ([]int, error) {
+	if n <= 0 {
+		return nil, errors.New("baseline: need at least 1 micro-batch")
 	}
-	fwd = make([][]int, p.NumDevices)
-	bwd = make([][]int, p.NumDevices)
+	return p.TopoOrder()
+}
+
+// dir is 1 for a backward stage and 0 for a forward or auxiliary one.
+func dir(p *sched.Placement, i int) int {
+	if p.Stages[i].Kind == sched.Backward {
+		return 1
+	}
+	return 0
+}
+
+// stageChains splits a placement's single-device stages into per-device
+// forward (chains[0]) and backward (chains[1]) chains in topological order.
+func stageChains(p *sched.Placement, order []int) (chains [2][][]int) {
+	chains = [2][][]int{make([][]int, p.NumDevices), make([][]int, p.NumDevices)}
 	for _, i := range order {
-		if len(p.Stages[i].Devices) != 1 {
-			continue // tensor-parallel stages handled by the caller
-		}
-		d := p.Stages[i].Devices[0]
-		if p.Stages[i].Kind == sched.Backward {
-			bwd[d] = append(bwd[d], i)
-		} else {
-			fwd[d] = append(fwd[d], i)
+		if len(p.Stages[i].Devices) == 1 {
+			d, k := p.Stages[i].Devices[0], dir(p, i)
+			chains[k][d] = append(chains[k][d], i)
 		}
 	}
-	return fwd, bwd, nil
+	return chains
+}
+
+// rejectTP returns an error naming p's first tensor-parallel stage, if any.
+func rejectTP(p *sched.Placement, format string) error {
+	for i := range p.Stages {
+		if len(p.Stages[i].Devices) > 1 {
+			return fmt.Errorf("baseline: "+format, p.Stages[i].Name)
+		}
+	}
+	return nil
+}
+
+// oneFOneBStep is 1F1B's step rule (Fan et al., DAPPLE; Narayanan et al.,
+// PipeDream) for a device with warm warmup forwards over n micro-batches: at
+// step k it runs forward k while k < min(warm, n), then alternates one
+// backward and one forward. It returns the micro-batch and its direction
+// (1 backward, 0 forward); ok is false when the device has nothing to run
+// at step k.
+func oneFOneBStep(k, warm, n int) (m, bwd int, ok bool) {
+	warm = min(warm, n)
+	if k < warm {
+		return k, 0, true
+	}
+	if k -= warm; k%2 == 0 {
+		return k / 2, 1, k/2 < n
+	}
+	return warm + k/2, 0, warm+k/2 < n
 }
 
 // OneFOneB generates the 1F1B schedule for a V-shape-style placement: device
 // d runs min(D−d, n) warmup forwards, then strictly alternates one backward
-// and one forward per micro-batch (Fan et al., DAPPLE; Narayanan et al.,
-// PipeDream). It generalizes to any placement whose per-device stages form
-// one forward and one backward group by treating each group as a unit.
+// and one forward per micro-batch. It generalizes to any placement whose
+// per-device stages form one forward and one backward group by treating
+// each group as a unit — 1F1B+'s grouped form on a placement without
+// tensor-parallel stages.
 func OneFOneB(p *sched.Placement, n int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	fwd, bwd, err := stageChains(p)
-	if err != nil {
-		return nil, err
-	}
-	for i := range p.Stages {
-		if len(p.Stages[i].Devices) > 1 {
-			return nil, fmt.Errorf("baseline: 1F1B does not support tensor-parallel stage %q; use OneFOneBPlus", p.Stages[i].Name)
+	if n > 0 {
+		if err := rejectTP(p, "1F1B does not support tensor-parallel stage %q; use OneFOneBPlus"); err != nil {
+			return nil, err
 		}
 	}
-	d := p.NumDevices
-	prio := map[sched.Block]int{}
-	next := 0
-	assign := func(stage, micro int) {
-		b := sched.Block{Stage: stage, Micro: micro}
-		if _, ok := prio[b]; !ok {
-			prio[b] = next
-			next++
-		}
-	}
-	emitFwdUnit := func(dev, micro int) {
-		for _, i := range fwd[dev] {
-			assign(i, micro)
-		}
-	}
-	emitBwdUnit := func(dev, micro int) {
-		for _, i := range bwd[dev] {
-			assign(i, micro)
-		}
-	}
-	// Step-by-step rounds so priorities interleave across devices the way
-	// 1F1B does: min(D−d, n) warmup forwards, then alternate 1B/1F.
-	maxSteps := 2*n + 2*d
-	for step := 0; step < maxSteps; step++ {
-		for dev := 0; dev < d; dev++ {
-			warm := d - dev
-			if warm > n {
-				warm = n
-			}
-			if step < warm {
-				emitFwdUnit(dev, step)
-				continue
-			}
-			k := step - warm
-			if k%2 == 0 {
-				if b := k / 2; b < n {
-					emitBwdUnit(dev, b)
-				}
-			} else {
-				if f := warm + k/2; f < n {
-					emitFwdUnit(dev, f)
-				}
-			}
-		}
-	}
-	var blocks []sched.Block
-	for st := 0; st < p.K(); st++ {
-		for m := 0; m < n; m++ {
-			blocks = append(blocks, sched.Block{Stage: st, Micro: m})
-		}
-	}
-	for _, b := range blocks {
-		if _, ok := prio[b]; !ok {
-			prio[b] = next
-			next++
-		}
-	}
-	return dispatch(p, blocks, prio)
+	return onePlusGrouped(p, n)
 }
 
 // OneFOneBPlus is the paper's 1F1B+ baseline: the 1F1B order manually
@@ -240,26 +205,18 @@ func OneFOneBPlus(p *sched.Placement, n int) (*sched.Schedule, error) {
 // stage: forward stage at chain position v processes micro-batch m at
 // virtual time v + 3m, backward stage at position v' at F + 2v' + 3m.
 func onePlusVirtual(p *sched.Placement, n int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	order, err := p.TopoOrder()
+	order, err := topo(p, n)
 	if err != nil {
 		return nil, err
 	}
-	// Chain positions of single-device stages, per kind, in topo order.
-	fpos := map[int]int{}
-	bpos := map[int]int{}
+	// Chain positions of single-device stages, per direction, in topo order.
+	pos := [2]map[int]int{{}, {}}
 	for _, i := range order {
-		if len(p.Stages[i].Devices) != 1 {
-			continue
-		}
-		if p.Stages[i].Kind == sched.Backward {
-			bpos[i] = len(bpos)
-		} else {
-			fpos[i] = len(fpos)
+		if len(p.Stages[i].Devices) == 1 {
+			pos[dir(p, i)][i] = len(pos[dir(p, i)])
 		}
 	}
+	fpos, bpos := pos[0], pos[1]
 	f := len(fpos)
 	// Virtual timing uses the placement's backward:forward time ratio r
 	// (2 without recompute, 3 with): one micro-batch's steady-state stride
@@ -273,10 +230,7 @@ func onePlusVirtual(p *sched.Placement, n int) (*sched.Schedule, error) {
 	}
 	r := 2
 	if len(fpos) > 0 && len(bpos) > 0 && fsum > 0 {
-		r = (bsum*len(fpos) + fsum*len(bpos)/2) / (fsum * len(bpos))
-		if r < 1 {
-			r = 1
-		}
+		r = max(1, (bsum*len(fpos)+fsum*len(bpos)/2)/(fsum*len(bpos)))
 	}
 	stride := 1 + r
 	virt := func(stage, micro int) (int, bool) {
@@ -288,7 +242,7 @@ func onePlusVirtual(p *sched.Placement, n int) (*sched.Schedule, error) {
 		}
 		return 0, false
 	}
-	prio := map[sched.Block]int{}
+	prio := prioTable{}
 	for _, i := range order {
 		for m := 0; m < n; m++ {
 			if v, ok := virt(i, m); ok {
@@ -321,162 +275,78 @@ func onePlusVirtual(p *sched.Placement, n int) (*sched.Schedule, error) {
 					best, anchored = v, true
 				}
 			}
-			if anchored {
+			switch {
+			case anchored:
 				prio[b] = best + 1
-			} else if m > 0 {
+			case m > 0:
 				// TP-only chains: follow the same-stage previous micro.
 				prio[b] = prio[sched.Block{Stage: i, Micro: m - 1}] + 30
+			default:
+				prio[b] = 0
 			}
 		}
 	}
-	var blocks []sched.Block
-	for st := 0; st < p.K(); st++ {
-		for m := 0; m < n; m++ {
-			blocks = append(blocks, sched.Block{Stage: st, Micro: m})
-		}
-	}
-	return dispatch(p, blocks, prio)
+	return dispatch(p, 0, n, prio, nil)
 }
 
 // onePlusGrouped dispatches each device's forward stages as one unit and
-// backward stages as another, following the classic 1F1B warmup/alternate
-// pattern, with tensor-parallel stages attached before the unit they feed
-// or after the unit they consume.
+// backward stages as another, following the 1F1B step rule, with
+// tensor-parallel stages attached before the unit they feed or after the
+// unit they consume.
 func onePlusGrouped(p *sched.Placement, n int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	fwd, bwd, err := stageChains(p)
+	order, err := topo(p, n)
 	if err != nil {
 		return nil, err
 	}
-	order, err := p.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	// Classify TP stages: those feeding same-kind single-device stages go
-	// before the unit, the rest after.
-	tpBefore := map[bool][]int{}
-	tpAfter := map[bool][]int{}
+	chains := stageChains(p, order)
+	// TP stages feeding same-direction single-device stages go before the
+	// unit, the rest after.
+	var before, after [2][]int
 	for _, i := range order {
 		if len(p.Stages[i].Devices) <= 1 {
 			continue
 		}
-		isBwd := p.Stages[i].Kind == sched.Backward
-		feeds := false
-		for _, j := range p.Succs(i) {
-			if len(p.Stages[j].Devices) == 1 && (p.Stages[j].Kind == sched.Backward) == isBwd {
-				feeds = true
-				break
-			}
-		}
-		if feeds {
-			tpBefore[isBwd] = append(tpBefore[isBwd], i)
+		k := dir(p, i)
+		if slices.ContainsFunc(p.Succs(i), func(j int) bool { return len(p.Stages[j].Devices) == 1 && dir(p, j) == k }) {
+			before[k] = append(before[k], i)
 		} else {
-			tpAfter[isBwd] = append(tpAfter[isBwd], i)
+			after[k] = append(after[k], i)
 		}
 	}
 	d := p.NumDevices
-	prio := map[sched.Block]int{}
-	next := 0
-	assign := func(stage, micro int) {
-		b := sched.Block{Stage: stage, Micro: micro}
-		if _, ok := prio[b]; !ok {
-			prio[b] = next
-			next++
-		}
-	}
-	emitFwdUnit := func(dev, micro int) {
-		for _, i := range tpBefore[false] {
-			assign(i, micro)
-		}
-		for _, i := range fwd[dev] {
-			assign(i, micro)
-		}
-		for _, i := range tpAfter[false] {
-			assign(i, micro)
-		}
-	}
-	emitBwdUnit := func(dev, micro int) {
-		for _, i := range tpBefore[true] {
-			assign(i, micro)
-		}
-		for _, i := range bwd[dev] {
-			assign(i, micro)
-		}
-		for _, i := range tpAfter[true] {
-			assign(i, micro)
-		}
-	}
-	maxSteps := 2*n + 2*d
-	for step := 0; step < maxSteps; step++ {
+	prio := prioTable{}
+	for k := 0; k < 2*n+2*d; k++ {
 		for dev := 0; dev < d; dev++ {
-			warm := d - dev
-			if warm > n {
-				warm = n
-			}
-			if step < warm {
-				emitFwdUnit(dev, step)
-				continue
-			}
-			k := step - warm
-			if k%2 == 0 {
-				if b := k / 2; b < n {
-					emitBwdUnit(dev, b)
-				}
-			} else {
-				if f := warm + k/2; f < n {
-					emitFwdUnit(dev, f)
+			if m, b, ok := oneFOneBStep(k, d-dev, n); ok {
+				for _, unit := range [][]int{before[b], chains[b][dev], after[b]} {
+					for _, i := range unit {
+						prio.add(i, m)
+					}
 				}
 			}
 		}
 	}
-	var blocks []sched.Block
-	for st := 0; st < p.K(); st++ {
-		for m := 0; m < n; m++ {
-			blocks = append(blocks, sched.Block{Stage: st, Micro: m})
-		}
-	}
-	for _, b := range blocks {
-		if _, ok := prio[b]; !ok {
-			prio[b] = next
-			next++
-		}
-	}
-	return dispatch(p, blocks, prio)
+	return dispatch(p, 0, n, prio, nil)
 }
 
 // GPipe generates the GPipe schedule (Huang et al.): all forward
 // micro-batches flush through the pipeline, then all backwards.
 func GPipe(p *sched.Placement, n int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	order, err := p.TopoOrder()
+	order, err := topo(p, n)
 	if err != nil {
 		return nil, err
 	}
-	prio := map[sched.Block]int{}
-	next := 0
-	for _, phase := range []sched.Kind{sched.Forward, sched.Backward} {
+	prio := prioTable{}
+	for k := range 2 {
 		for m := 0; m < n; m++ {
 			for _, i := range order {
-				match := p.Stages[i].Kind == phase ||
-					(phase == sched.Forward && p.Stages[i].Kind == sched.Aux)
-				if match {
-					prio[sched.Block{Stage: i, Micro: m}] = next
-					next++
+				if dir(p, i) == k {
+					prio.add(i, m)
 				}
 			}
 		}
 	}
-	var blocks []sched.Block
-	for st := 0; st < p.K(); st++ {
-		for m := 0; m < n; m++ {
-			blocks = append(blocks, sched.Block{Stage: st, Micro: m})
-		}
-	}
-	return dispatch(p, blocks, prio)
+	return dispatch(p, 0, n, prio, nil)
 }
 
 // ChimeraDirect generates the Chimera schedule (Li & Hoefler) for the
@@ -486,21 +356,17 @@ func GPipe(p *sched.Placement, n int) (*sched.Schedule, error) {
 // waves concatenate back-to-back. The rigid wave structure is what leaves
 // Chimera-direct its characteristic steady-state bubble (Table II).
 func ChimeraDirect(p *sched.Placement, n int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	fwd, bwd, err := stageChains(p)
+	order, err := topo(p, n)
 	if err != nil {
 		return nil, err
 	}
-	for i := range p.Stages {
-		if len(p.Stages[i].Devices) > 1 {
-			return nil, fmt.Errorf("baseline: chimera does not support tensor-parallel stage %q", p.Stages[i].Name)
-		}
+	if err := rejectTP(p, "chimera does not support tensor-parallel stage %q"); err != nil {
+		return nil, err
 	}
+	chains := stageChains(p, order)
 	d := p.NumDevices
 	for dev := 0; dev < d; dev++ {
-		if len(fwd[dev]) < 2 || len(bwd[dev]) < 2 {
+		if len(chains[0][dev]) < 2 || len(chains[1][dev]) < 2 {
 			return nil, fmt.Errorf("baseline: chimera needs bidirectional stages on device %d", dev)
 		}
 	}
@@ -508,84 +374,34 @@ func ChimeraDirect(p *sched.Placement, n int) (*sched.Schedule, error) {
 	// basic Chimera scheduling unit per direction (calibrated to the ~20%
 	// steady-state bubble Table II reports for Chimera-direct).
 	wave := 2 * d
-	return chimeraWavesChecked(p, n, wave, fwd, bwd)
-}
-
-func chimeraWavesChecked(p *sched.Placement, n, wave int, fwd, bwd [][]int) (*sched.Schedule, error) {
-	d := p.NumDevices
 	full := sched.NewSchedule(p)
 	devReady := make([]int, d)
 	for lo := 0; lo < n; lo += wave {
-		hi := lo + wave
-		if hi > n {
-			hi = n
-		}
-		nw := hi - lo
-		prio := map[sched.Block]int{}
-		next := 0
-		assign := func(stage, sub int) {
-			b := sched.Block{Stage: stage, Micro: lo + sub}
-			if _, ok := prio[b]; !ok {
-				prio[b] = next
-				next++
-			}
-		}
-		maxSteps := 4*nw + 4*d
-		for step := 0; step < maxSteps; step++ {
-			for dev := 0; dev < d; dev++ {
-				// Direction alternates per step; each direction follows its
-				// own 1F1B with warmup depth given by its stage position.
-				dir := step % 2
-				sub := step / 2
-				var f, b, depth int
-				if dir == 0 {
-					f, b = fwd[dev][0], bwd[dev][0] // down direction
-					depth = d - dev
-				} else {
-					f, b = fwd[dev][1], bwd[dev][1] // up direction
-					depth = dev + 1
-				}
-				warm := depth
-				if warm > nw {
-					warm = nw
-				}
-				if sub < warm {
-					assign(f, sub)
-					continue
-				}
-				k := sub - warm
-				if k%2 == 0 {
-					if bb := k / 2; bb < nw {
-						assign(b, bb)
+		nw := min(wave, n-lo)
+		prio := prioTable{}
+		for k := 0; k < 2*nw+2*d; k++ {
+			// Each step runs the down direction (a device's first stage
+			// pair, warmup depth D−dev), then the up one (its second pair,
+			// depth dev+1), each by its own 1F1B step rule.
+			for up := range 2 {
+				for dev := 0; dev < d; dev++ {
+					depth := d - dev
+					if up == 1 {
+						depth = dev + 1
 					}
-				} else {
-					if ff := warm + k/2; ff < nw {
-						assign(f, ff)
+					if m, b, ok := oneFOneBStep(k, depth, nw); ok {
+						prio.add(chains[b][dev][up], lo+m)
 					}
 				}
 			}
 		}
-		var blocks []sched.Block
-		for st := 0; st < p.K(); st++ {
-			for m := lo; m < hi; m++ {
-				blocks = append(blocks, sched.Block{Stage: st, Micro: m})
-			}
-		}
-		for _, b := range blocks {
-			if _, ok := prio[b]; !ok {
-				prio[b] = next
-				next++
-			}
-		}
-		ws, err := dispatchFrom(p, blocks, prio, devReady)
+		ws, err := dispatch(p, lo, lo+nw, prio, devReady)
 		if err != nil {
 			return nil, err
 		}
 		for _, it := range ws.Items {
 			for _, dev := range p.Stages[it.Stage].Devices {
-				if f := it.Start + p.Stages[it.Stage].Time; f > devReady[dev] {
-					devReady[dev] = f
-				}
+				devReady[dev] = max(devReady[dev], it.Start+p.Stages[it.Stage].Time)
 			}
 		}
 		full.Append(ws)
@@ -597,25 +413,17 @@ func chimeraWavesChecked(p *sched.Placement, n, wave int, fwd, bwd [][]int) (*sc
 // Sequential runs micro-batches strictly one after another (no pipelining):
 // the degenerate schedule with minimal memory and maximal bubble.
 func Sequential(p *sched.Placement, n int) (*sched.Schedule, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("baseline: need at least 1 micro-batch")
-	}
-	order, err := p.TopoOrder()
+	order, err := topo(p, n)
 	if err != nil {
 		return nil, err
 	}
-	prio := map[sched.Block]int{}
-	next := 0
-	var blocks []sched.Block
+	prio := prioTable{}
 	for m := 0; m < n; m++ {
 		for _, i := range order {
-			b := sched.Block{Stage: i, Micro: m}
-			prio[b] = next
-			next++
-			blocks = append(blocks, b)
+			prio.add(i, m)
 		}
 	}
-	return dispatch(p, blocks, prio)
+	return dispatch(p, 0, n, prio, nil)
 }
 
 // TensorParallelPlacement converts a placement into its pure tensor-parallel

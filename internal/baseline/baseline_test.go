@@ -73,19 +73,37 @@ func TestOneFOneBPeakMemoryBounded(t *testing.T) {
 	}
 }
 
-func TestOneFOneBMakespanKnown(t *testing.T) {
-	// Known 1F1B makespan for V-shape, fwd=1, bwd=2, D=4:
-	// warmup D−1 forwards + N·(fwd+bwd) at the last stage + drain D−1 bwd
-	// stages ⇒ (D−1)·fwd + N·3 + (D−1)·bwd = 3 + 3N + 6.
-	p := vshape(t, 4)
-	for _, n := range []int{4, 8, 12} {
-		s, err := OneFOneB(p, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 3 + 3*n + 6
-		if got := s.Makespan(); got != want {
-			t.Fatalf("n=%d makespan = %d, want %d", n, got, want)
+// TestOneFOneBGPipeClosedForms holds 1F1B and GPipe on a uniform V-shape to
+// their closed forms: both take (N+D−1)·(fwd+bwd) — D−1 warmup forwards, N
+// fwd+bwd pairs at the last stage, D−1 draining backwards — and 1F1B keeps
+// min(D−i, N) micro-batches in flight on device i where GPipe keeps all N.
+func TestOneFOneBGPipeClosedForms(t *testing.T) {
+	for d := 2; d <= 8; d++ {
+		for _, fb := range [][2]int{{1, 2}, {1, 3}, {2, 4}, {3, 5}} {
+			p, err := placement.VShape(placement.Config{Devices: d, Fwd: fb[0], Bwd: fb[1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 1; n <= 24; n++ {
+				one, err := OneFOneB(p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gp, err := GPipe(p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := (n + d - 1) * (fb[0] + fb[1])
+				if one.Makespan() != want || gp.Makespan() != want {
+					t.Fatalf("D=%d fwd/bwd=%v n=%d: makespans 1F1B %d, GPipe %d, want %d", d, fb, n, one.Makespan(), gp.Makespan(), want)
+				}
+				onePeak, gpPeak := one.PeakMemory(nil), gp.PeakMemory(nil)
+				for i := 0; i < d; i++ {
+					if onePeak[i] != min(d-i, n) || gpPeak[i] != n {
+						t.Fatalf("D=%d fwd/bwd=%v n=%d device %d: peaks 1F1B %d, GPipe %d, want %d and %d", d, fb, n, i, onePeak[i], gpPeak[i], min(d-i, n), n)
+					}
+				}
+			}
 		}
 	}
 }

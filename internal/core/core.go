@@ -193,9 +193,17 @@ type Result struct {
 	tmpl template
 }
 
-func (o Options) withDefaults() Options {
+// Resolve returns o with its defaults filled in as Search reads them:
+// Memory 0 → sched.Unbounded, MaxNR ≤ 0 → MaxInflight(p, Memory),
+// MaxAssignments 0 → DefaultMaxAssignments and SolverNodes 0 →
+// DefaultSolverNodes. Two spellings that resolve alike search alike, which
+// is what the serving cache keys on.
+func (o Options) Resolve(p *sched.Placement) Options {
 	if o.Memory == 0 {
 		o.Memory = sched.Unbounded
+	}
+	if o.MaxNR <= 0 {
+		o.MaxNR = MaxInflight(p, o.Memory)
 	}
 	if o.MaxAssignments == 0 {
 		o.MaxAssignments = DefaultMaxAssignments
@@ -216,8 +224,8 @@ func MaxInflight(p *sched.Placement, memory int) int {
 	inflight := DefaultMaxNR
 	for d := 0; d < p.NumDevices; d++ {
 		act := 0
-		for _, i := range p.DeviceStages(sched.DeviceID(d)) {
-			if p.Stages[i].Mem > 0 {
+		for i := range p.Stages {
+			if p.Stages[i].Mem > 0 && p.Stages[i].OnDevice(sched.DeviceID(d)) {
 				act += p.Stages[i].Mem
 			}
 		}
@@ -253,19 +261,15 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	if opts.N < 0 {
 		return nil, fmt.Errorf("core: micro-batch count must be non-negative, got %d", opts.N)
 	}
-	opts = opts.withDefaults()
+	opts = opts.Resolve(p)
 	//tessel:waive:determinism wall-clock feeds only the Stats.Total telemetry, never schedule bytes
 	t0 := time.Now()
 	res := &Result{
 		Placement:  p,
 		LowerBound: p.LowerBound(),
 	}
-	maxNR := opts.MaxNR
-	if maxNR <= 0 {
-		maxNR = MaxInflight(p, opts.Memory)
-	}
 
-	s := &sweep{ctx: ctx, opts: opts, res: res, maxNR: maxNR, solve: repetend.SolveOptions{
+	s := &sweep{ctx: ctx, opts: opts, res: res, solve: repetend.SolveOptions{
 		Memory:        opts.Memory,
 		SolverNodes:   opts.SolverNodes,
 		SolverTimeout: opts.SolverTimeout,
@@ -291,7 +295,7 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	}
 	best := s.best
 	if best == nil {
-		return nil, fmt.Errorf("core: no feasible repetend for %s within memory %d and N_R ≤ %d", p.Name, opts.Memory, maxNR)
+		return nil, fmt.Errorf("core: no feasible repetend for %s within memory %d and N_R ≤ %d", p.Name, opts.Memory, opts.MaxNR)
 	}
 	res.Repetend = best
 	res.BubbleRate = best.SteadyBubbleRate()
@@ -315,7 +319,6 @@ type sweep struct {
 	ctx    context.Context
 	opts   Options
 	res    *Result
-	maxNR  int
 	filter *repetend.PrefixFilter
 	// solve is what every assignment is solved with, on one instance-solve
 	// cache: assignments that share a lag-zero pattern, in any round, pay the
@@ -337,7 +340,7 @@ type sweep struct {
 // early at the lower bound.
 func (s *sweep) pass(aim int) error {
 	s.incumbent = aim
-	for nr := 1; nr <= s.maxNR && !s.res.Stats.EarlyExit; nr++ {
+	for nr := 1; nr <= s.opts.MaxNR && !s.res.Stats.EarlyExit; nr++ {
 		s.res.Stats.NRSwept = nr
 		if err := s.round(nr, aim); err != nil {
 			return err
@@ -556,7 +559,7 @@ func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, err
 	if n <= 0 {
 		return nil, fmt.Errorf("core: Extend needs a positive micro-batch count, got %d", n)
 	}
-	opts = opts.withDefaults()
+	opts = opts.Resolve(res.Placement)
 	out := &Result{
 		Placement:  res.Placement,
 		Repetend:   res.Repetend,
@@ -885,7 +888,7 @@ func TimeOptimal(ctx context.Context, p *sched.Placement, n int, opts Options) (
 	if n < 0 {
 		return nil, solver.Result{}, fmt.Errorf("core: micro-batch count must be non-negative, got %d", n)
 	}
-	opts = opts.withDefaults()
+	opts = opts.Resolve(p)
 	tasks, err := solver.BuildTasks(p, solver.AllBlocks(p, n), nil)
 	if err != nil {
 		return nil, solver.Result{}, err

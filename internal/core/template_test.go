@@ -143,7 +143,7 @@ func TestTemplateExtendMatchesFromScratch(t *testing.T) {
 						t.Fatalf("n=%d: the from-scratch completion ran no solve", n)
 					}
 					sameCompletion(t, fmt.Sprintf("n=%d pass %d", n, pass), got, want)
-					if err := got.Full.Validate(sched.ValidateOptions{Memory: opts.withDefaults().Memory}); err != nil {
+					if err := got.Full.Validate(sched.ValidateOptions{Memory: opts.Resolve(p).Memory}); err != nil {
 						t.Fatalf("n=%d: %v", n, err)
 					}
 					if got.Full.Len() != n*p.K() {
@@ -179,7 +179,7 @@ func TestTemplateKeyMissesOnOtherMemory(t *testing.T) {
 		if err != nil {
 			continue // the repetend need not fit a smaller memory
 		}
-		if err := ext.Full.Validate(sched.ValidateOptions{Memory: Options{Memory: memory}.withDefaults().Memory}); err != nil {
+		if err := ext.Full.Validate(sched.ValidateOptions{Memory: Options{Memory: memory}.Resolve(p).Memory}); err != nil {
 			t.Fatalf("memory %d: %v", memory, err)
 		}
 	}

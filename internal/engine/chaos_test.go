@@ -145,10 +145,14 @@ func TestChaosOverloadSheds(t *testing.T) {
 	)
 	e := New(Options{MaxConcurrentSearches: slots, MaxQueuedSearches: queue})
 
-	var inWindow atomic.Int32
+	var inWindow, leaders, maxLeaders atomic.Int32
 	release := make(chan struct{})
 	faultpoint.Arm(faultpoint.EngineSingleflight, func() error {
 		inWindow.Add(1)
+		n := leaders.Add(1)
+		defer leaders.Add(-1)
+		for m := maxLeaders.Load(); n > m && !maxLeaders.CompareAndSwap(m, n); m = maxLeaders.Load() {
+		}
 		<-release
 		return nil
 	})
@@ -225,8 +229,8 @@ func TestChaosOverloadSheds(t *testing.T) {
 		}
 	}
 
-	if max := e.ctrl.MaxRunning(); max != slots {
-		t.Fatalf("observed %d concurrent searches, cap is %d", max, slots)
+	if max := maxLeaders.Load(); max != slots {
+		t.Fatalf("observed %d concurrent leaders, cap is %d", max, slots)
 	}
 	st := e.Stats()
 	if st.Admitted != slots+queue || st.Queued != queue || st.Shed != shedded {

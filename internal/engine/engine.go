@@ -511,14 +511,14 @@ func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*cor
 }
 
 // requestKey combines the placement fingerprint with every option that can
-// change which repetend the search finds. Options are normalized first so
-// that spellings core.Search treats identically (Memory 0 vs Unbounded,
-// explicit vs default budgets, MaxNR 0 vs the memory-derived cap) share a
-// key. N and Workers are excluded: N is served by extension, and Workers
-// only changes how many goroutines solve — core.Search decides on one
-// goroutine, in enumeration order, and returns byte-identical schedules for
-// every Workers setting, so keying on it would split the cache without
-// changing any cached result.
+// change which repetend the search finds. Options are resolved first, by the
+// same core.Options.Resolve Search runs, so that spellings Search treats
+// identically (Memory 0 vs Unbounded, explicit vs default budgets, MaxNR 0
+// vs the memory-derived cap) share a key. N and Workers are excluded: N is
+// served by extension, and Workers only changes how many goroutines solve —
+// core.Search decides on one goroutine, in enumeration order, and returns
+// byte-identical schedules for every Workers setting, so keying on it would
+// split the cache without changing any cached result.
 // That determinism is what makes the cache reproducible: which request of
 // a coalesced burst becomes the singleflight leader cannot change the
 // entry that gets pinned.
@@ -527,24 +527,9 @@ func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*cor
 // restored entry's key must begin with the fingerprint of its embedded
 // placement (snapshot.go).
 func requestKey(fingerprint string, p *sched.Placement, opts core.Options) string {
-	memory := opts.Memory
-	if memory == 0 {
-		memory = sched.Unbounded
-	}
-	maxNR := opts.MaxNR
-	if maxNR <= 0 {
-		maxNR = core.MaxInflight(p, memory)
-	}
-	maxAssign := opts.MaxAssignments
-	if maxAssign == 0 {
-		maxAssign = core.DefaultMaxAssignments
-	}
-	nodes := opts.SolverNodes
-	if nodes == 0 {
-		nodes = core.DefaultSolverNodes
-	}
+	o := opts.Resolve(p)
 	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t",
-		fingerprint, memory, maxNR, maxAssign, nodes, opts.SolverTimeout, !opts.DisableLazy)
+		fingerprint, o.Memory, o.MaxNR, o.MaxAssignments, o.SolverNodes, o.SolverTimeout, !o.DisableLazy)
 }
 
 func isContextErr(err error) bool {

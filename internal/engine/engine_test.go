@@ -148,6 +148,39 @@ func TestOptionNormalization(t *testing.T) {
 	}
 }
 
+// TestRequestKeySpellings pins requestKey for option spellings that must share
+// or split a cache entry. The keys are literals recorded before requestKey and
+// Search shared core.Options.Resolve: snapshot and peer entries carry them, so
+// none may move.
+func TestRequestKeySpellings(t *testing.T) {
+	const def = "|mem=2305843009213693951|nr=8|asn=100000|nod=400000|to=0|lazy=true"
+	m, v := mshape(t), vshape(t)
+	for _, c := range []struct {
+		p    *sched.Placement
+		opts core.Options
+		want string
+	}{
+		{m, core.Options{}, def},
+		{m, core.Options{Memory: sched.Unbounded, MaxNR: core.DefaultMaxNR, MaxAssignments: core.DefaultMaxAssignments, SolverNodes: core.DefaultSolverNodes}, def},
+		{m, core.Options{N: 12, Workers: 4, MaxNR: -1}, def},
+		{m, core.Options{Memory: 6}, "|mem=6|nr=2|asn=100000|nod=400000|to=0|lazy=true"},
+		{m, core.Options{Memory: 6, MaxNR: 2}, "|mem=6|nr=2|asn=100000|nod=400000|to=0|lazy=true"},
+		{m, core.Options{Memory: 3}, "|mem=3|nr=1|asn=100000|nod=400000|to=0|lazy=true"},
+		{v, core.Options{}, def},
+		{v, core.Options{Memory: 6}, "|mem=6|nr=6|asn=100000|nod=400000|to=0|lazy=true"},
+		{v, core.Options{Memory: 6, MaxNR: -2}, "|mem=6|nr=6|asn=100000|nod=400000|to=0|lazy=true"},
+		{v, core.Options{Memory: 6, MaxNR: 2}, "|mem=6|nr=2|asn=100000|nod=400000|to=0|lazy=true"},
+		{v, core.Options{Memory: 3}, "|mem=3|nr=3|asn=100000|nod=400000|to=0|lazy=true"},
+		{v, core.Options{MaxNR: 3, MaxAssignments: 5, SolverNodes: 7, SolverTimeout: 1500 * time.Millisecond, DisableLazy: true},
+			"|mem=2305843009213693951|nr=3|asn=5|nod=7|to=1500000000|lazy=false"},
+	} {
+		fp := sched.Fingerprint(c.p)
+		if got := requestKey(fp, c.p, c.opts); got != fp+c.want {
+			t.Errorf("%s %+v: key %q, want fingerprint + %q", c.p.Name, c.opts, got, c.want)
+		}
+	}
+}
+
 // TestSingleflight launches concurrent identical cold requests and checks
 // exactly one search ran; the rest either coalesced onto it or (if they
 // arrived after it finished) hit the cache.

@@ -81,12 +81,11 @@ type snapshotEntry struct {
 // snapshotRepetend is repetend.Repetend minus its placement pointer
 // (restored from the entry's embedded placement).
 type snapshotRepetend struct {
-	Assign       []int `json:"assign"`
-	NR           int   `json:"nr"`
-	Starts       []int `json:"starts"`
-	Period       int   `json:"period"`
-	SimplePeriod int   `json:"simple_period"`
-	Truncated    bool  `json:"truncated"`
+	Assign    []int `json:"assign"`
+	NR        int   `json:"nr"`
+	Starts    []int `json:"starts"`
+	Period    int   `json:"period"`
+	Truncated bool  `json:"truncated"`
 }
 
 // SnapshotTo serializes the cache to w. Entries are written MRU-first, so
@@ -281,12 +280,11 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 		Key:       key,
 		Placement: json.RawMessage(pbuf.Bytes()),
 		Repetend: snapshotRepetend{
-			Assign:       r.Assign,
-			NR:           r.NR,
-			Starts:       r.Starts,
-			Period:       r.Period,
-			SimplePeriod: r.SimplePeriod,
-			Truncated:    r.Truncated,
+			Assign:    r.Assign,
+			NR:        r.NR,
+			Starts:    r.Starts,
+			Period:    r.Period,
+			Truncated: r.Truncated,
 		},
 		N:        res.N,
 		Stats:    res.Stats,
@@ -364,7 +362,7 @@ func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int)
 	if err := a.Validate(p, sr.NR); err != nil {
 		return nil, fmt.Errorf("repetend: %w", err)
 	}
-	r := &repetend.Repetend{P: p, Assign: a, NR: sr.NR, Starts: sr.Starts, Period: sr.Period, SimplePeriod: sr.SimplePeriod, Truncated: sr.Truncated}
+	r := &repetend.Repetend{P: p, Assign: a, NR: sr.NR, Starts: sr.Starts, Period: sr.Period, Truncated: sr.Truncated}
 	if err := r.Unroll(r.NR + 1).Validate(sched.ValidateOptions{Memory: memory, InitialMem: repetend.EntryMemory(p, a)}); err != nil {
 		return nil, fmt.Errorf("repetend invalid: %w", err)
 	}

@@ -474,7 +474,7 @@ func TestSnapshotEntryStoresOnlyInputs(t *testing.T) {
 	if got, want := keys(body.Entries[0]), "body cooldown key n placement recency repetend stats warmup"; got != want {
 		t.Errorf("entry keys %q, want %q", got, want)
 	}
-	if got, want := keys(rep), "assign nr period simple_period starts truncated"; got != want {
+	if got, want := keys(rep), "assign nr period starts truncated"; got != want {
 		t.Errorf("repetend keys %q, want %q", got, want)
 	}
 	if want := sched.Fingerprint(mshape(t)) + "|mem="; !strings.HasPrefix(key, want) || !strings.HasSuffix(key, "|lazy=true") {

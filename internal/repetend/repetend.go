@@ -192,9 +192,6 @@ type Repetend struct {
 	// Period is t_R, the steady-state time between consecutive instances
 	// under tight compaction (Figure 6b).
 	Period int
-	// SimplePeriod is the period under simple compaction (Figure 6a) of the
-	// instance solve's starts, before local search moved them.
-	SimplePeriod int
 	// Truncated is true when the instance makespan solve exhausted a node
 	// or wall-clock budget and fell back to its incumbent, so Starts (and
 	// the derived period) are budget-degraded rather than proven optimal.
@@ -532,8 +529,6 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		NR:        maxOf(a) + 1,
 		Truncated: !optimal,
 	}
-	normalize(starts)
-	r.SimplePeriod = makespanOf(p, starts)
 	eng.setOrdersFromStarts(starts)
 	period, status := eng.minPeriod(0) // unbounded: local search starts from the order's true period
 	if status == periodInfeasible {
@@ -572,16 +567,6 @@ func normalize(starts []int) {
 	for i := range starts {
 		starts[i] -= min
 	}
-}
-
-func makespanOf(p *sched.Placement, starts []int) int {
-	end := 0
-	for i, s := range starts {
-		if e := s + p.Stages[i].Time; e > end {
-			end = e
-		}
-	}
-	return end
 }
 
 // Schedule returns the instance-0 schedule (relative time, assigned micros).

@@ -179,10 +179,6 @@ func TestSolveVShapeZeroBubbleAtNR4(t *testing.T) {
 	if r.NR != 4 {
 		t.Fatalf("NR = %d, want 4", r.NR)
 	}
-	// Simple compaction can never beat tight compaction.
-	if r.SimplePeriod < r.Period {
-		t.Fatalf("simple period %d < tight period %d", r.SimplePeriod, r.Period)
-	}
 }
 
 func TestSolveSpansAndWaits(t *testing.T) {
@@ -525,7 +521,7 @@ func TestSolvePoolMatchesDefault(t *testing.T) {
 			if err1 != nil {
 				return true
 			}
-			if base.Period != pooled.Period || base.SimplePeriod != pooled.SimplePeriod ||
+			if base.Period != pooled.Period ||
 				baseEff.SolverNodes != pooledEff.SolverNodes || baseEff.SolverMemoHits != pooledEff.SolverMemoHits {
 				t.Fatalf("assign %v: base=%+v %+v pooled=%+v %+v", a, base, baseEff, pooled, pooledEff)
 			}
