@@ -201,8 +201,8 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeNegativeN: a negative micro-batch count — or budget — is a
-// request-validation failure — a clean 400 (not 422, and not a handler
+// TestServeNegativeN: a negative micro-batch count — or budget, or a max_nr
+// above 2^18 — is a request-validation failure — a clean 400 (not 422, and not a handler
 // panic) — and the same placement stays searchable.
 func TestServeNegativeN(t *testing.T) {
 	s := newTestServer(t)
@@ -221,6 +221,14 @@ func TestServeNegativeN(t *testing.T) {
 		if w := postOptions(t, s, map[string]any{"n": 4, opt: -1, "allow_degraded": true}); w.Code != 400 {
 			t.Fatalf("negative %s status %d: %s", opt, w.Code, w.Body.String())
 		}
+	}
+	// So is a repetend size cap above the one the search arithmetic is proven
+	// for; the limit itself is served.
+	if w := postOptions(t, s, map[string]any{"n": 4, "max_nr": 1<<18 + 1}); w.Code != 400 {
+		t.Fatalf("max_nr 2^18+1 status %d: %s", w.Code, w.Body.String())
+	}
+	if w := postOptions(t, s, map[string]any{"n": 4, "max_nr": 1 << 18}); w.Code != 200 {
+		t.Fatalf("max_nr 2^18 status %d: %s", w.Code, w.Body.String())
 	}
 	good, _ := json.Marshal(map[string]any{
 		"placement": json.RawMessage(placementJSON(t)),

@@ -6,15 +6,17 @@
 //
 // The sweep is bound-pruned: every assignment is solved against the best
 // completion-verified period found before it was handed on
-// (repetend.SolveOptions.PeriodUpperBound), so an improvement prunes the
-// candidates of every later assignment and N_R round. Pruning only ever
-// discards assignments that provably cannot beat or tie the incumbent. One
-// goroutine, the one that called Search, decides everything: it walks the
-// enumeration, hands each assignment to a pool of solver goroutines that only
-// solve, and judges their results in enumeration order with canonical
-// tie-breaking — what a sequential sweep decides — so the returned schedule is
-// byte-identical for every Workers setting (assuming solver budgets are not
-// exhausted — wall-clock budgets make individual solves timing-dependent).
+// (repetend.SolveOptions.PeriodUpperBound) — one less when it sorts after the
+// best assignment, which it could then displace only on a strictly smaller
+// period — so an improvement prunes the candidates of every later assignment
+// and N_R round. Pruning only ever discards assignments that provably cannot
+// displace the best. One goroutine, the one that called Search, decides
+// everything: it walks the enumeration, hands assignments to a pool of solver
+// goroutines that only solve, and judges their results in the order it handed
+// them out, with canonical tie-breaking — what a sequential sweep in that
+// order decides — so the returned schedule is byte-identical for every
+// Workers setting (assuming solver budgets are not exhausted — wall-clock
+// budgets make individual solves timing-dependent).
 //
 // The sweep runs in up to two passes over the same N_R loop. Algorithm 1
 // stops at the first repetend that reaches the device-work lower bound, and
@@ -29,13 +31,25 @@
 // assignment reaches the bound (memory caps usually), the incumbent is cleared
 // and the loop runs again unaimed, on the first pass's instance-solve cache.
 //
+// The unaimed pass returns the smallest period and, among its holders, the
+// canonically smallest assignment, whatever order it meets them in — so it
+// meets them best-first. It collects a round's leaves in blocks of up to
+// leafBlockCap, gives each its relaxation bound (repetend.RelaxedPeriod: the
+// least bound Solve's first prune stage lets it through), and hands each block
+// out by increasing bound, canonical order among equals. A leaf whose bound
+// exceeds the bound its job would get is not solved — Solve would only have
+// pruned it at the relaxation — and neither is the rest of its block once the
+// bound passes the incumbent. At most Workers jobs are out and unfinished at a
+// time, so each goes out against the freshest incumbent. On x8m4 at Workers 1
+// that leaves 47 of 288 leaves to solve, the rest proven unable to win.
+//
 // In the first pass most assignments never become one. The walk goes through
 // the enumeration tree with a repetend.PrefixFilter at the lower bound, and a
 // prefix whose already-fixed indices rule the bound out for every completion
 // cuts its whole subtree. What is left is solved and judged as if nothing had
 // been cut: a cut discards what repetend.Solve's first two prune stages would
-// have discarded one by one. The second pass hands its solvers every
-// canonical assignment of a round, whatever their number.
+// have discarded one by one. The second pass walks every canonical assignment
+// of a round, whatever their number.
 //
 // All entry points take a context.Context and honor it end-to-end: the
 // enumeration, every repetend solve and the completion solves all poll the
@@ -51,6 +65,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -73,6 +88,10 @@ const (
 	DefaultMaxAssignments = 100000
 	// DefaultSolverNodes bounds each branch-and-bound solve.
 	DefaultSolverNodes = 400000
+	// MaxNRLimit is the largest MaxNR a search accepts: the sums of the period
+	// engine and the order check are proven free of overflow for N_R up to
+	// 2^18 (see sched.MaxStageTime), and no further.
+	MaxNRLimit = 1 << 18
 )
 
 // Options configures a Search call. The zero value searches with unbounded
@@ -86,11 +105,12 @@ type Options struct {
 	// direct time-optimal solve of the whole problem.
 	N int
 	// MaxNR caps the repetend sweep; 0 uses min(MaxInflight, DefaultMaxNR).
+	// Above MaxNRLimit Search refuses it.
 	MaxNR int
-	// MaxAssignments caps, per N_R, the assignments handed to the sweep's
-	// workers (0 = DefaultMaxAssignments); those under a prefix cut are not
-	// among them, so a first-pass search that runs into the cap has seen at
-	// least as far into the round as the cap counts.
+	// MaxAssignments caps, per N_R, the leaves the sweep walks (0 =
+	// DefaultMaxAssignments), whether they are then solved or not; those
+	// under a prefix cut are not among them, so a first-pass search that runs
+	// into the cap has seen at least as far into the round as the cap counts.
 	MaxAssignments int
 	// SolverNodes bounds each exact solve (0 = DefaultSolverNodes).
 	SolverNodes int64
@@ -122,20 +142,22 @@ type PhaseDurations struct {
 // Stats reports search effort.
 type Stats struct {
 	// Assignments is the number of index assignments the prefix filter let
-	// through to the sweep's workers — the leaves yielded, not the leaves of
-	// the enumeration tree: what lies under a cut (PrefixCuts) is counted
+	// through to the sweep — the leaves walked, solved or not, not the leaves
+	// of the enumeration tree: what lies under a cut (PrefixCuts) is counted
 	// nowhere. Summed — like every effort counter below — over both sweep
 	// passes when the lower-bound pass found nothing and the unaimed pass ran
 	// too.
 	Assignments int
 	// Solved is the number of repetend instances solved to a period within
-	// the incumbent bound of the moment.
+	// the bound of their job.
 	Solved int
 	// Pruned is the number of assignments, of those counted in Assignments,
 	// abandoned against the incumbent period — before their instance
 	// solve (the order-independent relaxation, or the exact order check:
 	// OrderPruned), or after it and local search. The prefix filter takes most
-	// of the first kind away before they are assignments at all.
+	// of the first kind away before they are assignments at all; in the
+	// unaimed pass the relaxation bound takes them before they are solved,
+	// with no Solve call.
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
@@ -261,6 +283,9 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 	if opts.N < 0 {
 		return nil, fmt.Errorf("core: micro-batch count must be non-negative, got %d", opts.N)
 	}
+	if opts.MaxNR > MaxNRLimit {
+		return nil, fmt.Errorf("core: repetend size cap %d exceeds %d", opts.MaxNR, MaxNRLimit)
+	}
 	opts = opts.Resolve(p)
 	//tessel:waive:determinism wall-clock feeds only the Stats.Total telemetry, never schedule bytes
 	t0 := time.Now()
@@ -334,6 +359,8 @@ type sweep struct {
 	// repetend never actually beats. (The lower bound needs no verifying: no
 	// repetend beats it.)
 	incumbent int
+	// block is the unaimed pass's leaves on their way to the solvers.
+	block leafBlock
 }
 
 // pass runs the N_R loop once, pruning against aim (0 = unaimed), and stops
@@ -354,7 +381,7 @@ func (s *sweep) pass(aim int) error {
 // then closes done; the Search goroutine reads them only after that.
 type solveJob struct {
 	a     repetend.Assignment
-	bound int // the incumbent when the job was handed on
+	bound int // jobBound when the job was handed on
 	done  chan struct{}
 	r     *repetend.Repetend
 	err   error
@@ -371,7 +398,7 @@ type solveJob struct {
 // solve a, with the context the solve will run under. It exists solely for
 // tests, which use it to hold a speculative solve until the sweep is over;
 // production code never sets it.
-var sweepSolveHook func(ctx context.Context, a repetend.Assignment)
+var sweepSolveHook func(ctx context.Context, a repetend.Assignment, bound int)
 
 // run solves the job under ctx, or skips it once ctx has ended, and closes
 // done.
@@ -387,21 +414,23 @@ func (j *solveJob) run(ctx context.Context, p *sched.Placement, ro repetend.Solv
 		j.panicked = recover()
 	}()
 	if sweepSolveHook != nil {
-		sweepSolveHook(ctx, j.a)
+		sweepSolveHook(ctx, j.a, j.bound)
 	}
 	ro.PeriodUpperBound, ro.Effort = j.bound, &j.eff
 	j.r, j.err = repetend.Solve(ctx, p, j.a, ro)
 }
 
 // round walks the assignments of round nr through the prefix filter at aim and
-// hands each one it lets through to opts.Workers solver goroutines. The jobs
-// queue up in enumeration order; before every hand-off the Search goroutine
-// judges the finished jobs at the queue's head, waiting for the head when the
-// queue is full, so it decides what a sequential sweep decides and stops at
-// the first repetend that reaches the lower bound (Algorithm 1 lines 19–20).
-// Only the effort counters (Solved, Pruned, SolverNodes, …) vary with the
-// number of solvers: they count every solve that ran, whatever became of its
-// assignment.
+// hands them to opts.Workers solver goroutines; the Search goroutine judges
+// the finished jobs at the queue's head, in the order they were handed out, so
+// it decides what a sequential sweep in that order decides. The aimed pass
+// hands each leaf out as the walk reaches it and stops at the first repetend
+// that reaches the lower bound (Algorithm 1 lines 19–20). The unaimed pass
+// hands its leaves out best-first, a block at a time (handOutBlock): what
+// it returns, the smallest period and among its holders the canonically
+// smallest assignment, does not depend on the order. Only the effort counters
+// (Solved, Pruned, SolverNodes, …) vary with the number of solvers: they count
+// every solve that ran, whatever became of its assignment.
 //
 // The solvers run under a context of the round's own, which ends with it:
 // past the winner whatever is in flight can only be thrown away, and so is
@@ -417,14 +446,24 @@ func (s *sweep) round(nr, aim int) (err error) {
 	// for the next leaf; a deeper buffer is solved speculatively past the
 	// winner and slows small early-exit searches (x4 2.8× with sixteen).
 	jobs := make(chan *solveJob, 4*workers)
+	// finished takes one signal per job a solver is done with, for the
+	// best-first hand-out, which keeps at most workers jobs unfinished.
+	bestFirst := aim == 0 && bestFirstOn
+	var finished chan struct{}
+	if bestFirst {
+		finished = make(chan struct{}, workers)
+	}
 	for range workers {
 		go func() {
 			for j := range jobs {
 				j.run(ctx, s.res.Placement, s.solve)
+				if finished != nil {
+					finished <- struct{}{}
+				}
 			}
 		}()
 	}
-	var queue []*solveJob // handed on and not yet judged, in enumeration order
+	var queue []*solveJob // handed on and not yet judged, in hand-out order
 	defer func() {
 		end()
 		close(jobs)
@@ -465,33 +504,154 @@ func (s *sweep) round(nr, aim int) (err error) {
 		}
 		return err == nil && !s.res.Stats.EarlyExit
 	}
-	budget := s.opts.MaxAssignments
-	s.filter.Enumerate(ctx, nr, aim, func(a repetend.Assignment) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		s.res.Stats.Assignments++
-		if budget--; budget < 0 {
-			s.res.Stats.Truncated = true
-			return false
-		}
-		// The walk stays within 4·cap(jobs) jobs of the judged head. Unbounded,
-		// a solver that is runnable but not running could hold the head back
-		// while the walk hands on hundreds of leaves past the winner.
-		if !judgeHead(4*cap(jobs) - 1) {
-			return false
-		}
-		j := &solveJob{a: a, bound: s.incumbent, done: make(chan struct{})}
+	hand := func(a repetend.Assignment, bound int) {
+		j := &solveJob{a: a, bound: bound, done: make(chan struct{})}
 		jobs <- j
 		queue = append(queue, j)
-		return true
-	})
-	s.res.Stats.Add(s.filter.Effort())
+	}
+	budget := s.opts.MaxAssignments
+	walk := func(visit func(a repetend.Assignment) bool) {
+		s.filter.Enumerate(ctx, nr, aim, func(a repetend.Assignment) bool {
+			if ctx.Err() != nil {
+				return false
+			}
+			s.res.Stats.Assignments++
+			if budget--; budget < 0 {
+				s.res.Stats.Truncated = true
+				return false
+			}
+			return visit(a)
+		})
+		s.res.Stats.Add(s.filter.Effort())
+	}
+	if !bestFirst {
+		walk(func(a repetend.Assignment) bool {
+			// The walk stays within 4·cap(jobs) jobs of the judged head.
+			// Unbounded, a solver that is runnable but not running could hold
+			// the head back while the walk hands on hundreds of leaves past the
+			// winner.
+			if !judgeHead(4*cap(jobs) - 1) {
+				return false
+			}
+			hand(a, s.jobBound(a))
+			return true
+		})
+	} else {
+		p, b := s.res.Placement, &s.block
+		b.reset(p.K())
+		running := 0 // jobs handed out whose finished signal is not taken yet
+		handOutBlock := func() bool {
+			defer b.reset(p.K())
+			b.sort()
+			for i := 0; i < len(b.order); {
+				if ctx.Err() != nil || !judgeHead(math.MaxInt) {
+					return false
+				}
+				x := b.order[i]
+				a, lb := b.leaf(x), b.bounds[x]
+				jb := s.jobBound(a)
+				switch {
+				case s.incumbent > 0 && lb > s.incumbent:
+					// The rest of the block, sorted by bound, cannot reach the
+					// best period either.
+					for _, y := range b.order[i:] {
+						if b.bounds[y] < math.MaxInt {
+							s.res.Stats.Pruned++
+						}
+					}
+					i = len(b.order)
+					continue
+				case lb == math.MaxInt:
+					// Solve's ErrInfeasible: counted nowhere, as it was there.
+				case jb > 0 && lb > jb:
+					s.res.Stats.Pruned++
+				case running == workers:
+					<-finished
+					running--
+					continue
+				default:
+					hand(a, jb)
+					running++
+				}
+				i++
+			}
+			// Every job of the block finishes before its leaves are overwritten.
+			return judgeHead(0)
+		}
+		walk(func(a repetend.Assignment) bool {
+			b.add(a, repetend.RelaxedPeriod(p, a, s.opts.Memory, &s.res.Stats.Effort))
+			return len(b.bounds) < leafBlockCap || handOutBlock()
+		})
+		handOutBlock()
+	}
 	judgeHead(0)
 	if err == nil {
 		err = s.ctx.Err()
 	}
 	return err
+}
+
+// jobBound is the period a job for a is solved against: the incumbent, or one
+// less than the best period when a sorts after the best assignment — a tie
+// would not displace the best, so only a strictly smaller period can win.
+// (The best is above the lower bound, or the sweep would have stopped, so the
+// bound stays positive.)
+func (s *sweep) jobBound(a repetend.Assignment) int {
+	if b := s.best; b != nil && a.Compare(b.Assign) > 0 {
+		return b.Period - 1
+	}
+	return s.incumbent
+}
+
+// bestFirstOn is written only by tests: false makes the unaimed pass hand its
+// leaves out as the walk reaches them, the reference the best-first order is
+// compared against.
+var bestFirstOn = true
+
+// leafBlockCap is the most leaves the unaimed pass collects before it hands
+// them out, so a round holds at most K·leafBlockCap ints of them.
+const leafBlockCap = 4096
+
+// leafBlock holds the leaves the unaimed pass has collected and not yet handed
+// out: leaf x is ints[x·k:(x+1)·k] and bounds[x] its relaxation bound
+// (repetend.RelaxedPeriod); order is the hand-out order.
+//
+// Handed out by increasing bound, a block reaches its likely winners first, and
+// a leaf is skipped when its bound exceeds the job bound it would get: Solve
+// against that bound would return ErrPruned at the relaxation, so the skip
+// changes the counters and nothing else. Once a bound exceeds the incumbent the
+// rest of the block is skipped so. Among equal bounds the canonically smaller
+// assignment goes first, the one that would win a tie.
+type leafBlock struct {
+	k      int
+	ints   []int
+	bounds []int
+	order  []int
+}
+
+func (b *leafBlock) reset(k int) {
+	b.k, b.ints, b.bounds = k, b.ints[:0], b.bounds[:0]
+}
+
+func (b *leafBlock) add(a repetend.Assignment, bound int) {
+	b.ints = append(b.ints, a...)
+	b.bounds = append(b.bounds, bound)
+}
+
+func (b *leafBlock) leaf(x int) repetend.Assignment {
+	return b.ints[x*b.k : (x+1)*b.k : (x+1)*b.k]
+}
+
+// sort sets order to the leaves by (bound, Assignment.Compare).
+func (b *leafBlock) sort() {
+	b.order = b.order[:0]
+	for x := range b.bounds {
+		b.order = append(b.order, x)
+	}
+	//tessel:totalorder the leaves of a round are distinct assignments
+	slices.SortFunc(b.order, func(x, y int) int {
+		return cmp.Or(cmp.Compare(b.bounds[x], b.bounds[y]), b.leaf(x).Compare(b.leaf(y)))
+	})
 }
 
 // judge folds a solved repetend into the sweep: it becomes the best on a

@@ -211,6 +211,19 @@ func TestSearchRejectsInvalidPlacement(t *testing.T) {
 	}
 }
 
+// TestSearchRefusesMaxNROverLimit: the search arithmetic is proven free of
+// overflow for N_R ≤ 2^18, so a larger cap is an error before any work, and
+// the limit itself searches (v-shape stops at the lower bound long before).
+func TestSearchRefusesMaxNROverLimit(t *testing.T) {
+	p := shape(t, "v-shape", 4)
+	if res, err := Search(context.Background(), p, Options{MaxNR: 1<<18 + 1}); err == nil || res != nil {
+		t.Fatalf("max N_R 2^18+1: res %v, err %v; want an error", res, err)
+	}
+	if _, err := Search(context.Background(), p, Options{MaxNR: 1 << 18}); err != nil {
+		t.Fatalf("max N_R 2^18: %v", err)
+	}
+}
+
 func TestMaxInflight(t *testing.T) {
 	p := shape(t, "v-shape", 4)
 	// Each device holds +1 activation per micro-batch.

@@ -80,12 +80,13 @@ func TestSearchSweepPasses(t *testing.T) {
 }
 
 // TestFallbackPassEnumeratesEveryLeaf: the unaimed second pass walks its rounds
-// unfiltered, so it hands its workers every canonical leaf — repetend.Count of
-// them per round swept, or the budget's worth where MaxAssignments truncates
-// the round (the leaf that breaks the budget is counted, not handed on) —
-// however many workers there are and whenever the incumbent moved. The first
-// pass's share is what the filter yields at the lower bound, a constant too,
-// so Stats.Assignments is one number for Workers 1/2/4.
+// unfiltered, so it counts every canonical leaf in Stats.Assignments —
+// repetend.Count of them per round swept, or the budget's worth where
+// MaxAssignments truncates the round (the leaf that breaks the budget is
+// counted, not collected) — however many workers there are and whenever the
+// incumbent moved, though it solves only the leaves that can still win. The
+// first pass's share is what the filter yields at the lower bound, a constant
+// too, so Stats.Assignments is one number for Workers 1/2/4.
 func TestFallbackPassEnumeratesEveryLeaf(t *testing.T) {
 	for _, name := range []string{"x8m4", "v6m4", "nn4m8"} {
 		p, opts := catalogPlacement(t, name)
@@ -126,7 +127,7 @@ func TestFallbackPassEnumeratesEveryLeaf(t *testing.T) {
 					t.Fatalf("%s workers %d budget %d: early exit %v, swept to N_R %d of %d, truncated %v", name, workers, budget, st.EarlyExit, st.NRSwept, len(all), st.Truncated)
 				}
 				if got, want := st.Assignments-capped(aimed), capped(all); got != want {
-					t.Fatalf("%s workers %d budget %d: the fallback pass handed on %d of the %d leaves of its rounds %v", name, workers, budget, got, want, all)
+					t.Fatalf("%s workers %d budget %d: the fallback pass walked %d of the %d leaves of its rounds %v", name, workers, budget, got, want, all)
 				}
 			}
 		}
@@ -301,7 +302,7 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 	})
 
 	var held, cancelled atomic.Int64
-	sweepSolveHook = func(ctx context.Context, a repetend.Assignment) {
+	sweepSolveHook = func(ctx context.Context, a repetend.Assignment, _ int) {
 		if upTo[fmt.Sprint(a)] {
 			return
 		}
@@ -366,7 +367,7 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 		{name: "both passes", shape: "x8m4"},
 		{name: "cancelled mid-sweep", shape: "m4", wantErr: context.Canceled, arm: func(cancel context.CancelFunc) {
 			// Hold the first solve until the cancel has reached it.
-			sweepSolveHook = func(ctx context.Context, _ repetend.Assignment) { cancel(); <-ctx.Done() }
+			sweepSolveHook = func(ctx context.Context, _ repetend.Assignment, _ int) { cancel(); <-ctx.Done() }
 		}},
 		{name: "completion error", shape: "v6", wantErr: injected, arm: func(context.CancelFunc) {
 			faultpoint.Arm(faultpoint.SolverSolve, func() error {
@@ -377,7 +378,7 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 			})
 		}},
 		{name: "solver panic", shape: "v6", wantPanic: true, arm: func(context.CancelFunc) {
-			sweepSolveHook = func(context.Context, repetend.Assignment) { panic("injected solver crash") }
+			sweepSolveHook = func(context.Context, repetend.Assignment, int) { panic("injected solver crash") }
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -311,6 +311,9 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 	if opts.Memory < 0 || opts.MaxAssignments < 0 || opts.SolverNodes < 0 || opts.SolverTimeout < 0 {
 		return nil, info, fmt.Errorf("%w: memory and search budgets must be non-negative, got %+v", ErrInvalidRequest, opts)
 	}
+	if opts.MaxNR > core.MaxNRLimit {
+		return nil, info, fmt.Errorf("%w: max_nr %d exceeds %d", ErrInvalidRequest, opts.MaxNR, core.MaxNRLimit)
+	}
 	info.Fingerprint = sched.Fingerprint(p)
 	key := requestKey(info.Fingerprint, p, opts)
 

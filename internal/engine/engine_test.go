@@ -317,6 +317,7 @@ func TestSearchInvalidRequestTyped(t *testing.T) {
 		{MaxAssignments: -1},
 		{SolverNodes: -1},
 		{SolverTimeout: -time.Millisecond},
+		{MaxNR: core.MaxNRLimit + 1},
 	} {
 		if _, _, err := eng.Serve(context.Background(), Request{Placement: vshape(t), Options: opts, AllowDegraded: true}); !errors.Is(err, ErrInvalidRequest) {
 			t.Fatalf("%+v: want ErrInvalidRequest, got %v", opts, err)
@@ -327,6 +328,11 @@ func TestSearchInvalidRequestTyped(t *testing.T) {
 	eng.mu.Unlock()
 	if st := eng.Stats(); st.Misses != 0 || st.Entries != 0 || st.Degraded != 0 || inFlight != 0 {
 		t.Fatalf("rejected requests left state behind: %+v, %d in flight", st, inFlight)
+	}
+	// The largest repetend size cap the search arithmetic is proven for is a
+	// valid request.
+	if _, _, err := eng.Search(context.Background(), vshape(t), core.Options{MaxNR: core.MaxNRLimit}); err != nil {
+		t.Fatalf("max_nr %d: %v", core.MaxNRLimit, err)
 	}
 	bad := &sched.Placement{Name: "bad", NumDevices: 1,
 		Stages: []sched.Stage{{Name: "s", Time: 1}}, Deps: [][]int{nil}}

@@ -45,6 +45,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -216,9 +217,10 @@ type Effort struct {
 	// PeriodProbes is the number of period-feasibility probes (one
 	// difference-constraint fixpoint computation each) the repetend
 	// evaluations ran — across the order-independent relaxation checks, the
-	// minPeriod binary searches, and local search. Like SolverNodes, it sums
-	// over every evaluation that ran: the single probe of a candidate the
-	// relaxation discards counts too.
+	// minPeriod binary searches, and local search — and the binary searches of
+	// RelaxedPeriod a sweep runs. Like SolverNodes, it sums over every
+	// evaluation that ran: the single probe of a candidate the relaxation
+	// discards counts too.
 	PeriodProbes int64
 	// PeriodRelaxations is the number of successful distance tightenings
 	// inside those probes — the budget-independent effort measure of the
@@ -542,6 +544,55 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		return nil, &pruneError{"period after local search", bound}
 	}
 	return r, nil
+}
+
+// RelaxedPeriod returns the least bound at which Solve's first prune stage
+// lets a through under memory (0 = unbounded): the smallest period the
+// relaxation admits, no less than the device-work lower bound. Solve against
+// any bound below it returns ErrPruned before its instance solve, and no
+// repetend of a has a smaller period. It is one more than the sum of all
+// stage times — above every period a Solve can return — when not even that
+// sum passes, and math.MaxInt when a's entry memory or the per-device memory
+// drift already makes Solve return ErrInfeasible. a must be a valid assignment of p. The
+// probes it runs are added to eff when eff is non-nil.
+func RelaxedPeriod(p *sched.Placement, a Assignment, memory int, eff *Effort) int {
+	if memory == 0 {
+		memory = sched.Unbounded
+	}
+	entry := EntryMemory(p, a)
+	for _, m := range entry {
+		if m > memory {
+			return math.MaxInt
+		}
+	}
+	eng := periodEngines.Get().(*periodEngine)
+	defer periodEngines.Put(eng)
+	eng.bind(p, a, entry, memory)
+	if memory != sched.Unbounded && eng.driftDev >= 0 {
+		return math.MaxInt
+	}
+	lo, hi := eng.workLowerBound(), eng.hiSum
+	switch {
+	case eng.relaxedFeasible(lo):
+		hi = lo
+	case !eng.relaxedFeasible(hi):
+		hi++
+	default:
+		// Feasibility is monotone in the period: the least feasible one lies in
+		// (lo, hi].
+		for lo++; lo < hi; {
+			if mid := (lo + hi) / 2; eng.relaxedFeasible(mid) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+	}
+	if eff != nil {
+		eff.PeriodProbes += eng.probes
+		eff.PeriodRelaxations += eng.relaxations
+	}
+	return hi
 }
 
 func maxOf(a Assignment) int {

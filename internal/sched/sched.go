@@ -75,7 +75,8 @@ const Unbounded = math.MaxInt / 4
 //   - a schedule of B blocks ends by B·MaxStageTime, below 2^58 for any
 //     schedule of fewer than 2^34 blocks — more than fit in memory;
 //   - the period engine's dependency edges weigh at most N_R periods, below
-//     2^58 for N_R ≤ 2^18;
+//     2^58 for N_R ≤ 2^18, which is as far as core.Search lets a sweep go
+//     (core.MaxNRLimit);
 //   - the order check's closure (at most 128 stages, see repetend's
 //     orderNone) sums walks of at most 256 such edges, below 2^58 for N_R ≤
 //     2^19.
