@@ -49,6 +49,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -478,6 +479,13 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if req.Options.N > s.cfg.maxN {
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("n %d exceeds the server cap %d", req.Options.N, s.cfg.maxN))
+		return
+	}
+	// A larger per-solve budget would wrap around as a time.Duration.
+	const maxSolverTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+	if ms := req.Options.SolverTimeoutMS; ms > maxSolverTimeoutMS {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("solver_timeout_ms %d exceeds %d", ms, maxSolverTimeoutMS))
 		return
 	}
 	opts := tessel.SearchOptions{

@@ -230,6 +230,17 @@ func TestServeNegativeN(t *testing.T) {
 	if w := postOptions(t, s, map[string]any{"n": 4, "max_nr": 1 << 18}); w.Code != 200 {
 		t.Fatalf("max_nr 2^18 status %d: %s", w.Code, w.Body.String())
 	}
+	// A per-solve budget that would wrap around as a time.Duration — to
+	// 448µs or to a negative one — is refused; the largest that does not is
+	// served.
+	for _, ms := range []int64{18446744073710, 9223372036855} {
+		if w := postOptions(t, s, map[string]any{"n": 4, "solver_timeout_ms": ms}); w.Code != 400 {
+			t.Fatalf("solver_timeout_ms %d status %d: %s", ms, w.Code, w.Body.String())
+		}
+	}
+	if w := postOptions(t, s, map[string]any{"n": 4, "solver_timeout_ms": int64(9223372036854)}); w.Code != 200 {
+		t.Fatalf("solver_timeout_ms 9223372036854 status %d: %s", w.Code, w.Body.String())
+	}
 	good, _ := json.Marshal(map[string]any{
 		"placement": json.RawMessage(placementJSON(t)),
 		"options":   map[string]any{"n": 4},

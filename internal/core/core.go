@@ -29,7 +29,7 @@
 // the bound and completes is the winner either way — everything the preset
 // discards has a larger period and could never have displaced it. When no
 // assignment reaches the bound (memory caps usually), the incumbent is cleared
-// and the loop runs again unaimed, on the first pass's instance-solve cache.
+// and the loop runs again unaimed.
 //
 // The unaimed pass returns the smallest period and, among its holders, the
 // canonically smallest assignment, whatever order it meets them in — so it
@@ -38,8 +38,7 @@
 // least bound Solve's first prune stage lets it through), and hands each block
 // out by increasing bound, canonical order among equals. A leaf whose bound
 // exceeds the bound its job would get is not solved — Solve would only have
-// pruned it at the relaxation — and neither is the rest of its block once the
-// bound passes the incumbent. At most Workers jobs are out and unfinished at a
+// pruned it at the relaxation. At most Workers jobs are out and unfinished at a
 // time, so each goes out against the freshest incumbent. On x8m4 at Workers 1
 // that leaves 47 of 288 leaves to solve, the rest proven unable to win.
 //
@@ -298,7 +297,6 @@ func Search(ctx context.Context, p *sched.Placement, opts Options) (*Result, err
 		Memory:        opts.Memory,
 		SolverNodes:   opts.SolverNodes,
 		SolverTimeout: opts.SolverTimeout,
-		Cache:         repetend.NewSolveCache(p),
 	}}
 	var err error
 	if s.filter, err = repetend.NewPrefixFilter(p); err != nil {
@@ -345,9 +343,8 @@ type sweep struct {
 	opts   Options
 	res    *Result
 	filter *repetend.PrefixFilter
-	// solve is what every assignment is solved with, on one instance-solve
-	// cache: assignments that share a lag-zero pattern, in any round, pay the
-	// branch-and-bound makespan solve once.
+	// solve is what every assignment is solved with; each job sets its
+	// bound and effort on its own copy.
 	solve repetend.SolveOptions
 	// best is the best completion-verified repetend so far.
 	best *repetend.Repetend
@@ -551,16 +548,6 @@ func (s *sweep) round(nr, aim int) (err error) {
 				a, lb := b.leaf(x), b.bounds[x]
 				jb := s.jobBound(a)
 				switch {
-				case s.incumbent > 0 && lb > s.incumbent:
-					// The rest of the block, sorted by bound, cannot reach the
-					// best period either.
-					for _, y := range b.order[i:] {
-						if b.bounds[y] < math.MaxInt {
-							s.res.Stats.Pruned++
-						}
-					}
-					i = len(b.order)
-					continue
 				case lb == math.MaxInt:
 					// Solve's ErrInfeasible: counted nowhere, as it was there.
 				case jb > 0 && lb > jb:
@@ -619,9 +606,8 @@ const leafBlockCap = 4096
 // Handed out by increasing bound, a block reaches its likely winners first, and
 // a leaf is skipped when its bound exceeds the job bound it would get: Solve
 // against that bound would return ErrPruned at the relaxation, so the skip
-// changes the counters and nothing else. Once a bound exceeds the incumbent the
-// rest of the block is skipped so. Among equal bounds the canonically smaller
-// assignment goes first, the one that would win a tie.
+// changes the counters and nothing else. Among equal bounds the canonically
+// smaller assignment goes first, the one that would win a tie.
 type leafBlock struct {
 	k      int
 	ints   []int

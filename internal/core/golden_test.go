@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math/rand"
 	"os"
 	"testing"
 
@@ -63,8 +64,6 @@ func goldenSearchInputs() []goldenSearch {
 func TestGoldenSearch(t *testing.T) {
 	if *updateGolden {
 		gs := goldenSearchInputs()
-		var buf bytes.Buffer
-		buf.WriteString("[\n")
 		for i := range gs {
 			g := &gs[i]
 			p, opts := g.options(t)
@@ -75,30 +74,11 @@ func TestGoldenSearch(t *testing.T) {
 			}
 			g.Period, g.NR, g.N, g.Makespan = res.Repetend.Period, res.Repetend.NR, res.N, res.Makespan
 			g.Truncated, g.Fingerprint = res.Stats.Truncated, sched.FingerprintSchedule(res.Full)
-			line, err := json.Marshal(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Write(line)
-			if i < len(gs)-1 {
-				buf.WriteByte(',')
-			}
-			buf.WriteByte('\n')
 		}
-		buf.WriteString("]\n")
-		if err := os.WriteFile(goldenSearchPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeGolden(t, goldenSearchPath, gs)
 		return
 	}
-	raw, err := os.ReadFile(goldenSearchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gs []goldenSearch
-	if err := json.Unmarshal(raw, &gs); err != nil {
-		t.Fatal(err)
-	}
+	gs := readGolden[goldenSearch](t, goldenSearchPath)
 	if want := len(goldenSearchInputs()); len(gs) != want {
 		t.Fatalf("%d golden searches, want %d", len(gs), want)
 	}
@@ -135,4 +115,112 @@ func TestGoldenSearch(t *testing.T) {
 			}
 		})
 	}
+}
+
+const goldenRandomPath = "testdata/search_random.golden.json"
+
+// goldenRandom is what one search of a random placement returned at the
+// recording commit: searchOutcome's period, N_R, assignment and schedule
+// fingerprint, or its error text.
+type goldenRandom struct {
+	Name    string `json:"name"`
+	Outcome string `json:"outcome"`
+}
+
+// goldenRandomInputs draws the placements of TestGoldenSearchRandom: 120 the
+// way internal/repetend's search differential draws them (seed 17) and 120
+// memory-capped ones the way TestBestFirstFallbackDifferential draws them
+// (seed 33).
+func goldenRandomInputs(t testing.TB) (ps []*sched.Placement, memory []int) {
+	for _, c := range []struct {
+		seed   int64
+		capped bool
+	}{{17, false}, {33, true}} {
+		rng := rand.New(rand.NewSource(c.seed))
+		for range 120 {
+			p, m, err := randomShape(rng, c.capped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, memory = append(ps, p), append(memory, m)
+		}
+	}
+	return ps, memory
+}
+
+// TestGoldenSearchRandom holds Search to the schedules it returned at the
+// commit before the instance-solve cache was deleted (c7f28bd) on 240 seeded
+// random placements off the catalog, at N = 8 with default budgets, for
+// Workers 1 and 2: period, N_R, assignment and the fingerprint of the
+// completed schedule, or the same error. Nothing here may move.
+func TestGoldenSearchRandom(t *testing.T) {
+	ps, memory := goldenRandomInputs(t)
+	search := func(i, workers int) string {
+		got, res := searchOutcome(ps[i], Options{Memory: memory[i], N: 8, Workers: workers})
+		if res != nil && res.Stats.Truncated {
+			t.Fatalf("%s workers=%d: search truncated", ps[i].Name, workers)
+		}
+		return got
+	}
+	if *updateGolden {
+		gs := make([]goldenRandom, len(ps))
+		for i, p := range ps {
+			gs[i] = goldenRandom{p.Name, search(i, 1)}
+		}
+		writeGolden(t, goldenRandomPath, gs)
+		return
+	}
+	gs := readGolden[goldenRandom](t, goldenRandomPath)
+	if len(gs) != len(ps) {
+		t.Fatalf("%d golden searches, want %d", len(gs), len(ps))
+	}
+	workers := []int{1, 2}
+	if testing.Short() {
+		workers = workers[:1]
+	}
+	for i, g := range gs {
+		if g.Name != ps[i].Name {
+			t.Fatalf("golden search %d is %s, drawn %s", i, g.Name, ps[i].Name)
+		}
+		for _, w := range workers {
+			if got := search(i, w); got != g.Outcome {
+				t.Fatalf("%s workers=%d: %s; recorded %s", g.Name, w, got, g.Outcome)
+			}
+		}
+	}
+}
+
+// writeGolden writes records to path as a JSON array, one record a line.
+func writeGolden[T any](t *testing.T, path string, records []T) {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString("[\n")
+	for i := range records {
+		line, err := json.Marshal(records[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+		if i < len(records)-1 {
+			buf.WriteByte(',')
+		}
+		buf.WriteByte('\n')
+	}
+	buf.WriteString("]\n")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readGolden[T any](t *testing.T, path string) []T {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []T
+	if err := json.Unmarshal(raw, &records); err != nil {
+		t.Fatal(err)
+	}
+	return records
 }

@@ -162,15 +162,15 @@ func TestChaosCancelBetweenSweepPasses(t *testing.T) {
 
 // firstPassUpToWinner does one by one what the first sweep pass of res's
 // search does: it walks the rounds through a prefix filter at the lower bound
-// and solves each assignment that gets through, on one instance cache, until
-// one reaches the bound — which must be the search's winner. visit, when
-// non-nil, sees every solve with the effort so far before and after it; the
-// result is the total effort, the filter's included, and the winner.
+// and solves each assignment that gets through until one reaches the bound —
+// which must be the search's winner. visit, when non-nil, sees every solve
+// with the effort so far before and after it; the result is the total effort,
+// the filter's included, and the winner.
 func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assignment, err error, before, after repetend.Effort)) (repetend.Effort, *repetend.Repetend) {
 	t.Helper()
 	p := res.Placement
 	var floor repetend.Effort
-	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Cache: repetend.NewSolveCache(p), Effort: &floor}
+	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Effort: &floor}
 	filter, err := repetend.NewPrefixFilter(p)
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +202,11 @@ func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assign
 // miss that order for four assignments before the winner. Their solves, probes
 // and swaps are most of what the search reports. The floor is taken
 // independently: the assignments the prefix filter lets through at the lower
-// bound solved one by one, in enumeration order up to the winner, on one
-// instance cache as the sweep does it — plus the filter's own checks and cuts
-// on the way there, which the search's totals must cover too. (The sweep's
-// own total may sit above the floor by the few assignments its solver takes on
-// while the Search goroutine is still verifying the winner.)
+// bound solved one by one, in enumeration order up to the winner, as the
+// sweep solves them — plus the filter's own checks and cuts on the way there,
+// which the search's totals must cover too. (The sweep's own total may sit
+// above the floor by the few assignments its solver takes on while the Search
+// goroutine is still verifying the winner.)
 func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 	p, opts := catalogPlacement(t, "k6")
 	opts.Workers = 1

@@ -21,16 +21,15 @@ import (
 )
 
 // passOne walks the first sweep pass of a search over c — every assignment in
-// enumeration order, solved against the device-work lower bound on one shared
-// instance cache — until one reaches the bound, and hands each to visit with
-// the options it was solved under, the effort it took and its outcome.
+// enumeration order, solved against the device-work lower bound — until one
+// reaches the bound, and hands each to visit with the options it was solved
+// under, the effort it took and its outcome.
 func passOne(t *testing.T, c repetend.CatalogShape, visit func(p *sched.Placement, a repetend.Assignment, opts repetend.SolveOptions, eff repetend.Effort, r *repetend.Repetend, err error)) {
 	t.Helper()
 	p := c.Placement(t)
 	opts := repetend.SolveOptions{
 		Memory:           c.Memory,
 		PeriodUpperBound: p.LowerBound(),
-		Cache:            repetend.NewSolveCache(p),
 	}
 	reached := false
 	for nr := 1; nr <= core.MaxInflight(p, c.Memory) && !reached; nr++ {

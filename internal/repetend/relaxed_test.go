@@ -19,14 +19,9 @@ func TestRelaxedPeriodIsSolvesFirstStage(t *testing.T) {
 	leaves, infeasible := 0, 0
 	for _, c := range repetend.Catalog {
 		p := c.Placement(t)
-		cache := repetend.NewSolveCache(p)
 		solve := func(a repetend.Assignment, memory, bound int) (*repetend.Repetend, repetend.Effort, error) {
 			var eff repetend.Effort
-			o := repetend.SolveOptions{Memory: memory, PeriodUpperBound: bound, Effort: &eff}
-			if memory == c.Memory {
-				o.Cache = cache
-			}
-			r, err := repetend.Solve(context.Background(), p, a, o)
+			r, err := repetend.Solve(context.Background(), p, a, repetend.SolveOptions{Memory: memory, PeriodUpperBound: bound, Effort: &eff})
 			return r, eff, err
 		}
 		for nr := 1; nr <= 3; nr++ {

@@ -42,11 +42,9 @@ package repetend
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"tessel/internal/sched"
@@ -273,14 +271,6 @@ type SolveOptions struct {
 	// SolverNodes / SolverTimeout bound the instance makespan solve.
 	SolverNodes   int64
 	SolverTimeout time.Duration
-	// Cache, when non-nil, memoizes instance makespan solves across
-	// assignments of the placement it was made for. The solve's task system
-	// depends on an assignment only through its lag-zero dependency pattern
-	// (which dependencies stay intra-instance) and the entry-memory state,
-	// and a sweep revisits the same pattern under many different lag vectors,
-	// so sharing one cache across a sweep's workers removes most
-	// branch-and-bound work. Safe to share concurrently.
-	Cache *SolveCache
 	// PeriodUpperBound, when positive, is an incumbent period held by the
 	// caller: only repetends with Period ≤ PeriodUpperBound are useful, and
 	// Solve returns ErrPruned as soon as it proves the assignment cannot
@@ -301,86 +291,13 @@ type SolveOptions struct {
 	Effort *Effort
 }
 
-// SolveCache memoizes the instance makespan solves of one placement, keyed by
-// everything else a solve depends on: per-device memory capacity, entry
-// memory, and the lag-zero dependency pattern of the assignment. Construct
-// with NewSolveCache and share one cache across all workers of a sweep; Solve
-// refuses a cache made for another placement. The zero value is not usable.
-type SolveCache struct {
-	p  *sched.Placement
-	mu sync.Mutex
-	m  map[string]cachedSolve
-}
-
-type cachedSolve struct {
-	feasible bool
-	optimal  bool
-	starts   []int // per stage, nil when infeasible
-}
-
-// NewSolveCache returns an empty cache for the instance solves of p.
-func NewSolveCache(p *sched.Placement) *SolveCache {
-	return &SolveCache{p: p, m: make(map[string]cachedSolve)}
-}
-
-func (c *SolveCache) get(key string) (cachedSolve, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	return v, ok
-}
-
-func (c *SolveCache) put(key string, v cachedSolve) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[key] = v
-}
-
-// instanceKey is the identity, within one placement's cache, of one instance
-// makespan solve: the memory capacity, the per-device memory headroom at entry
-// (only when the capacity can bind — under unbounded memory the entry state
-// cannot affect the solve), and the lag-zero edge set. Stage times, devices
-// and memory deltas are the placement's.
-//
-// The solver reads the entry memory only in its capacity check, devMem +
-// Mem[t] > capacity, and devMem never exceeds entry plus the device's positive
-// deltas. So headroom is clamped at that sum: beyond it the check cannot fire,
-// and assignments that differ only in entry memory that does not bind share
-// one solve.
-func instanceKey(p *sched.Placement, a Assignment, entry []int, mem int) string {
-	b := make([]byte, 0, 8+4*len(entry)+4*p.K())
-	b = binary.AppendVarint(b, int64(mem))
-	if mem != sched.Unbounded {
-		growth := make([]int, len(entry)) // Σ positive Mem per device
-		for i := range p.Stages {
-			if m := p.Stages[i].Mem; m > 0 {
-				for _, d := range p.Stages[i].Devices {
-					growth[d] += m
-				}
-			}
-		}
-		for d, m := range entry {
-			b = binary.AppendVarint(b, int64(min(mem-m, growth[d])))
-		}
-	}
-	for i, succs := range p.Deps {
-		for _, j := range succs {
-			if a[i] == a[j] {
-				b = binary.AppendUvarint(b, uint64(i))
-				b = binary.AppendUvarint(b, uint64(j))
-			}
-		}
-	}
-	return string(b)
-}
-
-// instanceTasks builds the canonical task system of one repetend instance:
-// one task per stage in stage order, with dependencies restricted to
-// lag-zero edges (cross-lag blocks belong to different micro-batches and
-// are independent within the instance, Equation 2). Stage order — rather
-// than BuildTasks' (micro, stage) order — makes the task system, and hence
-// the solver's deterministic traversal, identical for every assignment
-// sharing a lag-zero pattern, which is what lets SolveCache reuse solves.
+// instanceTasks builds the task system of one repetend instance: one task per
+// stage in stage order, with dependencies restricted to lag-zero edges
+// (cross-lag blocks belong to different micro-batches and are independent
+// within the instance, Equation 2). The solver's traversal, and with it the
+// per-device orders and the schedule bytes, follows the task order, so stage
+// order — not BuildTasks' (micro, stage) order — is part of what Solve
+// returns and stays fixed.
 func instanceTasks(p *sched.Placement, a Assignment) []solver.Task {
 	tasks := make([]solver.Task, p.K())
 	for i := range tasks {
@@ -445,9 +362,6 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			return nil, fmt.Errorf("%w: entry memory %d on device %d exceeds %d", ErrInfeasible, m, d, mem)
 		}
 	}
-	if opts.Cache != nil && opts.Cache.p != p {
-		return nil, errors.New("repetend: SolveCache was made for another placement")
-	}
 	eng := periodEngines.Get().(*periodEngine)
 	var eff Effort
 	defer func() {
@@ -479,48 +393,20 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 			return nil, &pruneError{"period of every per-device order", bound}
 		}
 	}
-	// Minimum-makespan instance solve to obtain per-device orders. The task
-	// system is canonical in stage order, so assignments sharing a lag-zero
-	// pattern (and entry memory) produce byte-identical solves — which the
-	// optional cache exploits.
-	var (
-		starts   []int
-		optimal  = true
-		feasible bool
-		hit      bool
-	)
-	key := ""
-	if opts.Cache != nil {
-		key = instanceKey(p, a, entry, mem)
-		if c, ok := opts.Cache.get(key); ok {
-			hit, feasible, optimal = true, c.feasible, c.optimal
-			if c.feasible {
-				starts = append([]int(nil), c.starts...)
-			}
-		}
+	// Minimum-makespan instance solve to obtain per-device orders.
+	res, err := solver.Solve(ctx, instanceTasks(p, a), solver.Options{
+		NumDevices: p.NumDevices,
+		Memory:     mem,
+		InitialMem: entry,
+		MaxNodes:   opts.SolverNodes,
+		Timeout:    opts.SolverTimeout,
+	})
+	eff.SolverNodes, eff.SolverMemoHits = res.Nodes, res.MemoHits
+	if err != nil {
+		return nil, err
 	}
-	if !hit {
-		res, err := solver.Solve(ctx, instanceTasks(p, a), solver.Options{
-			NumDevices: p.NumDevices,
-			Memory:     mem,
-			InitialMem: entry,
-			MaxNodes:   opts.SolverNodes,
-			Timeout:    opts.SolverTimeout,
-		})
-		eff.SolverNodes, eff.SolverMemoHits = res.Nodes, res.MemoHits
-		if err != nil {
-			return nil, err
-		}
-		optimal, feasible = res.Optimal, res.Feasible
-		if feasible {
-			starts = append([]int(nil), res.Starts...) // stage order
-		}
-		if key != "" {
-			opts.Cache.put(key, cachedSolve{feasible: feasible, optimal: optimal, starts: append([]int(nil), starts...)})
-		}
-	}
-	if !feasible {
-		if !optimal {
+	if !res.Feasible {
+		if !res.Optimal {
 			return nil, fmt.Errorf("%w: no instance schedule within memory (%w)", ErrInfeasible, ErrTruncated)
 		}
 		return nil, fmt.Errorf("%w: no instance schedule within memory", ErrInfeasible)
@@ -529,9 +415,9 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		P:         p,
 		Assign:    a.Clone(),
 		NR:        maxOf(a) + 1,
-		Truncated: !optimal,
+		Truncated: !res.Optimal,
 	}
-	eng.setOrdersFromStarts(starts)
+	eng.setOrdersFromStarts(res.Starts)
 	period, status := eng.minPeriod(0) // unbounded: local search starts from the order's true period
 	if status == periodInfeasible {
 		return nil, fmt.Errorf("repetend: period repair failed for a feasible order")

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"tessel/internal/placement"
 	"tessel/internal/sched"
-	"tessel/internal/solver"
 )
 
 func vshape(t *testing.T, d int) *sched.Placement {
@@ -441,46 +439,6 @@ func TestSolveTruncatedFlag(t *testing.T) {
 	}
 }
 
-// TestSolveCacheSharesInstanceSolves: assignments sharing a lag-zero
-// dependency pattern reuse the cached instance solve (zero fresh solver
-// nodes) and agree with an uncached solve.
-func TestSolveCacheSharesInstanceSolves(t *testing.T) {
-	p := vshape(t, 4)
-	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	b := Assignment{4, 3, 2, 1, 1, 1, 1, 1} // same pattern, shifted lags
-	cache := NewSolveCache(p)
-	var firstEff, secondEff Effort
-	if _, err := Solve(context.Background(), p, a, SolveOptions{Cache: cache, Effort: &firstEff}); err != nil {
-		t.Fatal(err)
-	}
-	if firstEff.SolverNodes == 0 {
-		t.Fatal("first solve should expand solver nodes")
-	}
-	second, err := Solve(context.Background(), p, b, SolveOptions{Cache: cache, Effort: &secondEff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if secondEff.SolverNodes != 0 {
-		t.Fatalf("same-pattern solve expanded %d nodes instead of hitting the cache", secondEff.SolverNodes)
-	}
-	uncached, err := Solve(context.Background(), p, b, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Period != uncached.Period {
-		t.Fatalf("cached period %d != uncached %d", second.Period, uncached.Period)
-	}
-	for i := range uncached.Starts {
-		if second.Starts[i] != uncached.Starts[i] {
-			t.Fatalf("cached starts %v != uncached %v", second.Starts, uncached.Starts)
-		}
-	}
-	// One cache is one placement's: its keys say nothing about stage times.
-	if r, err := Solve(context.Background(), vshape(t, 2), Assignment{1, 0, 0, 0}, SolveOptions{Cache: cache}); err == nil {
-		t.Fatalf("a solve of another placement went through the cache: %+v", r)
-	}
-}
-
 // TestAssignmentCompare pins the canonical tie-break order.
 func TestAssignmentCompare(t *testing.T) {
 	cases := []struct {
@@ -626,73 +584,6 @@ func TestEffortAddCoversEveryField(t *testing.T) {
 	for i := 0; i < ev.NumField(); i++ {
 		if got, want := ev.Field(i).Int(), 2*int64(i+1); got != want {
 			t.Errorf("Effort.%s after adding %d twice = %d, want %d", ev.Type().Field(i).Name, i+1, got, want)
-		}
-	}
-}
-
-// TestInstanceKeyClampsHeadroom: the instance-solve cache keys entry memory by
-// the headroom it leaves, clamped at what the device's stages can add. Two
-// assignments whose entry memory differs but binds on no device share a key —
-// and rightly so: solved uncached, the solver returns the same starts for
-// both. Once the headroom of one of them binds, the keys part, and so do the
-// solves.
-func TestInstanceKeyClampsHeadroom(t *testing.T) {
-	ctx := context.Background()
-	p := vshape(t, 4)
-	// Same lag-zero edges (forward→backward turn, backward chain); device 0
-	// enters with 3 resp. 6 activations held, and one forward adds one more.
-	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	b := Assignment{6, 4, 2, 0, 0, 0, 0, 0}
-	if ea, eb := EntryMemory(p, a), EntryMemory(p, b); ea[0] != 3 || eb[0] != 6 {
-		t.Fatalf("entry memory %v and %v, want 3 and 6 on device 0", ea, eb)
-	}
-	key := func(x Assignment, mem int) string { return instanceKey(p, x, EntryMemory(p, x), mem) }
-	starts := func(x Assignment, mem int) []int {
-		t.Helper()
-		res, err := solver.Solve(ctx, instanceTasks(p, x), solver.Options{NumDevices: p.NumDevices, Memory: mem, InitialMem: EntryMemory(p, x)})
-		if err != nil || !res.Optimal || !res.Feasible {
-			t.Fatalf("instance solve of %v under memory %d: %+v, %v", x, mem, res, err)
-		}
-		return res.Starts
-	}
-	// Capacity 8 leaves both at least the one unit a forward needs.
-	if key(a, 8) != key(b, 8) {
-		t.Fatal("non-binding entry memory split the cache key")
-	}
-	if sa, sb := starts(a, 8), starts(b, 8); !slices.Equal(sa, sb) {
-		t.Fatalf("equal keys, different uncached solves: %v vs %v", sa, sb)
-	}
-	// Capacity 6: b enters device 0 full, so its backward must free memory
-	// before its forward can start. That solve cannot be shared.
-	if key(a, 6) == key(b, 6) {
-		t.Fatal("binding headroom shares a cache key with a non-binding one")
-	}
-	if sa, sb := starts(a, 6), starts(b, 6); slices.Equal(sa, sb) {
-		t.Fatalf("binding headroom did not change the solve: %v", sa)
-	}
-	// End to end through the cache: a hit under 8, a fresh solve under 6.
-	for _, c := range []struct {
-		mem int
-		hit bool
-	}{{8, true}, {6, false}} {
-		cache := NewSolveCache(p)
-		if _, err := Solve(ctx, p, a, SolveOptions{Memory: c.mem, Cache: cache}); err != nil {
-			t.Fatal(err)
-		}
-		var eff Effort
-		second, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem, Cache: cache, Effort: &eff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hit := eff.SolverNodes == 0; hit != c.hit {
-			t.Fatalf("memory %d: cache hit = %v, want %v", c.mem, hit, c.hit)
-		}
-		uncached, err := Solve(ctx, p, b, SolveOptions{Memory: c.mem})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.Period != uncached.Period || !slices.Equal(second.Starts, uncached.Starts) {
-			t.Fatalf("memory %d: cached solve %d %v, uncached %d %v", c.mem, second.Period, second.Starts, uncached.Period, uncached.Starts)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package sched_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"tessel/internal/placement"
@@ -65,6 +67,63 @@ func FuzzDecodePlacement(f *testing.F) {
 		}
 		if got, want := sched.Fingerprint(q), sched.Fingerprint(p); got != want {
 			t.Fatalf("fingerprint %s after a round trip, %s before", got, want)
+		}
+	})
+}
+
+// FuzzDecodeSchedule feeds DecodeSchedule — the reader of schedule files and
+// of every /v1/search response the benchmark verifies — arbitrary bytes. No
+// input may panic, and neither may Validate on an accepted schedule. Every
+// accepted item must reference a stage of the placement and have no negative
+// coordinate, and the schedule must come back from EncodeSchedule and a second
+// decode with the same FingerprintSchedule. The seeds are the M-shape golden
+// schedule, a truncated copy of it, and small schedules with a bad stage, a
+// negative micro-batch or start, a block scheduled twice, a wrong version,
+// and 10^12 devices, for which Validate would exhaust memory.
+func FuzzDecodeSchedule(f *testing.F) {
+	golden, err := os.ReadFile("testdata/mshape4_n12_schedule.golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add(golden[:len(golden)/2])
+	const p = `{"version":1,"name":"x","num_devices":2,"stages":[{"name":"a","kind":"forward","time":1,"mem":1,"devices":[0]},{"name":"b","kind":"backward","time":2,"mem":-1,"devices":[0,1]}],"deps":[[1],[]]}`
+	for _, body := range []string{
+		`{"version":1,"placement":` + p + `,"items":[{"stage":0,"micro":0,"start":0},{"stage":1,"micro":0,"start":1}]}`,
+		`{"version":1,"placement":` + p + `,"items":[{"stage":2,"micro":0,"start":0}]}`,
+		`{"version":1,"placement":` + p + `,"items":[{"stage":-1,"micro":0,"start":0}]}`,
+		`{"version":1,"placement":` + p + `,"items":[{"stage":0,"micro":-1,"start":0}]}`,
+		`{"version":1,"placement":` + p + `,"items":[{"stage":0,"micro":0,"start":-1}]}`,
+		`{"version":1,"placement":` + p + `,"items":[{"stage":0,"micro":0,"start":0},{"stage":0,"micro":0,"start":5}]}`,
+		`{"version":2,"placement":` + p + `,"items":[]}`,
+		`{"version":1,"placement":` + strings.Replace(p, `"num_devices":2`, `"num_devices":1000000000000`, 1) + `,"items":[]}`,
+		`{"placement":` + p + `,"items":null}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := sched.DecodeSchedule(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, mem := range []int{sched.Unbounded, 1} {
+			_ = s.Validate(sched.ValidateOptions{Memory: mem})
+		}
+		for _, it := range s.Items {
+			if it.Stage < 0 || it.Stage >= s.P.K() || it.Micro < 0 || it.Start < 0 {
+				t.Fatalf("accepted item %+v of a placement with %d stages", it, s.P.K())
+			}
+		}
+		var buf bytes.Buffer
+		if err := sched.EncodeSchedule(&buf, s); err != nil {
+			t.Fatalf("accepted schedule does not encode: %v", err)
+		}
+		q, err := sched.DecodeSchedule(&buf)
+		if err != nil {
+			t.Fatalf("encoded schedule does not decode: %v\n%s", err, buf.Bytes())
+		}
+		if got, want := sched.FingerprintSchedule(q), sched.FingerprintSchedule(s); got != want {
+			t.Fatalf("schedule fingerprint %s after a round trip, %s before", got, want)
 		}
 	})
 }

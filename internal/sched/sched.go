@@ -84,6 +84,13 @@ const Unbounded = math.MaxInt / 4
 // Far larger times wrap those sums around, to negative start times.
 const MaxStageTime = 1 << 24
 
+// maxDevices is the largest NumDevices Validate accepts. Validating a
+// schedule, and every solve of a search, allocates state per device, so a
+// placement naming 10^12 devices would exhaust memory before any stage is
+// looked at; 2^16 is far beyond any pipeline a search can handle and keeps
+// that state under a megabyte.
+const maxDevices = 1 << 16
+
 // Stage is one execution block template within a single micro-batch: a
 // subset of the model's operators placed on one device or, when tensor
 // parallelism is used, on a group of devices (paper §III-A, B^n_i for a
@@ -257,6 +264,9 @@ func (p *Placement) TopoOrder() ([]int, error) {
 func (p *Placement) Validate() error {
 	if p.NumDevices <= 0 {
 		return fmt.Errorf("placement %q: NumDevices must be positive, got %d", p.Name, p.NumDevices)
+	}
+	if p.NumDevices > maxDevices {
+		return fmt.Errorf("placement %q: NumDevices %d above the cap %d", p.Name, p.NumDevices, maxDevices)
 	}
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("placement %q: no stages", p.Name)

@@ -73,6 +73,22 @@ func TestPlacementValidateStageTimeCap(t *testing.T) {
 	}
 }
 
+// TestPlacementValidateDeviceCap: a device count is accepted up to
+// maxDevices and refused above it, where validating a schedule of the
+// placement would allocate per-device state for every one of them.
+func TestPlacementValidateDeviceCap(t *testing.T) {
+	for _, c := range []struct {
+		devices int
+		ok      bool
+	}{{maxDevices, true}, {maxDevices + 1, false}, {1 << 40, false}, {math.MaxInt, false}} {
+		p := chain4()
+		p.NumDevices = c.devices
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%d devices: err %v, want accepted %v", c.devices, err, c.ok)
+		}
+	}
+}
+
 func TestPlacementValidateRejectsDupDevice(t *testing.T) {
 	p := chain4()
 	p.Stages[0].Devices = []DeviceID{0, 0}
