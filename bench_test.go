@@ -105,11 +105,12 @@ func BenchmarkFingerprint(b *testing.B) {
 // BenchmarkEngineColdSearch measures a full search through a fresh engine
 // (every iteration misses), one sub-benchmark per regime of the two-pass
 // sweep: m4 (the M-shape of the other engine benchmarks), k6 and m8i reach
-// the lower bound in the first pass, where what the prefix filter does not cut
-// (prefix_cuts/op) is nearly all discarded by the exact order check
-// (order_pruned/op) — m4 pays the most branch nodes per check, m8i runs the
-// most checks, k6 keeps a few candidates the check lets through and the
-// heuristic then misses; v6, v6m8, x8i and nn6i — with m8i the cold_period
+// the lower bound in the first pass, where the exact order check, branching at
+// the prefixes of the walk's last three levels, cuts nearly every subtree the
+// rest of the filter leaves (order_pruned/op) and leaves Solve one leaf or a
+// few — m4 pays the most branch nodes per check, m8i runs the most checks, k6
+// keeps a few candidates the check lets through and the heuristic then
+// misses; v6, v6m8, x8i and nn6i — with m8i the cold_period
 // workload of the repository benchmark — reach the bound on the filter alone,
 // a handful of assignments past it and hardly a solve, so they show what a
 // walk through the filter costs (prefix_checks/op; nn6i's warmup, once 32,146
@@ -171,9 +172,10 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 // result is byte-identical for every setting (the sweep judges candidates in
 // the order it hands them out and breaks ties canonically), so the interesting number is
 // how much wall clock the solver goroutines buy on top of incumbent pruning.
-// Both sides of that trade-off are here: m4 (~890 order-checked leaves) and
-// x8m4 (the unaimed fallback pass) gain from more workers, x4 — a few leaves
-// and an early exit — runs faster on one.
+// Both sides of that trade-off are here: m4 (~440 subtrees, ~760 order checks
+// at their prefixes, one leaf solved) and x8m4 (the unaimed fallback pass)
+// gain from more workers, x4 — a few subtrees and an early exit — runs faster
+// on one.
 func BenchmarkSearchWorkers(b *testing.B) {
 	ctx := context.Background()
 	placements := []struct {

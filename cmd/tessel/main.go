@@ -126,7 +126,7 @@ func runOneShot() {
 	fmt.Printf("schedule    %d micro-batches, makespan %d\n", res.N, res.Makespan)
 	fmt.Printf("assignment  %v\n", rep.Assign)
 	st := res.Stats
-	fmt.Printf("search      %s total: %d assignments (%d subtrees cut at a prefix), %d solved, %d pruned (%d by the order check), early-exit=%v truncated=%v\n",
+	fmt.Printf("search      %s total: %d assignments (%d subtrees cut at a prefix), %d solved, %d pruned, %d discarded by the order check, early-exit=%v truncated=%v\n",
 		st.Total.Round(time.Millisecond), st.Assignments, st.PrefixCuts, st.Solved, st.Pruned, st.OrderPruned, st.EarlyExit, st.Truncated)
 	if !*quiet {
 		fmt.Println()

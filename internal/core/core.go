@@ -11,12 +11,12 @@
 // period — so an improvement prunes the candidates of every later assignment
 // and N_R round. Pruning only ever discards assignments that provably cannot
 // displace the best. One goroutine, the one that called Search, decides
-// everything: it walks the enumeration, hands assignments to a pool of solver
-// goroutines that only solve, and judges their results in the order it handed
-// them out, with canonical tie-breaking — what a sequential sweep in that
-// order decides — so the returned schedule is byte-identical for every
-// Workers setting (assuming solver budgets are not exhausted — wall-clock
-// budgets make individual solves timing-dependent).
+// everything: it walks the enumeration, hands subtrees of it to a pool of
+// solver goroutines that walk and solve them, and judges their leaves in
+// enumeration order, with canonical tie-breaking — what a sequential sweep
+// decides — so the returned schedule is byte-identical for every Workers
+// setting (assuming solver budgets are not exhausted — wall-clock budgets
+// make individual solves timing-dependent).
 //
 // The sweep runs in up to two passes over the same N_R loop. Algorithm 1
 // stops at the first repetend that reaches the device-work lower bound, and
@@ -46,9 +46,8 @@
 // the enumeration tree with a repetend.PrefixFilter at the lower bound, and a
 // prefix whose already-fixed indices rule the bound out for every completion
 // cuts its whole subtree. What is left is solved and judged as if nothing had
-// been cut: a cut discards what repetend.Solve's first two prune stages would
-// have discarded one by one. The second pass walks every canonical assignment
-// of a round, whatever their number.
+// been cut: a cut discards what repetend.Solve would have discarded one by
+// one. The second pass walks every canonical assignment of a round.
 //
 // All entry points take a context.Context and honor it end-to-end: the
 // enumeration, every repetend solve and the completion solves all poll the
@@ -110,6 +109,7 @@ type Options struct {
 	// DefaultMaxAssignments), whether they are then solved or not; those
 	// under a prefix cut are not among them, so a first-pass search that runs
 	// into the cap has seen at least as far into the round as the cap counts.
+	// Leaves count in enumeration order, the same for every Workers setting.
 	MaxAssignments int
 	// SolverNodes bounds each exact solve (0 = DefaultSolverNodes).
 	SolverNodes int64
@@ -123,7 +123,7 @@ type Options struct {
 	// instead of once at the end (the Figure 10(b) ablation).
 	DisableLazy bool
 	// Workers sets the number of solver goroutines per N_R round (0 =
-	// GOMAXPROCS). They only solve: the goroutine that called Search judges
+	// GOMAXPROCS). They walk and solve: the goroutine that called Search judges
 	// their results in enumeration order and breaks period ties by the
 	// canonically smallest assignment, so the chosen repetend and the returned
 	// schedule are identical for every Workers setting and Workers only trades
@@ -143,20 +143,19 @@ type Stats struct {
 	// Assignments is the number of index assignments the prefix filter let
 	// through to the sweep — the leaves walked, solved or not, not the leaves
 	// of the enumeration tree: what lies under a cut (PrefixCuts) is counted
-	// nowhere. Summed — like every effort counter below — over both sweep
-	// passes when the lower-bound pass found nothing and the unaimed pass ran
-	// too.
+	// nowhere, nor are the first pass's leaves past the winner. Summed — like
+	// every effort counter below — over both sweep passes when the lower-bound
+	// pass found nothing and the unaimed pass ran too.
 	Assignments int
 	// Solved is the number of repetend instances solved to a period within
 	// the bound of their job.
 	Solved int
-	// Pruned is the number of assignments, of those counted in Assignments,
-	// abandoned against the incumbent period — before their instance
-	// solve (the order-independent relaxation, or the exact order check:
-	// OrderPruned), or after it and local search. The prefix filter takes most
-	// of the first kind away before they are assignments at all; in the
-	// unaimed pass the relaxation bound takes them before they are solved,
-	// with no Solve call.
+	// Pruned is the number of walked assignments abandoned against the
+	// incumbent period — before their instance solve (the order-independent
+	// relaxation, or the exact order check), or after it and local search. The
+	// prefix filter takes most of the first kind away before they are
+	// assignments at all; in the unaimed pass the relaxation bound takes them
+	// before they are solved, with no Solve call.
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
@@ -343,6 +342,8 @@ type sweep struct {
 	opts   Options
 	res    *Result
 	filter *repetend.PrefixFilter
+	// walkers[i] is what the i-th solver goroutine of a round walks with.
+	walkers []*repetend.PrefixFilter
 	// solve is what every assignment is solved with; each job sets its
 	// bound and effort on its own copy.
 	solve repetend.SolveOptions
@@ -373,17 +374,19 @@ func (s *sweep) pass(aim int) error {
 	return nil
 }
 
-// solveJob is one assignment on its way from the Search goroutine through a
-// solver goroutine and back. The solver fills in the fields below done and
-// then closes done; the Search goroutine reads them only after that.
+// solveJob is one subtree (a leaf, unaimed) on its way through a solver
+// goroutine. out carries each leaf's repetend (nil: none) once solved, so a
+// winner is judged while the rest of its subtree is solved; the solver fills in
+// the fields below out, then closes it, and the Search goroutine reads them.
 type solveJob struct {
-	a     repetend.Assignment
+	sub   repetend.Subtree
 	bound int // jobBound when the job was handed on
-	done  chan struct{}
-	r     *repetend.Repetend
-	err   error
-	// panicked is a panic recovered inside the solve: recover only works on
-	// the panicking goroutine, so the solver keeps it and the Search goroutine
+	out   chan *repetend.Repetend
+	// What became of the leaves, counted as Stats counts it.
+	solved, pruned int
+	truncated      bool
+	// panicked is a panic recovered inside the job: recover only works on the
+	// panicking goroutine, so the solver keeps it and the Search goroutine
 	// re-raises it, where the engine's structured-error recovery can convert
 	// it.
 	panicked any
@@ -392,15 +395,14 @@ type solveJob struct {
 }
 
 // sweepSolveHook, when non-nil, runs on the solver goroutine that is about to
-// solve a, with the context the solve will run under. It exists solely for
-// tests, which use it to hold a speculative solve until the sweep is over;
-// production code never sets it.
-var sweepSolveHook func(ctx context.Context, a repetend.Assignment, bound int)
+// walk a subtree, with its prefix and the context the walk will run under, for
+// tests to hold a speculative job until the sweep is over.
+var sweepSolveHook func(ctx context.Context, prefix repetend.Assignment, bound int)
 
-// run solves the job under ctx, or skips it once ctx has ended, and closes
-// done.
-func (j *solveJob) run(ctx context.Context, p *sched.Placement, ro repetend.SolveOptions) {
-	defer close(j.done)
+// run walks the job's subtree with w under ctx and solves every leaf it yields,
+// or skips the job once ctx has ended, and closes out.
+func (j *solveJob) run(ctx context.Context, p *sched.Placement, w *repetend.PrefixFilter, ro repetend.SolveOptions) {
+	defer close(j.out)
 	if ctx.Err() != nil {
 		return
 	}
@@ -411,23 +413,40 @@ func (j *solveJob) run(ctx context.Context, p *sched.Placement, ro repetend.Solv
 		j.panicked = recover()
 	}()
 	if sweepSolveHook != nil {
-		sweepSolveHook(ctx, j.a, j.bound)
+		sweepSolveHook(ctx, j.sub.Prefix(), j.bound)
 	}
+	// Solved after the walk, whose frames would otherwise sit under a solve's.
+	var leaves []repetend.Assignment
+	w.Walk(ctx, &j.sub, func(a repetend.Assignment) bool { leaves = append(leaves, a); return true })
+	j.eff.Add(w.Effort())
 	ro.PeriodUpperBound, ro.Effort = j.bound, &j.eff
-	j.r, j.err = repetend.Solve(ctx, p, j.a, ro)
+	for _, a := range leaves {
+		if ctx.Err() != nil {
+			return
+		}
+		r, err := repetend.Solve(ctx, p, a, ro)
+		if r != nil {
+			j.solved++
+		}
+		if errors.Is(err, repetend.ErrPruned) {
+			j.pruned++
+		}
+		j.truncated = j.truncated || r != nil && r.Truncated || errors.Is(err, repetend.ErrTruncated)
+		j.out <- r
+	}
 }
 
-// round walks the assignments of round nr through the prefix filter at aim and
-// hands them to opts.Workers solver goroutines; the Search goroutine judges
-// the finished jobs at the queue's head, in the order they were handed out, so
-// it decides what a sequential sweep in that order decides. The aimed pass
-// hands each leaf out as the walk reaches it and stops at the first repetend
-// that reaches the lower bound (Algorithm 1 lines 19–20). The unaimed pass
-// hands its leaves out best-first, a block at a time (handOutBlock): what
+// round walks round nr through the prefix filter at aim and hands subtrees to
+// opts.Workers solver goroutines; the Search goroutine judges the jobs in
+// hand-out order, each job's leaves in walk order, so it decides what a
+// sequential sweep in that order decides. The aimed pass hands out the
+// subtrees PrefixFilter.Split stops at, counts their leaves against
+// MaxAssignments as it judges them, and stops at the first repetend that
+// reaches the lower bound and completes (Algorithm 1 lines 19–20). The unaimed
+// pass hands its leaves out best-first, a block at a time (handOutBlock): what
 // it returns, the smallest period and among its holders the canonically
 // smallest assignment, does not depend on the order. Only the effort counters
-// (Solved, Pruned, SolverNodes, …) vary with the number of solvers: they count
-// every solve that ran, whatever became of its assignment.
+// (Solved, Pruned, SolverNodes, …) vary with the number of solvers.
 //
 // The solvers run under a context of the round's own, which ends with it:
 // past the winner whatever is in flight can only be thrown away, and so is
@@ -438,23 +457,20 @@ func (s *sweep) round(nr, aim int) (err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ctx, end := context.WithCancel(s.ctx)
-	// Four queued jobs per solver keep the solvers fed while the walk looks
-	// for the next leaf; a deeper buffer is solved speculatively past the
-	// winner and slows small early-exit searches (x4 2.8× with sixteen).
-	jobs := make(chan *solveJob, 4*workers)
-	// finished takes one signal per job a solver is done with, for the
-	// best-first hand-out, which keeps at most workers jobs unfinished.
-	bestFirst := aim == 0 && bestFirstOn
-	var finished chan struct{}
-	if bestFirst {
-		finished = make(chan struct{}, workers)
+	p := s.res.Placement
+	for len(s.walkers) < workers {
+		s.walkers = append(s.walkers, s.filter.Walker())
 	}
-	for range workers {
+	ctx, end := context.WithCancel(s.ctx)
+	jobs := make(chan *solveJob, workers)
+	// finished takes one signal per job a solver is done with, for the
+	// unaimed pass, which keeps at most workers jobs unfinished.
+	aimed, finished := aim > 0, make(chan struct{}, workers)
+	for _, w := range s.walkers[:workers] {
 		go func() {
 			for j := range jobs {
-				j.run(ctx, s.res.Placement, s.solve)
-				if finished != nil {
+				j.run(ctx, p, w, s.solve)
+				if !aimed {
 					finished <- struct{}{}
 				}
 			}
@@ -466,7 +482,6 @@ func (s *sweep) round(nr, aim int) (err error) {
 		close(jobs)
 		var panicked any
 		for _, j := range queue {
-			<-j.done
 			s.account(j)
 			if panicked == nil {
 				panicked = j.panicked
@@ -476,65 +491,68 @@ func (s *sweep) round(nr, aim int) (err error) {
 			panic(panicked)
 		}
 	}()
-	// judgeHead takes the jobs at the queue's head off it and judges them in
-	// order: it waits for them while more than keep are queued, then goes on
-	// while they are finished. It reports whether the round goes on.
+	budget, over := s.opts.MaxAssignments, false // over: judged past the budget
+	// count takes a walked leaf off the round's budget: false past it.
+	count := func() bool {
+		s.res.Stats.Assignments++
+		if budget--; budget < 0 {
+			s.res.Stats.Truncated, over = true, aimed
+		}
+		return budget >= 0
+	}
+	goesOn := func() bool { return err == nil && !s.res.Stats.EarlyExit && !over }
+	// judgeHead judges the head job's leaves and takes it off once done,
+	// waiting while more than keep jobs are queued; false ends the round.
 	judgeHead := func(keep int) bool {
-		for err == nil && !s.res.Stats.EarlyExit && len(queue) > 0 {
-			j := queue[0]
-			if len(queue) <= keep {
+		for goesOn() && len(queue) > 0 {
+			j, more := queue[0], true
+			var r *repetend.Repetend
+			if len(queue) > keep {
+				r, more = <-j.out
+			} else {
 				select {
-				case <-j.done:
+				case r, more = <-j.out:
 				default:
 					return true
 				}
 			}
-			<-j.done
-			queue = queue[1:]
-			s.account(j)
-			if j.panicked != nil {
-				panic(j.panicked)
+			if !more {
+				queue = queue[1:]
+				s.account(j)
+				if j.panicked != nil {
+					panic(j.panicked)
+				}
+				continue
 			}
-			if j.r != nil {
-				err = s.judge(j.r)
+			// The unaimed pass counted its leaves as it walked them.
+			if (!aimed || count()) && r != nil {
+				err = s.judge(r)
 			}
 		}
-		return err == nil && !s.res.Stats.EarlyExit
+		return goesOn()
 	}
-	hand := func(a repetend.Assignment, bound int) {
-		j := &solveJob{a: a, bound: bound, done: make(chan struct{})}
+	hand := func(sub repetend.Subtree, bound int) {
+		// One buffered outcome: a one-leaf job never waits to be judged.
+		j := &solveJob{sub: sub, bound: bound, out: make(chan *repetend.Repetend, 1)}
 		jobs <- j
 		queue = append(queue, j)
 	}
-	budget := s.opts.MaxAssignments
-	walk := func(visit func(a repetend.Assignment) bool) {
-		s.filter.Enumerate(ctx, nr, aim, func(a repetend.Assignment) bool {
-			if ctx.Err() != nil {
+	if aimed {
+		ring, next := make([]repetend.Subtree, aimedUnjudged*workers), 0
+		s.filter.Split(ctx, nr, aim, func(sub *repetend.Subtree) bool {
+			if ctx.Err() != nil || !judgeHead(len(ring)-1) {
 				return false
 			}
-			s.res.Stats.Assignments++
-			if budget--; budget < 0 {
-				s.res.Stats.Truncated = true
-				return false
-			}
-			return visit(a)
-		})
-		s.res.Stats.Add(s.filter.Effort())
-	}
-	if !bestFirst {
-		walk(func(a repetend.Assignment) bool {
-			// The walk stays within 4·cap(jobs) jobs of the judged head.
-			// Unbounded, a solver that is runnable but not running could hold
-			// the head back while the walk hands on hundreds of leaves past the
-			// winner.
-			if !judgeHead(4*cap(jobs) - 1) {
-				return false
-			}
-			hand(a, s.jobBound(a))
+			// The slot's last job was handed out len(ring) jobs ago: judged.
+			slot := &ring[next%len(ring)]
+			next++
+			slot.Set(sub)
+			hand(*slot, aim) // before the winner there is no best
 			return true
 		})
+		s.res.Stats.Add(s.filter.Effort())
 	} else {
-		p, b := s.res.Placement, &s.block
+		b := &s.block
 		b.reset(p.K())
 		running := 0 // jobs handed out whose finished signal is not taken yet
 		handOutBlock := func() bool {
@@ -550,14 +568,14 @@ func (s *sweep) round(nr, aim int) (err error) {
 				switch {
 				case lb == math.MaxInt:
 					// Solve's ErrInfeasible: counted nowhere, as it was there.
-				case jb > 0 && lb > jb:
+				case bestFirstOn && jb > 0 && lb > jb:
 					s.res.Stats.Pruned++
 				case running == workers:
 					<-finished
 					running--
 					continue
 				default:
-					hand(a, jb)
+					hand(repetend.Leaf(nr, a), jb)
 					running++
 				}
 				i++
@@ -565,7 +583,10 @@ func (s *sweep) round(nr, aim int) (err error) {
 			// Every job of the block finishes before its leaves are overwritten.
 			return judgeHead(0)
 		}
-		walk(func(a repetend.Assignment) bool {
+		s.filter.Enumerate(ctx, nr, aim, func(a repetend.Assignment) bool {
+			if ctx.Err() != nil || !count() {
+				return false
+			}
 			b.add(a, repetend.RelaxedPeriod(p, a, s.opts.Memory, &s.res.Stats.Effort))
 			return len(b.bounds) < leafBlockCap || handOutBlock()
 		})
@@ -577,6 +598,10 @@ func (s *sweep) round(nr, aim int) (err error) {
 	}
 	return err
 }
+
+// aimedUnjudged is how many jobs per solver the aimed pass keeps unjudged,
+// one of them queued. A deeper lookahead slows small early-exit searches.
+const aimedUnjudged = 2
 
 // jobBound is the period a job for a is solved against: the incumbent, or one
 // less than the best period when a sorts after the best assignment — a tie
@@ -591,8 +616,8 @@ func (s *sweep) jobBound(a repetend.Assignment) int {
 }
 
 // bestFirstOn is written only by tests: false makes the unaimed pass hand its
-// leaves out as the walk reaches them, the reference the best-first order is
-// compared against.
+// leaves out in the order the walk reaches them, unskipped, the reference the
+// best-first order is compared against.
 var bestFirstOn = true
 
 // leafBlockCap is the most leaves the unaimed pass collects before it hands
@@ -634,6 +659,9 @@ func (b *leafBlock) sort() {
 	for x := range b.bounds {
 		b.order = append(b.order, x)
 	}
+	if !bestFirstOn {
+		return
+	}
 	//tessel:totalorder the leaves of a round are distinct assignments
 	slices.SortFunc(b.order, func(x, y int) int {
 		return cmp.Or(cmp.Compare(b.bounds[x], b.bounds[y]), b.leaf(x).Compare(b.leaf(y)))
@@ -664,21 +692,16 @@ func (s *sweep) judge(r *repetend.Repetend) error {
 	return nil
 }
 
-// account adds a finished job's work to the search's counters.
+// account waits for a job to finish and adds its work to the search's
+// counters.
 func (s *sweep) account(j *solveJob) {
+	for range j.out {
+	}
 	st := &s.res.Stats
 	st.Add(j.eff)
 	st.Phase.Repetend += j.dur
-	if j.r != nil {
-		st.Solved++
-		st.Truncated = st.Truncated || j.r.Truncated
-	}
-	if errors.Is(j.err, repetend.ErrPruned) {
-		st.Pruned++
-	}
-	if errors.Is(j.err, repetend.ErrTruncated) {
-		st.Truncated = true
-	}
+	st.Solved, st.Pruned = st.Solved+j.solved, st.Pruned+j.pruned
+	st.Truncated = st.Truncated || j.truncated
 }
 
 // Extend rebuilds the warmup/body/cooldown composition of a completed

@@ -61,7 +61,10 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSearchIncumbentPrunesSweep checks that the incumbent actually
 // bites on a pruning-friendly placement: a default m-shape search must
-// discard a substantial share of its assignments without solving them.
+// discard far more candidates than it solves. The aimed pass discards nearly
+// all of them as whole subtrees, by the order check at a prefix (counted in
+// OrderPruned, beside the assignments its check discards at a leaf), the rest
+// as assignments (Pruned).
 func TestSearchIncumbentPrunesSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full m-shape sweep is slow in -short mode")
@@ -71,13 +74,14 @@ func TestSearchIncumbentPrunesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Pruned == 0 {
-		t.Fatal("no assignments pruned against the incumbent")
+	st := res.Stats
+	if st.OrderPruned == 0 {
+		t.Fatal("no subtree or assignment discarded by the order check against the incumbent")
 	}
-	if res.Stats.Pruned <= res.Stats.Solved {
-		t.Fatalf("pruning barely bites: pruned=%d solved=%d", res.Stats.Pruned, res.Stats.Solved)
+	if discarded := int64(st.Pruned) + st.OrderPruned; discarded <= 100*int64(st.Solved) {
+		t.Fatalf("pruning barely bites: %d pruned and %d order-pruned, %d solved", st.Pruned, st.OrderPruned, st.Solved)
 	}
-	if res.Stats.SolverNodes == 0 {
+	if st.SolverNodes == 0 {
 		t.Fatal("Stats.SolverNodes not populated")
 	}
 	checkFull(t, res, 0)

@@ -162,8 +162,9 @@ func TestChaosCancelBetweenSweepPasses(t *testing.T) {
 
 // firstPassUpToWinner does one by one what the first sweep pass of res's
 // search does: it walks the rounds through a prefix filter at the lower bound
-// and solves each assignment that gets through until one reaches the bound —
-// which must be the search's winner. visit, when non-nil, sees every solve
+// — the walk the sweep splits between the Search goroutine and its solvers,
+// in one piece — and solves each assignment that gets through until one
+// reaches the bound, which must be the search's winner. visit, when non-nil, sees every solve
 // with the effort so far before and after it; the result is the total effort,
 // the filter's included, and the winner.
 func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assignment, err error, before, after repetend.Effort)) (repetend.Effort, *repetend.Repetend) {
@@ -204,9 +205,11 @@ func firstPassUpToWinner(t *testing.T, res *Result, visit func(a repetend.Assign
 // independently: the assignments the prefix filter lets through at the lower
 // bound solved one by one, in enumeration order up to the winner, as the
 // sweep solves them — plus the filter's own checks and cuts on the way there,
-// which the search's totals must cover too. (The sweep's own total may sit
-// above the floor by the few assignments its solver takes on while the Search
-// goroutine is still verifying the winner.)
+// the order checks at prefixes among them, which the search's totals must
+// cover too. (The sweep's own total may sit above the floor by the subtree its
+// solver takes on while the Search goroutine is still verifying the winner.)
+// Of the order check's discards, those at a leaf are among the pruned
+// assignments and those at a prefix among the cuts.
 func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 	p, opts := catalogPlacement(t, "k6")
 	opts.Workers = 1
@@ -254,7 +257,7 @@ func TestSearchStatsCoverPrunedAssignments(t *testing.T) {
 			t.Errorf("search reports %d %s; the assignments up to the winner alone account for %d", c.got, c.name, c.atLeast)
 		}
 	}
-	if st.Solved < 1 || st.OrderPruned > int64(st.Pruned) || st.OrderChecks < st.OrderPruned+int64(st.Solved) || st.PeriodProbes < int64(st.Pruned) {
+	if st.Solved < 1 || st.OrderPruned > int64(st.Pruned)+st.PrefixCuts || st.OrderChecks < st.OrderPruned+int64(st.Solved) || st.PeriodProbes < int64(st.Pruned) {
 		t.Fatalf("counters do not add up: %+v", st)
 	}
 }
@@ -281,12 +284,89 @@ func TestPrefixChecksUpToTheWinner(t *testing.T) {
 	}
 }
 
+// TestAimedPassEffort pins the work of the aimed pass on the two catalog
+// placements whose first pass is nearly all order check, at Workers 1. With
+// one check per leaf the parent of the split walk handed m4 888 leaves to
+// Solve and m8i ~780, and discarded all but a few at 12,388 and 1,820 branch
+// nodes of the check. Checked at the prefixes of the walk's last levels, one
+// failed decision discards every leaf below it: Solve sees at most five
+// leaves of either — the winner, what its subtree holds after it, and what a
+// solver takes on while the winner is judged — and the checks branch no more
+// in total than the per-leaf checks did.
+func TestAimedPassEffort(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		nodes int64
+	}{{"m4", 12388}, {"m8i", 1820}} {
+		p, opts := catalogPlacement(t, c.name)
+		opts.Workers = 1
+		res, err := Search(context.Background(), p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if solves := st.Solved + st.Pruned; !st.EarlyExit || solves > 5 || st.OrderNodes > c.nodes {
+			t.Errorf("%s: %d leaves solved or pruned by Solve, %d branch nodes, early exit %v; want at most 5 and %d", c.name, solves, st.OrderNodes, st.EarlyExit, c.nodes)
+		}
+	}
+}
+
+// subtreesUpToWinner hands out, one by one, the subtrees the first sweep pass
+// of res's search hands its solvers — Split at the lower bound — up to and
+// including the one that holds the winner, and walks and solves each whole, as
+// a solver does. It returns their prefixes (repetend.Subtree.Prefix), and the
+// effort of their walks and solves and the number of leaves that reach the
+// bound twice: up to the winner, and with the rest of its subtree.
+func subtreesUpToWinner(t *testing.T, res *Result) (prefixes map[string]bool, atWinner, whole repetend.Effort, solvedAtWinner, solved int) {
+	t.Helper()
+	p, ctx := res.Placement, context.Background()
+	eff := &whole
+	ro := repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Effort: eff}
+	split, err := repetend.NewPrefixFilter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer split.Close()
+	walk, err := repetend.NewPrefixFilter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer walk.Close()
+	prefixes = map[string]bool{}
+	var winner *repetend.Repetend
+	for nr := 1; nr <= res.Repetend.NR && winner == nil; nr++ {
+		split.Split(ctx, nr, res.LowerBound, func(sub *repetend.Subtree) bool {
+			prefixes[fmt.Sprint(sub.Prefix())] = true
+			var leaves []repetend.Assignment
+			walk.Walk(ctx, sub, func(a repetend.Assignment) bool { leaves = append(leaves, a); return true })
+			eff.Add(walk.Effort())
+			for _, a := range leaves {
+				r, _ := repetend.Solve(ctx, p, a, ro)
+				if r != nil {
+					solved++
+				}
+				if r != nil && winner == nil {
+					winner, atWinner, solvedAtWinner = r, *eff, solved
+				}
+			}
+			return winner == nil
+		})
+		eff.Add(split.Effort())
+	}
+	if winner == nil || winner.Assign.Compare(res.Repetend.Assign) != 0 {
+		t.Fatalf("enumeration reaches the bound first at %v, the search returned %v", winner, res.Repetend.Assign)
+	}
+	return prefixes, atWinner, whole, solvedAtWinner, solved
+}
+
 // TestSearchEarlyExitCancelsSpeculation: once the Search goroutine has judged
-// a repetend at the lower bound, a solver that is already on a later
-// assignment is cancelled, not waited for. The hook holds every such solve
-// back until its context ends — with one worker that makes the search's solver
-// effort exactly that of the assignments up to the winner — and the search
-// still returns a nil error and the schedule it returns undisturbed.
+// a repetend at the lower bound, a solver that is already on a later subtree
+// is cancelled, not waited for. The hook holds every such job back until its
+// context ends — with one worker that leaves the search's solver effort
+// between that of the subtrees up to the winner and that of the same subtrees
+// walked whole: the solver goes on with the winner's subtree while the winner
+// is judged, until the cancel reaches it — and the search still returns a nil
+// error and the schedule it returns undisturbed.
 func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 	p, opts := catalogPlacement(t, "x4")
 	opts.Workers = 1
@@ -294,16 +374,13 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The assignments a sweep solves up to and including the winner, and what
-	// solving them one by one costs.
-	upTo := map[string]bool{}
-	floor, _ := firstPassUpToWinner(t, want, func(a repetend.Assignment, _ error, _, _ repetend.Effort) {
-		upTo[fmt.Sprint(a)] = true
-	})
+	// The subtrees a sweep hands out up to and including the winner's, and
+	// what walking and solving them one by one costs.
+	upTo, floor, ceil, solvedFloor, solvedCeil := subtreesUpToWinner(t, want)
 
 	var held, cancelled atomic.Int64
-	sweepSolveHook = func(ctx context.Context, a repetend.Assignment, _ int) {
-		if upTo[fmt.Sprint(a)] {
+	sweepSolveHook = func(ctx context.Context, prefix repetend.Assignment, _ int) {
+		if upTo[fmt.Sprint(prefix)] {
 			return
 		}
 		held.Add(1)
@@ -314,10 +391,12 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 		}
 	}
 	t.Cleanup(func() { sweepSolveHook = nil })
-	// Whether a later assignment reaches a solver before the Search goroutine
-	// ends the sweep is a race with its walk: on a busy machine the solver may
-	// find nothing queued behind the winner. Such a search exercises nothing,
-	// so it is checked like the others and then run again.
+	// Whether a later subtree reaches a solver before the Search goroutine
+	// ends the sweep is a race: on a busy machine the solver may find nothing
+	// queued behind the winner. Such a search exercises nothing, so it is
+	// checked like the others and then run again. One solver rarely gets past
+	// the winner's subtree before the cancel — it takes the next job only once
+	// it has finished that one — so only two are held to getting there.
 	const attempts = 20
 	for _, workers := range []int{1, 2} {
 		opts.Workers = workers
@@ -329,21 +408,22 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 				t.Fatalf("workers %d: %v", workers, err)
 			}
 			if held.Load() != cancelled.Load() {
-				t.Fatalf("workers %d: %d speculative solves held, %d cancelled by the early exit", workers, held.Load(), cancelled.Load())
+				t.Fatalf("workers %d: %d speculative jobs held, %d cancelled by the early exit", workers, held.Load(), cancelled.Load())
 			}
 			if got, want := sched.FingerprintSchedule(res.Full), sched.FingerprintSchedule(want.Full); got != want {
 				t.Fatalf("workers %d: schedule fingerprint %s, want %s", workers, got, want)
 			}
 			st := res.Stats
-			if workers == 1 && (st.SolverNodes != floor.SolverNodes || st.LocalSearchSwaps != floor.LocalSearchSwaps || st.Solved != 1) {
-				t.Fatalf("a cancelled solve spent effort: %d nodes, %d swaps, %d solved; up to the winner it is %d nodes, %d swaps",
-					st.SolverNodes, st.LocalSearchSwaps, st.Solved, floor.SolverNodes, floor.LocalSearchSwaps)
+			if workers == 1 && (st.SolverNodes < floor.SolverNodes || st.SolverNodes > ceil.SolverNodes ||
+				st.LocalSearchSwaps < floor.LocalSearchSwaps || st.LocalSearchSwaps > ceil.LocalSearchSwaps || st.Solved < solvedFloor || st.Solved > solvedCeil) {
+				t.Fatalf("a cancelled job spent effort: %d nodes, %d swaps, %d solved; up to the winner it is %d nodes, %d swaps, %d solved, with the rest of its subtree %d, %d, %d",
+					st.SolverNodes, st.LocalSearchSwaps, st.Solved, floor.SolverNodes, floor.LocalSearchSwaps, solvedFloor, ceil.SolverNodes, ceil.LocalSearchSwaps, solvedCeil)
 			}
-			if held.Load() > 0 {
+			if workers == 1 || held.Load() > 0 {
 				break
 			}
 			if attempt == attempts {
-				t.Fatalf("workers %d: in %d searches no assignment past the winner reached a worker; the placement does not exercise the cancel", workers, attempts)
+				t.Fatalf("workers %d: in %d searches no subtree past the winner's reached a worker; the placement does not exercise the cancel", workers, attempts)
 			}
 		}
 	}
@@ -351,9 +431,10 @@ func TestSearchEarlyExitCancelsSpeculation(t *testing.T) {
 
 // TestSearchLeavesNoGoroutines: every solver goroutine a round starts is gone
 // once Search returns, whichever way it returns — an early exit, both passes
-// run to the end, a context cancelled while a solve is in flight, a
-// completion solve that fails, a solve that panics. The goroutine count must
-// come back to what it was before the call.
+// run to the end, a context cancelled while a job is in flight, a completion
+// solve that fails, a job that panics before its walk or in one of its
+// leaves' solves, which Search re-raises. The goroutine count must come back to
+// what it was before the call.
 func TestSearchLeavesNoGoroutines(t *testing.T) {
 	injected := errors.New("injected completion fault")
 	for _, c := range []struct {
@@ -366,7 +447,7 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 		{name: "early exit", shape: "v6"},
 		{name: "both passes", shape: "x8m4"},
 		{name: "cancelled mid-sweep", shape: "m4", wantErr: context.Canceled, arm: func(cancel context.CancelFunc) {
-			// Hold the first solve until the cancel has reached it.
+			// Hold the first job until the cancel has reached it.
 			sweepSolveHook = func(ctx context.Context, _ repetend.Assignment, _ int) { cancel(); <-ctx.Done() }
 		}},
 		{name: "completion error", shape: "v6", wantErr: injected, arm: func(context.CancelFunc) {
@@ -379,6 +460,14 @@ func TestSearchLeavesNoGoroutines(t *testing.T) {
 		}},
 		{name: "solver panic", shape: "v6", wantPanic: true, arm: func(context.CancelFunc) {
 			sweepSolveHook = func(context.Context, repetend.Assignment, int) { panic("injected solver crash") }
+		}},
+		{name: "panic in a leaf's solve", shape: "v6", wantPanic: true, arm: func(context.CancelFunc) {
+			faultpoint.Arm(faultpoint.SolverSolve, func() error {
+				if strings.Contains(string(debug.Stack()), "core.(*solveJob).run") {
+					panic("injected crash in a leaf's solve")
+				}
+				return nil
+			})
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

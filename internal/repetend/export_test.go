@@ -22,6 +22,15 @@ func SetOrderNodeLimit(t testing.TB, n int) {
 	t.Cleanup(func() { orderNodeLimit = prev })
 }
 
+// WithOrderNodeLimit runs f with the order check's node cap at n, and puts
+// the cap back.
+func WithOrderNodeLimit(n int, f func()) {
+	prev := orderNodeLimit
+	orderNodeLimit = n
+	defer func() { orderNodeLimit = prev }()
+	f()
+}
+
 // SetPrefixFilter runs the rest of the test with NewPrefixFilter returning the
 // filter (on) or the unfiltered walk (off).
 func SetPrefixFilter(t testing.TB, on bool) {

@@ -99,12 +99,8 @@ func (e *periodEngine) orderCheck(period int) orderVerdict {
 // coefficient lag (the prefix filter's root, see prefix.go). It reports false
 // when the constraints hold a positive cycle: the relaxation's own verdict.
 func (e *periodEngine) orderRoot(period, levels, lag int) bool {
-	e.buildWindow()
+	e.orderStack(levels)
 	k := e.k
-	if cap(e.ordMat) < levels*k*k {
-		e.ordMat = make([]int, levels*k*k)
-	}
-	e.ordMat = e.ordMat[:cap(e.ordMat)]
 	D := e.ordMat[:k*k]
 	for x := range D {
 		D[x] = orderNone
@@ -141,6 +137,16 @@ func (e *periodEngine) orderRoot(period, levels, lag int) bool {
 		}
 	}
 	return true
+}
+
+// orderStack makes room for levels matrices on the stack and builds the
+// window pairs their propagation scans.
+func (e *periodEngine) orderStack(levels int) {
+	e.buildWindow()
+	if n := levels * e.k * e.k; cap(e.ordMat) < n {
+		e.ordMat = make([]int, n)
+	}
+	e.ordMat = e.ordMat[:cap(e.ordMat)]
 }
 
 // orderExtend raises row[j] to base + via[j]. base is a path; a no-path via[j]

@@ -94,8 +94,9 @@ func TestOrderCheckDiscardsOnlyWhatThePipelineDiscards(t *testing.T) {
 
 // randomShape draws one instance of the differential below: one of the five
 // paper shapes on 2–4 devices with random block times, a third of them as
-// inference placements and a third under a memory cap.
-func randomShape(rng *rand.Rand) (*sched.Placement, int, error) {
+// inference placements and a third under a memory cap — or, capped, all of
+// them under one (internal/core's memory-capped draws).
+func randomShape(rng *rand.Rand, capped bool) (*sched.Placement, int, error) {
 	builders := []func(placement.Config) (*sched.Placement, error){
 		placement.VShape, placement.XShape, placement.MShape, placement.NNShape, placement.KShape,
 	}
@@ -114,8 +115,12 @@ func randomShape(rng *rand.Rand) (*sched.Placement, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	kind := 1 // capped
+	if !capped {
+		kind = rng.Intn(3)
+	}
 	memory := 0
-	switch rng.Intn(3) {
+	switch kind {
 	case 0:
 		p = placement.Inference(p)
 	case 1:
@@ -151,7 +156,7 @@ func TestOrderCheckSearchDifferential(t *testing.T) {
 	var instances []instance
 	var discarded int64
 	for len(instances) < 120 {
-		p, memory, err := randomShape(rng)
+		p, memory, err := randomShape(rng, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,23 +192,26 @@ func TestOrderCheckSearchDifferential(t *testing.T) {
 			t.Fatalf("%s: schedule fingerprint %s with the check, %s without", in.p.Name, fa, fb)
 		}
 	}
-	t.Logf("%d placements, %d without a repetend either way, %d left out as too slow under -race, %d assignments discarded by the check", len(instances), unsearchable, tooSlow, discarded)
+	t.Logf("%d placements, %d without a repetend either way, %d left out as too slow under -race, %d subtrees and assignments discarded by the check", len(instances), unsearchable, tooSlow, discarded)
 	if unsearchable > len(instances)/4 || tooSlow > 4 || discarded < 1000 {
-		t.Fatalf("the sample has gone soft: %d of %d placements unsearchable, %d left out, %d assignments discarded by the check", unsearchable, len(instances), tooSlow, discarded)
+		t.Fatalf("the sample has gone soft: %d of %d placements unsearchable, %d left out, %d subtrees and assignments discarded by the check", unsearchable, len(instances), tooSlow, discarded)
 	}
 }
 
 // TestOrderCheckCapIsNotAVerdict: with the node cap at zero a check decides
-// only what forced-pair propagation decides at the root and otherwise answers
+// only what forced-pair propagation decides at its root and otherwise answers
 // "undecided" — so it prunes less, never differently: the searches return the
-// bytes they return uncapped. What propagation alone decides the prefix filter
-// has decided before the check is asked (the last level of its stack is the
-// check's root matrix), so the forced-pair discards are counted where they now
-// happen: order-pruned assignments plus prefix cuts.
+// bytes they return uncapped. The checks at the last levels of the walk then
+// decide what propagation there decides, which cuts the subtree as a failed
+// push above them would: every discard of the check is a cut at a prefix. A
+// leaf past them carries its own check's root matrix at the last level, so no
+// Solve discards one by its check. At one worker the sweep counts the leaves
+// it walks up to the winner, and under the cap no fewer survive; on the
+// shapes that branch, more do.
 func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 	type golden struct {
 		fingerprint string
-		pruned      int64 // OrderPruned + PrefixCuts
+		leaves      int
 	}
 	want := map[string]golden{}
 	shapes := []string{"m4", "k6", "m8i", "x4", "m4i"}
@@ -221,11 +229,27 @@ func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 		if res.Stats.OrderNodes == 0 || res.Stats.PrefixCuts == 0 {
 			t.Fatalf("%s: %d branch nodes, %d prefix cuts; the shape does not exercise the cap", name, res.Stats.OrderNodes, res.Stats.PrefixCuts)
 		}
-		want[name] = golden{sched.FingerprintSchedule(res.Full), res.Stats.OrderPruned + res.Stats.PrefixCuts}
+		want[name] = golden{sched.FingerprintSchedule(res.Full), res.Stats.Assignments}
 	}
 	repetend.SetOrderNodeLimit(t, 0)
 	for _, name := range shapes {
 		res := search(name)
+		p := res.Placement
+		f, err := repetend.NewPrefixFilter(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for nr := 1; nr <= res.Repetend.NR; nr++ {
+			f.Enumerate(context.Background(), nr, res.LowerBound, func(a repetend.Assignment) bool {
+				var eff repetend.Effort
+				repetend.Solve(context.Background(), p, a, repetend.SolveOptions{PeriodUpperBound: res.LowerBound, Effort: &eff})
+				if eff.OrderPruned != 0 {
+					t.Fatalf("%s N_R %d: %v pruned by propagation at the root of its check, after the filter let it through", name, nr, a)
+				}
+				return true
+			})
+		}
+		f.Close()
 		if got := sched.FingerprintSchedule(res.Full); got != want[name].fingerprint {
 			t.Fatalf("%s: schedule fingerprint %s under a zero cap, %s uncapped", name, got, want[name].fingerprint)
 		}
@@ -233,14 +257,14 @@ func TestOrderCheckCapIsNotAVerdict(t *testing.T) {
 		if st.OrderNodes != 0 {
 			t.Fatalf("%s: %d branch nodes under a zero cap", name, st.OrderNodes)
 		}
-		// One worker's sweep stops within a few assignments of the winner
-		// either way, so the root-only count trails the uncapped one by the
-		// checks that needed a branch, give or take those stragglers.
-		if st.OrderPruned != 0 {
-			t.Fatalf("%s: %d assignments pruned by propagation at the root of their check, after the filter let them through", name, st.OrderPruned)
+		if st.OrderChecks == 0 || st.OrderPruned > st.PrefixCuts {
+			t.Fatalf("%s: %d checks, %d of them discarding, %d prefix cuts under a zero cap; each discard should be a cut", name, st.OrderChecks, st.OrderPruned, st.PrefixCuts)
 		}
-		if st.PrefixCuts == 0 || st.PrefixCuts > want[name].pruned+8 {
-			t.Fatalf("%s: %d prefix cuts under a zero cap, %d order-pruned + prefix cuts uncapped", name, st.PrefixCuts, want[name].pruned)
+		if st.Assignments < want[name].leaves {
+			t.Fatalf("%s: %d leaves walked up to the winner under a zero cap, %d uncapped", name, st.Assignments, want[name].leaves)
+		}
+		if branches := name == "m4" || name == "m8i"; branches && st.Assignments < 100*want[name].leaves {
+			t.Fatalf("%s: %d leaves walked up to the winner under a zero cap, %d uncapped; the check at a prefix has stopped cutting", name, st.Assignments, want[name].leaves)
 		}
 	}
 }

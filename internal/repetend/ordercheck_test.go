@@ -5,6 +5,7 @@ package repetend
 // the code the check is meant to pre-empt, and none of the check's own.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -211,5 +212,34 @@ func TestOrderCheckSteadyStateAllocs(t *testing.T) {
 		e.orderCheck(e.lower)
 	}); n != 0 {
 		t.Fatalf("%v allocations per check in steady state", n)
+	}
+
+	// A check at a prefix — the push into a level at the bottom of the walk
+	// resumed from a handed-out subtree — branches on the filter's own stack
+	// and allocates nothing either.
+	var slot Subtree
+	f := branchingCutSubtree(t, p, &slot)
+	defer f.Close()
+	f.Walk(context.Background(), &slot, func(Assignment) bool { return true })
+	pos := slot.depth
+	i := f.order[pos]
+	copy(f.assign, slot.assign)
+	copy(f.e.ordMat[pos*f.e.k*f.e.k:], slot.mat)
+	v := slot.nr - 1
+	for _, pr := range f.preds[i] {
+		v = min(v, f.assign[pr])
+	}
+	for ; v >= 0; v-- {
+		f.assign[i] = v
+		f.e.ordNodes = 0
+		if !f.push(pos, i, v) && f.e.ordNodes > 0 {
+			break
+		}
+	}
+	if v < 0 {
+		t.Fatal("no push below the m4 subtree cut by branching")
+	}
+	if n := testing.AllocsPerRun(50, func() { f.push(pos, i, v) }); n != 0 {
+		t.Fatalf("%v allocations per check at a prefix in steady state", n)
 	}
 }

@@ -21,15 +21,16 @@
 // the rows that reach it. A raise that would close a positive cycle cuts the
 // subtree, and where P is the device-work lower bound so does a same-device
 // pair with neither order left after forced-pair propagation — the propagation
-// of the order check, which here never branches.
+// of the order check; in the last branchLevels levels the whole check, which
+// cuts on "infeasible" only. Split and Walk are Enumerate in two halves.
 //
 // Soundness: summing the stage-1 constraints s_x ≥ s_u + t_u − (r_u − r_x)·P
 // along a path a ⇝ b telescopes the lags to r_a − r_b, at most L; so every
 // completion of a prefix satisfies each telescoped edge, and each edge between
 // fixed stages carries the completion's own coefficient. A prefix system is
 // therefore a relaxation of each completion's stage-1 and stage-2 systems (see
-// Solve), and a cut removes only leaves for which Solve, at that bound,
-// returns before its instance solve with no repetend — ErrPruned, or
+// Solve) with the same same-device pairs, and a cut removes only leaves for
+// which Solve, at that bound, returns no repetend — ErrPruned, or
 // ErrInfeasible where the entry memory already rules the leaf out. Such a leaf
 // never was a sweep's winner or tied with it, so the filter changes what a
 // sweep pays, not what it returns. Nor does telescoping change which leaves
@@ -55,6 +56,9 @@ var prefixFilterOn = true
 // everything is cut reaches no leaf, and so no yield that could stop it.
 const prefixPollEvery = 256
 
+// branchLevels is how many levels above the leaves Split stops.
+const branchLevels = 3
+
 // PrefixFilter walks the enumeration tree of one placement, round by round,
 // and cuts the subtrees whose prefix already proves that no completion has a
 // period within the bound. One filter serves every round of a search; it is
@@ -67,15 +71,18 @@ type PrefixFilter struct {
 	// the only ones that can still take index nr−1 once no stage above has.
 	sources []int
 
-	// The round being walked.
-	ctx   context.Context
-	nr    int
-	yield func(Assignment) bool
+	// The round being walked; a Split walk hands its subtrees to yieldSub.
+	ctx      context.Context
+	nr       int
+	yield    func(Assignment) bool
+	yieldSub func(*Subtree) bool
+	sub      Subtree
 
-	// e holds the matrix stack (ordMat, K+1 levels) and the placement's
-	// shape, its dependency paths included; nil when the walk is unfiltered —
-	// Enumerate's, or a placement over the stage cap.
+	// e holds the matrix stack (ordMat, K+1 levels) and the shape, paths
+	// included; nil when the walk is unfiltered (Enumerate's, or over the
+	// stage cap) and between the walks of a Walker, which draws one for p.
 	e *periodEngine
+	p *sched.Placement
 	// period is the bound level 0 is closed at, 0 when the round has none and
 	// runs unfiltered; forced is true when pushes also run forced-pair
 	// propagation.
@@ -136,13 +143,86 @@ func (f *PrefixFilter) Enumerate(ctx context.Context, nr, bound int, yield func(
 	return f.walk(0, 0)
 }
 
-// Effort is what the last Enumerate call spent: PrefixChecks and PrefixCuts.
+// Split walks round nr down to branchLevels levels above the leaves and
+// yields each node there, as a view valid during the call (see Subtree.Set).
+func (f *PrefixFilter) Split(ctx context.Context, nr, bound int, yield func(*Subtree) bool) bool {
+	f.yieldSub = yield
+	defer func() { f.yieldSub = nil }()
+	return f.Enumerate(ctx, nr, bound, nil)
+}
+
+// Walker returns a filter of f's placement for Walk that holds a pooled engine
+// only during a walk: a pooled engine keeps the largest matrix stack any
+// placement grew in it, so a worker holds one at a time, to walk or to solve.
+func (f *PrefixFilter) Walker() *PrefixFilter {
+	w := &PrefixFilter{order: f.order, preds: f.preds, assign: make(Assignment, len(f.assign)), sources: f.sources}
+	if f.e != nil {
+		w.p = f.e.p
+	}
+	return w
+}
+
+// Walk resumes the walk below st, split off by another filter of the
+// placement, and yields what Enumerate yields there.
+func (f *PrefixFilter) Walk(ctx context.Context, st *Subtree, yield func(Assignment) bool) bool {
+	f.ctx, f.nr, f.yield, f.period, f.eff = ctx, st.nr, yield, 0, Effort{}
+	copy(f.assign, st.assign)
+	if f.e == nil && f.p != nil && len(st.mat) > 0 {
+		f.e = periodEngines.Get().(*periodEngine)
+		f.e.bindShape(f.p)
+		f.e.buildPaths(f.order)
+		defer f.Close()
+	}
+	if e := f.e; e != nil && len(st.mat) > 0 {
+		e.orderStack(e.k + 1)
+		copy(e.ordMat[st.depth*e.k*e.k:], st.mat)
+		f.period, f.forced = st.bound, e.orderChecked(st.bound)
+	}
+	return f.walk(st.depth, st.top)
+}
+
+// Effort is what the last Enumerate, Split or Walk call spent.
 func (f *PrefixFilter) Effort() Effort { return f.eff }
+
+// A Subtree is a node of a round's enumeration tree, as Split hands it out.
+type Subtree struct {
+	nr, bound  int // the round, and the period its matrix is closed at
+	depth, top int // its level, and the largest index fixed above it
+	order      []int
+	assign     Assignment
+	mat        []int // nil when the round is walked unfiltered
+}
+
+// Set makes s a copy of o in s's own buffers.
+func (s *Subtree) Set(o *Subtree) {
+	*s = Subtree{o.nr, o.bound, o.depth, o.top, o.order, append(s.assign[:0], o.assign...), append(s.mat[:0], o.mat...)}
+}
+
+// Leaf is the subtree of round nr that is the single leaf a; it shares a.
+func Leaf(nr int, a Assignment) Subtree {
+	return Subtree{nr: nr, depth: len(a), top: nr - 1, assign: a}
+}
+
+// Prefix returns the indices fixed above s, with −1 for the stages below it.
+func (s *Subtree) Prefix() Assignment {
+	a := s.assign.Clone()
+	for x := s.depth; x < len(s.order); x++ {
+		a[s.order[x]] = -1
+	}
+	return a
+}
 
 // walk fixes the stage of level pos and below; top is the largest index above.
 func (f *PrefixFilter) walk(pos, top int) bool {
 	if top < f.nr-1 && f.sources[pos] == 0 {
 		return true // no assignment below has max index nr−1
+	}
+	if f.yieldSub != nil && pos == max(len(f.order)-branchLevels, 0) {
+		f.sub = Subtree{f.nr, f.period, pos, top, f.order, f.assign, nil}
+		if k := len(f.order); f.period > 0 {
+			f.sub.mat = f.e.ordMat[pos*k*k : (pos+1)*k*k]
+		}
+		return f.yieldSub(&f.sub)
 	}
 	if pos == len(f.order) {
 		if slices.Min(f.assign) != 0 {
@@ -197,11 +277,22 @@ func (f *PrefixFilter) push(pos, i, v int) bool {
 	if !e.orderRaisePaths(D, i, v*f.period) {
 		return false
 	}
-	if f.forced {
+	if !f.forced {
+		return true
+	}
+	if pos+branchLevels < len(f.order) {
 		ok, _, _ := e.orderPropagate(D)
 		return ok
 	}
-	return true
+	// The whole check, branching on the levels the walk has not reached yet.
+	e.ordNodes = 0
+	cut := e.orderBranch(pos+1) == orderInfeasible
+	f.eff.OrderChecks++
+	f.eff.OrderNodes += e.ordNodes
+	if cut {
+		f.eff.OrderPruned++
+	}
+	return !cut
 }
 
 // orderRaise raises the arc u→v of the closed matrix D to weight w. It reports

@@ -21,10 +21,12 @@ import (
 // where the search ends above it, at a looser one (the winner's period) — each
 // leaf the filter does not yield gets no repetend from
 // Solve at that bound, and no instance solve: ErrPruned, or ErrInfeasible
-// where the memory cap rules it out at entry.
+// where the memory cap rules it out at entry. That holds for the leaves the
+// order check cuts by branching at a prefix in the walk's last levels too —
+// those a walk at a zero node cap, which branches nowhere, does yield.
 func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
 	ctx := context.Background()
-	cut, cutLoose := 0, 0
+	cut, cutLoose, cutByBranch := 0, 0, 0
 	for _, c := range repetend.Catalog {
 		p := c.Placement(t)
 		res, err := core.Search(ctx, p, core.Options{Memory: c.Memory})
@@ -42,15 +44,19 @@ func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
 		for _, bound := range bounds {
 			opts := repetend.SolveOptions{Memory: c.Memory, PeriodUpperBound: bound}
 			for nr := 1; nr <= res.Stats.NRSwept; nr++ {
-				var kept []repetend.Assignment
-				f.Enumerate(ctx, nr, bound, func(a repetend.Assignment) bool {
-					kept = append(kept, a)
-					return true
-				})
+				kept, unbranched := walkLeaves(f, nr, bound, repetend.OrderNodeCap), walkLeaves(f, nr, bound, 0)
 				if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
 					if len(kept) > 0 && slices.Equal(kept[0], a) {
+						if len(unbranched) == 0 || !slices.Equal(unbranched[0], a) {
+							t.Fatalf("%s N_R %d bound %d: the filter yields %v, a walk that does not branch cuts it", c.Name, nr, bound, a)
+						}
 						kept = kept[1:]
+						unbranched = unbranched[1:]
 						return true
+					}
+					if len(unbranched) > 0 && slices.Equal(unbranched[0], a) {
+						unbranched = unbranched[1:]
+						cutByBranch++
 					}
 					var eff repetend.Effort
 					o := opts
@@ -73,15 +79,108 @@ func TestPrefixFilterCatalogCutsAreProofs(t *testing.T) {
 		}
 		f.Close()
 	}
-	t.Logf("%d leaves under cuts, %d of them at a bound above the lower bound", cut, cutLoose)
-	if cut < 20000 || cutLoose < 100 {
-		t.Fatalf("only %d leaves cut over the catalog, %d at a loose bound; the filter has stopped firing", cut, cutLoose)
+	t.Logf("%d leaves under cuts, %d of them at a bound above the lower bound, %d under cuts the check made by branching", cut, cutLoose, cutByBranch)
+	if cut < 20000 || cutLoose < 100 || cutByBranch < 1000 {
+		t.Fatalf("only %d leaves cut over the catalog, %d at a loose bound, %d by branching; the filter has stopped firing", cut, cutLoose, cutByBranch)
+	}
+}
+
+// walkLeaves is what f yields of round nr at bound with the order check's
+// node cap at limit.
+func walkLeaves(f *repetend.PrefixFilter, nr, bound, limit int) []repetend.Assignment {
+	var leaves []repetend.Assignment
+	repetend.WithOrderNodeLimit(limit, func() {
+		f.Enumerate(context.Background(), nr, bound, func(a repetend.Assignment) bool {
+			leaves = append(leaves, a)
+			return true
+		})
+	})
+	return leaves
+}
+
+// TestPrefixBranchCutsAreProofs holds the walk at the lower bound, with the
+// order check branching at the prefixes of its last levels, to Solve on the
+// catalog and on the 240 seeded random placements of internal/core's
+// TestGoldenSearchRandom, every round their searches sweep: each leaf the walk
+// does not yield gets no repetend from Solve at the lower bound — ErrPruned, or
+// ErrInfeasible under a memory cap. The walks run at the production node cap
+// and at a cap of two nodes, under which most checks that branch stop
+// "undecided": a walk that cut on "undecided" would cut leaves that reach the
+// bound. The leaves that a walk deciding by propagation alone (node cap 0)
+// yields and a branching one does not are the cuts made by branching; the
+// sample must hold plenty of them.
+func TestPrefixBranchCutsAreProofs(t *testing.T) {
+	ctx := context.Background()
+	type instance struct {
+		p      *sched.Placement
+		memory int
+	}
+	var instances []instance
+	for _, c := range repetend.Catalog {
+		instances = append(instances, instance{c.Placement(t), c.Memory})
+	}
+	for _, c := range []struct {
+		seed   int64
+		capped bool
+	}{{17, false}, {33, true}} {
+		rng := rand.New(rand.NewSource(c.seed))
+		for range 120 {
+			p, memory, err := randomShape(rng, c.capped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances = append(instances, instance{p, memory})
+		}
+	}
+	limits := []int{repetend.OrderNodeCap, 2}
+	byBranch := make([]int, len(limits))
+	for _, in := range instances {
+		p := in.p
+		res, err := core.Search(ctx, p, core.Options{Memory: in.memory, N: 8})
+		if err != nil {
+			continue
+		}
+		f, err := repetend.NewPrefixFilter(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := repetend.SolveOptions{Memory: in.memory, PeriodUpperBound: res.LowerBound}
+		for nr := 1; nr <= res.Stats.NRSwept; nr++ {
+			unbranched := len(walkLeaves(f, nr, res.LowerBound, 0))
+			for x, limit := range limits {
+				kept := walkLeaves(f, nr, res.LowerBound, limit)
+				byBranch[x] += unbranched - len(kept)
+				if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
+					if len(kept) > 0 && slices.Equal(kept[0], a) {
+						kept = kept[1:]
+						return true
+					}
+					r, err := repetend.Solve(ctx, p, a, opts)
+					if r != nil || !(errors.Is(err, repetend.ErrPruned) || errors.Is(err, repetend.ErrInfeasible)) {
+						t.Fatalf("%s N_R %d cap %d: the walk cut %v; Solve: repetend %v, err %v", p.Name, nr, limit, a, r, err)
+					}
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if len(kept) != 0 {
+					t.Fatalf("%s N_R %d cap %d: the walk yielded %v, which Enumerate does not, or not in that order", p.Name, nr, limit, kept[0])
+				}
+			}
+		}
+		f.Close()
+	}
+	t.Logf("%d placements; leaves cut by branching: %d at the production cap, %d at a cap of %d", len(instances), byBranch[0], byBranch[1], limits[1])
+	if byBranch[0] < 5000 || byBranch[1] == 0 {
+		t.Fatalf("the sample has gone soft: %d and %d leaves cut by branching", byBranch[0], byBranch[1])
 	}
 }
 
 // TestPrefixFilterSearchDifferential: 300 seeded random placements searched
 // with the filter on and off give the same repetend — period, N_R, assignment
-// — and the same completed schedule, byte for byte. A third of them are
+// — and the same completed schedule, byte for byte; with the filter on, the
+// order check also cuts by branching at the prefixes of the walk's last
+// levels, and with it off it cuts nowhere. A third of them are
 // memory-capped, so searches that the filtered first pass leaves empty-handed
 // and the unfiltered second pass completes are covered; a placement no search
 // completes must fail the same way both times.
@@ -105,7 +204,7 @@ func TestPrefixFilterSearchDifferential(t *testing.T) {
 	// stronger filter cuts the same leaves higher up the tree, with fewer cuts.
 	var cuts, fewerLeaves, fallbacks, fallbackFewer int64
 	for len(instances) < 300 {
-		p, memory, err := randomShape(rng)
+		p, memory, err := randomShape(rng, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -189,6 +189,91 @@ func TestPrefixFilterLeafIdentity(t *testing.T) {
 	}
 }
 
+// TestPrefixSplitWalkIsEnumerate: a walk split at the level above its last
+// branchLevels — each subtree copied off with Set, as the sweep copies it into
+// its ring, and walked once the split walk is over, on a second filter —
+// yields Enumerate's leaves in Enumerate's order and spends what Enumerate
+// spends, the order checks at the last levels included: on every catalog
+// placement of at most 20 stages and on a three-stage one whose root is its
+// one subtree, rounds 1–5 at the lower bound and, for the unfiltered walk, at
+// bound 0 — the rounds of at most 5,000 leaves.
+func TestPrefixSplitWalkIsEnumerate(t *testing.T) {
+	const maxLeaves = 5000
+	ctx := context.Background()
+	// Three stages on two devices: f0 → f1 → b, f0 and b on device 0.
+	small := &sched.Placement{Name: "three-stage", NumDevices: 2, Stages: []sched.Stage{
+		{Name: "f0", Time: 2, Devices: []sched.DeviceID{0}},
+		{Name: "f1", Time: 3, Devices: []sched.DeviceID{1}},
+		{Name: "b", Time: 2, Devices: []sched.DeviceID{0}},
+	}, Deps: [][]int{{1}, {2}, nil}}
+	if err := small.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ps := []*sched.Placement{small}
+	seen := map[string]bool{} // memory caps aside, some catalog entries share a placement
+	for _, c := range Catalog {
+		if p := c.Placement(t); p.K() <= 20 && !seen[sched.Fingerprint(p)] {
+			seen[sched.Fingerprint(p)] = true
+			ps = append(ps, p)
+		}
+	}
+	if ps[0].K() > branchLevels {
+		t.Fatalf("the small placement has %d stages", ps[0].K())
+	}
+	subtrees, checks := 0, int64(0)
+	for _, p := range ps {
+		split, err := NewPrefixFilter(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, err := NewPrefixFilter(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for nr := 1; nr <= 5; nr++ {
+			for _, bound := range []int{p.LowerBound(), 0} {
+				var want []Assignment
+				if !split.Enumerate(ctx, nr, bound, func(a Assignment) bool {
+					want = append(want, a)
+					return len(want) <= maxLeaves
+				}) {
+					continue // too many leaves to hold
+				}
+				wantEff := split.Effort()
+				var subs []Subtree
+				split.Split(ctx, nr, bound, func(st *Subtree) bool {
+					if st.depth != max(p.K()-branchLevels, 0) || (bound > 0) != (len(st.mat) > 0) {
+						t.Fatalf("%s N_R %d bound %d: a subtree at level %d with %d matrix entries", p.Name, nr, bound, st.depth, len(st.mat))
+					}
+					subs = append(subs, Subtree{})
+					subs[len(subs)-1].Set(st)
+					return true
+				})
+				eff := split.Effort()
+				var got []Assignment
+				for x := range subs {
+					walk.Walk(ctx, &subs[x], func(a Assignment) bool {
+						got = append(got, a)
+						return true
+					})
+					eff.Add(walk.Effort())
+				}
+				if !slices.EqualFunc(got, want, slices.Equal[Assignment]) || eff != wantEff {
+					t.Fatalf("%s N_R %d bound %d: %d subtrees walked yield %d leaves for %+v; Enumerate yields %d for %+v", p.Name, nr, bound, len(subs), len(got), eff, len(want), wantEff)
+				}
+				subtrees += len(subs)
+				checks += eff.OrderChecks
+			}
+		}
+		split.Close()
+		walk.Close()
+	}
+	t.Logf("%d subtrees, %d order checks at prefixes", subtrees, checks)
+	if subtrees < 10000 || checks < 10000 {
+		t.Fatalf("the sample has gone soft: %d subtrees, %d checks", subtrees, checks)
+	}
+}
+
 // TestPrefixFilterShallowRoundsDieAtTheRoot: a round too shallow for the
 // pipeline — N_R periods cannot cover the dependency path between two blocks
 // of some device — is a positive cycle at level 0 once the paths enter it
@@ -242,6 +327,52 @@ func TestPrefixFilterSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { f.Enumerate(ctx, nr, bound, none) }); n != 0 {
 		t.Fatalf("%v allocations per fully cut round in steady state", n)
 	}
+
+	// A subtree copied into a ring slot that has held one before, and a walk
+	// resumed from it — checks branching at its last levels, every leaf cut —
+	// allocate nothing either.
+	var slot Subtree
+	w := branchingCutSubtree(t, Catalog[0].Placement(t), &slot) // m4
+	defer w.Close()
+	src := slot
+	src.assign, src.mat = slices.Clone(slot.assign), slices.Clone(slot.mat)
+	if n := testing.AllocsPerRun(50, func() { slot.Set(&src) }); n != 0 {
+		t.Fatalf("%v allocations per subtree copy in steady state", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { w.Walk(ctx, &slot, none) }); n != 0 {
+		t.Fatalf("%v allocations per resumed walk in steady state", n)
+	}
+}
+
+// branchingCutSubtree copies into slot the first subtree of p, split at the
+// lower bound, whose walk branches for at least eight nodes and cuts every
+// leaf, and returns the filter that walked it.
+func branchingCutSubtree(t *testing.T, p *sched.Placement, slot *Subtree) *PrefixFilter {
+	t.Helper()
+	split, err := NewPrefixFilter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer split.Close()
+	w, err := NewPrefixFilter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, found := context.Background(), false
+	for nr := 1; nr <= 8 && !found; nr++ {
+		split.Split(ctx, nr, p.LowerBound(), func(st *Subtree) bool {
+			leaves := 0
+			w.Walk(ctx, st, func(Assignment) bool { leaves++; return true })
+			if found = leaves == 0 && w.Effort().OrderNodes >= 8; found {
+				slot.Set(st)
+			}
+			return !found
+		})
+	}
+	if !found {
+		t.Fatalf("%s: no subtree whose walk branches and cuts every leaf", p.Name)
+	}
+	return w
 }
 
 // TestOrderCheckStageCap: the stage count of a placement comes from the

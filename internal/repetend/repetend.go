@@ -34,8 +34,9 @@
 // runs them in relaxed form on the prefixes of the enumeration tree — each
 // dependency path into a stage not fixed yet as one edge, its lags summed to
 // the most they can total — and cuts a subtree where the prefix alone closes a
-// positive cycle or leaves a same-device pair no order: a proof, for every
-// assignment below at once, that Solve would discard it at stage one or two.
+// positive cycle or leaves a same-device pair no order (in the last three
+// levels, any order): a proof, for every assignment below at once, that Solve
+// would discard it.
 // A round too shallow for the pipeline fails at the root, before any index is
 // fixed. What the filter lets through Solve judges as if there were no filter.
 package repetend
@@ -228,14 +229,13 @@ type Effort struct {
 	// LocalSearchSwaps is the number of candidate adjacent-order swaps the
 	// repetend local search applied and evaluated (kept or undone).
 	LocalSearchSwaps int64
-	// The exact order check is Solve's second prune stage. OrderChecks is the
-	// number of calls that got past the relaxation at a bound equal to the
-	// device-work lower bound and so ran it; OrderPruned is how many of them it
-	// proved out of reach of every per-device order — discarded with no
-	// instance solve and no local search, and counted inside core.Stats.Pruned
-	// as the relaxation's discards are; OrderNodes is the branch nodes the
-	// checks expanded beyond forced-pair propagation. Omitted from JSON when
-	// zero.
+	// The exact order check is Solve's second prune stage and the prefix
+	// filter's last levels'. OrderChecks is the number of checks run, at a
+	// leaf or a prefix, and OrderPruned how many proved the bound out of reach
+	// of every per-device order: a leaf discarded before its instance solve
+	// (inside core.Stats.Pruned) or a prefix cut (inside PrefixCuts).
+	// OrderNodes is the branch nodes the checks expanded beyond forced-pair
+	// propagation. Omitted from JSON when zero.
 	OrderChecks int64 `json:",omitempty"`
 	OrderPruned int64 `json:",omitempty"`
 	OrderNodes  int64 `json:",omitempty"`
@@ -343,8 +343,8 @@ func instanceTasks(p *sched.Placement, a Assignment) []solver.Task {
 // whether an assignment survives, and with what Starts, is the same with
 // either of them removed. A sweep runs both ahead of Solve as well, on
 // prefixes (PrefixFilter): an assignment under one of its cuts is one that
-// stage 1, or stage 2 by forced pairs alone, discards here, so it never gets
-// as far as this call and its absence changes nothing either.
+// Solve discards here, so it never gets as far as this call and its absence
+// changes nothing either.
 func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOptions) (*Repetend, error) {
 	if ctx == nil {
 		ctx = context.Background()
