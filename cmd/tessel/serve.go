@@ -43,6 +43,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -59,9 +60,11 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+	"unicode"
 
 	"tessel"
 	"tessel/internal/core"
+	"tessel/internal/sched"
 )
 
 // maxRequestBytes bounds a /v1/search request body.
@@ -72,14 +75,71 @@ const maxRequestBytes = 1 << 20
 // an unbounded N would let one request exhaust server memory.
 const DefaultMaxN = 4096
 
-// searchRequest is the wire form of one search request. The placement uses
-// the same versioned JSON as `tessel -placement` files.
+// searchRequest is one decoded /v1/search body: an object with the members
+// "placement" (the JSON of `tessel -placement` files), "options" and "tenant".
 type searchRequest struct {
-	Placement json.RawMessage      `json:"placement"`
-	Options   searchRequestOptions `json:"options"`
+	Placement *tessel.Placement
+	Options   searchRequestOptions
 	// Tenant attributes the request to a per-tenant admission budget
 	// (-tenant-rate); empty is a valid (shared) tenant.
-	Tenant string `json:"tenant"`
+	Tenant string
+}
+
+// decodeSearchRequest decodes a /v1/search body in one pass, the placement
+// member straight into its wire form. It accepts what the two-pass decode it
+// replaced accepts — the body with a json.RawMessage placement, then that
+// through DecodePlacement: names match members as encoding/json folds them,
+// the last placement counts, whole, and only its type errors do, and nesting
+// is limited over the whole body.
+func decodeSearchRequest(body []byte) (searchRequest, error) {
+	var req searchRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if t, err := dec.Token(); t != json.Delim('{') {
+		return req, fmt.Errorf("decode request: %w", cmp.Or(err, errors.New("the body is not a JSON object")))
+	}
+	var placement *sched.PlacementJSON
+	var placementErr error
+	for {
+		t, err := dec.Token()
+		if err != nil {
+			return req, fmt.Errorf("decode request: %w", err)
+		}
+		key, ok := t.(string)
+		if !ok {
+			break // the closing brace, the one other token an object key's place holds
+		}
+		switch strings.Map(unicode.ToUpper, key) { // encoding/json's fold
+		case "PLACEMENT":
+			placement = new(sched.PlacementJSON)
+			placementErr = dec.Decode(placement)
+			if _, typeErr := placementErr.(*json.UnmarshalTypeError); !typeErr {
+				err = placementErr
+			}
+		case "OPTIONS":
+			err = dec.Decode(&req.Options)
+		case "TENANT":
+			err = dec.Decode(&req.Tenant)
+		default:
+			err = dec.Decode(new(json.RawMessage))
+		}
+		if err != nil {
+			return req, fmt.Errorf("decode request: %w", err)
+		}
+	}
+	// Each member was decoded a level shallower than it sits in the body: a
+	// body that could nest past encoding/json's 10,000 only so is checked.
+	if n := dec.InputOffset(); n > 2*10000 && !json.Valid(body[:n]) {
+		return req, errors.New("decode request: nested too deep")
+	}
+	if placement == nil {
+		return req, errors.New("request needs a placement")
+	}
+	if placementErr != nil {
+		return req, fmt.Errorf("sched: decode placement: %w", placementErr)
+	}
+	var err error
+	req.Placement, err = placement.Placement()
+	return req, err
 }
 
 type searchRequestOptions struct {
@@ -461,17 +521,14 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req searchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&req); err != nil {
+	buf := requestBufs.Get().(*bytes.Buffer)
+	defer requestBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
-	if len(req.Placement) == 0 {
-		writeError(w, http.StatusBadRequest, "request needs a placement")
-		return
-	}
-	p, err := tessel.DecodePlacement(bytes.NewReader(req.Placement))
+	req, err := decodeSearchRequest(buf.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -507,7 +564,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	res, info, err := s.engine.Serve(ctx, tessel.SearchRequest{
-		Placement:     p,
+		Placement:     req.Placement,
 		Options:       opts,
 		Tenant:        req.Tenant,
 		AllowDegraded: req.Options.AllowDegraded,
@@ -563,6 +620,10 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	writeSearchResponse(w, resp, res.Full)
 }
+
+// requestBufs recycles /v1/search request bodies, which are at most
+// maxRequestBytes.
+var requestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // responseBufs recycles /v1/search response buffers. A response is written
 // whole, so its buffer is as large as its body; one that grew past

@@ -404,7 +404,7 @@ func ChimeraDirect(p *sched.Placement, n int) (*sched.Schedule, error) {
 				devReady[dev] = max(devReady[dev], it.Start+p.Stages[it.Stage].Time)
 			}
 		}
-		full.Append(ws)
+		full.Items = append(full.Items, ws.Items...)
 	}
 	full.Sort()
 	return full, nil

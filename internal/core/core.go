@@ -462,7 +462,10 @@ func (s *sweep) round(nr, aim int) (err error) {
 		s.walkers = append(s.walkers, s.filter.Walker())
 	}
 	ctx, end := context.WithCancel(s.ctx)
-	jobs := make(chan *solveJob, workers)
+	// The aimed pass keeps aimedUnjudged·workers jobs unjudged, workers of them
+	// running: the channel holds the rest, so a hand-out never blocks and the
+	// head judgeHead waits on is always taken. Smaller can deadlock.
+	jobs := make(chan *solveJob, (aimedUnjudged-1)*workers)
 	// finished takes one signal per job a solver is done with, for the
 	// unaimed pass, which keeps at most workers jobs unfinished.
 	aimed, finished := aim > 0, make(chan struct{}, workers)
@@ -600,7 +603,8 @@ func (s *sweep) round(nr, aim int) (err error) {
 }
 
 // aimedUnjudged is how many jobs per solver the aimed pass keeps unjudged,
-// one of them queued. A deeper lookahead slows small early-exit searches.
+// the one running and the rest queued (the jobs channel of round is sized
+// from it). A deeper lookahead slows small early-exit searches.
 const aimedUnjudged = 2
 
 // jobBound is the period a job for a is solved against: the incumbent, or one
@@ -959,11 +963,8 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 		return fmt.Errorf("cooldown: %w", err)
 	}
 
-	full := &sched.Schedule{P: p, Items: make([]sched.Item, 0, warmSched.Len()+body.Len()+coolSched.Len())}
-	full.Append(warmSched)
-	full.Append(body)
-	full.Append(coolSched)
-	full.Sort()
+	// Each phase is in item order (solvePhase sorts, Unroll emits in order).
+	full := sched.Merge(p, warmSched, body, coolSched)
 	if err := full.Validate(sched.ValidateOptions{Memory: opts.Memory}); err != nil {
 		return fmt.Errorf("completed schedule invalid: %w", err)
 	}

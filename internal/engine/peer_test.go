@@ -211,7 +211,8 @@ func TestStatsCallsTierOutsideLock(t *testing.T) {
 // matching checksum header unless raw is set, so that mutations of the body
 // get past the checksum to the entry's own checks. No input may panic, and an
 // accepted entry must serve: its schedule holds each of the N·K blocks once
-// and validates, and it extends to another N.
+// and validates, and it extends to another N. The seeds include repetends
+// with a period below 1, a negative start, and a gap of 10^12 periods.
 func FuzzDecodePeerEntry(f *testing.F) {
 	// A small entry, so that a mutation more often lands on a field that matters.
 	p, err := placement.VShape(placement.Config{Devices: 2})
@@ -234,6 +235,17 @@ func FuzzDecodePeerEntry(f *testing.F) {
 	f.Add(body(parent), false)
 	f.Add(data, true)
 	f.Add(parent, true)
+	// A repetend Unroll could not order (period 0 or below, a start before
+	// 0) and one whose starts lie 10^12 periods apart: each must be refused
+	// without dividing by zero or walking the windows between.
+	for _, edit := range []func(*snapshotRepetend){
+		func(r *snapshotRepetend) { r.Period = 0 },
+		func(r *snapshotRepetend) { r.Period = -r.Period },
+		func(r *snapshotRepetend) { r.Starts[0] = -1 },
+		func(r *snapshotRepetend) { r.Starts[0] += 1e12 * r.Period },
+	} {
+		f.Add(tampered(f, data, func(_ *sched.Placement, e *snapshotEntry) { edit(&e.Repetend) }), true)
+	}
 	f.Fuzz(func(t *testing.T, in []byte, raw bool) {
 		if !raw {
 			in = withChecksumHeader(in)

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -324,14 +325,12 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	}
 	res := &core.Result{Placement: p, Repetend: r, LowerBound: p.LowerBound(), BubbleRate: r.SteadyBubbleRate(), N: entry.N, Stats: entry.Stats}
 	phases := []**sched.Schedule{&res.Warmup, &res.Body, &res.Cooldown}
-	full := sched.NewSchedule(p)
 	for i, items := range [][]sched.ItemJSON{entry.Warmup, entry.Body, entry.Cooldown} {
 		if *phases[i], err = sched.DecodeItems(p, items); err != nil {
 			return nil, fmt.Errorf("%s: %w", [...]string{"warmup", "body", "cooldown"}[i], err)
 		}
-		full.Append(*phases[i])
 	}
-	full.Sort()
+	full := sched.Merge(p, res.Warmup, res.Body, res.Cooldown) // DecodeItems sorts each phase
 	if k := p.K(); entry.N < 1 || full.Len()%k != 0 || full.Len()/k != entry.N {
 		return nil, fmt.Errorf("schedule holds %d blocks, want N·K = %d·%d", full.Len(), entry.N, k)
 	}
@@ -361,6 +360,10 @@ func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int)
 	a := repetend.Assignment(sr.Assign)
 	if err := a.Validate(p, sr.NR); err != nil {
 		return nil, fmt.Errorf("repetend: %w", err)
+	}
+	// Unroll orders by period window; a searched repetend's first start is 0.
+	if sr.Period < 1 || slices.ContainsFunc(sr.Starts, func(st int) bool { return st < 0 }) {
+		return nil, fmt.Errorf("repetend period %d below 1 or a negative start in %v", sr.Period, sr.Starts)
 	}
 	r := &repetend.Repetend{P: p, Assign: a, NR: sr.NR, Starts: sr.Starts, Period: sr.Period, Truncated: sr.Truncated}
 	if err := r.Unroll(r.NR + 1).Validate(sched.ValidateOptions{Memory: memory, InitialMem: repetend.EntryMemory(p, a)}); err != nil {

@@ -53,7 +53,8 @@ var prefixFilterOn = true
 
 // prefixPollEvery is how many filter checks — microseconds at most, each — pass
 // between two polls of the walk's context: a stretch of the tree in which
-// everything is cut reaches no leaf, and so no yield that could stop it.
+// everything is cut reaches no leaf, and so no yield that could stop it. The
+// walk polls before every check that branches, up to orderNodeCap nodes.
 const prefixPollEvery = 256
 
 // branchLevels is how many levels above the leaves Split stops.
@@ -238,7 +239,8 @@ func (f *PrefixFilter) walk(pos, top int) bool {
 	for v := hi; v >= 0; v-- {
 		f.assign[i] = v
 		if f.period > 0 {
-			if f.eff.PrefixChecks++; f.eff.PrefixChecks%prefixPollEvery == 0 && f.ctx.Err() != nil {
+			branches := f.forced && pos+branchLevels >= len(f.order)
+			if f.eff.PrefixChecks++; (branches || f.eff.PrefixChecks%prefixPollEvery == 0) && f.ctx.Err() != nil {
 				return false
 			}
 			if !f.push(pos, i, v) {

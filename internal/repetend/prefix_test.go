@@ -344,6 +344,46 @@ func TestPrefixFilterSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPrefixWalkPollsBeforeBranching: a check at the last levels branches for
+// up to orderNodeCap nodes, so a walk polls its context before each one. A
+// subtree of m4 whose walk runs at least four order checks runs at most one
+// under a cancelled context (it ran them all when the poll came every 256
+// pushes, counted per subtree).
+func TestPrefixWalkPollsBeforeBranching(t *testing.T) {
+	p := Catalog[0].Placement(t) // m4
+	split, err := NewPrefixFilter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer split.Close()
+	w, err := NewPrefixFilter(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var slot Subtree
+	for nr := 1; nr <= 8 && slot.assign == nil; nr++ {
+		split.Split(context.Background(), nr, p.LowerBound(), func(st *Subtree) bool {
+			w.Walk(context.Background(), st, func(Assignment) bool { return true })
+			if w.Effort().OrderChecks >= 4 {
+				slot.Set(st)
+			}
+			return slot.assign == nil
+		})
+	}
+	if slot.assign == nil {
+		t.Fatal("m4: no subtree whose walk runs four order checks")
+	}
+	if w.Walk(cancelled, &slot, func(Assignment) bool { return true }) {
+		t.Fatal("a walk under a cancelled context ran to completion")
+	}
+	if n := w.Effort().OrderChecks; n > 1 {
+		t.Fatalf("a walk under a cancelled context ran %d order checks", n)
+	}
+}
+
 // branchingCutSubtree copies into slot the first subtree of p, split at the
 // lower bound, whose walk branches for at least eight nodes and cuts every
 // leaf, and returns the filter that walked it.

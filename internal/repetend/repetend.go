@@ -42,10 +42,12 @@
 package repetend
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"tessel/internal/sched"
@@ -507,25 +509,54 @@ func normalize(starts []int) {
 }
 
 // Schedule returns the instance-0 schedule (relative time, assigned micros).
-func (r *Repetend) Schedule() *sched.Schedule {
-	s := sched.NewSchedule(r.P)
-	for i, st := range r.Starts {
-		s.Add(i, r.Assign[i], st)
-	}
-	s.Sort()
-	return s
-}
+func (r *Repetend) Schedule() *sched.Schedule { return r.Unroll(1) }
 
 // Unroll returns k consecutive instances: instance j shifts every start by
-// j·Period and every micro index by j.
+// j·Period and every micro index by j. The items come out in (Start, Stage,
+// Micro) order with no sort: stage i's lie in period windows ⌊Starts[i]/P⌋ + j
+// at offset Starts[i] mod P, so the walk goes window by window, each in
+// (offset, stage) order, and jumps over windows that hold no item — its work
+// follows the items, never the starts. A Period below 1, which no repetend
+// has, gets instance after instance.
 func (r *Repetend) Unroll(k int) *sched.Schedule {
-	s := &sched.Schedule{P: r.P, Items: make([]sched.Item, 0, max(k, 0)*len(r.Starts))}
-	for j := 0; j < k; j++ {
-		for i, st := range r.Starts {
-			s.Add(i, r.Assign[i]+j, st+j*r.Period)
+	K, P := len(r.Starts), r.Period
+	s := &sched.Schedule{P: r.P, Items: make([]sched.Item, 0, max(k, 0)*K)}
+	if k <= 0 || K == 0 || P < 1 {
+		for j := 0; j < k; j++ {
+			for i, st := range r.Starts {
+				s.Add(i, r.Assign[i]+j, st+j*P)
+			}
+		}
+		return s
+	}
+	scratch := make([]int, 3*K)
+	first, off, order := scratch[:K], scratch[K:2*K], scratch[2*K:]
+	for i, st := range r.Starts {
+		first[i], off[i], order[i] = st/P, st%P, i
+		if off[i] < 0 {
+			first[i], off[i] = first[i]-1, off[i]+P
 		}
 	}
-	s.Sort()
+	//tessel:totalorder the stage index breaks every tie
+	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(off[a], off[b]), cmp.Compare(a, b)) })
+	// Window w holds instance w − first[i] of stage i when that is in [0, k).
+	// Windows are compared by difference, which stays exact past MaxInt.
+	for w := slices.Min(first); len(s.Items) < k*K; w++ {
+		next, n := w, len(s.Items) // next: the nearest first window after w
+		for _, i := range order {
+			if j := w - first[i]; j >= 0 && j < k {
+				s.Items = append(s.Items, sched.Item{Block: sched.Block{Stage: i, Micro: r.Assign[i] + j}, Start: w*P + off[i]})
+			} else if j < 0 && (next == w || first[i] < next) {
+				next = first[i]
+			}
+		}
+		if len(s.Items) == n { // jump to a window that holds items, if any
+			if next == w {
+				break
+			}
+			w = next - 1
+		}
+	}
 	return s
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The JSON interchange format lets users define custom placements for the
@@ -28,14 +29,12 @@ type stageJSON struct {
 	Kind string `json:"kind"` // "forward", "backward", "aux"
 	Time int    `json:"time"`
 	Mem  int    `json:"mem"`
-	// Devices is never nil on encode, so a stage with no device reads [].
+	// Devices is never null on encode: a stage with no device reads [].
 	Devices []DeviceID `json:"devices"`
 }
 
 // ioVersion is the current interchange format version.
 const ioVersion = 1
-
-func kindToString(k Kind) string { return k.String() }
 
 func kindFromString(s string) (Kind, error) {
 	switch s {
@@ -48,30 +47,6 @@ func kindFromString(s string) (Kind, error) {
 	default:
 		return 0, fmt.Errorf("unknown block kind %q", s)
 	}
-}
-
-// toPlacementJSON builds the on-disk form of p, which shares p's slices.
-func toPlacementJSON(p *Placement) placementJSON {
-	out := placementJSON{
-		Version:    ioVersion,
-		Name:       p.Name,
-		NumDevices: p.NumDevices,
-		Deps:       p.Deps,
-	}
-	if len(p.Stages) > 0 { // none still encode as null
-		out.Stages = make([]stageJSON, len(p.Stages))
-	}
-	for i := range p.Stages {
-		st := &p.Stages[i]
-		out.Stages[i] = stageJSON{
-			Name: st.Name, Kind: kindToString(st.Kind),
-			Time: st.Time, Mem: st.Mem, Devices: st.Devices,
-		}
-		if st.Devices == nil {
-			out.Stages[i].Devices = []DeviceID{}
-		}
-	}
-	return out
 }
 
 // fromPlacementJSON rebuilds and validates a placement from its on-disk
@@ -99,18 +74,97 @@ func fromPlacementJSON(in placementJSON) (*Placement, error) {
 	return p, nil
 }
 
-func encodeIndented(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
+// PlacementJSON is a placement as decoded, not yet validated: a document that
+// embeds one decodes it in its own pass, and Placement checks it.
+type PlacementJSON struct{ placementJSON }
 
-// EncodePlacement writes p as versioned JSON.
+// Placement rebuilds and validates the decoded placement.
+func (in *PlacementJSON) Placement() (*Placement, error) { return fromPlacementJSON(in.placementJSON) }
+
+// EncodePlacement writes p as versioned JSON, indented by two spaces a level.
 func EncodePlacement(w io.Writer, p *Placement) error {
 	if p == nil {
 		return fmt.Errorf("sched: nil placement")
 	}
-	return encodeIndented(w, toPlacementJSON(p))
+	_, err := w.Write(append(appendPlacement(nil, p, "\n        "), '\n'))
+	return err
+}
+
+// appendPlacement appends p's on-disk form as encoding/json indents it — no
+// stages read null, a nil device list [], a nil dependency list null. nl is a
+// newline, the indentation of p's closing brace and eight spaces more.
+func appendPlacement(dst []byte, p *Placement, nl string) []byte {
+	// line(l) starts a line l levels in; member starts a member on one.
+	line := func(l int) string { return nl[:len(nl)-8+2*l] }
+	member := func(l int, name string) {
+		if dst[len(dst)-1] != '{' {
+			dst = append(dst, ',')
+		}
+		dst = append(append(append(append(dst, line(l)...), '"'), name...), `": `...)
+	}
+	num := func(l int, name string, v int) { member(l, name); dst = strconv.AppendInt(dst, int64(v), 10) }
+	str := func(l int, name, v string) { member(l, name); dst = appendString(dst, v) }
+	dst = append(dst, '{')
+	num(1, "version", ioVersion)
+	str(1, "name", p.Name)
+	num(1, "num_devices", p.NumDevices)
+	member(1, "stages")
+	for i := range p.Stages {
+		st := &p.Stages[i]
+		dst = append(append(append(dst, "[,"[min(i, 1)]), line(2)...), '{')
+		str(3, "name", st.Name)
+		str(3, "kind", st.Kind.String())
+		num(3, "time", st.Time)
+		num(3, "mem", st.Mem)
+		member(3, "devices")
+		dst = append(append(appendInts(dst, st.Devices, false, line(4)), line(2)...), '}')
+	}
+	if len(p.Stages) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(append(dst, line(1)...), ']')
+	}
+	member(1, "deps")
+	for i, succ := range p.Deps {
+		dst = appendInts(append(append(dst, "[,"[min(i, 1)]), line(2)...), succ, true, line(3))
+	}
+	switch {
+	case p.Deps == nil:
+		dst = append(dst, "null"...)
+	case len(p.Deps) == 0:
+		dst = append(dst, "[]"...)
+	default:
+		dst = append(append(dst, line(1)...), ']')
+	}
+	return append(append(dst, line(0)...), '}')
+}
+
+// appendInts appends xs as an indented array, numbers on lines nl: [] when
+// empty, null when nil and nilIsNull.
+func appendInts[T ~int](dst []byte, xs []T, nilIsNull bool, nl string) []byte {
+	switch {
+	case xs == nil && nilIsNull:
+		return append(dst, "null"...)
+	case len(xs) == 0:
+		return append(dst, "[]"...)
+	}
+	for i, x := range xs {
+		dst = strconv.AppendInt(append(append(dst, "[,"[min(i, 1)]), nl...), int64(x), 10)
+	}
+	return append(append(dst, nl[:len(nl)-2]...), ']')
+}
+
+// appendString appends s quoted as encoding/json quotes it. A string of
+// printable ASCII that JSON and HTML leave alone, as names are, is copied as
+// it is; any other goes through encoding/json.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
 }
 
 // DecodePlacement reads a placement from JSON and validates it.
@@ -186,28 +240,25 @@ func EncodeSchedule(w io.Writer, s *Schedule) error {
 // indented document: depth 0 is a schedule file, depth 1 a member of a
 // top-level object. It is the one schedule encoder — files, the CLI and the
 // /v1/search response all carry these bytes, which are those encoding/json
-// gives scheduleJSON under SetIndent("", "  "). The placement, with every
-// string in it, does go through encoding/json, so escaping cannot drift; the
-// items, all integers and nearly all of the bytes, are appended directly. No
-// newline follows the closing brace.
+// gives scheduleJSON under SetIndent("", "  ") — and writes them in one pass
+// with no reflection: the placement as EncodePlacement does, its strings
+// escaped as encoding/json escapes them, and the items, all integers and
+// nearly all of the bytes, directly. No newline follows the closing brace.
 func AppendSchedule(dst []byte, s *Schedule, depth int) ([]byte, error) {
 	if s == nil || s.P == nil {
 		return dst, fmt.Errorf("sched: nil schedule")
 	}
-	indent := strings.Repeat("  ", depth+3)
-	in1, in2, in3 := indent[4:], indent[2:], indent
-	placement, err := json.MarshalIndent(toPlacementJSON(s.P), in1, "  ")
-	if err != nil {
-		return dst, err
-	}
+	// A newline and the indentation of the placement's deepest line.
+	nl := "\n" + strings.Repeat("  ", depth+5)
+	in1, in2, in3 := nl[1:3+2*depth], nl[1:5+2*depth], nl[1:7+2*depth]
 	// The text around the three numbers of one item, indentation included.
 	open, micro, start, end := "\n"+in2+"{\n"+in3+`"stage": `, ",\n"+in3+`"micro": `, ",\n"+in3+`"start": `, "\n"+in2+"}"
 	// One growth step for the common case of up to four digits a number.
-	dst = slices.Grow(dst, len(placement)+128+len(s.Items)*(len(open)+len(micro)+len(start)+len(end)+1+3*4))
+	dst = slices.Grow(dst, 256+192*s.P.K()+len(s.Items)*(len(open)+len(micro)+len(start)+len(end)+1+3*4))
 	dst = append(dst, "{\n"+in1+`"version": `...)
 	dst = strconv.AppendInt(dst, ioVersion, 10)
 	dst = append(dst, ",\n"+in1+`"placement": `...)
-	dst = append(dst, placement...)
+	dst = appendPlacement(dst, s.P, nl)
 	dst = append(dst, ",\n"+in1+`"items": [`...)
 	if len(s.Items) > 0 {
 		dst = appendItems(dst, s.Items, open, micro, start, end)

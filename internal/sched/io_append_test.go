@@ -3,8 +3,40 @@ package sched
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 )
+
+// toPlacementJSON builds the on-disk form of p, which shares p's slices: the
+// reflection path the hand-written placement encoder replaced.
+func toPlacementJSON(p *Placement) placementJSON {
+	out := placementJSON{
+		Version:    ioVersion,
+		Name:       p.Name,
+		NumDevices: p.NumDevices,
+		Deps:       p.Deps,
+	}
+	if len(p.Stages) > 0 { // none still encode as null
+		out.Stages = make([]stageJSON, len(p.Stages))
+	}
+	for i := range p.Stages {
+		st := &p.Stages[i]
+		out.Stages[i] = stageJSON{
+			Name: st.Name, Kind: st.Kind.String(),
+			Time: st.Time, Mem: st.Mem, Devices: st.Devices,
+		}
+		if st.Devices == nil {
+			out.Stages[i].Devices = []DeviceID{}
+		}
+	}
+	return out
+}
+
+func encodeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
 
 // referenceSchedule is the schedule encoder AppendSchedule replaced, kept as
 // the oracle: reflection over scheduleJSON through json.Encoder with
@@ -32,6 +64,16 @@ func referenceSchedule(t testing.TB, s *Schedule, depth int) []byte {
 
 func checkAppendSchedule(t testing.TB, s *Schedule) {
 	t.Helper()
+	var got, want bytes.Buffer
+	if err := EncodePlacement(&got, s.P); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeIndented(&want, toPlacementJSON(s.P)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("EncodePlacement differs from encoding/json\n got: %s\nwant: %s", got.Bytes(), want.Bytes())
+	}
 	for depth := 0; depth <= 1; depth++ {
 		got, err := AppendSchedule([]byte("prefix"), s, depth)
 		if err != nil {
@@ -45,12 +87,18 @@ func checkAppendSchedule(t testing.TB, s *Schedule) {
 
 // TestAppendScheduleMatchesEncodingJSON covers what a search result never
 // holds but the encoder must still write as encoding/json would: names that
-// need escaping, a nil dependency list, no items, no stages.
+// need escaping — HTML, U+2028 and U+2029, invalid and truncated UTF-8,
+// control characters with and without a short escape, U+FFFD itself — a kind
+// with no name, nil and empty dependency lists, no items, no stages.
+// EncodePlacement is held to the same reference.
 func TestAppendScheduleMatchesEncodingJSON(t *testing.T) {
 	p := chain4()
-	p.Name = "a\"<b>& é\xff"
-	p.Stages[1].Name = "</script>"
+	p.Name = "a\"<b>& \u2028é\xff\\"
+	p.Stages[1].Name = "</script>\u2029\x7f"
+	p.Stages[2].Name = "\x00\x01\b\f\n\r\t\x1f\ufffd\xe2\x80"
+	p.Stages[3].Kind = Kind(7)
 	p.Deps[3] = nil
+	p.Deps[4] = []int{}
 	s := sequentialSchedule(p, 3)
 	s.Add(2, -1, -7) // negative numbers are not valid, but they are encodable
 	checkAppendSchedule(t, s)

@@ -12,10 +12,13 @@
 // encoding (canonical.go) is the identity of a placement or a schedule:
 // Fingerprint keys the serving cache, FingerprintSchedule is what "the same
 // schedule" means in tests and in the benchmark. The JSON interchange format
-// (io.go) is what files, the CLI and the /v1/search response carry; a
-// schedule has one JSON encoder, AppendSchedule, which writes the indented
-// bytes in a single pass at whatever depth the schedule sits in its
-// document, and EncodeSchedule is that encoder at depth 0.
+// (io.go) is what files, the CLI and the /v1/search response carry. It is
+// written by hand, with no reflection: a schedule has one JSON encoder,
+// AppendSchedule, which writes the indented bytes in a single pass at
+// whatever depth the schedule sits in its document (EncodeSchedule is that
+// encoder at depth 0), and its placement is written as EncodePlacement writes
+// one, strings escaped as encoding/json escapes them. A document that embeds
+// a placement decodes it in its own pass into a PlacementJSON.
 package sched
 
 import (

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -53,15 +52,15 @@ func (s *Schedule) Add(stage, micro, start int) {
 func (s *Schedule) Len() int { return len(s.Items) }
 
 // compareItems orders items by (Start, Stage, Micro), the canonical item
-// order of a schedule.
+// order of a schedule. It is cheap enough to inline into a merge's loop.
 func compareItems(a, b Item) int {
-	if c := cmp.Compare(a.Start, b.Start); c != 0 {
-		return c
+	switch {
+	case a.Start < b.Start || a.Start == b.Start && (a.Stage < b.Stage || a.Stage == b.Stage && a.Micro < b.Micro):
+		return -1
+	case a == b:
+		return 0
 	}
-	if c := cmp.Compare(a.Stage, b.Stage); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Micro, b.Micro)
+	return 1
 }
 
 // Sort orders items by (Start, Stage, Micro) for deterministic iteration.
@@ -91,9 +90,33 @@ func (s *Schedule) ShiftMicro(dn int) *Schedule {
 	return s
 }
 
-// Append merges the items of other into s (no validity checks).
-func (s *Schedule) Append(other *Schedule) {
-	s.Items = append(s.Items, other.Items...)
+// Merge returns the schedule over p of the items of parts, each in (Start,
+// Stage, Micro) order, in that order: one linear pass, a run at a time, where
+// sorting the concatenation would pay a log factor.
+func Merge(p *Placement, parts ...*Schedule) *Schedule {
+	heads, n := make([][]Item, 0, 3), 0 // on the stack for up to three parts
+	for _, q := range parts {
+		heads, n = append(heads, q.Items), n+q.Len()
+	}
+	out := &Schedule{P: p, Items: make([]Item, 0, n)}
+	for len(out.Items) < n {
+		lo, next := -1, -1 // the parts with the smallest and second-smallest next item
+		for x, h := range heads {
+			switch {
+			case len(h) == 0:
+			case lo < 0 || compareItems(h[0], heads[lo][0]) < 0:
+				lo, next = x, lo
+			case next < 0 || compareItems(h[0], heads[next][0]) < 0:
+				next = x
+			}
+		}
+		h, run := heads[lo], 1 // lo's run of items before next's next one
+		for run < len(h) && (next < 0 || compareItems(h[run], heads[next][0]) < 0) {
+			run++
+		}
+		out.Items, heads[lo] = append(out.Items, h[:run]...), h[run:]
+	}
+	return out
 }
 
 // Start returns the earliest start time among items, or 0 if empty.
@@ -133,7 +156,7 @@ func (s *Schedule) Find(stage, micro int) (Item, bool) {
 }
 
 // deviceItems returns, for each device, the items occupying it, sorted by
-// start time.
+// start time; those of a schedule in item order are sorted as they are built.
 func (s *Schedule) deviceItems() [][]Item {
 	// Counted first, so that the lists are carved from one array.
 	count := make([]int, s.P.NumDevices)
@@ -153,6 +176,9 @@ func (s *Schedule) deviceItems() [][]Item {
 		for _, d := range s.P.Stages[it.Stage].Devices {
 			per[d] = append(per[d], it)
 		}
+	}
+	if slices.IsSortedFunc(s.Items, compareItems) {
+		return per
 	}
 	for d := range per {
 		//tessel:totalorder (Start, Stage, Micro) is unique per item, so every tie is broken
