@@ -175,7 +175,8 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 // Both sides of that trade-off are here: m4 (~440 subtrees, ~760 order checks
 // at their prefixes, one leaf solved) and x8m4 (the unaimed fallback pass)
 // gain from more workers, x4 — a few subtrees and an early exit — runs faster
-// on one.
+// on one. v6m4 and nn4m8 are the catalog's other two placements that reach the
+// unaimed pass, so every shape that pass hands out is timed here.
 func BenchmarkSearchWorkers(b *testing.B) {
 	ctx := context.Background()
 	placements := []struct {
@@ -185,6 +186,8 @@ func BenchmarkSearchWorkers(b *testing.B) {
 	}{
 		{"m4", tessel.NewMShape, 4, 0},
 		{"x8m4", tessel.NewXShape, 8, 4},
+		{"v6m4", tessel.NewVShape, 6, 4},
+		{"nn4m8", tessel.NewNNShape, 4, 8},
 		{"x4", tessel.NewXShape, 4, 0},
 	}
 	for _, workers := range []int{1, 2, 0} {

@@ -202,7 +202,9 @@ type searchStatsJSON struct {
 	// search evaluated.
 	LocalSearchSwaps int64 `json:"local_search_swaps"`
 	// OrderChecks / OrderPruned / OrderNodes account for the exact
-	// order-feasibility check of the lower-bound pass: assignments it
+	// order-feasibility check, run wherever a solve's bound is the lower
+	// bound (every leaf of the lower-bound pass, a few of the unaimed
+	// pass's) and at the prefix walk's last levels: assignments it
 	// examined, assignments it discarded before any instance solve (counted
 	// inside Pruned), and the branch nodes that took.
 	OrderChecks int64 `json:"order_checks"`

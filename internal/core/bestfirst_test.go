@@ -123,13 +123,17 @@ func TestBestFirstFallbackDifferential(t *testing.T) {
 // 983 nodes, 247 of its 364 calls past the relaxation. Best-first, a leaf that
 // cannot beat the best gets no call, and every call gets past. (v6m4's 92
 // calls took 496 nodes while an instance-solve cache shared four of its
-// solves between assignments of one lag-zero pattern.)
+// solves between assignments of one lag-zero pattern.) It pins the local
+// search's swaps too: without the lag-zero reach closure, which keeps it from
+// trying to swap a dependency-ordered pair, x8m4 evaluates 1,714 swaps and
+// v6m4 648, for the same schedules, each search about 9% slower.
 func TestBestFirstFallbackEffort(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		nodes  int64
 		passed int
-	}{{"x8m4", 54094, 47}, {"v6m4", 531, 92}} {
+		swaps  int64
+	}{{"x8m4", 54094, 47, 1507}, {"v6m4", 531, 92, 568}} {
 		p, opts := catalogPlacement(t, c.name)
 		opts.Workers = 1
 		passed, calls := 0, 0
@@ -147,6 +151,9 @@ func TestBestFirstFallbackEffort(t *testing.T) {
 		st := res.Stats
 		if st.SolverNodes != c.nodes || passed != c.passed || calls != passed {
 			t.Errorf("%s: %d solver nodes and %d of %d Solve calls past the relaxation, want %d and all %d", c.name, st.SolverNodes, passed, calls, c.nodes, c.passed)
+		}
+		if st.LocalSearchSwaps != c.swaps {
+			t.Errorf("%s: %d local search swaps, want %d", c.name, st.LocalSearchSwaps, c.swaps)
 		}
 	}
 }

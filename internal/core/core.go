@@ -24,12 +24,12 @@
 // bound: from the first assignment on, only candidates that can reach it get
 // past the order-independent relaxation, and of those only the ones for which
 // some per-device order does reach it get past the exact order check
-// (repetend.Solve's second prune stage, which this pass alone switches on) to
-// an instance solve. The first assignment in enumeration order that reaches
-// the bound and completes is the winner either way — everything the preset
-// discards has a larger period and could never have displaced it. When no
-// assignment reaches the bound (memory caps usually), the incumbent is cleared
-// and the loop runs again unaimed.
+// (repetend.Solve's second prune stage, which a bound at the lower bound
+// switches on — here every job's) to an instance solve. The first assignment
+// in enumeration order that reaches the bound and completes is the winner
+// either way — everything the preset discards has a larger period and could
+// never have displaced it. When no assignment reaches the bound (memory caps
+// usually), the incumbent is cleared and the loop runs again unaimed.
 //
 // The unaimed pass returns the smallest period and, among its holders, the
 // canonically smallest assignment, whatever order it meets them in — so it
@@ -38,9 +38,12 @@
 // least bound Solve's first prune stage lets it through), and hands each block
 // out by increasing bound, canonical order among equals. A leaf whose bound
 // exceeds the bound its job would get is not solved — Solve would only have
-// pruned it at the relaxation. At most Workers jobs are out and unfinished at a
-// time, so each goes out against the freshest incumbent. On x8m4 at Workers 1
-// that leaves 47 of 288 leaves to solve, the rest proven unable to win.
+// pruned it at the relaxation. A job's bound is the lower bound when the best
+// period is one above it and the leaf sorts after the best; Solve then runs
+// the order check in this pass too. At most Workers jobs are out and
+// unfinished at a time, so each goes out against the freshest incumbent. On
+// x8m4 at Workers 1 that leaves 47 of 288 leaves to solve, the rest proven
+// unable to win.
 //
 // In the first pass most assignments never become one. The walk goes through
 // the enumeration tree with a repetend.PrefixFilter at the lower bound, and a
@@ -357,8 +360,6 @@ type sweep struct {
 	// repetend never actually beats. (The lower bound needs no verifying: no
 	// repetend beats it.)
 	incumbent int
-	// block is the unaimed pass's leaves on their way to the solvers.
-	block leafBlock
 }
 
 // pass runs the N_R loop once, pruning against aim (0 = unaimed), and stops
@@ -555,43 +556,46 @@ func (s *sweep) round(nr, aim int) (err error) {
 		})
 		s.res.Stats.Add(s.filter.Effort())
 	} else {
-		b := &s.block
-		b.reset(p.K())
-		running := 0 // jobs handed out whose finished signal is not taken yet
+		var block []leaf // walked, not yet handed out
+		running := 0     // jobs handed out whose finished signal is not taken yet
 		handOutBlock := func() bool {
-			defer b.reset(p.K())
-			b.sort()
-			for i := 0; i < len(b.order); {
+			defer func() { block = block[:0] }()
+			if bestFirstOn {
+				//tessel:totalorder the leaves of a round are distinct assignments
+				slices.SortFunc(block, func(x, y leaf) int { return cmp.Or(cmp.Compare(x.bound, y.bound), x.a.Compare(y.a)) })
+			}
+			for i := 0; i < len(block); {
 				if ctx.Err() != nil || !judgeHead(math.MaxInt) {
 					return false
 				}
-				x := b.order[i]
-				a, lb := b.leaf(x), b.bounds[x]
-				jb := s.jobBound(a)
+				l := block[i]
+				jb := s.jobBound(l.a)
 				switch {
-				case lb == math.MaxInt:
-					// Solve's ErrInfeasible: counted nowhere, as it was there.
-				case bestFirstOn && jb > 0 && lb > jb:
+				case bestFirstOn && jb > 0 && l.bound > jb:
 					s.res.Stats.Pruned++
 				case running == workers:
 					<-finished
 					running--
 					continue
 				default:
-					hand(repetend.Leaf(nr, a), jb)
+					hand(repetend.Leaf(nr, l.a), jb)
 					running++
 				}
 				i++
 			}
-			// Every job of the block finishes before its leaves are overwritten.
+			// The next block goes out against everything this one found.
 			return judgeHead(0)
 		}
 		s.filter.Enumerate(ctx, nr, aim, func(a repetend.Assignment) bool {
 			if ctx.Err() != nil || !count() {
 				return false
 			}
-			b.add(a, repetend.RelaxedPeriod(p, a, s.opts.Memory, &s.res.Stats.Effort))
-			return len(b.bounds) < leafBlockCap || handOutBlock()
+			// A leaf with no relaxation bound is one Solve calls ErrInfeasible,
+			// and like those it counts as neither solved nor pruned.
+			if lb := repetend.RelaxedPeriod(p, a, s.opts.Memory, &s.res.Stats.Effort); lb < math.MaxInt {
+				block = append(block, leaf{a, lb})
+			}
+			return len(block) < leafBlockCap || handOutBlock()
 		})
 		handOutBlock()
 	}
@@ -628,48 +632,17 @@ var bestFirstOn = true
 // them out, so a round holds at most K·leafBlockCap ints of them.
 const leafBlockCap = 4096
 
-// leafBlock holds the leaves the unaimed pass has collected and not yet handed
-// out: leaf x is ints[x·k:(x+1)·k] and bounds[x] its relaxation bound
-// (repetend.RelaxedPeriod); order is the hand-out order.
+// leaf is a walked leaf of the unaimed pass — the walk yields each as a fresh
+// copy — with its relaxation bound (repetend.RelaxedPeriod).
 //
-// Handed out by increasing bound, a block reaches its likely winners first, and
-// a leaf is skipped when its bound exceeds the job bound it would get: Solve
-// against that bound would return ErrPruned at the relaxation, so the skip
-// changes the counters and nothing else. Among equal bounds the canonically
-// smaller assignment goes first, the one that would win a tie.
-type leafBlock struct {
-	k      int
-	ints   []int
-	bounds []int
-	order  []int
-}
-
-func (b *leafBlock) reset(k int) {
-	b.k, b.ints, b.bounds = k, b.ints[:0], b.bounds[:0]
-}
-
-func (b *leafBlock) add(a repetend.Assignment, bound int) {
-	b.ints = append(b.ints, a...)
-	b.bounds = append(b.bounds, bound)
-}
-
-func (b *leafBlock) leaf(x int) repetend.Assignment {
-	return b.ints[x*b.k : (x+1)*b.k : (x+1)*b.k]
-}
-
-// sort sets order to the leaves by (bound, Assignment.Compare).
-func (b *leafBlock) sort() {
-	b.order = b.order[:0]
-	for x := range b.bounds {
-		b.order = append(b.order, x)
-	}
-	if !bestFirstOn {
-		return
-	}
-	//tessel:totalorder the leaves of a round are distinct assignments
-	slices.SortFunc(b.order, func(x, y int) int {
-		return cmp.Or(cmp.Compare(b.bounds[x], b.bounds[y]), b.leaf(x).Compare(b.leaf(y)))
-	})
+// Handed out by increasing bound, a block of them reaches its likely winners
+// first, and a leaf is skipped when its bound exceeds the job bound it would
+// get: Solve against that bound would return ErrPruned at the relaxation, so
+// the skip changes the counters and nothing else. Among equal bounds the
+// canonically smaller assignment goes first, the one that would win a tie.
+type leaf struct {
+	a     repetend.Assignment
+	bound int
 }
 
 // judge folds a solved repetend into the sweep: it becomes the best on a

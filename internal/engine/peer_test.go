@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,25 +207,62 @@ func TestStatsCallsTierOutsideLock(t *testing.T) {
 	}
 }
 
+// smallPeerEntry returns the key and peer payload of a searched 2-device
+// V-shape entry, whose repetend has N_R 2 and assignment [1 1 1 0].
+func smallPeerEntry(t testing.TB) (string, []byte) {
+	t.Helper()
+	p, err := placement.VShape(placement.Config{Devices: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := warmEngine(t, Options{}, p)
+	key := cachedKey(t, src)
+	data, _, err := src.EncodePeerEntry(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key, data
+}
+
+// offsetRepetends edit a repetend so that every index stays below N_R and
+// Property 4.2 holds, but N_R is no longer one more than the largest index
+// (N_R raised by one), or the smallest index is no longer 0 (N_R raised and
+// every index shifted up by one). No search returns either.
+var offsetRepetends = []func(*snapshotRepetend){
+	func(r *snapshotRepetend) { r.NR++ },
+	func(r *snapshotRepetend) {
+		r.NR++
+		for i := range r.Assign {
+			r.Assign[i]++
+		}
+	},
+}
+
+// TestPeerEntryRejectsOffsetRepetend: a peer entry whose repetend has a
+// raised N_R, or indices shifted off 0, is refused. Each passes every other
+// check; served, it would give a request with no n 3·N_R micro-batches of a
+// repetend size the search never chose.
+func TestPeerEntryRejectsOffsetRepetend(t *testing.T) {
+	key, data := smallPeerEntry(t)
+	for i, edit := range offsetRepetends {
+		bad := tampered(t, data, func(_ *sched.Placement, e *snapshotEntry) { edit(&e.Repetend) })
+		if _, err := DecodePeerEntry(key, bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "indices span") {
+			t.Errorf("edit %d: DecodePeerEntry err %v, want the index span refused", i, err)
+		}
+	}
+}
+
 // FuzzDecodePeerEntry feeds the peer entry decoder what a lying peer could
 // send for a key this replica asked for. The fuzzer's bytes are framed with a
 // matching checksum header unless raw is set, so that mutations of the body
 // get past the checksum to the entry's own checks. No input may panic, and an
 // accepted entry must serve: its schedule holds each of the N·K blocks once
 // and validates, and it extends to another N. The seeds include repetends
-// with a period below 1, a negative start, and a gap of 10^12 periods.
+// with a period below 1, a negative start, a gap of 10^12 periods, a raised
+// N_R and indices shifted off 0.
 func FuzzDecodePeerEntry(f *testing.F) {
 	// A small entry, so that a mutation more often lands on a field that matters.
-	p, err := placement.VShape(placement.Config{Devices: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	src, _ := warmEngine(f, Options{}, p)
-	key := cachedKey(f, src)
-	data, _, err := src.EncodePeerEntry(key)
-	if err != nil {
-		f.Fatal(err)
-	}
+	key, data := smallPeerEntry(f)
 	parent, err := os.ReadFile("testdata/parent_v2.snap")
 	if err != nil {
 		f.Fatal(err)
@@ -237,13 +275,14 @@ func FuzzDecodePeerEntry(f *testing.F) {
 	f.Add(parent, true)
 	// A repetend Unroll could not order (period 0 or below, a start before
 	// 0) and one whose starts lie 10^12 periods apart: each must be refused
-	// without dividing by zero or walking the windows between.
-	for _, edit := range []func(*snapshotRepetend){
+	// without dividing by zero or walking the windows between. So must the
+	// offset repetends, which would serve an N_R the search never chose.
+	for _, edit := range append([]func(*snapshotRepetend){
 		func(r *snapshotRepetend) { r.Period = 0 },
 		func(r *snapshotRepetend) { r.Period = -r.Period },
 		func(r *snapshotRepetend) { r.Starts[0] = -1 },
 		func(r *snapshotRepetend) { r.Starts[0] += 1e12 * r.Period },
-	} {
+	}, offsetRepetends...) {
 		f.Add(tampered(f, data, func(_ *sched.Placement, e *snapshotEntry) { edit(&e.Repetend) }), true)
 	}
 	f.Fuzz(func(t *testing.T, in []byte, raw bool) {

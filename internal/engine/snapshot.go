@@ -348,7 +348,10 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 
 // decodeRepetend validates and rebuilds an entry's repetend, which serves
 // every N but the recorded one. The assignment satisfies Property 4.2 within
-// N_R, and N_R is at most maxNR, the sweep's own cap. N_R + 1
+// N_R, and N_R is at most maxNR, the sweep's own cap. Like every assignment
+// the sweep walks, its indices start at 0 and N_R is one more than the
+// largest: a repetend with a raised N_R or shifted indices would serve N_R
+// micro-batches the search never chose. N_R + 1
 // unrolled instances satisfy every constraint from the entry memory on: lags
 // are at most N_R − 1, so they include every cross-instance dependency. And
 // no device spans more than a period, which keeps each instance clear of the
@@ -360,6 +363,9 @@ func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int)
 	a := repetend.Assignment(sr.Assign)
 	if err := a.Validate(p, sr.NR); err != nil {
 		return nil, fmt.Errorf("repetend: %w", err)
+	}
+	if lo, hi := slices.Min(a), slices.Max(a); lo != 0 || hi != sr.NR-1 {
+		return nil, fmt.Errorf("repetend indices span [%d,%d], want [0,%d] for NR %d", lo, hi, sr.NR-1, sr.NR)
 	}
 	// Unroll orders by period window; a searched repetend's first start is 0.
 	if sr.Period < 1 || slices.ContainsFunc(sr.Starts, func(st int) bool { return st < 0 }) {

@@ -332,11 +332,12 @@ func instanceTasks(p *sched.Placement, a Assignment) []solver.Task {
 //  1. The relaxation — dependency edges plus device-window edges, one SPFA
 //     probe — proves that no per-device order has period ≤ B. It is a
 //     relaxation: passing it proves nothing.
-//  2. The order check, only when B equals the device-work lower bound (a
-//     first-pass sweep; against a looser bound nearly everything is feasible
-//     and it would only cost): decides exactly whether some per-device order
-//     has period ≤ B, memory cap aside. "No" prunes; "yes", or running into
-//     its node cap, goes on.
+//  2. The order check, only when B equals the device-work lower bound (every
+//     leaf of a sweep's aimed pass, and a leaf of its unaimed pass that sorts
+//     after a best one period above the lower bound; against a looser bound
+//     nearly everything is feasible and it would only cost): decides exactly
+//     whether some per-device order has period ≤ B, memory cap aside. "No"
+//     prunes; "yes", or running into its node cap, goes on.
 //  3. The pipeline proper: instance solve, minPeriod, local search, and
 //     period > B at the end. This judges one order, found heuristically, so
 //     it can discard an assignment stage 2 let through — never the reverse.
