@@ -1,11 +1,13 @@
 // Ablation and scaling benchmarks of the search: lazy vs eager schedule
 // completion (§V), the exact solver's growth with the micro-batch count
-// (Figure 3) and the repetend period machinery. The ablations of the solver's
-// own pruning live in internal/solver, beside the switches they turn off.
+// (Figure 3), its fixed cost on instances decided at the root, and the
+// repetend period machinery. The ablations of the solver's own pruning live
+// in internal/solver, beside the switches they turn off.
 package tessel_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"tessel"
@@ -109,6 +111,36 @@ func BenchmarkSolverScaling(b *testing.B) {
 				nodes += res.Nodes
 			}
 			reportNodeThroughput(b, nodes)
+		})
+	}
+}
+
+// BenchmarkSolverRootDecided times the solves the lower bounds decide at the
+// root: whole-problem V-shape instances (4 devices) whose first descent meets
+// the one-machine bound, so a solve is that descent, the return to the root
+// and one node — the solver's fixed cost per instance, which the scaling
+// benchmarks' searches bury. It fails if an instance takes more than one node.
+func BenchmarkSolverRootDecided(b *testing.B) {
+	p := mustShape(b, tessel.NewVShape)
+	for _, n := range []int{8, 64, 256} {
+		tasks, err := solver.BuildTasks(p, solver.AllBlocks(p, n), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("v_nmb%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var nodes int64
+			for i := 0; i < b.N; i++ {
+				res, err := solver.Solve(context.Background(), tasks, solver.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Optimal || res.Nodes != 1 {
+					b.Fatalf("v-shape n=%d: optimal %v in %d nodes, want proven at the root", n, res.Optimal, res.Nodes)
+				}
+				nodes += res.Nodes
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 		})
 	}
 }

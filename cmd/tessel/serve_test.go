@@ -289,6 +289,35 @@ func TestServeStageTimeCap(t *testing.T) {
 	}
 }
 
+// TestServeStageMemCap: a memory delta beyond ±sched.MaxStageMem is a 400 —
+// on one device, f0 → f1 → b1 → b0 with ±2^62 peaks at 2^63, which the
+// memory sums wrap to a negative number that fits a capacity of 2^62+1 — and
+// the same chain at the cap is searched and kept under its capacity.
+func TestServeStageMemCap(t *testing.T) {
+	s := newTestServer(t)
+	post := func(mem, capacity int) *httptest.ResponseRecorder {
+		t.Helper()
+		body := fmt.Sprintf(`{"placement":{"name":"chain","num_devices":1,"stages":[`+
+			`{"name":"f0","time":1,"mem":%[1]d,"devices":[0]},{"name":"f1","time":1,"mem":%[1]d,"devices":[0]},`+
+			`{"name":"b1","kind":"backward","time":1,"mem":-%[1]d,"devices":[0]},{"name":"b0","kind":"backward","time":1,"mem":-%[1]d,"devices":[0]}],`+
+			`"deps":[[1],[2],[3],[]]},"options":{"n":4,"memory":%[2]d}}`, mem, capacity)
+		return postSearch(t, s, body)
+	}
+	if w := post(1<<62, 1<<62+1); w.Code != 400 || !strings.Contains(w.Body.String(), "above the cap") {
+		t.Fatalf("memory delta 2^62: status %d: %s", w.Code, w.Body.String())
+	}
+	w := post(sched.MaxStageMem, 2*sched.MaxStageMem)
+	var resp searchResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != 200 || err != nil {
+		t.Fatalf("memory delta at the cap: status %d, %v: %s", w.Code, err, w.Body.String())
+	}
+	// Each micro-batch holds two deltas at its peak, so only one runs at a
+	// time: four micro-batches of four unit blocks end at 16.
+	if resp.Makespan != 16 {
+		t.Fatalf("memory delta at the cap: makespan %d, want 16", resp.Makespan)
+	}
+}
+
 // TestServeIgnoresRetiredWorkersOption: solver_workers was a request option while
 // the solver had a second engine. A client that still sends it gets a 200 —
 // the field is read past like any unknown key — and the same cache entry as

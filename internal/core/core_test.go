@@ -424,8 +424,8 @@ func TestSearchSolverEffortStats(t *testing.T) {
 
 // TestNN6iWarmupProvenAtRoot pins the solve that set cold_period's p95: the
 // 45-task warmup of nn6i's winning repetend, in the task order solvePhase
-// hands it over. The greedy dispatch already finds its optimum (makespan 17);
-// the barrier bound — nn-shape's embedding occupies every device — raises the
+// hands it over. The solver's first descent already finds its optimum
+// (makespan 17); the barrier bound — nn-shape's embedding occupies every device — raises the
 // root bound from 15 to 17, so the proof takes one node instead of 32,146.
 func TestNN6iWarmupProvenAtRoot(t *testing.T) {
 	p, opts := catalogPlacement(t, "nn6i")

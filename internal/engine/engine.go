@@ -62,9 +62,9 @@ import (
 const DefaultCacheSize = 128
 
 // degradedSolverNodes is the per-solve node cap of a degraded search: 1/20
-// of the solver's default budget — enough for the greedy incumbent plus a
-// shallow improvement pass, small enough that a degraded search costs a
-// bounded sliver of a full one.
+// of the solver's default budget — enough for the incumbent of the solver's
+// first descent plus a shallow improvement pass, small enough that a
+// degraded search costs a bounded sliver of a full one.
 const degradedSolverNodes = core.DefaultSolverNodes / 20
 
 // ErrInternal marks (by unwrapping) a search that failed from a server-side

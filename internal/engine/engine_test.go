@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -338,6 +339,16 @@ func TestSearchInvalidRequestTyped(t *testing.T) {
 		Stages: []sched.Stage{{Name: "s", Time: 1}}, Deps: [][]int{nil}}
 	if _, _, err := eng.Search(context.Background(), bad, core.Options{}); !errors.Is(err, ErrInvalidRequest) {
 		t.Fatalf("invalid placement: want ErrInvalidRequest, got %v", err)
+	}
+	// On one device, f0 → f1 → b1 → b0 with memory deltas ±2^62 peaks at
+	// 2^63, but the memory sums wrap that peak to a negative number that fits
+	// 2^62+1: an invalid request, never a served schedule.
+	wrap := &sched.Placement{Name: "wrap", NumDevices: 1, Deps: [][]int{{1}, {2}, {3}, nil}}
+	for i, mem := range []int{1 << 62, 1 << 62, -1 << 62, -1 << 62} {
+		wrap.Stages = append(wrap.Stages, sched.Stage{Name: fmt.Sprint(i), Time: 1, Mem: mem, Devices: []sched.DeviceID{0}})
+	}
+	if res, _, err := eng.Search(context.Background(), wrap, core.Options{N: 4, Memory: 1<<62 + 1}); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("wrapping stage memory: want ErrInvalidRequest, got %v (result %+v)", err, res)
 	}
 	// A well-formed but unsatisfiable request is a search failure, not an
 	// invalid request: this placement's activation spike never fits the

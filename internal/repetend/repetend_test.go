@@ -419,7 +419,7 @@ func TestSolvePrunesBeforeInstanceSolve(t *testing.T) {
 }
 
 // TestSolveTruncatedFlag: exhausting the per-solve node budget degrades the
-// instance solve to its greedy incumbent and must be reported.
+// instance solve to its first-descent incumbent and must be reported.
 func TestSolveTruncatedFlag(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}

@@ -16,7 +16,8 @@ import (
 // must be valid and must come back from EncodePlacement and a second decode
 // with the same Fingerprint, the identity the serving cache keys on. The
 // seeds are the catalog placements of the five shapes, training and
-// inference, and the malformed placements the tests refuse.
+// inference, and the malformed placements the tests refuse — a stage time
+// above MaxStageTime and ±2^62 memory deltas whose peak wraps among them.
 func FuzzDecodePlacement(f *testing.F) {
 	for _, build := range []func(placement.Config) (*sched.Placement, error){
 		placement.VShape, placement.XShape, placement.MShape, placement.NNShape, placement.KShape,
@@ -42,6 +43,7 @@ func FuzzDecodePlacement(f *testing.F) {
 		`{"version":1,"name":"x","num_devices":2,"stages":[{"name":"a","kind":"forward","time":1,"devices":[7]}],"deps":[[]]}`,
 		`{"name":"x","num_devices":1,"stages":[{"name":"a","time":1,"devices":[]}],"deps":[[]]}`,
 		fmt.Sprintf(`{"name":"x","num_devices":1,"stages":[{"name":"a","time":%d,"devices":[0]}],"deps":[[]]}`, sched.MaxStageTime+1),
+		`{"name":"chain","num_devices":1,"stages":[{"name":"f0","time":1,"mem":4611686018427387904,"devices":[0]},{"name":"f1","time":1,"mem":4611686018427387904,"devices":[0]},{"name":"b1","kind":"backward","time":1,"mem":-4611686018427387904,"devices":[0]},{"name":"b0","kind":"backward","time":1,"mem":-4611686018427387904,"devices":[0]}],"deps":[[1],[2],[3],[]]}`,
 		`{"name":"x","num_devices":1,"stages":[{"name":"a","time":1,"devices":[0]},{"name":"b","time":1,"devices":[0]}],"deps":[[1],[0]]}`,
 		`{"name":"x","num_devices":1,"stages":[{"name":"a","time":1,"devices":[0]}],"deps":[[5]]}`,
 		`{{{`,

@@ -87,6 +87,15 @@ const Unbounded = math.MaxInt / 4
 // Far larger times wrap those sums around, to negative start times.
 const MaxStageTime = 1 << 24
 
+// MaxStageMem is the largest |Stage.Mem| Validate accepts. Every memory sum
+// the search and Schedule.Validate form — a device's usage after some of its
+// blocks started, plus a candidate's delta — adds at most (N + N_R)·K deltas
+// of a K-stage placement, below 2^58 for any schedule of fewer than 2^34
+// blocks, so it stays far from overflow and compares truly against any
+// capacity. Far larger deltas wrap it around: two +2^62 blocks on one device
+// read as a negative peak that fits every cap.
+const MaxStageMem = 1 << 24
+
 // maxDevices is the largest NumDevices Validate accepts. Validating a
 // schedule, and every solve of a search, allocates state per device, so a
 // placement naming 10^12 devices would exhaust memory before any stage is
@@ -109,7 +118,7 @@ type Stage struct {
 	Time int
 	// Mem is the memory delta m_B applied to every device in Devices when
 	// the block starts (Equation 1 item [2] counts memory from s_B onward).
-	// Negative values release memory.
+	// Negative values release memory; |Mem| is at most MaxStageMem.
 	Mem int
 	// Devices lists the device(s) that execute the block exclusively for
 	// its whole duration. Multi-device stages model tensor parallelism.
@@ -262,8 +271,8 @@ func (p *Placement) TopoOrder() ([]int, error) {
 }
 
 // Validate checks structural well-formedness: positive times no larger than
-// MaxStageTime, device ids in range, non-empty device sets, dependency indices
-// in range, and acyclicity.
+// MaxStageTime, memory deltas within ±MaxStageMem, device ids in range,
+// non-empty device sets, dependency indices in range, and acyclicity.
 func (p *Placement) Validate() error {
 	if p.NumDevices <= 0 {
 		return fmt.Errorf("placement %q: NumDevices must be positive, got %d", p.Name, p.NumDevices)
@@ -284,6 +293,9 @@ func (p *Placement) Validate() error {
 		}
 		if s.Time > MaxStageTime {
 			return fmt.Errorf("placement %q: stage %d (%s) has time %d above the cap %d", p.Name, i, s.Name, s.Time, MaxStageTime)
+		}
+		if s.Mem > MaxStageMem || s.Mem < -MaxStageMem {
+			return fmt.Errorf("placement %q: stage %d (%s) has memory delta %d above the cap ±%d", p.Name, i, s.Name, s.Mem, MaxStageMem)
 		}
 		if len(s.Devices) == 0 {
 			return fmt.Errorf("placement %q: stage %d (%s) has no devices", p.Name, i, s.Name)

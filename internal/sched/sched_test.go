@@ -73,6 +73,25 @@ func TestPlacementValidateStageTimeCap(t *testing.T) {
 	}
 }
 
+// TestPlacementValidateStageMemCap: a memory delta is accepted within
+// ±MaxStageMem and refused beyond it on either side, where the search's and
+// Schedule.Validate's memory sums could wrap.
+func TestPlacementValidateStageMemCap(t *testing.T) {
+	for _, c := range []struct {
+		mem int
+		ok  bool
+	}{
+		{0, true}, {MaxStageMem, true}, {-MaxStageMem, true},
+		{MaxStageMem + 1, false}, {-MaxStageMem - 1, false}, {1 << 62, false}, {math.MinInt, false},
+	} {
+		p := chain4()
+		p.Stages[5].Mem = c.mem
+		if err := p.Validate(); (err == nil) != c.ok {
+			t.Errorf("stage memory %d: err %v, want accepted %v", c.mem, err, c.ok)
+		}
+	}
+}
+
 // TestPlacementValidateDeviceCap: a device count is accepted up to
 // maxDevices and refused above it, where validating a schedule of the
 // placement would allocate per-device state for every one of them.

@@ -230,8 +230,11 @@ func TestMemoMultiWordMasks(t *testing.T) {
 // TestSolveSteadyStateAllocs is the allocation regression test of the
 // solver core: on a reused searcher a full solve performs (amortized) ~one
 // allocation — the caller-owned Result.Starts copy — across thousands of
-// search nodes, i.e. zero steady-state allocations per node. The M-shape leg
-// is a barrier instance, so it holds pathBound's barrier term to the same.
+// search nodes, i.e. zero steady-state allocations per node. The M-shape legs
+// are barrier instances, so they hold pathBound's barrier term to the same;
+// under Memory 5 the first descent deadlocks part-way, so the last leg holds
+// its unwind back to the root, and a search that starts without an
+// incumbent, to the same.
 func TestSolveSteadyStateAllocs(t *testing.T) {
 	mshape, err := placement.MShape(placement.Config{Devices: 4})
 	if err != nil {
@@ -240,17 +243,19 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 	for _, leg := range []struct {
 		name  string
 		tasks []Task
+		opts  Options
 	}{
-		{"x-shape n=3", searchTasks(t, 3, 4000)},
-		{"m-shape n=3", needsSearch(t, mshape, 3, 1000)},
+		{"x-shape n=3", searchTasks(t, 3, 4000), Options{}},
+		{"m-shape n=3", needsSearch(t, mshape, 3, 1000), Options{}},
+		{"m-shape n=3 memory 5", needsSearch(t, mshape, 3, 1000), Options{Memory: 5}},
 	} {
 		s := &searcher{}
-		warm, err := s.solve(context.Background(), leg.tasks, Options{})
+		warm, err := s.solve(context.Background(), leg.tasks, leg.opts)
 		if err != nil || !warm.Feasible {
 			t.Fatalf("%s: warmup solve: %+v err=%v", leg.name, warm, err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			res, err := s.solve(context.Background(), leg.tasks, Options{})
+			res, err := s.solve(context.Background(), leg.tasks, leg.opts)
 			if err != nil || !res.Feasible {
 				t.Fatalf("%s: solve: %+v err=%v", leg.name, res, err)
 			}

@@ -75,7 +75,7 @@
 // micro-batches — reproduces directly on this solver for the X-, M- and
 // NN-shape placements (the barrier bound roughly halves M-shape's nodes but
 // does not stop the growth); whole-problem V- and K-shape instances are
-// decided at the root (the greedy dispatch meets the one-machine bound) for
+// decided at the root (the first descent meets the one-machine bound) for
 // every N.
 //
 // # Cancellation
@@ -284,19 +284,6 @@ type searcher struct {
 
 	frames []frame // per-depth candidate + saved-avail buffers
 
-	// Greedy-dispatch scratch (greedy runs once per solve; reusing these
-	// keeps the warm-start allocation-free too). gFront/gFrontPos mirror
-	// the search frontier for the dispatch: the eligible tasks, maintained
-	// incrementally so each pick scans candidates, not all n tasks.
-	gSched    []bool
-	gPredLeft []int
-	gAvail    []int
-	gMem      []int
-	gFinish   []int
-	gStarts   []int
-	gFront    []int32
-	gFrontPos []int32
-
 	best       Result
 	bestStarts []int // incumbent start times, reused across improvements
 	bestSet    bool
@@ -326,8 +313,8 @@ func Solve(ctx context.Context, tasks []Task, opts Options) (Result, error) {
 }
 
 // searchers recycles searchers — task-graph CSR arrays, frontier and
-// per-depth candidate buffers, the dominance-memo arenas, greedy scratch —
-// across Solve calls, concurrent ones drawing distinct searchers.
+// per-depth candidate buffers, the dominance-memo arenas — across Solve
+// calls, concurrent ones drawing distinct searchers.
 var searchers = sync.Pool{New: func() any { return new(searcher) }}
 
 // solve runs one full solve on this searcher, re-initializing every piece
@@ -537,7 +524,7 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		}
 	}
 	s.barrierTime = intsN(s.barrierTime, n)
-	s.barrierRep, s.barrierLeft = -1, 0
+	s.barrierRep = -1
 	for t := 0; t < n; t++ {
 		k := 0
 		for _, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
@@ -549,7 +536,6 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		s.barrierTime[t] = 0
 		if barrierBoundOn && k == nUsed {
 			s.barrierTime[t] = s.time[t]
-			s.barrierLeft += s.time[t]
 			if s.barrierRep < 0 {
 				s.barrierRep = t
 			}
@@ -573,18 +559,12 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		s.chain[u] = c + s.time[u] - s.barrierTime[u]
 	}
 
-	// Unscheduled-task list in topo order: topoPos maps tasks to positions,
-	// position n is the sentinel. pathBound walks this list, so its cost
-	// tracks the number of *remaining* tasks, not n.
+	// Unscheduled-task list in topo order (rootState links it): topoPos maps
+	// tasks to positions, position n is the sentinel. pathBound walks this
+	// list, so its cost tracks the number of *remaining* tasks, not n.
 	s.topoPos = int32sN(s.topoPos, n)
 	for idx, u := range s.topo {
 		s.topoPos[u] = int32(idx)
-	}
-	s.topoNext = int32sN(s.topoNext, n+1)
-	s.topoPrev = int32sN(s.topoPrev, n+1)
-	for i := 0; i <= n; i++ {
-		s.topoNext[i] = int32((i + 1) % (n + 1))
-		s.topoPrev[i] = int32((i + n) % (n + 1))
 	}
 
 	// Property 4.1 chains: within each stage, link tasks in micro order.
@@ -631,64 +611,12 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 		}
 	}
 
-	// Dynamic state.
-	s.remWork = intsN(s.remWork, d)
-	clear(s.remWork)
-	for i := range tasks {
-		for _, dev := range tasks[i].Devices {
-			s.remWork[dev] += tasks[i].Time
-		}
-	}
-	s.devAvail = intsN(s.devAvail, d)
-	clear(s.devAvail)
-	if opts.DeviceReady != nil {
-		copy(s.devAvail, opts.DeviceReady)
-	}
-	s.devMem = intsN(s.devMem, d)
-	clear(s.devMem)
-	if opts.InitialMem != nil {
-		copy(s.devMem, opts.InitialMem)
-	}
-	s.finish = intsN(s.finish, n)
-	s.starts = intsN(s.starts, n)
-	for i := 0; i < n; i++ {
-		s.finish[i] = -1
-		s.starts[i] = -1
-	}
-	s.sched = boolsN(s.sched, n)
-	clear(s.sched)
-	s.predLeft = intsN(s.predLeft, n)
-	copy(s.predLeft, s.npred)
-	s.nSched = 0
-	s.makespan = 0
-
 	s.maskWords = (n + 63) / 64
-	s.mask = maskN(s.mask, s.maskWords)
-	s.liveMask = maskN(s.liveMask, s.maskWords)
-	s.succUnsched = int32sN(s.succUnsched, n)
-	for i := 0; i < n; i++ {
-		s.succUnsched[i] = s.succOff[i+1] - s.succOff[i]
-	}
+	s.rootState()
 	if memoOn {
 		s.memo.reset(s.maskWords)
 	}
 	s.memoHits = 0
-
-	// Frontier: initially the symmetry-unlocked roots.
-	s.frontPos = int32sN(s.frontPos, n)
-	for i := 0; i < n; i++ {
-		s.frontPos[i] = -1
-	}
-	if cap(s.frontier) < n {
-		s.frontier = make([]int32, 0, n)
-	} else {
-		s.frontier = s.frontier[:0]
-	}
-	for t := 0; t < n; t++ {
-		if s.predLeft[t] == 0 && s.symPred[t] < 0 {
-			s.frontPush(t)
-		}
-	}
 
 	// Static lower bound: pathBound (critical path and one-machine bound)
 	// over the full instance, computed once. At every node the cheap bounds
@@ -720,6 +648,64 @@ func (s *searcher) reset(ctx context.Context, tasks []Task, opts Options) error 
 	return nil
 }
 
+// rootState puts the dynamic search state at the root: nothing scheduled,
+// the devices at DeviceReady with InitialMem in use, the frontier the
+// eligible roots. reset builds it; the first descent comes back through it.
+func (s *searcher) rootState() {
+	n, d := s.n, s.d
+	s.topoNext = int32sN(s.topoNext, n+1)
+	s.topoPrev = int32sN(s.topoPrev, n+1)
+	for i := 0; i <= n; i++ {
+		s.topoNext[i] = int32((i + 1) % (n + 1))
+		s.topoPrev[i] = int32((i + n) % (n + 1))
+	}
+	s.remWork = intsN(s.remWork, d)
+	clear(s.remWork)
+	s.barrierLeft = 0
+	for t := 0; t < n; t++ {
+		for _, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
+			s.remWork[dev] += s.time[t]
+		}
+		s.barrierLeft += s.barrierTime[t]
+	}
+	s.devAvail = intsN(s.devAvail, d)
+	clear(s.devAvail)
+	copy(s.devAvail, s.opts.DeviceReady)
+	s.devMem = intsN(s.devMem, d)
+	clear(s.devMem)
+	copy(s.devMem, s.opts.InitialMem)
+	s.finish = intsN(s.finish, n)
+	s.starts = intsN(s.starts, n)
+	for i := 0; i < n; i++ {
+		s.finish[i] = -1
+		s.starts[i] = -1
+	}
+	s.sched = boolsN(s.sched, n)
+	clear(s.sched)
+	s.predLeft = intsN(s.predLeft, n)
+	copy(s.predLeft, s.npred)
+	s.nSched = 0
+	s.makespan = 0
+	s.mask = maskN(s.mask, s.maskWords)
+	s.liveMask = maskN(s.liveMask, s.maskWords)
+	s.succUnsched = int32sN(s.succUnsched, n)
+	for i := 0; i < n; i++ {
+		s.succUnsched[i] = s.succOff[i+1] - s.succOff[i]
+	}
+	s.frontPos = int32sN(s.frontPos, n)
+	for i := 0; i < n; i++ {
+		s.frontPos[i] = -1
+	}
+	if cap(s.frontier) < n {
+		s.frontier = make([]int32, 0, n)
+	} else {
+		s.frontier = s.frontier[:0]
+	}
+	for t := 0; t < n; t++ {
+		s.frontSync(t)
+	}
+}
+
 // maskN reuses a []uint64 mask buffer and zeroes it.
 func maskN(buf []uint64, n int) []uint64 {
 	if cap(buf) < n {
@@ -731,12 +717,9 @@ func maskN(buf []uint64, n int) []uint64 {
 }
 
 func (s *searcher) run() {
-	// Seed the incumbent with a greedy dispatch so pruning bites early.
-	if starts, ms, ok := s.greedy(); ok {
-		s.record(starts, ms)
-		if s.opts.SatisfyOnly {
-			return
-		}
+	s.descend()
+	if s.opts.SatisfyOnly && s.bestSet {
+		return
 	}
 	s.dfs()
 }
@@ -754,110 +737,28 @@ func (s *searcher) record(starts []int, makespan int) {
 	s.bestSet = true
 }
 
-// greedy runs a deterministic list-scheduling dispatch: always append the
-// eligible task with the smallest start time, breaking ties by the longest
-// tail, then the lowest task index. It respects every constraint, so any
-// complete dispatch is feasible. Eligibility is maintained incrementally in
-// a frontier (like the search's), so each pick scans the eligible tasks
-// instead of rescanning all n — the dispatch is O(n·frontier), not O(n²).
-// All working state lives in searcher scratch buffers.
-func (s *searcher) greedy() ([]int, int, bool) {
-	n := s.n
-	s.gSched = boolsN(s.gSched, n)
-	clear(s.gSched)
-	s.gPredLeft = intsN(s.gPredLeft, n)
-	copy(s.gPredLeft, s.npred)
-	s.gAvail = intsN(s.gAvail, s.d)
-	copy(s.gAvail, s.devAvail)
-	s.gMem = intsN(s.gMem, s.d)
-	copy(s.gMem, s.devMem)
-	s.gFinish = intsN(s.gFinish, n)
-	s.gStarts = intsN(s.gStarts, n)
-	s.gFrontPos = int32sN(s.gFrontPos, n)
-	for i := 0; i < n; i++ {
-		s.gFrontPos[i] = -1
+// descend seeds the incumbent with the search's own first descent, so
+// pruning bites early: from the root it applies every node's first
+// candidate, and records the schedule — the DFS's leftmost leaf — if every
+// task got placed. It stops where no candidate fits memory. It expands no
+// node and touches no memo; rootState takes the search back to the root.
+func (s *searcher) descend() {
+	for s.nSched < s.n {
+		first, found := candidate{}, false
+		for _, t := range s.frontier {
+			if c, ok := s.candidateFor(int(t)); ok && (!found || s.before(c, first)) {
+				first, found = c, true
+			}
+		}
+		if !found {
+			break
+		}
+		s.apply(first)
 	}
-	if cap(s.gFront) < n {
-		s.gFront = make([]int32, 0, n)
-	} else {
-		s.gFront = s.gFront[:0]
+	if s.nSched == s.n {
+		s.record(s.starts, s.makespan)
 	}
-	for t := 0; t < n; t++ {
-		if s.gPredLeft[t] == 0 && s.symPred[t] < 0 {
-			s.gFrontPos[t] = int32(len(s.gFront))
-			s.gFront = append(s.gFront, int32(t))
-		}
-	}
-	makespan := 0
-	for done := 0; done < n; done++ {
-		// The frontier holds the precedence- and symmetry-eligible tasks in
-		// arbitrary order; the explicit index tiebreak keeps the pick — and
-		// with it the whole dispatch — order-independent.
-		bestT, bestStart := -1, 0
-		for _, t32 := range s.gFront {
-			t := int(t32)
-			devs := s.devList[s.devOff[t]:s.devOff[t+1]]
-			ok := true
-			for _, dev := range devs {
-				if s.gMem[dev]+s.mem[t] > s.opts.Memory {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			st := s.release[t]
-			for _, dev := range devs {
-				if s.gAvail[dev] > st {
-					st = s.gAvail[dev]
-				}
-			}
-			for _, p := range s.predList[s.predOff[t]:s.predOff[t+1]] {
-				if s.gFinish[p] > st {
-					st = s.gFinish[p]
-				}
-			}
-			if bestT < 0 || st < bestStart ||
-				(st == bestStart && (s.tail[t] > s.tail[bestT] ||
-					(s.tail[t] == s.tail[bestT] && t < bestT))) {
-				bestT, bestStart = t, st
-			}
-		}
-		if bestT < 0 {
-			return nil, 0, false // memory deadlock under greedy order
-		}
-		t := bestT
-		s.gSched[t] = true
-		i := s.gFrontPos[t]
-		last := int32(len(s.gFront) - 1)
-		moved := s.gFront[last]
-		s.gFront[i] = moved
-		s.gFrontPos[moved] = i
-		s.gFront = s.gFront[:last]
-		s.gFrontPos[t] = -1
-		s.gStarts[t] = bestStart
-		s.gFinish[t] = bestStart + s.time[t]
-		if s.gFinish[t] > makespan {
-			makespan = s.gFinish[t]
-		}
-		for _, dev := range s.devList[s.devOff[t]:s.devOff[t+1]] {
-			s.gAvail[dev] = s.gFinish[t]
-			s.gMem[dev] += s.mem[t]
-		}
-		for _, v := range s.succList[s.succOff[t]:s.succOff[t+1]] {
-			s.gPredLeft[v]--
-			if s.gPredLeft[v] == 0 && (s.symPred[v] < 0 || s.gSched[s.symPred[v]]) {
-				s.gFrontPos[v] = int32(len(s.gFront))
-				s.gFront = append(s.gFront, v)
-			}
-		}
-		if ss := s.symSucc[t]; ss >= 0 && s.gPredLeft[ss] == 0 && s.gFrontPos[ss] < 0 {
-			s.gFrontPos[ss] = int32(len(s.gFront))
-			s.gFront = append(s.gFront, int32(ss))
-		}
-	}
-	return s.gStarts, makespan, true
+	s.rootState()
 }
 
 func (s *searcher) outOfBudget() bool {
@@ -1088,54 +989,54 @@ func (s *searcher) prunedOrMemo() bool {
 	return s.cutoff(s.pathBound())
 }
 
+// candidateFor is the candidate rule: eligible task t is a candidate if its
+// memory delta fits every device it occupies, at its earliest start after its
+// release, its devices' availability and its predecessors' finishes.
+func (s *searcher) candidateFor(t int) (candidate, bool) {
+	devs := s.devList[s.devOff[t]:s.devOff[t+1]]
+	for _, dev := range devs {
+		if s.devMem[dev]+s.mem[t] > s.opts.Memory {
+			return candidate{}, false
+		}
+	}
+	st := s.release[t]
+	for _, dev := range devs {
+		st = max(st, s.devAvail[dev])
+	}
+	for _, p := range s.predList[s.predOff[t]:s.predOff[t+1]] {
+		st = max(st, s.finish[p])
+	}
+	return candidate{task: t, start: st}, true
+}
+
+// before is the expansion order: smallest start first, then longest tail,
+// then lowest task index — a total order, so the expansion order is
+// independent of frontier layout.
+func (s *searcher) before(a, b candidate) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	if s.tail[a.task] != s.tail[b.task] {
+		return s.tail[a.task] > s.tail[b.task]
+	}
+	return a.task < b.task
+}
+
 // collectCandidates gathers this node's candidates from the incrementally
 // maintained frontier into the depth's reusable buffer, insertion-sorting
-// as it goes: smallest start first, then longest tail, then task index — a
-// total order, so the expansion order is independent of frontier layout.
+// them into expansion order as it goes.
 func (s *searcher) collectCandidates() []candidate {
 	fr := &s.frames[s.nSched]
 	cands := fr.cands[:0]
-	for _, t32 := range s.frontier {
-		t := int(t32)
-		devs := s.devList[s.devOff[t]:s.devOff[t+1]]
-		memOK := true
-		for _, dev := range devs {
-			if s.devMem[dev]+s.mem[t] > s.opts.Memory {
-				memOK = false
-				break
-			}
-		}
-		if !memOK {
+	for _, t := range s.frontier {
+		c, ok := s.candidateFor(int(t))
+		if !ok {
 			continue
 		}
-		st := s.release[t]
-		for _, dev := range devs {
-			if s.devAvail[dev] > st {
-				st = s.devAvail[dev]
-			}
-		}
-		for _, p := range s.predList[s.predOff[t]:s.predOff[t+1]] {
-			if s.finish[p] > st {
-				st = s.finish[p]
-			}
-		}
-		c := candidate{task: t, start: st}
 		j := len(cands) - 1
 		cands = append(cands, c)
-		for ; j >= 0; j-- {
-			prev := cands[j]
-			if prev.start < c.start {
-				break
-			}
-			if prev.start == c.start {
-				if s.tail[prev.task] > s.tail[c.task] {
-					break
-				}
-				if s.tail[prev.task] == s.tail[c.task] && prev.task < c.task {
-					break
-				}
-			}
-			cands[j+1] = prev
+		for ; j >= 0 && s.before(c, cands[j]); j-- {
+			cands[j+1] = cands[j]
 		}
 		cands[j+1] = c
 	}

@@ -72,7 +72,7 @@ func needsSearch(t testing.TB, p *sched.Placement, n int, minNodes int64) []Task
 }
 
 // vshapeTasks builds the v-shape 4-device task system with n micro-batches,
-// which the lower bounds decide at the root: a greedy dispatch plus one node.
+// which the lower bounds decide at the root: the first descent plus one node.
 func vshapeTasks(t testing.TB, n int) []Task {
 	t.Helper()
 	p, err := placement.VShape(placement.Config{Devices: 4})
@@ -334,9 +334,9 @@ func TestSolveVShapeMultipleMicroBatches(t *testing.T) {
 func TestSolveBudgetTruncation(t *testing.T) {
 	tasks := searchTasks(t, 3, 4000)
 	res := mustSolve(t, tasks, Options{MaxNodes: 2})
-	// The greedy incumbent still gives a feasible schedule.
+	// The first descent's incumbent still gives a feasible schedule.
 	if !res.Feasible {
-		t.Fatal("greedy incumbent missing under tiny budget")
+		t.Fatal("first-descent incumbent missing under tiny budget")
 	}
 	if res.Optimal {
 		t.Fatal("tiny budget cannot prove optimality")
@@ -356,7 +356,7 @@ func TestSolveTimeout(t *testing.T) {
 		t.Fatal("timeout not honored")
 	}
 	if !res.Feasible {
-		t.Fatal("greedy incumbent missing")
+		t.Fatal("first-descent incumbent missing")
 	}
 }
 
@@ -523,7 +523,7 @@ func TestSolveIgnoresWorkers(t *testing.T) {
 }
 
 // TestSolveWithoutIncumbent pins the search that starts with no incumbent —
-// a memory cap under which the greedy dispatch deadlocks — to its counters and
+// a memory cap under which the first descent deadlocks — to its counters and
 // its start vector. The start vectors are the ones recorded when prunedOrMemo
 // still ran pathBound ahead of the memo probe on that path; the barrier bound
 // took n = 3 from 3,022 nodes and 1,279 memo hits to 915 and 286 and left
@@ -553,8 +553,8 @@ func TestSolveWithoutIncumbent(t *testing.T) {
 		if err := s.reset(context.Background(), tasks, tc.opts); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := s.greedy(); ok {
-			t.Fatalf("n=%d %+v: the greedy dispatch found a schedule; this test needs a solve that starts without one", tc.n, tc.opts)
+		if s.descend(); s.bestSet {
+			t.Fatalf("n=%d %+v: the first descent found a schedule; this test needs a solve that starts without one", tc.n, tc.opts)
 		}
 		res := mustSolve(t, tasks, tc.opts)
 		if !res.Optimal || res.Makespan != tc.makespan || res.Nodes != tc.nodes || res.MemoHits != tc.memoHits || !reflect.DeepEqual(res.Starts, tc.starts) {

@@ -156,28 +156,7 @@ func Summary(s *sched.Schedule) string {
 		s.P.Name, s.Len(), s.Makespan(), 100*s.OverallBubbleRate())
 	for d, bt := range busy {
 		fmt.Fprintf(&b, "  dev%d busy %d (%.1f%%)\n", d, bt,
-			100*float64(bt)/float64(maxInt(1, s.Makespan()-s.Start())))
+			100*float64(bt)/float64(max(1, s.Makespan()-s.Start())))
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
