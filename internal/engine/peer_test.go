@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -258,8 +259,8 @@ func TestPeerEntryRejectsOffsetRepetend(t *testing.T) {
 // get past the checksum to the entry's own checks. No input may panic, and an
 // accepted entry must serve: its schedule holds each of the N·K blocks once
 // and validates, and it extends to another N. The seeds include repetends
-// with a period below 1, a negative start, a gap of 10^12 periods, a raised
-// N_R and indices shifted off 0.
+// with a period below 1, a negative start, a gap of 10^12 periods, a start
+// whose finish wraps, a raised N_R and indices shifted off 0.
 func FuzzDecodePeerEntry(f *testing.F) {
 	// A small entry, so that a mutation more often lands on a field that matters.
 	key, data := smallPeerEntry(f)
@@ -274,14 +275,16 @@ func FuzzDecodePeerEntry(f *testing.F) {
 	f.Add(data, true)
 	f.Add(parent, true)
 	// A repetend Unroll could not order (period 0 or below, a start before
-	// 0) and one whose starts lie 10^12 periods apart: each must be refused
-	// without dividing by zero or walking the windows between. So must the
+	// 0), one whose starts lie 10^12 periods apart and one whose times wrap:
+	// each must be refused without dividing by zero or walking the windows
+	// between. So must the
 	// offset repetends, which would serve an N_R the search never chose.
 	for _, edit := range append([]func(*snapshotRepetend){
 		func(r *snapshotRepetend) { r.Period = 0 },
 		func(r *snapshotRepetend) { r.Period = -r.Period },
 		func(r *snapshotRepetend) { r.Starts[0] = -1 },
 		func(r *snapshotRepetend) { r.Starts[0] += 1e12 * r.Period },
+		func(r *snapshotRepetend) { r.Starts[0] = math.MaxInt - 1 },
 	}, offsetRepetends...) {
 		f.Add(tampered(f, data, func(_ *sched.Placement, e *snapshotEntry) { edit(&e.Repetend) }), true)
 	}

@@ -355,7 +355,10 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 // unrolled instances satisfy every constraint from the entry memory on: lags
 // are at most N_R − 1, so they include every cross-instance dependency. And
 // no device spans more than a period, which keeps each instance clear of the
-// next however far the repetend is unrolled.
+// next however far the repetend is unrolled. That far, its times stay below
+// 2^59, so none wraps: the period is at most one micro-batch's work, above
+// every period a solve returns, and each start is below 2^58, like every time
+// the search forms (see sched.MaxStageTime).
 func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int) (*repetend.Repetend, error) {
 	if sr.NR < 1 || sr.NR > maxNR || len(sr.Starts) != p.K() {
 		return nil, fmt.Errorf("repetend NR %d outside [1,%d] or %d starts for %d stages", sr.NR, maxNR, len(sr.Starts), p.K())
@@ -368,8 +371,12 @@ func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int)
 		return nil, fmt.Errorf("repetend indices span [%d,%d], want [0,%d] for NR %d", lo, hi, sr.NR-1, sr.NR)
 	}
 	// Unroll orders by period window; a searched repetend's first start is 0.
-	if sr.Period < 1 || slices.ContainsFunc(sr.Starts, func(st int) bool { return st < 0 }) {
-		return nil, fmt.Errorf("repetend period %d below 1 or a negative start in %v", sr.Period, sr.Starts)
+	work := 0
+	for _, st := range p.Stages {
+		work += st.Time
+	}
+	if sr.Period < 1 || sr.Period > work || slices.ContainsFunc(sr.Starts, func(st int) bool { return st < 0 || st >= 1<<58 }) {
+		return nil, fmt.Errorf("repetend period %d outside [1,%d] or a start outside [0,2^58) in %v", sr.Period, work, sr.Starts)
 	}
 	r := &repetend.Repetend{P: p, Assign: a, NR: sr.NR, Starts: sr.Starts, Period: sr.Period, Truncated: sr.Truncated}
 	if err := r.Unroll(r.NR + 1).Validate(sched.ValidateOptions{Memory: memory, InitialMem: repetend.EntryMemory(p, a)}); err != nil {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -507,6 +508,44 @@ func TestPeerEntryRejectsInvalidSchedule(t *testing.T) {
 	}
 }
 
+// TestPeerEntryRejectsWrappedFinish: a body block moved to start at
+// math.MaxInt ends past it. Its finish time wraps negative, which every
+// successor's start and the device's next block read as long past, so the
+// schedule validated and was served; DecodePeerEntry refuses the start.
+func TestPeerEntryRejectsWrappedFinish(t *testing.T) {
+	key, data := peerEntry(t)
+	late := tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) { entry.Body[0].Start = math.MaxInt })
+	if _, err := DecodePeerEntry(key, bytes.NewReader(late)); err == nil || !strings.Contains(err.Error(), "start outside") {
+		t.Fatalf("DecodePeerEntry of an entry with a block starting at math.MaxInt: err %v", err)
+	}
+}
+
+// TestPeerEntryRejectsWrappedRepetend: a one-device chain of two 2-tick
+// stages, the first stage b's predecessor a numbered second, with a's repetend
+// start at math.MaxInt − 1. Unrolled, a's later instances start at wrapped,
+// negative times and its first finish wraps to math.MinInt, which b's starts
+// read as long past; the device's span from b's start wrapped below the
+// period. So the repetend validated and would have served every N but the
+// recorded one; DecodePeerEntry refuses the start.
+func TestPeerEntryRejectsWrappedRepetend(t *testing.T) {
+	stage := func(name string) sched.Stage {
+		return sched.Stage{Name: name, Kind: sched.Forward, Time: 2, Devices: []sched.DeviceID{0}}
+	}
+	p := &sched.Placement{Name: "chain", NumDevices: 1, Deps: [][]int{{}, {0}}, Stages: []sched.Stage{stage("b"), stage("a")}}
+	src, _ := warmEngine(t, Options{}, p)
+	key := cachedKey(t, src)
+	data, _, err := src.EncodePeerEntry(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) {
+		entry.Repetend = snapshotRepetend{Assign: []int{0, 1}, NR: 2, Starts: []int{0, math.MaxInt - 1}, Period: 4}
+	})
+	if _, err := DecodePeerEntry(key, bytes.NewReader(wrapped)); err == nil || !strings.Contains(err.Error(), "start outside") {
+		t.Fatalf("DecodePeerEntry of a repetend starting at math.MaxInt − 1: err %v", err)
+	}
+}
+
 // TestSnapshotNeverOverwritesLive: restoring into an engine that already
 // holds a key must keep the live result — a late restore cannot clobber
 // fresher state.
@@ -630,6 +669,8 @@ func TestDecodeRepetendRejects(t *testing.T) {
 		{"N_R above the sweep's cap", snapshotRepetend{Assign: []int{1, 0, 0}, NR: 5, Starts: []int{0, 1, 0}, Period: 2}, sched.Unbounded, "outside [1,4]"},
 		// Two instances interleave on device 0, but the next ones collide.
 		{"span beyond the period", snapshotRepetend{Assign: []int{0, 0, 0}, NR: 1, Starts: []int{0, 3, 1}, Period: 2}, sched.Unbounded, "spans 4"},
+		// Valid, but no solve returns a period above one micro-batch's work, 3.
+		{"period beyond the work", snapshotRepetend{Assign: []int{1, 0, 0}, NR: 2, Starts: []int{0, 1, 0}, Period: 4}, sched.Unbounded, "outside [1,3]"},
 	} {
 		_, err := decodeRepetend(p, &c.sr, 4, c.memory)
 		if (c.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -206,17 +207,18 @@ func EncodeItems(s *Schedule) []ItemJSON {
 }
 
 // DecodeItems rebuilds a sorted schedule over p from wire items, checking
-// that each references a valid stage and has no negative coordinate (full
-// constraint validation is the caller's choice, since the items may hold a
-// partial phase).
+// that each references a valid stage, has no negative coordinate and starts
+// by math.MaxInt − MaxStageTime, so that its finish time cannot wrap negative
+// and pass every constraint that reads it. Full constraint validation is the
+// caller's choice, since the items may hold a partial phase.
 func DecodeItems(p *Placement, items []ItemJSON) (*Schedule, error) {
 	s := NewSchedule(p)
 	for _, it := range items {
 		if it.Stage < 0 || it.Stage >= p.K() {
 			return nil, fmt.Errorf("sched: item references stage %d outside [0,%d)", it.Stage, p.K())
 		}
-		if it.Micro < 0 || it.Start < 0 {
-			return nil, fmt.Errorf("sched: item (%d,%d) has negative micro or start", it.Stage, it.Micro)
+		if it.Micro < 0 || it.Start < 0 || it.Start > math.MaxInt-MaxStageTime {
+			return nil, fmt.Errorf("sched: item (%d,%d) has a negative micro or a start outside [0,%d]", it.Stage, it.Micro, math.MaxInt-MaxStageTime)
 		}
 		s.Add(it.Stage, it.Micro, it.Start)
 	}

@@ -75,13 +75,15 @@ func FuzzDecodePlacement(f *testing.F) {
 
 // FuzzDecodeSchedule feeds DecodeSchedule — the reader of schedule files and
 // of every /v1/search response the benchmark verifies — arbitrary bytes. No
-// input may panic, and neither may Validate on an accepted schedule. Every
-// accepted item must reference a stage of the placement and have no negative
-// coordinate, and the schedule must come back from EncodeSchedule and a second
-// decode with the same FingerprintSchedule. The seeds are the M-shape golden
-// schedule, a truncated copy of it, and small schedules with a bad stage, a
-// negative micro-batch or start, a block scheduled twice, a wrong version,
-// and 10^12 devices, for which Validate would exhaust memory.
+// input may panic, and neither may Validate on an accepted schedule, whose
+// verdict must be ReferenceValidate's at both memories. Every accepted item
+// must reference a stage of the placement, have no negative coordinate and
+// end by math.MaxInt, and the schedule must come back from EncodeSchedule and
+// a second decode with the same FingerprintSchedule. The seeds are the
+// M-shape golden schedule, a truncated copy of it, and small schedules with a
+// bad stage, a negative micro-batch or start, a block scheduled twice, a
+// wrong version, 10^12 devices, for which Validate would exhaust memory, and
+// a block ending past math.MaxInt before its successor at t = 0.
 func FuzzDecodeSchedule(f *testing.F) {
 	golden, err := os.ReadFile("testdata/mshape4_n12_schedule.golden.json")
 	if err != nil {
@@ -100,6 +102,7 @@ func FuzzDecodeSchedule(f *testing.F) {
 		`{"version":2,"placement":` + p + `,"items":[]}`,
 		`{"version":1,"placement":` + strings.Replace(p, `"num_devices":2`, `"num_devices":1000000000000`, 1) + `,"items":[]}`,
 		`{"placement":` + p + `,"items":null}`,
+		`{"version":1,"placement":` + p + `,"items":[{"stage":0,"micro":0,"start":9223372036854775807},{"stage":1,"micro":0,"start":0}]}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -109,10 +112,13 @@ func FuzzDecodeSchedule(f *testing.F) {
 			return
 		}
 		for _, mem := range []int{sched.Unbounded, 1} {
-			_ = s.Validate(sched.ValidateOptions{Memory: mem})
+			got, want := s.Validate(sched.ValidateOptions{Memory: mem}), sched.ReferenceValidate(s, sched.ValidateOptions{Memory: mem})
+			if (got == nil) != (want == nil) {
+				t.Fatalf("memory %d: Validate says %v, the reference %v", mem, got, want)
+			}
 		}
 		for _, it := range s.Items {
-			if it.Stage < 0 || it.Stage >= s.P.K() || it.Micro < 0 || it.Start < 0 {
+			if it.Stage < 0 || it.Stage >= s.P.K() || it.Micro < 0 || it.Start < 0 || it.Start+s.P.Stages[it.Stage].Time < it.Start {
 				t.Fatalf("accepted item %+v of a placement with %d stages", it, s.P.K())
 			}
 		}

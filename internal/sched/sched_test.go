@@ -470,27 +470,35 @@ func TestStageIDByName(t *testing.T) {
 }
 
 // TestBlockIndex fills the index Validate looks dependencies up in with a
-// schedule large enough to collide, and finds every block and no other.
+// schedule of 700 consecutive micro-batches, whose blocks take distinct
+// slots, and with the same schedule's micro-batch indices spread 2048 apart,
+// whose blocks of one stage all start probing at one slot; either way it
+// finds every block and no other.
 func TestBlockIndex(t *testing.T) {
 	p := chain4()
-	s := sequentialSchedule(p, 700)
-	index := newBlockIndex(s.Items)
-	for i := range s.Items {
-		if old, dup := index.add(i); dup {
-			t.Fatalf("item %d reported as a duplicate of %v", i, old)
+	for _, spread := range []int{1, 2048} {
+		s := sequentialSchedule(p, 700)
+		for i := range s.Items {
+			s.Items[i].Micro *= spread
 		}
-	}
-	for i, it := range s.Items {
-		if got, ok := index.find(it.Block); !ok || got != it {
-			t.Fatalf("item %d: found %v, %t", i, got, ok)
+		index := newBlockIndex(s.Items, p.K())
+		for i := range s.Items {
+			if old, dup := index.add(i); dup {
+				t.Fatalf("spread %d: item %d reported as a duplicate of %v", spread, i, old)
+			}
 		}
-		if old, dup := index.add(i); !dup || old != it {
-			t.Fatalf("item %d added twice: %v, %t", i, old, dup)
+		for i, it := range s.Items {
+			if got, ok := index.find(it.Block); !ok || got != it {
+				t.Fatalf("spread %d: item %d: found %v, %t", spread, i, got, ok)
+			}
+			if old, dup := index.add(i); !dup || old != it {
+				t.Fatalf("spread %d: item %d added twice: %v, %t", spread, i, old, dup)
+			}
 		}
-	}
-	for _, b := range []Block{{Stage: 0, Micro: 700}, {Stage: 8, Micro: 0}, {Stage: 3, Micro: -1}} {
-		if got, ok := index.find(b); ok {
-			t.Fatalf("absent block %v found as %v", b, got)
+		for _, b := range []Block{{Stage: 0, Micro: 700 * spread}, {Stage: 8, Micro: 0}, {Stage: 3, Micro: -1}, {Stage: 1, Micro: 699*spread + 1}} {
+			if got, ok := index.find(b); ok {
+				t.Fatalf("spread %d: absent block %v found as %v", spread, b, got)
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -157,6 +159,8 @@ func (s *Schedule) Find(stage, micro int) (Item, bool) {
 
 // deviceItems returns, for each device, the items occupying it, sorted by
 // start time; those of a schedule in item order are sorted as they are built.
+// DeviceItems, PeakMemory and DeviceOrder read these lists; Validate walks
+// the items in place instead of copying them.
 func (s *Schedule) deviceItems() [][]Item {
 	// Counted first, so that the lists are carved from one array.
 	count := make([]int, s.P.NumDevices)
@@ -199,7 +203,7 @@ type ValidateOptions struct {
 	Memory int
 	// InitialMem gives the memory already in use on each device when the
 	// schedule begins (e.g. warmup residue at repetend entry). A nil slice
-	// means all zeros.
+	// means all zeros; a shorter one than NumDevices is an error.
 	InitialMem []int
 	// IgnoreDeps disables the data-dependency check (used when validating a
 	// phase fragment whose predecessors live in an earlier phase).
@@ -209,110 +213,107 @@ type ValidateOptions struct {
 // Validate checks the three constraint families of Equation 1 against the
 // schedule: [1] exclusive execution per device, [2] per-device peak memory,
 // and [3] data dependencies within each micro-batch. It returns nil when
-// the schedule is valid.
+// the schedule is valid. It walks the items in (Start, Stage, Micro) order,
+// which every composition, restore and peer fetch hands it as it stands; any
+// other schedule is checked on a sorted copy, so Items keeps its order.
 func (s *Schedule) Validate(opts ValidateOptions) error {
-	if s.P == nil {
+	p := s.P
+	if p == nil {
 		return fmt.Errorf("schedule has no placement")
 	}
-	// Constraint [1]: exclusivity. On each device, sorted-by-start items
-	// must have non-overlapping [start, start+time) intervals.
-	per := s.deviceItems()
-	for d, items := range per {
-		for i := 1; i < len(items); i++ {
-			prev, cur := items[i-1], items[i]
-			prevEnd := prev.Start + s.P.Stages[prev.Stage].Time
-			if cur.Start < prevEnd {
-				return fmt.Errorf("device %d: blocks %v@t%d and %v@t%d overlap", d, prev.Block, prev.Start, cur.Block, cur.Start)
-			}
+	if opts.InitialMem != nil && len(opts.InitialMem) < p.NumDevices {
+		return fmt.Errorf("initial memory for %d devices, placement has %d", len(opts.InitialMem), p.NumDevices)
+	}
+	items := s.Items
+	if !slices.IsSortedFunc(items, compareItems) {
+		sorted := s.Clone()
+		sorted.Sort()
+		items = sorted.Items
+	}
+	// Constraints [1] and [2], one pass: on each device a block starts no
+	// earlier than the device's previous block ends, and memory, which
+	// changes at block starts only (Equation 1 item [2] sums blocks with
+	// s_B < τ), stays within the capacity after every start.
+	D := p.NumDevices
+	state := make([]int, 3*D)
+	free, last, mem := state[:D], state[D:2*D], state[2*D:] // d's latest block: its end and its position
+	copy(mem, opts.InitialMem)
+	capped := opts.Memory != Unbounded
+	for d, m := range mem {
+		if free[d] = math.MinInt; capped && m > opts.Memory {
+			return fmt.Errorf("device %d: initial memory %d exceeds capacity %d", d, m, opts.Memory)
 		}
 	}
-	// Constraint [2]: memory. Because memory changes at block starts only
-	// (Equation 1 item [2] sums blocks with s_B < τ), the peak on a device
-	// is the max prefix sum of Mem in start order.
-	if opts.Memory != Unbounded {
-		for d, items := range per {
-			mem := 0
-			if opts.InitialMem != nil {
-				mem = opts.InitialMem[d]
+	for i, it := range items {
+		st := &p.Stages[it.Stage]
+		for _, d := range st.Devices {
+			if it.Start < free[d] {
+				prev := items[last[d]]
+				return fmt.Errorf("device %d: blocks %v@t%d and %v@t%d overlap", d, prev.Block, prev.Start, it.Block, it.Start)
 			}
-			if mem > opts.Memory {
-				return fmt.Errorf("device %d: initial memory %d exceeds capacity %d", d, mem, opts.Memory)
-			}
-			for _, it := range items {
-				mem += s.P.Stages[it.Stage].Mem
-				if mem > opts.Memory {
-					return fmt.Errorf("device %d: memory %d exceeds capacity %d after %v starts at t=%d", d, mem, opts.Memory, it.Block, it.Start)
-				}
+			free[d], last[d] = it.Start+st.Time, i
+			if mem[d] += st.Mem; capped && mem[d] > opts.Memory {
+				return fmt.Errorf("device %d: memory %d exceeds capacity %d after %v starts at t=%d", d, mem[d], opts.Memory, it.Block, it.Start)
 			}
 		}
 	}
 	// Constraint [3]: dependencies within each micro-batch.
-	if !opts.IgnoreDeps {
-		index := newBlockIndex(s.Items)
-		for i, it := range s.Items {
-			if old, dup := index.add(i); dup {
-				return fmt.Errorf("block %v scheduled twice (t=%d and t=%d)", it.Block, old.Start, it.Start)
-			}
+	if opts.IgnoreDeps {
+		return nil
+	}
+	x := newBlockIndex(items, p.K())
+	for i, it := range items {
+		j := x.probe(it.Block)
+		if at := x.slots[j]; at != 0 {
+			return fmt.Errorf("block %v scheduled twice (t=%d and t=%d)", it.Block, items[at-1].Start, it.Start)
 		}
-		for _, it := range s.Items {
-			for _, succ := range s.P.Deps[it.Stage] {
-				dep, ok := index.find(Block{Stage: succ, Micro: it.Micro})
-				if !ok {
-					continue // successor not part of this (partial) schedule
-				}
-				if it.Start+s.P.Stages[it.Stage].Time > dep.Start {
-					return fmt.Errorf("dependency violated: %v (ends t=%d) → %v (starts t=%d)",
-						it.Block, it.Start+s.P.Stages[it.Stage].Time, dep.Block, dep.Start)
-				}
+		x.slots[j] = int32(i + 1)
+	}
+	for _, it := range items {
+		end := it.Start + p.Stages[it.Stage].Time
+		for _, succ := range p.Deps[it.Stage] {
+			// A successor no item schedules is not part of this (partial) schedule.
+			if at := x.slots[x.probe(Block{Stage: succ, Micro: it.Micro})]; at != 0 && end > items[at-1].Start {
+				dep := items[at-1]
+				return fmt.Errorf("dependency violated: %v (ends t=%d) → %v (starts t=%d)", it.Block, end, dep.Block, dep.Start)
 			}
 		}
 	}
 	return nil
 }
 
-// blockIndex finds the item that schedules a block. Validate looks up every
-// dependency edge of every item, which a map[Block]Item made the larger half
-// of validating a schedule; this is one array of item positions, open
-// addressed and at most half full.
+// blockIndex finds the item that schedules a block, for Validate's duplicate
+// and dependency checks, its only user. Validate looks up every dependency
+// edge of every item, which a map[Block]Item made the larger half of
+// validating a schedule; this is one array of item positions, open addressed
+// and at most half full.
 type blockIndex struct {
 	items []Item
 	slots []int32 // position in items + 1; 0 marks a free slot
+	shift uint    // the stage count's bit length: a micro-batch's slots are 1<<shift apart
 }
 
-func newBlockIndex(items []Item) blockIndex {
+// newBlockIndex returns the empty index of items over k stages.
+func newBlockIndex(items []Item, k int) blockIndex {
 	size := 4
 	for size < 2*len(items) {
 		size *= 2
 	}
-	return blockIndex{items: items, slots: make([]int32, size)}
+	return blockIndex{items: items, slots: make([]int32, size), shift: uint(bits.Len(uint(max(k, 1) - 1)))}
 }
 
 // probe returns the slot holding block b, or the free slot where it belongs.
+// The probe starts at micro<<shift + stage modulo the table's size, so the
+// blocks of a run of consecutive micro-batches, as every schedule the search
+// builds holds (negative ones after ShiftMicro included), take distinct slots
+// in micro-batch order, and a lookup is one probe near the last. Indices
+// spread far wider than there are items may collide and are probed past.
 func (x blockIndex) probe(b Block) int {
-	h := (uint64(b.Micro)<<20 ^ uint64(b.Stage)) * 0x9E3779B97F4A7C15
-	i := int(h>>33) & (len(x.slots) - 1)
+	i := int(uint(b.Micro)<<x.shift+uint(b.Stage)) & (len(x.slots) - 1)
 	for x.slots[i] != 0 && x.items[x.slots[i]-1].Block != b {
 		i = (i + 1) & (len(x.slots) - 1)
 	}
 	return i
-}
-
-// add indexes items[pos]. If an earlier item schedules the same block it
-// returns that item and true instead.
-func (x blockIndex) add(pos int) (Item, bool) {
-	i := x.probe(x.items[pos].Block)
-	if at := x.slots[i]; at != 0 {
-		return x.items[at-1], true
-	}
-	x.slots[i] = int32(pos + 1)
-	return Item{}, false
-}
-
-func (x blockIndex) find(b Block) (Item, bool) {
-	if at := x.slots[x.probe(b)]; at != 0 {
-		return x.items[at-1], true
-	}
-	return Item{}, false
 }
 
 // PeakMemory returns the peak memory per device under the start-order
