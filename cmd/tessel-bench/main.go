@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	tessel-bench              # run everything (minutes)
+//	tessel-bench              # run everything (about 25 s on 2 cores)
 //	tessel-bench -quick       # reduced sweeps (seconds)
 //	tessel-bench -only fig11  # one experiment
 //

@@ -189,6 +189,11 @@ type searchStatsJSON struct {
 	// MemoHits is the number of solver nodes pruned by the dominance memo
 	// across the repetend instance solves.
 	MemoHits int64 `json:"memo_hits"`
+	// WarmupNodes / CooldownNodes are the solver nodes of the completion's
+	// phase solves, the lazy gate's checks included, which solver_nodes
+	// leaves out.
+	WarmupNodes   int64 `json:"warmup_nodes"`
+	CooldownNodes int64 `json:"cooldown_nodes"`
 	// NodesPerSec is the repetend-phase solver node throughput — the
 	// serving-side health measure of the allocation-free solver core.
 	NodesPerSec float64 `json:"nodes_per_sec"`
@@ -232,6 +237,8 @@ func searchStats(st core.Stats) searchStatsJSON {
 		NRSwept:           st.NRSwept,
 		SolverNodes:       st.SolverNodes,
 		MemoHits:          st.SolverMemoHits,
+		WarmupNodes:       st.WarmupNodes,
+		CooldownNodes:     st.CooldownNodes,
 		NodesPerSec:       st.NodesPerSec(),
 		PeriodProbes:      st.PeriodProbes,
 		PeriodRelaxations: st.PeriodRelaxations,

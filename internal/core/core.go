@@ -162,6 +162,12 @@ type Stats struct {
 	Pruned int
 	// Improved counts strict period improvements.
 	Improved int
+	// WarmupNodes and CooldownNodes are the solver nodes of the completion
+	// solves, which SolverNodes leaves out: the lazy gate's check of every
+	// repetend that would become the best, and the final completion's
+	// time-optimal solves (below N_R, its whole-problem solve counts as
+	// warmup). A solve the completion template replays adds none.
+	WarmupNodes, CooldownNodes int64
 	// Effort is the work of every repetend solve and of the prefix filter,
 	// summed over the sweep; its counters read as Stats fields (SolverNodes,
 	// OrderPruned, …) and encode to JSON in this place, unnested.
@@ -755,87 +761,49 @@ func cooldownBlocks(p *sched.Placement, a repetend.Assignment, reps, n int) []sc
 // checkCompletion implements the lazy-search gate: when lazy search is on,
 // it only asks the solver whether valid warmup and cooldown schedules exist
 // (satisfiability); otherwise it solves them time-optimally — the two modes
-// of §V.
+// of §V. The cooldown is that of N = N_R, from the memory the warmup and one
+// instance leave held. Neither check goes through a completion template, so
+// the time-optimal arm (Figure 10(b)'s eager search) pays for every solve.
 func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repetend, opts Options, stats *Stats) (bool, error) {
-	warm := warmupBlocks(p, r.Assign)
-	cool := cooldownBlocks(p, r.Assign, 1, r.NR)
-	solveOpts := solver.Options{
-		NumDevices:  p.NumDevices,
-		Memory:      opts.Memory,
-		MaxNodes:    opts.SolverNodes,
-		Timeout:     opts.SolverTimeout,
-		SatisfyOnly: !opts.DisableLazy,
-	}
-	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Warmup telemetry, never schedule bytes
-	t0 := time.Now()
-	warmOK, warmTrunc, err := phaseFeasible(ctx, p, warm, nil, nil, solveOpts)
-	stats.Phase.Warmup += time.Since(t0)
-	if warmTrunc {
-		stats.Truncated = true
-	}
-	if err != nil || !warmOK {
-		return false, err
-	}
-	// The cooldown check runs with the post-warmup/repetend memory state.
-	initMem := make([]int, p.NumDevices)
-	for i := range p.Stages {
-		for _, d := range p.Stages[i].Devices {
-			initMem[d] += (r.Assign[i] + 1) * p.Stages[i].Mem
+	for _, ph := range []phase{
+		{blocks: warmupBlocks(p, r.Assign)},
+		{blocks: cooldownBlocks(p, r.Assign, 1, r.NR), initMem: repetend.EntryMemory(p, r.Assign, 1), cooldown: true},
+	} {
+		_, _, err := solvePhase(ctx, p, ph, !opts.DisableLazy, opts, nil, stats)
+		if errors.Is(err, errInfeasible) {
+			return false, nil
 		}
-	}
-	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Cooldown telemetry, never schedule bytes
-	t1 := time.Now()
-	coolOK, coolTrunc, err := phaseFeasible(ctx, p, cool, initMem, nil, solveOpts)
-	stats.Phase.Cooldown += time.Since(t1)
-	if coolTrunc {
-		stats.Truncated = true
-	}
-	if err != nil || !coolOK {
-		return false, err
+		if err != nil {
+			return false, err
+		}
 	}
 	return true, nil
 }
 
-// phaseFeasible reports whether the blocks admit a valid phase schedule.
-// truncated is true when the verdict was reached after a solver budget ran
-// out, so a false answer is budget-degraded rather than proven.
-func phaseFeasible(ctx context.Context, p *sched.Placement, blocks []sched.Block, initMem, deviceReady []int, opts solver.Options) (ok, truncated bool, err error) {
-	if len(blocks) == 0 {
-		return true, false, nil
-	}
-	tasks, err := solver.BuildTasks(p, blocks, nil)
-	if err != nil {
-		return false, false, err
-	}
-	opts.InitialMem = initMem
-	opts.DeviceReady = deviceReady
-	res, err := solver.Solve(ctx, tasks, opts)
-	if err != nil {
-		return false, false, err
-	}
-	return res.Feasible, !res.Optimal, nil
-}
-
-// complete builds the final N-micro-batch schedule around the repetend:
-// time-optimal warmup, R = N − N_R + 1 unrolled instances compacted against
-// the warmup, and a time-optimal cooldown released by repetend finishes.
+// completeSchedule builds the final N-micro-batch schedule around the
+// repetend: time-optimal warmup, R = N − N_R + 1 unrolled instances compacted
+// against the warmup, and a time-optimal cooldown released by repetend
+// finishes. Below N_R it is one time-optimal solve of the whole problem,
+// TimeOptimal's instance.
 //
 // Phase solves go through tmpl, the completion template of the search result
-// the repetend belongs to (res itself in Search, the extended result in
-// Extend).
+// the repetend belongs to (res itself in Search, the result Extend extends),
+// so a repeat of the same instance, the same small N included, costs no
+// solve.
 func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n int, opts Options, tmpl *template) error {
 	p := res.Placement
 	if n < r.NR {
-		return completeDirect(ctx, res, n, opts, tmpl)
+		full, _, err := solvePhase(ctx, p, phase{blocks: solver.AllBlocks(p, n)}, false, opts, tmpl, &res.Stats)
+		if err != nil {
+			return fmt.Errorf("time-optimal solve of %s with %d micro-batches: %w", p.Name, n, err)
+		}
+		res.Warmup, res.Body, res.Cooldown, res.Full = sched.NewSchedule(p), full, sched.NewSchedule(p), full
+		return nil
 	}
 	reps := n - r.NR + 1
 
 	// Warmup: time-optimal solve from t=0.
-	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Warmup telemetry, never schedule bytes
-	warmStart := time.Now()
-	warm := warmupBlocks(p, r.Assign)
-	warmSched, err := solvePhase(ctx, p, warm, nil, nil, nil, opts, &res.Stats, tmpl)
-	res.Stats.Phase.Warmup += time.Since(warmStart)
+	warmSched, _, err := solvePhase(ctx, p, phase{blocks: warmupBlocks(p, r.Assign)}, false, opts, tmpl, &res.Stats)
 	if err != nil {
 		return fmt.Errorf("warmup: %w", err)
 	}
@@ -889,9 +857,8 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	// Body: unrolled instances at offset delta.
 	body := r.Unroll(reps).Shift(delta)
 
-	// Cooldown: released by warmup/body finishes.
-	//tessel:waive:determinism wall-clock feeds only the Stats.Phase.Cooldown telemetry, never schedule bytes
-	coolStart := time.Now()
+	// Cooldown: released by warmup/body finishes, from the memory the warmup
+	// and the body leave held.
 	cool := cooldownBlocks(p, r.Assign, reps, n)
 	deviceReady := append([]int(nil), lastW...)
 	for _, it := range body.Items {
@@ -924,14 +891,7 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 			}
 		}
 	}
-	initMem := make([]int, p.NumDevices)
-	for i := range p.Stages {
-		for _, d := range p.Stages[i].Devices {
-			initMem[d] += (r.Assign[i] + reps) * p.Stages[i].Mem
-		}
-	}
-	coolSched, err := solvePhase(ctx, p, cool, releases, initMem, deviceReady, opts, &res.Stats, tmpl)
-	res.Stats.Phase.Cooldown += time.Since(coolStart)
+	coolSched, _, err := solvePhase(ctx, p, phase{blocks: cool, releases: releases, initMem: repetend.EntryMemory(p, r.Assign, reps), ready: deviceReady, cooldown: true}, false, opts, tmpl, &res.Stats)
 	if err != nil {
 		return fmt.Errorf("cooldown: %w", err)
 	}
@@ -945,33 +905,42 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	return nil
 }
 
-// completeDirect handles N < N_R with a whole-problem time-optimal solve —
-// TimeOptimal's instance, solved as one phase so that the template holds it:
-// a repeat of the same small N costs no solve either.
-func completeDirect(ctx context.Context, res *Result, n int, opts Options, tmpl *template) error {
-	p := res.Placement
-	full, err := solvePhase(ctx, p, solver.AllBlocks(p, n), nil, nil, nil, opts, &res.Stats, tmpl)
-	if err != nil {
-		return fmt.Errorf("time-optimal solve of %s with %d micro-batches: %w", p.Name, n, err)
-	}
-	res.Warmup = sched.NewSchedule(p)
-	res.Body = full
-	res.Cooldown = sched.NewSchedule(p)
-	res.Full = full
-	return nil
+// phase is one solver instance of a completion: its blocks, the release time
+// of each block a block outside the phase precedes, and the memory held and
+// the time each device is free when it begins (nil: none held, every device
+// free at 0). A cooldown's solve counts as such in Stats; every other one, a
+// whole-problem solve included, as a warmup's.
+type phase struct {
+	blocks         []sched.Block
+	releases       map[sched.Block]int
+	initMem, ready []int
+	cooldown       bool
 }
 
-// solvePhase runs a time-optimal solve of the given blocks, which it puts in
-// solver task order, and returns their schedule. A budget-degraded
-// (non-optimal) solve marks stats as truncated. A solve that its instance
-// alone determines — proven optimal, or cut short by the node budget — is
-// stored in tmpl, and an instance tmpl already holds is answered from it
-// without being built or solved.
-func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, initMem, deviceReady []int, opts Options, stats *Stats, tmpl *template) (*sched.Schedule, error) {
+// errInfeasible is the verdict on a phase that no schedule satisfies.
+var errInfeasible = errors.New("phase infeasible")
+
+// solvePhase is the one way into the solver from this package: the lazy
+// gate's checks, a completion's warmup and cooldown, the whole-problem solve
+// below N_R, and TimeOptimal. It puts the phase's blocks in solver task order
+// and solves them time-optimally, or only to the first valid schedule when
+// satisfy is set, and returns their schedule and the solver's result; a phase
+// with no valid schedule returns errInfeasible and no schedule.
+//
+// With stats, the solve's nodes and time add to the phase's counters and a
+// budget-degraded solve marks the search truncated. With tmpl, a time-optimal
+// solve that its instance alone determines — proven optimal, or cut short by
+// the node budget — is stored there, and an instance tmpl already holds is
+// answered from it without being built or solved (no nodes). A satisfying
+// schedule is never stored: it is not the optimum a replay stands for.
+func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool, opts Options, tmpl *template, stats *Stats) (*sched.Schedule, solver.Result, error) {
 	s := sched.NewSchedule(p)
-	if len(blocks) == 0 {
-		return s, nil
+	if len(ph.blocks) == 0 {
+		return s, solver.Result{Feasible: true, Optimal: true}, nil
 	}
+	//tessel:waive:determinism wall-clock feeds only the Stats.Phase telemetry, never schedule bytes
+	t0 := time.Now()
+	blocks := ph.blocks
 	//tessel:totalorder (Micro, Stage) is unique per block (BuildTasks rejects duplicates)
 	slices.SortFunc(blocks, func(a, b sched.Block) int {
 		return cmp.Or(cmp.Compare(a.Micro, b.Micro), cmp.Compare(a.Stage, b.Stage))
@@ -979,46 +948,54 @@ func solvePhase(ctx context.Context, p *sched.Placement, blocks []sched.Block, r
 	solveOpts := solver.Options{
 		NumDevices:  p.NumDevices,
 		Memory:      opts.Memory,
-		InitialMem:  initMem,
-		DeviceReady: deviceReady,
+		InitialMem:  ph.initMem,
+		DeviceReady: ph.ready,
 		MaxNodes:    opts.SolverNodes,
 		Timeout:     opts.SolverTimeout,
+		SatisfyOnly: satisfy,
 	}
-	var starts []int
-	memo, base := tmpl.lookup(blocks, releases, solveOpts)
+	var memo *phaseMemo
+	base := 0
+	if tmpl != nil {
+		memo, base = tmpl.lookup(blocks, ph.releases, solveOpts)
+	}
+	var res solver.Result
 	if memo != nil {
-		starts = memo.starts
-		stats.Truncated = stats.Truncated || memo.truncated
+		res = solver.Result{Feasible: true, Optimal: !memo.truncated, Starts: memo.starts}
 	} else {
-		tasks, err := solver.BuildTasks(p, blocks, releases)
+		tasks, err := solver.BuildTasks(p, blocks, ph.releases)
 		if err != nil {
-			return nil, err
+			return nil, res, err
 		}
-		sres, err := solver.Solve(ctx, tasks, solveOpts)
-		if err != nil {
-			return nil, err
+		if res, err = solver.Solve(ctx, tasks, solveOpts); err != nil {
+			return nil, res, err
 		}
-		if !sres.Optimal {
-			stats.Truncated = true
-		}
-		if !sres.Feasible {
-			return nil, errors.New("phase infeasible")
-		}
-		starts = sres.Starts
 		// A solve the node budget ended stopped where it did on the instance's
 		// account alone and would stop there again. The solver checks the node
 		// budget before the clock, so reaching it means the clock did not stop
 		// the solve.
-		if sres.Optimal || solveOpts.MaxNodes > 0 && sres.Nodes >= solveOpts.MaxNodes {
-			tmpl.store(blocks, releases, solveOpts, starts, !sres.Optimal)
+		if tmpl != nil && !satisfy && res.Feasible && (res.Optimal || solveOpts.MaxNodes > 0 && res.Nodes >= solveOpts.MaxNodes) {
+			tmpl.store(blocks, ph.releases, solveOpts, res.Starts, !res.Optimal)
 		}
+	}
+	if stats != nil {
+		nodes, took := &stats.WarmupNodes, &stats.Phase.Warmup
+		if ph.cooldown {
+			nodes, took = &stats.CooldownNodes, &stats.Phase.Cooldown
+		}
+		*nodes += res.Nodes
+		*took += time.Since(t0)
+		stats.Truncated = stats.Truncated || !res.Optimal
+	}
+	if !res.Feasible {
+		return nil, res, errInfeasible
 	}
 	s.Items = make([]sched.Item, len(blocks))
 	for i, b := range blocks {
-		s.Items[i] = sched.Item{Block: b, Start: base + starts[i]}
+		s.Items[i] = sched.Item{Block: b, Start: base + res.Starts[i]}
 	}
 	s.Sort()
-	return s, nil
+	return s, res, nil
 }
 
 // TimeOptimal solves the whole N-micro-batch problem exactly — the "TO"
@@ -1031,26 +1008,9 @@ func TimeOptimal(ctx context.Context, p *sched.Placement, n int, opts Options) (
 	if n < 0 {
 		return nil, solver.Result{}, fmt.Errorf("core: micro-batch count must be non-negative, got %d", n)
 	}
-	opts = opts.Resolve(p)
-	tasks, err := solver.BuildTasks(p, solver.AllBlocks(p, n), nil)
-	if err != nil {
-		return nil, solver.Result{}, err
+	s, res, err := solvePhase(ctx, p, phase{blocks: solver.AllBlocks(p, n)}, false, opts.Resolve(p), nil, nil)
+	if errors.Is(err, errInfeasible) {
+		err = fmt.Errorf("time-optimal solve infeasible for %s with %d micro-batches", p.Name, n)
 	}
-	res, err := solver.Solve(ctx, tasks, solver.Options{
-		NumDevices: p.NumDevices,
-		Memory:     opts.Memory,
-		MaxNodes:   opts.SolverNodes,
-		Timeout:    opts.SolverTimeout,
-	})
-	if err != nil {
-		return nil, res, err
-	}
-	if !res.Feasible {
-		return nil, res, fmt.Errorf("time-optimal solve infeasible for %s with %d micro-batches", p.Name, n)
-	}
-	s, err := solver.ToSchedule(p, tasks, res)
-	if err != nil {
-		return nil, res, err
-	}
-	return s, res, nil
+	return s, res, err
 }

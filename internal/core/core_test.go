@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -253,6 +254,57 @@ func TestTimeOptimalMatchesKnownOptimum(t *testing.T) {
 	}
 	if err := s.Validate(sched.ValidateOptions{Memory: sched.Unbounded}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTimeOptimalEdges: no micro-batches is the empty schedule, proven; a
+// memory cap below a single forward's footprint is an error that names the
+// placement and the micro-batch count.
+func TestTimeOptimalEdges(t *testing.T) {
+	p := shape(t, "v-shape", 4)
+	s, res, err := TimeOptimal(context.Background(), p, 0, Options{})
+	if err != nil || s == nil || s.Len() != 0 || !res.Feasible || !res.Optimal {
+		t.Fatalf("n = 0: schedule %v, result %+v, err %v; want an empty schedule, feasible and optimal", s, res, err)
+	}
+	shapes, err := placement.Shapes(placement.Config{Devices: 4, FwdMem: 2, BwdMem: -2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p = shapes["v-shape"]
+	s, _, err = TimeOptimal(context.Background(), p, 3, Options{Memory: 1})
+	if err == nil || s != nil || !strings.Contains(err.Error(), p.Name) || !strings.Contains(err.Error(), "3 micro-batches") {
+		t.Fatalf("memory 1 under forwards of 2: schedule %v, err %v; want an error naming %q and 3 micro-batches", s, err, p.Name)
+	}
+}
+
+// TestCompletionNodes pins the completion's solver work at Workers 1, N = 12:
+// the lazy gate's checks of every repetend that became the best and the
+// final warmup and cooldown solves, none of which SolverNodes counts. On the
+// paper's mT5 shape (nn-shape) the warmup's optimality proof is most of a
+// cold search. An Extend that the completion template answers adds nothing.
+func TestCompletionNodes(t *testing.T) {
+	for _, c := range []struct {
+		shape                    string
+		warmup, cooldown, solver int64
+	}{
+		{"nn-shape", 270915, 145, 392},
+		{"m-shape", 470, 224, 90},
+	} {
+		res, err := Search(context.Background(), shape(t, c.shape, 4), Options{N: 12, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := res.Stats; st.WarmupNodes != c.warmup || st.CooldownNodes != c.cooldown || st.SolverNodes != c.solver {
+			t.Errorf("%s: warmup %d, cooldown %d, repetend %d nodes; want %d, %d, %d",
+				c.shape, st.WarmupNodes, st.CooldownNodes, st.SolverNodes, c.warmup, c.cooldown, c.solver)
+		}
+		ext, err := Extend(context.Background(), res, 12, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext.Stats.WarmupNodes != 0 || ext.Stats.CooldownNodes != 0 {
+			t.Errorf("%s: a replayed completion counted %d warmup and %d cooldown nodes", c.shape, ext.Stats.WarmupNodes, ext.Stats.CooldownNodes)
+		}
 	}
 }
 

@@ -52,6 +52,9 @@ func TestCacheHitSkipsSearch(t *testing.T) {
 	if cold.Stats.PeriodProbes == 0 || cold.Stats.PeriodRelaxations == 0 {
 		t.Fatalf("cold search reported no period-machinery effort: %+v", cold.Stats)
 	}
+	if cold.Stats.WarmupNodes == 0 || cold.Stats.CooldownNodes == 0 {
+		t.Fatalf("cold search reported no completion effort: %+v", cold.Stats)
+	}
 
 	warm, info, err := e.Search(ctx, p, core.Options{N: 8})
 	if err != nil {

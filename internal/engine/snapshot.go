@@ -379,7 +379,7 @@ func decodeRepetend(p *sched.Placement, sr *snapshotRepetend, maxNR, memory int)
 		return nil, fmt.Errorf("repetend period %d outside [1,%d] or a start outside [0,2^58) in %v", sr.Period, work, sr.Starts)
 	}
 	r := &repetend.Repetend{P: p, Assign: a, NR: sr.NR, Starts: sr.Starts, Period: sr.Period, Truncated: sr.Truncated}
-	if err := r.Unroll(r.NR + 1).Validate(sched.ValidateOptions{Memory: memory, InitialMem: repetend.EntryMemory(p, a)}); err != nil {
+	if err := r.Unroll(r.NR + 1).Validate(sched.ValidateOptions{Memory: memory, InitialMem: repetend.EntryMemory(p, a, 0)}); err != nil {
 		return nil, fmt.Errorf("repetend invalid: %w", err)
 	}
 	for d := 0; d < p.NumDevices; d++ {

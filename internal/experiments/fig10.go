@@ -16,6 +16,10 @@ type Fig10Row struct {
 	// WarmupFrac/RepetendFrac/CooldownFrac decompose the search time
 	// (Figure 10(a)).
 	WarmupFrac, RepetendFrac, CooldownFrac float64
+	// WarmupNodes and RepetendNodes are the solver nodes behind the split:
+	// core.Stats.WarmupNodes and SolverNodes, the same on every run at one
+	// Workers setting.
+	WarmupNodes, RepetendNodes int64
 	// LazyTime and EagerTime are total search times with and without the
 	// lazy-search optimization (Figure 10(b)).
 	LazyTime, EagerTime time.Duration
@@ -53,13 +57,15 @@ func Fig10(ctx context.Context, m Mode) (*Fig10Result, error) {
 			total = time.Nanosecond
 		}
 		res.Rows = append(res.Rows, Fig10Row{
-			Model:        name,
-			WarmupFrac:   float64(ph.Warmup) / float64(total),
-			RepetendFrac: float64(ph.Repetend) / float64(total),
-			CooldownFrac: float64(ph.Cooldown) / float64(total),
-			LazyTime:     lazy.Stats.Total,
-			EagerTime:    eager.Stats.Total,
-			SamePeriod:   lazy.Repetend.Period == eager.Repetend.Period,
+			Model:         name,
+			WarmupFrac:    float64(ph.Warmup) / float64(total),
+			RepetendFrac:  float64(ph.Repetend) / float64(total),
+			CooldownFrac:  float64(ph.Cooldown) / float64(total),
+			WarmupNodes:   lazy.Stats.WarmupNodes,
+			RepetendNodes: lazy.Stats.SolverNodes,
+			LazyTime:      lazy.Stats.Total,
+			EagerTime:     eager.Stats.Total,
+			SamePeriod:    lazy.Repetend.Period == eager.Repetend.Period,
 		})
 	}
 	return res, nil
@@ -69,12 +75,12 @@ func Fig10(ctx context.Context, m Mode) (*Fig10Result, error) {
 func (r *Fig10Result) String() string {
 	var b strings.Builder
 	b.WriteString(header("Figure 10: search time breakdown and lazy-search ablation"))
-	fmt.Fprintf(&b, "%-8s %-9s %-9s %-9s %-10s %-12s %-10s %s\n",
-		"model", "warmup", "repetend", "cooldown", "lazy", "w/o lazy", "rel", "same result")
+	fmt.Fprintf(&b, "%-8s %-9s %-9s %-9s %-13s %-13s %-10s %-12s %-10s %s\n",
+		"model", "warmup", "repetend", "cooldown", "warmup nodes", "rep. nodes", "lazy", "w/o lazy", "rel", "same result")
 	for _, row := range r.Rows {
 		rel := float64(row.EagerTime) / float64(maxDuration(row.LazyTime, time.Microsecond))
-		fmt.Fprintf(&b, "%-8s %-9s %-9s %-9s %-10s %-12s %-10s %v\n",
-			row.Model, pct(row.WarmupFrac), pct(row.RepetendFrac), pct(row.CooldownFrac),
+		fmt.Fprintf(&b, "%-8s %-9s %-9s %-9s %-13d %-13d %-10s %-12s %-10s %v\n",
+			row.Model, pct(row.WarmupFrac), pct(row.RepetendFrac), pct(row.CooldownFrac), row.WarmupNodes, row.RepetendNodes,
 			fmtDuration(row.LazyTime), fmtDuration(row.EagerTime),
 			fmt.Sprintf("%.2fx", rel), row.SamePeriod)
 	}

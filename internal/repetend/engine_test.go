@@ -211,7 +211,7 @@ func TestPeriodEngineMatchesReference(t *testing.T) {
 		if err := a.Validate(p, 0); err != nil {
 			t.Fatalf("iter %d: generator broke property 4.2: %v", iter, err)
 		}
-		entry := EntryMemory(p, a)
+		entry := EntryMemory(p, a, 0)
 		starts := randomStarts(rng, p.K())
 		orders := ordersFromStarts(p, starts)
 		ref := newRefInstance(p, a, entry, sched.Unbounded)
@@ -269,7 +269,7 @@ func TestLocalSearchMatchesReference(t *testing.T) {
 	for iter := 0; iter < 250; iter++ {
 		p := randomPlacement(rng)
 		a := randomAssignment(rng, p)
-		entry := EntryMemory(p, a)
+		entry := EntryMemory(p, a, 0)
 		mem := sched.Unbounded
 		if rng.Intn(2) == 0 {
 			mem = 4 + rng.Intn(8)
@@ -347,7 +347,7 @@ func TestLocalSearchSwapUndoInvariants(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		p := randomPlacement(rng)
 		a := randomAssignment(rng, p)
-		entry := EntryMemory(p, a)
+		entry := EntryMemory(p, a, 0)
 		starts := randomTopoStarts(rng, p, a)
 		if iter%3 == 0 {
 			starts = randomStarts(rng, p.K())
@@ -392,7 +392,7 @@ func TestLocalSearchCancellationMidPass(t *testing.T) {
 	for iter := 0; iter < 200 && !exercised; iter++ {
 		p := randomPlacement(rng)
 		a := randomAssignment(rng, p)
-		entry := EntryMemory(p, a)
+		entry := EntryMemory(p, a, 0)
 		starts := randomTopoStarts(rng, p, a)
 		// Dry run: count candidates; only cases with ≥ 2 are interesting.
 		dry := 0
@@ -485,7 +485,7 @@ func TestOrdersFromStartsTieBreak(t *testing.T) {
 func TestMinPeriodSteadyStateAllocs(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	entry := EntryMemory(p, a)
+	entry := EntryMemory(p, a, 0)
 	starts := []int{0, 1, 2, 3, 4, 6, 8, 10}
 	e := &periodEngine{}
 	var buf []int
@@ -516,7 +516,7 @@ func TestMinPeriodSteadyStateAllocs(t *testing.T) {
 func TestLocalSearchSteadyStateAllocs(t *testing.T) {
 	p := vshape(t, 4)
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	entry := EntryMemory(p, a)
+	entry := EntryMemory(p, a, 0)
 	// Deliberately suboptimal (but dependency-consistent) initial orders:
 	// every backward runs before its device's forward, so local search has
 	// real swapping to do.
@@ -612,15 +612,15 @@ func TestEngineShapeFollowsPlacement(t *testing.T) {
 	p, q := vshape(t, 4), vshape(t, 2)
 	a, b := Assignment{3, 2, 1, 0, 0, 0, 0, 0}, Assignment{1, 0, 0, 0}
 	e := &periodEngine{}
-	e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
 	e.buildWindow()
-	e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
 	if e.p != p || !e.winBuilt {
 		t.Fatal("a second bind of the same placement rebuilt its shape")
 	}
-	e.bind(q, b, EntryMemory(q, b), sched.Unbounded)
+	e.bind(q, b, EntryMemory(q, b, 0), sched.Unbounded)
 	fresh := &periodEngine{}
-	fresh.bind(q, b, EntryMemory(q, b), sched.Unbounded)
+	fresh.bind(q, b, EntryMemory(q, b, 0), sched.Unbounded)
 	if e.p != q || e.winBuilt || e.k != fresh.k || e.lower != fresh.lower || e.hiSum != fresh.hiSum ||
 		!equalInts(e.devStages, fresh.devStages) || !equalInts(e.devHead, fresh.devHead) ||
 		!equalInts(e.statTo, fresh.statTo) || !equalInts(e.statHead, fresh.statHead) {

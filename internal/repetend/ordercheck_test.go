@@ -132,7 +132,7 @@ func TestOrderCheckMatchesBruteForce(t *testing.T) {
 	e := &periodEngine{}
 	instances, skipped, verdicts, beyondRelaxation, branched := 0, 0, [2]int{}, 0, 0
 	run := func(p *sched.Placement, a Assignment, what string) {
-		e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+		e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
 		if orderCombinations(e, maxCombinations) > maxCombinations {
 			skipped++
 			return
@@ -194,7 +194,7 @@ func TestOrderCheckSteadyStateAllocs(t *testing.T) {
 	var a Assignment
 	for nr := 1; nr <= 6 && a == nil; nr++ {
 		if _, err := Enumerate(p, nr, func(c Assignment) bool {
-			e.bind(p, c, EntryMemory(p, c), sched.Unbounded)
+			e.bind(p, c, EntryMemory(p, c, 0), sched.Unbounded)
 			if e.relaxedFeasible(e.lower) && e.orderCheck(e.lower) == orderInfeasible && e.ordNodes >= 8 {
 				a = c
 			}
@@ -206,7 +206,7 @@ func TestOrderCheckSteadyStateAllocs(t *testing.T) {
 	if a == nil {
 		t.Fatal("no m4 assignment whose check branches; the test needs another placement")
 	}
-	entry := EntryMemory(p, a)
+	entry := EntryMemory(p, a, 0)
 	if n := testing.AllocsPerRun(50, func() {
 		e.bind(p, a, entry, sched.Unbounded)
 		e.orderCheck(e.lower)

@@ -164,7 +164,7 @@ func TestPrefixFilterLeafIdentity(t *testing.T) {
 			var want []Assignment
 			if _, err := Enumerate(p, nr, func(a Assignment) bool {
 				leaves++
-				e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+				e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
 				if e.orderCheck(bound) != orderInfeasible {
 					want = append(want, a)
 				}
@@ -446,7 +446,7 @@ func TestOrderCheckStageCap(t *testing.T) {
 		t.Fatalf("order check ran on %d stages: %+v", p.K(), eff)
 	}
 	e := &periodEngine{}
-	e.bind(p, a, EntryMemory(p, a), sched.Unbounded)
+	e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
 	if v := e.orderCheck(e.lower); v != orderUndecided || cap(e.ordMat) != 0 {
 		t.Fatalf("order check on %d stages: verdict %d, matrix of %d ints", p.K(), v, cap(e.ordMat))
 	}

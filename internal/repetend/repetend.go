@@ -163,15 +163,16 @@ func Count(p *sched.Placement, nr int) (int, error) {
 	return n, nil
 }
 
-// EntryMemory returns the per-device memory in use when a steady-state
-// repetend instance begins: for each stage i, the r_i earlier micro-batches
-// of that stage have already started, each contributing Mem (§IV-B,
-// "infer the memory usage at the entry of the repetend").
-func EntryMemory(p *sched.Placement, a Assignment) []int {
+// EntryMemory returns the per-device memory in use when instance k of the
+// repetend begins: for each stage i, the r_i + k earlier micro-batches of
+// that stage have already started, each contributing Mem. k = 0 is the entry
+// of the repetend (§IV-B, "infer the memory usage at the entry of the
+// repetend"); k = R, after R instances, is the entry of the cooldown.
+func EntryMemory(p *sched.Placement, a Assignment, k int) []int {
 	mem := make([]int, p.NumDevices)
 	for i := range p.Stages {
 		for _, d := range p.Stages[i].Devices {
-			mem[d] += a[i] * p.Stages[i].Mem
+			mem[d] += (a[i] + k) * p.Stages[i].Mem
 		}
 	}
 	return mem
@@ -359,7 +360,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 	if mem == 0 {
 		mem = sched.Unbounded
 	}
-	entry := EntryMemory(p, a)
+	entry := EntryMemory(p, a, 0)
 	for d, m := range entry {
 		if m > mem {
 			return nil, fmt.Errorf("%w: entry memory %d on device %d exceeds %d", ErrInfeasible, m, d, mem)
@@ -448,7 +449,7 @@ func RelaxedPeriod(p *sched.Placement, a Assignment, memory int, eff *Effort) in
 	if memory == 0 {
 		memory = sched.Unbounded
 	}
-	entry := EntryMemory(p, a)
+	entry := EntryMemory(p, a, 0)
 	for _, m := range entry {
 		if m > memory {
 			return math.MaxInt

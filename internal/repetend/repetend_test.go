@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,12 +150,20 @@ func TestEntryMemory(t *testing.T) {
 	p := vshape(t, 4)
 	// 1F1B-like assignment: f indices 3,2,1,0; b indices all 0.
 	a := Assignment{3, 2, 1, 0, 0, 0, 0, 0}
-	mem := EntryMemory(p, a)
+	mem := EntryMemory(p, a, 0)
 	want := []int{3, 2, 1, 0} // r_i forwards (+1 each) started, no backwards
 	for d := range want {
 		if mem[d] != want[d] {
 			t.Fatalf("device %d entry = %d, want %d", d, mem[d], want[d])
 		}
+	}
+	// Instance k begins with k more micro-batches of every stage started:
+	// with backwards that free nothing, k more forwards held per device.
+	for i := range p.Stages {
+		p.Stages[i].Mem = max(p.Stages[i].Mem, 0)
+	}
+	if got, want := EntryMemory(p, a, 2), []int{5, 4, 3, 2}; !slices.Equal(got, want) {
+		t.Fatalf("entry of instance 2 = %v, want %v", got, want)
 	}
 }
 
@@ -342,7 +351,7 @@ func TestSolvedRepetendsAlwaysUnrollValid(t *testing.T) {
 			return false
 		}
 		s := r.Unroll(3)
-		if err := s.Validate(sched.ValidateOptions{Memory: mem, InitialMem: EntryMemory(p, r.Assign)}); err != nil {
+		if err := s.Validate(sched.ValidateOptions{Memory: mem, InitialMem: EntryMemory(p, r.Assign, 0)}); err != nil {
 			t.Logf("seed %d shape %s assign %v: %v", seed, p.Name, a, err)
 			return false
 		}

@@ -469,11 +469,51 @@ func TestStageIDByName(t *testing.T) {
 	}
 }
 
+// TestBlockIndexCostFollowsItems: however a schedule's micro-batch indices
+// are spread, offset or ordered, filling the index the way Validate does
+// costs a few probe steps per item, where a probe cluster as long as the
+// schedule costs a number of steps that grows with its square: spreads of
+// 2,048 and wider took 15.7 million steps, 2,800 per item, when the start
+// slot dropped a key's bits above the table size. Consecutive
+// micro-batches from the first item's on take distinct home slots in order,
+// at no step at all.
+func TestBlockIndexCostFollowsItems(t *testing.T) {
+	p := chain4()
+	for _, spread := range []int{1, -1, 2, 3, 7, 1023, 2047, 2048, 2049, 1<<20 - 1, 1 << 20, 1 << 40} {
+		for _, offset := range []int{0, -350, 1e6, -1e6} {
+			s := sequentialSchedule(p, 700)
+			for i := range s.Items {
+				s.Items[i].Micro = s.Items[i].Micro*spread + offset
+			}
+			x := newBlockIndex(s.Items, p.K())
+			steps, last := 0, -1
+			for i, it := range s.Items {
+				home, j := x.home(it.Block), x.probe(it.Block)
+				if x.slots[j] != 0 {
+					t.Fatalf("spread %d, offset %d: item %d found before it was added", spread, offset, i)
+				}
+				steps += (j - home) & int(x.mask)
+				x.slots[j] = int32(i + 1)
+				if spread == 1 && home <= last {
+					t.Fatalf("offset %d: item %d's home slot %d is not past the last, %d", offset, i, home, last)
+				}
+				last = home
+			}
+			if steps > 8*len(s.Items) || spread == 1 && steps != 0 {
+				t.Errorf("spread %d, offset %d: %d probe steps for %d items", spread, offset, steps, len(s.Items))
+			}
+			if err := s.Validate(ValidateOptions{Memory: Unbounded}); err != nil {
+				t.Errorf("spread %d, offset %d: %v", spread, offset, err)
+			}
+		}
+	}
+}
+
 // TestBlockIndex fills the index Validate looks dependencies up in with a
 // schedule of 700 consecutive micro-batches, whose blocks take distinct
 // slots, and with the same schedule's micro-batch indices spread 2048 apart,
-// whose blocks of one stage all start probing at one slot; either way it
-// finds every block and no other.
+// whose keys lie beyond the table and are hashed; either way it finds every
+// block and no other.
 func TestBlockIndex(t *testing.T) {
 	p := chain4()
 	for _, spread := range []int{1, 2048} {

@@ -291,6 +291,9 @@ type blockIndex struct {
 	items []Item
 	slots []int32 // position in items + 1; 0 marks a free slot
 	shift uint    // the stage count's bit length: a micro-batch's slots are 1<<shift apart
+	mask  uint    // the table size less one
+	hash  uint    // 64 − log2 of the table size: a hash's top log2(size) bits are its slot
+	base  int     // the micro-batch keys count from: the first item's
 }
 
 // newBlockIndex returns the empty index of items over k stages.
@@ -299,21 +302,38 @@ func newBlockIndex(items []Item, k int) blockIndex {
 	for size < 2*len(items) {
 		size *= 2
 	}
-	return blockIndex{items: items, slots: make([]int32, size), shift: uint(bits.Len(uint(max(k, 1) - 1)))}
+	x := blockIndex{items: items, slots: make([]int32, size), shift: uint(bits.Len(uint(max(k, 1) - 1))),
+		mask: uint(size - 1), hash: uint(bits.LeadingZeros(uint(size - 1)))}
+	if len(items) > 0 {
+		x.base = items[0].Micro
+	}
+	return x
 }
 
 // probe returns the slot holding block b, or the free slot where it belongs.
-// The probe starts at micro<<shift + stage modulo the table's size, so the
-// blocks of a run of consecutive micro-batches, as every schedule the search
-// builds holds (negative ones after ShiftMicro included), take distinct slots
-// in micro-batch order, and a lookup is one probe near the last. Indices
-// spread far wider than there are items may collide and are probed past.
-func (x blockIndex) probe(b Block) int {
-	i := int(uint(b.Micro)<<x.shift+uint(b.Stage)) & (len(x.slots) - 1)
+func (x *blockIndex) probe(b Block) int {
+	i := x.home(b)
 	for x.slots[i] != 0 && x.items[x.slots[i]-1].Block != b {
-		i = (i + 1) & (len(x.slots) - 1)
+		i = (i + 1) & int(x.mask)
 	}
 	return i
+}
+
+// home is the slot b's probe starts at. b's key is its micro-batch counted
+// from the first item's, shifted, plus its stage. A key below the table's
+// size is its own slot: the blocks of a run of consecutive micro-batches from
+// the first item's on, as every schedule the search builds holds (ShiftMicro's
+// included), take distinct slots in micro-batch order, and a lookup is one
+// probe near the last. Any other key, from micro-batch indices below the
+// first item's or spread wider than there are items as a hand-made or decoded
+// schedule may hold them, folds all of its bits into the slot by a Fibonacci
+// hash, so indices a table size apart share no probe cluster.
+func (x *blockIndex) home(b Block) int {
+	key := uint(b.Micro-x.base)<<x.shift + uint(b.Stage)
+	if key <= x.mask {
+		return int(key)
+	}
+	return int(key * 0x9E3779B97F4A7C15 >> x.hash)
 }
 
 // PeakMemory returns the peak memory per device under the start-order

@@ -58,23 +58,6 @@ func BuildTasks(p *sched.Placement, blocks []sched.Block, releases map[sched.Blo
 	return tasks, nil
 }
 
-// ToSchedule converts a solve result over tasks built for placement p back
-// into a sched.Schedule. It returns an error when the result is infeasible.
-func ToSchedule(p *sched.Placement, tasks []Task, res Result) (*sched.Schedule, error) {
-	if !res.Feasible {
-		return nil, fmt.Errorf("infeasible result")
-	}
-	if len(res.Starts) != len(tasks) {
-		return nil, fmt.Errorf("result has %d starts for %d tasks", len(res.Starts), len(tasks))
-	}
-	s := sched.NewSchedule(p)
-	for i, t := range tasks {
-		s.Add(t.ID.Stage, t.ID.Micro, res.Starts[i])
-	}
-	s.Sort()
-	return s, nil
-}
-
 // AllBlocks returns every block of n micro-batches of placement p, ordered
 // by (micro, stage). Convenience for whole-problem (time-optimal) solves.
 func AllBlocks(p *sched.Placement, n int) []sched.Block {

@@ -171,7 +171,7 @@ func sweepCases(t testing.TB, shape string, memory, maxNR int) []goldenCase {
 		if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
 			c := goldenCase{Shape: shape, Memory: memory}
 			if memory != 0 {
-				c.Init = repetend.EntryMemory(p, a)
+				c.Init = repetend.EntryMemory(p, a, 0)
 				if slices.Max(c.Init) > memory {
 					return true
 				}

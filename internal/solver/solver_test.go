@@ -95,13 +95,21 @@ func mustSolve(t *testing.T, tasks []Task, opts Options) Result {
 	return res
 }
 
+// schedule is the schedule a solve result gives tasks built for p.
+func schedule(p *sched.Placement, tasks []Task, res Result) *sched.Schedule {
+	s := sched.NewSchedule(p)
+	for i, t := range tasks {
+		s.Add(t.ID.Stage, t.ID.Micro, res.Starts[i])
+	}
+	return s
+}
+
 func validate(t *testing.T, p *sched.Placement, tasks []Task, res Result, mem int, initMem []int) {
 	t.Helper()
-	s, err := ToSchedule(p, tasks, res)
-	if err != nil {
-		t.Fatalf("ToSchedule: %v", err)
+	if !res.Feasible || len(res.Starts) != len(tasks) {
+		t.Fatalf("result %+v for %d tasks", res, len(tasks))
 	}
-	if err := s.Validate(sched.ValidateOptions{Memory: mem, InitialMem: initMem}); err != nil {
+	if err := schedule(p, tasks, res).Validate(sched.ValidateOptions{Memory: mem, InitialMem: initMem}); err != nil {
 		t.Fatalf("solver produced invalid schedule: %v", err)
 	}
 	// Release times must be honored.
@@ -405,11 +413,7 @@ func TestSolverOutputAlwaysValid(t *testing.T) {
 		if !res.Feasible {
 			return true // nothing to validate
 		}
-		s, err := ToSchedule(p, tasks, res)
-		if err != nil {
-			return false
-		}
-		return s.Validate(sched.ValidateOptions{Memory: mem}) == nil
+		return len(res.Starts) == len(tasks) && schedule(p, tasks, res).Validate(sched.ValidateOptions{Memory: mem}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -458,17 +462,6 @@ func TestBuildTasksErrors(t *testing.T) {
 	}
 	if _, err := BuildTasks(p, []sched.Block{{Stage: 0, Micro: 0}, {Stage: 0, Micro: 0}}, nil); err == nil {
 		t.Fatal("duplicate block accepted")
-	}
-}
-
-func TestToScheduleErrors(t *testing.T) {
-	p := vshape(2, 1, 2)
-	tasks, _ := BuildTasks(p, AllBlocks(p, 1), nil)
-	if _, err := ToSchedule(p, tasks, Result{Feasible: false}); err == nil {
-		t.Fatal("infeasible result accepted")
-	}
-	if _, err := ToSchedule(p, tasks, Result{Feasible: true, Starts: []int{1}}); err == nil {
-		t.Fatal("length mismatch accepted")
 	}
 }
 
