@@ -289,6 +289,31 @@ func TestServeStageTimeCap(t *testing.T) {
 	}
 }
 
+// TestServeStageCountCap: a body under the 1 MiB request cap can hold a
+// one-device chain of 30,000 stages, whose first repetend solve would
+// allocate gigabytes. It is a 400 before the engine sees it: no search, no
+// miss.
+func TestServeStageCountCap(t *testing.T) {
+	s := newTestServer(t)
+	const k = 30000
+	var stages, deps strings.Builder
+	for i := 1; i < k; i++ {
+		stages.WriteString(`{"time":1,"devices":[0]},`)
+		fmt.Fprintf(&deps, "[%d],", i)
+	}
+	body := `{"placement":{"name":"chain","num_devices":1,"stages":[` + stages.String() + `{"time":1,"devices":[0]}],` +
+		`"deps":[` + deps.String() + `[]]},"options":{"n":8}}`
+	if len(body) >= maxRequestBytes {
+		t.Fatalf("body of %d bytes, want it under the request cap", len(body))
+	}
+	if w := postSearch(t, s, body); w.Code != 400 || !strings.Contains(w.Body.String(), "stages above the cap") {
+		t.Fatalf("%d stages: status %d: %s", k, w.Code, w.Body.String())
+	}
+	if st := s.engine.Stats(); st.Misses != 0 {
+		t.Fatalf("%d stages: %d misses, want none", k, st.Misses)
+	}
+}
+
 // TestServeStageMemCap: a memory delta beyond ±sched.MaxStageMem is a 400 —
 // on one device, f0 → f1 → b1 → b0 with ±2^62 peaks at 2^63, which the
 // memory sums wrap to a negative number that fits a capacity of 2^62+1 — and

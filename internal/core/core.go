@@ -210,9 +210,10 @@ type Result struct {
 	BubbleRate float64
 	// N is the number of micro-batches in the final schedule.
 	N int
-	// Warmup, Body and Cooldown are the three phases in absolute time; Full
-	// is their union covering exactly N micro-batches.
-	Warmup, Body, Cooldown, Full *sched.Schedule
+	// Full is the schedule of exactly N micro-batches in absolute time. Its
+	// phases are not kept apart: Repetend.Assign places each block in the
+	// warmup, the unrolled repetend or the cooldown (Equations 5–6).
+	Full *sched.Schedule
 	// Makespan is Full's completion time.
 	Makespan int
 	// Stats reports search effort.
@@ -797,7 +798,7 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 		if err != nil {
 			return fmt.Errorf("time-optimal solve of %s with %d micro-batches: %w", p.Name, n, err)
 		}
-		res.Warmup, res.Body, res.Cooldown, res.Full = sched.NewSchedule(p), full, sched.NewSchedule(p), full
+		res.Full = full
 		return nil
 	}
 	reps := n - r.NR + 1
@@ -901,7 +902,7 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	if err := full.Validate(sched.ValidateOptions{Memory: opts.Memory}); err != nil {
 		return fmt.Errorf("completed schedule invalid: %w", err)
 	}
-	res.Warmup, res.Body, res.Cooldown, res.Full = warmSched, body, coolSched, full
+	res.Full = full
 	return nil
 }
 

@@ -37,9 +37,10 @@
 //     as a silent failure indistinguishable from an unsatisfiable search.
 //   - Process restarts: the LRU cache snapshots to a versioned, checksummed
 //     file (snapshot.go) and restores at boot, so previously-solved
-//     fingerprints stay cache hits across restarts. A v3 entry stores the
-//     placement, repetend and phases, from which restore derives and checks
-//     the rest; a v1 or v2 file is a cold start.
+//     fingerprints stay cache hits across restarts. A v4 entry stores the
+//     placement, repetend and the full schedule as one items list, from
+//     which restore derives and checks the rest; a v1, v2 or v3 file is a
+//     cold start.
 package engine
 
 import (

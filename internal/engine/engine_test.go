@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -405,4 +407,52 @@ func TestExtensionTruncationReported(t *testing.T) {
 	if sched.FingerprintSchedule(full.Full) != sched.FingerprintSchedule(fresh.Full) {
 		t.Fatal("the starved extension's solves leaked into the next one")
 	}
+}
+
+// BenchmarkEngineCacheHeap fills a default engine with DefaultCacheSize
+// searched results, the way zipf_mix's identities fill the server's cache:
+// names over its eight bases (v4, x4, k4, m4i, nn4i, x4m8, v6m4, k6i), each
+// searched at an n drawn from {8, 16, 32, 64, 128} by a fixed seed. It
+// reports the live heap the cache holds per entry after a GC, heap_B/entry.
+func BenchmarkEngineCacheHeap(b *testing.B) {
+	bases := []struct {
+		build     func(placement.Config) (*sched.Placement, error)
+		devices   int
+		inference bool
+		memory    int
+	}{
+		{placement.VShape, 4, false, 0}, {placement.XShape, 4, false, 0}, {placement.KShape, 4, false, 0},
+		{placement.MShape, 4, true, 0}, {placement.NNShape, 4, true, 0}, {placement.XShape, 4, false, 8},
+		{placement.VShape, 6, false, 4}, {placement.KShape, 6, true, 0},
+	}
+	ns := []int{8, 16, 32, 64, 128}
+	var heap uint64
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(42))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		e := New(Options{})
+		for j := 0; j < DefaultCacheSize; j++ {
+			c := bases[j%len(bases)]
+			p, err := c.build(placement.Config{Devices: c.devices})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if c.inference {
+				p = placement.Inference(p)
+			}
+			p.Name = fmt.Sprintf("%s-%02d", p.Name, j/len(bases))
+			if _, _, err := e.Search(context.Background(), p, core.Options{N: ns[rng.Intn(len(ns))], Memory: c.memory}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if st := e.Stats(); st.Entries != DefaultCacheSize {
+			b.Fatalf("%d cached entries, want %d", st.Entries, DefaultCacheSize)
+		}
+		heap = after.HeapAlloc - before.HeapAlloc
+	}
+	b.ReportMetric(float64(heap)/DefaultCacheSize, "heap_B/entry")
 }

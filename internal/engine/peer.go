@@ -10,7 +10,7 @@
 // re-validation of decodeEntry (placement, fingerprint-vs-key, the
 // repetend's constraints over every N, the full schedule's completeness and
 // constraints). A lying, torn, or stale peer response therefore degrades to
-// a cold search, never to a poisoned cache: a v2 and a v3 replica reject each
+// a cold search, never to a poisoned cache: a v3 and a v4 replica reject each
 // other's entries, so a mixed ring misses and cold-searches mid-upgrade.
 //
 // Layering: the engine defines the PeerTier interface and internal/peer

@@ -260,11 +260,16 @@ func TestPeerEntryRejectsOffsetRepetend(t *testing.T) {
 // accepted entry must serve: its schedule holds each of the N·K blocks once
 // and validates, and it extends to another N. The seeds include repetends
 // with a period below 1, a negative start, a gap of 10^12 periods, a start
-// whose finish wraps, a raised N_R and indices shifted off 0.
+// whose finish wraps, a raised N_R and indices shifted off 0, and the v2 and
+// v3 files an older SnapshotTo wrote.
 func FuzzDecodePeerEntry(f *testing.F) {
 	// A small entry, so that a mutation more often lands on a field that matters.
 	key, data := smallPeerEntry(f)
 	parent, err := os.ReadFile("testdata/parent_v2.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	parentV3, err := os.ReadFile("testdata/parent_v3.snap")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -274,6 +279,7 @@ func FuzzDecodePeerEntry(f *testing.F) {
 	f.Add(body(parent), false)
 	f.Add(data, true)
 	f.Add(parent, true)
+	f.Add(parentV3, true)
 	// A repetend Unroll could not order (period 0 or below, a start before
 	// 0), one whose starts lie 10^12 periods apart and one whose times wrap:
 	// each must be refused without dividing by zero or walking the windows

@@ -1,22 +1,21 @@
 // Crash-safe persistence of the repetend cache. A snapshot is a single
 // file:
 //
-//	TESSEL-SNAPSHOT v3 <sha256-hex-of-body>\n
+//	TESSEL-SNAPSHOT v4 <sha256-hex-of-body>\n
 //	{ JSON body }
 //
 // The body holds every cache entry in MRU→LRU order, each stamped with its
 // explicit recency rank. An entry stores only what cannot be recomputed: the
 // request key, the placement (canonical sched encoding), the repetend, N, the
-// search stats, and the warmup, body and cooldown as sched.ItemJSON (stage,
-// micro, start) triples. Restore derives the rest — the full schedule is the
-// phases appended and sorted, as core builds it; the makespan, lower bound and
-// bubble rate are read off it, the placement and the repetend — and
-// re-validates everything it reads: the checksum and version up front, then
-// per entry the placement, its fingerprint against the key, the repetend
-// (decodeRepetend), each schedule item, and the full schedule's completeness
-// and constraints under the key's memory cap. A torn, corrupt, or stale (v1,
-// v2) snapshot degrades to a cold start with a logged warning per skipped
-// layer, never to a crash or a poisoned cache.
+// search stats, and the full schedule as one items list of sched.ItemJSON
+// (stage, micro, start) triples. Restore derives the rest — the makespan,
+// lower bound and bubble rate are read off the schedule, the placement and
+// the repetend — and re-validates everything it reads: the checksum and
+// version up front, then per entry the placement, its fingerprint against the
+// key, the repetend (decodeRepetend), each schedule item, and the schedule's
+// completeness and constraints under the key's memory cap. A torn, corrupt,
+// or stale (v1, v2, v3) snapshot degrades to a cold start with a logged
+// warning per skipped layer, never to a crash or a poisoned cache.
 //
 // Writes are atomic: SaveSnapshot writes a temp file in the target's
 // directory and renames it into place, so a crash mid-write leaves the
@@ -52,7 +51,8 @@ const (
 	// LRU order only implicitly in entry file order, which any re-marshal
 	// or hand-merge of the JSON body silently destroyed. Version 3 dropped
 	// every field that is derived from the others, and the key's literals.
-	snapshotVersion = 3
+	// Version 4 stores the full schedule, one items list, for v3's phases.
+	snapshotVersion = 4
 )
 
 // snapshotBody is the checksummed JSON payload.
@@ -62,8 +62,8 @@ type snapshotBody struct {
 }
 
 // snapshotEntry is one cache entry. The placement is embedded once in the
-// canonical interchange encoding; the schedules reference its stages by
-// index.
+// canonical interchange encoding; the schedule's items reference its stages
+// by index.
 type snapshotEntry struct {
 	Key string `json:"key"`
 	// Recency is the entry's explicit LRU rank at snapshot time: 0 is the
@@ -74,9 +74,7 @@ type snapshotEntry struct {
 	Repetend  snapshotRepetend `json:"repetend"`
 	N         int              `json:"n"`
 	Stats     core.Stats       `json:"stats"`
-	Warmup    []sched.ItemJSON `json:"warmup"`
-	Body      []sched.ItemJSON `json:"body"`
-	Cooldown  []sched.ItemJSON `json:"cooldown"`
+	Items     []sched.ItemJSON `json:"items"`
 }
 
 // snapshotRepetend is repetend.Repetend minus its placement pointer
@@ -269,7 +267,7 @@ func (e *Engine) LoadSnapshot(path string) int {
 
 // encodeEntry serializes one cached result.
 func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
-	if res.Placement == nil || res.Repetend == nil || res.Body == nil {
+	if res.Placement == nil || res.Repetend == nil || res.Full == nil {
 		return snapshotEntry{}, fmt.Errorf("result missing placement, repetend, or schedule")
 	}
 	var pbuf bytes.Buffer
@@ -287,11 +285,9 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 			Period:    r.Period,
 			Truncated: r.Truncated,
 		},
-		N:        res.N,
-		Stats:    res.Stats,
-		Warmup:   sched.EncodeItems(res.Warmup),
-		Body:     sched.EncodeItems(res.Body),
-		Cooldown: sched.EncodeItems(res.Cooldown),
+		N:     res.N,
+		Stats: res.Stats,
+		Items: sched.EncodeItems(res.Full),
 	}, nil
 }
 
@@ -299,9 +295,9 @@ func encodeEntry(key string, res *core.Result) (snapshotEntry, error) {
 // assumption the serving path makes of a cached *core.Result is re-checked
 // here, because the bytes may be stale or hand-edited: the placement
 // validates, the key's fingerprint prefix matches the placement, the
-// repetend extends to every N (decodeRepetend), schedule items pass
-// sched.DecodeItems, and the full schedule — which a request at the recorded
-// N is answered with as it stands — holds each of the N·K blocks once and
+// repetend extends to every N (decodeRepetend), the schedule's items pass
+// sched.DecodeItems, and the schedule — which a request at the recorded N is
+// answered with as it stands — holds each of the N·K blocks once and
 // satisfies dependencies, device exclusivity and the memory cap its key names.
 func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	p, err := sched.DecodePlacement(bytes.NewReader(entry.Placement))
@@ -323,14 +319,10 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &core.Result{Placement: p, Repetend: r, LowerBound: p.LowerBound(), BubbleRate: r.SteadyBubbleRate(), N: entry.N, Stats: entry.Stats}
-	phases := []**sched.Schedule{&res.Warmup, &res.Body, &res.Cooldown}
-	for i, items := range [][]sched.ItemJSON{entry.Warmup, entry.Body, entry.Cooldown} {
-		if *phases[i], err = sched.DecodeItems(p, items); err != nil {
-			return nil, fmt.Errorf("%s: %w", [...]string{"warmup", "body", "cooldown"}[i], err)
-		}
+	full, err := sched.DecodeItems(p, entry.Items)
+	if err != nil {
+		return nil, err
 	}
-	full := sched.Merge(p, res.Warmup, res.Body, res.Cooldown) // DecodeItems sorts each phase
 	if k := p.K(); entry.N < 1 || full.Len()%k != 0 || full.Len()/k != entry.N {
 		return nil, fmt.Errorf("schedule holds %d blocks, want N·K = %d·%d", full.Len(), entry.N, k)
 	}
@@ -342,8 +334,8 @@ func decodeEntry(entry *snapshotEntry) (*core.Result, error) {
 	if err := full.Validate(sched.ValidateOptions{Memory: memory}); err != nil {
 		return nil, fmt.Errorf("full schedule invalid: %w", err)
 	}
-	res.Full, res.Makespan = full, full.Makespan()
-	return res, nil
+	return &core.Result{Placement: p, Repetend: r, LowerBound: p.LowerBound(), BubbleRate: r.SteadyBubbleRate(),
+		N: entry.N, Full: full, Makespan: full.Makespan(), Stats: entry.Stats}, nil
 }
 
 // decodeRepetend validates and rebuilds an entry's repetend, which serves

@@ -261,9 +261,11 @@ func TestSnapshotRestoreEvictionOrder(t *testing.T) {
 }
 
 // TestSnapshotV1IsColdStart: a v1 snapshot (the one-PR-lived format without
-// recency stamps) and a v2 one (testdata/parent_v2.snap, written by SnapshotTo
+// recency stamps), a v2 one (testdata/parent_v2.snap, written by SnapshotTo
 // when entries still stored their full schedule, derived scalars and the
-// repetend's counters, m-shape then v-shape on 4 devices at N = 8) are
+// repetend's counters) and a v3 one (testdata/parent_v3.snap, written when
+// entries stored the warmup, body and cooldown in place of the full
+// schedule), both of m-shape then v-shape on 4 devices at N = 8, are
 // unsupported versions like any other: a logged cold start, nothing restored,
 // and an engine that still serves.
 func TestSnapshotV1IsColdStart(t *testing.T) {
@@ -287,7 +289,7 @@ func TestSnapshotV1IsColdStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{v1, "testdata/parent_v2.snap"} {
+	for _, path := range []string{v1, "testdata/parent_v2.snap", "testdata/parent_v3.snap"} {
 		rec := &logRecorder{}
 		fresh := New(Options{Logf: rec.logf})
 		if n := fresh.LoadSnapshot(path); n != 0 || rec.count("unsupported snapshot version") != 1 {
@@ -355,15 +357,15 @@ func TestSnapshotBadEntrySkipped(t *testing.T) {
 }
 
 // withOverlap returns the snapshot or peer payload data, re-checksummed, with
-// the body of its first entry rewritten so that two blocks run on one device
-// at once — early enough to leave the makespan, and so every check but the
-// schedule's own validation, as it was.
+// the schedule of its first entry rewritten so that two blocks run on one
+// device at once — early enough to leave the makespan, and so every check but
+// the schedule's own validation, as it was.
 func withOverlap(t testing.TB, data []byte) []byte {
 	t.Helper()
 	return tampered(t, data, func(p *sched.Placement, entry *snapshotEntry) {
-		first := entry.Body[0]
-		for i := 1; i < len(entry.Body)/2; i++ {
-			if it := &entry.Body[i]; it.Start > first.Start && slices.ContainsFunc(p.Stages[it.Stage].Devices, p.Stages[first.Stage].OnDevice) {
+		first := entry.Items[0]
+		for i := 1; i < len(entry.Items)/2; i++ {
+			if it := &entry.Items[i]; it.Start > first.Start && slices.ContainsFunc(p.Stages[it.Stage].Devices, p.Stages[first.Stage].OnDevice) {
 				it.Start = first.Start
 				return
 			}
@@ -372,18 +374,16 @@ func withOverlap(t testing.TB, data []byte) []byte {
 	})
 }
 
-// withoutLastMicro takes micro-batch N−1 out of every phase of the first
-// entry: dropped, or renumbered N. Each block stays valid where it stands, but
-// a request at the recorded N would be served a schedule short of K blocks.
+// withoutLastMicro takes micro-batch N−1 out of the first entry's schedule:
+// dropped, or renumbered N. Each block stays valid where it stands, but a
+// request at the recorded N would be served a schedule short of K blocks.
 func withoutLastMicro(t testing.TB, data []byte, renumber bool) []byte {
 	t.Helper()
 	return tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) {
-		for _, items := range []*[]sched.ItemJSON{&entry.Warmup, &entry.Body, &entry.Cooldown} {
-			*items = slices.DeleteFunc(*items, func(it sched.ItemJSON) bool { return it.Micro == entry.N-1 && !renumber })
-			for i := range *items {
-				if (*items)[i].Micro == entry.N-1 {
-					(*items)[i].Micro = entry.N
-				}
+		entry.Items = slices.DeleteFunc(entry.Items, func(it sched.ItemJSON) bool { return it.Micro == entry.N-1 && !renumber })
+		for i := range entry.Items {
+			if entry.Items[i].Micro == entry.N-1 {
+				entry.Items[i].Micro = entry.N
 			}
 		}
 	})
@@ -455,10 +455,10 @@ func peerEntry(t testing.TB) (string, []byte) {
 	return key, data
 }
 
-// TestSnapshotEntryStoresOnlyInputs pins the v3 entry: what can be derived
-// from the placement, the repetend and the three phases — the full schedule,
-// makespan, lower bound, bubble rate, spans, waits, entry memory and the
-// repetend's effort counters — is not stored.
+// TestSnapshotEntryStoresOnlyInputs pins the v4 entry: one items list, the
+// full schedule, and nothing derivable from it, the placement and the
+// repetend — the warmup, body and cooldown, makespan, lower bound, bubble
+// rate, spans, waits, entry memory and the repetend's effort counters.
 func TestSnapshotEntryStoresOnlyInputs(t *testing.T) {
 	key, data := peerEntry(t)
 	var body struct {
@@ -472,7 +472,7 @@ func TestSnapshotEntryStoresOnlyInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := func(m map[string]json.RawMessage) string { return strings.Join(slices.Sorted(maps.Keys(m)), " ") }
-	if got, want := keys(body.Entries[0]), "body cooldown key n placement recency repetend stats warmup"; got != want {
+	if got, want := keys(body.Entries[0]), "items key n placement recency repetend stats"; got != want {
 		t.Errorf("entry keys %q, want %q", got, want)
 	}
 	if got, want := keys(rep), "assign nr period starts truncated"; got != want {
@@ -508,13 +508,13 @@ func TestPeerEntryRejectsInvalidSchedule(t *testing.T) {
 	}
 }
 
-// TestPeerEntryRejectsWrappedFinish: a body block moved to start at
+// TestPeerEntryRejectsWrappedFinish: a schedule block moved to start at
 // math.MaxInt ends past it. Its finish time wraps negative, which every
 // successor's start and the device's next block read as long past, so the
 // schedule validated and was served; DecodePeerEntry refuses the start.
 func TestPeerEntryRejectsWrappedFinish(t *testing.T) {
 	key, data := peerEntry(t)
-	late := tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) { entry.Body[0].Start = math.MaxInt })
+	late := tampered(t, data, func(_ *sched.Placement, entry *snapshotEntry) { entry.Items[0].Start = math.MaxInt })
 	if _, err := DecodePeerEntry(key, bytes.NewReader(late)); err == nil || !strings.Contains(err.Error(), "start outside") {
 		t.Fatalf("DecodePeerEntry of an entry with a block starting at math.MaxInt: err %v", err)
 	}

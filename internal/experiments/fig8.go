@@ -48,7 +48,7 @@ func Fig8(ctx context.Context, m Mode) (*Fig8Result, error) {
 				return nil, fmt.Errorf("fig8: %s inference=%v: %w", name, v.inference, err)
 			}
 			rep := sres.Repetend
-			chart := viz.RenderRepetend(sres.Body, rep.Period, 3, viz.Options{MaxWidth: 100})
+			chart := viz.RenderRepetend(rep.Unroll(3), rep.Period, 3, viz.Options{MaxWidth: 100})
 			res.Entries = append(res.Entries, Fig8Entry{
 				Model:     name,
 				Placement: p.Name,

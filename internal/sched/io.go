@@ -56,6 +56,9 @@ func fromPlacementJSON(in placementJSON) (*Placement, error) {
 	if in.Version != 0 && in.Version != ioVersion {
 		return nil, fmt.Errorf("sched: unsupported placement format version %d", in.Version)
 	}
+	if len(in.Stages) > maxStages {
+		return nil, fmt.Errorf("sched: placement %q: %d stages above the cap %d", in.Name, len(in.Stages), maxStages)
+	}
 	p := &Placement{Name: in.Name, NumDevices: in.NumDevices, Deps: in.Deps, Stages: make([]Stage, 0, len(in.Stages))}
 	if p.Deps == nil {
 		p.Deps = make([][]int, len(in.Stages))
@@ -193,12 +196,8 @@ type ItemJSON struct {
 	Start int `json:"start"`
 }
 
-// EncodeItems returns the wire form of s's items in their current order; a
-// nil schedule encodes as nil (JSON null), an empty one as an empty array.
+// EncodeItems returns the wire form of s's items in their current order.
 func EncodeItems(s *Schedule) []ItemJSON {
-	if s == nil {
-		return nil
-	}
 	items := make([]ItemJSON, len(s.Items))
 	for i, it := range s.Items {
 		items[i] = ItemJSON{Stage: it.Stage, Micro: it.Micro, Start: it.Start}
@@ -209,8 +208,8 @@ func EncodeItems(s *Schedule) []ItemJSON {
 // DecodeItems rebuilds a sorted schedule over p from wire items, checking
 // that each references a valid stage, has no negative coordinate and starts
 // by math.MaxInt − MaxStageTime, so that its finish time cannot wrap negative
-// and pass every constraint that reads it. Full constraint validation is the
-// caller's choice, since the items may hold a partial phase.
+// and pass every constraint that reads it. Constraint validation is the
+// caller's.
 func DecodeItems(p *Placement, items []ItemJSON) (*Schedule, error) {
 	s := NewSchedule(p)
 	for _, it := range items {

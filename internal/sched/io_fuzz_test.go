@@ -48,6 +48,8 @@ func FuzzDecodePlacement(f *testing.F) {
 		`{"name":"x","num_devices":1,"stages":[{"name":"a","time":1,"devices":[0]}],"deps":[[5]]}`,
 		`{{{`,
 		``,
+		// One stage above maxStages: 257 one-device stages.
+		`{"name":"x","num_devices":1,"stages":[` + strings.Repeat(`{"time":1,"devices":[0]},`, 256) + `{"time":1,"devices":[0]}]}`,
 	} {
 		f.Add([]byte(body))
 	}

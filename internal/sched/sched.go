@@ -103,6 +103,13 @@ const MaxStageMem = 1 << 24
 // that state under a megabyte.
 const maxDevices = 1 << 16
 
+// maxStages caps the stages of a decoded placement (files, request bodies,
+// snapshot and peer entries; not placements built in Go): a search's first
+// repetend solve grows with the square of a device's stage count, so a 1 MiB
+// body of 30,000 one-device stages would exhaust memory. 256 is twice the
+// order check's stage cap, above nn-shape's 130 stages at 32 devices.
+const maxStages = 256
+
 // Stage is one execution block template within a single micro-batch: a
 // subset of the model's operators placed on one device or, when tensor
 // parallelism is used, on a group of devices (paper §III-A, B^n_i for a

@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +107,38 @@ func TestPlacementValidateDeviceCap(t *testing.T) {
 		p.NumDevices = c.devices
 		if err := p.Validate(); (err == nil) != c.ok {
 			t.Errorf("%d devices: err %v, want accepted %v", c.devices, err, c.ok)
+		}
+	}
+}
+
+// oneDeviceChain is a chain of k one-tick stages on one device.
+func oneDeviceChain(k int) *Placement {
+	p := &Placement{Name: "chain", NumDevices: 1, Deps: make([][]int, k)}
+	for i := 0; i < k; i++ {
+		p.Stages = append(p.Stages, Stage{Name: "s", Kind: Forward, Time: 1, Devices: []DeviceID{0}})
+		if i+1 < k {
+			p.Deps[i] = []int{i + 1}
+		}
+	}
+	return p
+}
+
+// TestDecodePlacementStageCap: a decoded placement holds at most maxStages
+// stages, where a search's first repetend solve grows with the square of a
+// device's stage count; the same placement built in Go still validates.
+func TestDecodePlacementStageCap(t *testing.T) {
+	for _, k := range []int{maxStages, maxStages + 1} {
+		p := oneDeviceChain(k)
+		var buf bytes.Buffer
+		if err := EncodePlacement(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		_, err := DecodePlacement(&buf)
+		if ok := k <= maxStages; (err == nil) != ok {
+			t.Errorf("%d stages: err %v, want accepted %v", k, err, ok)
+		}
+		if err := p.Validate(); err != nil {
+			t.Errorf("%d stages built in Go: %v", k, err)
 		}
 	}
 }
@@ -474,37 +509,90 @@ func TestStageIDByName(t *testing.T) {
 // costs a few probe steps per item, where a probe cluster as long as the
 // schedule costs a number of steps that grows with its square: spreads of
 // 2,048 and wider took 15.7 million steps, 2,800 per item, when the start
-// slot dropped a key's bits above the table size. Consecutive
-// micro-batches from the first item's on take distinct home slots in order,
-// at no step at all.
+// slot dropped a key's bits above the table size, and two runs of
+// micro-batches 10^6 apart took 809,100, 144 per item in every insert order,
+// when a probe stepped one slot at a time out of the run of slots the first
+// run takes. Consecutive micro-batches from the first item's on take
+// distinct home slots in order, at no step at all. Steps are counted along
+// each item's probe sequence, from its home slot to the slot it takes.
 func TestBlockIndexCostFollowsItems(t *testing.T) {
 	p := chain4()
+	type fill struct {
+		name    string
+		s       *Schedule
+		order   []int // the items' insert order
+		ordered bool  // consecutive micro-batches in item order: no step at all
+	}
+	inOrder := func(n int) []int {
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		return order
+	}
+	var fills []fill
 	for _, spread := range []int{1, -1, 2, 3, 7, 1023, 2047, 2048, 2049, 1<<20 - 1, 1 << 20, 1 << 40} {
 		for _, offset := range []int{0, -350, 1e6, -1e6} {
 			s := sequentialSchedule(p, 700)
 			for i := range s.Items {
 				s.Items[i].Micro = s.Items[i].Micro*spread + offset
 			}
-			x := newBlockIndex(s.Items, p.K())
-			steps, last := 0, -1
-			for i, it := range s.Items {
-				home, j := x.home(it.Block), x.probe(it.Block)
-				if x.slots[j] != 0 {
-					t.Fatalf("spread %d, offset %d: item %d found before it was added", spread, offset, i)
-				}
-				steps += (j - home) & int(x.mask)
-				x.slots[j] = int32(i + 1)
-				if spread == 1 && home <= last {
-					t.Fatalf("offset %d: item %d's home slot %d is not past the last, %d", offset, i, home, last)
-				}
-				last = home
+			fills = append(fills, fill{fmt.Sprintf("spread %d, offset %d", spread, offset), s, inOrder(s.Len()), spread == 1})
+		}
+	}
+	// Micro-batches 0–349 and 10^6+350–10^6+699: the first run takes home
+	// slots in order, and the hashed keys of the second land among them.
+	twoRuns := sequentialSchedule(p, 700)
+	for i := range twoRuns.Items {
+		if twoRuns.Items[i].Micro >= 350 {
+			twoRuns.Items[i].Micro += 1e6
+		}
+	}
+	reversed := inOrder(twoRuns.Len())
+	slices.Reverse(reversed)
+	fills = append(fills,
+		fill{"two runs, item order", twoRuns, inOrder(twoRuns.Len()), false},
+		fill{"two runs, reversed", twoRuns, reversed, false},
+		fill{"two runs, shuffled", twoRuns, rand.New(rand.NewSource(42)).Perm(twoRuns.Len()), false})
+	// walk counts the steps of b's probe sequence, by probe's rule, to slot
+	// j: a home slot, then an odd stride from the key's hash.
+	walk := func(x *blockIndex, b Block, j int) int {
+		key := uint(b.Micro-x.base)<<x.shift + uint(b.Stage)
+		h := key * 0x9E3779B97F4A7C15
+		i := int(h >> x.hash)
+		if key <= x.mask {
+			i = int(key)
+		}
+		for steps := 0; steps <= int(x.mask); steps++ {
+			if i == j {
+				return steps
 			}
-			if steps > 8*len(s.Items) || spread == 1 && steps != 0 {
-				t.Errorf("spread %d, offset %d: %d probe steps for %d items", spread, offset, steps, len(s.Items))
+			i = (i + int(h>>32|1)) & int(x.mask)
+		}
+		t.Fatalf("slot %d is not on %v's probe sequence", j, b)
+		return 0
+	}
+	for _, f := range fills {
+		x := newBlockIndex(f.s.Items, p.K())
+		steps, last := 0, -1
+		for _, i := range f.order {
+			it := f.s.Items[i]
+			j := x.probe(it.Block)
+			if x.slots[j] != 0 {
+				t.Fatalf("%s: item %d found before it was added", f.name, i)
 			}
-			if err := s.Validate(ValidateOptions{Memory: Unbounded}); err != nil {
-				t.Errorf("spread %d, offset %d: %v", spread, offset, err)
+			steps += walk(&x, it.Block, j)
+			x.slots[j] = int32(i + 1)
+			if f.ordered && j <= last {
+				t.Fatalf("%s: item %d's slot %d is not past the last, %d", f.name, i, j, last)
 			}
+			last = j
+		}
+		if steps > 8*len(f.s.Items) || f.ordered && steps != 0 {
+			t.Errorf("%s: %d probe steps for %d items", f.name, steps, len(f.s.Items))
+		}
+		if err := f.s.Validate(ValidateOptions{Memory: Unbounded}); err != nil {
+			t.Errorf("%s: %v", f.name, err)
 		}
 	}
 }

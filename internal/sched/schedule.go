@@ -311,29 +311,26 @@ func newBlockIndex(items []Item, k int) blockIndex {
 }
 
 // probe returns the slot holding block b, or the free slot where it belongs.
+// b's key is its micro-batch counted from the first item's, shifted, plus its
+// stage. A key below the table's size is its own home slot, so consecutive
+// micro-batches from the first item's on, as every schedule the search builds
+// holds, take distinct slots in order. Any other key (indices below the first
+// item's, or spread, as a hand-made or decoded schedule may hold them) is
+// homed by a Fibonacci hash of all its bits. Past a taken home the probe
+// steps by an odd stride from the hash's middle bits, so a key homed inside a
+// run of taken slots leaves it in a step or two, not at the run's end. Kept
+// small enough to inline into Validate.
 func (x *blockIndex) probe(b Block) int {
-	i := x.home(b)
+	key := uint(b.Micro-x.base)<<x.shift + uint(b.Stage)
+	h := key * 0x9E3779B97F4A7C15
+	i := int(h >> x.hash)
+	if key <= x.mask {
+		i = int(key)
+	}
 	for x.slots[i] != 0 && x.items[x.slots[i]-1].Block != b {
-		i = (i + 1) & int(x.mask)
+		i = (i + int(h>>32|1)) & int(x.mask)
 	}
 	return i
-}
-
-// home is the slot b's probe starts at. b's key is its micro-batch counted
-// from the first item's, shifted, plus its stage. A key below the table's
-// size is its own slot: the blocks of a run of consecutive micro-batches from
-// the first item's on, as every schedule the search builds holds (ShiftMicro's
-// included), take distinct slots in micro-batch order, and a lookup is one
-// probe near the last. Any other key, from micro-batch indices below the
-// first item's or spread wider than there are items as a hand-made or decoded
-// schedule may hold them, folds all of its bits into the slot by a Fibonacci
-// hash, so indices a table size apart share no probe cluster.
-func (x *blockIndex) home(b Block) int {
-	key := uint(b.Micro-x.base)<<x.shift + uint(b.Stage)
-	if key <= x.mask {
-		return int(key)
-	}
-	return int(key * 0x9E3779B97F4A7C15 >> x.hash)
 }
 
 // PeakMemory returns the peak memory per device under the start-order

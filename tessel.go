@@ -94,8 +94,8 @@ var (
 // SearchOptions configures Search (see internal/core.Options).
 type SearchOptions = core.Options
 
-// SearchResult is a completed search: the best repetend, the warmup /
-// body / cooldown phases, and the full N-micro-batch schedule.
+// SearchResult is a completed search: the best repetend and the full
+// N-micro-batch schedule, its warmup, unrolled repetend and cooldown.
 type SearchResult = core.Result
 
 // Search runs the paper's Algorithm 1: repetend construction, schedule
