@@ -783,9 +783,17 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 
 // completeSchedule builds the final N-micro-batch schedule around the
 // repetend: time-optimal warmup, R = N − N_R + 1 unrolled instances compacted
-// against the warmup, and a time-optimal cooldown released by repetend
+// against the warmup, and a time-optimal cooldown released by warmup and body
 // finishes. Below N_R it is one time-optimal solve of the whole problem,
 // TimeOptimal's instance.
+//
+// Each phase is read once: one pass over the warmup's items yields the
+// devices' warmup finishes, the warmup's bound on the body offset δ and the
+// releases of the cooldown blocks the warmup precedes; the body is the
+// repetend's closed form, instance k of stage i starting at δ + Starts[i] +
+// k·Period, so its bounds on the cooldown cost O(K), not a walk of its items.
+// The body is unrolled once, into the tail of the composed schedule's own
+// array, and merged in place with the warmup and cooldown.
 //
 // Phase solves go through tmpl, the completion template of the search result
 // the repetend belongs to (res itself in Search, the result Extend extends),
@@ -808,84 +816,55 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 	if err != nil {
 		return fmt.Errorf("warmup: %w", err)
 	}
-	warmFinish := make(map[sched.Block]int, warmSched.Len())
-	for _, it := range warmSched.Items {
-		warmFinish[it.Block] = it.Start + p.Stages[it.Stage].Time
-	}
 
-	// Body offset δ: earliest start of instance 0 after the warmup, per
-	// device availability and warmup→body dependencies (tight compaction
-	// across the phase boundary).
-	delta := 0
-	lastW := make([]int, p.NumDevices)
-	for _, it := range warmSched.Items {
-		for _, d := range p.Stages[it.Stage].Devices {
-			if f := it.Start + p.Stages[it.Stage].Time; f > lastW[d] {
-				lastW[d] = f
-			}
-		}
-	}
-	first := make([]int, p.NumDevices) // earliest repetend start per device
-	for d := range first {
-		first[d] = -1
-	}
-	for i := range p.Stages {
-		for _, d := range p.Stages[i].Devices {
-			if first[d] < 0 || r.Starts[i] < first[d] {
-				first[d] = r.Starts[i]
-			}
-		}
-	}
-	for d, f := range first {
-		if f >= 0 && lastW[d]-f > delta {
-			delta = lastW[d] - f
-		}
-	}
-	for i, succs := range p.Deps {
-		for _, j := range succs {
-			lag := r.Assign[i] - r.Assign[j]
-			for k := 0; k < lag && k < reps; k++ {
-				pred := sched.Block{Stage: i, Micro: r.Assign[j] + k}
-				if f, ok := warmFinish[pred]; ok {
-					if need := f - (r.Starts[j] + k*r.Period); need > delta {
-						delta = need
-					}
-				}
-			}
-		}
-	}
-
-	// Body: unrolled instances at offset delta.
-	body := r.Unroll(reps).Shift(delta)
-
-	// Cooldown: released by warmup/body finishes, from the memory the warmup
-	// and the body leave held.
-	cool := cooldownBlocks(p, r.Assign, reps, n)
-	deviceReady := append([]int(nil), lastW...)
-	for _, it := range body.Items {
-		f := it.Start + p.Stages[it.Stage].Time
-		for _, d := range p.Stages[it.Stage].Devices {
-			if f > deviceReady[d] {
-				deviceReady[d] = f
-			}
-		}
-	}
 	// Stage i's micro-batch m is a warmup block below Assign[i], instance
 	// m − Assign[i] of the body for the next reps, a cooldown block from there
-	// on: a cooldown block whose predecessor is not one itself is released by
-	// that predecessor's finish.
+	// on. A warmup block (i, m) finishing at f bounds the body offset δ, the
+	// earliest start of instance 0, through each successor j's instance
+	// k = m − Assign[j] (tight compaction across the phase boundary), and
+	// releases j's cooldown block (j, m) when k is past the body (m is below
+	// Assign[i] < N_R ≤ N, so that block exists).
+	cool := cooldownBlocks(p, r.Assign, reps, n)
+	delta := 0
+	lastW := make([]int, p.NumDevices)
 	releases := make(map[sched.Block]int, len(cool))
+	for _, it := range warmSched.Items {
+		f := it.Start + p.Stages[it.Stage].Time
+		for _, d := range p.Stages[it.Stage].Devices {
+			lastW[d] = max(lastW[d], f)
+		}
+		for _, j := range p.Deps[it.Stage] {
+			if k := it.Micro - r.Assign[j]; k >= reps {
+				if succ := (sched.Block{Stage: j, Micro: it.Micro}); f > releases[succ] {
+					releases[succ] = f
+				}
+			} else if k >= 0 {
+				delta = max(delta, f-(r.Starts[j]+k*r.Period))
+			}
+		}
+	}
+	// Each device's repetend blocks start no earlier than its last warmup
+	// block ends.
+	for i, st := range p.Stages {
+		for _, d := range st.Devices {
+			delta = max(delta, lastW[d]-r.Starts[i])
+		}
+	}
+
+	// Cooldown: from the memory the warmup and the body leave held, each
+	// device free once its last warmup block and its stages' last instance
+	// end, and each block released by the body instance that precedes it.
+	deviceReady := lastW
+	for i, st := range p.Stages {
+		f := delta + r.Starts[i] + (reps-1)*r.Period + st.Time
+		for _, d := range st.Devices {
+			deviceReady[d] = max(deviceReady[d], f)
+		}
+	}
 	for i, succs := range p.Deps {
 		for _, j := range succs {
-			for m := r.Assign[j] + reps; m < min(n, r.Assign[i]+reps); m++ {
-				var f int
-				if k := m - r.Assign[i]; k >= 0 {
-					f = delta + r.Starts[i] + k*r.Period + p.Stages[i].Time
-				} else if wf, ok := warmFinish[sched.Block{Stage: i, Micro: m}]; ok {
-					f = wf
-				} else {
-					return fmt.Errorf("cooldown block %v: predecessor %v not scheduled", sched.Block{Stage: j, Micro: m}, sched.Block{Stage: i, Micro: m})
-				}
+			for m := max(r.Assign[j]+reps, r.Assign[i]); m < min(n, r.Assign[i]+reps); m++ {
+				f := delta + r.Starts[i] + (m-r.Assign[i])*r.Period + p.Stages[i].Time
 				if succ := (sched.Block{Stage: j, Micro: m}); f > releases[succ] {
 					releases[succ] = f
 				}
@@ -897,8 +876,13 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 		return fmt.Errorf("cooldown: %w", err)
 	}
 
-	// Each phase is in item order (solvePhase sorts, Unroll emits in order).
-	full := sched.Merge(p, warmSched, body, coolSched)
+	// Body: unrolled at offset δ into the tail of the schedule's own array,
+	// past the warmup's and cooldown's items, so that the merge, which writes
+	// from the front, joins the three in place. Each phase is in item order
+	// (solvePhase sorts, AppendUnroll emits in order).
+	head := warmSched.Len() + coolSched.Len()
+	items := r.AppendUnroll(make([]sched.Item, head, head+reps*p.K()), reps, delta)
+	full := sched.Merge(p, items[:0], warmSched.Items, items[head:], coolSched.Items)
 	if err := full.Validate(sched.ValidateOptions{Memory: opts.Memory}); err != nil {
 		return fmt.Errorf("completed schedule invalid: %w", err)
 	}

@@ -515,21 +515,27 @@ func (r *Repetend) Schedule() *sched.Schedule { return r.Unroll(1) }
 
 // Unroll returns k consecutive instances: instance j shifts every start by
 // j·Period and every micro index by j. The items come out in (Start, Stage,
+// Micro) order; see AppendUnroll.
+func (r *Repetend) Unroll(k int) *sched.Schedule {
+	return &sched.Schedule{P: r.P, Items: r.AppendUnroll(make([]sched.Item, 0, max(k, 0)*len(r.Starts)), k, 0)}
+}
+
+// AppendUnroll appends to dst the items of Unroll(k) with every start moved
+// by at, and returns the extended slice. They come out in (Start, Stage,
 // Micro) order with no sort: stage i's lie in period windows ⌊Starts[i]/P⌋ + j
 // at offset Starts[i] mod P, so the walk goes window by window, each in
 // (offset, stage) order, and jumps over windows that hold no item — its work
 // follows the items, never the starts. A Period below 1, which no repetend
 // has, gets instance after instance.
-func (r *Repetend) Unroll(k int) *sched.Schedule {
+func (r *Repetend) AppendUnroll(dst []sched.Item, k, at int) []sched.Item {
 	K, P := len(r.Starts), r.Period
-	s := &sched.Schedule{P: r.P, Items: make([]sched.Item, 0, max(k, 0)*K)}
 	if k <= 0 || K == 0 || P < 1 {
 		for j := 0; j < k; j++ {
 			for i, st := range r.Starts {
-				s.Add(i, r.Assign[i]+j, st+j*P)
+				dst = append(dst, sched.Item{Block: sched.Block{Stage: i, Micro: r.Assign[i] + j}, Start: st + j*P + at})
 			}
 		}
-		return s
+		return dst
 	}
 	scratch := make([]int, 3*K)
 	first, off, order := scratch[:K], scratch[K:2*K], scratch[2*K:]
@@ -543,23 +549,23 @@ func (r *Repetend) Unroll(k int) *sched.Schedule {
 	slices.SortFunc(order, func(a, b int) int { return cmp.Or(cmp.Compare(off[a], off[b]), cmp.Compare(a, b)) })
 	// Window w holds instance w − first[i] of stage i when that is in [0, k).
 	// Windows are compared by difference, which stays exact past MaxInt.
-	for w := slices.Min(first); len(s.Items) < k*K; w++ {
-		next, n := w, len(s.Items) // next: the nearest first window after w
+	for w, end := slices.Min(first), len(dst)+k*K; len(dst) < end; w++ {
+		next, n := w, len(dst) // next: the nearest first window after w
 		for _, i := range order {
 			if j := w - first[i]; j >= 0 && j < k {
-				s.Items = append(s.Items, sched.Item{Block: sched.Block{Stage: i, Micro: r.Assign[i] + j}, Start: w*P + off[i]})
+				dst = append(dst, sched.Item{Block: sched.Block{Stage: i, Micro: r.Assign[i] + j}, Start: w*P + off[i] + at})
 			} else if j < 0 && (next == w || first[i] < next) {
 				next = first[i]
 			}
 		}
-		if len(s.Items) == n { // jump to a window that holds items, if any
+		if len(dst) == n { // jump to a window that holds items, if any
 			if next == w {
 				break
 			}
 			w = next - 1
 		}
 	}
-	return s
+	return dst
 }
 
 // SteadyBubbleRate returns the steady-state bubble rate of the repetend:

@@ -25,8 +25,10 @@ func unrollSorted(r *Repetend, k int) *sched.Schedule {
 // TestUnrollMatchesSortedReference holds Unroll to the sort-based reference
 // on random repetends: starts spread over several periods (negative ones too),
 // over a few shared residues, and across a gap of millions of periods, with
-// k ∈ {0, 1, NR+1, 256}. Unroll knows nothing of the placement but its stage
-// count, so the repetends need not be feasible.
+// k ∈ {0, 1, NR+1, 256}. AppendUnroll with a nonzero offset must append the
+// reference's items, every start moved by the offset, after dst's items.
+// Unroll knows nothing of the placement but its stage count, so the
+// repetends need not be feasible.
 func TestUnrollMatchesSortedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	p := &sched.Placement{Name: "any"}
@@ -48,6 +50,18 @@ func TestUnrollMatchesSortedReference(t *testing.T) {
 		for _, k := range []int{0, 1, nr + 1, 256} {
 			if got, want := r.Unroll(k), unrollSorted(r, k); !slices.Equal(got.Items, want.Items) {
 				t.Fatalf("trial %d, period %d, starts %v, k %d:\n got %v\nwant %v", trial, period, r.Starts, k, got.Items, want.Items)
+			}
+			dst, at := make([]sched.Item, 1+rng.Intn(3)), rng.Intn(64)-32
+			for x := range dst {
+				dst[x].Micro = -1 - x
+			}
+			want := slices.Clone(dst)
+			for _, it := range unrollSorted(r, k).Items {
+				it.Start += at
+				want = append(want, it)
+			}
+			if got := r.AppendUnroll(dst, k, at); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, period %d, starts %v, k %d, at %d after %d items:\n got %v\nwant %v", trial, period, r.Starts, k, at, len(dst), got, want)
 			}
 		}
 	}

@@ -76,31 +76,18 @@ func (s *Schedule) Clone() *Schedule {
 	return &Schedule{P: s.P, Items: append([]Item(nil), s.Items...)}
 }
 
-// Shift adds dt to every start time and returns the schedule for chaining.
-func (s *Schedule) Shift(dt int) *Schedule {
-	for i := range s.Items {
-		s.Items[i].Start += dt
-	}
-	return s
-}
-
-// ShiftMicro adds dn to every micro-batch index and returns the schedule.
-func (s *Schedule) ShiftMicro(dn int) *Schedule {
-	for i := range s.Items {
-		s.Items[i].Micro += dn
-	}
-	return s
-}
-
-// Merge returns the schedule over p of the items of parts, each in (Start,
-// Stage, Micro) order, in that order: one linear pass, a run at a time, where
-// sorting the concatenation would pay a log factor.
-func Merge(p *Placement, parts ...*Schedule) *Schedule {
-	heads, n := make([][]Item, 0, 3), 0 // on the stack for up to three parts
+// Merge appends to dst the items of parts, each part in (Start, Stage, Micro)
+// order, in that order, and returns the result as a schedule over p: one
+// linear pass, a run at a time, where sorting the concatenation would pay a
+// log factor. A part may lie in dst's own array, starting at or past len(dst)
+// plus the other parts' item count: the merge writes forward and never past
+// the next item it reads from that part, so the part is merged in place.
+func Merge(p *Placement, dst []Item, parts ...[]Item) *Schedule {
+	heads, n := make([][]Item, 0, 3), len(dst) // on the stack for up to three parts
 	for _, q := range parts {
-		heads, n = append(heads, q.Items), n+q.Len()
+		heads, n = append(heads, q), n+len(q)
 	}
-	out := &Schedule{P: p, Items: make([]Item, 0, n)}
+	out := &Schedule{P: p, Items: slices.Grow(dst, n-len(dst))}
 	for len(out.Items) < n {
 		lo, next := -1, -1 // the parts with the smallest and second-smallest next item
 		for x, h := range heads {
@@ -205,9 +192,6 @@ type ValidateOptions struct {
 	// schedule begins (e.g. warmup residue at repetend entry). A nil slice
 	// means all zeros; a shorter one than NumDevices is an error.
 	InitialMem []int
-	// IgnoreDeps disables the data-dependency check (used when validating a
-	// phase fragment whose predecessors live in an earlier phase).
-	IgnoreDeps bool
 }
 
 // Validate checks the three constraint families of Equation 1 against the
@@ -258,9 +242,6 @@ func (s *Schedule) Validate(opts ValidateOptions) error {
 		}
 	}
 	// Constraint [3]: dependencies within each micro-batch.
-	if opts.IgnoreDeps {
-		return nil
-	}
 	x := newBlockIndex(items, p.K())
 	for i, it := range items {
 		j := x.probe(it.Block)

@@ -42,18 +42,16 @@ func ReferenceValidate(s *Schedule, opts ValidateOptions) error {
 			}
 		}
 	}
-	if !opts.IgnoreDeps {
-		index := newBlockIndex(s.Items, s.P.K())
-		for i := range s.Items {
-			if _, dup := index.add(i); dup {
-				return errReference
-			}
+	index := newBlockIndex(s.Items, s.P.K())
+	for i := range s.Items {
+		if _, dup := index.add(i); dup {
+			return errReference
 		}
-		for _, it := range s.Items {
-			for _, succ := range s.P.Deps[it.Stage] {
-				if dep, ok := index.find(Block{Stage: succ, Micro: it.Micro}); ok && it.Start+s.P.Stages[it.Stage].Time > dep.Start {
-					return errReference
-				}
+	}
+	for _, it := range s.Items {
+		for _, succ := range s.P.Deps[it.Stage] {
+			if dep, ok := index.find(Block{Stage: succ, Micro: it.Micro}); ok && it.Start+s.P.Stages[it.Stage].Time > dep.Start {
+				return errReference
 			}
 		}
 	}

@@ -99,7 +99,11 @@ func mutations(s *sched.Schedule, rng *rand.Rand) []mutation {
 			edit("duplicated in place", func(m *sched.Schedule) { m.Items = slices.Insert(m.Items, i, m.Items[i]) })
 		}
 	}
-	edit("micros shifted negative", func(m *sched.Schedule) { m.ShiftMicro(-s.Len()) })
+	edit("micros shifted negative", func(m *sched.Schedule) {
+		for i := range m.Items {
+			m.Items[i].Micro -= s.Len()
+		}
+	})
 	return out
 }
 
