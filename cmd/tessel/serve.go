@@ -40,6 +40,11 @@ package main
 // snapshot format and every fetched entry is re-validated like a boot
 // restore, so a slow, dead, or lying peer degrades to a cold search — never
 // a poisoned cache.
+//
+// A client that repeats its request body (a training job posts the same one
+// every step) is not decoded again: a bounded memo in front of the decode
+// maps the exact bytes of a body that decoded to the request it decoded to
+// (requestMemo), so a cache hit goes straight to the engine.
 
 import (
 	"bytes"
@@ -49,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"hash/maphash"
 	"log"
 	"math"
 	"net/http"
@@ -304,6 +310,8 @@ type server struct {
 	engine *tessel.Engine
 	// peerClient is the multi-replica cache tier (nil = single replica).
 	peerClient *tessel.PeerClient
+	// memo answers a repeated /v1/search body without decoding it again.
+	memo *requestMemo
 	// ready flips once the boot-time snapshot restore has finished (or
 	// immediately when persistence is off); /readyz reports 503 until then
 	// so load balancers don't route to a cold replica.
@@ -313,7 +321,7 @@ type server struct {
 // newServer validates cfg and builds the engine and, when -peers is set,
 // the peer tier around it.
 func newServer(cfg *serveConfig) (*server, error) {
-	s := &server{cfg: cfg, engine: tessel.NewEngine(cfg.engine)}
+	s := &server{cfg: cfg, engine: tessel.NewEngine(cfg.engine), memo: newRequestMemo()}
 	if cfg.peers == "" {
 		return s, nil
 	}
@@ -531,13 +539,13 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	buf := requestBufs.Get().(*bytes.Buffer)
-	defer requestBufs.Put(buf)
+	defer putRequestBuf(buf)
 	buf.Reset()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes)); err != nil {
 		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
 		return
 	}
-	req, err := decodeSearchRequest(buf.Bytes())
+	req, err := s.memo.decode(buf.Bytes())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -630,9 +638,98 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeSearchResponse(w, resp, res.Full)
 }
 
-// requestBufs recycles /v1/search request bodies, which are at most
-// maxRequestBytes.
+// requestBufs recycles /v1/search request buffers. A body may be as large as
+// maxRequestBytes, but a buffer that grew past maxPooledRequest is dropped
+// instead of kept in circulation by steady load.
 var requestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledRequest = 64 << 10
+
+func putRequestBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledRequest {
+		requestBufs.Put(buf)
+	}
+}
+
+// The request memo. A training client posts the same /v1/search body on
+// every step, and decoding its placement by encoding/json reflection is the
+// largest cost of a cache hit. requestMemo maps the exact bytes of a body
+// that decoded to the request it decoded to: the hash of the body picks a set
+// of memoWays slots, and a hit is a stored copy of the body equal to it byte
+// for byte, so a hit is the request a decode would return. A body that fails
+// to decode is never stored, and is refused by a decode every time.
+//
+// The memo is bounded: at most memoEntries entries, each a body of at most
+// memoMaxBody bytes and its decoded request (about as many bytes again for
+// the paper's shapes, at most 256 stages' worth for any). An entry is never
+// changed once published, and its Placement is shared by every request that
+// hits it, as the engine's cache shares a cached result's: nothing on the
+// serve path writes a placement.
+//
+// The sizes are measured ones. The benchmark's hot_extend cycles through 70
+// bodies of 0.7–2.9 KB, and two ways of 128 sets keep nearly all of them
+// resident under the 72-entry cap; every entry held costs zipf_mix, whose
+// bodies are mostly distinct, about 7 KB of resident memory at steady state.
+const (
+	memoSets    = 128
+	memoWays    = 2
+	memoEntries = 72
+	memoMaxBody = 16 << 10
+)
+
+type memoEntry struct {
+	hash uint64
+	body []byte // a copy: the request buffer goes back to its pool
+	req  searchRequest
+}
+
+type requestMemo struct {
+	seed  maphash.Seed
+	slots [memoSets][memoWays]atomic.Pointer[memoEntry]
+	// entries counts the slots taken. A slot once taken stays taken (a
+	// later entry may replace its occupant), so the count only grows.
+	entries atomic.Int32
+}
+
+func newRequestMemo() *requestMemo { return &requestMemo{seed: maphash.MakeSeed()} }
+
+// decode is decodeSearchRequest, answered from the memo when body was
+// decoded before.
+func (m *requestMemo) decode(body []byte) (searchRequest, error) {
+	if len(body) > memoMaxBody {
+		return decodeSearchRequest(body)
+	}
+	h := maphash.Bytes(m.seed, body)
+	set := &m.slots[h%memoSets]
+	for i := range set {
+		if e := set[i].Load(); e != nil && e.hash == h && bytes.Equal(e.body, body) {
+			return e.req, nil
+		}
+	}
+	req, err := decodeSearchRequest(body)
+	if err == nil {
+		m.store(set, &memoEntry{hash: h, body: bytes.Clone(body), req: req})
+	}
+	return req, err
+}
+
+// store publishes e in an empty slot of its set while fewer than memoEntries
+// slots are taken, and otherwise over the occupant of the slot its hash
+// picks, if that slot is taken.
+func (m *requestMemo) store(set *[memoWays]atomic.Pointer[memoEntry], e *memoEntry) {
+	for i := range set {
+		if set[i].Load() != nil {
+			continue
+		}
+		if m.entries.Add(1) <= memoEntries && set[i].CompareAndSwap(nil, e) {
+			return
+		}
+		m.entries.Add(-1)
+	}
+	if slot := &set[e.hash>>32%memoWays]; slot.Load() != nil {
+		slot.Store(e)
+	}
+}
 
 // responseBufs recycles /v1/search response buffers. A response is written
 // whole, so its buffer is as large as its body; one that grew past

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,9 +35,11 @@ func decodeSearchRequestTwoPass(body []byte) (searchRequest, error) {
 // FuzzSearchRequest holds the one-pass /v1/search body decode to the two-pass
 // reference: on every input both accept or both refuse (a 400 either way),
 // and what both accept is the same request — the same placement Fingerprint,
-// the key of the serving cache, the same options and tenant. No input may
-// panic. The seeds are the bodies the serve tests post (the wire test's
-// escaped name, the admission tests' tenants and allow_degraded, the
+// the key of the serving cache, the same options and tenant. It holds the
+// request memo to the decode the same way, on a miss and on the hit that
+// follows, and a body one byte off a memoized one to a decode of its own. No
+// input may panic. The seeds are the bodies the serve tests post (the wire
+// test's escaped name, the admission tests' tenants and allow_degraded, the
 // malformed ones), and what a member-by-member decode could get wrong:
 // repeated and case-folded member names, a placement of the wrong type that a
 // later one replaces, null, trailing bytes, and nesting at encoding/json's
@@ -79,11 +82,60 @@ func FuzzSearchRequest(f *testing.F) {
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("one-pass decode: %v; two-pass decode: %v; body %.300q", gotErr, wantErr, body)
 		}
-		if gotErr != nil {
+		if gotErr == nil {
+			sameRequest(t, "one-pass decode", got, "two-pass decode", want)
+		}
+
+		// Through a fresh memo twice, a miss and then a hit: each is the
+		// decode's verdict and request, and only an accepted body that fits
+		// is stored.
+		m := newRequestMemo()
+		var stored *tessel.Placement
+		for _, pass := range []string{"memo miss", "memo hit"} {
+			memo, err := m.decode(body)
+			if fmt.Sprint(err) != fmt.Sprint(gotErr) {
+				t.Fatalf("%s: %v; decode: %v; body %.300q", pass, err, gotErr, body)
+			}
+			if held := memoHeld(m); held != 0 && (gotErr != nil || len(body) > memoMaxBody) {
+				t.Fatalf("%s: memo holds %d entries", pass, held)
+			}
+			if err != nil {
+				continue
+			}
+			sameRequest(t, pass, memo, "decode", got)
+			if stored == nil {
+				stored = memo.Placement
+			} else if memo.Placement != stored && len(body) <= memoMaxBody {
+				t.Fatalf("a repeated body of %d bytes was decoded again", len(body))
+			}
+		}
+
+		// The body with its last byte changed is another body: it is
+		// decoded, never served from the entry of the first.
+		if len(body) == 0 {
 			return
 		}
-		if g, w := sched.Fingerprint(got.Placement), sched.Fingerprint(want.Placement); g != w || got.Options != want.Options || got.Tenant != want.Tenant {
-			t.Fatalf("one-pass decode %s %+v %q; two-pass decode %s %+v %q", g, got.Options, got.Tenant, w, want.Options, want.Tenant)
+		other := bytes.Clone(body)
+		other[len(other)-1]++
+		memo, err := m.decode(other)
+		ref, refErr := decodeSearchRequest(other)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("changed body through the memo: %v; decode: %v", err, refErr)
+		}
+		if err == nil {
+			sameRequest(t, "changed body through the memo", memo, "decode", ref)
+			if stored != nil && memo.Placement == stored {
+				t.Fatal("the changed body was served from the entry of the first")
+			}
 		}
 	})
+}
+
+// sameRequest fails t unless a and b are the same request: the same placement
+// Fingerprint, the key of the serving cache, the same options and tenant.
+func sameRequest(t *testing.T, aName string, a searchRequest, bName string, b searchRequest) {
+	t.Helper()
+	if fa, fb := sched.Fingerprint(a.Placement), sched.Fingerprint(b.Placement); fa != fb || a.Options != b.Options || a.Tenant != b.Tenant {
+		t.Fatalf("%s %s %+v %q; %s %s %+v %q", aName, fa, a.Options, a.Tenant, bName, fb, b.Options, b.Tenant)
+	}
 }

@@ -139,8 +139,10 @@ func BenchmarkServeHitExtend(b *testing.B) {
 // the one-pass Validate 156–157 and at most 68,713 B (the per-device
 // copies are gone), and the completion that unrolls the body into the
 // composed schedule's own array 150 and at most 48,565 B (157 and 67,377 B
-// with the body unrolled and merged as a schedule of its own). The bounds are
-// 150 allocs and 48,565 B plus 10%, so a second copy of the body fails them.
+// with the body unrolled and merged as a schedule of its own), and the
+// request memo, which answers the repeated body without decoding it, 43 and
+// 34,704 B (its parent 150 and 46,984 B, which fail the bounds). The bounds
+// are 43 allocs and 34,704 B plus 10%, so a decode on every hit fails them.
 // The solver must not run at all.
 func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	s := newTestServer(t)
@@ -170,10 +172,10 @@ func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		return // the bounds below are the production binary's
 	}
-	if max := 150 * 1.1; allocs > max {
+	if max := 43 * 1.1; allocs > max {
 		t.Errorf("%.0f allocs/op, want ≤ %.0f", allocs, max)
 	}
-	if max := 48565 * 1.1; bytesPerOp > max {
+	if max := 34704 * 1.1; bytesPerOp > max {
 		t.Errorf("%.0f B/op, want ≤ %.0f", bytesPerOp, max)
 	}
 }
