@@ -44,7 +44,10 @@ package main
 // A client that repeats its request body (a training job posts the same one
 // every step) is not decoded again: a bounded memo in front of the decode
 // maps the exact bytes of a body that decoded to the request it decoded to
-// (requestMemo), so a cache hit goes straight to the engine.
+// (requestMemo), so a cache hit goes straight to the engine. Its response
+// costs only its bytes: the head and the schedule are appended into one
+// pooled buffer with no reflection (writeSearchResponse), and the buffer goes
+// out whole under a Content-Length.
 
 import (
 	"bytes"
@@ -739,24 +742,25 @@ var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledResponse = 1 << 20
 
 // writeSearchResponse writes a 200 whose body is resp, indented as writeJSON
-// would, with the schedule as its last member. The head is small and goes
-// through encoding/json; the schedule, which is nearly all of the bytes, is
-// appended once by the schedule encoder at the depth it has in the body.
+// would, with the schedule as its last member. Nothing goes through
+// reflection: appendSearchHead writes the head member by member, and the
+// schedule, which is nearly all of the bytes, is appended once by the schedule
+// encoder at the depth it has in the body. The body is sent whole, under a
+// Content-Length, so net/http neither chunks it nor flushes a trailer.
 func writeSearchResponse(w http.ResponseWriter, resp searchResponse, full *tessel.Schedule) {
-	head, err := json.MarshalIndent(resp, "", "  ")
+	buf := responseBufs.Get().(*[]byte)
+	b, err := appendSearchHead((*buf)[:0], &resp)
+	if err == nil {
+		b, err = tessel.AppendSchedule(append(b, ",\n  \"schedule\": "...), full, 1)
+	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	buf := responseBufs.Get().(*[]byte)
-	b := append((*buf)[:0], head[:len(head)-len("\n}")]...)
-	b = append(b, ",\n  \"schedule\": "...)
-	if b, err = tessel.AppendSchedule(b, full, 1); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	b = append(b, "\n}\n"...)
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	if _, err := w.Write(b); err != nil {
 		log.Printf("tessel serve: write response: %v", err)
 	}
@@ -764,6 +768,74 @@ func writeSearchResponse(w http.ResponseWriter, resp searchResponse, full *tesse
 		*buf = b
 		responseBufs.Put(buf)
 	}
+}
+
+// appendSearchHead appends the bytes json.MarshalIndent(resp, "", "  ")
+// gives, less the closing "\n}": every member of searchResponse, in field
+// order, one a line. A NaN or infinite float is refused with the error
+// MarshalIndent returns for it.
+func appendSearchHead(b []byte, resp *searchResponse) ([]byte, error) {
+	const m1, m2 = ",\n  \"", ",\n    \"" // a member after the first at depth 1 and 2
+	b = sched.AppendString(append(b, "{\n  \"fingerprint\": "...), resp.Fingerprint)
+	b = strconv.AppendBool(append(b, m1+`cache_hit": `...), resp.CacheHit)
+	b = strconv.AppendBool(append(b, m1+`shared": `...), resp.Shared)
+	b = strconv.AppendBool(append(b, m1+`degraded": `...), resp.Degraded)
+	b = strconv.AppendBool(append(b, m1+`peer_hit": `...), resp.PeerHit)
+	b = strconv.AppendInt(append(b, m1+`n": `...), int64(resp.N), 10)
+	b = strconv.AppendInt(append(b, m1+`makespan": `...), int64(resp.Makespan), 10)
+	b = strconv.AppendInt(append(b, m1+`lower_bound": `...), int64(resp.LowerBound), 10)
+	b = strconv.AppendInt(append(b, m1+`period": `...), int64(resp.Period), 10)
+	b = strconv.AppendInt(append(b, m1+`nr": `...), int64(resp.NR), 10)
+	b = sched.AppendInts(append(b, m1+`assignment": `...), resp.Assignment, true, "\n    ")
+	b, err := appendFloat(append(b, m1+`bubble_rate": `...), resp.BubbleRate)
+	if err != nil {
+		return b, err
+	}
+	st := &resp.Stats
+	b = strconv.AppendInt(append(b, m1+"stats\": {\n    \"assignments\": "...), int64(st.Assignments), 10)
+	b = strconv.AppendInt(append(b, m2+`solved": `...), int64(st.Solved), 10)
+	b = strconv.AppendInt(append(b, m2+`pruned": `...), int64(st.Pruned), 10)
+	b = strconv.AppendInt(append(b, m2+`improved": `...), int64(st.Improved), 10)
+	b = strconv.AppendInt(append(b, m2+`nr_swept": `...), int64(st.NRSwept), 10)
+	b = strconv.AppendInt(append(b, m2+`solver_nodes": `...), st.SolverNodes, 10)
+	b = strconv.AppendInt(append(b, m2+`memo_hits": `...), st.MemoHits, 10)
+	b = strconv.AppendInt(append(b, m2+`warmup_nodes": `...), st.WarmupNodes, 10)
+	b = strconv.AppendInt(append(b, m2+`cooldown_nodes": `...), st.CooldownNodes, 10)
+	if b, err = appendFloat(append(b, m2+`nodes_per_sec": `...), st.NodesPerSec); err != nil {
+		return b, err
+	}
+	b = strconv.AppendInt(append(b, m2+`period_probes": `...), st.PeriodProbes, 10)
+	b = strconv.AppendInt(append(b, m2+`period_relaxations": `...), st.PeriodRelaxations, 10)
+	b = strconv.AppendInt(append(b, m2+`local_search_swaps": `...), st.LocalSearchSwaps, 10)
+	b = strconv.AppendInt(append(b, m2+`order_checks": `...), st.OrderChecks, 10)
+	b = strconv.AppendInt(append(b, m2+`order_pruned": `...), st.OrderPruned, 10)
+	b = strconv.AppendInt(append(b, m2+`order_nodes": `...), st.OrderNodes, 10)
+	b = strconv.AppendInt(append(b, m2+`prefix_checks": `...), st.PrefixChecks, 10)
+	b = strconv.AppendInt(append(b, m2+`prefix_cuts": `...), st.PrefixCuts, 10)
+	b = strconv.AppendBool(append(b, m2+`early_exit": `...), st.EarlyExit)
+	b = strconv.AppendBool(append(b, m2+`truncated": `...), st.Truncated)
+	b = strconv.AppendInt(append(b, m2+`total_ms": `...), st.TotalMS, 10)
+	return append(b, "\n  }"...), nil
+}
+
+// appendFloat appends f as encoding/json writes a float64: the shortest 'f'
+// form, or the 'e' form, its exponent's leading zero trimmed, below 1e-6 and
+// from 1e21 up. NaN and ±Inf have no JSON form; they get encoding/json's
+// error.
+func appendFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, errors.New("json: unsupported value: " + strconv.FormatFloat(f, 'g', -1, 64))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 is written e-7
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // serveStatsJSON is the wire form of /v1/stats: every engine counter (the

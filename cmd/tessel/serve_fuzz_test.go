@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -138,4 +140,89 @@ func sameRequest(t *testing.T, aName string, a searchRequest, bName string, b se
 	if fa, fb := sched.Fingerprint(a.Placement), sched.Fingerprint(b.Placement); fa != fb || a.Options != b.Options || a.Tenant != b.Tenant {
 		t.Fatalf("%s %s %+v %q; %s %s %+v %q", aName, fa, a.Options, a.Tenant, bName, fb, b.Options, b.Tenant)
 	}
+}
+
+// FuzzSearchResponseHead holds the hand-written response head to
+// json.MarshalIndent(searchResponse, "", "  "), the encoder it replaced: the
+// same bytes, the closing brace aside, or the same error. Every integer of
+// the head is read as a varint from nums (zero once they run out), so they
+// reach negative and 64-bit values; flags sets the six booleans; an empty
+// assign makes a nil assignment and any other one of its varints after the
+// first byte, an empty one included. The seeds cover the floats on both
+// sides of 1e-6 and 1e21, where encoding/json switches to the 'e' form, −0,
+// the smallest and largest float, NaN and ±Inf, which both must refuse with
+// the same error, a fingerprint needing escapes and a long assignment.
+func FuzzSearchResponseHead(f *testing.F) {
+	varints := func(vs ...int64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendVarint(b, v)
+		}
+		return b
+	}
+	long := []byte{1}
+	for i := 0; i < 300; i++ {
+		long = binary.AppendVarint(long, int64(i%7-1))
+	}
+	fp := strings.Repeat("0123456789abcdef", 4)
+	for _, c := range []struct {
+		fp          string
+		flags       uint8
+		nums        []byte
+		assign      []byte
+		bubble, nps float64
+	}{
+		{fp, 0, varints(12, 360, 300, 30, 3), varints(0, 1, 0, 2), 0.2, 1.5e6},
+		{fp, 0x3f, varints(math.MaxInt64, math.MinInt64, -1, 0, 1<<40), nil, 1e-6, 1e21},
+		{"", 0x15, nil, []byte{0}, math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0)},
+		{`"<&>` + " \xff", 0x2a, varints(-5), long, math.Copysign(0, -1), 5e-324},
+		{fp, 0, nil, nil, math.MaxFloat64, -1e-7},
+		{fp, 0, nil, nil, math.NaN(), 1},
+		{fp, 0, nil, nil, 0.5, math.Inf(1)},
+		{fp, 0, nil, nil, math.Inf(-1), math.NaN()},
+	} {
+		f.Add(c.fp, c.flags, c.nums, c.assign, c.bubble, c.nps)
+	}
+	f.Fuzz(func(t *testing.T, fingerprint string, flags uint8, nums, assign []byte, bubble, nps float64) {
+		varint := func(b *[]byte) int64 {
+			v, n := binary.Varint(*b)
+			if n <= 0 {
+				*b = nil
+				return 0
+			}
+			*b = (*b)[n:]
+			return v
+		}
+		next := func() int64 { return varint(&nums) }
+		flag := func(i uint) bool { return flags>>i&1 == 1 }
+		resp := searchResponse{
+			Fingerprint: fingerprint, CacheHit: flag(0), Shared: flag(1), Degraded: flag(2), PeerHit: flag(3),
+			N: int(next()), Makespan: int(next()), LowerBound: int(next()), Period: int(next()), NR: int(next()),
+			BubbleRate: bubble,
+			Stats: searchStatsJSON{
+				Assignments: int(next()), Solved: int(next()), Pruned: int(next()), Improved: int(next()),
+				NRSwept: int(next()), SolverNodes: next(), MemoHits: next(), WarmupNodes: next(),
+				CooldownNodes: next(), NodesPerSec: nps, PeriodProbes: next(), PeriodRelaxations: next(),
+				LocalSearchSwaps: next(), OrderChecks: next(), OrderPruned: next(), OrderNodes: next(),
+				PrefixChecks: next(), PrefixCuts: next(), EarlyExit: flag(4), Truncated: flag(5), TotalMS: next(),
+			},
+		}
+		if len(assign) > 0 {
+			resp.Assignment = []int{}
+			for rest := assign[1:]; len(rest) > 0; {
+				resp.Assignment = append(resp.Assignment, int(varint(&rest)))
+			}
+		}
+		want, wantErr := json.MarshalIndent(resp, "", "  ")
+		got, err := appendSearchHead([]byte("prefix"), &resp)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("head writer: %v; MarshalIndent: %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if got = append(got, "\n}"...); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+			t.Fatalf("head differs from MarshalIndent\n got: %s\nwant: prefix%s", got, want)
+		}
+	})
 }

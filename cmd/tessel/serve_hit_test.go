@@ -141,9 +141,11 @@ func BenchmarkServeHitExtend(b *testing.B) {
 // composed schedule's own array 150 and at most 48,565 B (157 and 67,377 B
 // with the body unrolled and merged as a schedule of its own), and the
 // request memo, which answers the repeated body without decoding it, 43 and
-// 34,704 B (its parent 150 and 46,984 B, which fail the bounds). The bounds
-// are 43 allocs and 34,704 B plus 10%, so a decode on every hit fails them.
-// The solver must not run at all.
+// 34,704 B (its parent 150 and 46,984 B), and the response head written by
+// appends, the pooled Validate index and the request key built by appends 36
+// and at most 24,282 B. The bounds are 36 allocs and 24,282 B plus 10%, so a
+// decode on every hit, a reflective head or a fresh Validate index fails
+// them. The solver must not run at all.
 func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	s := newTestServer(t)
 	c := newHitClient(s.mux())
@@ -172,10 +174,10 @@ func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		return // the bounds below are the production binary's
 	}
-	if max := 43 * 1.1; allocs > max {
+	if max := 36 * 1.1; allocs > max {
 		t.Errorf("%.0f allocs/op, want ≤ %.0f", allocs, max)
 	}
-	if max := 34704 * 1.1; bytesPerOp > max {
+	if max := 24282 * 1.1; bytesPerOp > max {
 		t.Errorf("%.0f B/op, want ≤ %.0f", bytesPerOp, max)
 	}
 }

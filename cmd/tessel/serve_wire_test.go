@@ -8,8 +8,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -105,10 +108,9 @@ func TestServeSearchWireBytes(t *testing.T) {
 	}
 }
 
-// TestWriteSearchResponseMatchesReference covers the bodies no request can
-// produce today: a result without a repetend (null assignment) and a
-// placement holding a nil dependency list.
-func TestWriteSearchResponseMatchesReference(t *testing.T) {
+// smallSchedule is three micro-batches of a two-stage placement whose names
+// need escaping and whose last stage has a nil dependency list.
+func smallSchedule() *tessel.Schedule {
 	p := &tessel.Placement{
 		Name:       `"<&>` + "\xff é",
 		NumDevices: 2,
@@ -123,6 +125,16 @@ func TestWriteSearchResponseMatchesReference(t *testing.T) {
 		full.Add(0, m, 3*m)
 		full.Add(1, m, 3*m+1)
 	}
+	return full
+}
+
+// TestWriteSearchResponseMatchesReference covers the bodies no request can
+// produce today: a result without a repetend (null assignment), a placement
+// holding a nil dependency list, and floats encoding/json cannot write, which
+// get the 500 that json.MarshalIndent's error gave.
+func TestWriteSearchResponseMatchesReference(t *testing.T) {
+	full := smallSchedule()
+	p := full.P
 	for _, head := range []searchResponse{
 		{Fingerprint: "f", N: 3, Makespan: 9, BubbleRate: 1.0 / 3},
 		{CacheHit: true, Assignment: []int{1, 0}, Stats: searchStatsJSON{NodesPerSec: 1e21, TotalMS: 7}},
@@ -142,17 +154,31 @@ func TestWriteSearchResponseMatchesReference(t *testing.T) {
 	if want := referenceBody(t, searchResponse{}, &tessel.Schedule{P: p}); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Errorf("empty schedule differs from the reference encoding\n got: %s\nwant: %s", w.Body.Bytes(), want)
 	}
+	for _, head := range []searchResponse{
+		{BubbleRate: math.NaN()},
+		{Stats: searchStatsJSON{NodesPerSec: math.Inf(1)}},
+		{BubbleRate: math.Inf(-1), Stats: searchStatsJSON{NodesPerSec: math.NaN()}},
+	} {
+		_, err := json.MarshalIndent(head, "", "  ")
+		w := httptest.NewRecorder()
+		writeSearchResponse(w, head, full)
+		var body errorResponse
+		if jerr := json.Unmarshal(w.Body.Bytes(), &body); w.Code != 500 || jerr != nil || err == nil || body.Error != err.Error() {
+			t.Errorf("status %d, body %s; want 500 with MarshalIndent's error %v", w.Code, w.Body.Bytes(), err)
+		}
+	}
 }
 
 // TestSearchStatsWireCarriesEveryCounter is counter parity checked on values.
 // Every int/int64 field of core.Stats, the promoted repetend.Effort counters
-// included, gets a distinct value and every flag is set; the stats object
-// searchStats writes must carry each under its snake_case key, the Solver
-// prefix optionally dropped (SolverMemoHits → memo_hits). The two derived
-// members are total_ms (Total in milliseconds) and nodes_per_sec
-// (Stats.NodesPerSec). A counter without a wire field, a wire field that is
-// never filled, and two crossed counters all fail; so does a wire key that no
-// field explains.
+// included, gets a distinct value and every flag is set; the stats object of
+// the body writeSearchResponse writes from searchStats must carry each under
+// its snake_case key, the Solver prefix optionally dropped (SolverMemoHits →
+// memo_hits), so neither searchStats nor the hand-written head may drop or
+// cross one. The two derived members are total_ms (Total in milliseconds) and
+// nodes_per_sec (Stats.NodesPerSec). A counter without a wire field, a wire
+// field that is never filled, and two crossed counters all fail; so does a
+// wire key that no field explains.
 func TestSearchStatsWireCarriesEveryCounter(t *testing.T) {
 	var st core.Stats
 	sv := reflect.ValueOf(&st).Elem()
@@ -191,14 +217,15 @@ func TestSearchStatsWireCarriesEveryCounter(t *testing.T) {
 	st.Phase.Repetend = 4 * time.Second
 	wants = append(wants, wireWant{"NodesPerSec()", []string{"nodes_per_sec"}, st.NodesPerSec()})
 
-	b, err := json.Marshal(searchStats(st))
-	if err != nil {
-		t.Fatal(err)
+	w := httptest.NewRecorder()
+	writeSearchResponse(w, searchResponse{Stats: searchStats(st)}, smallSchedule())
+	var body struct {
+		Stats map[string]any `json:"stats"`
 	}
-	var wire map[string]any
-	if err := json.Unmarshal(b, &wire); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%v\n%s", err, w.Body.Bytes())
 	}
+	wire := body.Stats
 	for _, w := range wants {
 		key := ""
 		for _, k := range w.keys {
@@ -232,4 +259,53 @@ func snakeCase(name string) string {
 		b.WriteByte(name[i])
 	}
 	return strings.ToLower(b.String())
+}
+
+// TestServeSearchFraming reads /v1/search responses off a real listener. A
+// 200 carries a Content-Length equal to its body and is not chunked: a cold
+// miss, an exact-N hit and a hit that extends to n = 256, whose body is tens
+// of kilobytes, far past the 2 KB net/http buffers before it would chunk. An
+// error body is written as before, through writeJSON with no length of its
+// own; being short, it is still sent whole, its length set by net/http.
+func TestServeSearchFraming(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t).mux())
+	defer ts.Close()
+	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(name string, body []byte, status int) []byte {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != status {
+			t.Fatalf("%s: status %d, want %d: %s", name, resp.StatusCode, status, got)
+		}
+		if resp.ContentLength != int64(len(got)) || resp.Header.Get("Content-Length") != strconv.Itoa(len(got)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d (header %q), transfer encoding %q, body of %d bytes",
+				name, resp.ContentLength, resp.Header.Get("Content-Length"), resp.TransferEncoding, len(got))
+		}
+		return got
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		hit  bool
+	}{{"cold miss", 12, false}, {"exact-N hit", 12, true}, {"hit + extend", 256, true}} {
+		var resp searchResponse
+		if err := json.Unmarshal(post(c.name, searchBody(t, p, c.n, 0), 200), &resp); err != nil || resp.CacheHit != c.hit || resp.N != c.n {
+			t.Fatalf("%s: cache_hit %t, n %d, %v", c.name, resp.CacheHit, resp.N, err)
+		}
+	}
+	var refused errorResponse
+	if err := json.Unmarshal(post("refused", []byte(`{not json`), 400), &refused); err != nil || refused.Error == "" {
+		t.Fatalf("refused: %+v, %v", refused, err)
+	}
 }

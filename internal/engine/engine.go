@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"strconv"
 	"sync"
 	"time"
 
@@ -530,10 +531,21 @@ func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*cor
 // The key's fingerprint prefix doubles as a snapshot integrity check: a
 // restored entry's key must begin with the fingerprint of its embedded
 // placement (snapshot.go).
+//
+// The key is built on every hit, so by appends rather than fmt: the bytes of
+// fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t", …), which
+// snapshot and peer entries carry.
 func requestKey(fingerprint string, p *sched.Placement, opts core.Options) string {
 	o := opts.Resolve(p)
-	return fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t",
-		fingerprint, o.Memory, o.MaxNR, o.MaxAssignments, o.SolverNodes, o.SolverTimeout, !o.DisableLazy)
+	var buf [192]byte
+	b := append(append(buf[:0], fingerprint...), "|mem="...)
+	b = strconv.AppendInt(b, int64(o.Memory), 10)
+	b = strconv.AppendInt(append(b, "|nr="...), int64(o.MaxNR), 10)
+	b = strconv.AppendInt(append(b, "|asn="...), int64(o.MaxAssignments), 10)
+	b = strconv.AppendInt(append(b, "|nod="...), o.SolverNodes, 10)
+	b = strconv.AppendInt(append(b, "|to="...), int64(o.SolverTimeout), 10)
+	b = strconv.AppendBool(append(b, "|lazy="...), !o.DisableLazy)
+	return string(b)
 }
 
 func isContextErr(err error) bool {

@@ -187,6 +187,37 @@ func TestRequestKeySpellings(t *testing.T) {
 	}
 }
 
+// TestRequestKeyMatchesSprintf holds the appended key to the fmt.Sprintf
+// format it replaced, over random options: negative, zero, small and 64-bit
+// values of every resolved field, lazy on and off.
+func TestRequestKeyMatchesSprintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	value := func() int64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return -rng.Int63()
+		case 2:
+			return rng.Int63n(1000)
+		}
+		return rng.Int63()
+	}
+	for _, p := range []*sched.Placement{mshape(t), vshape(t)} {
+		fp := sched.Fingerprint(p)
+		for i := 0; i < 500; i++ {
+			opts := core.Options{Memory: int(value()), MaxNR: int(value()), MaxAssignments: int(value()),
+				SolverNodes: value(), SolverTimeout: time.Duration(value()), DisableLazy: rng.Intn(2) == 0}
+			o := opts.Resolve(p)
+			want := fmt.Sprintf("%s|mem=%d|nr=%d|asn=%d|nod=%d|to=%d|lazy=%t",
+				fp, o.Memory, o.MaxNR, o.MaxAssignments, o.SolverNodes, o.SolverTimeout, !o.DisableLazy)
+			if got := requestKey(fp, p, opts); got != want {
+				t.Fatalf("%s %+v: key %q, want %q", p.Name, opts, got, want)
+			}
+		}
+	}
+}
+
 // TestSingleflight launches concurrent identical cold requests and checks
 // exactly one search ran; the rest either coalesced onto it or (if they
 // arrived after it finished) hit the cache.

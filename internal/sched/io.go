@@ -107,7 +107,7 @@ func appendPlacement(dst []byte, p *Placement, nl string) []byte {
 		dst = append(append(append(append(dst, line(l)...), '"'), name...), `": `...)
 	}
 	num := func(l int, name string, v int) { member(l, name); dst = strconv.AppendInt(dst, int64(v), 10) }
-	str := func(l int, name, v string) { member(l, name); dst = appendString(dst, v) }
+	str := func(l int, name, v string) { member(l, name); dst = AppendString(dst, v) }
 	dst = append(dst, '{')
 	num(1, "version", ioVersion)
 	str(1, "name", p.Name)
@@ -121,7 +121,7 @@ func appendPlacement(dst []byte, p *Placement, nl string) []byte {
 		num(3, "time", st.Time)
 		num(3, "mem", st.Mem)
 		member(3, "devices")
-		dst = append(append(appendInts(dst, st.Devices, false, line(4)), line(2)...), '}')
+		dst = append(append(AppendInts(dst, st.Devices, false, line(4)), line(2)...), '}')
 	}
 	if len(p.Stages) == 0 {
 		dst = append(dst, "null"...)
@@ -130,7 +130,7 @@ func appendPlacement(dst []byte, p *Placement, nl string) []byte {
 	}
 	member(1, "deps")
 	for i, succ := range p.Deps {
-		dst = appendInts(append(append(dst, "[,"[min(i, 1)]), line(2)...), succ, true, line(3))
+		dst = AppendInts(append(append(dst, "[,"[min(i, 1)]), line(2)...), succ, true, line(3))
 	}
 	switch {
 	case p.Deps == nil:
@@ -143,9 +143,9 @@ func appendPlacement(dst []byte, p *Placement, nl string) []byte {
 	return append(append(dst, line(0)...), '}')
 }
 
-// appendInts appends xs as an indented array, numbers on lines nl: [] when
-// empty, null when nil and nilIsNull.
-func appendInts[T ~int](dst []byte, xs []T, nilIsNull bool, nl string) []byte {
+// AppendInts appends xs as encoding/json indents an array, numbers on lines
+// nl: [] when empty, null when nil and nilIsNull.
+func AppendInts[T ~int](dst []byte, xs []T, nilIsNull bool, nl string) []byte {
 	switch {
 	case xs == nil && nilIsNull:
 		return append(dst, "null"...)
@@ -158,10 +158,10 @@ func appendInts[T ~int](dst []byte, xs []T, nilIsNull bool, nl string) []byte {
 	return append(append(dst, nl[:len(nl)-2]...), ']')
 }
 
-// appendString appends s quoted as encoding/json quotes it. A string of
-// printable ASCII that JSON and HTML leave alone, as names are, is copied as
-// it is; any other goes through encoding/json.
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s quoted as encoding/json quotes it. A string of
+// printable ASCII that JSON and HTML leave alone, as names and fingerprints
+// are, is copied as it is; any other goes through encoding/json.
+func AppendString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			quoted, _ := json.Marshal(s) // a string always marshals
@@ -277,14 +277,48 @@ func appendItems(dst []byte, items []Item, open, micro, start, end string) []byt
 			dst = append(dst, ',')
 		}
 		dst = append(dst, open...)
-		dst = strconv.AppendInt(dst, int64(items[i].Stage), 10)
+		dst = appendInt(dst, items[i].Stage)
 		dst = append(dst, micro...)
-		dst = strconv.AppendInt(dst, int64(items[i].Micro), 10)
+		dst = appendInt(dst, items[i].Micro)
 		dst = append(dst, start...)
-		dst = strconv.AppendInt(dst, int64(items[i].Start), 10)
+		dst = appendInt(dst, items[i].Start)
 		dst = append(dst, end...)
 	}
 	return dst
+}
+
+// digitPairs is "00" through "99", the table appendInt formats from.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendInt appends v in decimal, the bytes of strconv.AppendInt. A value in
+// [0, 10000), as nearly every stage, micro-batch and start time of a served
+// schedule is, is copied from the two-digit table; any other, negatives
+// included, goes through strconv.
+func appendInt(dst []byte, v int) []byte {
+	switch {
+	case v < 0 || v >= 10000:
+		return strconv.AppendInt(dst, int64(v), 10)
+	case v < 10:
+		return append(dst, byte('0'+v))
+	case v < 100:
+		return append(dst, digitPairs[2*v:2*v+2]...)
+	}
+	hi, lo := v/100, v%100
+	if hi < 10 {
+		dst = append(dst, byte('0'+hi))
+	} else {
+		dst = append(dst, digitPairs[2*hi:2*hi+2]...)
+	}
+	return append(dst, digitPairs[2*lo:2*lo+2]...)
 }
 
 // DecodeSchedule reads a self-contained schedule and checks it references

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
+	"strconv"
 	"testing"
 )
 
@@ -112,6 +114,26 @@ func TestAppendScheduleMatchesEncodingJSON(t *testing.T) {
 	got, err := AppendSchedule(nil, NewSchedule(p), 0)
 	if err != nil || !bytes.Contains(got, []byte(`"devices": []`)) || bytes.Contains(got, []byte(`"devices": null`)) {
 		t.Fatalf("nil device list: %v\n%s", err, got)
+	}
+}
+
+// TestAppendItemsFormatsIntegers holds the two-digit table to strconv at each
+// edge of its digit counts and at both ends of the table's range, every value
+// in each of an item's three places, and appendInt alone to strconv over
+// [-1000, 100000), all of the table and both of its ends.
+func TestAppendItemsFormatsIntegers(t *testing.T) {
+	for _, v := range []int{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, -1, math.MaxInt, math.MinInt} {
+		items := []Item{{Block{v, 1}, 2}, {Block{3, v}, 4}, {Block{5, 6}, v}}
+		got := appendItems([]byte("x"), items, "<", " ", " ", ">")
+		s := strconv.Itoa(v)
+		if want := "x<" + s + " 1 2>,<3 " + s + " 4>,<5 6 " + s + ">"; string(got) != want {
+			t.Errorf("%d: appendItems wrote %q, want %q", v, got, want)
+		}
+	}
+	for v := -1000; v < 100000; v++ {
+		if got, want := appendInt([]byte("x"), v), strconv.AppendInt([]byte("x"), int64(v), 10); !bytes.Equal(got, want) {
+			t.Fatalf("appendInt(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
 

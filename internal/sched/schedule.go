@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Block identifies one execution block: stage i of micro-batch n (B^n_i in
@@ -243,6 +244,7 @@ func (s *Schedule) Validate(opts ValidateOptions) error {
 	}
 	// Constraint [3]: dependencies within each micro-batch.
 	x := newBlockIndex(items, p.K())
+	defer x.release()
 	for i, it := range items {
 		j := x.probe(it.Block)
 		if at := x.slots[j]; at != 0 {
@@ -267,28 +269,51 @@ func (s *Schedule) Validate(opts ValidateOptions) error {
 // and dependency checks, its only user. Validate looks up every dependency
 // edge of every item, which a map[Block]Item made the larger half of
 // validating a schedule; this is one array of item positions, open addressed
-// and at most half full.
+// and at most half full. Validate runs on every schedule the server composes,
+// so the array is taken from a pool and cleared, not allocated.
 type blockIndex struct {
-	items []Item
-	slots []int32 // position in items + 1; 0 marks a free slot
-	shift uint    // the stage count's bit length: a micro-batch's slots are 1<<shift apart
-	mask  uint    // the table size less one
-	hash  uint    // 64 − log2 of the table size: a hash's top log2(size) bits are its slot
-	base  int     // the micro-batch keys count from: the first item's
+	items  []Item
+	slots  []int32  // position in items + 1; 0 marks a free slot
+	pooled *[]int32 // the pool's box for slots
+	shift  uint     // the stage count's bit length: a micro-batch's slots are 1<<shift apart
+	mask   uint     // the table size less one
+	hash   uint     // 64 − log2 of the table size: a hash's top log2(size) bits are its slot
+	base   int      // the micro-batch keys count from: the first item's
 }
 
-// newBlockIndex returns the empty index of items over k stages.
+// blockSlots recycles blockIndex arrays. One larger than maxPooledSlots (a
+// schedule of over 32,768 items) is left to the collector instead of pinned.
+var blockSlots = sync.Pool{New: func() any { return new([]int32) }}
+
+const maxPooledSlots = 256 << 10 / 4 // 256 KB of int32
+
+// newBlockIndex returns the empty index of items over k stages. Its array is
+// the pool's until release.
 func newBlockIndex(items []Item, k int) blockIndex {
 	size := 4
 	for size < 2*len(items) {
 		size *= 2
 	}
-	x := blockIndex{items: items, slots: make([]int32, size), shift: uint(bits.Len(uint(max(k, 1) - 1))),
+	x := blockIndex{items: items, pooled: blockSlots.Get().(*[]int32), shift: uint(bits.Len(uint(max(k, 1) - 1))),
 		mask: uint(size - 1), hash: uint(bits.LeadingZeros(uint(size - 1)))}
+	if cap(*x.pooled) >= size {
+		x.slots = (*x.pooled)[:size]
+		clear(x.slots)
+	} else {
+		x.slots = make([]int32, size)
+	}
 	if len(items) > 0 {
 		x.base = items[0].Micro
 	}
 	return x
+}
+
+// release hands x's array back to the pool; x must not be used after.
+func (x *blockIndex) release() {
+	if cap(x.slots) <= maxPooledSlots {
+		*x.pooled = x.slots
+		blockSlots.Put(x.pooled)
+	}
 }
 
 // probe returns the slot holding block b, or the free slot where it belongs.

@@ -8,6 +8,8 @@ package sched_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -141,6 +143,45 @@ func TestValidateMatchesReference(t *testing.T) {
 		if invalid[name] == 0 {
 			t.Errorf("no %q schedule is invalid", name)
 		}
+	}
+}
+
+// TestValidateSteadyStateAllocs bounds what Validate allocates on a schedule
+// as completion hands it over: the m4 schedule at N = 256, sorted, after one
+// warm-up call. Its block index comes from a pool, so what is left is the
+// per-device state: 1 alloc and 96 B on four devices, where a fresh index
+// made it 2 and 32,864 B. The bounds are those plus 10%. From the warm-up on
+// the collector is off, since a collection may empty the pool, and one P
+// runs Go code, since an array put back on one P is not found by a Get on
+// another.
+func TestValidateSteadyStateAllocs(t *testing.T) {
+	s := completed(t, 0, 256)[0]
+	validate := func() {
+		if err := s.Validate(sched.ValidateOptions{Memory: sched.Unbounded}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	validate() // after the resize, which empties the pool
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		validate()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytesPerOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Validate m4 N=256 sorted: %.2f allocs/op, %.0f B/op", allocs, bytesPerOp)
+	if raceDetector {
+		return // the bounds below are the production binary's
+	}
+	if max := 1 * 1.1; allocs > max {
+		t.Errorf("%.2f allocs/op, want ≤ %.1f", allocs, max)
+	}
+	if max := 96 * 1.1; bytesPerOp > max {
+		t.Errorf("%.0f B/op, want ≤ %.0f", bytesPerOp, max)
 	}
 }
 
