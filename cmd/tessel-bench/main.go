@@ -3,11 +3,13 @@
 //
 // Usage:
 //
-//	tessel-bench              # run everything (about 25 s on 2 cores)
+//	tessel-bench              # run everything (about 19 s on 2 cores)
 //	tessel-bench -quick       # reduced sweeps (seconds)
 //	tessel-bench -only fig11  # one experiment
 //
-// EXPERIMENTS.md records a -quick run against the paper's reported numbers.
+// EXPERIMENTS.md compares the output with the paper's claims. Most of its
+// sections record a -quick run; Table II records both a full and a -quick
+// run, whose search budget (MaxNR 4) is what holds Tessel above 0% there.
 package main
 
 import (

@@ -164,105 +164,6 @@ type searchRequestOptions struct {
 	AllowDegraded bool `json:"allow_degraded"`
 }
 
-// searchResponse is every member of a /v1/search response but the last: the
-// "schedule" object, which writeSearchResponse appends after these.
-type searchResponse struct {
-	Fingerprint string `json:"fingerprint"`
-	CacheHit    bool   `json:"cache_hit"`
-	Shared      bool   `json:"shared"`
-	// Degraded marks a best-effort result from a node-capped search under
-	// overload — valid, but not proven optimal and never cached.
-	Degraded bool `json:"degraded"`
-	// PeerHit marks a result fetched (and re-validated) from a peer
-	// replica's cache instead of cold-searched here.
-	PeerHit    bool            `json:"peer_hit"`
-	N          int             `json:"n"`
-	Makespan   int             `json:"makespan"`
-	LowerBound int             `json:"lower_bound"`
-	Period     int             `json:"period"`
-	NR         int             `json:"nr"`
-	Assignment []int           `json:"assignment"`
-	BubbleRate float64         `json:"bubble_rate"`
-	Stats      searchStatsJSON `json:"stats"`
-}
-
-type searchStatsJSON struct {
-	Assignments int `json:"assignments"`
-	Solved      int `json:"solved"`
-	Pruned      int `json:"pruned"`
-	Improved    int `json:"improved"`
-	// NRSwept is the largest repetend count N_R the sweep reached before
-	// settling, the serving-side measure of sweep effort per request.
-	NRSwept     int   `json:"nr_swept"`
-	SolverNodes int64 `json:"solver_nodes"`
-	// MemoHits is the number of solver nodes pruned by the dominance memo
-	// across the repetend instance solves.
-	MemoHits int64 `json:"memo_hits"`
-	// WarmupNodes / CooldownNodes are the solver nodes of the completion's
-	// phase solves, the lazy gate's checks included, which solver_nodes
-	// leaves out.
-	WarmupNodes   int64 `json:"warmup_nodes"`
-	CooldownNodes int64 `json:"cooldown_nodes"`
-	// NodesPerSec is the repetend-phase solver node throughput — the
-	// serving-side health measure of the allocation-free solver core.
-	NodesPerSec float64 `json:"nodes_per_sec"`
-	// PeriodProbes / PeriodRelaxations count the period-feasibility probes
-	// and their distance tightenings across the sweep's repetend
-	// evaluations — the serving-side health measures of the incremental
-	// period engine (the repetend phase's other hot path).
-	PeriodProbes      int64 `json:"period_probes"`
-	PeriodRelaxations int64 `json:"period_relaxations"`
-	// LocalSearchSwaps counts candidate order swaps the repetend local
-	// search evaluated.
-	LocalSearchSwaps int64 `json:"local_search_swaps"`
-	// OrderChecks / OrderPruned / OrderNodes account for the exact
-	// order-feasibility check, run wherever a solve's bound is the lower
-	// bound (every leaf of the lower-bound pass, a few of the unaimed
-	// pass's) and at the prefix walk's last levels: assignments it
-	// examined, assignments it discarded before any instance solve (counted
-	// inside Pruned), and the branch nodes that took.
-	OrderChecks int64 `json:"order_checks"`
-	OrderPruned int64 `json:"order_pruned"`
-	OrderNodes  int64 `json:"order_nodes"`
-	// PrefixChecks / PrefixCuts account for the prefix filter in front of the
-	// sweep: enumeration-tree nodes it tested and subtrees it cut. What lies
-	// under a cut is counted in neither Assignments nor Pruned.
-	PrefixChecks int64 `json:"prefix_checks"`
-	PrefixCuts   int64 `json:"prefix_cuts"`
-	EarlyExit    bool  `json:"early_exit"`
-	Truncated    bool  `json:"truncated"`
-	TotalMS      int64 `json:"total_ms"`
-}
-
-// searchStats is the one place a search's core.Stats reaches the wire:
-// TestSearchStatsWireCarriesEveryCounter fails on a counter of core.Stats
-// that has no field here, or a field that is not filled.
-func searchStats(st core.Stats) searchStatsJSON {
-	return searchStatsJSON{
-		Assignments:       st.Assignments,
-		Solved:            st.Solved,
-		Pruned:            st.Pruned,
-		Improved:          st.Improved,
-		NRSwept:           st.NRSwept,
-		SolverNodes:       st.SolverNodes,
-		MemoHits:          st.SolverMemoHits,
-		WarmupNodes:       st.WarmupNodes,
-		CooldownNodes:     st.CooldownNodes,
-		NodesPerSec:       st.NodesPerSec(),
-		PeriodProbes:      st.PeriodProbes,
-		PeriodRelaxations: st.PeriodRelaxations,
-		LocalSearchSwaps:  st.LocalSearchSwaps,
-		OrderChecks:       st.OrderChecks,
-		OrderPruned:       st.OrderPruned,
-		OrderNodes:        st.OrderNodes,
-		PrefixChecks:      st.PrefixChecks,
-		PrefixCuts:        st.PrefixCuts,
-		EarlyExit:         st.EarlyExit,
-		Truncated:         st.Truncated,
-		TotalMS:           st.Total.Milliseconds(),
-	}
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -618,27 +519,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := searchResponse{
-		Fingerprint: info.Fingerprint,
-		CacheHit:    info.Hit,
-		Shared:      info.Shared,
-		Degraded:    info.Degraded,
-		PeerHit:     info.PeerHit,
-		N:           res.N,
-		Makespan:    res.Makespan,
-		LowerBound:  res.LowerBound,
-		BubbleRate:  res.BubbleRate,
-		Stats:       searchStats(res.Stats),
-	}
-	// A successful search always carries a repetend today, but the guard
-	// keeps a malformed (e.g. directly-solved future) result from crashing
-	// the handler mid-response.
-	if res.Repetend != nil {
-		resp.Period = res.Repetend.Period
-		resp.NR = res.Repetend.NR
-		resp.Assignment = []int(res.Repetend.Assign)
-	}
-	writeSearchResponse(w, resp, res.Full)
+	writeSearchResponse(w, res, info)
 }
 
 // requestBufs recycles /v1/search request buffers. A body may be as large as
@@ -741,17 +622,18 @@ var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledResponse = 1 << 20
 
-// writeSearchResponse writes a 200 whose body is resp, indented as writeJSON
-// would, with the schedule as its last member. Nothing goes through
-// reflection: appendSearchHead writes the head member by member, and the
-// schedule, which is nearly all of the bytes, is appended once by the schedule
-// encoder at the depth it has in the body. The body is sent whole, under a
-// Content-Length, so net/http neither chunks it nor flushes a trailer.
-func writeSearchResponse(w http.ResponseWriter, resp searchResponse, full *tessel.Schedule) {
+// writeSearchResponse writes the 200 for a search the engine served: the
+// head appendSearchHead writes from res and info, then res.Full as the
+// "schedule" member, indented as writeJSON would. Nothing goes through
+// reflection: the schedule, which is nearly all of the bytes, is appended once
+// by the schedule encoder at the depth it has in the body. The body is sent
+// whole, under a Content-Length, so net/http neither chunks it nor flushes a
+// trailer.
+func writeSearchResponse(w http.ResponseWriter, res *core.Result, info tessel.CacheInfo) {
 	buf := responseBufs.Get().(*[]byte)
-	b, err := appendSearchHead((*buf)[:0], &resp)
+	b, err := appendSearchHead((*buf)[:0], res, info)
 	if err == nil {
-		b, err = tessel.AppendSchedule(append(b, ",\n  \"schedule\": "...), full, 1)
+		b, err = tessel.AppendSchedule(append(b, ",\n  \"schedule\": "...), res.Full, 1)
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -770,38 +652,50 @@ func writeSearchResponse(w http.ResponseWriter, resp searchResponse, full *tesse
 	}
 }
 
-// appendSearchHead appends the bytes json.MarshalIndent(resp, "", "  ")
-// gives, less the closing "\n}": every member of searchResponse, in field
-// order, one a line. A NaN or infinite float is refused with the error
-// MarshalIndent returns for it.
-func appendSearchHead(b []byte, resp *searchResponse) ([]byte, error) {
+// appendSearchHead appends every member of a /v1/search response but the
+// schedule, one a line, indented as json.MarshalIndent(v, "", "  ") indents
+// them, with no closing "\n}". The members are info's, then res's, then the
+// "stats" object of res.Stats: each counter under its field name in snake
+// case, but for three members — memo_hits is SolverMemoHits, nodes_per_sec is
+// NodesPerSec() and total_ms is Total in whole milliseconds. period, nr and
+// assignment come from res.Repetend, and read 0, 0 and null without one. A NaN
+// or infinite float is refused with the error MarshalIndent returns for it.
+func appendSearchHead(b []byte, res *core.Result, info tessel.CacheInfo) ([]byte, error) {
 	const m1, m2 = ",\n  \"", ",\n    \"" // a member after the first at depth 1 and 2
-	b = sched.AppendString(append(b, "{\n  \"fingerprint\": "...), resp.Fingerprint)
-	b = strconv.AppendBool(append(b, m1+`cache_hit": `...), resp.CacheHit)
-	b = strconv.AppendBool(append(b, m1+`shared": `...), resp.Shared)
-	b = strconv.AppendBool(append(b, m1+`degraded": `...), resp.Degraded)
-	b = strconv.AppendBool(append(b, m1+`peer_hit": `...), resp.PeerHit)
-	b = strconv.AppendInt(append(b, m1+`n": `...), int64(resp.N), 10)
-	b = strconv.AppendInt(append(b, m1+`makespan": `...), int64(resp.Makespan), 10)
-	b = strconv.AppendInt(append(b, m1+`lower_bound": `...), int64(resp.LowerBound), 10)
-	b = strconv.AppendInt(append(b, m1+`period": `...), int64(resp.Period), 10)
-	b = strconv.AppendInt(append(b, m1+`nr": `...), int64(resp.NR), 10)
-	b = sched.AppendInts(append(b, m1+`assignment": `...), resp.Assignment, true, "\n    ")
-	b, err := appendFloat(append(b, m1+`bubble_rate": `...), resp.BubbleRate)
+	b = sched.AppendString(append(b, "{\n  \"fingerprint\": "...), info.Fingerprint)
+	b = strconv.AppendBool(append(b, m1+`cache_hit": `...), info.Hit)
+	b = strconv.AppendBool(append(b, m1+`shared": `...), info.Shared)
+	b = strconv.AppendBool(append(b, m1+`degraded": `...), info.Degraded)
+	b = strconv.AppendBool(append(b, m1+`peer_hit": `...), info.PeerHit)
+	b = strconv.AppendInt(append(b, m1+`n": `...), int64(res.N), 10)
+	b = strconv.AppendInt(append(b, m1+`makespan": `...), int64(res.Makespan), 10)
+	b = strconv.AppendInt(append(b, m1+`lower_bound": `...), int64(res.LowerBound), 10)
+	var period, nr int
+	var assign []int
+	// A successful search always carries a repetend today, but the guard
+	// keeps a malformed (e.g. directly-solved future) result from crashing
+	// the handler mid-response.
+	if r := res.Repetend; r != nil {
+		period, nr, assign = r.Period, r.NR, r.Assign
+	}
+	b = strconv.AppendInt(append(b, m1+`period": `...), int64(period), 10)
+	b = strconv.AppendInt(append(b, m1+`nr": `...), int64(nr), 10)
+	b = sched.AppendInts(append(b, m1+`assignment": `...), assign, true, "\n    ")
+	b, err := appendFloat(append(b, m1+`bubble_rate": `...), res.BubbleRate)
 	if err != nil {
 		return b, err
 	}
-	st := &resp.Stats
+	st := &res.Stats
 	b = strconv.AppendInt(append(b, m1+"stats\": {\n    \"assignments\": "...), int64(st.Assignments), 10)
 	b = strconv.AppendInt(append(b, m2+`solved": `...), int64(st.Solved), 10)
 	b = strconv.AppendInt(append(b, m2+`pruned": `...), int64(st.Pruned), 10)
 	b = strconv.AppendInt(append(b, m2+`improved": `...), int64(st.Improved), 10)
 	b = strconv.AppendInt(append(b, m2+`nr_swept": `...), int64(st.NRSwept), 10)
 	b = strconv.AppendInt(append(b, m2+`solver_nodes": `...), st.SolverNodes, 10)
-	b = strconv.AppendInt(append(b, m2+`memo_hits": `...), st.MemoHits, 10)
+	b = strconv.AppendInt(append(b, m2+`memo_hits": `...), st.SolverMemoHits, 10)
 	b = strconv.AppendInt(append(b, m2+`warmup_nodes": `...), st.WarmupNodes, 10)
 	b = strconv.AppendInt(append(b, m2+`cooldown_nodes": `...), st.CooldownNodes, 10)
-	if b, err = appendFloat(append(b, m2+`nodes_per_sec": `...), st.NodesPerSec); err != nil {
+	if b, err = appendFloat(append(b, m2+`nodes_per_sec": `...), st.NodesPerSec()); err != nil {
 		return b, err
 	}
 	b = strconv.AppendInt(append(b, m2+`period_probes": `...), st.PeriodProbes, 10)
@@ -814,7 +708,7 @@ func appendSearchHead(b []byte, resp *searchResponse) ([]byte, error) {
 	b = strconv.AppendInt(append(b, m2+`prefix_cuts": `...), st.PrefixCuts, 10)
 	b = strconv.AppendBool(append(b, m2+`early_exit": `...), st.EarlyExit)
 	b = strconv.AppendBool(append(b, m2+`truncated": `...), st.Truncated)
-	b = strconv.AppendInt(append(b, m2+`total_ms": `...), st.TotalMS, 10)
+	b = strconv.AppendInt(append(b, m2+`total_ms": `...), st.Total.Milliseconds(), 10)
 	return append(b, "\n  }"...), nil
 }
 

@@ -9,8 +9,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"tessel"
+	"tessel/internal/core"
+	"tessel/internal/repetend"
 	"tessel/internal/sched"
 )
 
@@ -143,15 +146,18 @@ func sameRequest(t *testing.T, aName string, a searchRequest, bName string, b se
 }
 
 // FuzzSearchResponseHead holds the hand-written response head to
-// json.MarshalIndent(searchResponse, "", "  "), the encoder it replaced: the
-// same bytes, the closing brace aside, or the same error. Every integer of
-// the head is read as a varint from nums (zero once they run out), so they
-// reach negative and 64-bit values; flags sets the six booleans; an empty
-// assign makes a nil assignment and any other one of its varints after the
-// first byte, an empty one included. The seeds cover the floats on both
-// sides of 1e-6 and 1e21, where encoding/json switches to the 'e' form, −0,
-// the smallest and largest float, NaN and ±Inf, which both must refuse with
-// the same error, a fingerprint needing escapes and a long assignment.
+// json.MarshalIndent of referenceHead, the struct the reflective encoder
+// took, for the same (res, info): the same bytes, the closing brace aside, or
+// the same error. Every integer of the result is read as a varint from nums
+// (zero once they run out), so they reach negative and 64-bit values; the
+// first two are SolverNodes and Phase.Repetend in nanoseconds, whose quotient
+// is nodes_per_sec. flags sets the six booleans; an empty assign makes a
+// result without a repetend and any other one a repetend whose assignment is
+// its varints after the first byte, an empty one included. The seeds cover
+// nodes_per_sec and bubble_rate on both sides of 1e-6 and 1e21, where
+// encoding/json switches to the 'e' form, and bubble_rate at −0, the smallest
+// and largest float, NaN and ±Inf, which both encoders must refuse with the
+// same error; also a fingerprint needing escapes and a long assignment.
 func FuzzSearchResponseHead(f *testing.F) {
 	varints := func(vs ...int64) []byte {
 		var b []byte
@@ -166,24 +172,27 @@ func FuzzSearchResponseHead(f *testing.F) {
 	}
 	fp := strings.Repeat("0123456789abcdef", 4)
 	for _, c := range []struct {
-		fp          string
-		flags       uint8
-		nums        []byte
-		assign      []byte
-		bubble, nps float64
+		fp     string
+		flags  uint8
+		nums   []byte
+		assign []byte
+		bubble float64
 	}{
-		{fp, 0, varints(12, 360, 300, 30, 3), varints(0, 1, 0, 2), 0.2, 1.5e6},
-		{fp, 0x3f, varints(math.MaxInt64, math.MinInt64, -1, 0, 1<<40), nil, 1e-6, 1e21},
-		{"", 0x15, nil, []byte{0}, math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0)},
-		{`"<&>` + " \xff", 0x2a, varints(-5), long, math.Copysign(0, -1), 5e-324},
-		{fp, 0, nil, nil, math.MaxFloat64, -1e-7},
-		{fp, 0, nil, nil, math.NaN(), 1},
-		{fp, 0, nil, nil, 0.5, math.Inf(1)},
-		{fp, 0, nil, nil, math.Inf(-1), math.NaN()},
+		{fp, 0, varints(1_500_000, 1e9, 12, 360, 300, 30, 3), varints(0, 1, 0, 2), 0.2},
+		{fp, 0x3f, varints(1, 1e15, math.MaxInt64, math.MinInt64, -1, 0, 1<<40), nil, 1e-6},
+		{"", 0x15, varints(1, 1e15+1), []byte{0}, math.Nextafter(1e-6, 0)},
+		{fp, 0, varints(1e12, 1), nil, math.Nextafter(1e21, 0)},
+		{fp, 0, varints(999_999_999_999, 1), nil, 1e21},
+		{`"<&>` + " \xff", 0x2a, varints(-5, 3), long, math.Copysign(0, -1)},
+		{fp, 0, varints(math.MaxInt64, 1), nil, math.MaxFloat64},
+		{fp, 0, varints(1, math.MaxInt64), nil, 5e-324},
+		{fp, 0, nil, nil, math.NaN()},
+		{fp, 0, nil, nil, math.Inf(1)},
+		{fp, 0, varints(7, 0), nil, math.Inf(-1)},
 	} {
-		f.Add(c.fp, c.flags, c.nums, c.assign, c.bubble, c.nps)
+		f.Add(c.fp, c.flags, c.nums, c.assign, c.bubble)
 	}
-	f.Fuzz(func(t *testing.T, fingerprint string, flags uint8, nums, assign []byte, bubble, nps float64) {
+	f.Fuzz(func(t *testing.T, fingerprint string, flags uint8, nums, assign []byte, bubble float64) {
 		varint := func(b *[]byte) int64 {
 			v, n := binary.Varint(*b)
 			if n <= 0 {
@@ -195,26 +204,25 @@ func FuzzSearchResponseHead(f *testing.F) {
 		}
 		next := func() int64 { return varint(&nums) }
 		flag := func(i uint) bool { return flags>>i&1 == 1 }
-		resp := searchResponse{
-			Fingerprint: fingerprint, CacheHit: flag(0), Shared: flag(1), Degraded: flag(2), PeerHit: flag(3),
-			N: int(next()), Makespan: int(next()), LowerBound: int(next()), Period: int(next()), NR: int(next()),
-			BubbleRate: bubble,
-			Stats: searchStatsJSON{
-				Assignments: int(next()), Solved: int(next()), Pruned: int(next()), Improved: int(next()),
-				NRSwept: int(next()), SolverNodes: next(), MemoHits: next(), WarmupNodes: next(),
-				CooldownNodes: next(), NodesPerSec: nps, PeriodProbes: next(), PeriodRelaxations: next(),
-				LocalSearchSwaps: next(), OrderChecks: next(), OrderPruned: next(), OrderNodes: next(),
-				PrefixChecks: next(), PrefixCuts: next(), EarlyExit: flag(4), Truncated: flag(5), TotalMS: next(),
-			},
-		}
+		info := tessel.CacheInfo{Fingerprint: fingerprint, Hit: flag(0), Shared: flag(1), Degraded: flag(2), PeerHit: flag(3)}
+		var res core.Result
+		st := &res.Stats
+		st.SolverNodes, st.Phase.Repetend = next(), time.Duration(next())
+		res.N, res.Makespan, res.LowerBound, res.BubbleRate = int(next()), int(next()), int(next()), bubble
 		if len(assign) > 0 {
-			resp.Assignment = []int{}
+			r := &repetend.Repetend{Period: int(next()), NR: int(next()), Assign: repetend.Assignment{}}
 			for rest := assign[1:]; len(rest) > 0; {
-				resp.Assignment = append(resp.Assignment, int(varint(&rest)))
+				r.Assign = append(r.Assign, int(varint(&rest)))
 			}
+			res.Repetend = r
 		}
-		want, wantErr := json.MarshalIndent(resp, "", "  ")
-		got, err := appendSearchHead([]byte("prefix"), &resp)
+		st.Assignments, st.Solved, st.Pruned, st.Improved, st.NRSwept = int(next()), int(next()), int(next()), int(next()), int(next())
+		st.SolverMemoHits, st.WarmupNodes, st.CooldownNodes = next(), next(), next()
+		st.PeriodProbes, st.PeriodRelaxations, st.LocalSearchSwaps = next(), next(), next()
+		st.OrderChecks, st.OrderPruned, st.OrderNodes, st.PrefixChecks, st.PrefixCuts = next(), next(), next(), next(), next()
+		st.EarlyExit, st.Truncated, st.Total = flag(4), flag(5), time.Duration(next())
+		want, wantErr := json.MarshalIndent(referenceHead(&res, info), "", "  ")
+		got, err := appendSearchHead([]byte("prefix"), &res, info)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("head writer: %v; MarshalIndent: %v", err, wantErr)
 		}

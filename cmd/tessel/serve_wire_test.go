@@ -19,7 +19,94 @@ import (
 
 	"tessel"
 	"tessel/internal/core"
+	"tessel/internal/repetend"
 )
+
+// searchResponse is every member of a /v1/search body but the schedule: the
+// serve tests' decode target, and the value referenceBody encodes.
+type searchResponse struct {
+	Fingerprint string          `json:"fingerprint"`
+	CacheHit    bool            `json:"cache_hit"`
+	Shared      bool            `json:"shared"`
+	Degraded    bool            `json:"degraded"`
+	PeerHit     bool            `json:"peer_hit"`
+	N           int             `json:"n"`
+	Makespan    int             `json:"makespan"`
+	LowerBound  int             `json:"lower_bound"`
+	Period      int             `json:"period"`
+	NR          int             `json:"nr"`
+	Assignment  []int           `json:"assignment"`
+	BubbleRate  float64         `json:"bubble_rate"`
+	Stats       searchStatsJSON `json:"stats"`
+}
+
+type searchStatsJSON struct {
+	Assignments       int     `json:"assignments"`
+	Solved            int     `json:"solved"`
+	Pruned            int     `json:"pruned"`
+	Improved          int     `json:"improved"`
+	NRSwept           int     `json:"nr_swept"`
+	SolverNodes       int64   `json:"solver_nodes"`
+	MemoHits          int64   `json:"memo_hits"`
+	WarmupNodes       int64   `json:"warmup_nodes"`
+	CooldownNodes     int64   `json:"cooldown_nodes"`
+	NodesPerSec       float64 `json:"nodes_per_sec"`
+	PeriodProbes      int64   `json:"period_probes"`
+	PeriodRelaxations int64   `json:"period_relaxations"`
+	LocalSearchSwaps  int64   `json:"local_search_swaps"`
+	OrderChecks       int64   `json:"order_checks"`
+	OrderPruned       int64   `json:"order_pruned"`
+	OrderNodes        int64   `json:"order_nodes"`
+	PrefixChecks      int64   `json:"prefix_checks"`
+	PrefixCuts        int64   `json:"prefix_cuts"`
+	EarlyExit         bool    `json:"early_exit"`
+	Truncated         bool    `json:"truncated"`
+	TotalMS           int64   `json:"total_ms"`
+}
+
+// referenceHead is the head of the body for (res, info), as the reflective
+// encoder took it: the struct the handler filled field by field.
+func referenceHead(res *core.Result, info tessel.CacheInfo) searchResponse {
+	st := res.Stats
+	head := searchResponse{
+		Fingerprint: info.Fingerprint,
+		CacheHit:    info.Hit,
+		Shared:      info.Shared,
+		Degraded:    info.Degraded,
+		PeerHit:     info.PeerHit,
+		N:           res.N,
+		Makespan:    res.Makespan,
+		LowerBound:  res.LowerBound,
+		BubbleRate:  res.BubbleRate,
+		Stats: searchStatsJSON{
+			Assignments:       st.Assignments,
+			Solved:            st.Solved,
+			Pruned:            st.Pruned,
+			Improved:          st.Improved,
+			NRSwept:           st.NRSwept,
+			SolverNodes:       st.SolverNodes,
+			MemoHits:          st.SolverMemoHits,
+			WarmupNodes:       st.WarmupNodes,
+			CooldownNodes:     st.CooldownNodes,
+			NodesPerSec:       st.NodesPerSec(),
+			PeriodProbes:      st.PeriodProbes,
+			PeriodRelaxations: st.PeriodRelaxations,
+			LocalSearchSwaps:  st.LocalSearchSwaps,
+			OrderChecks:       st.OrderChecks,
+			OrderPruned:       st.OrderPruned,
+			OrderNodes:        st.OrderNodes,
+			PrefixChecks:      st.PrefixChecks,
+			PrefixCuts:        st.PrefixCuts,
+			EarlyExit:         st.EarlyExit,
+			Truncated:         st.Truncated,
+			TotalMS:           st.Total.Milliseconds(),
+		},
+	}
+	if r := res.Repetend; r != nil {
+		head.Period, head.NR, head.Assignment = r.Period, r.NR, []int(r.Assign)
+	}
+	return head
+}
 
 type referenceItem struct {
 	Stage int `json:"stage"`
@@ -135,33 +222,37 @@ func smallSchedule() *tessel.Schedule {
 func TestWriteSearchResponseMatchesReference(t *testing.T) {
 	full := smallSchedule()
 	p := full.P
-	for _, head := range []searchResponse{
-		{Fingerprint: "f", N: 3, Makespan: 9, BubbleRate: 1.0 / 3},
-		{CacheHit: true, Assignment: []int{1, 0}, Stats: searchStatsJSON{NodesPerSec: 1e21, TotalMS: 7}},
-		{Assignment: []int{}},
+	for _, c := range []struct {
+		res  *core.Result
+		info tessel.CacheInfo
+	}{
+		{&core.Result{N: 3, Makespan: 9, BubbleRate: 1.0 / 3}, tessel.CacheInfo{Fingerprint: "f"}},
+		{&core.Result{Repetend: &repetend.Repetend{Assign: repetend.Assignment{1, 0}, NR: 2, Period: 5},
+			Stats: core.Stats{Effort: repetend.Effort{SolverNodes: 2e12}, Phase: core.PhaseDurations{Repetend: 1}, Total: 7 * time.Millisecond}},
+			tessel.CacheInfo{Hit: true}},
+		{&core.Result{Repetend: &repetend.Repetend{Assign: repetend.Assignment{}}}, tessel.CacheInfo{}},
 	} {
+		c.res.Full = full
 		w := httptest.NewRecorder()
-		writeSearchResponse(w, head, full)
-		if want := referenceBody(t, head, full); !bytes.Equal(w.Body.Bytes(), want) {
+		writeSearchResponse(w, c.res, c.info)
+		if want := referenceBody(t, referenceHead(c.res, c.info), full); !bytes.Equal(w.Body.Bytes(), want) {
 			t.Errorf("body differs from the reference encoding\n got: %s\nwant: %s", w.Body.Bytes(), want)
 		}
 		if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
 			t.Errorf("status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
 		}
 	}
+	empty := &core.Result{Full: &tessel.Schedule{P: p}}
 	w := httptest.NewRecorder()
-	writeSearchResponse(w, searchResponse{}, &tessel.Schedule{P: p})
-	if want := referenceBody(t, searchResponse{}, &tessel.Schedule{P: p}); !bytes.Equal(w.Body.Bytes(), want) {
+	writeSearchResponse(w, empty, tessel.CacheInfo{})
+	if want := referenceBody(t, referenceHead(empty, tessel.CacheInfo{}), empty.Full); !bytes.Equal(w.Body.Bytes(), want) {
 		t.Errorf("empty schedule differs from the reference encoding\n got: %s\nwant: %s", w.Body.Bytes(), want)
 	}
-	for _, head := range []searchResponse{
-		{BubbleRate: math.NaN()},
-		{Stats: searchStatsJSON{NodesPerSec: math.Inf(1)}},
-		{BubbleRate: math.Inf(-1), Stats: searchStatsJSON{NodesPerSec: math.NaN()}},
-	} {
-		_, err := json.MarshalIndent(head, "", "  ")
+	for _, bubble := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		res := &core.Result{BubbleRate: bubble, Full: full}
+		_, err := json.MarshalIndent(referenceHead(res, tessel.CacheInfo{}), "", "  ")
 		w := httptest.NewRecorder()
-		writeSearchResponse(w, head, full)
+		writeSearchResponse(w, res, tessel.CacheInfo{})
 		var body errorResponse
 		if jerr := json.Unmarshal(w.Body.Bytes(), &body); w.Code != 500 || jerr != nil || err == nil || body.Error != err.Error() {
 			t.Errorf("status %d, body %s; want 500 with MarshalIndent's error %v", w.Code, w.Body.Bytes(), err)
@@ -172,9 +263,9 @@ func TestWriteSearchResponseMatchesReference(t *testing.T) {
 // TestSearchStatsWireCarriesEveryCounter is counter parity checked on values.
 // Every int/int64 field of core.Stats, the promoted repetend.Effort counters
 // included, gets a distinct value and every flag is set; the stats object of
-// the body writeSearchResponse writes from searchStats must carry each under
-// its snake_case key, the Solver prefix optionally dropped (SolverMemoHits →
-// memo_hits), so neither searchStats nor the hand-written head may drop or
+// the body writeSearchResponse writes for a core.Result holding them must
+// carry each under its snake_case key, the Solver prefix optionally dropped
+// (SolverMemoHits → memo_hits), so the hand-written head may neither drop nor
 // cross one. The two derived members are total_ms (Total in milliseconds) and
 // nodes_per_sec (Stats.NodesPerSec). A counter without a wire field, a wire
 // field that is never filled, and two crossed counters all fail; so does a
@@ -218,7 +309,7 @@ func TestSearchStatsWireCarriesEveryCounter(t *testing.T) {
 	wants = append(wants, wireWant{"NodesPerSec()", []string{"nodes_per_sec"}, st.NodesPerSec()})
 
 	w := httptest.NewRecorder()
-	writeSearchResponse(w, searchResponse{Stats: searchStats(st)}, smallSchedule())
+	writeSearchResponse(w, &core.Result{Stats: st, Full: smallSchedule()}, tessel.CacheInfo{})
 	var body struct {
 		Stats map[string]any `json:"stats"`
 	}

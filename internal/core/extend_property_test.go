@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"tessel/internal/placement"
@@ -51,5 +52,64 @@ func TestExtendMatchesFreshSearch(t *testing.T) {
 				t.Errorf("%s N=%d: extended schedule invalid: %v", name, n, err)
 			}
 		}
+	}
+}
+
+// TestExtendTranslatesByOnePeriod is §III-C's generalization stated as a
+// translation: from n = N_R on, the schedule for n+1 micro-batches is the
+// one for n with a repetend instance more, so its makespan is one period
+// longer, and every item from micro max(Assign) up — the later repetend
+// instances and the cooldown — reappears one period later on the next
+// micro-batch. The warmup below that micro does not depend on n. It holds
+// for each catalog placement at Workers 1, for every n from N_R to
+// 4·N_R + 64 and for n = 256 and 1024, and every schedule validates.
+func TestExtendTranslatesByOnePeriod(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range catalogShapes {
+		t.Run(c.name, func(t *testing.T) {
+			p, opts := catalogPlacement(t, c.name)
+			opts.Workers = 1
+			res, err := Search(ctx, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, k := res.Repetend, p.K()
+			tail := slices.Max(r.Assign)
+			valid := sched.ValidateOptions{Memory: opts.Resolve(p).Memory}
+			extend := func(n int) *Result {
+				t.Helper()
+				ext, err := Extend(ctx, res, n, opts)
+				if err != nil {
+					t.Fatalf("n=%d: %v", n, err)
+				}
+				if err := ext.Full.Validate(valid); err != nil {
+					t.Fatalf("n=%d: invalid schedule: %v", n, err)
+				}
+				return ext
+			}
+			ns := []int{256, 1024}
+			for n := r.NR; n <= 4*r.NR+64; n++ {
+				ns = append(ns, n)
+			}
+			for _, n := range ns {
+				cur, next := extend(n), extend(n+1)
+				if next.Makespan != cur.Makespan+r.Period {
+					t.Fatalf("n=%d: makespan %d at n+1, want %d + period %d", n, next.Makespan, cur.Makespan, r.Period)
+				}
+				starts := make([]int, (n+1)*k)
+				for _, it := range next.Full.Items {
+					starts[it.Micro*k+it.Stage] = it.Start
+				}
+				for _, it := range cur.Full.Items {
+					if it.Micro < tail {
+						continue
+					}
+					if got, want := starts[(it.Micro+1)*k+it.Stage], it.Start+r.Period; got != want {
+						t.Fatalf("n=%d: stage %d micro %d starts at %d; at n+1 micro %d starts at %d, want %d",
+							n, it.Stage, it.Micro, it.Start, it.Micro+1, got, want)
+					}
+				}
+			}
+		})
 	}
 }

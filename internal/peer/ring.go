@@ -185,14 +185,6 @@ func (r *Ring) Readmit(peer string) bool {
 	return true
 }
 
-// Ejected reports whether the peer is currently ejected.
-func (r *Ring) Ejected(peer string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	i := r.index(peer)
-	return i >= 0 && r.ejected[i]
-}
-
 // Peers returns the ring members in sorted order (a copy).
 func (r *Ring) Peers() []string {
 	r.mu.RLock()
