@@ -143,9 +143,12 @@ func BenchmarkServeHitExtend(b *testing.B) {
 // request memo, which answers the repeated body without decoding it, 43 and
 // 34,704 B (its parent 150 and 46,984 B), and the response head written by
 // appends, the pooled Validate index and the request key built by appends 36
-// and at most 24,282 B. The bounds are 36 allocs and 24,282 B plus 10%, so a
-// decode on every hit, a reflective head or a fresh Validate index fails
-// them. The solver must not run at all.
+// and at most 24,282 B, and the certified Extend, which copies the stored
+// warmup and cooldown around the unrolled body with no phase replay and no
+// Validate, 23 and 21,069 B (its parent 36 and 24,117 B). The bounds are 23
+// allocs and 21,069 B plus 10%, so a decode on every hit, a reflective head,
+// or a replay of the template on a certified result fails them. The solver
+// must not run at all.
 func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	s := newTestServer(t)
 	c := newHitClient(s.mux())
@@ -174,10 +177,52 @@ func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		return // the bounds below are the production binary's
 	}
-	if max := 36 * 1.1; allocs > max {
+	if max := 23 * 1.1; allocs > max {
 		t.Errorf("%.0f allocs/op, want ≤ %.0f", allocs, max)
 	}
-	if max := 24282 * 1.1; bytesPerOp > max {
+	if max := 21069 * 1.1; bytesPerOp > max {
 		t.Errorf("%.0f B/op, want ≤ %.0f", bytesPerOp, max)
+	}
+}
+
+// TestServeCertifiedHitBytes holds a hit + Extend on the wire to a
+// from-scratch completion: for each hot_extend placement cached at n = 12,
+// the /v1/search body of a hit at every n of the workload — past n0 composed
+// from the entry's certificate — must be, byte for byte, the body written
+// under the same head from a cold search asked for n directly, whose
+// completion solves its phases, merges and validates.
+func TestServeCertifiedHitBytes(t *testing.T) {
+	s := newTestServer(t)
+	for i, p := range hotPlacements(t) {
+		memory := 0
+		if i == 4 { // nn4m8
+			memory = 8
+		}
+		postSearch(t, s, string(searchBody(t, p, 12, memory)))
+		for _, n := range []int{8, 16, 32, 64, 128, 256} {
+			w := postSearch(t, s, string(searchBody(t, p, n, memory)))
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s n=%d: status %d: %s", p.Name, n, w.Code, w.Body.String())
+			}
+			opts := tessel.SearchOptions{N: n, Memory: memory, SolverTimeout: s.cfg.solverTimeout}
+			hit, info, err := s.engine.Search(t.Context(), p, opts)
+			if err != nil || !info.Hit {
+				t.Fatalf("%s n=%d: hit %t: %v", p.Name, n, info.Hit, err)
+			}
+			opts.Workers = 1
+			fresh, err := tessel.Search(p, opts)
+			if err != nil {
+				t.Fatalf("%s n=%d: from scratch: %v", p.Name, n, err)
+			}
+			want := httptest.NewRecorder()
+			writeSearchResponse(want, &tessel.SearchResult{
+				Placement: hit.Placement, Repetend: hit.Repetend, LowerBound: hit.LowerBound, BubbleRate: hit.BubbleRate,
+				N: n, Full: fresh.Full, Makespan: fresh.Makespan, Stats: hit.Stats,
+			}, info)
+			if !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%s n=%d: hit body differs from the from-scratch completion's\n got: %.300s\nwant: %.300s",
+					p.Name, n, w.Body.Bytes(), want.Body.Bytes())
+			}
+		}
 	}
 }

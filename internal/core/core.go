@@ -219,7 +219,8 @@ type Result struct {
 	// Stats reports search effort.
 	Stats Stats
 	// tmpl memoizes the phase solves of this result's completions, so that
-	// Extend re-solves nothing it has solved before (template.go).
+	// Extend re-solves nothing it has solved before, and holds the
+	// certificate that lets Extend copy instead (template.go).
 	tmpl template
 }
 
@@ -695,13 +696,19 @@ func (s *sweep) account(j *solveJob) {
 // micro-batches"). Memory and solver budgets come from opts, which should
 // normally match the original search.
 //
-// The warmup and cooldown solves are memoized on res (its completion
-// template, template.go): the first completion — the search's own, or the
-// first Extend of a result restored from a snapshot or a peer — runs them,
-// and an Extend that meets the same solver instances again, which is every
-// later one with the same opts, replays their solutions and does O(N·K)
-// unrolling, sorting and validation only. The result is byte-identical to a
-// from-scratch completion either way. res may be shared between goroutines.
+// Below n0, the first count from which the completion is a pure
+// translation (certificate, template.go), the warmup and cooldown solves go
+// through res's completion template: the first completion — the search's
+// own, or the first Extend of a result restored from a snapshot or a peer —
+// runs them, and a later Extend that meets the same solver instances
+// replays their solutions and unrolls, merges and validates. The first
+// Extend to an n ≥ n0 certifies res: it runs that path at n0 and at
+// n_c = n0 + N_R and, when n_c's schedule is the composition of n0's parts,
+// keeps those parts on res. From then on an Extend to any n ≥ n0 under the
+// same memory cap and node budget copies: n0's warmup, the unrolled body and
+// n0's cooldown moved by n − n0 periods, merged in place, with no solve and
+// no Validate. The result is byte-identical to a from-scratch completion
+// every way. res may be shared between goroutines.
 func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -720,11 +727,22 @@ func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, err
 		BubbleRate: res.BubbleRate,
 		N:          n,
 	}
-	if err := completeSchedule(ctx, out, res.Repetend, n, opts, &res.tmpl); err != nil {
+	c, err := certified(ctx, res, n, opts)
+	switch {
+	case err != nil:
 		return nil, err
+	case c != nil:
+		out.Full = c.extend(res.Placement, res.Repetend, n)
+		out.Makespan = c.makespan + (n-c.n0)*res.Repetend.Period
+		out.Stats.Truncated = c.truncated
+	default:
+		if err := completeSchedule(ctx, out, res.Repetend, n, opts, &res.tmpl); err != nil {
+			return nil, err
+		}
+		out.Makespan = out.Full.Makespan()
 	}
 	out.tmpl.memos.Store(res.tmpl.memos.Load())
-	out.Makespan = out.Full.Makespan()
+	out.tmpl.cert.Store(res.tmpl.cert.Load())
 	return out, nil
 }
 
@@ -770,7 +788,7 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 		{blocks: warmupBlocks(p, r.Assign)},
 		{blocks: cooldownBlocks(p, r.Assign, 1, r.NR), initMem: repetend.EntryMemory(p, r.Assign, 1), cooldown: true},
 	} {
-		_, _, err := solvePhase(ctx, p, ph, !opts.DisableLazy, opts, nil, stats)
+		_, _, _, err := solvePhase(ctx, p, ph, !opts.DisableLazy, opts, nil, stats)
 		if errors.Is(err, errInfeasible) {
 			return false, nil
 		}
@@ -784,37 +802,63 @@ func checkCompletion(ctx context.Context, p *sched.Placement, r *repetend.Repete
 // completeSchedule builds the final N-micro-batch schedule around the
 // repetend: time-optimal warmup, R = N − N_R + 1 unrolled instances compacted
 // against the warmup, and a time-optimal cooldown released by warmup and body
-// finishes. Below N_R it is one time-optimal solve of the whole problem,
-// TimeOptimal's instance.
-//
-// Each phase is read once: one pass over the warmup's items yields the
-// devices' warmup finishes, the warmup's bound on the body offset δ and the
-// releases of the cooldown blocks the warmup precedes; the body is the
-// repetend's closed form, instance k of stage i starting at δ + Starts[i] +
-// k·Period, so its bounds on the cooldown cost O(K), not a walk of its items.
-// The body is unrolled once, into the tail of the composed schedule's own
-// array, and merged in place with the warmup and cooldown.
+// finishes, merged and validated. Below N_R it is one time-optimal solve of
+// the whole problem, TimeOptimal's instance.
 //
 // Phase solves go through tmpl, the completion template of the search result
 // the repetend belongs to (res itself in Search, the result Extend extends),
 // so a repeat of the same instance, the same small N included, costs no
-// solve.
+// solve. This is the path Search always takes and Extend takes below n0, for
+// a result it could not certify, and to certify one; a certified Extend
+// composes the same schedule from the certificate instead (template.go).
 func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n int, opts Options, tmpl *template) error {
 	p := res.Placement
 	if n < r.NR {
-		full, _, err := solvePhase(ctx, p, phase{blocks: solver.AllBlocks(p, n)}, false, opts, tmpl, &res.Stats)
+		full, _, _, err := solvePhase(ctx, p, phase{blocks: solver.AllBlocks(p, n)}, false, opts, tmpl, &res.Stats)
 		if err != nil {
 			return fmt.Errorf("time-optimal solve of %s with %d micro-batches: %w", p.Name, n, err)
 		}
 		res.Full = full
 		return nil
 	}
+	c, err := compose(ctx, p, r, n, opts, tmpl, &res.Stats)
+	if err != nil {
+		return err
+	}
+	full := c.schedule(p, r, 0)
+	if err := full.Validate(sched.ValidateOptions{Memory: opts.Memory}); err != nil {
+		return fmt.Errorf("completed schedule invalid: %w", err)
+	}
+	res.Full = full
+	return nil
+}
+
+// composition is a completion of n ≥ N_R micro-batches before its merge: the
+// warmup's and the cooldown's items in item order, the offset δ of the body's
+// reps instances, and the template memos that answered the two phase solves
+// (nil for a phase with no blocks, or for a solution the template could not
+// keep).
+type composition struct {
+	warm, cool         []sched.Item
+	delta, reps        int
+	warmMemo, coolMemo *phaseMemo
+}
+
+// compose solves the warmup and the cooldown of r's completion of n ≥ N_R
+// micro-batches and places the body between them.
+//
+// Each phase is read once: one pass over the warmup's items yields the
+// devices' warmup finishes, the warmup's bound on the body offset δ and the
+// releases of the cooldown blocks the warmup precedes; the body is the
+// repetend's closed form, instance k of stage i starting at δ + Starts[i] +
+// k·Period, so its bounds on the cooldown cost O(K), not a walk of its items.
+func compose(ctx context.Context, p *sched.Placement, r *repetend.Repetend, n int, opts Options, tmpl *template, stats *Stats) (composition, error) {
 	reps := n - r.NR + 1
 
 	// Warmup: time-optimal solve from t=0.
-	warmSched, _, err := solvePhase(ctx, p, phase{blocks: warmupBlocks(p, r.Assign)}, false, opts, tmpl, &res.Stats)
+	warmSched, _, warmMemo, err := solvePhase(ctx, p, phase{blocks: warmupBlocks(p, r.Assign)}, false, opts, tmpl, stats)
 	if err != nil {
-		return fmt.Errorf("warmup: %w", err)
+		return composition{}, fmt.Errorf("warmup: %w", err)
 	}
 
 	// Stage i's micro-batch m is a warmup block below Assign[i], instance
@@ -871,23 +915,39 @@ func completeSchedule(ctx context.Context, res *Result, r *repetend.Repetend, n 
 			}
 		}
 	}
-	coolSched, _, err := solvePhase(ctx, p, phase{blocks: cool, releases: releases, initMem: repetend.EntryMemory(p, r.Assign, reps), ready: deviceReady, cooldown: true}, false, opts, tmpl, &res.Stats)
+	coolSched, _, coolMemo, err := solvePhase(ctx, p, phase{blocks: cool, releases: releases, initMem: repetend.EntryMemory(p, r.Assign, reps), ready: deviceReady, cooldown: true}, false, opts, tmpl, stats)
 	if err != nil {
-		return fmt.Errorf("cooldown: %w", err)
+		return composition{}, fmt.Errorf("cooldown: %w", err)
 	}
+	return composition{warm: warmSched.Items, cool: coolSched.Items, delta: delta, reps: reps, warmMemo: warmMemo, coolMemo: coolMemo}, nil
+}
 
-	// Body: unrolled at offset δ into the tail of the schedule's own array,
-	// past the warmup's and cooldown's items, so that the merge, which writes
-	// from the front, joins the three in place. Each phase is in item order
-	// (solvePhase sorts, AppendUnroll emits in order).
-	head := warmSched.Len() + coolSched.Len()
-	items := r.AppendUnroll(make([]sched.Item, head, head+reps*p.K()), reps, delta)
-	full := sched.Merge(p, items[:0], warmSched.Items, items[head:], coolSched.Items)
-	if err := full.Validate(sched.ValidateOptions{Memory: opts.Memory}); err != nil {
-		return fmt.Errorf("completed schedule invalid: %w", err)
+// schedule merges c into one schedule, its cooldown moved by shift
+// micro-batches and shift periods: 0 for the n c was solved for, n − n0 for a
+// certificate's parts extended to n. The body is unrolled at δ into the
+// schedule's own array, past room for the warmup's and cooldown's items, and
+// a moved cooldown is written after it, so that the merge, which writes from
+// the front, joins the parts in place (each is in item order: solvePhase
+// sorts, AppendUnroll emits in order, and a move keeps the order). Unmoved,
+// the cooldown is merged from its own array and the schedule's is exactly
+// its size, as a cached result's should be.
+func (c *composition) schedule(p *sched.Placement, r *repetend.Repetend, shift int) *sched.Schedule {
+	head := len(c.warm) + len(c.cool)
+	body := head + c.reps*p.K()
+	cool, size := c.cool, body
+	if shift != 0 {
+		size += len(c.cool)
 	}
-	res.Full = full
-	return nil
+	items := r.AppendUnroll(make([]sched.Item, head, size), c.reps, c.delta)
+	if shift != 0 {
+		for _, it := range c.cool {
+			it.Micro += shift
+			it.Start += shift * r.Period
+			items = append(items, it)
+		}
+		cool = items[body:]
+	}
+	return sched.Merge(p, items[:0], c.warm, items[head:body], cool)
 }
 
 // phase is one solver instance of a completion: its blocks, the release time
@@ -916,12 +976,14 @@ var errInfeasible = errors.New("phase infeasible")
 // budget-degraded solve marks the search truncated. With tmpl, a time-optimal
 // solve that its instance alone determines — proven optimal, or cut short by
 // the node budget — is stored there, and an instance tmpl already holds is
-// answered from it without being built or solved (no nodes). A satisfying
-// schedule is never stored: it is not the optimum a replay stands for.
-func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool, opts Options, tmpl *template, stats *Stats) (*sched.Schedule, solver.Result, error) {
+// answered from it without being built or solved (no nodes); either way the
+// memo that holds the solution is returned, and nil when tmpl does not keep
+// it. A satisfying schedule is never stored: it is not the optimum a replay
+// stands for.
+func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool, opts Options, tmpl *template, stats *Stats) (*sched.Schedule, solver.Result, *phaseMemo, error) {
 	s := sched.NewSchedule(p)
 	if len(ph.blocks) == 0 {
-		return s, solver.Result{Feasible: true, Optimal: true}, nil
+		return s, solver.Result{Feasible: true, Optimal: true}, nil, nil
 	}
 	//tessel:waive:determinism wall-clock feeds only the Stats.Phase telemetry, never schedule bytes
 	t0 := time.Now()
@@ -950,17 +1012,17 @@ func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool,
 	} else {
 		tasks, err := solver.BuildTasks(p, blocks, ph.releases)
 		if err != nil {
-			return nil, res, err
+			return nil, res, nil, err
 		}
 		if res, err = solver.Solve(ctx, tasks, solveOpts); err != nil {
-			return nil, res, err
+			return nil, res, nil, err
 		}
 		// A solve the node budget ended stopped where it did on the instance's
 		// account alone and would stop there again. The solver checks the node
 		// budget before the clock, so reaching it means the clock did not stop
 		// the solve.
 		if tmpl != nil && !satisfy && res.Feasible && (res.Optimal || solveOpts.MaxNodes > 0 && res.Nodes >= solveOpts.MaxNodes) {
-			tmpl.store(blocks, ph.releases, solveOpts, res.Starts, !res.Optimal)
+			memo = tmpl.store(blocks, ph.releases, solveOpts, res.Starts, !res.Optimal)
 		}
 	}
 	if stats != nil {
@@ -973,14 +1035,14 @@ func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool,
 		stats.Truncated = stats.Truncated || !res.Optimal
 	}
 	if !res.Feasible {
-		return nil, res, errInfeasible
+		return nil, res, nil, errInfeasible
 	}
 	s.Items = make([]sched.Item, len(blocks))
 	for i, b := range blocks {
 		s.Items[i] = sched.Item{Block: b, Start: base + res.Starts[i]}
 	}
 	s.Sort()
-	return s, res, nil
+	return s, res, memo, nil
 }
 
 // TimeOptimal solves the whole N-micro-batch problem exactly — the "TO"
@@ -993,7 +1055,7 @@ func TimeOptimal(ctx context.Context, p *sched.Placement, n int, opts Options) (
 	if n < 0 {
 		return nil, solver.Result{}, fmt.Errorf("core: micro-batch count must be non-negative, got %d", n)
 	}
-	s, res, err := solvePhase(ctx, p, phase{blocks: solver.AllBlocks(p, n)}, false, opts.Resolve(p), nil, nil)
+	s, res, _, err := solvePhase(ctx, p, phase{blocks: solver.AllBlocks(p, n)}, false, opts.Resolve(p), nil, nil)
 	if errors.Is(err, errInfeasible) {
 		err = fmt.Errorf("time-optimal solve infeasible for %s with %d micro-batches", p.Name, n)
 	}

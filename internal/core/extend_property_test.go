@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"slices"
 	"testing"
 
 	"tessel/internal/placement"
 	"tessel/internal/sched"
+	"tessel/internal/schedcheck"
 )
 
 // TestExtendMatchesFreshSearch is the property the serving engine's cache
@@ -62,7 +62,8 @@ func TestExtendMatchesFreshSearch(t *testing.T) {
 // instances and the cooldown — reappears one period later on the next
 // micro-batch. The warmup below that micro does not depend on n. It holds
 // for each catalog placement at Workers 1, for every n from N_R to
-// 4·N_R + 64 and for n = 256 and 1024, and every schedule validates.
+// 4·N_R + 64 and for n = 256 and 1024, and every schedule validates and
+// passes the independent checker.
 func TestExtendTranslatesByOnePeriod(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range catalogShapes {
@@ -73,17 +74,19 @@ func TestExtendTranslatesByOnePeriod(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, k := res.Repetend, p.K()
-			tail := slices.Max(r.Assign)
-			valid := sched.ValidateOptions{Memory: opts.Resolve(p).Memory}
+			r := res.Repetend
+			memory := opts.Resolve(p).Memory
 			extend := func(n int) *Result {
 				t.Helper()
 				ext, err := Extend(ctx, res, n, opts)
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
-				if err := ext.Full.Validate(valid); err != nil {
+				if err := ext.Full.Validate(sched.ValidateOptions{Memory: memory}); err != nil {
 					t.Fatalf("n=%d: invalid schedule: %v", n, err)
+				}
+				if err := schedcheck.Check(ext.Full, n, memory); err != nil {
+					t.Fatalf("n=%d: refused by the independent checker: %v", n, err)
 				}
 				return ext
 			}
@@ -92,22 +95,8 @@ func TestExtendTranslatesByOnePeriod(t *testing.T) {
 				ns = append(ns, n)
 			}
 			for _, n := range ns {
-				cur, next := extend(n), extend(n+1)
-				if next.Makespan != cur.Makespan+r.Period {
-					t.Fatalf("n=%d: makespan %d at n+1, want %d + period %d", n, next.Makespan, cur.Makespan, r.Period)
-				}
-				starts := make([]int, (n+1)*k)
-				for _, it := range next.Full.Items {
-					starts[it.Micro*k+it.Stage] = it.Start
-				}
-				for _, it := range cur.Full.Items {
-					if it.Micro < tail {
-						continue
-					}
-					if got, want := starts[(it.Micro+1)*k+it.Stage], it.Start+r.Period; got != want {
-						t.Fatalf("n=%d: stage %d micro %d starts at %d; at n+1 micro %d starts at %d, want %d",
-							n, it.Stage, it.Micro, it.Start, it.Micro+1, got, want)
-					}
+				if why := translationBreak(extend(n), extend(n+1)); why != "" {
+					t.Fatalf("n=%d: %s", n, why)
 				}
 			}
 		})

@@ -444,7 +444,10 @@ func TestExtensionTruncationReported(t *testing.T) {
 // searched results, the way zipf_mix's identities fill the server's cache:
 // names over its eight bases (v4, x4, k4, m4i, nn4i, x4m8, v6m4, k6i), each
 // searched at an n drawn from {8, 16, 32, 64, 128} by a fixed seed. It
-// reports the live heap the cache holds per entry after a GC, heap_B/entry.
+// reports the live heap the cache holds per entry after a GC, heap_B/entry,
+// and again once every entry has served one hit at n = 256, which leaves
+// its completion template filled and its certificate built,
+// hit_heap_B/entry.
 func BenchmarkEngineCacheHeap(b *testing.B) {
 	bases := []struct {
 		build     func(placement.Config) (*sched.Placement, error)
@@ -457,13 +460,14 @@ func BenchmarkEngineCacheHeap(b *testing.B) {
 		{placement.VShape, 6, false, 4}, {placement.KShape, 6, true, 0},
 	}
 	ns := []int{8, 16, 32, 64, 128}
-	var heap uint64
+	var heap, hitHeap uint64
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(42))
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		e := New(Options{})
+		var served []*sched.Placement
 		for j := 0; j < DefaultCacheSize; j++ {
 			c := bases[j%len(bases)]
 			p, err := c.build(placement.Config{Devices: c.devices})
@@ -477,6 +481,7 @@ func BenchmarkEngineCacheHeap(b *testing.B) {
 			if _, _, err := e.Search(context.Background(), p, core.Options{N: ns[rng.Intn(len(ns))], Memory: c.memory}); err != nil {
 				b.Fatal(err)
 			}
+			served = append(served, p)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
@@ -484,6 +489,19 @@ func BenchmarkEngineCacheHeap(b *testing.B) {
 			b.Fatalf("%d cached entries, want %d", st.Entries, DefaultCacheSize)
 		}
 		heap = after.HeapAlloc - before.HeapAlloc
+		for j, p := range served {
+			if _, _, err := e.Search(context.Background(), p, core.Options{N: 256, Memory: bases[j%len(bases)].memory}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if st := e.Stats(); st.Hits != DefaultCacheSize {
+			b.Fatalf("%d hits, want %d", st.Hits, DefaultCacheSize)
+		}
+		hitHeap = after.HeapAlloc - before.HeapAlloc
+		runtime.KeepAlive(e)
 	}
 	b.ReportMetric(float64(heap)/DefaultCacheSize, "heap_B/entry")
+	b.ReportMetric(float64(hitHeap)/DefaultCacheSize, "hit_heap_B/entry")
 }
