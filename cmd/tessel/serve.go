@@ -489,6 +489,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Options:       opts,
 		Tenant:        req.Tenant,
 		AllowDegraded: req.Options.AllowDegraded,
+		ScheduleParts: true,
 	})
 	if err != nil {
 		switch {
@@ -623,17 +624,20 @@ var responseBufs = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledResponse = 1 << 20
 
 // writeSearchResponse writes the 200 for a search the engine served: the
-// head appendSearchHead writes from res and info, then res.Full as the
+// head appendSearchHead writes from res and info, then res's schedule as the
 // "schedule" member, indented as writeJSON would. Nothing goes through
 // reflection: the schedule, which is nearly all of the bytes, is appended once
-// by the schedule encoder at the depth it has in the body. The body is sent
+// by res.AppendSchedule at the depth it has in the body — from Full, or, for
+// a hit composed from a certified cache entry, which the handler asks the
+// engine not to build, from the entry's warmup, unrolled body and moved
+// cooldown, formatted run by run as their merge reads. The body is sent
 // whole, under a Content-Length, so net/http neither chunks it nor flushes a
 // trailer.
 func writeSearchResponse(w http.ResponseWriter, res *core.Result, info tessel.CacheInfo) {
 	buf := responseBufs.Get().(*[]byte)
 	b, err := appendSearchHead((*buf)[:0], res, info)
 	if err == nil {
-		b, err = tessel.AppendSchedule(append(b, ",\n  \"schedule\": "...), res.Full, 1)
+		b, err = res.AppendSchedule(append(b, ",\n  \"schedule\": "...), 1)
 	}
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())

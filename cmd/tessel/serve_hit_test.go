@@ -5,15 +5,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 
 	"tessel"
 	"tessel/internal/faultpoint"
+	"tessel/internal/schedcheck"
 )
 
 // hotPlacements are the ten placements of the benchmark's hot_extend
@@ -145,10 +148,12 @@ func BenchmarkServeHitExtend(b *testing.B) {
 // appends, the pooled Validate index and the request key built by appends 36
 // and at most 24,282 B, and the certified Extend, which copies the stored
 // warmup and cooldown around the unrolled body with no phase replay and no
-// Validate, 23 and 21,069 B (its parent 36 and 24,117 B). The bounds are 23
-// allocs and 21,069 B plus 10%, so a decode on every hit, a reflective head,
-// or a replay of the template on a certified result fails them. The solver
-// must not run at all.
+// Validate, 23 and 21,069 B (its parent 36 and 24,117 B), and the hit
+// written from the certificate's parts, with no composed Full, 21 and 1,965 B
+// (its parent 23 and 21,069 B). The bounds are 21 allocs and 1,965 B plus
+// 10%, so a decode on every hit, a reflective head, a replay of the template
+// on a certified result or a Full built for the handler fails them. The
+// solver must not run at all.
 func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	s := newTestServer(t)
 	c := newHitClient(s.mux())
@@ -177,20 +182,22 @@ func TestServeHitExtendSteadyStateAllocs(t *testing.T) {
 	if raceDetector {
 		return // the bounds below are the production binary's
 	}
-	if max := 23 * 1.1; allocs > max {
+	if max := 21 * 1.1; allocs > max {
 		t.Errorf("%.0f allocs/op, want ≤ %.0f", allocs, max)
 	}
-	if max := 21069 * 1.1; bytesPerOp > max {
+	if max := 1965 * 1.1; bytesPerOp > max {
 		t.Errorf("%.0f B/op, want ≤ %.0f", bytesPerOp, max)
 	}
 }
 
 // TestServeCertifiedHitBytes holds a hit + Extend on the wire to a
 // from-scratch completion: for each hot_extend placement cached at n = 12,
-// the /v1/search body of a hit at every n of the workload — past n0 composed
-// from the entry's certificate — must be, byte for byte, the body written
-// under the same head from a cold search asked for n directly, whose
-// completion solves its phases, merges and validates.
+// the /v1/search body of a hit at every n of the workload — past n0 written
+// from the entry's certificate's parts, with no Full and no Validate — must
+// be, byte for byte, the body written under the same head from a cold search
+// asked for n directly, whose completion solves its phases, merges and
+// validates. Each hit body is also decoded and its schedule held to the
+// request's n and memory by schedcheck, which shares no code with either.
 func TestServeCertifiedHitBytes(t *testing.T) {
 	s := newTestServer(t)
 	for i, p := range hotPlacements(t) {
@@ -204,6 +211,7 @@ func TestServeCertifiedHitBytes(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("%s n=%d: status %d: %s", p.Name, n, w.Code, w.Body.String())
 			}
+			checkResponseSchedule(t, fmt.Sprintf("%s n=%d", p.Name, n), w.Body.Bytes(), n, memory)
 			opts := tessel.SearchOptions{N: n, Memory: memory, SolverTimeout: s.cfg.solverTimeout}
 			hit, info, err := s.engine.Search(t.Context(), p, opts)
 			if err != nil || !info.Hit {
@@ -225,4 +233,76 @@ func TestServeCertifiedHitBytes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkResponseSchedule decodes the schedule of a /v1/search body and fails
+// unless schedcheck accepts it for n micro-batches under memory (0: no cap).
+func checkResponseSchedule(t testing.TB, what string, body []byte, n, memory int) {
+	t.Helper()
+	var resp struct{ Schedule json.RawMessage }
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("%s: decode response: %v", what, err)
+	}
+	got, err := tessel.DecodeSchedule(bytes.NewReader(resp.Schedule))
+	if err != nil {
+		t.Fatalf("%s: decode schedule: %v", what, err)
+	}
+	if memory == 0 {
+		memory = tessel.Unbounded
+	}
+	if err := schedcheck.Check(got, n, memory); err != nil {
+		t.Fatalf("%s: schedule on the wire refused by the independent checker: %v", what, err)
+	}
+}
+
+// TestServeConcurrentCertifiedHits posts hits at different n at once against
+// one certified entry (run under -race): each hit past n0 unrolls its body
+// into a scratch array from a shared pool, and every body must equal the one
+// a sequential post of the same request wrote. The engine hands the handler
+// the unbuilt form only: a Serve that asks for parts gets no Full, a Search
+// still does.
+func TestServeConcurrentCertifiedHits(t *testing.T) {
+	s := newTestServer(t)
+	p, err := tessel.NewMShape(tessel.ShapeConfig{Devices: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	postSearch(t, s, string(searchBody(t, p, 12, 0)))
+	ns := []int{8, 16, 17, 31, 64, 100, 128, 256}
+	bodies, want := make([][]byte, len(ns)), make([][]byte, len(ns))
+	for i, n := range ns {
+		bodies[i] = searchBody(t, p, n, 0)
+		w := postSearch(t, s, string(bodies[i]))
+		if w.Code != http.StatusOK {
+			t.Fatalf("n=%d: status %d: %s", n, w.Code, w.Body.String())
+		}
+		want[i] = w.Body.Bytes()
+	}
+	opts := tessel.SearchOptions{N: 64, SolverTimeout: s.cfg.solverTimeout}
+	parts, _, err := s.engine.Serve(t.Context(), tessel.SearchRequest{Placement: p, Options: opts, ScheduleParts: true})
+	if err != nil || parts.Full != nil {
+		t.Fatalf("a hit asked for parts: Full %v, err %v; want the unbuilt form", parts.Full != nil, err)
+	}
+	if built, _, err := s.engine.Search(t.Context(), p, opts); err != nil || built.Full == nil {
+		t.Fatalf("a Search hit: Full %v, err %v; want it built", built.Full != nil, err)
+	}
+
+	h := s.mux()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 4*len(ns); k++ {
+				i := (g + 3*k) % len(ns)
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/search", bytes.NewReader(bodies[i])))
+				if !bytes.Equal(w.Body.Bytes(), want[i]) {
+					t.Errorf("goroutine %d n=%d: body differs from the sequential one", g, ns[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -235,24 +235,28 @@ func TestCertifyConcurrentFirstHits(t *testing.T) {
 	}
 }
 
-// TestCertifyRefuses holds the cases certify must refuse to the replayed
-// path: a completion that drifts in memory (every micro-batch leaves a
-// forward's activation held, so each instance holds more), and one whose
-// cooldown the memo key cannot see as n0's moved (an idle device stays free
-// from t = 0, so the cooldown's time base never moves). Each gets a refusal,
-// and its Extends are the replayed path's.
+// TestCertifyRefuses holds certify's verdict on two m4 variants. A
+// completion that drifts in memory (every micro-batch leaves a forward's
+// activation held, so each instance holds more) gets a refusal, and its
+// Extends are the replayed path's. A placement with a device that hosts no
+// stage is certified at n0: its cooldown's time base is taken over the
+// devices that run a cooldown block, so the idle device, free from t = 0 at
+// every n, does not hide that n's cooldown is n0's moved; at every n from N_R
+// to 4·N_R + 64 and at 256 its Extend equals an untemplated completion,
+// which solves every phase.
 func TestCertifyRefuses(t *testing.T) {
 	ctx := context.Background()
 	for _, c := range []struct {
-		name string
-		edit func(*sched.Placement)
+		name      string
+		edit      func(*sched.Placement)
+		certified bool
 	}{
 		{"drift", func(p *sched.Placement) {
 			for i := range p.Stages {
 				p.Stages[i].Mem = max(p.Stages[i].Mem, 0)
 			}
-		}},
-		{"idle device", func(p *sched.Placement) { p.NumDevices++ }},
+		}, false},
+		{"idle device", func(p *sched.Placement) { p.NumDevices++ }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			p, opts := catalogPlacement(t, "m4")
@@ -261,15 +265,31 @@ func TestCertifyRefuses(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n0 := firstTranslated(p, res.Repetend)
-			for _, n := range []int{n0, n0 + 1, 64} {
+			r, n0 := res.Repetend, firstTranslated(p, res.Repetend)
+			ns := []int{n0, n0 + 1, 64}
+			if c.certified {
+				ns = []int{256}
+				for n := r.NR; n <= 4*r.NR+64; n++ {
+					ns = append(ns, n)
+				}
+			}
+			for _, n := range ns {
 				got, err := Extend(ctx, res, n, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameExtension(t, fmt.Sprintf("n=%d", n), got, replayed(t, res, n, opts), sched.Unbounded)
+				want := replayed(t, res, n, opts)
+				if c.certified {
+					want = replayed(t, untemplated(res), n, opts)
+				}
+				sameExtension(t, fmt.Sprintf("n=%d", n), got, want, sched.Unbounded)
 			}
-			if cert := res.tmpl.cert.Load(); cert == nil || cert.n0 != 0 {
+			switch cert := res.tmpl.cert.Load(); {
+			case cert == nil:
+				t.Fatal("no certificate after Extends past n0")
+			case c.certified && cert.n0 != n0:
+				t.Fatalf("certificate %+v, want one issued at n0 = %d", cert, n0)
+			case !c.certified && cert.n0 != 0:
 				t.Fatalf("certificate %+v, want a refusal", cert)
 			}
 		})

@@ -69,6 +69,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"tessel/internal/faultpoint"
@@ -212,7 +213,9 @@ type Result struct {
 	N int
 	// Full is the schedule of exactly N micro-batches in absolute time. Its
 	// phases are not kept apart: Repetend.Assign places each block in the
-	// warmup, the unrolled repetend or the cooldown (Equations 5–6).
+	// warmup, the unrolled repetend or the cooldown (Equations 5–6). Only a
+	// result of ExtendParts may leave it nil; AppendSchedule writes every
+	// result's schedule.
 	Full *sched.Schedule
 	// Makespan is Full's completion time.
 	Makespan int
@@ -222,7 +225,39 @@ type Result struct {
 	// Extend re-solves nothing it has solved before, and holds the
 	// certificate that lets Extend copy instead (template.go).
 	tmpl template
+	// parts, when Full is nil, is the certificate this result's schedule is
+	// composed from (ExtendParts).
+	parts *certificate
 }
+
+// AppendSchedule appends the result's schedule as sched.AppendSchedule
+// writes Full at depth. A result of ExtendParts that has no Full is written
+// from its certificate's parts — n0's warmup, the body unrolled into a
+// pooled scratch array, n0's cooldown moved by N − n0 — by
+// sched.AppendMerged, which writes the bytes of their merge without building
+// it. A result with neither is an error.
+func (res *Result) AppendSchedule(dst []byte, depth int) ([]byte, error) {
+	c := res.parts
+	if res.Full != nil || c == nil {
+		return sched.AppendSchedule(dst, res.Full, depth)
+	}
+	at := c.at(res.Repetend, res.N)
+	buf := unrollBufs.Get().(*[]sched.Item)
+	body, cool := at.unroll((*buf)[:0], res.Repetend, res.N-c.n0)
+	dst = sched.AppendMerged(dst, res.Placement, depth, at.warm, body, cool)
+	if cap(body) <= maxPooledUnroll {
+		*buf = body[:0]
+		unrollBufs.Put(buf)
+	}
+	return dst, nil
+}
+
+// unrollBufs recycles the arrays AppendSchedule unrolls a certified body and
+// its moved cooldown into. One that grew past maxPooledUnroll items (n·K in
+// the tens of thousands) is left to the collector instead of pinned.
+var unrollBufs = sync.Pool{New: func() any { return new([]sched.Item) }}
+
+const maxPooledUnroll = 1 << 14 // 384 KB of items
 
 // Resolve returns o with its defaults filled in as Search reads them:
 // Memory 0 → sched.Unbounded, MaxNR ≤ 0 → MaxInflight(p, Memory),
@@ -710,6 +745,19 @@ func (s *sweep) account(j *solveJob) {
 // no Validate. The result is byte-identical to a from-scratch completion
 // every way. res may be shared between goroutines.
 func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, error) {
+	return extend(ctx, res, n, opts, false)
+}
+
+// ExtendParts is Extend for a caller that only encodes the schedule: a
+// completion composed from res's certificate is left as its parts, with Full
+// nil, and AppendSchedule writes it. Every other field, and every completion
+// that is not composed from the certificate, is Extend's.
+func ExtendParts(ctx context.Context, res *Result, n int, opts Options) (*Result, error) {
+	return extend(ctx, res, n, opts, true)
+}
+
+// extend is Extend, and ExtendParts when parts is set.
+func extend(ctx context.Context, res *Result, n int, opts Options, parts bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -732,7 +780,11 @@ func Extend(ctx context.Context, res *Result, n int, opts Options) (*Result, err
 	case err != nil:
 		return nil, err
 	case c != nil:
-		out.Full = c.extend(res.Placement, res.Repetend, n)
+		if parts {
+			out.parts = c
+		} else {
+			out.Full = c.extend(res.Placement, res.Repetend, n)
+		}
 		out.Makespan = c.makespan + (n-c.n0)*res.Repetend.Period
 		out.Stats.Truncated = c.truncated
 	default:
@@ -924,30 +976,41 @@ func compose(ctx context.Context, p *sched.Placement, r *repetend.Repetend, n in
 
 // schedule merges c into one schedule, its cooldown moved by shift
 // micro-batches and shift periods: 0 for the n c was solved for, n − n0 for a
-// certificate's parts extended to n. The body is unrolled at δ into the
-// schedule's own array, past room for the warmup's and cooldown's items, and
-// a moved cooldown is written after it, so that the merge, which writes from
-// the front, joins the parts in place (each is in item order: solvePhase
-// sorts, AppendUnroll emits in order, and a move keeps the order). Unmoved,
-// the cooldown is merged from its own array and the schedule's is exactly
-// its size, as a cached result's should be.
+// certificate's parts extended to n. The body and a moved cooldown are
+// written into the schedule's own array, past room for the warmup's and
+// cooldown's items, so that the merge, which writes from the front, joins
+// the parts in place (each is in item order: solvePhase sorts, AppendUnroll
+// emits in order, and a move keeps the order). Unmoved, the cooldown is
+// merged from its own array and the schedule's is exactly its size, as a
+// cached result's should be.
 func (c *composition) schedule(p *sched.Placement, r *repetend.Repetend, shift int) *sched.Schedule {
 	head := len(c.warm) + len(c.cool)
-	body := head + c.reps*p.K()
-	cool, size := c.cool, body
+	size := head + c.reps*p.K()
 	if shift != 0 {
 		size += len(c.cool)
 	}
-	items := r.AppendUnroll(make([]sched.Item, head, size), c.reps, c.delta)
-	if shift != 0 {
-		for _, it := range c.cool {
-			it.Micro += shift
-			it.Start += shift * r.Period
-			items = append(items, it)
-		}
-		cool = items[body:]
+	items := make([]sched.Item, head, size)
+	body, cool := c.unroll(items, r, shift)
+	return sched.Merge(p, items[:0], c.warm, body, cool)
+}
+
+// unroll appends to dst the body, c.reps instances at δ, then the cooldown
+// moved by shift micro-batches and shift periods when shift is not 0, and
+// returns the body and the cooldown as they lie — an unmoved cooldown is
+// c.cool itself.
+func (c *composition) unroll(dst []sched.Item, r *repetend.Repetend, shift int) (body, cool []sched.Item) {
+	at := len(dst)
+	dst = r.AppendUnroll(dst, c.reps, c.delta)
+	if shift == 0 {
+		return dst[at:], c.cool
 	}
-	return sched.Merge(p, items[:0], c.warm, items[head:body], cool)
+	end := len(dst)
+	for _, it := range c.cool {
+		it.Micro += shift
+		it.Start += shift * r.Period
+		dst = append(dst, it)
+	}
+	return dst[at:end], dst[end:]
 }
 
 // phase is one solver instance of a completion: its blocks, the release time
@@ -1004,7 +1067,7 @@ func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool,
 	var memo *phaseMemo
 	base := 0
 	if tmpl != nil {
-		memo, base = tmpl.lookup(blocks, ph.releases, solveOpts)
+		memo, base = tmpl.lookup(p, blocks, ph.releases, solveOpts)
 	}
 	var res solver.Result
 	if memo != nil {
@@ -1022,7 +1085,7 @@ func solvePhase(ctx context.Context, p *sched.Placement, ph phase, satisfy bool,
 		// budget before the clock, so reaching it means the clock did not stop
 		// the solve.
 		if tmpl != nil && !satisfy && res.Feasible && (res.Optimal || solveOpts.MaxNodes > 0 && res.Nodes >= solveOpts.MaxNodes) {
-			memo = tmpl.store(blocks, ph.releases, solveOpts, res.Starts, !res.Optimal)
+			memo = tmpl.store(p, blocks, ph.releases, solveOpts, res.Starts, !res.Optimal)
 		}
 	}
 	if stats != nil {

@@ -43,12 +43,17 @@ const maxTemplateSolves = 16
 
 // phaseMemo is one solved phase. The key fields hold the solver's input
 // normalized: micro indices relative to the first task's, times relative to
-// the earliest moment any device is free (base). A release before base
-// cannot bind — every start waits for its device — so it is stored as base.
+// the earliest moment a device that runs one of the phase's blocks is free
+// (base). A release before base cannot bind — every start waits for its
+// device — so it is stored as base. A device that runs none of the blocks is
+// left out: the solver never reads its readiness but as a component common
+// to every state it compares (TestSolveIgnoresIdleDeviceReady), so it takes
+// no part in the instance, and a device that idles through the cooldown
+// must not keep the base from moving with n.
 type phaseMemo struct {
 	blocks  []sched.Block // task order; Micro relative to blocks[0]
 	release []int         // per task: max(Release − base, 0)
-	ready   []int         // DeviceReady − base; nil when every device starts idle
+	ready   []int         // DeviceReady − base of each device that runs a block, in device order
 	initMem []int
 	memory  int
 	nodes   int64 // the node budget the solve was proven optimal within
@@ -68,22 +73,42 @@ type template struct {
 	cert atomic.Pointer[certificate]
 }
 
-func timeBase(deviceReady []int) int {
-	if len(deviceReady) == 0 {
-		return 0
+// busyReady returns the readiness of each device that runs one of blocks, in
+// device order (a device DeviceReady does not reach is ready at 0, as the
+// solver reads it), and the earliest of them, the instance's time base.
+func busyReady(p *sched.Placement, blocks []sched.Block, deviceReady []int) (ready []int, base int) {
+	busy := make([]bool, p.NumDevices)
+	for _, b := range blocks {
+		for _, d := range p.Stages[b.Stage].Devices {
+			busy[d] = true
+		}
 	}
-	return slices.Min(deviceReady)
+	for d, on := range busy {
+		if !on {
+			continue
+		}
+		r := 0
+		if d < len(deviceReady) {
+			r = deviceReady[d]
+		}
+		if len(ready) == 0 || r < base {
+			base = r
+		}
+		ready = append(ready, r)
+	}
+	return ready, base
 }
 
 // matches reports whether the instance — blocks in solver task order, their
-// release times, and the solver options — is the one m holds.
-func (m *phaseMemo) matches(blocks []sched.Block, releases map[sched.Block]int, o solver.Options, base int) bool {
-	if len(blocks) != len(m.blocks) || len(o.DeviceReady) != len(m.ready) || o.Memory != m.memory ||
+// release times, the readiness of the devices they run on (busyReady) with
+// its base, and the solver options — is the one m holds.
+func (m *phaseMemo) matches(blocks []sched.Block, releases map[sched.Block]int, ready []int, base int, o solver.Options) bool {
+	if len(blocks) != len(m.blocks) || len(ready) != len(m.ready) || o.Memory != m.memory ||
 		o.MaxNodes != m.nodes || !slices.Equal(o.InitialMem, m.initMem) {
 		return false
 	}
-	for d, r := range o.DeviceReady {
-		if r-base != m.ready[d] {
+	for i, r := range ready {
+		if r-base != m.ready[i] {
 			return false
 		}
 	}
@@ -96,17 +121,17 @@ func (m *phaseMemo) matches(blocks []sched.Block, releases map[sched.Block]int, 
 	return true
 }
 
-// lookup returns the stored solution of an instance, or nil when the
+// lookup returns the stored solution of an instance over p, or nil when the
 // instance has not been solved. Its start times are relative to base and are
 // the template's own: read them, do not write them.
-func (t *template) lookup(blocks []sched.Block, releases map[sched.Block]int, o solver.Options) (m *phaseMemo, base int) {
+func (t *template) lookup(p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, o solver.Options) (m *phaseMemo, base int) {
 	list := t.memos.Load()
 	if list == nil {
 		return nil, 0
 	}
-	base = timeBase(o.DeviceReady)
+	ready, base := busyReady(p, blocks, o.DeviceReady)
 	for _, m := range *list {
-		if m.matches(blocks, releases, o, base) {
+		if m.matches(blocks, releases, ready, base, o) {
 			return m, base
 		}
 	}
@@ -118,8 +143,8 @@ func (t *template) lookup(blocks []sched.Block, releases map[sched.Block]int, o 
 // first. The solution must be one the instance determines — proven optimal, or cut short by the
 // node budget (truncated). A solve cut short by the wall-clock budget is
 // not: its bytes depend on the machine's speed that day.
-func (t *template) store(blocks []sched.Block, releases map[sched.Block]int, o solver.Options, starts []int, truncated bool) *phaseMemo {
-	base := timeBase(o.DeviceReady)
+func (t *template) store(p *sched.Placement, blocks []sched.Block, releases map[sched.Block]int, o solver.Options, starts []int, truncated bool) *phaseMemo {
+	ready, base := busyReady(p, blocks, o.DeviceReady)
 	m := &phaseMemo{
 		blocks:    make([]sched.Block, len(blocks)),
 		release:   make([]int, len(blocks)),
@@ -134,7 +159,7 @@ func (t *template) store(blocks []sched.Block, releases map[sched.Block]int, o s
 		m.release[i] = max(releases[b]-base, 0)
 		m.starts[i] = starts[i] - base
 	}
-	for _, r := range o.DeviceReady {
+	for _, r := range ready {
 		m.ready = append(m.ready, r-base)
 	}
 	for {
@@ -142,7 +167,7 @@ func (t *template) store(blocks []sched.Block, releases map[sched.Block]int, o s
 		list := []*phaseMemo{m}
 		if old != nil {
 			for _, e := range *old {
-				if e.matches(blocks, releases, o, base) {
+				if e.matches(blocks, releases, ready, base, o) {
 					return e // a concurrent completion solved the same instance
 				}
 			}
@@ -208,10 +233,17 @@ type certificate struct {
 	truncated    bool // a phase solution was cut short by the node budget
 }
 
-// extend composes the completion of n ≥ c.n0 micro-batches.
-func (c *certificate) extend(p *sched.Placement, r *repetend.Repetend, n int) *sched.Schedule {
+// at returns the composition of n ≥ c.n0 micro-batches: n0's parts with the
+// body's n − N_R + 1 instances. Its cooldown is n0's, to be moved by n − n0.
+func (c *certificate) at(r *repetend.Repetend, n int) composition {
 	at := c.composition
 	at.reps = n - r.NR + 1
+	return at
+}
+
+// extend composes the completion of n ≥ c.n0 micro-batches.
+func (c *certificate) extend(p *sched.Placement, r *repetend.Repetend, n int) *sched.Schedule {
+	at := c.at(r, n)
 	return at.schedule(p, r, n-c.n0)
 }
 

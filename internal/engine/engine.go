@@ -206,6 +206,11 @@ type Request struct {
 	// AllowDegraded opts in to a best-effort node-capped search when
 	// admission control would otherwise refuse the request.
 	AllowDegraded bool
+	// ScheduleParts lets a hit or a shared result that is composed from a
+	// cached result's certificate leave Full nil (core.ExtendParts), for a
+	// caller that only writes the schedule, by Result.AppendSchedule. The
+	// zero value builds Full on every path.
+	ScheduleParts bool
 }
 
 // Engine is a cache-backed, deduplicating front-end over core.Search. The
@@ -325,7 +330,7 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 			e.lru.MoveToFront(el)
 			cached := el.Value.(*cacheEntry).res
 			e.mu.Unlock()
-			out, err := extendTo(ctx, cached, opts)
+			out, err := extendTo(ctx, cached, opts, req.ScheduleParts)
 			if err != nil {
 				return nil, info, err
 			}
@@ -365,7 +370,7 @@ func (e *Engine) Serve(ctx context.Context, req Request) (*core.Result, CacheInf
 				// leader and facing its own admission verdict).
 				continue
 			}
-			out, err := extendTo(ctx, fc.res, opts)
+			out, err := extendTo(ctx, fc.res, opts, req.ScheduleParts)
 			if err != nil {
 				return nil, info, err
 			}
@@ -428,7 +433,8 @@ func (e *Engine) lead(ctx context.Context, key, fingerprint string, fc *flightCa
 	// with the remaining deadline.
 	if tier := e.peerTier(); tier != nil {
 		if pres := e.peerFetch(ctx, fingerprint, key, tier); pres != nil {
-			if out, xerr := extendTo(ctx, pres, req.Options); xerr == nil {
+			// Full is built: the result is cached.
+			if out, xerr := extendTo(ctx, pres, req.Options, false); xerr == nil {
 				fc.peer = true
 				return out, nil
 			}
@@ -496,8 +502,9 @@ func (e *Engine) Stats() Stats {
 // returned as-is; otherwise the extension carries the originating search's
 // Stats, so every cache hit reports the same search effort regardless of
 // which N it asked for — except Truncated, which also says whether the
-// extension's own warmup or cooldown solve ran out of budget.
-func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*core.Result, error) {
+// extension's own warmup or cooldown solve ran out of budget. With parts the
+// extension is core.ExtendParts'.
+func extendTo(ctx context.Context, cached *core.Result, opts core.Options, parts bool) (*core.Result, error) {
 	n := opts.N
 	if n == 0 && cached.Repetend != nil {
 		n = 3 * cached.Repetend.NR
@@ -505,7 +512,11 @@ func extendTo(ctx context.Context, cached *core.Result, opts core.Options) (*cor
 	if n == cached.N {
 		return cached, nil
 	}
-	out, err := core.Extend(ctx, cached, n, opts)
+	extend := core.Extend
+	if parts {
+		extend = core.ExtendParts
+	}
+	out, err := extend(ctx, cached, n, opts)
 	if err != nil {
 		return nil, err
 	}

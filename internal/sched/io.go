@@ -244,45 +244,102 @@ func EncodeSchedule(w io.Writer, s *Schedule) error {
 // gives scheduleJSON under SetIndent("", "  ") — and writes them in one pass
 // with no reflection: the placement as EncodePlacement does, its strings
 // escaped as encoding/json escapes them, and the items, all integers and
-// nearly all of the bytes, directly. No newline follows the closing brace.
+// nearly all of the bytes, directly, in their current order. It is the
+// one-part case of AppendMerged. No newline follows the closing brace.
 func AppendSchedule(dst []byte, s *Schedule, depth int) ([]byte, error) {
 	if s == nil || s.P == nil {
 		return dst, fmt.Errorf("sched: nil schedule")
 	}
+	return AppendMerged(dst, s.P, depth, s.Items), nil
+}
+
+// AppendMerged appends the bytes AppendSchedule writes for Merge(p, nil,
+// parts...), each part in (Start, Stage, Micro) order, without building the
+// merge: each run of the merge (mergeRuns) is formatted where it lies. A
+// certified cache hit is written this way from its warmup, body and cooldown.
+// p must not be nil.
+func AppendMerged(dst []byte, p *Placement, depth int, parts ...[]Item) []byte {
 	// A newline and the indentation of the placement's deepest line.
 	nl := "\n" + strings.Repeat("  ", depth+5)
-	in1, in2, in3 := nl[1:3+2*depth], nl[1:5+2*depth], nl[1:7+2*depth]
-	// The text around the three numbers of one item, indentation included.
-	open, micro, start, end := "\n"+in2+"{\n"+in3+`"stage": `, ",\n"+in3+`"micro": `, ",\n"+in3+`"start": `, "\n"+in2+"}"
+	in1 := nl[1 : 3+2*depth]
+	var text [4096]byte // the item text of up to about 80 stages, on the stack
+	var at [129]int32
+	t := newItemText(depth, p.K(), text[:0], at[:0])
+	n := 0
+	for _, q := range parts {
+		n += len(q)
+	}
 	// One growth step for the common case of up to four digits a number.
-	dst = slices.Grow(dst, 256+192*s.P.K()+len(s.Items)*(len(open)+len(micro)+len(start)+len(end)+1+3*4))
+	dst = slices.Grow(dst, 256+192*p.K()+n*(len(t.open)+len(t.micro)+len(t.start)+len(t.end)+3*4))
 	dst = append(dst, "{\n"+in1+`"version": `...)
 	dst = strconv.AppendInt(dst, ioVersion, 10)
 	dst = append(dst, ",\n"+in1+`"placement": `...)
-	dst = appendPlacement(dst, s.P, nl)
-	dst = append(dst, ",\n"+in1+`"items": [`...)
-	if len(s.Items) > 0 {
-		dst = appendItems(dst, s.Items, open, micro, start, end)
-		dst = append(dst, "\n"+in1...)
+	dst = appendPlacement(dst, p, nl)
+	dst = append(dst, ",\n"+in1+`"items": `...)
+	// Every item is written after a comma; the first one's becomes the '['.
+	first := len(dst)
+	mergeRuns(parts, func(run []Item) { dst = t.appendItems(dst, run) })
+	if len(dst) == first {
+		return append(dst, "[]\n"+in1[2:]+"}"...)
 	}
-	return append(dst, "]\n"+in1[2:]+"}"...), nil
+	dst[first] = '['
+	return append(dst, "\n"+in1+"]\n"+in1[2:]+"}"...)
 }
 
-// appendItems appends the members of a non-empty "items" array between the
-// four strings that surround an item's numbers, so the loop does nothing but
-// copy and format integers.
-func appendItems(dst []byte, items []Item, open, micro, start, end string) []byte {
-	for i := range items {
-		if i > 0 {
-			dst = append(dst, ',')
+// itemText is the text around an item's numbers at one depth, indentation
+// included, so that writing an item does nothing but copy and format
+// integers. An item of stage i in the table is its prefix — the comma before
+// it, its opening brace, "stage": i and the name of "micro" — its micro, the
+// name of "start", its start and the closing brace: two integers and three
+// copies. Any other stage is written between open and micro.
+type itemText struct {
+	text                    []byte  // open, micro, start and end, then the table's prefixes
+	at                      []int32 // stage i < stages has the prefix text[at[i]:at[i+1]]
+	stages                  int
+	open, micro, start, end []byte
+}
+
+// newItemText returns the item text of depth with a table of k stages'
+// prefixes. It builds in text and at, which grow past their capacity for a
+// large k.
+func newItemText(depth, k int, text []byte, at []int32) itemText {
+	line := func(b []byte, indent int) []byte {
+		b = append(b, '\n')
+		for range indent {
+			b = append(b, ' ')
 		}
-		dst = append(dst, open...)
-		dst = appendInt(dst, items[i].Stage)
-		dst = append(dst, micro...)
-		dst = appendInt(dst, items[i].Micro)
-		dst = append(dst, start...)
-		dst = appendInt(dst, items[i].Start)
-		dst = append(dst, end...)
+		return b
+	}
+	in2, in3 := 4+2*depth, 6+2*depth
+	text = append(line(append(line(append(text, ','), in2), '{'), in3), `"stage": `...)
+	o := len(text)
+	text = append(line(append(text, ','), in3), `"micro": `...)
+	m := len(text)
+	text = append(line(append(text, ','), in3), `"start": `...)
+	s := len(text)
+	text = append(line(text, in2), '}')
+	e := len(text)
+	for i := range k {
+		at = append(at, int32(len(text)))
+		text = append(appendInt(append(text, text[:o]...), i), text[o:m]...)
+	}
+	at = append(at, int32(len(text)))
+	return itemText{text: text, at: at, stages: k, open: text[:o], micro: text[o:m], start: text[m:s], end: text[s:e]}
+}
+
+// appendItems appends items, each after a comma.
+func (t *itemText) appendItems(dst []byte, items []Item) []byte {
+	for i := range items {
+		it := &items[i]
+		if uint(it.Stage) < uint(t.stages) {
+			dst = append(dst, t.text[t.at[it.Stage]:t.at[it.Stage+1]]...)
+		} else {
+			dst = append(appendInt(append(dst, t.open...), it.Stage), t.micro...)
+		}
+		dst = appendInt(dst, it.Micro)
+		dst = append(dst, t.start...)
+		dst = appendInt(dst, it.Start)
+		dst = append(dst, t.end...)
 	}
 	return dst
 }

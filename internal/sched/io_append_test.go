@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -120,14 +121,29 @@ func TestAppendScheduleMatchesEncodingJSON(t *testing.T) {
 // TestAppendItemsFormatsIntegers holds the two-digit table to strconv at each
 // edge of its digit counts and at both ends of the table's range, every value
 // in each of an item's three places, and appendInt alone to strconv over
-// [-1000, 100000), all of the table and both of its ends.
+// [-1000, 100000), all of the table and both of its ends. A stage's prefix
+// from the item text table must read as the stage written between open and
+// micro, at both depths, for every stage of the table.
 func TestAppendItemsFormatsIntegers(t *testing.T) {
+	text := itemText{open: []byte(",<"), micro: []byte(" "), start: []byte(" "), end: []byte(">")}
 	for _, v := range []int{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, -1, math.MaxInt, math.MinInt} {
 		items := []Item{{Block{v, 1}, 2}, {Block{3, v}, 4}, {Block{5, 6}, v}}
-		got := appendItems([]byte("x"), items, "<", " ", " ", ">")
+		got := text.appendItems([]byte("x"), items)
 		s := strconv.Itoa(v)
-		if want := "x<" + s + " 1 2>,<3 " + s + " 4>,<5 6 " + s + ">"; string(got) != want {
+		if want := "x,<" + s + " 1 2>,<3 " + s + " 4>,<5 6 " + s + ">"; string(got) != want {
 			t.Errorf("%d: appendItems wrote %q, want %q", v, got, want)
+		}
+	}
+	for depth := 0; depth <= 1; depth++ {
+		const k = 300 // past the stack buffers AppendMerged hands in
+		table := newItemText(depth, k, nil, nil)
+		bare := table
+		bare.stages = 0
+		for stage := -1; stage <= k; stage++ {
+			items := []Item{{Block{stage, 7}, 11}, {Block{stage, 10000}, 0}}
+			if got, want := table.appendItems(nil, items), bare.appendItems(nil, items); !bytes.Equal(got, want) {
+				t.Fatalf("depth %d stage %d: the table wrote %q, want %q", depth, stage, got, want)
+			}
 		}
 	}
 	for v := -1000; v < 100000; v++ {
@@ -139,7 +155,9 @@ func TestAppendItemsFormatsIntegers(t *testing.T) {
 
 // FuzzAppendSchedule builds a small schedule from the fuzzer's bytes — names,
 // stage and device counts, dependency lists and items — and holds
-// AppendSchedule to the bytes of the reference encoder at both depths.
+// AppendSchedule to the bytes of the reference encoder at both depths. It
+// also deals the items into one to three parts, sorts each, and holds
+// AppendMerged of the parts to AppendSchedule of their Merge.
 func FuzzAppendSchedule(f *testing.F) {
 	f.Add("m-shape", "f0", []byte{4, 2, 0, 1, 2, 3, 9, 9, 9})
 	f.Add("a\"<&> ", "\xff\x00", []byte{1, 1, 0})
@@ -174,5 +192,23 @@ func FuzzAppendSchedule(f *testing.F) {
 			s.Add(next(), next(), next()<<(next()%24)-1)
 		}
 		checkAppendSchedule(t, s)
+
+		parts := make([][]Item, 1+len(name)%3)
+		for i, it := range s.Items {
+			x := (i + it.Stage + it.Micro) % len(parts)
+			parts[x] = append(parts[x], it)
+		}
+		for _, q := range parts {
+			slices.SortFunc(q, compareItems)
+		}
+		for depth := 0; depth <= 1; depth++ {
+			want, err := AppendSchedule([]byte("prefix"), Merge(p, nil, parts...), depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := AppendMerged([]byte("prefix"), p, depth, parts...); !bytes.Equal(got, want) {
+				t.Fatalf("depth %d, %d parts: AppendMerged differs from AppendSchedule of the merge\n got: %s\nwant: %s", depth, len(parts), got, want)
+			}
+		}
 	})
 }

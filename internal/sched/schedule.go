@@ -79,17 +79,29 @@ func (s *Schedule) Clone() *Schedule {
 
 // Merge appends to dst the items of parts, each part in (Start, Stage, Micro)
 // order, in that order, and returns the result as a schedule over p: one
-// linear pass, a run at a time, where sorting the concatenation would pay a
-// log factor. A part may lie in dst's own array, starting at or past len(dst)
-// plus the other parts' item count: the merge writes forward and never past
-// the next item it reads from that part, so the part is merged in place.
+// linear pass, a run at a time (mergeRuns), where sorting the concatenation
+// would pay a log factor. A part may lie in dst's own array, starting at or
+// past len(dst) plus the other parts' item count: the merge writes forward
+// and never past the next item it reads from that part, so the part is
+// merged in place. AppendMerged encodes the same merge without building it.
 func Merge(p *Placement, dst []Item, parts ...[]Item) *Schedule {
-	heads, n := make([][]Item, 0, 3), len(dst) // on the stack for up to three parts
+	n := len(dst)
 	for _, q := range parts {
-		heads, n = append(heads, q), n+len(q)
+		n += len(q)
 	}
 	out := &Schedule{P: p, Items: slices.Grow(dst, n-len(dst))}
-	for len(out.Items) < n {
+	mergeRuns(parts, func(run []Item) { out.Items = append(out.Items, run...) })
+	return out
+}
+
+// mergeRuns hands emit the items of parts, each part in item order, as the
+// runs of their merge in order: each run the longest stretch of one part
+// whose items all precede the next item of every other part. Ties between
+// parts go to the earlier part. A single part is one run, whatever its
+// order. emit may write over an item of a part it has already been handed.
+func mergeRuns(parts [][]Item, emit func([]Item)) {
+	heads := append(make([][]Item, 0, 3), parts...) // on the stack for up to three parts
+	for {
 		lo, next := -1, -1 // the parts with the smallest and second-smallest next item
 		for x, h := range heads {
 			switch {
@@ -100,13 +112,16 @@ func Merge(p *Placement, dst []Item, parts ...[]Item) *Schedule {
 				next = x
 			}
 		}
+		if lo < 0 {
+			return
+		}
 		h, run := heads[lo], 1 // lo's run of items before next's next one
 		for run < len(h) && (next < 0 || compareItems(h[run], heads[next][0]) < 0) {
 			run++
 		}
-		out.Items, heads[lo] = append(out.Items, h[:run]...), h[run:]
+		heads[lo] = h[run:]
+		emit(h[:run])
 	}
-	return out
 }
 
 // Start returns the earliest start time among items, or 0 if empty.

@@ -557,3 +557,46 @@ func TestSolveWithoutIncumbent(t *testing.T) {
 		validate(t, p, tasks, res, tc.opts.Memory, nil)
 	}
 }
+
+// TestSolveIgnoresIdleDeviceReady: the solver reads a device's readiness
+// only through the devices of a task (a candidate's start, the path and load
+// bounds) and as one component of every dominance state, where a device no
+// task runs on holds the same value in all of them. So its readiness cannot
+// change a solve: catalog placements with one device more than they use,
+// under memory caps and with the used devices ready at staggered times,
+// solve to the same starts, makespan, node and memo-hit counts whatever the
+// idle device's readiness — the premise of the completion template's time
+// base (internal/core), which leaves such a device out.
+func TestSolveIgnoresIdleDeviceReady(t *testing.T) {
+	for _, c := range []struct {
+		build  func(placement.Config) (*sched.Placement, error)
+		memory int
+	}{{placement.MShape, sched.Unbounded}, {placement.VShape, 4}, {placement.KShape, sched.Unbounded}, {placement.XShape, 8}} {
+		p, err := c.build(placement.Config{Devices: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.NumDevices++
+		idle := p.NumDevices - 1
+		tasks, err := BuildTasks(p, AllBlocks(p, 3), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want Result
+		for i, r := range []int{0, 3, 40, 1 << 20} {
+			ready := []int{7, 9, 7, 12, r}
+			res, err := Solve(context.Background(), tasks, Options{NumDevices: p.NumDevices, Memory: c.memory, DeviceReady: ready})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Elapsed = 0
+			if i == 0 {
+				want = res
+				continue
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("%s: device %d ready at %d: %+v, at 0: %+v", p.Name, idle, r, res, want)
+			}
+		}
+	}
+}
