@@ -120,8 +120,16 @@ func BenchmarkFingerprint(b *testing.B) {
 // and the filter stay out of: it walks all 288 leaves and hands them out
 // best-first by relaxation bound, and only the 47 or so that can still beat
 // the best are solved (~54k solver nodes; all 288, 85k nodes, in enumeration
-// order). solver_nodes/op counts the nodes of the sweep's instance solves.
-// Regressions in the pruning show up here first.
+// order). k6m8 and v6m4 are the other memory-capped shapes of the repository
+// benchmark (cold_solver and zipf_mix): k6m8 reaches the bound in the first
+// pass, v6m4 falls back to the unaimed pass as x8m4 does. solver_nodes/op
+// counts the nodes of the sweep's instance solves; period_probes/op the
+// period-feasibility probes of the repetend engine and period_relaxations/op
+// the distance tightenings inside them, which fall when an infeasible probe
+// stops earlier (x8m4's 4,148 probes took ~489k relaxations while a probe
+// ran until a relaxation chain reached K edges, ~157k since the first
+// positive cycle in the longest-path tree ends it). Regressions in the
+// pruning show up here first.
 func BenchmarkEngineColdSearch(b *testing.B) {
 	ctx := context.Background()
 	for _, c := range []struct {
@@ -139,6 +147,8 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 		{"x8i", tessel.NewXShape, 8, 0, true},
 		{"nn6i", tessel.NewNNShape, 6, 0, true},
 		{"x8m4", tessel.NewXShape, 8, 4, false},
+		{"k6m8", tessel.NewKShape, 6, 8, false},
+		{"v6m4", tessel.NewVShape, 6, 4, false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			p, err := c.build(tessel.ShapeConfig{Devices: c.devices})
@@ -148,7 +158,7 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 			if c.inference {
 				p = tessel.InferenceVariant(p)
 			}
-			var orderPruned, prefixChecks, prefixCuts, solverNodes int64
+			var orderPruned, prefixChecks, prefixCuts, solverNodes, probes, relaxations int64
 			for i := 0; i < b.N; i++ {
 				eng := tessel.NewEngine(tessel.EngineOptions{})
 				res, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory})
@@ -159,11 +169,15 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 				prefixChecks += res.Stats.PrefixChecks
 				prefixCuts += res.Stats.PrefixCuts
 				solverNodes += res.Stats.SolverNodes
+				probes += res.Stats.PeriodProbes
+				relaxations += res.Stats.PeriodRelaxations
 			}
 			b.ReportMetric(float64(orderPruned)/float64(b.N), "order_pruned/op")
 			b.ReportMetric(float64(prefixChecks)/float64(b.N), "prefix_checks/op")
 			b.ReportMetric(float64(prefixCuts)/float64(b.N), "prefix_cuts/op")
 			b.ReportMetric(float64(solverNodes)/float64(b.N), "solver_nodes/op")
+			b.ReportMetric(float64(probes)/float64(b.N), "period_probes/op")
+			b.ReportMetric(float64(relaxations)/float64(b.N), "period_relaxations/op")
 		})
 	}
 }

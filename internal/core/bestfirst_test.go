@@ -126,14 +126,21 @@ func TestBestFirstFallbackDifferential(t *testing.T) {
 // solves between assignments of one lag-zero pattern.) It pins the local
 // search's swaps too: without the lag-zero reach closure, which keeps it from
 // trying to swap a dependency-ordered pair, x8m4 evaluates 1,714 swaps and
-// v6m4 648, for the same schedules, each search about 9% slower.
+// v6m4 648, for the same schedules, each search about 9% slower. And it pins
+// the period engine's probes and relaxations: x8m4 runs 4,148 probes and v6m4
+// 3,441, as many as when a probe proved a period infeasible only once a
+// relaxation chain reached K edges — the same probes ran — but they take
+// 157,373 and 42,865 relaxations now that the first positive cycle in the
+// longest-path tree ends a probe, against 489,447 and 62,916 then.
 func TestBestFirstFallbackEffort(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		nodes  int64
-		passed int
-		swaps  int64
-	}{{"x8m4", 54094, 47, 1507}, {"v6m4", 531, 92, 568}} {
+		name        string
+		nodes       int64
+		passed      int
+		swaps       int64
+		probes      int64
+		relaxations int64
+	}{{"x8m4", 54094, 47, 1507, 4148, 157373}, {"v6m4", 531, 92, 568, 3441, 42865}} {
 		p, opts := catalogPlacement(t, c.name)
 		opts.Workers = 1
 		passed, calls := 0, 0
@@ -154,6 +161,9 @@ func TestBestFirstFallbackEffort(t *testing.T) {
 		}
 		if st.LocalSearchSwaps != c.swaps {
 			t.Errorf("%s: %d local search swaps, want %d", c.name, st.LocalSearchSwaps, c.swaps)
+		}
+		if st.PeriodProbes != c.probes || st.PeriodRelaxations != c.relaxations {
+			t.Errorf("%s: %d period probes and %d relaxations, want %d and %d", c.name, st.PeriodProbes, st.PeriodRelaxations, c.probes, c.relaxations)
 		}
 	}
 }

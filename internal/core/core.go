@@ -130,8 +130,9 @@ type Options struct {
 	// GOMAXPROCS). They walk and solve: the goroutine that called Search judges
 	// their results in enumeration order and breaks period ties by the
 	// canonically smallest assignment, so the chosen repetend and the returned
-	// schedule are identical for every Workers setting and Workers only trades
-	// wall-clock time for CPU.
+	// schedule are identical for every Workers setting. The effort counters
+	// of Stats are not: they move with Workers, and from run to run even at
+	// Workers 1 (see sweep.round for which of them repeat).
 	Workers int
 }
 
@@ -489,8 +490,17 @@ func (j *solveJob) run(ctx context.Context, p *sched.Placement, w *repetend.Pref
 // reaches the lower bound and completes (Algorithm 1 lines 19–20). The unaimed
 // pass hands its leaves out best-first, a block at a time (handOutBlock): what
 // it returns, the smallest period and among its holders the canonically
-// smallest assignment, does not depend on the order. Only the effort counters
-// (Solved, Pruned, SolverNodes, …) vary with the number of solvers.
+// smallest assignment, does not depend on the order.
+//
+// Only the effort counters (Solved, Pruned, SolverNodes, PeriodProbes, …)
+// vary, with the number of solvers and from run to run even at Workers 1:
+// past the aimed pass's winner, the job queued behind it is cancelled at a
+// point that depends on timing. Over 40 k6 searches at Workers 1, SolverNodes
+// read 815, 913 or 1,002, PeriodProbes 73–105 and LocalSearchSwaps 42–61. The
+// unaimed pass has no winner to stop at, and at Workers 1 it has one job out
+// at a time and lets it finish, so a search whose aimed pass finds nothing —
+// every job of that pass runs to its end too — repeats its counters exactly
+// at Workers 1; TestBestFirstFallbackEffort pins x8m4's and v6m4's.
 //
 // The solvers run under a context of the round's own, which ends with it:
 // past the winner whatever is in flight can only be thrown away, and so is

@@ -12,8 +12,14 @@
 // replaces:
 //
 //  1. Queue-based relaxation (SPFA) with positive-cycle detection by
-//     relaxation-chain length: only stages whose distance actually changed
-//     are revisited, instead of re-scanning every edge O(V) times.
+//     Tarjan's subtree disassembly (Cherkassky & Goldberg, "Negative-cycle
+//     detection algorithms", Math. Programming 85, 1999): only stages whose
+//     distance actually changed are revisited, instead of re-scanning every
+//     edge O(V) times, and an infeasible period is proved the moment a
+//     longest-path tree would close a cycle, not after a relaxation chain
+//     reaches K edges. A stage raised again takes its stale subtree out of
+//     the tree, so the stages below it are not scanned at their stale
+//     distances either.
 //  2. In-place swap+undo local search: a candidate adjacent swap mutates
 //     the engine's order and prefix-memory buffers in O(shared devices),
 //     its memory check is a delta check of the single changed prefix per
@@ -99,9 +105,15 @@ type periodEngine struct {
 
 	// SPFA state. dist is the working distance vector; feasDist holds the
 	// least fixpoint of the last feasible probe of the current minPeriod
-	// call; qbuf is a FIFO ring of capacity k+1 with
-	// inq de-duplicating membership; cnt is the relaxation-chain length
-	// per stage — reaching k proves a positive cycle (infeasible period).
+	// call; qbuf is a FIFO ring of capacity k+1 with inq de-duplicating
+	// membership.
+	//
+	// The longest-path tree of the probe, as a circular doubly linked list
+	// in preorder (next, prev) through a virtual root at index k, with each
+	// stage's depth below the root: a stage's subtree is the run of the
+	// list after it that lies deeper than it. A stage whose subtree was
+	// disassembled is detached (depth −1) and out of the list until a
+	// relaxation raises it again. All three have k+1 entries.
 	dist     []int
 	feasDist []int
 	qbuf     []int
@@ -109,7 +121,9 @@ type periodEngine struct {
 	qtail    int
 	qlen     int
 	inq      []bool
-	cnt      []int
+	next     []int
+	prev     []int
+	depth    []int
 
 	// localSearch scratch: scan snapshots one device order for candidate
 	// generation; bestStarts holds the normalized start vector of the
@@ -313,7 +327,9 @@ func (e *periodEngine) bind(p *sched.Placement, a Assignment, entry []int, mem i
 	e.ordPos = growInts(e.ordPos, e.nd*k)
 	e.dist = growInts(e.dist, k)
 	e.feasDist = growInts(e.feasDist, k)
-	e.cnt = growInts(e.cnt, k)
+	e.next = growInts(e.next, k+1)
+	e.prev = growInts(e.prev, k+1)
+	e.depth = growInts(e.depth, k+1)
 	e.inq = growBools(e.inq, k)
 	e.qbuf = growInts(e.qbuf, k+1)
 }
@@ -446,9 +462,12 @@ func (e *periodEngine) pop() int {
 	return u
 }
 
-// relax applies one difference constraint s_v ≥ s_u + w. It reports false
-// when the relaxation chain through v reaches k edges — a repeated stage on
-// a strictly improving chain, i.e. a positive cycle: no period-P solution.
+// relax applies one difference constraint s_v ≥ s_u + w. When it raises v,
+// v's subtree in the longest-path tree is unlinked and detached — its
+// distances came through v's old one — and v is re-hung under u. It reports
+// false when u is v or lies in v's subtree: every tree edge is tight, so the
+// tree path from v to u closes with this edge into a positive cycle, and no
+// period-P solution exists.
 func (e *periodEngine) relax(u, v, w int) bool {
 	d := e.dist[u] + w
 	if d <= e.dist[v] {
@@ -456,10 +475,28 @@ func (e *periodEngine) relax(u, v, w int) bool {
 	}
 	e.dist[v] = d
 	e.relaxations++
-	e.cnt[v] = e.cnt[u] + 1
-	if e.cnt[v] >= e.k {
+	if u == v {
 		return false
 	}
+	if dv := e.depth[v]; dv >= 0 {
+		// Detach the run after v that lies deeper than v, then unlink v
+		// and that run from the list.
+		x := e.next[v]
+		for e.depth[x] > dv {
+			if x == u {
+				return false
+			}
+			e.depth[x] = -1
+			x = e.next[x]
+		}
+		p := e.prev[v]
+		e.next[p], e.prev[x] = x, p
+	}
+	// Re-hang v as u's first child: right after u in preorder.
+	n := e.next[u]
+	e.next[u], e.prev[v] = v, u
+	e.next[v], e.prev[n] = n, v
+	e.depth[v] = e.depth[u] + 1
 	if !e.inq[v] {
 		e.inq[v] = true
 		e.push(v)
@@ -467,17 +504,20 @@ func (e *periodEngine) relax(u, v, w int) bool {
 	return true
 }
 
-// seedCold resets dist to the all-zero vector and enqueues every stage —
-// the from-scratch start whose least fixpoint is the canonical minimal
-// start-time vector.
+// seedCold resets dist to the all-zero vector, enqueues every stage and
+// hangs every stage on the tree's virtual root — the from-scratch start
+// whose least fixpoint is the canonical minimal start-time vector. It
+// resets all of the tree, so a pooled engine probes as a fresh one does.
 func (e *periodEngine) seedCold() {
-	for i := 0; i < e.k; i++ {
+	k := e.k
+	for i := 0; i < k; i++ {
 		e.dist[i] = 0
-		e.cnt[i] = 0
 		e.inq[i] = true
 		e.qbuf[i] = i
+		e.next[i], e.prev[i+1], e.depth[i] = i+1, i, 1
 	}
-	e.qhead, e.qtail, e.qlen = 0, e.k, e.k
+	e.next[k], e.prev[0], e.depth[k] = 0, k, 0
+	e.qhead, e.qtail, e.qlen = 0, k, k
 	if e.qtail == len(e.qbuf) {
 		e.qtail = 0
 	}
@@ -487,12 +527,17 @@ func (e *periodEngine) seedCold() {
 // stage's outgoing constraints: always the static dependency edges, plus
 // the device-window edges (window mode, the order-independent relaxation)
 // or the execution-order edges implied by the engine's current order
-// buffers (orders mode). It reports false on a positive cycle.
+// buffers (orders mode). A popped stage that is detached is skipped: its
+// distance is stale, and the stage that detached it will raise it again.
+// It reports false on a positive cycle.
 func (e *periodEngine) run(period int, window, orders bool) bool {
 	e.probes++
 	for e.qlen > 0 {
 		u := e.pop()
 		e.inq[u] = false
+		if e.depth[u] < 0 {
+			continue
+		}
 		tu := e.times[u]
 		for x := e.statHead[u]; x < e.statHead[u+1]; x++ {
 			if !e.relax(u, e.statTo[x], tu-e.statCoeff[x]*period) {

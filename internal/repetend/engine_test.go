@@ -21,7 +21,21 @@ import (
 // devices, forward edges i→j (i<j) with probability ~0.35.
 func randomPlacement(rng *rand.Rand) *sched.Placement {
 	k := 1 + rng.Intn(8)
-	nd := 1 + rng.Intn(3)
+	return randomPlacementOf(rng, k, 1+rng.Intn(3))
+}
+
+// largePlacement is randomPlacement at 9–24 stages over 1–4 devices: its
+// dependency, order and window edges chain far enough that a probe's
+// longest-path tree grows deep, and infeasible probes close their cycles deep
+// in it.
+func largePlacement(rng *rand.Rand) *sched.Placement {
+	k := 9 + rng.Intn(16)
+	return randomPlacementOf(rng, k, 1+rng.Intn(4))
+}
+
+// randomPlacementOf draws the stages and edges of randomPlacement for k stages
+// on nd devices.
+func randomPlacementOf(rng *rand.Rand, k, nd int) *sched.Placement {
 	p := &sched.Placement{Name: "random", NumDevices: nd}
 	p.Stages = make([]sched.Stage, k)
 	p.Deps = make([][]int, k)
@@ -51,9 +65,9 @@ func randomPlacement(rng *rand.Rand) *sched.Placement {
 // chainPlacement builds a chain-heavy placement: a long dependency chain
 // 0→1→…→k−1 over one or two devices. Under high-lag assignments its
 // difference-constraint systems have strictly-improving relaxation chains
-// of length ≈ k (the cross-lag chain closed by a device wrap edge), the
-// shape that brings positive-cycle detection closest to its chain-length
-// limit — a regression generator for that path.
+// of length ≈ k (the cross-lag chain closed by a device wrap edge), so a
+// positive cycle runs through nearly every stage and closes at the bottom of
+// a path-shaped longest-path tree — a regression generator for that path.
 func chainPlacement(rng *rand.Rand) *sched.Placement {
 	k := 4 + rng.Intn(9)
 	nd := 1 + rng.Intn(2)
@@ -189,21 +203,42 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// maxDepth is the depth of the deepest stage in the engine's longest-path
+// tree as the last probe left it.
+func maxDepth(e *periodEngine) int {
+	deepest := 0
+	for _, d := range e.depth[:e.k] {
+		deepest = max(deepest, d)
+	}
+	return deepest
+}
+
 // TestPeriodEngineMatchesReference is the central property test: for
 // random placements, assignments, start-derived orders and bounds, the
 // engine's SPFA minPeriod must return byte-identical
 // (period, normalized starts, status) to the dense Bellman-Ford reference
-// — including periodPruned and periodInfeasible outcomes under bounds.
+// — including periodPruned and periodInfeasible outcomes under bounds — and
+// relaxedFeasible the reference's verdict and, when feasible, its fixpoint.
+// The last 300 cases draw placements of up to 24 stages on up to 4 devices,
+// half of them with dependency-consistent orders, so that probes grow deep
+// longest-path trees and infeasible ones close their cycles deep in them.
 // One engine is reused across all cases, so stale-scratch reuse bugs
 // surface too.
 func TestPeriodEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	e := &periodEngine{}
 	statuses := map[periodStatus]int{}
-	for iter := 0; iter < 600; iter++ {
+	largeStatuses := map[periodStatus]int{}
+	deepestCut := 0 // the deepest tree an infeasible large-case probe left
+	for iter := 0; iter < 900; iter++ {
 		p := randomPlacement(rng)
 		a := randomAssignment(rng, p)
-		if iter >= 400 {
+		large := iter >= 600
+		switch {
+		case large:
+			p = largePlacement(rng)
+			a = randomAssignmentMax(rng, p, 1+rng.Intn(6))
+		case iter >= 400:
 			// Chain-heavy mode: long cross-lag chains.
 			p = chainPlacement(rng)
 			a = randomAssignmentMax(rng, p, 6)
@@ -213,6 +248,9 @@ func TestPeriodEngineMatchesReference(t *testing.T) {
 		}
 		entry := EntryMemory(p, a, 0)
 		starts := randomStarts(rng, p.K())
+		if large && iter%2 == 0 {
+			starts = randomTopoStarts(rng, p, a)
+		}
 		orders := ordersFromStarts(p, starts)
 		ref := newRefInstance(p, a, entry, sched.Unbounded)
 		e.bind(p, a, entry, sched.Unbounded)
@@ -220,9 +258,18 @@ func TestPeriodEngineMatchesReference(t *testing.T) {
 		checkEngineState(t, e, orders)
 
 		// The order-independent relaxation must agree at arbitrary periods.
+		relaxed := ref.refRelaxedEdges()
 		for _, period := range []int{1 + rng.Intn(e.hiSum+1), e.lower, e.hiSum} {
-			if got, want := e.relaxedFeasible(period), ref.refRelaxedFeasible(period); got != want {
+			dist := make([]int, p.K())
+			got, want := e.relaxedFeasible(period), refFeasibleEdges(relaxed, dist, period)
+			if got != want {
 				t.Fatalf("iter %d: relaxedFeasible(%d) = %v, reference %v", iter, period, got, want)
+			}
+			if got && !equalInts(e.dist[:e.k], dist) {
+				t.Fatalf("iter %d: relaxedFeasible(%d) fixpoint %v, reference %v", iter, period, e.dist[:e.k], dist)
+			}
+			if large && !got {
+				deepestCut = max(deepestCut, maxDepth(e))
 			}
 		}
 
@@ -237,6 +284,9 @@ func TestPeriodEngineMatchesReference(t *testing.T) {
 			refP, refS, refSt := ref.refMinPeriod(orders, bound)
 			gotP, gotSt := e.minPeriod(bound)
 			statuses[gotSt]++
+			if large {
+				largeStatuses[gotSt]++
+			}
 			if gotSt != refSt || gotP != refP {
 				t.Fatalf("iter %d bound %d: engine (%d, %v) != reference (%d, %v)\nassign %v starts %v",
 					iter, bound, gotP, gotSt, refP, refSt, a, starts)
@@ -250,9 +300,13 @@ func TestPeriodEngineMatchesReference(t *testing.T) {
 		}
 	}
 	for _, st := range []periodStatus{periodOK, periodPruned, periodInfeasible} {
-		if statuses[st] == 0 {
-			t.Fatalf("property test never exercised status %v (coverage %v)", st, statuses)
+		if statuses[st] == 0 || largeStatuses[st] == 0 {
+			t.Fatalf("property test never exercised status %v (coverage %v, %v on the large placements)", st, statuses, largeStatuses)
 		}
+	}
+	t.Logf("coverage %v, %v on the large placements; an infeasible relaxation left a tree %d deep", statuses, largeStatuses, deepestCut)
+	if deepestCut < 8 {
+		t.Fatalf("no infeasible relaxation of a large placement grew a tree deeper than %d", deepestCut)
 	}
 }
 

@@ -178,8 +178,9 @@ func (in *refInstance) refMemoryOK(orders [][]int) bool {
 	return true
 }
 
-// refRelaxedFeasible is the order-independent relaxation check.
-func (in *refInstance) refRelaxedFeasible(period int) bool {
+// refRelaxedEdges assembles the order-independent relaxation: the
+// dependency edges plus the device-window edges.
+func (in *refInstance) refRelaxedEdges() []refEdge {
 	window := in.refWindowEdges()
 	edges := make([]refEdge, 0, len(in.intra)+len(in.cross)+len(window))
 	for _, e := range in.intra {
@@ -188,9 +189,7 @@ func (in *refInstance) refRelaxedFeasible(period int) bool {
 	for _, c := range in.cross {
 		edges = append(edges, refEdge{c.from, c.to, in.p.Stages[c.from].Time, c.lag})
 	}
-	edges = append(edges, window...)
-	dist := make([]int, in.p.K())
-	return refFeasibleEdges(edges, dist, period)
+	return append(edges, window...)
 }
 
 // refWorkLowerBound is max_d E_d's floor.
