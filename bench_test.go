@@ -116,10 +116,12 @@ func BenchmarkFingerprint(b *testing.B) {
 // walk through the filter costs (prefix_checks/op; nn6i's warmup, once 32,146
 // nodes, is proven at the root since the barrier bound); x8m4 cannot reach the
 // bound under its memory cap and pays the failed first pass — every round of
-// it dead at the filter's root — plus the unaimed second pass, which the check
-// and the filter stay out of: it walks all 288 leaves and hands them out
-// best-first by relaxation bound, and only the 47 or so that can still beat
-// the best are solved (~54k solver nodes; all 288, 85k nodes, in enumeration
+// it dead at the filter's root — plus the unaimed second pass, which the
+// filter stays out of: it walks all 288 leaves and hands them out best-first
+// by relaxation bound, and only the 47 or so that can still beat the best go
+// to Solve, where the order check (order_checks/op) discards most of them
+// before their instance solve (~5k solver nodes at one worker, ~54k while
+// the check ran at the lower bound only; all 288, 85k nodes, in enumeration
 // order). k6m8 and v6m4 are the other memory-capped shapes of the repository
 // benchmark (cold_solver and zipf_mix): k6m8 reaches the bound in the first
 // pass, v6m4 falls back to the unaimed pass as x8m4 does. solver_nodes/op
@@ -158,13 +160,14 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 			if c.inference {
 				p = tessel.InferenceVariant(p)
 			}
-			var orderPruned, prefixChecks, prefixCuts, solverNodes, probes, relaxations int64
+			var orderChecks, orderPruned, prefixChecks, prefixCuts, solverNodes, probes, relaxations int64
 			for i := 0; i < b.N; i++ {
 				eng := tessel.NewEngine(tessel.EngineOptions{})
 				res, _, err := eng.Search(ctx, p, tessel.SearchOptions{N: 12, Memory: c.memory})
 				if err != nil {
 					b.Fatal(err)
 				}
+				orderChecks += res.Stats.OrderChecks
 				orderPruned += res.Stats.OrderPruned
 				prefixChecks += res.Stats.PrefixChecks
 				prefixCuts += res.Stats.PrefixCuts
@@ -172,6 +175,7 @@ func BenchmarkEngineColdSearch(b *testing.B) {
 				probes += res.Stats.PeriodProbes
 				relaxations += res.Stats.PeriodRelaxations
 			}
+			b.ReportMetric(float64(orderChecks)/float64(b.N), "order_checks/op")
 			b.ReportMetric(float64(orderPruned)/float64(b.N), "order_pruned/op")
 			b.ReportMetric(float64(prefixChecks)/float64(b.N), "prefix_checks/op")
 			b.ReportMetric(float64(prefixCuts)/float64(b.N), "prefix_cuts/op")

@@ -127,20 +127,27 @@ func TestBestFirstFallbackDifferential(t *testing.T) {
 // search's swaps too: without the lag-zero reach closure, which keeps it from
 // trying to swap a dependency-ordered pair, x8m4 evaluates 1,714 swaps and
 // v6m4 648, for the same schedules, each search about 9% slower. And it pins
-// the period engine's probes and relaxations: x8m4 runs 4,148 probes and v6m4
-// 3,441, as many as when a probe proved a period infeasible only once a
-// relaxation chain reached K edges — the same probes ran — but they take
-// 157,373 and 42,865 relaxations now that the first positive cycle in the
-// longest-path tree ends a probe, against 489,447 and 62,916 then.
+// the period engine's probes and relaxations, and the exact order check's
+// calls and prunes.
+//
+// The check runs on every call with a bound, not only at the lower bound:
+// x8m4 checks 46 calls at bounds 13–23 (lower bound 6) and discards 35 before
+// their instance solve, v6m4 checks 91 at bounds 5–17 (lower bound 3) and
+// discards 89 — the same bytes. Checked only at the lower bound, x8m4 took
+// 54,094 solver nodes, 1,507 swaps, 4,148 probes and 157,373 relaxations,
+// v6m4 531, 568, 3,441 and 42,865. Before the first positive cycle in the
+// longest-path tree ended a probe, the same probes took 489,447 and 62,916
+// relaxations.
 func TestBestFirstFallbackEffort(t *testing.T) {
 	for _, c := range []struct {
-		name        string
-		nodes       int64
-		passed      int
-		swaps       int64
-		probes      int64
-		relaxations int64
-	}{{"x8m4", 54094, 47, 1507, 4148, 157373}, {"v6m4", 531, 92, 568, 3441, 42865}} {
+		name                     string
+		nodes                    int64
+		passed                   int
+		swaps                    int64
+		probes                   int64
+		relaxations              int64
+		orderChecks, orderPruned int64
+	}{{"x8m4", 5178, 47, 329, 2623, 81608, 46, 35}, {"v6m4", 3, 92, 7, 2298, 25711, 91, 89}} {
 		p, opts := catalogPlacement(t, c.name)
 		opts.Workers = 1
 		passed, calls := 0, 0
@@ -164,6 +171,9 @@ func TestBestFirstFallbackEffort(t *testing.T) {
 		}
 		if st.PeriodProbes != c.probes || st.PeriodRelaxations != c.relaxations {
 			t.Errorf("%s: %d period probes and %d relaxations, want %d and %d", c.name, st.PeriodProbes, st.PeriodRelaxations, c.probes, c.relaxations)
+		}
+		if st.OrderChecks != c.orderChecks || st.OrderPruned != c.orderPruned {
+			t.Errorf("%s: %d order checks, %d of them pruning, want %d and %d", c.name, st.OrderChecks, st.OrderPruned, c.orderChecks, c.orderPruned)
 		}
 	}
 }

@@ -24,12 +24,12 @@
 // bound: from the first assignment on, only candidates that can reach it get
 // past the order-independent relaxation, and of those only the ones for which
 // some per-device order does reach it get past the exact order check
-// (repetend.Solve's second prune stage, which a bound at the lower bound
-// switches on — here every job's) to an instance solve. The first assignment
-// in enumeration order that reaches the bound and completes is the winner
-// either way — everything the preset discards has a larger period and could
-// never have displaced it. When no assignment reaches the bound (memory caps
-// usually), the incumbent is cleared and the loop runs again unaimed.
+// (repetend.Solve's second prune stage, run against every job's bound) to an
+// instance solve. The first assignment in enumeration order that reaches the
+// bound and completes is the winner either way — everything the preset
+// discards has a larger period and could never have displaced it. When no
+// assignment reaches the bound (memory caps usually), the incumbent is cleared
+// and the loop runs again unaimed.
 //
 // The unaimed pass returns the smallest period and, among its holders, the
 // canonically smallest assignment, whatever order it meets them in — so it
@@ -38,12 +38,12 @@
 // least bound Solve's first prune stage lets it through), and hands each block
 // out by increasing bound, canonical order among equals. A leaf whose bound
 // exceeds the bound its job would get is not solved — Solve would only have
-// pruned it at the relaxation. A job's bound is the lower bound when the best
-// period is one above it and the leaf sorts after the best; Solve then runs
-// the order check in this pass too. At most Workers jobs are out and
-// unfinished at a time, so each goes out against the freshest incumbent. On
-// x8m4 at Workers 1 that leaves 47 of 288 leaves to solve, the rest proven
-// unable to win.
+// pruned it at the relaxation. Every job with a bound runs the order check
+// first, so a leaf no per-device order brings under the best costs no
+// instance solve either. At most Workers jobs are out and unfinished at a
+// time, so each goes out against the freshest incumbent. On x8m4 at Workers 1
+// that leaves 47 of 288 leaves to Solve, the rest proven unable to win, and 35
+// of the 46 checked among them end at the check.
 //
 // In the first pass most assignments never become one. The walk goes through
 // the enumeration tree with a repetend.PrefixFilter at the lower bound, and a
@@ -180,7 +180,9 @@ type Stats struct {
 	// Truncated is true when an enumeration or solver budget was exhausted
 	// anywhere in the search — assignment enumeration, a repetend instance
 	// solve, or a completion solve — so the result is budget-degraded
-	// rather than proven.
+	// rather than proven. A leaf the exact order check prunes runs no
+	// instance solve, so it cannot mark the search truncated, though the
+	// solve it saves might have run out of nodes.
 	Truncated bool
 	// NRSwept is the largest N_R the sweep reached.
 	NRSwept int

@@ -25,12 +25,12 @@ package repetend
 
 import "math"
 
-// orderNodeCap bounds the branch nodes of one check. The worst check over the
-// 21 catalog placements takes a small fraction of it (pinned by
-// TestOrderCheckNodesFarBelowCap); a check that would exceed it answers
-// "undecided" — never a truncated verdict — and Solve goes on as it would
-// have without the check, so an adversarial instance costs what it cost
-// before plus a bounded constant.
+// orderNodeCap bounds the branch nodes of one check. The worst check of either
+// sweep pass over the catalog takes a small fraction of it (pinned by
+// TestOrderCheckDiscardsOnlyWhatThePipelineDiscards); a check that would
+// exceed it answers "undecided" — never a truncated verdict — and Solve goes
+// on as it would have without the check, so an adversarial instance costs
+// what it cost before plus a bounded constant.
 const orderNodeCap = 512
 
 // orderNodeLimit is the cap in effect. Only tests write it: 0 leaves the check
@@ -72,10 +72,17 @@ const (
 )
 
 // orderChecked reports whether Solve's second prune stage runs against bound:
-// only where the bound leaves the busiest device no idle time, the check is
-// not switched off and the instance is within the stage cap.
+// at every positive bound below the sequential ceiling hiSum, which one
+// stage after another reaches in any case (and which keeps the matrix entries
+// within orderNone's reach), where the check is not switched off and the
+// instance is within the stage cap. The check is exact at every period from
+// the lower bound up — below it Solve has pruned already — and far above the
+// lower bound it still pays: a memory-capped sweep's unaimed pass solves
+// against its best period or one less, where most leaves that get past the
+// relaxation admit no order (x8m4: 35 of 46 checked leaves at bounds 13–23,
+// lower bound 6, in 84 branch nodes all told — each an instance solve saved).
 func (e *periodEngine) orderChecked(bound int) bool {
-	return bound > 0 && bound == e.lower && orderNodeLimit >= 0 && e.k <= orderStageCap
+	return bound > 0 && bound < e.hiSum && orderNodeLimit >= 0 && e.k <= orderStageCap
 }
 
 // orderCheck decides whether any per-device order of the bound instance has

@@ -7,9 +7,11 @@ package repetend_test
 // lower bound.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,11 +49,67 @@ func passOne(t *testing.T, c repetend.CatalogShape, visit func(p *sched.Placemen
 	}
 }
 
-// TestOrderCheckDiscardsOnlyWhatThePipelineDiscards: over the first sweep pass
-// of all 21 catalog placements, every assignment the check prunes comes back
-// ErrPruned from the pipeline the check sits in front of — instance solve,
-// minPeriod, local search, period > bound — when the check is switched off.
-// The worst check of the catalog stays under half the node cap.
+// passTwo walks a search's unaimed pass over p as a sweep at one worker walks
+// it: every round up to the resolved N_R cap, its leaves handed out by
+// increasing relaxation bound (repetend.RelaxedPeriod), canonical order among
+// equals, a leaf whose bound exceeds its job bound skipped, and each other
+// leaf solved against its job bound — the best period, one less when it sorts
+// after the best assignment, none before there is a best. A repetend that
+// beats the best becomes it, as when its completion passes. Each Solve goes to
+// visit as passOne hands it on; passTwo returns the winner.
+func passTwo(t *testing.T, p *sched.Placement, memory int, visit func(a repetend.Assignment, opts repetend.SolveOptions, eff repetend.Effort, r *repetend.Repetend, err error)) *repetend.Repetend {
+	t.Helper()
+	o := core.Options{Memory: memory}.Resolve(p)
+	var best *repetend.Repetend
+	type leaf struct {
+		a     repetend.Assignment
+		bound int
+	}
+	for nr := 1; nr <= o.MaxNR; nr++ {
+		var leaves []leaf
+		if _, err := repetend.Enumerate(p, nr, func(a repetend.Assignment) bool {
+			if lb := repetend.RelaxedPeriod(p, a, memory, nil); lb < math.MaxInt {
+				leaves = append(leaves, leaf{a.Clone(), lb})
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		slices.SortFunc(leaves, func(x, y leaf) int { return cmp.Or(cmp.Compare(x.bound, y.bound), x.a.Compare(y.a)) })
+		for _, l := range leaves {
+			opts := repetend.SolveOptions{Memory: memory, SolverNodes: o.SolverNodes}
+			if best != nil {
+				opts.PeriodUpperBound = best.Period
+				if l.a.Compare(best.Assign) > 0 {
+					opts.PeriodUpperBound--
+				}
+			}
+			if opts.PeriodUpperBound > 0 && l.bound > opts.PeriodUpperBound {
+				continue
+			}
+			var eff repetend.Effort
+			o := opts
+			o.Effort = &eff
+			r, err := repetend.Solve(context.Background(), p, l.a, o)
+			visit(l.a, opts, eff, r, err)
+			if r != nil && (best == nil || r.Period < best.Period || r.Period == best.Period && r.Assign.Compare(best.Assign) < 0) {
+				best = r
+			}
+		}
+	}
+	return best
+}
+
+// TestOrderCheckDiscardsOnlyWhatThePipelineDiscards: every assignment the
+// check prunes comes back ErrPruned from the pipeline the check sits in front
+// of — instance solve, minPeriod, local search, period > bound — when the
+// check is switched off: over the first sweep pass of all 21 catalog
+// placements, at the lower bound, and over the unaimed pass of the three that
+// fall back to it (x8m4, v6m4, nn4m8) and of seeded memory-capped random
+// placements that do, at the bounds the sweep solves their leaves against —
+// a period or more above the lower bound. passTwo's winner must be the
+// search's, so those bounds are the sweep's. The worst check of either pass
+// stays under half the node cap.
 func TestOrderCheckDiscardsOnlyWhatThePipelineDiscards(t *testing.T) {
 	type discarded struct {
 		p    *sched.Placement
@@ -60,26 +118,86 @@ func TestOrderCheckDiscardsOnlyWhatThePipelineDiscards(t *testing.T) {
 		name string
 	}
 	var pruned []discarded
-	var checks, worst int64
+	var checks, worst [2]int64
+	var prunedAt [2]int
+	record := func(pass int, name string, p *sched.Placement, a repetend.Assignment, opts repetend.SolveOptions, eff repetend.Effort, err error) {
+		checks[pass] += eff.OrderChecks
+		worst[pass] = max(worst[pass], eff.OrderNodes)
+		if eff.OrderPruned == 0 {
+			return
+		}
+		if !errors.Is(err, repetend.ErrPruned) || eff.SolverNodes != 0 || eff.LocalSearchSwaps != 0 {
+			t.Fatalf("%s %v at bound %d: order-pruned, yet err %v and effort %+v", name, a, opts.PeriodUpperBound, err, eff)
+		}
+		prunedAt[pass]++
+		pruned = append(pruned, discarded{p, a, opts, name})
+	}
 	for _, c := range repetend.Catalog {
 		passOne(t, c, func(p *sched.Placement, a repetend.Assignment, opts repetend.SolveOptions, eff repetend.Effort, r *repetend.Repetend, err error) {
-			checks += eff.OrderChecks
-			worst = max(worst, eff.OrderNodes)
-			if eff.OrderPruned == 0 {
-				return
-			}
-			if !errors.Is(err, repetend.ErrPruned) || eff.SolverNodes != 0 || eff.LocalSearchSwaps != 0 {
-				t.Fatalf("%s %v: order-pruned, yet err %v and effort %+v", c.Name, a, err, eff)
-			}
-			pruned = append(pruned, discarded{p, a, opts, c.Name})
+			record(0, c.Name, p, a, opts, eff, err)
 		})
 	}
-	t.Logf("%d checks, %d pruned, worst check %d branch nodes (cap %d)", checks, len(pruned), worst, repetend.OrderNodeCap)
-	if len(pruned) < 5000 {
-		t.Fatalf("only %d assignments order-pruned over the catalog; the check has stopped firing", len(pruned))
+
+	type fallback struct {
+		name   string
+		p      *sched.Placement
+		memory int
 	}
-	if worst == 0 || worst >= repetend.OrderNodeCap/2 {
-		t.Fatalf("worst check took %d branch nodes; the cap of %d wants it above zero and under half", worst, repetend.OrderNodeCap)
+	var fallbacks []fallback
+	for _, c := range repetend.Catalog {
+		if c.Name == "x8m4" || c.Name == "v6m4" || c.Name == "nn4m8" {
+			fallbacks = append(fallbacks, fallback{c.Name, c.Placement(t), c.Memory})
+		}
+	}
+	rng := rand.New(rand.NewSource(33))
+	for i := 0; i < 60; i++ {
+		p, memory, err := randomShape(rng, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fallbacks = append(fallbacks, fallback{p.Name, p, memory})
+	}
+	unaimed, aboveLower := 0, 0
+	for _, fb := range fallbacks {
+		res, err := core.Search(context.Background(), fb.p, core.Options{Memory: fb.memory, N: 8, Workers: 1})
+		if err != nil || res.Stats.EarlyExit {
+			continue // no unaimed pass
+		}
+		unaimed++
+		lower := fb.p.LowerBound()
+		var st repetend.Effort
+		best := passTwo(t, fb.p, fb.memory, func(a repetend.Assignment, opts repetend.SolveOptions, eff repetend.Effort, r *repetend.Repetend, err error) {
+			st.Add(eff)
+			if eff.OrderPruned != 0 && opts.PeriodUpperBound > lower {
+				aboveLower++
+			}
+			record(1, fb.name, fb.p, a, opts, eff, err)
+		})
+		if got, want := best, res.Repetend; got == nil || got.Period != want.Period || !slices.Equal(got.Assign, want.Assign) {
+			t.Fatalf("%s: the replayed unaimed pass ends at %v, the search at period %d %v", fb.name, got, want.Period, want.Assign)
+		}
+		// x8m4's and v6m4's first pass dies at the root of every round, so the
+		// search's counters are its unaimed pass's.
+		if fb.name == "x8m4" || fb.name == "v6m4" {
+			got, want := st, res.Stats.Effort
+			if got.OrderChecks != want.OrderChecks || got.OrderPruned != want.OrderPruned || got.SolverNodes != want.SolverNodes {
+				t.Fatalf("%s: the replayed unaimed pass ran %d checks, %d pruning, and %d solver nodes; the search %d, %d and %d",
+					fb.name, got.OrderChecks, got.OrderPruned, got.SolverNodes, want.OrderChecks, want.OrderPruned, want.SolverNodes)
+			}
+		}
+	}
+	t.Logf("first pass: %d checks, %d pruned, worst check %d branch nodes; unaimed pass of %d placements: %d checks, %d pruned (%d above the lower bound), worst check %d branch nodes (cap %d)",
+		checks[0], prunedAt[0], worst[0], unaimed, checks[1], prunedAt[1], aboveLower, worst[1], repetend.OrderNodeCap)
+	if prunedAt[0] < 5000 {
+		t.Fatalf("only %d assignments order-pruned over the catalog; the check has stopped firing", prunedAt[0])
+	}
+	if unaimed < 20 || aboveLower < 100 {
+		t.Fatalf("%d placements reach the unaimed pass, %d of its leaves order-pruned above the lower bound; the sample has gone soft", unaimed, aboveLower)
+	}
+	for pass, w := range worst {
+		if w == 0 || w >= repetend.OrderNodeCap/2 {
+			t.Fatalf("pass %d: worst check took %d branch nodes; the cap of %d wants it above zero and under half", pass+1, w, repetend.OrderNodeCap)
+		}
 	}
 	repetend.SetOrderNodeLimit(t, -1)
 	for _, d := range pruned {
@@ -87,7 +205,7 @@ func TestOrderCheckDiscardsOnlyWhatThePipelineDiscards(t *testing.T) {
 		d.opts.Effort = &eff
 		r, err := repetend.Solve(context.Background(), d.p, d.a, d.opts)
 		if r != nil || !errors.Is(err, repetend.ErrPruned) || eff.OrderChecks != 0 {
-			t.Fatalf("%s %v: the check pruned it; without the check: repetend %v, err %v, effort %+v", d.name, d.a, r, err, eff)
+			t.Fatalf("%s %v at bound %d: the check pruned it; without the check: repetend %v, err %v, effort %+v", d.name, d.a, d.opts.PeriodUpperBound, r, err, eff)
 		}
 	}
 }

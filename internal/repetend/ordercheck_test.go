@@ -96,13 +96,29 @@ func witnessStarts(e *periodEngine) []int {
 	return starts
 }
 
-// checkAgainstBruteForce compares orderCheck(P) with the enumeration for
-// P = lower, lower+1, lower+2 on the bound engine and returns how many of the
-// three it found feasible.
-func checkAgainstBruteForce(t *testing.T, e *periodEngine, what string) (feasible int) {
+// bruteForceVerdicts counts what checkAgainstBruteForce saw on one instance:
+// infeasible and feasible verdicts at lower … lower+2, and infeasible ones
+// above lower+2 — at best − 1 when the best of all orders lies there.
+type bruteForceVerdicts struct{ infeasible, feasible, infeasibleHigh int }
+
+// checkAgainstBruteForce compares orderCheck(P) with the enumeration on the
+// bound engine for P = lower, lower+1, lower+2 and at best − 1 and best, where
+// best is the least period of all orders: the check is exact at any period,
+// far above the lower bound too.
+func checkAgainstBruteForce(t *testing.T, e *periodEngine, what string) (v bruteForceVerdicts) {
 	t.Helper()
-	best := bestOrderPeriod(e, e.lower+2)
-	for P := e.lower; P <= e.lower+2; P++ {
+	best := bestOrderPeriod(e, e.hiSum)
+	if best > e.hiSum {
+		t.Fatalf("%s: no order within the sequential ceiling %d", what, e.hiSum)
+	}
+	// Below the lower bound Solve prunes before the check runs.
+	periods := []int{e.lower, e.lower + 1, e.lower + 2}
+	for _, P := range []int{best - 1, best} {
+		if P > e.lower+2 {
+			periods = append(periods, P)
+		}
+	}
+	for _, P := range periods {
 		e.ordNodes = 0
 		got := e.orderCheck(P)
 		if got == orderUndecided {
@@ -111,26 +127,35 @@ func checkAgainstBruteForce(t *testing.T, e *periodEngine, what string) (feasibl
 		if want := best <= P; (got == orderFeasible) != want {
 			t.Fatalf("%s: check at period %d says feasible=%v, the best of all orders is %d (lower bound %d)", what, P, got == orderFeasible, best, e.lower)
 		}
-		if got == orderFeasible {
-			feasible++
+		switch {
+		case got == orderInfeasible && P > e.lower+2:
+			v.infeasibleHigh++
+		case got == orderInfeasible:
+			v.infeasible++
+		case got == orderFeasible:
+			if P <= e.lower+2 {
+				v.feasible++
+			}
 			e.setOrdersFromStarts(witnessStarts(e))
 			if p, st := e.minPeriod(P); st != periodOK || p > P {
 				t.Fatalf("%s: the check's witness order at period %d evaluates to period %d, status %d", what, P, p, st)
 			}
 		}
 	}
-	return feasible
+	return v
 }
 
 // TestOrderCheckMatchesBruteForce: check(P) ⇔ some combination of per-device
 // orders has period ≤ P, on every catalog placement of at most nine stages and
-// on random placements, for a sample of valid assignments each; and whenever
-// the check says feasible, the order its matrix spells out is one.
+// on random placements, for a sample of valid assignments each, at the lower
+// bound and the two periods above it and on both sides of the best period of
+// all orders; and whenever the check says feasible, the order its matrix
+// spells out is one.
 func TestOrderCheckMatchesBruteForce(t *testing.T) {
 	const maxCombinations = 6000
 	rng := rand.New(rand.NewSource(17))
 	e := &periodEngine{}
-	instances, skipped, verdicts, beyondRelaxation, branched := 0, 0, [2]int{}, 0, 0
+	instances, skipped, verdicts, beyondRelaxation, branched := 0, 0, bruteForceVerdicts{}, 0, 0
 	run := func(p *sched.Placement, a Assignment, what string) {
 		e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
 		if orderCombinations(e, maxCombinations) > maxCombinations {
@@ -138,14 +163,16 @@ func TestOrderCheckMatchesBruteForce(t *testing.T) {
 			return
 		}
 		instances++
-		f := checkAgainstBruteForce(t, e, what)
-		verdicts[0] += 3 - f
-		verdicts[1] += f
+		v := checkAgainstBruteForce(t, e, what)
+		verdicts.infeasible += v.infeasible
+		verdicts.feasible += v.feasible
+		verdicts.infeasibleHigh += v.infeasibleHigh
 		if e.ordNodes > 0 { // of the last period checked
 			branched++
 		}
-		// Infeasible verdicts the relaxation could not have reached.
-		for P := e.lower; P < e.lower+3-f; P++ {
+		// Infeasible verdicts at lower … lower+2 the relaxation could not
+		// have reached.
+		for P := e.lower; P < e.lower+v.infeasible; P++ {
 			if e.relaxedFeasible(P) {
 				beyondRelaxation++
 			}
@@ -179,11 +206,54 @@ func TestOrderCheckMatchesBruteForce(t *testing.T) {
 			run(p, randomAssignmentMax(rng, p, 1+j), "random")
 		}
 	}
-	t.Logf("%d instances × 3 periods: %d infeasible (%d of them past the relaxation), %d feasible verdicts, %d instances branched; %d instances skipped (more than %d order combinations)",
-		instances, verdicts[0], beyondRelaxation, verdicts[1], branched, skipped, maxCombinations)
-	if instances < 2000 || beyondRelaxation < 150 || verdicts[1] < 1000 || branched < 50 {
-		t.Fatalf("the sample no longer exercises both verdicts: %d instances, %d infeasible past the relaxation, %d feasible", instances, beyondRelaxation, verdicts[1])
+	t.Logf("%d instances × 3 periods: %d infeasible (%d of them past the relaxation), %d feasible verdicts; %d infeasible above lower+2; %d instances branched; %d instances skipped (more than %d order combinations)",
+		instances, verdicts.infeasible, beyondRelaxation, verdicts.feasible, verdicts.infeasibleHigh, branched, skipped, maxCombinations)
+	if instances < 2000 || beyondRelaxation < 150 || verdicts.feasible < 1000 || verdicts.infeasibleHigh < 50 || branched < 50 {
+		t.Fatalf("the sample no longer exercises both verdicts: %d instances, %d infeasible past the relaxation, %d feasible, %d infeasible above lower+2", instances, beyondRelaxation, verdicts.feasible, verdicts.infeasibleHigh)
 	}
+}
+
+// FuzzOrderCheck holds the check to brute force at any bound Solve runs it
+// against: an input seeds a placement of at most eight stages, a valid
+// assignment and a period anywhere from the lower bound to the sequential
+// ceiling, and the verdict must be "feasible" exactly when some combination
+// of per-device orders reaches the period — never "undecided" — with the
+// order the deciding matrix spells out as the witness. The engine comes from
+// the package pool, so whatever state the last input left in it is under test
+// too.
+//
+//	go test -run '^$' -fuzz '^FuzzOrderCheck$' -fuzztime 20s ./internal/repetend/
+func FuzzOrderCheck(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		f.Add(seed, uint8(seed), uint16(seed*9000))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, maxIndex uint8, at uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		p := randomPlacement(rng)
+		a := randomAssignmentMax(rng, p, int(maxIndex%6))
+		e := periodEngines.Get().(*periodEngine)
+		defer periodEngines.Put(e)
+		e.bind(p, a, EntryMemory(p, a, 0), sched.Unbounded)
+		if orderCombinations(e, 6000) > 6000 {
+			return // seven or eight stages on one device: too many orders to walk
+		}
+		P := e.lower + int(at)%(e.hiSum-e.lower+1)
+		best := bestOrderPeriod(e, e.hiSum)
+		e.ordNodes = 0
+		got := e.orderCheck(P)
+		if got == orderUndecided {
+			t.Fatalf("check at period %d undecided after %d nodes (assign %v)", P, e.ordNodes, a)
+		}
+		if want := best <= P; (got == orderFeasible) != want {
+			t.Fatalf("check at period %d says feasible=%v, the best of all orders is %d (lower bound %d, assign %v)", P, got == orderFeasible, best, e.lower, a)
+		}
+		if got == orderFeasible {
+			e.setOrdersFromStarts(witnessStarts(e))
+			if q, st := e.minPeriod(P); st != periodOK || q > P {
+				t.Fatalf("the check's witness order at period %d evaluates to period %d, status %d (assign %v)", P, q, st, a)
+			}
+		}
+	})
 }
 
 // TestOrderCheckSteadyStateAllocs: a check on a warmed engine allocates

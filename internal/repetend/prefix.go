@@ -19,10 +19,10 @@
 // an O(K²) insertion, and the paths out of i — all of whose ends are still
 // free, in topological order — to lag r_i, in one O(K²) update of i's row and
 // the rows that reach it. A raise that would close a positive cycle cuts the
-// subtree, and where P is the device-work lower bound so does a same-device
-// pair with neither order left after forced-pair propagation — the propagation
-// of the order check; in the last branchLevels levels the whole check, which
-// cuts on "infeasible" only. Split and Walk are Enumerate in two halves.
+// subtree, and so does a same-device pair with neither order left after
+// forced-pair propagation — the propagation of the order check; in the last
+// branchLevels levels the whole check, which cuts on "infeasible" only.
+// Split and Walk are Enumerate in two halves.
 //
 // Soundness: summing the stage-1 constraints s_x ≥ s_u + t_u − (r_u − r_x)·P
 // along a path a ⇝ b telescopes the lags to r_a − r_b, at most L; so every

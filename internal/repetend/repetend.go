@@ -27,8 +27,8 @@
 // against it. Three stages do that, each a proof the next one costs more to
 // reach: the order-independent relaxation (one probe; holds for every order),
 // the exact order check (ordercheck.go; decides whether any order reaches the
-// bound, run when the bound is the device-work lower bound), and — after the
-// instance solve and local search — the period of the order actually found.
+// bound, at any bound below the sequential ceiling), and — after the instance
+// solve and local search — the period of the order actually found.
 //
 // The first two do not need the whole assignment. A PrefixFilter (prefix.go)
 // runs them in relaxed form on the prefixes of the enumeration tree — each
@@ -238,7 +238,8 @@ type Effort struct {
 	LocalSearchSwaps int64
 	// The exact order check is Solve's second prune stage and the prefix
 	// filter's last levels'. OrderChecks is the number of checks run, at a
-	// leaf or a prefix, and OrderPruned how many proved the bound out of reach
+	// leaf — every Solve call with a bound, in either sweep pass — or a
+	// prefix, and OrderPruned how many proved the bound out of reach
 	// of every per-device order: a leaf discarded before its instance solve
 	// (inside core.Stats.Pruned) or a prefix cut (inside PrefixCuts).
 	// OrderNodes is the branch nodes the checks expanded beyond forced-pair
@@ -337,12 +338,11 @@ func instanceTasks(p *sched.Placement, a Assignment) []solver.Task {
 //  1. The relaxation — dependency edges plus device-window edges, one SPFA
 //     probe — proves that no per-device order has period ≤ B. It is a
 //     relaxation: passing it proves nothing.
-//  2. The order check, only when B equals the device-work lower bound (every
-//     leaf of a sweep's aimed pass, and a leaf of its unaimed pass that sorts
-//     after a best one period above the lower bound; against a looser bound
-//     nearly everything is feasible and it would only cost): decides exactly
-//     whether some per-device order has period ≤ B, memory cap aside. "No"
-//     prunes; "yes", or running into its node cap, goes on.
+//  2. The order check, at every positive B below the sequential ceiling:
+//     decides exactly whether some per-device order has period ≤ B, memory
+//     cap aside. "No" prunes; "yes", or running into its node cap, goes on.
+//     Far above the lower bound it still pays: the unaimed pass solves
+//     against a bound just under its best, out of most leaves' reach.
 //  3. The pipeline proper: instance solve, minPeriod, local search, and
 //     period > B at the end. This judges one order, found heuristically, so
 //     it can discard an assignment stage 2 let through — never the reverse.
@@ -394,7 +394,7 @@ func Solve(ctx context.Context, p *sched.Placement, a Assignment, opts SolveOpti
 		return nil, &pruneError{"period lower bound", bound}
 	}
 	if eng.orderChecked(bound) {
-		// Stage 2: the bound leaves the busiest device no idle time.
+		// Stage 2: no instance solve for a leaf no order can bring to bound.
 		eff.OrderChecks = 1
 		if eng.orderCheck(bound) == orderInfeasible {
 			eff.OrderPruned = 1
