@@ -88,9 +88,9 @@ func passTwo(t *testing.T, p *sched.Placement, memory int, visit func(a repetend
 				continue
 			}
 			var eff repetend.Effort
-			o := opts
-			o.Effort = &eff
-			r, err := repetend.Solve(context.Background(), p, l.a, o)
+			withEff := opts
+			withEff.Effort = &eff
+			r, err := repetend.Solve(context.Background(), p, l.a, withEff)
 			visit(l.a, opts, eff, r, err)
 			if r != nil && (best == nil || r.Period < best.Period || r.Period == best.Period && r.Assign.Compare(best.Assign) < 0) {
 				best = r
